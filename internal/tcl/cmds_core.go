@@ -2,6 +2,7 @@ package tcl
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -169,7 +170,10 @@ func (in *Interp) callProc(def *procDef, args []string) (string, error) {
 	in.frames = append(in.frames, f)
 	defer func() { in.frames = in.frames[:len(in.frames)-1] }()
 
-	res, err := in.Eval(def.body)
+	if def.code == nil {
+		def.code = slices.Clone(compileScript(def.body, in.scratch))
+	}
+	res, err := in.evalCode(def.code)
 	if err != nil {
 		if re, ok := err.(*returnError); ok {
 			if re.code == OK {
@@ -271,27 +275,34 @@ func cmdWhile(in *Interp, args []string) (string, error) {
 	if err := arity(args, 2, 2, "test command"); err != nil {
 		return "", err
 	}
+	test := in.compiledExpr(args[1])
+	body, _ := in.compiledScript(args[2])
 	for {
-		cond, err := in.EvalBool(args[1])
-		if err != nil {
+		cond, err := in.truth(&test)
+		if err != nil || !cond {
 			return "", err
 		}
-		if !cond {
-			return "", nil
-		}
-		_, err = in.Eval(args[2])
-		if err != nil {
-			if te, ok := err.(*Error); ok {
-				if te.Code == BreakStatus {
-					return "", nil
-				}
-				if te.Code == ContinueStatus {
-					continue
-				}
-			}
-			return "", err
+		if err := in.loopBody(body); err != nil {
+			return "", ignoreBreak(err)
 		}
 	}
+}
+
+// loopBody runs a loop body once; continue ends the iteration normally.
+func (in *Interp) loopBody(body []token) error {
+	_, err := in.evalCode(body)
+	if te, ok := err.(*Error); ok && te.Code == ContinueStatus {
+		return nil
+	}
+	return err
+}
+
+// ignoreBreak turns the break that ends a loop into success.
+func ignoreBreak(err error) error {
+	if te, ok := err.(*Error); ok && te.Code == BreakStatus {
+		return nil
+	}
+	return err
 }
 
 func cmdFor(in *Interp, args []string) (string, error) {
@@ -301,28 +312,18 @@ func cmdFor(in *Interp, args []string) (string, error) {
 	if _, err := in.Eval(args[1]); err != nil {
 		return "", err
 	}
+	test := in.compiledExpr(args[2])
+	next, _ := in.compiledScript(args[3])
+	body, _ := in.compiledScript(args[4])
 	for {
-		cond, err := in.EvalBool(args[2])
-		if err != nil {
+		cond, err := in.truth(&test)
+		if err != nil || !cond {
 			return "", err
 		}
-		if !cond {
-			return "", nil
+		if err := in.loopBody(body); err != nil {
+			return "", ignoreBreak(err)
 		}
-		_, err = in.Eval(args[4])
-		if err != nil {
-			if te, ok := err.(*Error); ok {
-				if te.Code == BreakStatus {
-					return "", nil
-				}
-				if te.Code == ContinueStatus {
-					goto next
-				}
-			}
-			return "", err
-		}
-	next:
-		if _, err := in.Eval(args[3]); err != nil {
+		if _, err := in.evalCode(next); err != nil {
 			return "", err
 		}
 	}
@@ -343,6 +344,7 @@ func cmdForeach(in *Interp, args []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	body, _ := in.compiledScript(args[3])
 	for i := 0; i < len(items); i += len(varNames) {
 		for vi, vn := range varNames {
 			val := ""
@@ -353,17 +355,8 @@ func cmdForeach(in *Interp, args []string) (string, error) {
 				return "", err
 			}
 		}
-		_, err := in.Eval(args[3])
-		if err != nil {
-			if te, ok := err.(*Error); ok {
-				if te.Code == BreakStatus {
-					return "", nil
-				}
-				if te.Code == ContinueStatus {
-					continue
-				}
-			}
-			return "", err
+		if err := in.loopBody(body); err != nil {
+			return "", ignoreBreak(err)
 		}
 	}
 	return "", nil

@@ -123,9 +123,9 @@ func cmdInfo(in *Interp, args []string) (string, error) {
 	case "library":
 		return "", nil
 	case "cmdcount":
-		return "0", nil
+		return strconv.FormatInt(in.cmdCount, 10), nil
 	}
-	return "", errf("bad option %q: should be args, body, commands, default, exists, globals, level, locals, procs, tclversion, or vars", args[1])
+	return "", errf("bad option %q: should be args, body, cmdcount, commands, default, exists, globals, level, locals, procs, tclversion, or vars", args[1])
 }
 
 func cmdArray(in *Interp, args []string) (string, error) {

@@ -48,33 +48,40 @@ func listIndex(spec string, length int) (int, error) {
 	return n, nil
 }
 
+// cmdLindex and cmdLlength walk the list without splitting it.
 func cmdLindex(in *Interp, args []string) (string, error) {
 	if err := arity(args, 2, 2, "list index"); err != nil {
 		return "", err
 	}
-	elems, err := ParseList(args[1])
+	k, err := strconv.Atoi(args[2])
+	if err != nil {
+		k = -1 // end-relative or bad: needs the length first
+	}
+	elem, n, err := listAt(args[1], k)
 	if err != nil {
 		return "", err
 	}
-	i, err := listIndex(args[2], len(elems))
-	if err != nil {
+	i, err := listIndex(args[2], n)
+	switch {
+	case err != nil:
 		return "", err
-	}
-	if i < 0 || i >= len(elems) {
+	case i < 0 || i >= n:
 		return "", nil
+	case i != k:
+		elem, _, err = listAt(args[1], i)
 	}
-	return elems[i], nil
+	return elem, err
 }
 
 func cmdLlength(in *Interp, args []string) (string, error) {
 	if err := arity(args, 1, 1, "list"); err != nil {
 		return "", err
 	}
-	elems, err := ParseList(args[1])
+	_, n, err := listAt(args[1], -1)
 	if err != nil {
 		return "", err
 	}
-	return strconv.Itoa(len(elems)), nil
+	return strconv.Itoa(n), nil
 }
 
 func cmdLappend(in *Interp, args []string) (string, error) {

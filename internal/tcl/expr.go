@@ -1,6 +1,8 @@
 package tcl
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -115,278 +117,457 @@ func (in *Interp) EvalExpr(expr string) (string, error) {
 
 // EvalBool evaluates a Tcl expression as a condition.
 func (in *Interp) EvalBool(expr string) (bool, error) {
-	v, err := in.exprValue(expr)
+	x := in.compiledExpr(expr)
+	return in.truth(&x)
+}
+
+// truth evaluates a compiled expression as a condition.
+func (in *Interp) truth(x *exprCode) (bool, error) {
+	v, err := in.evalExpr(x)
 	if err != nil {
 		return false, err
 	}
 	return v.truth()
 }
 
-func (in *Interp) exprValue(expr string) (exprVal, error) {
-	ep := &exprParser{in: in, src: expr}
-	v, err := ep.parseTernary()
-	if err != nil {
-		return exprVal{}, err
-	}
-	ep.skipSpace()
-	if !ep.eof() {
-		return exprVal{}, errf("syntax error in expression %q", expr)
-	}
-	return v, nil
+func (in *Interp) exprValue(text string) (exprVal, error) {
+	x := in.compiledExpr(text)
+	return in.evalExpr(&x)
 }
 
-type exprParser struct {
-	in  *Interp
-	src string
-	pos int
-	// skip > 0 while parsing a branch whose value is not needed (the
-	// untaken arm of ?: or the short-circuited side of &&/||): operands
-	// are scanned but not evaluated, so side effects do not occur — the
-	// lazy-evaluation semantics of Tcl's expr.
-	skip int
+func (in *Interp) evalExpr(x *exprCode) (exprVal, error) {
+	if x.err != "" {
+		// A fresh error every time: callers append to its Info.
+		return exprVal{}, &Error{Code: ErrorStatus, Msg: x.err}
+	}
+	return in.evalNode(x, len(x.nodes)-1)
 }
 
-// scanVarRef advances past a $variable reference without evaluating it.
-func (e *exprParser) scanVarRef() error {
-	e.pos++ // '$'
-	if e.pos >= len(e.src) {
-		return nil
-	}
-	if e.src[e.pos] == '{' {
-		end := strings.IndexByte(e.src[e.pos:], '}')
-		if end < 0 {
-			return errf("missing close-brace for variable name")
+// An expression compiles to an operator tree stored in postfix order:
+// every node follows its operands, and knows the size of its subtree, so
+// an operand that lazy evaluation does not need is skipped unevaluated.
+// Numbers are converted once, when the expression is compiled.
+type exprOp uint8
+
+const (
+	eInt   exprOp = iota // integer constant num
+	eFloat               // float constant with bits num
+	eStr                 // string constant toks[num].text
+	eSubst               // $var or [script] at toks[num]: a number if it reads as one
+	eQuote               // "..." at toks[num]: a string
+	eFunc                // math function toks[num].text of the operands before it
+	eCond                // a ? b : c
+	eNeg                 // unary operators
+	ePos
+	eNot
+	eBitNot
+	eOr // binary operators, by precedence
+	eAnd
+	eBitOr
+	eBitXor
+	eBitAnd
+	eEq
+	eNe
+	eLt
+	eGt
+	eLe
+	eGe
+	eShl
+	eShr
+	eAdd
+	eSub
+	eMul
+	eDiv
+	eMod
+)
+
+var opNames = [...]string{eNeg: "-", ePos: "+", eNot: "!", eBitNot: "~",
+	eOr: "||", eAnd: "&&", eBitOr: "|", eBitXor: "^", eBitAnd: "&", eEq: "==", eNe: "!=",
+	eLt: "<", eGt: ">", eLe: "<=", eGe: ">=", eShl: "<<", eShr: ">>",
+	eAdd: "+", eSub: "-", eMul: "*", eDiv: "/", eMod: "%"}
+
+// binLevels lists the binary operators by precedence, lowest first.
+var binLevels = [...][]exprOp{{eOr}, {eAnd}, {eBitOr}, {eBitXor}, {eBitAnd},
+	{eEq, eNe}, {eLt, eGt, eLe, eGe}, {eShl, eShr}, {eAdd, eSub}, {eMul, eDiv, eMod}}
+
+type enode struct {
+	op   exprOp
+	size int32 // nodes in this subtree, this one included
+	num  int64
+}
+
+type exprCode struct {
+	nodes []enode
+	toks  []token // operands that substitute, and string constants
+	err   string  // a syntax error, raised before anything is evaluated
+}
+
+// exprCompiler compiles an expression; its embedded script compiler
+// compiles the $, [] and "" operands into toks.
+type exprCompiler struct {
+	compiler
+	nodes []enode
+	err   string
+}
+
+func compileExpr(src string) exprCode {
+	e := &exprCompiler{compiler: compiler{src: src}, nodes: make([]enode, 0, 2+len(src)/2)}
+	if e.ternary() {
+		if e.space(); e.pos < len(e.src) {
+			e.bad(fmt.Sprintf("syntax error in expression %q", src))
 		}
-		e.pos += end + 1
-		return nil
 	}
-	for e.pos < len(e.src) && isVarNameChar(e.src[e.pos]) {
+	if e.err != "" {
+		return exprCode{err: e.err}
+	}
+	return exprCode{nodes: e.nodes, toks: e.toks}
+}
+
+// bad records a syntax error and reports false.
+func (e *exprCompiler) bad(msg string) bool {
+	e.err = msg
+	return false
+}
+
+// node appends a node whose subtree starts at node start.
+func (e *exprCompiler) node(op exprOp, start int, num int64) {
+	e.nodes = append(e.nodes, enode{op: op, size: int32(len(e.nodes) - start + 1), num: num})
+}
+
+func (e *exprCompiler) space() {
+	for e.pos < len(e.src) && (isBlank(e.src[e.pos]) || e.src[e.pos] == '\n') {
 		e.pos++
 	}
-	if e.pos < len(e.src) && e.src[e.pos] == '(' {
-		depth := 0
-		for e.pos < len(e.src) {
-			switch e.src[e.pos] {
-			case '\\':
-				e.pos++
-			case '(':
-				depth++
-			case ')':
-				depth--
-				if depth == 0 {
-					e.pos++
-					return nil
-				}
-			case '[':
-				if err := e.scanBracket(); err != nil {
-					return err
-				}
-				continue
-			}
-			e.pos++
-		}
-		return errf("missing )")
-	}
-	return nil
 }
 
-// scanBracket advances past a [command] without evaluating it.
-func (e *exprParser) scanBracket() error {
-	depth := 0
-	for e.pos < len(e.src) {
-		switch e.src[e.pos] {
-		case '\\':
-			e.pos++
-		case '[':
-			depth++
-		case ']':
-			depth--
-			if depth == 0 {
-				e.pos++
-				return nil
-			}
-		case '{':
-			j, err := skipBraces(e.src, e.pos)
-			if err != nil {
-				return err
-			}
-			e.pos = j
-			continue
-		}
-		e.pos++
-	}
-	return errf("missing close-bracket")
-}
-
-func (e *exprParser) eof() bool { return e.pos >= len(e.src) }
-
-func (e *exprParser) skipSpace() {
-	for !e.eof() {
-		c := e.src[e.pos]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			e.pos++
-			continue
-		}
-		break
-	}
-}
-
-func (e *exprParser) peekOp() string {
-	e.skipSpace()
-	if e.eof() {
+// peekOp returns the operator at the next non-blank position, if any.
+func (e *exprCompiler) peekOp() string {
+	e.space()
+	rest := e.src[e.pos:]
+	if rest == "" {
 		return ""
 	}
-	rest := e.src[e.pos:]
 	for _, op := range [...]string{"<<", ">>", "<=", ">=", "==", "!=", "&&", "||"} {
 		if strings.HasPrefix(rest, op) {
 			return op
 		}
 	}
-	c := rest[0]
-	switch c {
+	switch rest[0] {
 	case '+', '-', '*', '/', '%', '<', '>', '&', '|', '^', '?', ':', '!', '~':
-		return string(c)
+		return rest[:1]
 	}
 	return ""
 }
 
-func (e *exprParser) takeOp(op string) { e.pos += len(op) }
-
-// parseTernary handles cond ? a : b (lowest precedence).
-func (e *exprParser) parseTernary() (exprVal, error) {
-	cond, err := e.parseBinary(0)
-	if err != nil {
-		return exprVal{}, err
+// ternary compiles cond ? a : b (lowest precedence).
+func (e *exprCompiler) ternary() bool {
+	start := len(e.nodes)
+	if !e.binary(0) {
+		return false
 	}
 	if e.peekOp() != "?" {
-		return cond, nil
+		return true
 	}
-	e.takeOp("?")
-	b := false
-	if e.skip == 0 {
-		var err error
-		if b, err = cond.truth(); err != nil {
-			return exprVal{}, err
-		}
+	e.pos++
+	if !e.ternary() {
+		return false
 	}
-	// Both branches are parsed, but only the selected one is evaluated;
-	// the other is scanned in skip mode so its side effects never occur.
-	if !b {
-		e.skip++
-	}
-	left, err := e.parseTernary()
-	if !b {
-		e.skip--
-	}
-	if err != nil {
-		return exprVal{}, err
-	}
-	e.skipSpace()
 	if e.peekOp() != ":" {
-		return exprVal{}, errf("missing ':' in ternary expression")
+		return e.bad("missing ':' in ternary expression")
 	}
-	e.takeOp(":")
-	if b {
-		e.skip++
+	e.pos++
+	if !e.ternary() {
+		return false
 	}
-	right, err := e.parseTernary()
-	if b {
-		e.skip--
-	}
-	if err != nil {
-		return exprVal{}, err
-	}
-	if b {
-		return left, nil
-	}
-	return right, nil
+	e.node(eCond, start, 0)
+	return true
 }
 
-// binOp describes a binary operator's precedence level.
-var binLevels = [][]string{
-	{"||"},
-	{"&&"},
-	{"|"},
-	{"^"},
-	{"&"},
-	{"==", "!="},
-	{"<", ">", "<=", ">="},
-	{"<<", ">>"},
-	{"+", "-"},
-	{"*", "/", "%"},
-}
-
-func (e *exprParser) parseBinary(level int) (exprVal, error) {
-	if level >= len(binLevels) {
-		return e.parseUnary()
+func (e *exprCompiler) binary(level int) bool {
+	if level == len(binLevels) {
+		return e.unary()
 	}
-	left, err := e.parseBinary(level + 1)
-	if err != nil {
-		return exprVal{}, err
+	start := len(e.nodes)
+	if !e.binary(level + 1) {
+		return false
 	}
 	for {
-		op := e.peekOp()
-		found := false
+		op, found := e.peekOp(), exprOp(0)
 		for _, cand := range binLevels[level] {
-			if op == cand {
-				found = true
-				break
+			if op == opNames[cand] {
+				found = cand
 			}
 		}
-		if !found {
-			return left, nil
+		if found == 0 {
+			return true
 		}
-		e.takeOp(op)
+		e.pos += len(op)
+		if !e.binary(level + 1) {
+			return false
+		}
+		e.node(found, start, 0)
+	}
+}
 
-		// Lazy evaluation for && and ||: when the left operand decides
-		// the result, the right side is scanned without evaluation.
-		if op == "&&" || op == "||" {
-			if e.skip > 0 {
-				if _, err := e.parseBinary(level + 1); err != nil {
-					return exprVal{}, err
-				}
-				continue
-			}
-			lb, err := left.truth()
-			if err != nil {
-				return exprVal{}, err
-			}
-			decided := (op == "&&" && !lb) || (op == "||" && lb)
-			if decided {
-				e.skip++
-			}
-			right, err := e.parseBinary(level + 1)
-			if decided {
-				e.skip--
-			}
-			if err != nil {
-				return exprVal{}, err
-			}
-			if decided {
-				left = boolValue(lb)
-				continue
-			}
-			rb, err := right.truth()
-			if err != nil {
-				return exprVal{}, err
-			}
-			left = boolValue(rb)
+func (e *exprCompiler) unary() bool {
+	e.space()
+	if e.pos >= len(e.src) {
+		return e.bad("premature end of expression")
+	}
+	op := exprOp(0)
+	switch e.src[e.pos] {
+	case '-':
+		op = eNeg
+	case '+':
+		op = ePos
+	case '!':
+		op = eNot
+	case '~':
+		op = eBitNot
+	}
+	e.depth++
+	defer func() { e.depth-- }()
+	switch {
+	case e.depth > maxNesting:
+		return e.bad(nestingMsg)
+	case op == 0:
+		return e.primary()
+	}
+	start := len(e.nodes)
+	e.pos++
+	if !e.unary() {
+		return false
+	}
+	e.node(op, start, 0)
+	return true
+}
+
+func (e *exprCompiler) primary() bool {
+	at := len(e.toks)
+	switch c := e.src[e.pos]; {
+	case c == '(':
+		e.pos++
+		if !e.ternary() {
+			return false
+		}
+		if e.space(); e.pos >= len(e.src) || e.src[e.pos] != ')' {
+			return e.bad("looking for close parenthesis")
+		}
+		e.pos++
+		return true
+	case c == '$' && !e.isVarRef(e.pos):
+		e.pos++
+		e.emit(tText, "$")
+		return e.operand(eStr, true, at)
+	case c == '$':
+		return e.operand(eSubst, e.variable(), at)
+	case c == '[':
+		return e.operand(eSubst, e.bracket(), at)
+	case c == '"':
+		return e.operand(eQuote, e.quoted(true), at)
+	case c == '{':
+		return e.operand(eStr, e.braced(), at)
+	case c >= '0' && c <= '9' || c == '.':
+		return e.number()
+	case isAlpha(c):
+		return e.function()
+	}
+	return e.bad(fmt.Sprintf("syntax error in expression at %q", e.src[e.pos:]))
+}
+
+// operand adds a leaf for the operand compiled into toks[at:]; a syntax
+// error inside it is the expression's.
+func (e *exprCompiler) operand(op exprOp, ok bool, at int) bool {
+	if !ok {
+		return e.bad(e.toks[len(e.toks)-1].text)
+	}
+	e.node(op, len(e.nodes), int64(at))
+	return true
+}
+
+func (e *exprCompiler) number() bool {
+	start := e.pos
+	src := e.src
+	if src[e.pos] == '0' && e.pos+1 < len(src) && (src[e.pos+1] == 'x' || src[e.pos+1] == 'X') {
+		for e.pos += 2; e.pos < len(src) && isHex(src[e.pos]); e.pos++ {
+		}
+		i, err := strconv.ParseInt(src[start:e.pos], 0, 64)
+		if err != nil {
+			return e.bad(fmt.Sprintf("malformed number %q", src[start:e.pos]))
+		}
+		e.node(eInt, len(e.nodes), i)
+		return true
+	}
+	isFloat := false
+	for e.pos < len(src) {
+		c := src[e.pos]
+		if isDigit(c) || c == '.' {
+			isFloat = isFloat || c == '.'
+			e.pos++
 			continue
 		}
-
-		right, err := e.parseBinary(level + 1)
-		if err != nil {
-			return exprVal{}, err
-		}
-		if e.skip > 0 {
-			left = intValue(0)
+		// An exponent, possibly signed.
+		if (c == 'e' || c == 'E') && e.pos+1 < len(src) && (isDigit(src[e.pos+1]) ||
+			(src[e.pos+1] == '+' || src[e.pos+1] == '-') && e.pos+2 < len(src) && isDigit(src[e.pos+2])) {
+			isFloat = true
+			e.pos += 2
 			continue
 		}
-		left, err = applyBinary(op, left, right)
-		if err != nil {
-			return exprVal{}, err
+		break
+	}
+	tok := src[start:e.pos]
+	if !isFloat {
+		if i, err := strconv.ParseInt(tok, 0, 64); err == nil {
+			e.node(eInt, len(e.nodes), i)
+			return true
 		}
 	}
+	// Floats, and integers out of range, which fall back to float.
+	f, err := strconv.ParseFloat(tok, 64)
+	if err != nil {
+		return e.bad(fmt.Sprintf("malformed number %q", tok))
+	}
+	e.node(eFloat, len(e.nodes), int64(math.Float64bits(f)))
+	return true
+}
+
+// function compiles a math function call like sin(x) or atan2(y, x).
+func (e *exprCompiler) function() bool {
+	start, name := len(e.nodes), e.pos
+	for e.pos < len(e.src) && (isAlpha(e.src[e.pos]) || isDigit(e.src[e.pos])) {
+		e.pos++
+	}
+	at := e.emit(tText, e.src[name:e.pos])
+	if e.space(); e.pos >= len(e.src) || e.src[e.pos] != '(' {
+		return e.bad(fmt.Sprintf("syntax error in expression: unknown token %q", e.toks[at].text))
+	}
+	e.pos++
+	if e.space(); e.pos < len(e.src) && e.src[e.pos] == ')' {
+		e.pos++
+	} else {
+		for {
+			if !e.ternary() {
+				return false
+			}
+			if e.space(); e.pos >= len(e.src) {
+				return e.bad("missing close parenthesis in function call")
+			}
+			e.pos++
+			if e.src[e.pos-1] == ')' {
+				break
+			}
+			if e.src[e.pos-1] != ',' {
+				return e.bad("syntax error in function arguments")
+			}
+		}
+	}
+	if !knownMathFunc(e.toks[at].text) {
+		return e.bad(fmt.Sprintf("unknown math function %q", e.toks[at].text))
+	}
+	e.node(eFunc, start, int64(at))
+	return true
+}
+
+// evalNode evaluates the subtree whose root is node i.
+func (in *Interp) evalNode(x *exprCode, i int) (exprVal, error) {
+	nd := x.nodes[i]
+	switch nd.op {
+	case eInt:
+		return intValue(nd.num), nil
+	case eFloat:
+		return floatValue(math.Float64frombits(uint64(nd.num))), nil
+	case eStr:
+		return strValue(x.toks[nd.num].text), nil
+	case eSubst, eQuote:
+		s, err := in.part(x.toks, int(nd.num))
+		if err != nil {
+			return exprVal{}, err
+		}
+		if n, ok := parseNumber(s); ok && nd.op == eSubst {
+			return n, nil
+		}
+		return strValue(s), nil
+	case eFunc:
+		// The operands are the subtrees before i; evaluate them in order.
+		var roots []int
+		for j := i - 1; j > i-int(nd.size); j -= int(x.nodes[j].size) {
+			roots = append(roots, j)
+		}
+		args := make([]exprVal, len(roots))
+		for k := range args {
+			v, err := in.evalNode(x, roots[len(roots)-1-k])
+			if err != nil {
+				return exprVal{}, err
+			}
+			args[k] = v
+		}
+		return applyMathFunc(x.toks[nd.num].text, args)
+	case eCond:
+		no := i - 1
+		yes := no - int(x.nodes[no].size)
+		cond, err := in.evalNode(x, yes-int(x.nodes[yes].size))
+		if err != nil {
+			return exprVal{}, err
+		}
+		b, err := cond.truth()
+		switch {
+		case err != nil:
+			return exprVal{}, err
+		case b:
+			return in.evalNode(x, yes)
+		}
+		return in.evalNode(x, no)
+	case eNeg, ePos, eNot, eBitNot:
+		v, err := in.evalNode(x, i-1)
+		if err != nil {
+			return exprVal{}, err
+		}
+		return applyUnary(nd.op, v)
+	}
+	r := i - 1
+	l, err := in.evalNode(x, r-int(x.nodes[r].size))
+	if err != nil {
+		return exprVal{}, err
+	}
+	if nd.op == eAnd || nd.op == eOr {
+		// Lazy: when the left operand decides, the right is not evaluated.
+		lb, err := l.truth()
+		if err != nil || lb == (nd.op == eOr) {
+			return boolValue(lb), err
+		}
+		l, err = in.evalNode(x, r)
+		if err != nil {
+			return exprVal{}, err
+		}
+		rb, err := l.truth()
+		return boolValue(rb), err
+	}
+	rv, err := in.evalNode(x, r)
+	if err != nil {
+		return exprVal{}, err
+	}
+	return applyBinary(nd.op, l, rv)
+}
+
+func applyUnary(op exprOp, v exprVal) (exprVal, error) {
+	if op == eNot {
+		b, err := v.truth()
+		return boolValue(!b), err
+	}
+	n, ok := coerceNumber(v)
+	switch {
+	case op == eBitNot && (!ok || n.kind != intVal):
+		return exprVal{}, errf("can't use non-integer value as operand of %q", "~")
+	case !ok:
+		return exprVal{}, errf("can't use non-numeric string %q as operand of %q", v.String(), opNames[op])
+	case op == eBitNot:
+		return intValue(^n.i), nil
+	case op == ePos:
+		return n, nil
+	case n.kind == intVal:
+		return intValue(-n.i), nil
+	}
+	return floatValue(-n.f), nil
 }
 
 func boolValue(b bool) exprVal {
@@ -396,10 +577,9 @@ func boolValue(b bool) exprVal {
 	return intValue(0)
 }
 
-func applyBinary(op string, l, r exprVal) (exprVal, error) {
-	switch op {
-	case "==", "!=", "<", ">", "<=", ">=":
-		return compareVals(op, l, r)
+func applyBinary(op exprOp, l, r exprVal) (exprVal, error) {
+	if op >= eEq && op <= eGe {
+		return compareVals(op, l, r), nil
 	}
 	// The remaining operators are numeric.
 	ln, lok := coerceNumber(l)
@@ -409,26 +589,26 @@ func applyBinary(op string, l, r exprVal) (exprVal, error) {
 		if lok {
 			bad = r
 		}
-		return exprVal{}, errf("can't use non-numeric string %q as operand of %q", bad.String(), op)
+		return exprVal{}, errf("can't use non-numeric string %q as operand of %q", bad.String(), opNames[op])
 	}
 	bothInt := ln.kind == intVal && rn.kind == intVal
 	switch op {
-	case "+":
+	case eAdd:
 		if bothInt {
 			return intValue(ln.i + rn.i), nil
 		}
 		return floatValue(ln.asFloat() + rn.asFloat()), nil
-	case "-":
+	case eSub:
 		if bothInt {
 			return intValue(ln.i - rn.i), nil
 		}
 		return floatValue(ln.asFloat() - rn.asFloat()), nil
-	case "*":
+	case eMul:
 		if bothInt {
 			return intValue(ln.i * rn.i), nil
 		}
 		return floatValue(ln.asFloat() * rn.asFloat()), nil
-	case "/":
+	case eDiv:
 		if bothInt {
 			if rn.i == 0 {
 				return exprVal{}, errf("divide by zero")
@@ -439,32 +619,27 @@ func applyBinary(op string, l, r exprVal) (exprVal, error) {
 			return exprVal{}, errf("divide by zero")
 		}
 		return floatValue(ln.asFloat() / rn.asFloat()), nil
-	case "%":
-		if !bothInt {
-			return exprVal{}, errf("can't use floating-point value as operand of %q", "%")
-		}
+	}
+	// %, shifts and bitwise operators take integers only.
+	if !bothInt {
+		return exprVal{}, errf("can't use floating-point value as operand of %q", opNames[op])
+	}
+	switch op {
+	case eMod:
 		if rn.i == 0 {
 			return exprVal{}, errf("divide by zero")
 		}
 		return intValue(ln.i % rn.i), nil
-	case "<<", ">>", "&", "|", "^":
-		if !bothInt {
-			return exprVal{}, errf("can't use floating-point value as operand of %q", op)
-		}
-		switch op {
-		case "<<":
-			return intValue(ln.i << uint(rn.i&63)), nil
-		case ">>":
-			return intValue(ln.i >> uint(rn.i&63)), nil
-		case "&":
-			return intValue(ln.i & rn.i), nil
-		case "|":
-			return intValue(ln.i | rn.i), nil
-		default:
-			return intValue(ln.i ^ rn.i), nil
-		}
+	case eShl:
+		return intValue(ln.i << uint(rn.i&63)), nil
+	case eShr:
+		return intValue(ln.i >> uint(rn.i&63)), nil
+	case eBitAnd:
+		return intValue(ln.i & rn.i), nil
+	case eBitOr:
+		return intValue(ln.i | rn.i), nil
 	}
-	return exprVal{}, errf("unknown operator %q", op)
+	return intValue(ln.i ^ rn.i), nil
 }
 
 // coerceNumber converts a string value to numeric when possible.
@@ -477,11 +652,13 @@ func coerceNumber(v exprVal) (exprVal, bool) {
 
 // compareVals compares numerically when both operands are numeric,
 // otherwise as strings (Tcl semantics).
-func compareVals(op string, l, r exprVal) (exprVal, error) {
+func compareVals(op exprOp, l, r exprVal) exprVal {
 	ln, lok := coerceNumber(l)
 	rn, rok := coerceNumber(r)
 	var c int
-	if lok && rok {
+	if lok && rok && ln.kind == intVal && rn.kind == intVal {
+		c = cmp.Compare(ln.i, rn.i)
+	} else if lok && rok {
 		lf, rf := ln.asFloat(), rn.asFloat()
 		switch {
 		case lf < rf:
@@ -493,322 +670,25 @@ func compareVals(op string, l, r exprVal) (exprVal, error) {
 		c = strings.Compare(l.String(), r.String())
 	}
 	switch op {
-	case "==":
-		return boolValue(c == 0), nil
-	case "!=":
-		return boolValue(c != 0), nil
-	case "<":
-		return boolValue(c < 0), nil
-	case ">":
-		return boolValue(c > 0), nil
-	case "<=":
-		return boolValue(c <= 0), nil
-	default:
-		return boolValue(c >= 0), nil
+	case eEq:
+		return boolValue(c == 0)
+	case eNe:
+		return boolValue(c != 0)
+	case eLt:
+		return boolValue(c < 0)
+	case eGt:
+		return boolValue(c > 0)
+	case eLe:
+		return boolValue(c <= 0)
 	}
-}
-
-func (e *exprParser) parseUnary() (exprVal, error) {
-	e.skipSpace()
-	if e.eof() {
-		return exprVal{}, errf("premature end of expression")
-	}
-	switch c := e.src[e.pos]; c {
-	case '-':
-		e.pos++
-		v, err := e.parseUnary()
-		if err != nil {
-			return exprVal{}, err
-		}
-		if e.skip > 0 {
-			return intValue(0), nil
-		}
-		n, ok := coerceNumber(v)
-		if !ok {
-			return exprVal{}, errf("can't use non-numeric string %q as operand of %q", v.String(), "-")
-		}
-		if n.kind == intVal {
-			return intValue(-n.i), nil
-		}
-		return floatValue(-n.f), nil
-	case '+':
-		e.pos++
-		v, err := e.parseUnary()
-		if err != nil {
-			return exprVal{}, err
-		}
-		if e.skip > 0 {
-			return intValue(0), nil
-		}
-		n, ok := coerceNumber(v)
-		if !ok {
-			return exprVal{}, errf("can't use non-numeric string %q as operand of %q", v.String(), "+")
-		}
-		return n, nil
-	case '!':
-		e.pos++
-		v, err := e.parseUnary()
-		if err != nil {
-			return exprVal{}, err
-		}
-		if e.skip > 0 {
-			return intValue(0), nil
-		}
-		b, err := v.truth()
-		if err != nil {
-			return exprVal{}, err
-		}
-		return boolValue(!b), nil
-	case '~':
-		e.pos++
-		v, err := e.parseUnary()
-		if err != nil {
-			return exprVal{}, err
-		}
-		if e.skip > 0 {
-			return intValue(0), nil
-		}
-		n, ok := coerceNumber(v)
-		if !ok || n.kind != intVal {
-			return exprVal{}, errf("can't use non-integer value as operand of %q", "~")
-		}
-		return intValue(^n.i), nil
-	}
-	return e.parsePrimary()
-}
-
-func (e *exprParser) parsePrimary() (exprVal, error) {
-	e.skipSpace()
-	if e.eof() {
-		return exprVal{}, errf("premature end of expression")
-	}
-	c := e.src[e.pos]
-	switch {
-	case c == '(':
-		e.pos++
-		v, err := e.parseTernary()
-		if err != nil {
-			return exprVal{}, err
-		}
-		e.skipSpace()
-		if e.eof() || e.src[e.pos] != ')' {
-			return exprVal{}, errf("looking for close parenthesis")
-		}
-		e.pos++
-		return v, nil
-	case c == '$':
-		if e.skip > 0 {
-			if err := e.scanVarRef(); err != nil {
-				return exprVal{}, err
-			}
-			return intValue(0), nil
-		}
-		p := &parser{src: e.src, pos: e.pos}
-		s, err := p.parseVarSubst(e.in)
-		if err != nil {
-			return exprVal{}, err
-		}
-		e.pos = p.pos
-		if n, ok := parseNumber(s); ok {
-			return n, nil
-		}
-		return strValue(s), nil
-	case c == '[':
-		if e.skip > 0 {
-			if err := e.scanBracket(); err != nil {
-				return exprVal{}, err
-			}
-			return intValue(0), nil
-		}
-		p := &parser{src: e.src, pos: e.pos}
-		s, err := p.parseCommandSubst(e.in)
-		if err != nil {
-			return exprVal{}, err
-		}
-		e.pos = p.pos
-		if n, ok := parseNumber(s); ok {
-			return n, nil
-		}
-		return strValue(s), nil
-	case c == '"':
-		if e.skip > 0 {
-			if err := e.scanQuoted(); err != nil {
-				return exprVal{}, err
-			}
-			return intValue(0), nil
-		}
-		p := &parser{src: e.src, pos: e.pos}
-		s, err := p.parseQuotedString(e.in)
-		if err != nil {
-			return exprVal{}, err
-		}
-		e.pos = p.pos
-		return strValue(s), nil
-	case c == '{':
-		p := &parser{src: e.src, pos: e.pos}
-		s, err := p.parseBraced()
-		if err != nil {
-			return exprVal{}, err
-		}
-		e.pos = p.pos
-		return strValue(s), nil
-	case c >= '0' && c <= '9' || c == '.':
-		return e.parseNumberToken()
-	case isAlpha(c):
-		return e.parseFuncCall()
-	}
-	return exprVal{}, errf("syntax error in expression at %q", e.src[e.pos:])
-}
-
-// parseQuotedString is parseQuoted without the trailing-separator check,
-// for use inside expressions where an operator may follow the quote.
-func (p *parser) parseQuotedString(in *Interp) (string, error) {
-	p.pos++ // consume '"'
-	var b strings.Builder
-	for !p.eof() {
-		c := p.peek()
-		switch c {
-		case '"':
-			p.pos++
-			return b.String(), nil
-		case '$':
-			s, err := p.parseVarSubst(in)
-			if err != nil {
-				return "", err
-			}
-			b.WriteString(s)
-		case '[':
-			s, err := p.parseCommandSubst(in)
-			if err != nil {
-				return "", err
-			}
-			b.WriteString(s)
-		case '\\':
-			s, err := p.parseBackslash()
-			if err != nil {
-				return "", err
-			}
-			b.WriteString(s)
-		default:
-			b.WriteByte(c)
-			p.pos++
-		}
-	}
-	return "", errf("missing \"")
+	return boolValue(c >= 0)
 }
 
 func isAlpha(c byte) bool {
 	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
 }
 
-func (e *exprParser) parseNumberToken() (exprVal, error) {
-	start := e.pos
-	isFloat := false
-	// Hex.
-	if e.src[e.pos] == '0' && e.pos+1 < len(e.src) && (e.src[e.pos+1] == 'x' || e.src[e.pos+1] == 'X') {
-		e.pos += 2
-		for !e.eof() && isHex(e.src[e.pos]) {
-			e.pos++
-		}
-		i, err := strconv.ParseInt(e.src[start:e.pos], 0, 64)
-		if err != nil {
-			return exprVal{}, errf("malformed number %q", e.src[start:e.pos])
-		}
-		return intValue(i), nil
-	}
-	for !e.eof() {
-		c := e.src[e.pos]
-		if c >= '0' && c <= '9' {
-			e.pos++
-			continue
-		}
-		if c == '.' {
-			isFloat = true
-			e.pos++
-			continue
-		}
-		if c == 'e' || c == 'E' {
-			// Exponent, possibly signed.
-			if e.pos+1 < len(e.src) && (isDigit(e.src[e.pos+1]) ||
-				(e.src[e.pos+1] == '+' || e.src[e.pos+1] == '-') && e.pos+2 < len(e.src) && isDigit(e.src[e.pos+2])) {
-				isFloat = true
-				e.pos++
-				if e.src[e.pos] == '+' || e.src[e.pos] == '-' {
-					e.pos++
-				}
-				continue
-			}
-		}
-		break
-	}
-	tok := e.src[start:e.pos]
-	if isFloat {
-		f, err := strconv.ParseFloat(tok, 64)
-		if err != nil {
-			return exprVal{}, errf("malformed number %q", tok)
-		}
-		return floatValue(f), nil
-	}
-	i, err := strconv.ParseInt(tok, 0, 64)
-	if err != nil {
-		// Out-of-range integers fall back to float.
-		if f, ferr := strconv.ParseFloat(tok, 64); ferr == nil {
-			return floatValue(f), nil
-		}
-		return exprVal{}, errf("malformed number %q", tok)
-	}
-	return intValue(i), nil
-}
-
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-
-// parseFuncCall handles math functions like sin(x) and atan2(y, x).
-func (e *exprParser) parseFuncCall() (exprVal, error) {
-	start := e.pos
-	for !e.eof() && (isAlpha(e.src[e.pos]) || isDigit(e.src[e.pos])) {
-		e.pos++
-	}
-	name := e.src[start:e.pos]
-	e.skipSpace()
-	if e.eof() || e.src[e.pos] != '(' {
-		return exprVal{}, errf("syntax error in expression: unknown token %q", name)
-	}
-	e.pos++
-	var args []exprVal
-	e.skipSpace()
-	if !e.eof() && e.src[e.pos] == ')' {
-		e.pos++
-	} else {
-		for {
-			v, err := e.parseTernary()
-			if err != nil {
-				return exprVal{}, err
-			}
-			args = append(args, v)
-			e.skipSpace()
-			if e.eof() {
-				return exprVal{}, errf("missing close parenthesis in function call")
-			}
-			if e.src[e.pos] == ',' {
-				e.pos++
-				continue
-			}
-			if e.src[e.pos] == ')' {
-				e.pos++
-				break
-			}
-			return exprVal{}, errf("syntax error in function arguments")
-		}
-	}
-	if e.skip > 0 {
-		// In a skipped branch only the function's existence is checked.
-		if !knownMathFunc(name) {
-			return exprVal{}, errf("unknown math function %q", name)
-		}
-		return intValue(0), nil
-	}
-	return applyMathFunc(name, args)
-}
 
 // knownMathFunc reports whether name is a recognized math function.
 func knownMathFunc(name string) bool {
@@ -819,29 +699,6 @@ func knownMathFunc(name string) bool {
 		return true
 	}
 	return false
-}
-
-// scanQuoted advances past a "..." operand without evaluating the
-// substitutions inside it.
-func (e *exprParser) scanQuoted() error {
-	e.pos++ // '"'
-	for e.pos < len(e.src) {
-		switch e.src[e.pos] {
-		case '\\':
-			e.pos += 2
-			continue
-		case '"':
-			e.pos++
-			return nil
-		case '[':
-			if err := e.scanBracket(); err != nil {
-				return err
-			}
-			continue
-		}
-		e.pos++
-	}
-	return errf("missing \"")
 }
 
 func applyMathFunc(name string, args []exprVal) (exprVal, error) {

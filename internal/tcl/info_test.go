@@ -1,6 +1,7 @@
 package tcl
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -121,4 +122,31 @@ func TestInfoExistsArrayForms(t *testing.T) {
 	expect(t, in, "info exists arr", "1")
 	expect(t, in, "info exists arr(k)", "1")
 	expect(t, in, "info exists arr(nope)", "0")
+}
+
+// TestInfoCmdcount: the count rises by exactly the number of commands
+// invoked, nested and procedure-body commands included.
+func TestInfoCmdcount(t *testing.T) {
+	in := New()
+	evalOK(t, in, "proc p {} {set q 1; set r 2}")
+	for _, c := range []struct {
+		script string
+		n      int
+	}{
+		{"set a 1", 1},
+		{"set a 1; set b [set c 2]", 3},
+		{"p", 3},
+		{"foreach v {1 2 3} {incr a}", 4},
+		{"if {[set a] > 0} {set b 1}", 3},
+	} {
+		for i := 0; i < 3; i++ {
+			before, _ := strconv.Atoi(evalOK(t, in, "info cmdcount"))
+			evalOK(t, in, c.script)
+			after, _ := strconv.Atoi(evalOK(t, in, "info cmdcount"))
+			// The second info cmdcount counts itself.
+			if got := after - before - 1; got != c.n {
+				t.Fatalf("%q ran %d commands by info cmdcount, want %d", c.script, got, c.n)
+			}
+		}
+	}
 }

@@ -96,6 +96,21 @@ func TestBracketInBareWord(t *testing.T) {
 	}
 }
 
+// TestQuotedBracketInCommandSubst: a quoted ']' inside [...] does not
+// end the command substitution.
+func TestQuotedBracketInCommandSubst(t *testing.T) {
+	in := New()
+	for i := 0; i < 3; i++ {
+		got, err := in.Eval(`set x [string length "a]b"]`)
+		if err != nil || got != "3" {
+			t.Fatalf("run %d: %q %v", i, got, err)
+		}
+	}
+	if got, err := in.Eval(`set y "[set z "q]"]"`); err != nil || got != "q]" {
+		t.Fatalf("nested quotes: %q %v", got, err)
+	}
+}
+
 // TestSubstituteAll covers the whole-string substitution entry point used
 // by Tk.
 func TestSubstituteAll(t *testing.T) {

@@ -5,9 +5,15 @@
 //
 // The interpreter follows the string-only data model of the original
 // system: every value — command arguments, results, variables — is a Go
-// string. Scripts are parsed at evaluation time (there is no byte-code
-// compiler), matching the era's implementation and the paper's Table II
-// measurement of a simple command.
+// string. Unlike the original, it does not re-parse a script each time
+// it runs it. A script compiles once to a flat token array (parse.go)
+// and an expression to a postfix operator tree (expr.go); an executor
+// substitutes and invokes the compiled form. Compiled forms depend only
+// on their text, so nothing ever invalidates them. A proc body compiles
+// on its first call and is kept with the proc. Every other script and
+// expression goes through one per-interpreter cache keyed by text. The
+// cache admits a text only the second time it is seen, so one-shot
+// scripts stay out, and it is discarded whole when it fills.
 //
 // The package is self-contained: it has no knowledge of windows or X.
 // Applications embed it exactly as Figure 6 of the Tk paper shows: create
@@ -17,6 +23,8 @@ package tcl
 
 import (
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"strings"
 )
 
@@ -98,6 +106,7 @@ type procDef struct {
 	name    string
 	formals []procArg
 	body    string
+	code    []token // body, compiled on the first call
 }
 
 type procArg struct {
@@ -149,9 +158,16 @@ type Interp struct {
 	// command history).
 	Trace func(words []string)
 
-	// maxNesting bounds recursive evaluation depth.
-	maxNesting int
-	nesting    int
+	nesting  int   // depth of recursive evaluation
+	cmdCount int64 // commands invoked, for info cmdcount
+
+	// cache holds compiled scripts and expressions by text; seen records
+	// the hashes of texts seen once (see admit); scratch is a spare token
+	// buffer (see Eval).
+	cache    map[string]compiled
+	seen     [seenSlots]uint64
+	seenNext uint
+	scratch  []token
 
 	// deleted is set by Delete; evaluation fails afterwards.
 	deleted bool
@@ -159,10 +175,7 @@ type Interp struct {
 
 // New creates an interpreter with all built-in commands registered.
 func New() *Interp {
-	in := &Interp{
-		cmds:       make(map[string]*command, 96),
-		maxNesting: 1000,
-	}
+	in := &Interp{cmds: make(map[string]*command, 96)}
 	in.frames = []*frame{{vars: make(map[string]*Var), level: 0}}
 	registerCore(in)
 	registerList(in)
@@ -222,38 +235,106 @@ func (in *Interp) current() *frame { return in.frames[len(in.frames)-1] }
 // global returns the global frame.
 func (in *Interp) global() *frame { return in.frames[0] }
 
-// Eval parses and executes script, returning the result of the last
-// command executed. Control-flow signals (break/continue/return at top
-// level) surface as *Error values with the corresponding Code.
+// Eval executes script, returning the result of the last command
+// executed. Control-flow signals (break/continue/return at top level)
+// surface as *Error values with the corresponding Code.
 func (in *Interp) Eval(script string) (string, error) {
+	code, kept := in.compiledScript(script)
+	res, err := in.evalCode(code)
+	if !kept && cap(code) <= scratchMax {
+		// Nothing refers to the tokens once they have run.
+		in.scratch = code[:0]
+	}
+	return res, err
+}
+
+// evalCode runs compiled commands one nesting level down.
+func (in *Interp) evalCode(code []token) (string, error) {
 	if in.deleted {
 		return "", errf("attempt to use deleted interpreter")
 	}
 	in.nesting++
 	defer func() { in.nesting-- }()
-	if in.nesting > in.maxNesting {
-		return "", errf("too many nested calls to Tcl interpreter (infinite loop?)")
+	if in.nesting > maxNesting {
+		return "", errf(nestingMsg)
 	}
+	return in.run(code)
+}
 
-	p := &parser{src: script}
-	result := ""
-	for {
-		words, ok, err := p.nextCommand(in)
-		if err != nil {
-			return "", err
-		}
-		if !ok {
-			break
-		}
-		if len(words) == 0 {
-			continue
-		}
-		result, err = in.invoke(words)
-		if err != nil {
-			return "", err
-		}
+// The cache bounds: the cache is discarded when it holds cacheMax texts,
+// first sightings are recorded in seenSlots hash slots, and Eval reuses
+// the token buffer of a script it did not keep when the buffer holds at
+// most scratchMax tokens. cacheMax is six times the largest set of
+// recurring texts among tkbench's workloads (20, in the tcl workload);
+// a deck of slides that eval distinct strings cycles through it instead.
+const (
+	cacheMax   = 128
+	seenSlots  = 64
+	scratchMax = 64
+)
+
+// compiled is a cache entry: a text's compiled forms as a script and as
+// an expression, each built when first needed.
+type compiled struct {
+	script []token
+	expr   *exprCode
+}
+
+var cacheSeed = maphash.MakeSeed()
+
+// compiledScript returns text compiled as a script, and whether the
+// cache keeps it.
+func (in *Interp) compiledScript(text string) (code []token, kept bool) {
+	c, ok := in.cache[text]
+	if c.script != nil {
+		return c.script, true
 	}
-	return result, nil
+	code = compileScript(text, in.scratch)
+	if !in.admit(text, ok) {
+		in.scratch = nil // code may be using it; Eval hands it back
+		return code, false
+	}
+	// A kept form drops the spare capacity it was built with.
+	c.script = slices.Clone(code)
+	in.cache[text] = c
+	return c.script, true
+}
+
+// compiledExpr returns text compiled as an expression.
+func (in *Interp) compiledExpr(text string) exprCode {
+	c, ok := in.cache[text]
+	if c.expr != nil {
+		return *c.expr
+	}
+	x := compileExpr(text)
+	if in.admit(text, ok) {
+		c.expr = &exprCode{nodes: slices.Clone(x.nodes), toks: slices.Clone(x.toks), err: x.err}
+		in.cache[text] = c
+	}
+	return x
+}
+
+// admit reports whether the cache should keep a compiled form of text;
+// cached says whether it already holds text in its other form. The
+// cache admits a text only the second time it is seen, so one-shot
+// scripts, such as %-substituted bindings, do not displace the loop
+// bodies and callbacks that run again and again. First sightings go
+// round a ring of hashes, so any text seen again within seenSlots
+// first sightings is admitted.
+func (in *Interp) admit(text string, cached bool) bool {
+	if cached {
+		return true
+	}
+	h := maphash.String(cacheSeed, text)
+	if !slices.Contains(in.seen[:], h) {
+		in.seen[in.seenNext%seenSlots] = h
+		in.seenNext++
+		return false
+	}
+	if in.cache == nil || len(in.cache) >= cacheMax {
+		in.cache = make(map[string]compiled)
+	}
+	return true
 }
 
 // EvalWords invokes a command from pre-parsed words, bypassing the parser.
@@ -267,14 +348,15 @@ func (in *Interp) EvalWords(words []string) (string, error) {
 	}
 	in.nesting++
 	defer func() { in.nesting-- }()
-	if in.nesting > in.maxNesting {
-		return "", errf("too many nested calls to Tcl interpreter (infinite loop?)")
+	if in.nesting > maxNesting {
+		return "", errf(nestingMsg)
 	}
 	return in.invoke(words)
 }
 
 // invoke dispatches one fully substituted command.
 func (in *Interp) invoke(words []string) (string, error) {
+	in.cmdCount++
 	if in.Trace != nil {
 		in.Trace(words)
 	}
