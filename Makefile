@@ -1,8 +1,9 @@
 # Pre-PR gate: build, vet, race-gated tests, tkcheck over every Tcl
-# script in the tree (docs/static-analysis.md), the frame-decoder and
-# Tcl fuzz smoke, the observability smoke (docs/observability.md), the
-# tkbench smoke (cmd/tkbench/README.md), and the chaos harness
-# (docs/fault-injection.md). All legs must pass before a change ships.
+# script in the tree (docs/static-analysis.md), the frame-decoder, Tcl
+# and option-database fuzz smoke, the observability smoke
+# (docs/observability.md), the tkbench smoke (cmd/tkbench/README.md),
+# and the chaos harness (docs/fault-injection.md). All legs must pass
+# before a change ships.
 
 GO ?= go
 
@@ -24,17 +25,20 @@ tkcheck:
 	$(GO) run ./cmd/tkcheck -tests ./cmd/wish
 
 # fuzz-smoke gives the wire-frame decoders (v1 outer framing plus the
-# v2 segment/delta codec) and the Tcl interpreter (scripts and
-# expressions, cold against cached) a bounded fuzzing pass on every
-# check run; longer campaigns just raise -fuzztime. Corpus seeds cover
-# v1 and v2 frames in both directions (internal/xproto/fuzz_test.go) and
-# the paper's Figures 1-5 and compute-style loops
-# (internal/tcl/fuzz_test.go).
+# v2 segment/delta codec), the Tcl interpreter (scripts and
+# expressions, cold against cached) and the option database
+# (.Xdefaults text, option stack against the reference matcher) a
+# bounded fuzzing pass on every check run; longer campaigns just raise
+# -fuzztime. Corpus seeds cover v1 and v2 frames in both directions
+# (internal/xproto/fuzz_test.go), the paper's Figures 1-5 and
+# compute-style loops (internal/tcl/fuzz_test.go), and option patterns
+# of every binding kind (internal/tk/option_test.go).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRequestFrame$$' -fuzztime 5s ./internal/xproto
 	$(GO) test -run '^$$' -fuzz '^FuzzReadServerFrame$$' -fuzztime 5s ./internal/xproto
 	$(GO) test -run '^$$' -fuzz '^FuzzEval$$' -fuzztime 5s ./internal/tcl
 	$(GO) test -run '^$$' -fuzz '^FuzzExpr$$' -fuzztime 5s ./internal/tcl
+	$(GO) test -run '^$$' -fuzz '^FuzzOptionDB$$' -fuzztime 5s ./internal/tk
 
 bench: bench-farm
 	$(GO) test -bench=. -benchmem

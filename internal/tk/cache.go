@@ -19,10 +19,10 @@ import (
 func (app *App) Color(name string) (uint32, error) {
 	key := strings.ToLower(name)
 	if px, ok := app.colorCache[key]; ok {
-		app.Metrics().Counter("tk.cache.color.hits").Inc()
+		app.colorStats.hits.Inc()
 		return px, nil
 	}
-	app.Metrics().Counter("tk.cache.color.misses").Inc()
+	app.colorStats.misses.Inc()
 	px, found, err := app.Disp.AllocNamedColor(name)
 	if err != nil {
 		return 0, err
@@ -58,10 +58,10 @@ func (app *App) NameOfColor(pixel uint32) string {
 // later uses (and all text measurement) cost no server traffic.
 func (app *App) FontByName(name string) (*xclient.Font, error) {
 	if f, ok := app.fontCache[name]; ok {
-		app.Metrics().Counter("tk.cache.font.hits").Inc()
+		app.fontStats.hits.Inc()
 		return f, nil
 	}
-	app.Metrics().Counter("tk.cache.font.misses").Inc()
+	app.fontStats.misses.Inc()
 	f, err := app.Disp.OpenFont(name)
 	if err != nil {
 		return nil, fmt.Errorf("unknown font name %q: %v", name, err)
@@ -74,10 +74,10 @@ func (app *App) FontByName(name string) (*xclient.Font, error) {
 // resource, caching it.
 func (app *App) Cursor(name string) (xproto.ID, error) {
 	if c, ok := app.cursorCache[name]; ok {
-		app.Metrics().Counter("tk.cache.cursor.hits").Inc()
+		app.cursorStats.hits.Inc()
 		return c, nil
 	}
-	app.Metrics().Counter("tk.cache.cursor.misses").Inc()
+	app.cursorStats.misses.Inc()
 	c := app.Disp.CreateCursor(name)
 	app.cursorCache[name] = c
 	return c, nil
@@ -142,10 +142,10 @@ func bitmapFromRows(name string, rows []string) *Bitmap {
 // BitmapByName resolves a textual bitmap description, caching it.
 func (app *App) BitmapByName(name string) (*Bitmap, error) {
 	if b, ok := app.bitmapCache[name]; ok {
-		app.Metrics().Counter("tk.cache.bitmap.hits").Inc()
+		app.bitmapStats.hits.Inc()
 		return b, nil
 	}
-	app.Metrics().Counter("tk.cache.bitmap.misses").Inc()
+	app.bitmapStats.misses.Inc()
 	if mk, ok := builtinBitmaps[name]; ok {
 		b := mk()
 		app.bitmapCache[name] = b
@@ -160,10 +160,10 @@ func (app *App) BitmapByName(name string) (*Bitmap, error) {
 func (app *App) GC(fg, bg uint32, lineWidth int, font xproto.ID) xproto.ID {
 	key := gcKey{fg: fg, bg: bg, lineWidth: lineWidth, font: font}
 	if gc, ok := app.gcCache[key]; ok {
-		app.Metrics().Counter("tk.cache.gc.hits").Inc()
+		app.gcStats.hits.Inc()
 		return gc
 	}
-	app.Metrics().Counter("tk.cache.gc.misses").Inc()
+	app.gcStats.misses.Inc()
 	gc := app.Disp.CreateGC(xclient.GCValues{
 		Mask: xproto.GCForeground | xproto.GCBackground |
 			xproto.GCLineWidth | xproto.GCFont,
@@ -215,7 +215,7 @@ func (app *App) PrefetchResources(colors, fonts, cursors []string) {
 		if dup {
 			continue
 		}
-		app.Metrics().Counter("tk.cache.color.misses").Inc()
+		app.colorStats.misses.Inc()
 		colorFetches = append(colorFetches, colorFetch{key: key, ck: app.Disp.AllocNamedColorAsync(name)})
 	}
 	for _, name := range fonts {
@@ -235,7 +235,7 @@ func (app *App) PrefetchResources(colors, fonts, cursors []string) {
 		if dup {
 			continue
 		}
-		app.Metrics().Counter("tk.cache.font.misses").Inc()
+		app.fontStats.misses.Inc()
 		fontFetches = append(fontFetches, fontFetch{name: name, ck: app.Disp.OpenFontAsync(name)})
 	}
 	// Cursor creation is one-way (no reply), so it rides in the same
@@ -247,7 +247,7 @@ func (app *App) PrefetchResources(colors, fonts, cursors []string) {
 		if _, ok := app.cursorCache[name]; ok {
 			continue
 		}
-		app.Metrics().Counter("tk.cache.cursor.misses").Inc()
+		app.cursorStats.misses.Inc()
 		app.cursorCache[name] = app.Disp.CreateCursor(name)
 	}
 	// One flush covers the whole batch; the waits then drain replies in

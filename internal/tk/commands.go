@@ -188,26 +188,11 @@ func (app *App) cmdOption(in *tcl.Interp, args []string) (string, error) {
 		if len(args) < 4 || len(args) > 5 {
 			return "", fmt.Errorf(`wrong # args: should be "option add pattern value ?priority?"`)
 		}
-		prio := PrioInteractive
-		if len(args) == 5 {
-			switch args[4] {
-			case "widgetDefault":
-				prio = PrioWidgetDefault
-			case "startupFile":
-				prio = PrioStartupFile
-			case "userDefault":
-				prio = PrioUserDefault
-			case "interactive":
-				prio = PrioInteractive
-			default:
-				n, err := strconv.Atoi(args[4])
-				if err != nil || n < 0 || n > 100 {
-					return "", fmt.Errorf("bad priority %q: must be 0-100 or a standard level name", args[4])
-				}
-				prio = n
-			}
+		p, err := optionPriority(args, 4, PrioInteractive)
+		if err != nil {
+			return "", err
 		}
-		return "", app.AddOption(args[2], args[3], prio)
+		return "", app.AddOption(args[2], args[3], p)
 	case "clear":
 		app.options.Clear()
 		return "", nil
@@ -222,22 +207,55 @@ func (app *App) cmdOption(in *tcl.Interp, args []string) (string, error) {
 		return app.GetOption(w, args[3], args[4]), nil
 	case "readstring":
 		// The string form of readfile, used by tests and wish.
-		if len(args) < 3 {
+		if len(args) < 3 || len(args) > 4 {
 			return "", fmt.Errorf(`wrong # args: should be "option readstring text ?priority?"`)
 		}
-		return "", app.options.ReadString(args[2], PrioStartupFile)
+		p, err := optionPriority(args, 3, PrioStartupFile)
+		if err != nil {
+			return "", err
+		}
+		return "", app.options.ReadString(args[2], p)
 	case "readfile":
 		// Load a .Xdefaults-format file (§3.5).
-		if len(args) < 3 {
+		if len(args) < 3 || len(args) > 4 {
 			return "", fmt.Errorf(`wrong # args: should be "option readfile fileName ?priority?"`)
+		}
+		p, err := optionPriority(args, 3, PrioStartupFile)
+		if err != nil {
+			return "", err
 		}
 		data, err := os.ReadFile(args[2])
 		if err != nil {
 			return "", fmt.Errorf("couldn't read %q: %v", args[2], err)
 		}
-		return "", app.options.ReadString(string(data), PrioStartupFile)
+		return "", app.options.ReadString(string(data), p)
 	}
 	return "", fmt.Errorf("bad option %q: should be add, clear, get, readfile, or readstring", args[1])
+}
+
+// optionPriority reads the optional priority argument args[i] of an
+// option subcommand: a standard level name or an integer from 0 to 100,
+// and def when it is absent.
+func optionPriority(args []string, i, def int) (int, error) {
+	if len(args) <= i {
+		return def, nil
+	}
+	s := args[i]
+	switch s {
+	case "widgetDefault":
+		return PrioWidgetDefault, nil
+	case "startupFile":
+		return PrioStartupFile, nil
+	case "userDefault":
+		return PrioUserDefault, nil
+	case "interactive":
+		return PrioInteractive, nil
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 0 || n > 100 {
+		return 0, fmt.Errorf("bad priority %q: must be 0-100 or a standard level name", s)
+	}
+	return n, nil
 }
 
 func (app *App) cmdSelection(in *tcl.Interp, args []string) (string, error) {

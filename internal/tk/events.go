@@ -285,10 +285,9 @@ func (app *App) UpdateIdleTasks() {
 // DispatchEvent routes one X event: structure bookkeeping, C-level
 // handlers, then Tcl bindings.
 func (app *App) DispatchEvent(ev *xproto.Event) {
-	m := app.Metrics()
-	m.Counter("tk.events").Inc()
+	app.eventsCtr.Inc()
 	begin := time.Now()
-	defer func() { m.Histogram("tk.dispatch").Observe(time.Since(begin)) }()
+	defer func() { app.dispatchHist.Observe(time.Since(begin)) }()
 	if tr := app.Spans; tr != nil {
 		// Events have no protocol sequence number on this side, so the
 		// toolkit samples on its own dispatch counter; the span's start
@@ -303,7 +302,7 @@ func (app *App) DispatchEvent(ev *xproto.Event) {
 					Seq: seq, Name: "tk.event", Side: "tk", Op: op,
 					Start: begin.UnixNano(), Dur: int64(time.Since(begin)),
 				})
-				m.Counter("trace.spans").Inc()
+				app.Metrics().Counter("trace.spans").Inc()
 			}()
 		}
 	}

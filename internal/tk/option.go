@@ -36,6 +36,23 @@ type optEntry struct {
 type optionDB struct {
 	entries []*optEntry
 	serial  int
+
+	// The option stack, as in Tk's tkOption.c: the entries that can
+	// match stackWin, the window looked up last. A widget's option
+	// lookups at creation (7 to 21, 17 for a button) then share one walk
+	// of the database. Add and Clear drop it, as do a change of the
+	// application name and the destruction of stackWin (dropStack).
+	stackWin *Window
+	stack    []stackItem
+}
+
+// stackItem is an entry whose components before the last match the
+// stack window's key path: spec holds the match quality at each window
+// level, and last is the component left to match the option level.
+type stackItem struct {
+	e    *optEntry
+	spec []int
+	last string
 }
 
 func newOptionDB() *optionDB { return &optionDB{} }
@@ -84,11 +101,19 @@ func (db *optionDB) Add(pattern, value string, priority int) error {
 		pattern: pattern, comps: comps, value: value,
 		priority: priority, serial: db.serial,
 	})
+	db.dropStack()
 	return nil
 }
 
 // Clear removes all entries.
-func (db *optionDB) Clear() { db.entries = nil; db.serial = 0 }
+func (db *optionDB) Clear() {
+	db.entries = nil
+	db.serial = 0
+	db.dropStack()
+}
+
+// dropStack forgets the option stack; the next lookup rebuilds it.
+func (db *optionDB) dropStack() { db.stackWin, db.stack = nil, nil }
 
 // ReadString loads .Xdefaults-format text: "pattern: value" lines, "!"
 // comments.
@@ -112,116 +137,122 @@ func (db *optionDB) ReadString(text string, priority int) error {
 }
 
 // matchLevel describes what a pattern component matched at one key level,
-// for specificity comparison (name beats class beats skipped).
+// for specificity comparison (name beats class beats skipped). matchSkip
+// is 0, the value clear gives a skipped level in matchPrefix.
 const (
 	matchSkip  = 0
 	matchClass = 2
 	matchName  = 3
 )
 
-// matchEntry tries to match an entry against key names/classes; on
-// success it fills spec with the per-level match quality.
-func matchEntry(comps []optComponent, names, classes []string, li int, spec []int) bool {
+// quality rates how a pattern component matches one level of a key
+// path, whose name and class are given: 0 when it does not match.
+func quality(comp, name, class string) int {
+	switch {
+	case comp == name:
+		return matchName
+	case comp == class:
+		return matchClass
+	case comp == "?":
+		return matchClass - 1
+	}
+	return 0
+}
+
+// matchPrefix reports whether comps match the window levels of a key
+// path from level li on, filling spec with each level's match quality
+// for the first match found: a loose component tries the nearest level
+// first. When tight is set the match must end on the last window level,
+// because the pattern's last component is bound tightly to the option
+// level.
+func matchPrefix(comps []optComponent, names, classes []string, li int, spec []int, tight bool) bool {
 	if len(comps) == 0 {
-		return li == len(names)
-	}
-	if li >= len(names) {
-		return false
-	}
-	c := comps[0]
-	tryAt := func(at int) bool {
-		var quality int
-		switch {
-		case c.name == names[at]:
-			quality = matchName
-		case c.name == classes[at]:
-			quality = matchClass
-		case c.name == "?":
-			quality = matchClass - 1
-		default:
+		if tight && li != len(names) {
 			return false
 		}
-		savedVals := make([]int, len(spec))
-		copy(savedVals, spec)
-		for i := li; i < at; i++ {
-			spec[i] = matchSkip
-		}
-		spec[at] = quality
-		if matchEntry(comps[1:], names, classes, at+1, spec) {
-			return true
-		}
-		copy(spec, savedVals)
-		return false
+		clear(spec[li:])
+		return true
 	}
-	if !c.loose {
-		return tryAt(li)
-	}
+	c := comps[0]
 	for at := li; at < len(names); at++ {
-		if tryAt(at) {
-			return true
+		if q := quality(c.name, names[at], classes[at]); q > 0 {
+			clear(spec[li:at])
+			spec[at] = q
+			if matchPrefix(comps[1:], names, classes, at+1, spec, tight) {
+				return true
+			}
+		}
+		if !c.loose {
+			break
 		}
 	}
 	return false
 }
 
-// Get looks up the option (name, class) for a window. It builds the key
-// path from the application name/class and the window path (§3.5) and
-// returns the winning value ("" if no entry matches).
-func (app *App) GetOption(w *Window, optName, optClass string) string {
-	names := []string{app.Name}
-	classes := []string{app.Main.Class}
-	if w.Path != "." {
-		parts := strings.Split(w.Path[1:], ".")
-		cur := app.Main
-		for _, p := range parts {
-			var child *Window
-			for _, ch := range cur.Children {
-				if ch.Name == p {
-					child = ch
-					break
-				}
-			}
-			names = append(names, p)
-			if child != nil {
-				classes = append(classes, child.Class)
-				cur = child
-			} else {
-				classes = append(classes, "")
-			}
+// buildStack makes w the stack window. Its key path is the application
+// name and class, then the name and class of each window from the main
+// window's child down to w (§3.5).
+func (db *optionDB) buildStack(app *App, w *Window) {
+	depth := 0
+	for p := w; p != app.Main; p = p.Parent {
+		depth++
+	}
+	names := make([]string, depth+1)
+	classes := make([]string, depth+1)
+	names[0], classes[0] = app.Name, app.Main.Class
+	for p, i := w, depth; i > 0; p, i = p.Parent, i-1 {
+		names[i], classes[i] = p.Name, p.Class
+	}
+	db.stack = db.stack[:0]
+	spec := make([]int, depth+1)
+	for _, e := range db.entries {
+		n := len(e.comps) - 1
+		if matchPrefix(e.comps[:n], names, classes, 0, spec, !e.comps[n].loose) {
+			db.stack = append(db.stack, stackItem{e: e, spec: append([]int(nil), spec...), last: e.comps[n].name})
 		}
 	}
-	names = append(names, optName)
-	classes = append(classes, optClass)
+	db.stackWin = w
+}
 
-	var best *optEntry
-	var bestSpec []int
-	for _, e := range app.options.entries {
-		spec := make([]int, len(names))
-		if !matchEntry(e.comps, names, classes, 0, spec) {
-			continue
-		}
-		if best == nil || betterEntry(e, spec, best, bestSpec) {
-			best, bestSpec = e, spec
+// GetOption looks up the option (name, class) for a window and returns
+// the winning value ("" if no entry matches): the highest priority,
+// then the most specific match level by level from the application
+// down to the option itself, then the entry added last.
+func (app *App) GetOption(w *Window, optName, optClass string) string {
+	db := app.options
+	if db.stackWin != w {
+		db.buildStack(app, w)
+	}
+	var best *stackItem
+	bestQ := 0
+	for i := range db.stack {
+		it := &db.stack[i]
+		q := quality(it.last, optName, optClass)
+		if q > 0 && (best == nil || it.beats(q, best, bestQ)) {
+			best, bestQ = it, q
 		}
 	}
 	if best == nil {
 		return ""
 	}
-	return best.value
+	return best.e.value
 }
 
-// betterEntry decides whether (e, spec) beats the current best: priority
-// first, then per-level specificity left-to-right, then insertion order.
-func betterEntry(e *optEntry, spec []int, best *optEntry, bestSpec []int) bool {
-	if e.priority != best.priority {
-		return e.priority > best.priority
+// beats reports whether it, matching the option level with quality q,
+// wins over best, which matched it with bestQ.
+func (it *stackItem) beats(q int, best *stackItem, bestQ int) bool {
+	if it.e.priority != best.e.priority {
+		return it.e.priority > best.e.priority
 	}
-	for i := range spec {
-		if spec[i] != bestSpec[i] {
-			return spec[i] > bestSpec[i]
+	for i := range it.spec {
+		if it.spec[i] != best.spec[i] {
+			return it.spec[i] > best.spec[i]
 		}
 	}
-	return e.serial > best.serial
+	if q != bestQ {
+		return q > bestQ
+	}
+	return it.e.serial > best.e.serial
 }
 
 // AddOption adds an entry to the application's option database.

@@ -69,6 +69,7 @@ func (app *App) registerName(want string) error {
 		name = fmt.Sprintf("%s #%d", want, n)
 	}
 	app.Name = name
+	app.options.dropStack()
 	entries = append(entries, [2]string{strconv.FormatUint(uint64(app.commWin), 10), name})
 	app.writeRegistry(entries)
 	app.registered = true

@@ -157,6 +157,16 @@ type App struct {
 	options *optionDB
 	packer  *Packer
 
+	// Handles into the display registry for event dispatch and the
+	// resource caches' hit and miss counts, resolved in NewApp.
+	eventsCtr    *obs.Counter
+	dispatchHist *obs.Histogram
+	colorStats   cacheStats
+	fontStats    cacheStats
+	cursorStats  cacheStats
+	bitmapStats  cacheStats
+	gcStats      cacheStats
+
 	timers *timerQueue
 	idle   []func()
 	posted chan func()
@@ -195,6 +205,9 @@ type App struct {
 
 	destroyed atomic.Bool
 }
+
+// cacheStats are one resource cache's hit and miss counters.
+type cacheStats struct{ hits, misses *obs.Counter }
 
 type sendResult struct {
 	code   int
@@ -263,6 +276,15 @@ func NewApp(d *xclient.Display, cfg Config) (*App, error) {
 		posted:      make(chan func(), 256),
 		sendResults: make(map[int]sendResult),
 	}
+
+	m := d.Metrics()
+	app.eventsCtr = m.Counter("tk.events")
+	app.dispatchHist = m.Histogram("tk.dispatch")
+	app.colorStats = cacheStats{m.Counter("tk.cache.color.hits"), m.Counter("tk.cache.color.misses")}
+	app.fontStats = cacheStats{m.Counter("tk.cache.font.hits"), m.Counter("tk.cache.font.misses")}
+	app.cursorStats = cacheStats{m.Counter("tk.cache.cursor.hits"), m.Counter("tk.cache.cursor.misses")}
+	app.bitmapStats = cacheStats{m.Counter("tk.cache.bitmap.hits"), m.Counter("tk.cache.bitmap.misses")}
+	app.gcStats = cacheStats{m.Counter("tk.cache.gc.hits"), m.Counter("tk.cache.gc.misses")}
 
 	// Route the display's asynchronous errors (X errors for one-way
 	// requests, malformed events) through the tkerror convention. The
@@ -463,6 +485,9 @@ func (app *App) DestroyWindow(w *Window) {
 		delete(app.selStatePtr.handlers, w)
 	}
 	app.bindings.deleteWindow(w.Path)
+	if app.options.stackWin == w {
+		app.options.dropStack()
+	}
 	delete(app.windows, w.Path)
 	delete(app.xidMap, w.XID)
 	if w.Parent != nil {

@@ -11,7 +11,7 @@ import (
 )
 
 // newTestApp builds a server + display + app for intrinsics tests.
-func newTestApp(t *testing.T) (*App, *bytes.Buffer) {
+func newTestApp(t testing.TB) (*App, *bytes.Buffer) {
 	t.Helper()
 	srv := xserver.New(1024, 768)
 	t.Cleanup(srv.Close)

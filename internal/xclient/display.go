@@ -146,8 +146,21 @@ type Display struct {
 	// whose reply path skips the update entirely).
 	rttEwma atomic.Int64
 
-	// wire.* metric handles, pre-resolved at Open so the send/flush hot
-	// paths pay atomic ops, not map lookups. Immutable after Open.
+	// Metric handles, pre-resolved at Open so the send, flush, reply
+	// and event hot paths pay atomic ops, not map lookups. Immutable
+	// after Open, except opCtrs: each opcode's "requests.<OpName>"
+	// counter, resolved on the opcode's first request so the registry
+	// gains no zero-valued rows. Every request opcode fits in a byte, so
+	// send indexes the table directly; a larger one panics at once.
+	opCtrs         [256]*obs.Counter // guarded by mu
+	requestsCtr    *obs.Counter
+	asyncCtr       *obs.Counter
+	roundtripsCtr  *obs.Counter
+	pipelinedCtr   *obs.Counter
+	eventsCtr      *obs.Counter
+	inflightGa     *obs.Gauge
+	roundtripHist  *obs.Histogram
+	flushBatchHist *obs.Histogram
 	wireSegs       *obs.Counter
 	wireBytesRaw   *obs.Counter
 	wireBytesWire  *obs.Counter
@@ -302,6 +315,14 @@ func OpenWith(conn net.Conn, cfg Config) (*Display, error) {
 		// A version-1 ack is the transparent fallback: the server
 		// declined and both sides continue in v1 framing.
 	}
+	d.requestsCtr = d.metrics.Counter("requests")
+	d.asyncCtr = d.metrics.Counter("async")
+	d.roundtripsCtr = d.metrics.Counter("roundtrips")
+	d.pipelinedCtr = d.metrics.Counter("pipelined")
+	d.eventsCtr = d.metrics.Counter("events")
+	d.inflightGa = d.metrics.Gauge("inflight")
+	d.roundtripHist = d.metrics.Histogram("roundtrip")
+	d.flushBatchHist = d.metrics.Histogram("flush.batch")
 	d.wireSegs = d.metrics.Counter("wire.segments.v2")
 	d.wireBytesRaw = d.metrics.Counter("wire.bytes.raw")
 	d.wireBytesWire = d.metrics.Counter("wire.bytes.wire")
@@ -457,7 +478,7 @@ func (d *Display) handleServerFrame(kind byte, payload []byte) error {
 			d.asyncError(fmt.Sprintf("malformed event: %v", r.Err()))
 			return nil
 		}
-		d.metrics.Counter("events").Inc()
+		d.eventsCtr.Inc()
 		d.evSeen.Add(1)
 		d.evMu.Lock()
 		d.evQueue = append(d.evQueue, ev)
@@ -486,7 +507,7 @@ func (d *Display) connLost(err error) {
 		delete(d.waiters, seq)
 		ck.resolve(nil, err)
 	}
-	d.metrics.Gauge("inflight").Set(0)
+	d.inflightGa.Set(0)
 	d.pendMu.Unlock()
 }
 
@@ -504,7 +525,7 @@ func (d *Display) routeReply(kind byte, payload []byte) {
 	ck := d.waiters[seq]
 	if ck != nil {
 		delete(d.waiters, seq)
-		d.metrics.Gauge("inflight").Set(int64(len(d.waiters)))
+		d.inflightGa.Set(int64(len(d.waiters)))
 	}
 	d.pendMu.Unlock()
 	if ck == nil {
@@ -519,7 +540,7 @@ func (d *Display) routeReply(kind byte, payload []byte) {
 	// server's simulated IPC latency — the quantity §3.3's caches exist
 	// to avoid paying.
 	elapsed := time.Since(ck.begin)
-	d.metrics.Histogram("roundtrip").Observe(elapsed)
+	d.roundtripHist.Observe(elapsed)
 	if d.wireTx {
 		// Only the v2 flush controller consumes the EWMA; keep the v1
 		// reply path free of the extra CAS + gauge store.
@@ -646,8 +667,12 @@ func (d *Display) SetTracer(t *trace.Tracer) { d.tracer.Store(t) }
 // (no per-request Writer or header allocation). Must be called with
 // d.mu held.
 func (d *Display) send(req xproto.Request) uint64 {
-	d.metrics.Counter("requests").Inc()
-	d.metrics.Counter("requests." + xproto.OpName(req.Op())).Inc()
+	d.requestsCtr.Inc()
+	op := req.Op()
+	if d.opCtrs[op] == nil {
+		d.opCtrs[op] = d.metrics.Counter("requests." + xproto.OpName(op))
+	}
+	d.opCtrs[op].Inc()
 	d.seq++
 	if d.wireTx {
 		// v2 path: encode the payload alone, then append an inner frame
@@ -680,7 +705,7 @@ func (d *Display) flushLocked() error {
 	}
 	frames := int64(d.wcount)
 	// flush.batch is a count (frames per flush), not a duration.
-	d.metrics.Histogram("flush.batch").ObserveCount(frames)
+	d.flushBatchHist.ObserveCount(frames)
 	d.wcount = 0
 	tracedSeq := d.tracedFlush
 	d.tracedFlush = 0
@@ -771,7 +796,7 @@ func (d *Display) Request(req xproto.Request) {
 		d.mu.Unlock()
 		return
 	}
-	d.metrics.Counter("async").Inc()
+	d.asyncCtr.Inc()
 	d.send(req)
 	// Keep the buffer bounded even without explicit flushes.
 	var flushErr error
@@ -850,7 +875,7 @@ func (d *Display) SendWithReply(req xproto.Request) *Cookie {
 		d.mu.Unlock()
 		return failedCookie(d, fmt.Errorf("xclient: display closed"))
 	}
-	d.metrics.Counter("roundtrips").Inc()
+	d.roundtripsCtr.Inc()
 	ck := &Cookie{d: d, begin: time.Now(), done: make(chan struct{})}
 	ck.seq = d.send(req)
 	if tr := d.tracer.Load(); tr != nil && tr.Sampled(ck.seq) {
@@ -867,10 +892,10 @@ func (d *Display) SendWithReply(req xproto.Request) *Cookie {
 		return ck
 	}
 	if len(d.waiters) > 0 {
-		d.metrics.Counter("pipelined").Inc()
+		d.pipelinedCtr.Inc()
 	}
 	d.waiters[ck.seq] = ck
-	d.metrics.Gauge("inflight").Set(int64(len(d.waiters)))
+	d.inflightGa.Set(int64(len(d.waiters)))
 	d.pendMu.Unlock()
 	d.mu.Unlock()
 	return ck
@@ -882,7 +907,7 @@ func (d *Display) failCookie(ck *Cookie, err error) {
 	d.pendMu.Lock()
 	if d.waiters[ck.seq] == ck {
 		delete(d.waiters, ck.seq)
-		d.metrics.Gauge("inflight").Set(int64(len(d.waiters)))
+		d.inflightGa.Set(int64(len(d.waiters)))
 		ck.resolve(nil, err)
 	}
 	d.pendMu.Unlock()

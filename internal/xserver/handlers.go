@@ -355,12 +355,11 @@ func (s *Server) handleCreateWindow(c *conn, q *xproto.CreateWindowReq) {
 		background:  q.Background,
 		border:      q.Border,
 		override:    q.OverrideRedirect,
-		img:         newImageM(max(int(q.Width), 1), max(int(q.Height), 1), s.render),
 		masks:       make(map[*conn]uint32),
 		props:       make(map[xproto.Atom]property),
 		owner:       c,
 	}
-	w.img.fillRect(0, 0, w.w, w.h, w.background)
+	w.img = newFilledImage(w.w, w.h, w.background, s.render)
 	if q.EventMask != 0 {
 		w.masks[c] = q.EventMask
 	}
@@ -420,12 +419,14 @@ func (s *Server) handleConfigureWindow(c *conn, q *xproto.ConfigureWindowReq) {
 	if q.Mask&xproto.CWY != 0 {
 		w.y = int(q.Y)
 	}
-	if q.Mask&xproto.CWWidth != 0 && int(q.Width) != w.w {
-		w.w = max(int(q.Width), 1)
+	// Sizes are clamped to 1 before comparing, so re-sending a zero
+	// size to a window already clamped is not a resize.
+	if nw := max(int(q.Width), 1); q.Mask&xproto.CWWidth != 0 && nw != w.w {
+		w.w = nw
 		resized = true
 	}
-	if q.Mask&xproto.CWHeight != 0 && int(q.Height) != w.h {
-		w.h = max(int(q.Height), 1)
+	if nh := max(int(q.Height), 1); q.Mask&xproto.CWHeight != 0 && nh != w.h {
+		w.h = nh
 		resized = true
 	}
 	if q.Mask&xproto.CWBorderWidth != 0 {
@@ -447,8 +448,7 @@ func (s *Server) handleConfigureWindow(c *conn, q *xproto.ConfigureWindowReq) {
 		w.parent.children = sibs
 	}
 	if resized {
-		w.img.resize(w.w, w.h)
-		w.img.fillRect(0, 0, w.w, w.h, w.background)
+		w.img = newFilledImage(w.w, w.h, w.background, s.render)
 	}
 	s.sendConfigureNotify(w)
 	if resized && s.viewable(w) {

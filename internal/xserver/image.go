@@ -5,14 +5,18 @@ import "repro/internal/xproto"
 // image is a server-side pixel buffer: the backing store of a window or
 // pixmap. Pixels are packed 0x00RRGGBB.
 //
-// Storage is tiled: the pixel area is carved into fixed 64×64 slabs,
+// Storage is tiled: the pixel area is carved into fixed 64×64 tiles,
 // each row-major within the tile, so every draw primitive works on
 // contiguous spans no longer than a tile row and a screenshot can
 // snapshot the buffer by aliasing slab pointers instead of copying
-// pixels (copy-on-write: see snapshot and writableTile). Each tile
-// carries a version (bumped on every write acquisition), a dirty flag
-// (damage since the last snapshot) and a shared flag (a snapshot
-// aliases the slab; the next writer clones it first).
+// pixels (copy-on-write: see snapshot and writableTile). A tile holds
+// no slab while it is solid — one colour, as every window is between
+// a background fill and its first non-uniform drawing — and gets one
+// on its first partial write. Slabs of the bottom tile row hold only
+// the rows inside the image. Each tile carries a version (bumped on
+// every write acquisition), a dirty flag (damage since the last
+// snapshot) and a shared flag (a snapshot aliases the slab; the next
+// writer clones it first).
 //
 // Concurrency: an image has no lock of its own. All tile state — slab
 // pointers, versions, dirty and shared flags — is guarded by the lock
@@ -30,13 +34,14 @@ type image struct {
 
 const (
 	tileShift = 6
-	tileSize  = 1 << tileShift // 64×64 pixels, 16KiB per slab
+	tileSize  = 1 << tileShift // 64×64 pixels, at most 16KiB per slab
 	tileMask  = tileSize - 1
 )
 
-// tile is one 64×64 slab plus its damage-tracking state.
+// tile is one 64×64 cell plus its damage-tracking state.
 type tile struct {
-	px      []uint32 // tileSize*tileSize pixels, row-major within the tile
+	px      []uint32 // nil while solid; else the in-image rows × 64 pixels, row-major
+	solid   uint32   // the value of every pixel while px is nil
 	version uint64   // bumped on every write acquisition
 	shared  bool     // a snapshot aliases px: clone before writing
 	dirty   bool     // written since the last snapshot
@@ -44,8 +49,9 @@ type tile struct {
 
 func newImage(w, h int) *image { return newImageM(w, h, nil) }
 
-// newImageM creates an image reporting damage into m (nil for an
+// newImageM creates a black image reporting damage into m (nil for an
 // unmetered image, e.g. a screenshot compose target or a test buffer).
+// Every tile starts solid, so no slab is allocated yet.
 func newImageM(w, h int, m *renderMetrics) *image {
 	if w < 1 {
 		w = 1
@@ -59,30 +65,22 @@ func newImageM(w, h int, m *renderMetrics) *image {
 		th: (h + tileMask) >> tileShift,
 		m:  m,
 	}
-	// One backing allocation for the whole grid; COW clones peel
-	// individual slabs off later as needed.
-	backing := make([]uint32, im.tw*im.th*tileSize*tileSize)
 	im.tiles = make([]tile, im.tw*im.th)
-	for i := range im.tiles {
-		im.tiles[i].px = backing[i*tileSize*tileSize : (i+1)*tileSize*tileSize : (i+1)*tileSize*tileSize]
-	}
 	return im
 }
 
-// writableTile returns tile (tx, ty) ready for writing: a slab shared
-// with a snapshot is cloned first (the snapshot keeps the old pixels),
-// the version is bumped, and a clean tile is marked dirty.
-func (im *image) writableTile(tx, ty int) *tile {
-	t := &im.tiles[ty*im.tw+tx]
-	if t.shared {
-		np := make([]uint32, tileSize*tileSize)
-		copy(np, t.px)
-		t.px = np
-		t.shared = false
-		if im.m != nil {
-			im.m.tilesCOW.Inc()
-		}
-	}
+// newFilledImage creates a w×h image painted pixel: a window's backing
+// store when it is created or resized, since the server paints the
+// background over all of it. Every tile is solid and damaged once.
+func newFilledImage(w, h int, pixel uint32, m *renderMetrics) *image {
+	im := newImageM(w, h, m)
+	im.fillRect(0, 0, im.w, im.h, pixel)
+	return im
+}
+
+// touch records a write acquisition of t: the version is bumped and a
+// clean tile is marked dirty.
+func (im *image) touch(t *tile) {
 	t.version++
 	if !t.dirty {
 		t.dirty = true
@@ -90,6 +88,26 @@ func (im *image) writableTile(tx, ty int) *tile {
 			im.m.tilesDamaged.Inc()
 		}
 	}
+}
+
+// writableTile returns tile (tx, ty) ready for writing: a solid tile
+// gets a slab filled with its colour, a slab shared with a snapshot is
+// cloned first (the snapshot keeps the old pixels), and the write is
+// recorded by touch.
+func (im *image) writableTile(tx, ty int) *tile {
+	t := &im.tiles[ty*im.tw+tx]
+	switch {
+	case t.px == nil:
+		t.px = make([]uint32, min(tileSize, im.h-ty<<tileShift)<<tileShift)
+		fillSpan(t.px, t.solid)
+	case t.shared:
+		t.px = append([]uint32(nil), t.px...)
+		if im.m != nil {
+			im.m.tilesCOW.Inc()
+		}
+	}
+	t.shared = false
+	im.touch(t)
 	return t
 }
 
@@ -106,7 +124,7 @@ func (im *image) snapshot() *image {
 		t := &im.tiles[i]
 		t.shared = true
 		t.dirty = false
-		sn.tiles[i] = tile{px: t.px, version: t.version}
+		sn.tiles[i] = tile{px: t.px, solid: t.solid, version: t.version}
 	}
 	if im.m != nil {
 		im.m.tilesSnapshot.Add(uint64(len(im.tiles)))
@@ -125,24 +143,6 @@ func (im *image) damagedTiles() int {
 	return n
 }
 
-// resize reallocates the buffer preserving the overlapping region.
-func (im *image) resize(w, h int) {
-	if w < 1 {
-		w = 1
-	}
-	if h < 1 {
-		h = 1
-	}
-	if w == im.w && h == im.h {
-		return
-	}
-	ni := newImageM(w, h, im.m)
-	ni.copyFrom(im, 0, 0, 0, 0, min(w, im.w), min(h, im.h))
-	im.w, im.h = ni.w, ni.h
-	im.tw, im.th = ni.tw, ni.th
-	im.tiles = ni.tiles
-}
-
 func (im *image) set(x, y int, pixel uint32) {
 	if x < 0 || y < 0 || x >= im.w || y >= im.h {
 		return
@@ -155,7 +155,11 @@ func (im *image) get(x, y int) uint32 {
 	if x < 0 || y < 0 || x >= im.w || y >= im.h {
 		return 0
 	}
-	return im.tiles[(y>>tileShift)*im.tw+(x>>tileShift)].px[(y&tileMask)<<tileShift|(x&tileMask)]
+	t := &im.tiles[(y>>tileShift)*im.tw+(x>>tileShift)]
+	if t.px == nil {
+		return t.solid
+	}
+	return t.px[(y&tileMask)<<tileShift|(x&tileMask)]
 }
 
 // fillSpan pattern-fills a contiguous span by doubling copies: one
@@ -190,14 +194,24 @@ func (im *image) fillClipped(x0, y0, x1, y1 int, pixel uint32) {
 }
 
 // fillTileRow fills the part of clipped rect [x0,x1)×[y0,y1) that lands
-// in tile row ty.
+// in tile row ty. A tile whose whole in-image area is covered becomes
+// solid unless it owns its slab: an owned slab is filled in place, so
+// a window repainted over and over keeps one slab instead of dropping
+// and reallocating it.
 func (im *image) fillTileRow(ty, x0, y0, x1, y1 int, pixel uint32) {
 	ry0 := max(y0, ty<<tileShift)
 	ry1 := min(y1, (ty+1)<<tileShift)
+	allRows := ry0 == ty<<tileShift && ry1 == min(im.h, (ty+1)<<tileShift)
 	for tx := x0 >> tileShift; tx <= (x1-1)>>tileShift; tx++ {
 		cx0 := max(x0, tx<<tileShift)
 		cx1 := min(x1, (tx+1)<<tileShift)
-		t := im.writableTile(tx, ty)
+		t := &im.tiles[ty*im.tw+tx]
+		if allRows && (t.px == nil || t.shared) && cx0 == tx<<tileShift && cx1 == min(im.w, (tx+1)<<tileShift) {
+			t.px, t.solid, t.shared = nil, pixel, false
+			im.touch(t)
+			continue
+		}
+		t = im.writableTile(tx, ty)
 		if cx1-cx0 == tileSize {
 			// Full tile width: the covered rows are one contiguous
 			// block (rows are adjacent within a slab), so a single
@@ -415,9 +429,13 @@ func (im *image) copyRow(src *image, sx, sy, dx, dy, w int) {
 		n := min(w-x, tileSize-((sx+x)&tileMask), tileSize-((dx+x)&tileMask))
 		st := &src.tiles[srcBase+((sx+x)>>tileShift)]
 		dt := im.writableTile((dx+x)>>tileShift, ty)
-		so := srcOff | ((sx + x) & tileMask)
 		do := dstOff | ((dx + x) & tileMask)
-		copy(dt.px[do:do+n], st.px[so:so+n])
+		if st.px == nil {
+			fillSpan(dt.px[do:do+n], st.solid)
+		} else {
+			so := srcOff | ((sx + x) & tileMask)
+			copy(dt.px[do:do+n], st.px[so:so+n])
+		}
 		x += n
 	}
 }
@@ -456,8 +474,12 @@ func (im *image) readRow(sx, sy int, dst []uint32) {
 	for x := 0; x < len(dst); {
 		n := min(len(dst)-x, tileSize-((sx+x)&tileMask))
 		t := &im.tiles[base+((sx+x)>>tileShift)]
-		o := off | ((sx + x) & tileMask)
-		copy(dst[x:x+n], t.px[o:o+n])
+		if t.px == nil {
+			fillSpan(dst[x:x+n], t.solid)
+		} else {
+			o := off | ((sx + x) & tileMask)
+			copy(dst[x:x+n], t.px[o:o+n])
+		}
 		x += n
 	}
 }
@@ -486,13 +508,21 @@ func (im *image) packRGB(dst []byte) {
 		off := (y & tileMask) << tileShift
 		for x := 0; x < im.w; {
 			n := min(im.w-x, tileSize-(x&tileMask))
-			o := off | (x & tileMask)
-			seg := im.tiles[base+(x>>tileShift)].px[o : o+n]
-			for _, px := range seg {
-				dst[di] = byte(px >> 16)
-				dst[di+1] = byte(px >> 8)
-				dst[di+2] = byte(px)
-				di += 3
+			t := &im.tiles[base+(x>>tileShift)]
+			if t.px == nil {
+				for end := di + 3*n; di < end; di += 3 {
+					dst[di] = byte(t.solid >> 16)
+					dst[di+1] = byte(t.solid >> 8)
+					dst[di+2] = byte(t.solid)
+				}
+			} else {
+				o := off | (x & tileMask)
+				for _, px := range t.px[o : o+n] {
+					dst[di] = byte(px >> 16)
+					dst[di+1] = byte(px >> 8)
+					dst[di+2] = byte(px)
+					di += 3
+				}
 			}
 			x += n
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/flatimg"
+	"repro/internal/obs"
 	"repro/internal/xclient"
 	"repro/internal/xproto"
 )
@@ -17,17 +18,22 @@ import (
 // optimization, never a semantic change.
 
 // requireSamePixels compares a tiled image against the flat reference
-// pixel for pixel, reporting the first few mismatches.
+// pixel for pixel, through get and through packRGB, reporting the first
+// few mismatches.
 func requireSamePixels(t *testing.T, tag string, tiled *image, flat *flatimg.Image) {
 	t.Helper()
 	if tiled.w != flat.W || tiled.h != flat.H {
 		t.Fatalf("%s: size mismatch: tiled %dx%d, flat %dx%d", tag, tiled.w, tiled.h, flat.W, flat.H)
 	}
+	packed := make([]byte, flat.W*flat.H*3)
+	tiled.packRGB(packed)
 	bad := 0
 	for y := 0; y < flat.H; y++ {
 		for x := 0; x < flat.W; x++ {
-			if got, want := tiled.get(x, y), flat.Get(x, y); got != want {
-				t.Errorf("%s: pixel (%d,%d) = %06x, want %06x", tag, x, y, got, want)
+			i := (y*flat.W + x) * 3
+			got, want := tiled.get(x, y), flat.Get(x, y)
+			if rgb := uint32(packed[i])<<16 | uint32(packed[i+1])<<8 | uint32(packed[i+2]); got != want || rgb != want {
+				t.Errorf("%s: pixel (%d,%d) = %06x (packed %06x), want %06x", tag, x, y, got, rgb, want)
 				if bad++; bad > 8 {
 					t.Fatalf("%s: too many mismatches", tag)
 				}
@@ -186,23 +192,112 @@ func TestRenderParityCopyFrom(t *testing.T) {
 	}
 }
 
+// TestRenderParityResize replays a window resize — a new backing store
+// painted with the background — against flat Resize + FillRect, then
+// draws across the trimmed bottom tile row of each size.
 func TestRenderParityResize(t *testing.T) {
-	tiled := newImage(100, 90)
 	flat := flatimg.New(100, 90)
-	tiled.fillRect(0, 0, 100, 90, 0x224488)
-	flat.FillRect(0, 0, 100, 90, 0x224488)
-	tiled.fillRect(10, 12, 45, 30, 0xff0055)
 	flat.FillRect(10, 12, 45, 30, 0xff0055)
 	for _, sz := range [][2]int{{170, 40}, {64, 64}, {65, 129}, {30, 200}, {1, 1}} {
-		tiled.resize(sz[0], sz[1])
+		tiled := newFilledImage(sz[0], sz[1], 0x224488, nil)
 		flat.Resize(sz[0], sz[1])
+		flat.FillRect(0, 0, sz[0], sz[1], 0x224488)
+		tiled.fillRect(10, sz[1]-7, 45, 30, 0xff0055)
+		flat.FillRect(10, sz[1]-7, 45, 30, 0xff0055)
+		tiled.drawLine(0, sz[1]-1, sz[0]-1, 0, 1, 0x00ff00)
+		flat.DrawLine(0, sz[1]-1, sz[0]-1, 0, 1, 0x00ff00)
 		requireSamePixels(t, fmt.Sprintf("resize %dx%d", sz[0], sz[1]), tiled, flat)
+	}
+}
+
+// TestRenderParityRandomOps drives one image through a seeded random
+// mix of every primitive and checks it against flatimg after each step.
+// Full-tile and full-image fills make tiles solid, partial writes give
+// them slabs, snapshots share both kinds, and resizes to heights that
+// are not multiples of 64 trim the bottom tile row, so every transition
+// between solid, owned and shared tiles is exercised.
+func TestRenderParityRandomOps(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tiled, flat := newImage(150, 100), flatimg.New(150, 100)
+	src, srcF := newFilledImage(70, 50, 0x445566, nil), flatimg.New(70, 50)
+	srcF.FillRect(0, 0, 70, 50, 0x445566)
+	type snap struct {
+		im   *image
+		want *flatimg.Image
+	}
+	var snaps []snap
+	for step := 0; step < 400; step++ {
+		px := rng.Uint32() & 0xffffff
+		x, y := rng.Intn(flat.W+40)-20, rng.Intn(flat.H+40)-20
+		var what string
+		switch rng.Intn(10) {
+		case 0:
+			what = "tile fill"
+			tx, ty := rng.Intn(tiled.tw), rng.Intn(tiled.th)
+			tiled.fillRect(tx*tileSize, ty*tileSize, tileSize, tileSize, px)
+			flat.FillRect(tx*tileSize, ty*tileSize, tileSize, tileSize, px)
+		case 1:
+			what = "partial fill"
+			w, h := rng.Intn(90), rng.Intn(70)
+			tiled.fillRect(x, y, w, h, px)
+			flat.FillRect(x, y, w, h, px)
+		case 2:
+			what = "image fill"
+			tiled.fillRect(-3, -3, flat.W+6, flat.H+6, px)
+			flat.FillRect(-3, -3, flat.W+6, flat.H+6, px)
+		case 3:
+			what = "line"
+			x1, y1, lw := rng.Intn(flat.W), rng.Intn(flat.H), 1+rng.Intn(3)
+			tiled.drawLine(x, y, x1, y1, lw, px)
+			flat.DrawLine(x, y, x1, y1, lw, px)
+		case 4:
+			what = "text"
+			openFont("fixed").drawString(tiled, x, y, "tile", px)
+			flat.DrawString(x, y, "tile", px, 1)
+		case 5:
+			what = "copy from solid source"
+			tiled.copyFrom(src, 5, 3, x, y, 60, 45)
+			flat.CopyFrom(srcF, 5, 3, x, y, 60, 45)
+		case 6:
+			what = "overlapping self-copy"
+			dx, dy := rng.Intn(41)-20, rng.Intn(41)-20
+			tiled.copyFrom(tiled, x, y, x+dx, y+dy, 80, 60)
+			flat.CopyFrom(flat, x, y, x+dx, y+dy, 80, 60)
+		case 7:
+			what = "copy from snapshot"
+			sn := tiled.snapshot()
+			want := flatimg.New(flat.W, flat.H)
+			want.CopyFrom(flat, 0, 0, 0, 0, flat.W, flat.H)
+			snaps = append(snaps, snap{sn, want})
+			tiled.copyFrom(sn, 0, 0, x, y, flat.W, flat.H)
+			flat.CopyFrom(want, 0, 0, x, y, flat.W, flat.H)
+		case 8:
+			what = "snapshot then write"
+			want := flatimg.New(flat.W, flat.H)
+			want.CopyFrom(flat, 0, 0, 0, 0, flat.W, flat.H)
+			snaps = append(snaps, snap{tiled.snapshot(), want})
+			tiled.set(x, y, px)
+			flat.Set(x, y, px)
+		case 9:
+			what = "resize"
+			w, h := 1+rng.Intn(200), 1+rng.Intn(200)
+			if h%tileSize == 0 {
+				h++
+			}
+			tiled = newFilledImage(w, h, px, nil)
+			flat.Resize(w, h)
+			flat.FillRect(0, 0, w, h, px)
+		}
+		requireSamePixels(t, fmt.Sprintf("step %d (%s)", step, what), tiled, flat)
+	}
+	for i, sn := range snaps {
+		requireSamePixels(t, fmt.Sprintf("snapshot %d", i), sn.im, sn.want)
 	}
 }
 
 // TestSnapshotCopyOnWrite: a snapshot must keep the pixels it had at
 // snapshot time while the original keeps mutating — the heart of the
-// lock-free screenshot path.
+// lock-free screenshot path — whether its tiles are solid or have slabs.
 func TestSnapshotCopyOnWrite(t *testing.T) {
 	im := newImage(130, 130)
 	im.fillRect(0, 0, 130, 130, 0x111111)
@@ -225,6 +320,58 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 	}
 	if got := snap.get(2, 100); got != 0x111111 {
 		t.Errorf("first snapshot disturbed: %06x, want 111111", got)
+	}
+
+	// Solid tiles and the slab rules for full fills: a solid tile or a
+	// shared slab becomes solid (the snapshot keeps the old slab,
+	// nothing is cloned), while a slab the tile owns is filled in place,
+	// so repainting a window does not reallocate its slabs.
+	m := newRenderMetrics(obs.NewRegistry())
+	fi := newFilledImage(100, 70, 0x111111, m)
+	for i := range fi.tiles {
+		if fi.tiles[i].px != nil {
+			t.Fatalf("tile %d of a filled image has a slab", i)
+		}
+	}
+	solidSnap := fi.snapshot()
+	fi.fillRect(3, 3, 10, 10, 0x222222) // tile 0 gets a slab
+	owned := fi.tiles[0].px
+	if owned == nil || len(owned) != tileSize*tileSize {
+		t.Fatalf("partial write to a full-height tile: slab len %d, want %d", len(owned), tileSize*tileSize)
+	}
+	if n := len(fi.tiles[fi.tw].px); n != 0 {
+		t.Fatalf("untouched bottom tile has a slab of %d pixels", n)
+	}
+	fi.set(5, 66, 0x222222)
+	if n := len(fi.tiles[fi.tw].px); n != (70-tileSize)*tileSize {
+		t.Fatalf("bottom-row slab holds %d pixels, want %d (6 rows)", n, (70-tileSize)*tileSize)
+	}
+
+	fi.fillRect(0, 0, 100, 70, 0x333333)
+	if &fi.tiles[0].px[0] != &owned[0] {
+		t.Fatal("full fill of an owned slab replaced it instead of filling in place")
+	}
+	slabSnap := fi.snapshot()
+	cow := m.tilesCOW.Value()
+	fi.fillRect(0, 0, 100, 70, 0x444444)
+	if fi.tiles[0].px != nil {
+		t.Fatal("full fill of a shared slab kept a slab")
+	}
+	if got := m.tilesCOW.Value(); got != cow {
+		t.Fatalf("full fill of shared slabs cloned %d of them", got-cow)
+	}
+	for _, c := range []struct {
+		im   *image
+		x, y int
+		want uint32
+	}{
+		{solidSnap, 5, 5, 0x111111}, {solidSnap, 99, 69, 0x111111},
+		{slabSnap, 5, 5, 0x333333}, {slabSnap, 5, 66, 0x333333},
+		{fi, 5, 5, 0x444444}, {fi, 99, 69, 0x444444},
+	} {
+		if got := c.im.get(c.x, c.y); got != c.want {
+			t.Errorf("pixel (%d,%d) = %06x, want %06x", c.x, c.y, got, c.want)
+		}
 	}
 }
 
@@ -464,4 +611,40 @@ func TestRenderStressPaintersVsScreenshots(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestUndrawnWindowsHoldNoSlabs: windows that are created, resized and
+// mapped but never drawn hold no pixel slabs, and neither does the
+// root — only their background colours.
+func TestUndrawnWindowsHoldNoSlabs(t *testing.T) {
+	s := New(1024, 768)
+	defer s.Close()
+	d, err := xclient.Open(s.ConnectPipe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	top := d.CreateWindow(d.Root, 0, 0, 1, 1, 0, xclient.WindowAttributes{Background: 0xd9d9d9})
+	for i := 0; i < 200; i++ {
+		w := d.CreateWindow(top, 0, i*25, 1, 1, 2, xclient.WindowAttributes{Background: 0xb0c4de, EventMask: xproto.ExposureMask})
+		d.ResizeWindow(w, 90+i%7, 25)
+		d.MapWindow(w)
+	}
+	d.ResizeWindow(top, 100, 5000)
+	d.MapWindow(top)
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	s.treeMu.Lock()
+	defer s.treeMu.Unlock()
+	if len(s.windows) != 202 {
+		t.Fatalf("server has %d windows, want 202", len(s.windows))
+	}
+	for id, w := range s.windows {
+		for i := range w.img.tiles {
+			if w.img.tiles[i].px != nil {
+				t.Fatalf("window %d (%dx%d): tile %d has a slab", id, w.w, w.h, i)
+			}
+		}
+	}
 }

@@ -156,6 +156,11 @@ type Server struct {
 	// concurrent use.
 	metrics *obs.Registry
 
+	// requests and dispatchTime are metrics' per-request handles,
+	// resolved in New. Immutable afterwards.
+	requests     *obs.Counter
+	dispatchTime *obs.Histogram
+
 	// tracer, when set, records a server.dispatch span (with per-subsystem
 	// lock waits attributed) for sampled requests. Atomic so SetTracer
 	// may race dispatch.
@@ -262,6 +267,40 @@ type conn struct {
 	// "roundtrips", "events" and "dropped". QueryCounters answers from
 	// it. The pointer is immutable after ServeConn creates it.
 	metrics *obs.Registry
+
+	// Handles into metrics for the per-request, per-reply and per-event
+	// paths, resolved in ServeConn and immutable afterwards. byOp holds
+	// each opcode's "requests.<OpName>" counters in both registries,
+	// resolved on the opcode's first request so neither registry gains
+	// zero-valued rows; only the request-loop goroutine touches it.
+	requests     *obs.Counter
+	roundtrips   *obs.Counter
+	events       *obs.Counter
+	dispatchTime *obs.Histogram
+	byOp         [256]*opCounters
+}
+
+// opCounters are one opcode's request counters in the server registry
+// and in a connection's.
+type opCounters struct{ server, conn *obs.Counter }
+
+// countOp bumps op's request counters in both registries.
+func (c *conn) countOp(op uint16) {
+	var oc *opCounters
+	if int(op) < len(c.byOp) {
+		oc = c.byOp[op]
+	}
+	if oc == nil {
+		oc = &opCounters{
+			server: c.s.metrics.Counter("requests." + xproto.OpName(op)),
+			conn:   c.metrics.Counter("requests." + xproto.OpName(op)),
+		}
+		if int(op) < len(c.byOp) {
+			c.byOp[op] = oc
+		}
+	}
+	oc.server.Inc()
+	oc.conn.Inc()
 }
 
 // New creates a server with the given screen size.
@@ -296,6 +335,8 @@ func New(width, height int) *Server {
 	s.cursors = newResTable[string](s.metrics.Histogram("lockwait.cursors"))
 	s.writeTimeout.Store(int64(DefaultWriteTimeout))
 	s.render = newRenderMetrics(s.metrics)
+	s.requests = s.metrics.Counter("requests")
+	s.dispatchTime = s.metrics.Histogram("dispatch")
 	for a, name := range xproto.PredefinedAtoms {
 		s.atoms[name] = a
 		s.atomNames[a] = name
@@ -306,11 +347,10 @@ func New(width, height int) *Server {
 		h:          height,
 		background: 0x5f9ea0, // the classic root-weave stand-in
 		mapped:     true,
-		img:        newImageM(width, height, s.render),
 		masks:      make(map[*conn]uint32),
 		props:      make(map[xproto.Atom]property),
 	}
-	s.root.img.fillRect(0, 0, width, height, s.root.background)
+	s.root.img = newFilledImage(width, height, s.root.background, s.render)
 	s.windows[1] = s.root
 	s.pointerWin = s.root
 	s.pointerX, s.pointerY = width/2, height/2
@@ -473,6 +513,10 @@ func (s *Server) ServeConn(nc net.Conn) {
 		done:    make(chan struct{}),
 		metrics: obs.NewRegistry(),
 	}
+	c.requests = c.metrics.Counter("requests")
+	c.roundtrips = c.metrics.Counter("roundtrips")
+	c.events = c.metrics.Counter("events")
+	c.dispatchTime = c.metrics.Histogram("dispatch")
 	s.connsMu.Lock()
 	if s.closed {
 		s.connsMu.Unlock()
@@ -653,11 +697,9 @@ func (s *Server) serveRequest(c *conn, op uint16, payload []byte) {
 	// includes its own request; timing wraps only decode + handle,
 	// so the "dispatch" histogram measures true service time, not
 	// the simulated IPC latency above.
-	name := xproto.OpName(op)
-	s.metrics.Counter("requests").Inc()
-	s.metrics.Counter("requests." + name).Inc()
-	c.metrics.Counter("requests").Inc()
-	c.metrics.Counter("requests." + name).Inc()
+	s.requests.Inc()
+	c.requests.Inc()
+	c.countOp(op)
 	if s.rollupRequests != nil {
 		s.rollupRequests.Inc()
 	}
@@ -674,7 +716,7 @@ func (s *Server) serveRequest(c *conn, op uint16, payload []byte) {
 		s.metrics.Counter("trace.sampled").Inc()
 		span := trace.Span{
 			Seq: c.seq, Name: "server.dispatch", Side: "server",
-			Op: name, Start: begin.UnixNano(),
+			Op: xproto.OpName(op), Start: begin.UnixNano(),
 		}
 		remove := obs.SetWaitCollector(func(h *obs.Histogram, waitNs int64) {
 			key := "lockwait.other" // untimed mutexes (e.g. per-pixmap locks)
@@ -699,8 +741,8 @@ func (s *Server) serveRequest(c *conn, op uint16, payload []byte) {
 		s.dispatch(c, op, payload)
 		elapsed = time.Since(begin)
 	}
-	s.metrics.Histogram("dispatch").Observe(elapsed)
-	c.metrics.Histogram("dispatch").Observe(elapsed)
+	s.dispatchTime.Observe(elapsed)
+	c.dispatchTime.Observe(elapsed)
 	if s.rollupDispatch != nil {
 		s.rollupDispatch.Observe(elapsed)
 	}
@@ -884,7 +926,7 @@ func (c *conn) enqueueBuf(bp *[]byte, mustDeliver, pooled bool) {
 // enqueueFrame copies the encoded bytes into the outbound frame before
 // the writer is released, so the hot reply path allocates nothing.
 func (c *conn) reply(encode func(w *xproto.Writer)) {
-	c.metrics.Counter("roundtrips").Inc()
+	c.roundtrips.Inc()
 	w := xproto.AcquireWriter()
 	w.PutU64(c.seq)
 	encode(w)
@@ -903,7 +945,7 @@ func (c *conn) protoError(format string, args ...any) {
 
 // sendEvent delivers an event to this connection.
 func (c *conn) sendEvent(ev *xproto.Event) {
-	c.metrics.Counter("events").Inc()
+	c.events.Inc()
 	w := xproto.AcquireWriter()
 	ev.Encode(w)
 	c.enqueueFrame(xproto.KindEvent, w.Bytes(), false)

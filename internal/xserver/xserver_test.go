@@ -1,9 +1,12 @@
 package xserver
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/flatimg"
+	"repro/internal/xclient"
 	"repro/internal/xproto"
 )
 
@@ -29,19 +32,18 @@ func TestImageFillAndClip(t *testing.T) {
 	}
 }
 
+// TestImageResizePreservesContent: a window resize builds a new backing
+// store painted with the background (newFilledImage), which is what the
+// seed's resize-preserving-content followed by a full background fill
+// produced. Sizes are clamped to 1 like the flat renderer's.
 func TestImageResizePreservesContent(t *testing.T) {
-	im := newImage(4, 4)
-	im.fillRect(0, 0, 4, 4, 0x123456)
-	im.resize(8, 8)
-	if im.get(3, 3) != 0x123456 {
-		t.Fatal("content lost on grow")
-	}
-	if im.get(7, 7) != 0 {
-		t.Fatal("new area should be zero")
-	}
-	im.resize(2, 2)
-	if im.w != 2 || im.h != 2 || im.get(1, 1) != 0x123456 {
-		t.Fatal("shrink")
+	for _, sz := range [][2]int{{4, 4}, {8, 8}, {2, 2}, {0, 3}, {65, 129}} {
+		im := newFilledImage(sz[0], sz[1], 0x123456, nil)
+		flat := flatimg.New(4, 4)
+		flat.FillRect(0, 0, 4, 4, 0x654321)
+		flat.Resize(sz[0], sz[1])
+		flat.FillRect(0, 0, flat.W, flat.H, 0x123456)
+		requireSamePixels(t, fmt.Sprintf("%dx%d", sz[0], sz[1]), im, flat)
 	}
 }
 
@@ -213,5 +215,45 @@ func TestServerWindowTreeInternals(t *testing.T) {
 	}
 	if x, y := s.absPos(s.root); x != 0 || y != 0 {
 		t.Fatal("root abs pos")
+	}
+}
+
+// TestZeroSizeReconfigureKeepsContent: a width of 0 is clamped to 1, so
+// re-sending it to a window already 1 pixel wide is no resize — the
+// drawn pixels survive and no further Expose is sent.
+func TestZeroSizeReconfigureKeepsContent(t *testing.T) {
+	s := New(200, 200)
+	defer s.Close()
+	d, err := xclient.Open(s.ConnectPipe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	w := d.CreateWindow(d.Root, 10, 10, 30, 20, 0, xclient.WindowAttributes{Background: 0xffffff, EventMask: xproto.ExposureMask})
+	d.MapWindow(w)
+	d.ResizeWindow(w, 0, 20)
+	gc := d.CreateGC(xclient.GCValues{Mask: xproto.GCForeground, Foreground: 0xff0000})
+	d.FillRectangle(w, gc, 0, 5, 1, 10)
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	exposes := d.EventsSeen()
+	d.ResizeWindow(w, 0, 20)
+	d.ResizeWindow(w, 0, 20)
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.EventsSeen() - exposes; n != 0 {
+		t.Errorf("re-sending the clamped size sent %d more Expose events", n)
+	}
+	s.treeMu.Lock()
+	win := s.windows[w]
+	gotW, gotH, px := win.w, win.h, win.img.get(0, 8)
+	s.treeMu.Unlock()
+	if gotW != 1 || gotH != 20 {
+		t.Fatalf("window is %dx%d, want 1x20", gotW, gotH)
+	}
+	if px != 0xff0000 {
+		t.Fatalf("drawn pixel = %06x after re-sending the clamped size, want ff0000", px)
 	}
 }
