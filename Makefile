@@ -25,11 +25,11 @@ tkcheck:
 	$(GO) run ./cmd/tkcheck -tests ./cmd/wish
 
 # fuzz-smoke gives the wire-frame decoders (v1 outer framing plus the
-# v2 segment/delta codec), the Tcl interpreter (scripts and
-# expressions, cold against cached) and the option database
-# (.Xdefaults text, option stack against the reference matcher) a
-# bounded fuzzing pass on every check run; longer campaigns just raise
-# -fuzztime. Corpus seeds cover v1 and v2 frames in both directions
+# v2 segment envelope and the v1 frames inside it), the Tcl
+# interpreter (scripts and expressions, cold against cached) and the
+# option database (.Xdefaults text, option stack against the reference
+# matcher) a bounded fuzzing pass on every check run; longer campaigns
+# just raise -fuzztime. Corpus seeds cover v1 and v2 frames in both directions
 # (internal/xproto/fuzz_test.go), the paper's Figures 1-5 and
 # compute-style loops (internal/tcl/fuzz_test.go), and option patterns
 # of every binding kind (internal/tk/option_test.go).
@@ -59,8 +59,9 @@ bench: bench-farm
 # throughput under concurrent screenshot export, the session farm must
 # hold 1000 concurrent sessions with bounded memory and survive a 10%
 # mid-run eviction with zero cross-tenant damage (docs/farm.md), and
-# wire protocol v2 must cut bytes-on-wire ≥ 5× and finish the 10 ms-RTT
-# storm ≥ 2× faster than v1 (docs/pipelining.md, "Wire protocol v2").
+# wire protocol v2, compressed segments of the same frames v1 sends,
+# must cut bytes-on-wire ≥ 5× and finish the 10 ms-RTT storm ≥ 2×
+# faster than v1 (docs/pipelining.md, "Wire protocol v2").
 bench-smoke:
 	OBS_BENCH=1 $(GO) test -run 'TestEmitObsBench|TestEmitPipelineBench|TestEmitMTServerBench|TestEmitSLOBench|TestEmitRenderBench|TestEmitFarmBench|TestEmitWireBench' -count=1 .
 

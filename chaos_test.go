@@ -220,18 +220,18 @@ func chaosWorkload(t *testing.T, srv *xserver.Server, fc *fault.Conn, sc fault.S
 // ---------------------------------------------------------------------
 // Wire protocol v2 under fire (docs/pipelining.md, "Wire protocol v2").
 //
-// The v2 codec ships compressed, delta-encoded segments, so a single
-// flipped bit no longer damages one request — it damages a whole
-// coalesced run, and a desynced delta cache would silently reconstruct
-// *plausible but wrong* frames forever after. These scenarios hold the
-// failure-mode line: corruption inside a compressed segment and a kill
-// mid-delta-stream must degrade to a clean connection loss (every
-// cookie fails promptly with the root cause) — never to a garbage
-// frame reaching a handler, which the deterministic-pixel check below
-// would catch as silent canvas corruption.
+// The v2 codec ships compressed segments, so a single flipped bit no
+// longer damages one request — it damages a whole coalesced run, and a
+// decompressor fed a damaged body can produce *plausible but wrong*
+// frames. These scenarios hold the failure-mode line: corruption inside
+// a compressed segment and a kill mid-stream must degrade to a clean
+// connection loss (every cookie fails promptly with the root cause) —
+// never to a garbage frame reaching a handler, which the
+// deterministic-pixel check below would catch as silent canvas
+// corruption.
 
 // chaosWireScenarios: bit flips on each direction's compressed
-// segments, and a mid-stream kill between delta frames. The corruption
+// segments, and a kill in the middle of the segment stream. The corruption
 // probabilities are much higher than the v1 matrix's because they are
 // charged per Write/Read call and the whole point of v2 is that a
 // storm collapses into a handful of large writes — at v1's 0.05 the
@@ -239,7 +239,7 @@ func chaosWorkload(t *testing.T, srv *xserver.Server, fc *fault.Conn, sc fault.S
 var chaosWireScenarios = []fault.Scenario{
 	{Name: "v2-bitflip-compressed-write", Seed: 21, CorruptWriteProb: 0.5},
 	{Name: "v2-bitflip-compressed-read", Seed: 24, CorruptReadProb: 0.5},
-	{Name: "v2-kill-mid-delta", Seed: 23, KillAfterBytes: 1024},
+	{Name: "v2-kill-mid-stream", Seed: 23, KillAfterBytes: 1024},
 }
 
 // wireChaosOutcome extends the plain outcome with the silent-corruption
@@ -339,7 +339,7 @@ func runWireChaosScenario(t *testing.T, sc fault.Scenario) {
 		t.Fatalf("scenario %q injected %d faults, connection is dead, and nothing surfaced",
 			sc.Name, injected)
 	}
-	// The kill fires deterministically inside the delta stream (the
+	// The kill fires deterministically inside the segment stream (the
 	// storm alone crosses KillAfterBytes): the connection must die and
 	// every outstanding cookie must have failed with the root cause
 	// rather than hanging (the watchdog above is the hang detector).
@@ -354,8 +354,8 @@ func runWireChaosScenario(t *testing.T, sc fault.Scenario) {
 }
 
 // wireChaosStorm paints the deterministic pattern the pixel check keys
-// on: a window, one GC, and 400 delta-friendly fills (same opcode,
-// varying geometry — exactly the traffic the v2 cache collapses).
+// on: a window, one GC, and 400 fills (same opcode, varying geometry —
+// repeated frames that flate collapses into few compressed segments).
 func wireChaosStorm(d *xclient.Display) xproto.ID {
 	w := d.CreateWindow(d.Root, 0, 0, 320, 240, 0, xclient.WindowAttributes{Background: 0x202020})
 	d.MapWindow(w)

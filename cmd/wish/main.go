@@ -17,8 +17,8 @@
 // (docs/farm.md).
 //
 // With -wire v2, the connection negotiates the v2 wire protocol
-// (docs/pipelining.md): flate-compressed request segments, delta
-// encoding of repeated requests, and latency-adaptive flush batching.
+// (docs/pipelining.md): checksummed, flate-compressed segments of the
+// same frames v1 sends, and latency-adaptive flush batching.
 // Servers that do not speak v2 transparently fall back to v1. The
 // default is v1; -trace forces v1 (the wire tracer decodes raw v1
 // framing only).

@@ -9,7 +9,7 @@
 //	xsimd [-addr 127.0.0.1:6001] [-width 1024] [-height 768] [-latency-us N] [-latency-model request|segment] [-wire v1|v2] [-fault spec] [-stats-addr addr] [-span-interval N] [-sessions N] [-quota spec] [-idle-evict dur]
 //
 // -wire controls whether the server accepts wire-protocol-v2 upgrades
-// (docs/pipelining.md): compressed, delta-encoded request segments
+// (docs/pipelining.md): checksummed, compressed segments of v1 frames,
 // negotiated per connection. The default v2 accepts upgrades from
 // clients that ask for them (wish -wire v2) and is invisible to v1
 // clients; -wire v1 declines every upgrade, forcing all traffic into

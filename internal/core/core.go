@@ -60,8 +60,9 @@ type Options struct {
 	// the server with its own tracer — xsimd -span-interval — for the
 	// other half).
 	SpanInterval int
-	// WireV2 negotiates the v2 wire protocol (compressed, delta-encoded
-	// segments with latency-adaptive batching; wish -wire v2). Ignored
+	// WireV2 negotiates the v2 wire protocol (checksummed, compressed
+	// segments of v1 frames with latency-adaptive batching; wish -wire
+	// v2). Ignored
 	// when Trace is set: the wire tracer decodes raw v1 framing, so a
 	// traced connection always speaks v1.
 	WireV2 bool

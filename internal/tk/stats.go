@@ -24,45 +24,18 @@ func (app *App) cmdTkstats(in *tcl.Interp, args []string) (string, error) {
 	}
 	m := app.Metrics()
 	switch args[1] {
-	case "counters":
+	case "counters", "gauges":
 		if len(args) > 3 {
-			return "", fmt.Errorf(`wrong # args: should be "tkstats counters ?pattern?"`)
+			return "", fmt.Errorf(`wrong # args: should be "tkstats %s ?pattern?"`, args[1])
 		}
 		pattern := "*"
 		if len(args) == 3 {
 			pattern = args[2]
 		}
-		lines := make([]string, 0, 16)
-		for name, v := range m.Counters() {
-			if tcl.GlobMatch(pattern, name) {
-				lines = append(lines, name+" "+strconv.FormatUint(v, 10))
-			}
+		if args[1] == "counters" {
+			return matchingLines(m.Counters(), pattern, strconv.FormatUint), nil
 		}
-		for name, v := range m.Gauges() {
-			if tcl.GlobMatch(pattern, name) {
-				lines = append(lines, name+" "+strconv.FormatInt(v, 10))
-			}
-		}
-		sort.Strings(lines)
-		return strings.Join(lines, "\n"), nil
-	case "gauges":
-		// "counters" has always folded gauges in (kept for script
-		// compatibility); this lists gauges alone.
-		if len(args) > 3 {
-			return "", fmt.Errorf(`wrong # args: should be "tkstats gauges ?pattern?"`)
-		}
-		pattern := "*"
-		if len(args) == 3 {
-			pattern = args[2]
-		}
-		lines := make([]string, 0, 16)
-		for name, v := range m.Gauges() {
-			if tcl.GlobMatch(pattern, name) {
-				lines = append(lines, name+" "+strconv.FormatInt(v, 10))
-			}
-		}
-		sort.Strings(lines)
-		return strings.Join(lines, "\n"), nil
+		return matchingLines(m.Gauges(), pattern, strconv.FormatInt), nil
 	case "histogram":
 		if len(args) != 3 {
 			return "", fmt.Errorf(`wrong # args: should be "tkstats histogram name"`)
@@ -134,4 +107,17 @@ func (app *App) cmdTkstats(in *tcl.Interp, args []string) (string, error) {
 		return "", nil
 	}
 	return "", fmt.Errorf("bad option %q: should be counters, gauges, histogram, trace, spans, or reset", args[1])
+}
+
+// matchingLines renders the values whose names match a glob pattern as
+// sorted "name value" lines.
+func matchingLines[V any](values map[string]V, pattern string, format func(V, int) string) string {
+	lines := make([]string, 0, 16)
+	for name, v := range values {
+		if tcl.GlobMatch(pattern, name) {
+			lines = append(lines, name+" "+format(v, 10))
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
 }

@@ -195,9 +195,8 @@ func TestTkstatsTrace(t *testing.T) {
 	}
 }
 
-// TestTkstatsGauges: the gauges subcommand lists gauges alone (counters
-// keeps folding them in, for script compatibility) with the same glob
-// filtering.
+// TestTkstatsGauges: the gauges subcommand lists gauges alone, and
+// counters lists counters alone, with the same glob filtering.
 func TestTkstatsGauges(t *testing.T) {
 	app, _, _ := statsApp(t, false)
 	if err := app.Disp.Sync(); err != nil {
@@ -219,9 +218,9 @@ func TestTkstatsGauges(t *testing.T) {
 	if out := app.MustEval("tkstats gauges no.such.*"); out != "" {
 		t.Fatalf("non-matching pattern returned %q", out)
 	}
-	// The gauge still appears in counters output (compatibility).
-	if out := app.MustEval("tkstats counters inflight"); !strings.HasPrefix(out, "inflight ") {
-		t.Fatalf("counters no longer folds gauges in: %q", out)
+	// Gauges stay out of counters output.
+	if out := app.MustEval("tkstats counters inflight"); out != "" {
+		t.Fatalf("counters lists the inflight gauge: %q", out)
 	}
 }
 

@@ -367,10 +367,9 @@ func TestOptionReadString(t *testing.T) {
 }
 
 func TestResourceCacheReducesTraffic(t *testing.T) {
-	app, _ := newTestApp(t)
-	// The client-side registry reads cost no server traffic, unlike the
-	// old Counters() round trip, so the measurement no longer perturbs
-	// what it measures.
+	app, srv, _ := statsApp(t, false)
+	// Registry reads cost no server traffic, so the measurement does not
+	// perturb what it measures.
 	m := app.Metrics()
 	alloc := m.Counter("requests.AllocNamedColor")
 	rtts := m.Counter("roundtrips")
@@ -397,15 +396,17 @@ func TestResourceCacheReducesTraffic(t *testing.T) {
 	if hits := m.Counter("tk.cache.color.hits").Value(); hits < 100 {
 		t.Fatalf("color cache hits = %d, want ≥ 100", hits)
 	}
-	// The wire-level Counters() shim still works and agrees on the
-	// round-trip count (+1 for its own query).
-	rep, err := app.Disp.Counters()
-	if err != nil {
+	// The server's registry agrees: once a Sync has drained the
+	// connection, it has dispatched exactly the requests the client sent.
+	if err := app.Disp.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if rep.RoundTrips != rtts.Value()-1 {
-		t.Fatalf("server sees %d round trips, client registry %d (want server = client-1)",
-			rep.RoundTrips, rtts.Value())
+	sm := srv.Metrics()
+	if got, want := sm.Counter("requests.AllocNamedColor").Value(), alloc.Value(); got != want {
+		t.Fatalf("server saw %d AllocNamedColor requests, client sent %d", got, want)
+	}
+	if got, want := sm.Counter("requests").Value(), m.Counter("requests").Value(); got != want {
+		t.Fatalf("server saw %d requests, client sent %d", got, want)
 	}
 	// Reverse mapping: given the pixel, Tk returns the canonical
 	// (lowercase) textual name, whatever casing the caller used.

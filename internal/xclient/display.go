@@ -125,19 +125,12 @@ type Display struct {
 	tracedFlush uint64
 
 	// Wire protocol v2 state (docs/pipelining.md, "Wire protocol v2").
-	// All of it is settled during OpenWith, before the Display is
-	// published: wireTx says the upgrade was negotiated, wireCaps is the
-	// granted capability set, and txCache is the request delta cache —
-	// consulted and updated only under mu (the same lock that orders the
-	// frames themselves, which is what keeps it in lockstep with the
-	// server's replica). segTx is the segment assembly scratch (guarded
-	// by mu); segRx the readLoop's decompression scratch (readLoop
-	// goroutine only).
-	wireTx   bool               // immutable after OpenWith
-	wireCaps byte               // immutable after OpenWith
-	txCache  *xproto.DeltaCache // guarded by mu
-	segTx    []byte             // guarded by mu
-	segRx    []byte             // readLoop only
+	// wireTx says the upgrade was negotiated; it is settled during
+	// OpenWith, before the Display is published. segTx is the segment
+	// assembly scratch, segRx the readLoop's decompression scratch.
+	wireTx bool   // immutable after OpenWith
+	segTx  []byte // guarded by mu
+	segRx  []byte // readLoop only
 
 	// rttEwma is the smoothed round-trip estimate (ns) fed by every
 	// completed round trip on a v2 connection; the adaptive flush
@@ -164,8 +157,6 @@ type Display struct {
 	wireSegs       *obs.Counter
 	wireBytesRaw   *obs.Counter
 	wireBytesWire  *obs.Counter
-	wireDeltaHits  *obs.Counter
-	wireDeltaMiss  *obs.Counter
 	wireSkipped    *obs.Counter
 	wireDecodeErrs *obs.Counter
 	wireThreshGa   *obs.Gauge
@@ -182,10 +173,10 @@ const (
 	// frame is written, so the connection is byte-for-byte identical to
 	// a pre-v2 client (and stays decodable by the xtrace tap).
 	WireV1 WireMode = iota
-	// WireV2 requests the LBX-style v2 upgrade (per-segment
-	// compression, request delta encoding, latency-adaptive flushing;
-	// docs/pipelining.md) and falls back to v1 transparently if the
-	// server declines.
+	// WireV2 requests the LBX-style v2 upgrade (checksummed,
+	// flate-compressed segments of v1 frames and latency-adaptive
+	// flushing; docs/pipelining.md) and falls back to v1 transparently
+	// if the server declines.
 	WireV2
 )
 
@@ -226,10 +217,7 @@ func OpenWith(conn net.Conn, cfg Config) (*Display, error) {
 	}
 	if cfg.Wire == WireV2 {
 		w := xproto.AcquireWriter()
-		(&xproto.UpgradeWireReq{
-			Version: 2,
-			Caps:    xproto.WireCapCompress | xproto.WireCapDelta,
-		}).Encode(w)
+		(&xproto.UpgradeWireReq{Version: 2}).Encode(w)
 		err := xproto.WriteRequestFrame(conn, xproto.OpUpgradeWire, w.Bytes())
 		xproto.ReleaseWriter(w)
 		if err != nil {
@@ -301,19 +289,13 @@ func OpenWith(conn net.Conn, cfg Config) (*Display, error) {
 			conn.Close()
 			return nil, fmt.Errorf("xclient: reading wire upgrade ack: %w", err)
 		}
-		if kind != xproto.KindWireAck || len(ack) < 2 {
+		if kind != xproto.KindWireAck || len(ack) < 1 {
 			conn.Close()
 			return nil, fmt.Errorf("xclient: malformed wire upgrade ack (kind %d, %d bytes)", kind, len(ack))
 		}
-		if ack[0] >= 2 {
-			d.wireTx = true
-			d.wireCaps = ack[1]
-			if d.wireCaps&xproto.WireCapDelta != 0 {
-				d.txCache = xproto.NewDeltaCache()
-			}
-		}
 		// A version-1 ack is the transparent fallback: the server
 		// declined and both sides continue in v1 framing.
+		d.wireTx = ack[0] >= 2
 	}
 	d.requestsCtr = d.metrics.Counter("requests")
 	d.asyncCtr = d.metrics.Counter("async")
@@ -326,8 +308,11 @@ func OpenWith(conn net.Conn, cfg Config) (*Display, error) {
 	d.wireSegs = d.metrics.Counter("wire.segments.v2")
 	d.wireBytesRaw = d.metrics.Counter("wire.bytes.raw")
 	d.wireBytesWire = d.metrics.Counter("wire.bytes.wire")
-	d.wireDeltaHits = d.metrics.Counter("wire.delta.hits")
-	d.wireDeltaMiss = d.metrics.Counter("wire.delta.misses")
+	// No request is delta-coded, so these stay 0. They are registered
+	// only because tkbench requires both series on every client
+	// registry; they go when its delta_hit_ratio row does.
+	d.metrics.Counter("wire.delta.hits")
+	d.metrics.Counter("wire.delta.misses")
 	d.wireSkipped = d.metrics.Counter("wire.compress.skipped")
 	d.wireDecodeErrs = d.metrics.Counter("wire.decode.errors")
 	d.wireThreshGa = d.metrics.Gauge("wire.flush.threshold")
@@ -664,8 +649,9 @@ func (d *Display) Metrics() *obs.Registry { return d.metrics }
 func (d *Display) SetTracer(t *trace.Tracer) { d.tracer.Store(t) }
 
 // send buffers a request, encoding it directly into the write buffer
-// (no per-request Writer or header allocation). Must be called with
-// d.mu held.
+// (no per-request Writer or header allocation). v1 and v2 buffer the
+// same frames; v2 differs only at flush, where the buffer is wrapped
+// into a segment. Must be called with d.mu held.
 func (d *Display) send(req xproto.Request) uint64 {
 	d.requestsCtr.Inc()
 	op := req.Op()
@@ -674,25 +660,7 @@ func (d *Display) send(req xproto.Request) uint64 {
 	}
 	d.opCtrs[op].Inc()
 	d.seq++
-	if d.wireTx {
-		// v2 path: encode the payload alone, then append an inner frame
-		// (raw or delta against the per-opcode cache). The inner frames
-		// are wrapped into one segment at flush time.
-		w := xproto.AcquireWriter()
-		req.Encode(w)
-		var usedDelta bool
-		d.wbuf, usedDelta = xproto.AppendInnerRequestFrame(d.wbuf, req.Op(), w.Bytes(), d.txCache)
-		xproto.ReleaseWriter(w)
-		if d.txCache != nil {
-			if usedDelta {
-				d.wireDeltaHits.Inc()
-			} else {
-				d.wireDeltaMiss.Inc()
-			}
-		}
-	} else {
-		d.wbuf = xproto.AppendRequestFrame(d.wbuf, req)
-	}
+	d.wbuf = xproto.AppendRequestFrame(d.wbuf, req)
 	d.wcount++
 	return d.seq
 }
@@ -710,16 +678,15 @@ func (d *Display) flushLocked() error {
 	tracedSeq := d.tracedFlush
 	d.tracedFlush = 0
 
-	// Pick what actually goes on the wire: the raw v1 frames, or one v2
-	// segment wrapping the buffered inner frames.
+	// Pick what actually goes on the wire: the v1 frames as they are, or
+	// one v2 segment wrapping them.
 	out := d.wbuf
 	if d.wireTx {
 		var compressed bool
-		tryCompress := d.wireCaps&xproto.WireCapCompress != 0
-		d.segTx, compressed = xproto.AppendWireSegRequestFrame(d.segTx[:0], d.wbuf, tryCompress)
+		d.segTx, compressed = xproto.AppendWireSegRequestFrame(d.segTx[:0], d.wbuf)
 		out = d.segTx
 		d.wireSegs.Inc()
-		if tryCompress && !compressed {
+		if !compressed {
 			d.wireSkipped.Inc()
 		}
 	}

@@ -145,18 +145,15 @@ func TestDrawingPrimitiveWrappers(t *testing.T) {
 
 func TestServerStatsCounter(t *testing.T) {
 	srv, d := newPair(t)
-	before := srv.Stats()
+	requests := srv.Metrics().Counter("requests")
+	before := requests.Value()
 	bellsBefore := srv.Metrics().Counter("requests.Bell").Value()
 	for i := 0; i < 10; i++ {
 		d.Bell()
 	}
 	d.Sync()
-	// Stats() is a shim over the registry's "requests" counter.
-	if srv.Stats()-before < 10 {
-		t.Fatalf("server stats grew by %d", srv.Stats()-before)
-	}
-	if srv.Stats() != srv.Metrics().Counter("requests").Value() {
-		t.Fatal("Stats() disagrees with the requests counter it shims")
+	if requests.Value()-before < 10 {
+		t.Fatalf("server requests grew by %d", requests.Value()-before)
 	}
 	// The registry also breaks traffic down per opcode.
 	if got := srv.Metrics().Counter("requests.Bell").Value() - bellsBefore; got != 10 {
@@ -169,7 +166,7 @@ func TestServerStatsCounter(t *testing.T) {
 	// Dispatch service times were recorded for every request. The
 	// histogram is observed after the reply is enqueued, so the very
 	// last request's observation may still be in flight.
-	reqs := srv.Stats()
+	reqs := requests.Value()
 	h := srv.Metrics().Histograms()["dispatch"]
 	if h.Count < reqs-1 || h.Count > reqs {
 		t.Fatalf("dispatch histogram count %d, want %d or %d", h.Count, reqs-1, reqs)

@@ -17,7 +17,7 @@ func wireWorkload(t *testing.T, d *xclient.Display) []byte {
 	w := d.CreateWindow(d.Root, 0, 0, 200, 150, 0, xclient.WindowAttributes{Background: 0x202020})
 	d.MapWindow(w)
 	gc := d.CreateGC(xclient.GCValues{Foreground: 0xFF4080})
-	// A PolyFillRectangle storm: the shape the delta codec targets.
+	// A PolyFillRectangle storm: repeated frames that compress well.
 	for i := 0; i < 300; i++ {
 		d.FillRectangle(w, gc, i%40, (i*7)%90, 12, 9)
 	}
@@ -37,7 +37,7 @@ func wireWorkload(t *testing.T, d *xclient.Display) []byte {
 // same pixels, and only the v2↔v2 pairing actually speaks v2.
 func TestWireNegotiationMatrix(t *testing.T) {
 	var basePixels []byte
-
+	var baseRaw uint64 // the v1 run's frame bytes
 	run := func(t *testing.T, d *xclient.Display, wantVersion int) []byte {
 		t.Helper()
 		if got := d.WireVersion(); got != wantVersion {
@@ -64,6 +64,7 @@ func TestWireNegotiationMatrix(t *testing.T) {
 		}
 		t.Cleanup(d.Close)
 		basePixels = run(t, d, 1)
+		baseRaw = d.Metrics().Counter("wire.bytes.raw").Value()
 		if n := srv.Metrics().Counter("wire.segments.v2").Value(); n != 0 {
 			t.Fatalf("v1 client produced %d v2 segments", n)
 		}
@@ -82,10 +83,11 @@ func TestWireNegotiationMatrix(t *testing.T) {
 		if n := m.Counter("wire.segments.v2").Value(); n == 0 {
 			t.Fatalf("v2 connection sent no segments")
 		}
-		if n := m.Counter("wire.delta.hits").Value(); n == 0 {
-			t.Fatalf("rectangle storm produced no delta hits")
-		}
 		raw, wire := m.Counter("wire.bytes.raw").Value(), m.Counter("wire.bytes.wire").Value()
+		// Segments carry exactly the frames a v1 connection sends.
+		if baseRaw != 0 && raw != baseRaw {
+			t.Fatalf("v2 segments carried %d frame bytes, v1 sent %d", raw, baseRaw)
+		}
 		if raw == 0 || wire >= raw {
 			t.Fatalf("v2 did not shrink the wire: raw %d, wire %d", raw, wire)
 		}

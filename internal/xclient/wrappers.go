@@ -502,18 +502,3 @@ func (d *Display) Screenshot(w xproto.ID) (xproto.ScreenshotReply, error) {
 	err := d.RoundTrip(&xproto.ScreenshotReq{Window: w}, func(r *xproto.Reader) { rep.Decode(r) })
 	return rep, err
 }
-
-// SetLatency sets the simulated per-request IPC latency in microseconds.
-func (d *Display) SetLatency(micros int) {
-	d.Request(&xproto.SetLatencyReq{Micros: uint32(micros)})
-}
-
-// Counters fetches this connection's protocol traffic counters (a round
-// trip). The server answers from its per-connection obs registry; the
-// client-side view of the same traffic is available without a round
-// trip via Metrics().
-func (d *Display) Counters() (xproto.CountersReply, error) {
-	var rep xproto.CountersReply
-	err := d.RoundTrip(&xproto.QueryCountersReq{}, func(r *xproto.Reader) { rep.Decode(r) })
-	return rep, err
-}

@@ -435,34 +435,31 @@ func TestNamedColors(t *testing.T) {
 }
 
 func TestCountersTrackRoundTrips(t *testing.T) {
-	_, d := newPair(t)
-	before, err := d.Counters()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := d.Metrics()
+	srv, d := newPair(t)
+	m, sm := d.Metrics(), srv.Metrics()
 	rttsBefore := m.Counter("roundtrips").Value()
 	histBefore := m.Histograms()["roundtrip"].Count
+	reqsBefore := sm.Counter("requests").Value()
 	for i := 0; i < 5; i++ {
 		if _, _, err := d.AllocNamedColor("red"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The wire shim: the server's per-connection registry answers.
-	after, _ := d.Counters()
-	if after.RoundTrips-before.RoundTrips != 6 { // 5 colors + 1 counter query
-		t.Fatalf("round trips grew by %d, want 6", after.RoundTrips-before.RoundTrips)
+	// The server's registry saw every request by the time its reply
+	// came back.
+	if got := sm.Counter("requests").Value() - reqsBefore; got != 5 {
+		t.Fatalf("server requests grew by %d, want 5", got)
 	}
-	if after.Requests <= before.Requests {
-		t.Fatal("request counter did not grow")
+	if got := sm.Counter("requests.AllocNamedColor").Value(); got != 5 {
+		t.Fatalf("server requests.AllocNamedColor = %d, want 5", got)
 	}
-	// The client-side registry agrees without a round trip, and the
-	// roundtrip latency histogram recorded each one.
-	if got := m.Counter("roundtrips").Value() - rttsBefore; got != 6 { // + the second Counters query
-		t.Fatalf("client roundtrips grew by %d, want 6", got)
+	// The client-side registry agrees, and the roundtrip latency
+	// histogram recorded each one.
+	if got := m.Counter("roundtrips").Value() - rttsBefore; got != 5 {
+		t.Fatalf("client roundtrips grew by %d, want 5", got)
 	}
-	if got := m.Histograms()["roundtrip"].Count - histBefore; got != 6 {
-		t.Fatalf("roundtrip histogram grew by %d, want 6", got)
+	if got := m.Histograms()["roundtrip"].Count - histBefore; got != 5 {
+		t.Fatalf("roundtrip histogram grew by %d, want 5", got)
 	}
 	if got := m.Counter("requests.AllocNamedColor").Value(); got != 5 {
 		t.Fatalf("requests.AllocNamedColor = %d, want 5", got)

@@ -6,38 +6,35 @@ import (
 )
 
 // fuzzSeedRequestFrames builds representative v1 and v2 client→server
-// frames to seed the corpus: a plain v1 request, a compressed v2
-// segment, and a v2 segment containing a delta frame.
+// frames to seed the corpus: plain v1 requests, the upgrade request, a
+// compressed v2 segment, and a v2 segment of several v1 request frames.
 func fuzzSeedRequestFrames() [][]byte {
 	seeds := [][]byte{
 		AppendRequestFrame(nil, &PingReq{}),
 		AppendRequestFrame(nil, &PolyFillRectangleReq{Drawable: 3, Gc: 4, Rects: []Rect{{X: 1, Y: 2, W: 3, H: 4}}}),
-		AppendRequestFrame(nil, &UpgradeWireReq{Version: 2, Caps: WireCapCompress | WireCapDelta}),
+		AppendRequestFrame(nil, &UpgradeWireReq{Version: 2}),
 	}
-	// A compressible v2 segment of raw inner frames.
-	var inner []byte
-	p := bytes.Repeat([]byte{0x42}, 300)
-	inner, _ = AppendInnerRequestFrame(inner, OpPing, p, nil)
-	seg, _ := AppendWireSegRequestFrame(nil, inner, true)
+	// A compressible v2 segment: one v1 frame with a repetitive payload.
+	var frames bytes.Buffer
+	WriteRequestFrame(&frames, OpPing, bytes.Repeat([]byte{0x42}, 300))
+	seg, _ := AppendWireSegRequestFrame(nil, frames.Bytes())
 	seeds = append(seeds, seg)
-	// A v2 segment whose second inner frame is a delta of the first.
-	dc := NewDeltaCache()
-	inner = nil
-	q := bytes.Repeat([]byte{7, 7, 7, 7}, 32)
-	inner, _ = AppendInnerRequestFrame(inner, OpPing, q, dc)
-	q2 := append([]byte(nil), q...)
-	q2[10] ^= 0xFF
-	inner, _ = AppendInnerRequestFrame(inner, OpPing, q2, dc)
-	seg, _ = AppendWireSegRequestFrame(nil, inner, false)
+	// A v2 segment of the frames a small drawing batch sends.
+	var batch []byte
+	for i := 0; i < 3; i++ {
+		batch = AppendRequestFrame(batch, &PolyFillRectangleReq{Drawable: 3, Gc: 4, Rects: []Rect{{X: int16(i), Y: 2, W: 3, H: 4}}})
+	}
+	batch = AppendRequestFrame(batch, &PingReq{})
+	seg, _ = AppendWireSegRequestFrame(nil, batch)
 	seeds = append(seeds, seg)
 	return seeds
 }
 
 // FuzzReadRequestFrame drives the full client→server decode path —
 // outer v1 framing, then (for OpWireSeg) the segment envelope, the
-// optional flate body and the inner raw/delta frames against a fresh
-// cache. The property under test is "no panic, no out-of-bounds": any
-// malformed input must come back as an error.
+// optional flate body and the v1 request frames inside it. The
+// property under test is "no panic, no out-of-bounds": any malformed
+// input must come back as an error.
 func FuzzReadRequestFrame(f *testing.F) {
 	for _, s := range fuzzSeedRequestFrames() {
 		f.Add(s)
@@ -58,10 +55,9 @@ func FuzzReadRequestFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		dc := NewDeltaCache()
-		// Feed each decoded inner frame back through update-rules via the
-		// normal walk; errors are the expected outcome for garbage.
-		_ = dc.DecodeRequestSegment(raw, func(op uint16, payload []byte) error {
+		// Walk the inner frames as the server's request loop does; errors
+		// are the expected outcome for garbage.
+		_ = WalkRequestFrames(raw, func(op uint16, payload []byte) error {
 			if req := NewRequest(op); req != nil {
 				req.Decode(NewReader(payload))
 			}
@@ -81,9 +77,9 @@ func FuzzReadServerFrame(f *testing.F) {
 	var raw []byte
 	raw = append(raw, KindEvent, 0, 0, 0, 1, 9)
 	raw = append(raw, KindReply, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 2)
-	seg, _ := AppendWireSegServerFrame(nil, raw, true)
+	seg, _ := AppendWireSegServerFrame(nil, raw)
 	f.Add(seg)
-	ack := []byte{KindWireAck, 0, 0, 0, 2, 2, WireCapCompress | WireCapDelta}
+	ack := []byte{KindWireAck, 0, 0, 0, 1, 2}
 	f.Add(ack)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, payload, err := ReadServerFrame(bytes.NewReader(data))

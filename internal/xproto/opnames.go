@@ -53,8 +53,6 @@ var opNames = map[uint16]string{
 	OpFakeInput:              "FakeInput",
 	OpScreenshot:             "Screenshot",
 	OpPing:                   "Ping",
-	OpSetLatency:             "SetLatency",
-	OpQueryCounters:          "QueryCounters",
 	OpAttachSession:          "AttachSession",
 	OpUpgradeWire:            "UpgradeWire",
 	OpWireSeg:                "WireSeg",

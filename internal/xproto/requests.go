@@ -52,8 +52,6 @@ const (
 	OpFakeInput     uint16 = 200
 	OpScreenshot    uint16 = 201
 	OpPing          uint16 = 202
-	OpSetLatency    uint16 = 203
-	OpQueryCounters uint16 = 204
 	OpAttachSession uint16 = 205
 )
 
@@ -71,8 +69,7 @@ func HasReply(op uint16) bool {
 	case OpGetGeometry, OpQueryTree, OpInternAtom, OpGetAtomName,
 		OpGetProperty, OpListProperties, OpGetSelectionOwner,
 		OpQueryPointer, OpGetInputFocus, OpQueryFont, OpQueryTextExtents,
-		OpAllocColor, OpAllocNamedColor, OpScreenshot, OpPing,
-		OpQueryCounters:
+		OpAllocColor, OpAllocNamedColor, OpScreenshot, OpPing:
 		return true
 	}
 	return false
@@ -174,10 +171,6 @@ func NewRequest(op uint16) Request {
 		return &ScreenshotReq{}
 	case OpPing:
 		return &PingReq{}
-	case OpSetLatency:
-		return &SetLatencyReq{}
-	case OpQueryCounters:
-		return &QueryCountersReq{}
 	case OpAttachSession:
 		return &AttachSessionReq{}
 	case OpUpgradeWire:
@@ -1235,22 +1228,6 @@ func (p *EmptyReply) Encode(w *Writer) {}
 // Decode deserializes the reply.
 func (p *EmptyReply) Decode(r *Reader) {}
 
-// SetLatencyReq sets the simulated per-request IPC latency in
-// microseconds, modeling the client/server process boundary the paper's
-// measurements include.
-type SetLatencyReq struct{ Micros uint32 }
-
-func (q *SetLatencyReq) Op() uint16       { return OpSetLatency }
-func (q *SetLatencyReq) Encode(w *Writer) { w.PutU32(q.Micros) }
-func (q *SetLatencyReq) Decode(r *Reader) { q.Micros = r.U32() }
-
-// QueryCountersReq asks for this connection's traffic counters.
-type QueryCountersReq struct{}
-
-func (q *QueryCountersReq) Op() uint16       { return OpQueryCounters }
-func (q *QueryCountersReq) Encode(w *Writer) {}
-func (q *QueryCountersReq) Decode(r *Reader) {}
-
 // AttachSessionReq selects a virtual display on a session-multiplexing
 // server (the farm handshake, docs/farm.md). A client sends it as its
 // very first frame — before the server's setup block — to name the
@@ -1264,28 +1241,6 @@ type AttachSessionReq struct{ Session string }
 func (q *AttachSessionReq) Op() uint16       { return OpAttachSession }
 func (q *AttachSessionReq) Encode(w *Writer) { w.PutString(q.Session) }
 func (q *AttachSessionReq) Decode(r *Reader) { q.Session = r.String() }
-
-// CountersReply reports per-connection protocol traffic, used by the
-// resource-cache experiments (§3.3 of the paper).
-type CountersReply struct {
-	Requests   uint64
-	RoundTrips uint64
-	EventsSent uint64
-}
-
-// Encode serializes the reply.
-func (p *CountersReply) Encode(w *Writer) {
-	w.PutU64(p.Requests)
-	w.PutU64(p.RoundTrips)
-	w.PutU64(p.EventsSent)
-}
-
-// Decode deserializes the reply.
-func (p *CountersReply) Decode(r *Reader) {
-	p.Requests = r.U64()
-	p.RoundTrips = r.U64()
-	p.EventsSent = r.U64()
-}
 
 // SetupReply is sent once by the server immediately after a connection is
 // accepted (the analogue of the X11 connection setup block).

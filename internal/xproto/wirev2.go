@@ -12,25 +12,12 @@
 // frame is handed to a dispatcher, so corruption inside a segment is
 // always a clean connection error, never a silently garbled request.
 //
-// Client→server, the raw bytes are a sequence of tagged inner frames:
-//
-//	[u8 0][u16 op][u32 len][payload]                                  raw
-//	[u8 1][u16 op][u8 cachesum][uvarint newLen][uvarint dLen][ops]    delta
-//
-// A delta frame reconstructs its payload against the connection's
-// per-opcode cache of the last payload seen for that opcode (the
-// PolyFillRectangle-storm optimisation): ops is a run of
-// [uvarint copyLen][uvarint litLen][lit bytes] pairs applied at a
-// running offset. Both sides update the cache identically — every
-// inner frame with a payload of at most DeltaMaxPayload bytes replaces
-// the cache entry for its opcode, delta or not — and the encoder stamps
-// the checksum of the cached frame it encoded against, so any cache
-// desync is detected before a wrong payload is dispatched.
-//
-// Server→client, the raw bytes are plain v1 server frames
-// ([u8 kind][u32 len][payload]) concatenated — compression only, no
-// delta — so the server may freely mix small unwrapped frames with
-// wrapped segments on the same stream.
+// The raw bytes are exactly the v1 frames a v1 connection would have
+// sent, concatenated: [u16 op][u32 len][payload] request frames
+// client→server (WalkRequestFrames), [u8 kind][u32 len][payload] server
+// frames server→client (WalkServerFrames). A segment changes only how a
+// batch crosses the wire, never what it says, so the server may freely
+// mix small unwrapped frames with wrapped segments on the same stream.
 package xproto
 
 import (
@@ -48,9 +35,9 @@ import (
 // the client/server seq lockstep (which span sampling correlates on)
 // is untouched by the upgrade.
 const (
-	// OpUpgradeWire is the capability exchange: the client writes it raw
-	// before reading the setup block, the server answers with a
-	// KindWireAck frame immediately after the setup block.
+	// OpUpgradeWire asks for v2: the client writes it raw before reading
+	// the setup block, the server answers with a KindWireAck frame
+	// immediately after the setup block.
 	OpUpgradeWire uint16 = 206
 	// OpWireSeg carries one v2 segment envelope of batched requests.
 	OpWireSeg uint16 = 207
@@ -58,30 +45,14 @@ const (
 
 // Server-to-client message kinds added by v2.
 const (
-	// KindWireAck answers OpUpgradeWire: [u8 version][u8 caps]. Version
-	// 2 accepts the upgrade with the granted capability set; version 1
-	// declines it and the connection continues in v1 framing.
+	// KindWireAck answers OpUpgradeWire: [u8 version]. Version 2 accepts
+	// the upgrade; version 1 declines it and the connection continues in
+	// v1 framing.
 	KindWireAck byte = 3
 	// KindWireSeg carries one v2 segment envelope of batched server
 	// frames.
 	KindWireSeg byte = 4
 )
-
-// Capability bits exchanged in UpgradeWireReq / KindWireAck.
-const (
-	// WireCapCompress enables per-segment flate compression.
-	WireCapCompress byte = 1 << 0
-	// WireCapDelta enables request delta encoding against the
-	// per-connection frame cache (client→server direction only).
-	WireCapDelta byte = 1 << 1
-)
-
-// DeltaMaxPayload bounds the payloads the delta cache retains: frames
-// larger than this (bulk transfers, screenshots) are poor delta
-// candidates and would bloat the per-connection cache, so they are
-// always shipped raw and leave the cache entry for their opcode
-// untouched — on both sides, identically.
-const DeltaMaxPayload = 4096
 
 // minCompressSize is the segment size below which compression is not
 // attempted: the flate header alone eats most of the win.
@@ -91,31 +62,17 @@ const minCompressSize = 64
 // flate-compressed.
 const segFlagCompressed byte = 1 << 0
 
-// Inner-frame tags (client→server segments).
-const (
-	innerRaw   byte = 0
-	innerDelta byte = 1
-)
-
-// UpgradeWireReq is the v2 capability exchange (OpUpgradeWire). The
-// client sends it raw before reading the setup block; the server
-// consumes it without assigning a sequence number and answers with a
-// KindWireAck frame. Caps is the capability set the client offers; the
-// ack carries the (possibly narrowed) set the server granted.
+// UpgradeWireReq is the v2 upgrade request (OpUpgradeWire). The client
+// sends it raw before reading the setup block; the server consumes it
+// without assigning a sequence number and answers with a KindWireAck
+// frame.
 type UpgradeWireReq struct {
 	Version uint8
-	Caps    uint8
 }
 
-func (q *UpgradeWireReq) Op() uint16 { return OpUpgradeWire }
-func (q *UpgradeWireReq) Encode(w *Writer) {
-	w.PutU8(q.Version)
-	w.PutU8(q.Caps)
-}
-func (q *UpgradeWireReq) Decode(r *Reader) {
-	q.Version = r.U8()
-	q.Caps = r.U8()
-}
+func (q *UpgradeWireReq) Op() uint16       { return OpUpgradeWire }
+func (q *UpgradeWireReq) Encode(w *Writer) { w.PutU8(q.Version) }
+func (q *UpgradeWireReq) Decode(r *Reader) { q.Version = r.U8() }
 
 // WireSegReq is one v2 segment envelope of batched requests
 // (OpWireSeg). It exists so the opcode has a complete Request type; the
@@ -159,16 +116,16 @@ func (s *sliceWriter) Write(p []byte) (int, error) {
 }
 
 // appendSegmentPayload appends the segment envelope for raw to dst,
-// flate-compressing the body when tryCompress is set and the result is
-// actually smaller (the passthrough keeps incompressible or tiny
-// segments verbatim). compressed reports which body form was emitted.
-func appendSegmentPayload(dst, raw []byte, tryCompress bool) (out []byte, compressed bool) {
+// flate-compressing the body when the result is actually smaller (the
+// passthrough keeps incompressible or tiny segments verbatim).
+// compressed reports which body form was emitted.
+func appendSegmentPayload(dst, raw []byte) (out []byte, compressed bool) {
 	flagAt := len(dst)
 	dst = append(dst, 0)
 	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(raw, castagnoliTable))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(raw)))
 	bodyAt := len(dst)
-	if tryCompress && len(raw) >= minCompressSize {
+	if len(raw) >= minCompressSize {
 		sw := &sliceWriter{buf: dst}
 		fw := flateWriterPool.Get().(*flate.Writer)
 		fw.Reset(sw)
@@ -187,24 +144,24 @@ func appendSegmentPayload(dst, raw []byte, tryCompress bool) (out []byte, compre
 }
 
 // AppendWireSegRequestFrame appends a complete outer OpWireSeg request
-// frame carrying raw (a concatenation of inner request frames) to dst.
+// frame carrying raw (a concatenation of v1 request frames) to dst.
 // compressed reports whether the segment body was flate-encoded.
-func AppendWireSegRequestFrame(dst, raw []byte, tryCompress bool) (out []byte, compressed bool) {
+func AppendWireSegRequestFrame(dst, raw []byte) (out []byte, compressed bool) {
 	dst = binary.BigEndian.AppendUint16(dst, OpWireSeg)
 	lenAt := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
-	dst, compressed = appendSegmentPayload(dst, raw, tryCompress)
+	dst, compressed = appendSegmentPayload(dst, raw)
 	binary.BigEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
 	return dst, compressed
 }
 
 // AppendWireSegServerFrame appends a complete outer KindWireSeg server
 // frame carrying raw (a concatenation of v1 server frames) to dst.
-func AppendWireSegServerFrame(dst, raw []byte, tryCompress bool) (out []byte, compressed bool) {
+func AppendWireSegServerFrame(dst, raw []byte) (out []byte, compressed bool) {
 	dst = append(dst, KindWireSeg)
 	lenAt := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
-	dst, compressed = appendSegmentPayload(dst, raw, tryCompress)
+	dst, compressed = appendSegmentPayload(dst, raw)
 	binary.BigEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
 	return dst, compressed
 }
@@ -265,6 +222,30 @@ func DecodeSegmentPayload(payload, scratch []byte) (raw, newScratch []byte, err 
 	return raw, scratch, nil
 }
 
+// WalkRequestFrames iterates the v1 request frames concatenated inside
+// a decoded client→server segment, invoking fn for each. The payload
+// passed to fn aliases raw and is valid only until the caller's next
+// read into that buffer (the ReadRequestFrameInto contract — request
+// Decode copies what it retains). A torn frame ends the walk with an
+// error, which the caller must treat as fatal to the connection.
+func WalkRequestFrames(raw []byte, fn func(op uint16, payload []byte) error) error {
+	for len(raw) > 0 {
+		if len(raw) < 6 {
+			return fmt.Errorf("xproto: truncated request frame header inside v2 segment")
+		}
+		op := binary.BigEndian.Uint16(raw[0:2])
+		n := binary.BigEndian.Uint32(raw[2:6])
+		if uint64(n) > uint64(len(raw)-6) {
+			return fmt.Errorf("xproto: truncated request frame inside v2 segment (%d declared, %d present)", n, len(raw)-6)
+		}
+		if err := fn(op, raw[6:6+n]); err != nil {
+			return err
+		}
+		raw = raw[6+n:]
+	}
+	return nil
+}
+
 // WalkServerFrames iterates the v1 server frames concatenated inside a
 // decoded server→client segment, invoking fn for each. The payload
 // passed to fn aliases raw.
@@ -282,275 +263,6 @@ func WalkServerFrames(raw []byte, fn func(kind byte, payload []byte) error) erro
 			return err
 		}
 		raw = raw[5+n:]
-	}
-	return nil
-}
-
-// deltaEntry is one cached frame: the last payload seen for an opcode
-// and its fold, stamped into delta frames so a cache desync is caught
-// at decode time instead of dispatching a wrong reconstruction.
-type deltaEntry struct {
-	data []byte
-	sum  byte
-}
-
-// DeltaCache is the per-connection request-frame cache the delta codec
-// encodes against. Each side of a connection owns one (the client for
-// encoding, the server for decoding) and updates it by identical rules,
-// so the two stay in lockstep without any cache-control traffic. Not
-// safe for concurrent use; callers serialize through their own locks
-// (the client's writer lock, the server's per-connection request loop).
-type DeltaCache struct {
-	entries map[uint16]*deltaEntry
-	scratch []byte // encoder: delta ops; decoder: reconstructed payloads
-}
-
-// NewDeltaCache returns an empty cache.
-func NewDeltaCache() *DeltaCache {
-	return &DeltaCache{entries: make(map[uint16]*deltaEntry)}
-}
-
-// deltaSum folds a payload to the one-byte checksum stamped into delta
-// frames. It only needs to make accidental cache desync detectable, not
-// resist adversaries — the envelope CRC already covers the wire.
-func deltaSum(p []byte) byte {
-	s := byte(len(p))
-	for _, b := range p {
-		s = s<<1 | s>>7
-		s ^= b
-	}
-	return s
-}
-
-// update replaces the cache entry for op — the shared rule both sides
-// apply after every inner frame (see DeltaMaxPayload).
-func (dc *DeltaCache) update(op uint16, payload []byte) {
-	if len(payload) > DeltaMaxPayload {
-		return
-	}
-	e := dc.entries[op]
-	if e == nil {
-		e = &deltaEntry{}
-		dc.entries[op] = e
-	}
-	e.data = append(e.data[:0], payload...)
-	e.sum = deltaSum(payload)
-}
-
-// appendDeltaOps encodes new against old as [uvarint copyLen]
-// [uvarint litLen][literals] pairs applied at a running offset. Copies
-// only span aligned common prefixes of the two frames' tails — exactly
-// the shape repeated PolyFillRectangle/PolyText8 frames have (same
-// drawable and GC, a few coordinates changed). A pure-copy tail is
-// implicit: when the ops run out short of newLen, the decoder copies
-// the remainder from the cached frame, so the common "only a few bytes
-// in the middle changed" frame costs no trailing op pair (and an exact
-// repeat costs zero ops).
-func appendDeltaOps(dst, old, new []byte) []byte {
-	pos := 0
-	for pos < len(new) {
-		c := pos
-		for c < len(new) && c < len(old) && new[c] == old[c] {
-			c++
-		}
-		if c == len(new) {
-			// The rest matches the cached frame byte for byte: leave it
-			// to the decoder's implicit tail copy.
-			break
-		}
-		// Literal run: until the next aligned match of at least 4 bytes
-		// (shorter matches cost more to frame than to inline).
-		lit := c
-		for lit < len(new) {
-			if lit < len(old) && new[lit] == old[lit] {
-				run := 1
-				for lit+run < len(new) && lit+run < len(old) && run < 4 && new[lit+run] == old[lit+run] {
-					run++
-				}
-				if run >= 4 {
-					break
-				}
-			}
-			lit++
-		}
-		dst = binary.AppendUvarint(dst, uint64(c-pos))
-		dst = binary.AppendUvarint(dst, uint64(lit-c))
-		dst = append(dst, new[c:lit]...)
-		pos = lit
-	}
-	return dst
-}
-
-// applyDeltaOps reconstructs a payload of newLen bytes from old and the
-// delta ops, appending to dst. Every length is bounds-checked before
-// use so corrupt ops fail cleanly.
-func applyDeltaOps(dst, old, ops []byte, newLen int) ([]byte, error) {
-	pos := 0
-	for len(ops) > 0 {
-		cl, n := binary.Uvarint(ops)
-		if n <= 0 {
-			return nil, fmt.Errorf("xproto: malformed delta copy length")
-		}
-		ops = ops[n:]
-		ll, n := binary.Uvarint(ops)
-		if n <= 0 {
-			return nil, fmt.Errorf("xproto: malformed delta literal length")
-		}
-		ops = ops[n:]
-		// Reject oversized lengths before any arithmetic: cl and ll come
-		// straight off the wire and may be arbitrary uvarints.
-		if cl > uint64(newLen) || ll > uint64(newLen) || uint64(pos)+cl+ll > uint64(newLen) {
-			return nil, fmt.Errorf("xproto: delta reconstruction beyond declared length")
-		}
-		if ll > uint64(len(ops)) {
-			return nil, fmt.Errorf("xproto: delta literals beyond frame")
-		}
-		if cl > 0 {
-			if pos > len(old) || cl > uint64(len(old)-pos) {
-				return nil, fmt.Errorf("xproto: delta copy beyond cached frame")
-			}
-			dst = append(dst, old[pos:pos+int(cl)]...)
-			pos += int(cl)
-		}
-		dst = append(dst, ops[:ll]...)
-		ops = ops[ll:]
-		pos += int(ll)
-	}
-	if pos < newLen {
-		// Implicit tail copy: the encoder omits a trailing pure-copy op,
-		// so the remainder comes verbatim from the cached frame.
-		if newLen > len(old) {
-			return nil, fmt.Errorf("xproto: delta tail copy beyond cached frame")
-		}
-		dst = append(dst, old[pos:newLen]...)
-		pos = newLen
-	}
-	if pos != newLen {
-		return nil, fmt.Errorf("xproto: delta reconstructed %d bytes, declared %d", pos, newLen)
-	}
-	return dst, nil
-}
-
-// uvarintLen returns the encoded size of v as a uvarint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// AppendInnerRequestFrame appends one v2 inner request frame for
-// (op, payload) to buf, choosing the delta form when dc has a cached
-// frame for op and the delta actually comes out smaller; a nil dc
-// disables delta entirely (the server declined WireCapDelta). usedDelta
-// reports which form was emitted. The cache is updated after encoding,
-// mirroring the decoder.
-func AppendInnerRequestFrame(buf []byte, op uint16, payload []byte, dc *DeltaCache) (out []byte, usedDelta bool) {
-	if dc != nil {
-		if e := dc.entries[op]; e != nil && len(payload) <= DeltaMaxPayload {
-			dc.scratch = appendDeltaOps(dc.scratch[:0], e.data, payload)
-			// Delta framing costs 4 bytes plus two uvarints (1 byte each
-			// for the payloads the cache admits), raw framing 7 plus the
-			// full payload — so the delta form wins whenever the ops are
-			// meaningfully shorter than the payload.
-			hdr := 4 + uvarintLen(uint64(len(payload))) + uvarintLen(uint64(len(dc.scratch)))
-			if hdr+len(dc.scratch) < 7+len(payload) {
-				buf = append(buf, innerDelta)
-				buf = binary.BigEndian.AppendUint16(buf, op)
-				buf = append(buf, e.sum)
-				buf = binary.AppendUvarint(buf, uint64(len(payload)))
-				buf = binary.AppendUvarint(buf, uint64(len(dc.scratch)))
-				buf = append(buf, dc.scratch...)
-				usedDelta = true
-			}
-		}
-	}
-	if !usedDelta {
-		buf = append(buf, innerRaw)
-		buf = binary.BigEndian.AppendUint16(buf, op)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = append(buf, payload...)
-	}
-	if dc != nil {
-		dc.update(op, payload)
-	}
-	return buf, usedDelta
-}
-
-// DecodeRequestSegment walks the inner request frames of a decoded
-// client→server segment, reconstructing delta frames against the cache
-// and invoking fn for each. The payload passed to fn aliases raw or the
-// cache's reconstruction scratch and is valid only until fn returns
-// (the same contract as ReadRequestFrameInto — request Decode copies
-// what it retains). Any framing damage, unknown tag, checksum mismatch
-// or reconstruction failure aborts the walk with an error; the caller
-// must treat that as fatal to the connection, because the cache state
-// is no longer trustworthy.
-func (dc *DeltaCache) DecodeRequestSegment(raw []byte, fn func(op uint16, payload []byte) error) error {
-	for len(raw) > 0 {
-		switch raw[0] {
-		case innerRaw:
-			if len(raw) < 7 {
-				return fmt.Errorf("xproto: truncated inner frame header")
-			}
-			op := binary.BigEndian.Uint16(raw[1:3])
-			n := binary.BigEndian.Uint32(raw[3:7])
-			if uint64(n) > uint64(len(raw)-7) {
-				return fmt.Errorf("xproto: truncated inner frame (%d declared, %d present)", n, len(raw)-7)
-			}
-			payload := raw[7 : 7+n]
-			if err := fn(op, payload); err != nil {
-				return err
-			}
-			dc.update(op, payload)
-			raw = raw[7+n:]
-		case innerDelta:
-			if len(raw) < 6 {
-				return fmt.Errorf("xproto: truncated delta frame header")
-			}
-			op := binary.BigEndian.Uint16(raw[1:3])
-			sum := raw[3]
-			rest := raw[4:]
-			newLen64, n := binary.Uvarint(rest)
-			if n <= 0 {
-				return fmt.Errorf("xproto: malformed delta frame length")
-			}
-			rest = rest[n:]
-			dLen64, n := binary.Uvarint(rest)
-			if n <= 0 {
-				return fmt.Errorf("xproto: malformed delta ops length")
-			}
-			rest = rest[n:]
-			if dLen64 > uint64(len(rest)) {
-				return fmt.Errorf("xproto: truncated delta frame (%d declared, %d present)", dLen64, len(rest))
-			}
-			newLen, dLen := uint32(newLen64), uint32(dLen64)
-			if newLen64 > DeltaMaxPayload {
-				return fmt.Errorf("xproto: delta frame declares %d bytes, cache limit is %d", newLen64, DeltaMaxPayload)
-			}
-			e := dc.entries[op]
-			if e == nil {
-				return fmt.Errorf("xproto: delta frame for %s with no cached frame", OpName(op))
-			}
-			if e.sum != sum {
-				return fmt.Errorf("xproto: delta cache desync on %s (checksum %#02x, cached %#02x)", OpName(op), sum, e.sum)
-			}
-			var err error
-			dc.scratch, err = applyDeltaOps(dc.scratch[:0], e.data, rest[:dLen], int(newLen))
-			if err != nil {
-				return err
-			}
-			payload := dc.scratch
-			if err := fn(op, payload); err != nil {
-				return err
-			}
-			dc.update(op, payload)
-			raw = rest[dLen:]
-		default:
-			return fmt.Errorf("xproto: unknown inner frame tag %#02x", raw[0])
-		}
 	}
 	return nil
 }

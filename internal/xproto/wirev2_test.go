@@ -3,43 +3,47 @@ package xproto
 import (
 	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
-// encodePayload renders a request's payload bytes (no outer framing).
-func encodePayload(t *testing.T, req Request) []byte {
+// rawFrame renders one v1 request frame for op carrying payload as is.
+func rawFrame(t *testing.T, op uint16, payload []byte) []byte {
 	t.Helper()
-	w := AcquireWriter()
-	defer ReleaseWriter(w)
-	req.Encode(w)
-	return append([]byte(nil), w.Bytes()...)
+	var buf bytes.Buffer
+	if err := WriteRequestFrame(&buf, op, payload); err != nil {
+		t.Fatalf("WriteRequestFrame: %v", err)
+	}
+	return buf.Bytes()
 }
 
-// collectSegment decodes a client→server segment envelope + inner frames
-// with dc and returns the (op, payload) pairs seen.
-func collectSegment(t *testing.T, dc *DeltaCache, seg []byte) []struct {
+// randomPayload returns n seeded random bytes: flate cannot shrink
+// them, so a segment carrying them keeps its body uncompressed.
+func randomPayload(n int) []byte {
+	p := make([]byte, n)
+	rand.New(rand.NewSource(7)).Read(p)
+	return p
+}
+
+type walkedFrame struct {
 	op      uint16
 	payload []byte
-} {
+}
+
+// collectSegment decodes a client→server segment envelope and walks the
+// v1 request frames inside it, returning the (op, payload) pairs seen.
+func collectSegment(t *testing.T, seg []byte) []walkedFrame {
 	t.Helper()
 	raw, _, err := DecodeSegmentPayload(seg, nil)
 	if err != nil {
 		t.Fatalf("DecodeSegmentPayload: %v", err)
 	}
-	var got []struct {
-		op      uint16
-		payload []byte
-	}
-	err = dc.DecodeRequestSegment(raw, func(op uint16, payload []byte) error {
-		got = append(got, struct {
-			op      uint16
-			payload []byte
-		}{op, append([]byte(nil), payload...)})
+	var got []walkedFrame
+	err = WalkRequestFrames(raw, func(op uint16, payload []byte) error {
+		got = append(got, walkedFrame{op, append([]byte(nil), payload...)})
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("DecodeRequestSegment: %v", err)
+		t.Fatalf("WalkRequestFrames: %v", err)
 	}
 	return got
 }
@@ -59,27 +63,25 @@ func segPayload(t *testing.T, frame []byte) []byte {
 }
 
 func TestWireSegRoundTripCompressed(t *testing.T) {
-	// Highly repetitive inner frames: compression must kick in, and the
-	// decode must reproduce every (op, payload) pair in order.
-	enc := NewDeltaCache()
-	var inner []byte
+	// Highly repetitive v1 frames: compression must kick in, and the
+	// walk must reproduce every (op, payload) pair in order.
+	var frames []byte
 	var want [][]byte
 	for i := 0; i < 50; i++ {
 		req := &PolyFillRectangleReq{Drawable: 3, Gc: 4, Rects: []Rect{{X: int16(i), Y: 10, W: 20, H: 20}}}
-		p := encodePayload(t, req)
-		want = append(want, p)
-		inner, _ = AppendInnerRequestFrame(inner, req.Op(), p, enc)
+		start := len(frames)
+		frames = AppendRequestFrame(frames, req)
+		want = append(want, append([]byte(nil), frames[start+6:]...))
 	}
-	frame, compressed := AppendWireSegRequestFrame(nil, inner, true)
+	frame, compressed := AppendWireSegRequestFrame(nil, frames)
 	if !compressed {
 		t.Fatalf("repetitive segment did not compress")
 	}
-	if len(frame) >= len(inner) {
-		t.Fatalf("compressed frame (%d bytes) not smaller than raw inner frames (%d bytes)", len(frame), len(inner))
+	if len(frame) >= len(frames) {
+		t.Fatalf("compressed frame (%d bytes) not smaller than the v1 frames (%d bytes)", len(frame), len(frames))
 	}
 
-	dec := NewDeltaCache()
-	got := collectSegment(t, dec, segPayload(t, frame))
+	got := collectSegment(t, segPayload(t, frame))
 	if len(got) != len(want) {
 		t.Fatalf("decoded %d frames, want %d", len(got), len(want))
 	}
@@ -96,128 +98,33 @@ func TestWireSegRoundTripCompressed(t *testing.T) {
 func TestWireSegIncompressiblePassthrough(t *testing.T) {
 	// Random bytes do not compress: the envelope must fall back to the
 	// verbatim body and still round-trip.
-	rng := rand.New(rand.NewSource(7))
-	payload := make([]byte, 2048)
-	rng.Read(payload)
-	var inner []byte
-	inner, _ = AppendInnerRequestFrame(inner, OpPing, payload, nil)
-	frame, compressed := AppendWireSegRequestFrame(nil, inner, true)
+	payload := randomPayload(2048)
+	frame, compressed := AppendWireSegRequestFrame(nil, rawFrame(t, OpPing, payload))
 	if compressed {
 		t.Fatalf("random segment claims to have compressed")
 	}
-	dec := NewDeltaCache()
-	got := collectSegment(t, dec, segPayload(t, frame))
+	got := collectSegment(t, segPayload(t, frame))
 	if len(got) != 1 || got[0].op != OpPing || !bytes.Equal(got[0].payload, payload) {
 		t.Fatalf("passthrough round trip mismatch")
 	}
 }
 
 func TestWireSegSmallSegmentNotCompressed(t *testing.T) {
-	inner, _ := AppendInnerRequestFrame(nil, OpPing, nil, nil)
-	if len(inner) >= minCompressSize {
-		t.Fatalf("test premise broken: tiny frame is %d bytes", len(inner))
+	frames := AppendRequestFrame(nil, &PingReq{})
+	if len(frames) >= minCompressSize {
+		t.Fatalf("test premise broken: tiny frame is %d bytes", len(frames))
 	}
-	_, compressed := AppendWireSegRequestFrame(nil, inner, true)
+	_, compressed := AppendWireSegRequestFrame(nil, frames)
 	if compressed {
 		t.Fatalf("segment below minCompressSize was compressed")
 	}
 }
 
-func TestDeltaEncodingHitsAndReconstructs(t *testing.T) {
-	// Second and later frames for the same opcode differ in a few bytes:
-	// the encoder must switch to delta form and the decoder must
-	// reconstruct exactly.
-	enc, dec := NewDeltaCache(), NewDeltaCache()
-	var deltas int
-	for i := 0; i < 20; i++ {
-		req := &PolyFillRectangleReq{Drawable: 3, Gc: 4, Rects: []Rect{{X: int16(i * 3), Y: int16(i), W: 64, H: 48}}}
-		p := encodePayload(t, req)
-		inner, usedDelta := AppendInnerRequestFrame(nil, req.Op(), p, enc)
-		if i > 0 && !usedDelta {
-			t.Fatalf("frame %d: near-identical frame did not delta-encode", i)
-		}
-		if usedDelta {
-			deltas++
-			if len(inner) >= 7+len(p) {
-				t.Fatalf("frame %d: delta form (%d bytes) not smaller than raw (%d bytes)", i, len(inner), 7+len(p))
-			}
-		}
-		var got []byte
-		err := dec.DecodeRequestSegment(inner, func(op uint16, payload []byte) error {
-			got = append(got[:0], payload...)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("frame %d: decode: %v", i, err)
-		}
-		if !bytes.Equal(got, p) {
-			t.Fatalf("frame %d: reconstruction mismatch\n got %x\nwant %x", i, got, p)
-		}
-	}
-	if deltas != 19 {
-		t.Fatalf("deltas = %d, want 19", deltas)
-	}
-}
-
-func TestDeltaLargePayloadSkipsCache(t *testing.T) {
-	// Payloads above DeltaMaxPayload must ship raw and leave the cache
-	// untouched on both sides.
-	enc, dec := NewDeltaCache(), NewDeltaCache()
-	small := bytes.Repeat([]byte{0xAA}, 100)
-	big := bytes.Repeat([]byte{0xBB}, DeltaMaxPayload+1)
-
-	feed := func(p []byte) (usedDelta bool) {
-		inner, used := AppendInnerRequestFrame(nil, OpPing, p, enc)
-		if err := dec.DecodeRequestSegment(inner, func(op uint16, payload []byte) error {
-			if !bytes.Equal(payload, p) {
-				t.Fatalf("payload mismatch")
-			}
-			return nil
-		}); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		return used
-	}
-	feed(small)
-	if feed(big) {
-		t.Fatalf("oversized payload delta-encoded")
-	}
-	// The cache still holds `small`: an identical repeat must delta.
-	if !feed(small) {
-		t.Fatalf("cache entry was clobbered by the oversized payload")
-	}
-}
-
-func TestDeltaCacheDesyncDetected(t *testing.T) {
-	// Encode against one cache state, decode against another: the
-	// stamped checksum must catch it before a wrong payload escapes.
-	enc := NewDeltaCache()
-	a := bytes.Repeat([]byte{1, 2, 3, 4}, 16)
-	b := append([]byte(nil), a...)
-	b[0] ^= 0xFF // guaranteed to change deltaSum (rot-by-64 is identity)
-	AppendInnerRequestFrame(nil, OpPing, a, enc)
-	inner, used := AppendInnerRequestFrame(nil, OpPing, a, enc)
-	if !used {
-		t.Fatalf("identical repeat did not delta-encode")
-	}
-
-	dec := NewDeltaCache()
-	dec.update(OpPing, b) // desynced: decoder cached a different frame
-	err := dec.DecodeRequestSegment(inner, func(uint16, []byte) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "desync") {
-		t.Fatalf("desynced decode err = %v, want cache desync", err)
-	}
-
-	// And with no cached frame at all.
-	err = NewDeltaCache().DecodeRequestSegment(inner, func(uint16, []byte) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "no cached frame") {
-		t.Fatalf("cold-cache decode err = %v, want missing-frame error", err)
-	}
-}
-
 func TestSegmentChecksumMismatch(t *testing.T) {
-	inner, _ := AppendInnerRequestFrame(nil, OpPing, bytes.Repeat([]byte{5}, 200), nil)
-	frame, _ := AppendWireSegRequestFrame(nil, inner, false)
+	frame, compressed := AppendWireSegRequestFrame(nil, rawFrame(t, OpPing, randomPayload(200)))
+	if compressed {
+		t.Fatalf("test premise broken: random segment compressed")
+	}
 	seg := segPayload(t, frame)
 	// Flip one bit in the body (past the 9-byte envelope header).
 	seg[9+len(seg[9:])/2] ^= 0x40
@@ -227,8 +134,7 @@ func TestSegmentChecksumMismatch(t *testing.T) {
 }
 
 func TestSegmentCorruptCompressedBody(t *testing.T) {
-	inner, _ := AppendInnerRequestFrame(nil, OpPing, bytes.Repeat([]byte{5}, 500), nil)
-	frame, compressed := AppendWireSegRequestFrame(nil, inner, true)
+	frame, compressed := AppendWireSegRequestFrame(nil, rawFrame(t, OpPing, bytes.Repeat([]byte{5}, 500)))
 	if !compressed {
 		t.Fatalf("repetitive segment did not compress")
 	}
@@ -246,8 +152,7 @@ func TestSegmentCorruptCompressedBody(t *testing.T) {
 }
 
 func TestSegmentTruncationAndFlags(t *testing.T) {
-	inner, _ := AppendInnerRequestFrame(nil, OpPing, []byte{1, 2, 3}, nil)
-	frame, _ := AppendWireSegRequestFrame(nil, inner, false)
+	frame, _ := AppendWireSegRequestFrame(nil, rawFrame(t, OpPing, []byte{1, 2, 3}))
 	seg := segPayload(t, frame)
 
 	if _, _, err := DecodeSegmentPayload(seg[:5], nil); err == nil {
@@ -260,6 +165,50 @@ func TestSegmentTruncationAndFlags(t *testing.T) {
 	mut[0] = 0x80 // unknown flag bit
 	if _, _, err := DecodeSegmentPayload(mut, nil); err == nil {
 		t.Fatalf("unknown flags decoded")
+	}
+}
+
+func TestWalkRequestFrames(t *testing.T) {
+	frames := []walkedFrame{
+		{OpPing, nil},
+		{OpBell, []byte{9}},
+		{OpPolyFillRectangle, []byte{1, 2, 3, 4, 5, 6, 7, 8}},
+	}
+	var raw []byte
+	for _, f := range frames {
+		raw = append(raw, rawFrame(t, f.op, f.payload)...)
+	}
+	i := 0
+	err := WalkRequestFrames(raw, func(op uint16, payload []byte) error {
+		if op != frames[i].op || !bytes.Equal(payload, frames[i].payload) {
+			t.Fatalf("frame %d mismatch: op %d payload %x", i, op, payload)
+		}
+		i++
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("WalkRequestFrames: %v", err)
+	}
+	if i != len(frames) {
+		t.Fatalf("walked %d frames, want %d", i, len(frames))
+	}
+
+	// Every truncation short of a frame boundary must error, not loop,
+	// panic or hand a short payload to fn.
+	boundary := map[int]bool{0: true}
+	n := 0
+	for _, f := range frames {
+		n += 6 + len(f.payload)
+		boundary[n] = true
+	}
+	for cut := 1; cut < len(raw); cut++ {
+		err := WalkRequestFrames(raw[:cut], func(uint16, []byte) error { return nil })
+		if boundary[cut] && err != nil {
+			t.Fatalf("cut at frame boundary %d: %v", cut, err)
+		}
+		if !boundary[cut] && err == nil {
+			t.Fatalf("request segment truncated to %d bytes walked without error", cut)
+		}
 	}
 }
 
@@ -278,7 +227,7 @@ func TestWalkServerFrames(t *testing.T) {
 		raw = append(raw, byte(len(f.payload)>>24), byte(len(f.payload)>>16), byte(len(f.payload)>>8), byte(len(f.payload)))
 		raw = append(raw, f.payload...)
 	}
-	sframe, _ := AppendWireSegServerFrame(nil, raw, true)
+	sframe, _ := AppendWireSegServerFrame(nil, raw)
 	kind, seg, err := ReadServerFrame(bytes.NewReader(sframe))
 	if err != nil || kind != KindWireSeg {
 		t.Fatalf("ReadServerFrame: kind %d, err %v", kind, err)
@@ -306,36 +255,4 @@ func TestWalkServerFrames(t *testing.T) {
 	if err := WalkServerFrames(dec[:len(dec)-3], func(byte, []byte) error { return nil }); err == nil {
 		t.Fatalf("truncated server segment walked without error")
 	}
-}
-
-func TestApplyDeltaOpsBounds(t *testing.T) {
-	old := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	// copyLen beyond the cached frame.
-	ops := []byte{}
-	ops = appendUvarint(ops, 12) // copy 12 of an 8-byte cache
-	ops = appendUvarint(ops, 0)
-	if _, err := applyDeltaOps(nil, old, ops, 12); err == nil {
-		t.Fatalf("copy beyond cached frame accepted")
-	}
-	// Literal length beyond the ops buffer.
-	ops = appendUvarint(nil, 0)
-	ops = appendUvarint(ops, 5)
-	ops = append(ops, 1, 2) // only 2 literal bytes present
-	if _, err := applyDeltaOps(nil, old, ops, 5); err == nil {
-		t.Fatalf("literals beyond frame accepted")
-	}
-	// Reconstruction shorter than declared.
-	ops = appendUvarint(nil, 2)
-	ops = appendUvarint(ops, 0)
-	if _, err := applyDeltaOps(nil, old, ops, 10); err == nil {
-		t.Fatalf("short reconstruction accepted")
-	}
-}
-
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
 }

@@ -139,8 +139,7 @@ func TestRequestRoundTrips(t *testing.T) {
 		&FakeInputReq{Kind: FakeKeyPress, Detail: 0xff1b},
 		&ScreenshotReq{Window: 1},
 		&PingReq{},
-		&SetLatencyReq{Micros: 500},
-		&QueryCountersReq{},
+		&UpgradeWireReq{Version: 2},
 	}
 	for _, req := range reqs {
 		w := NewWriter()

@@ -249,58 +249,33 @@ type conn struct {
 	seq  uint64
 	once sync.Once
 
-	// Wire protocol v2 state (docs/pipelining.md, "Wire protocol v2").
-	// The receive half — wireRx, the delta cache and the decode
-	// scratch — is owned by the request-loop goroutine exclusively and
-	// needs no lock. wireCaps is written there too, before the upgrade
-	// sentinel is queued; the writer goroutine reads it only after
-	// dequeuing the sentinel, so the channel orders the two. Codec
-	// state lives and dies with the conn: session teardown (farm
-	// eviction, Server.Close) severs the connection and drops it.
-	wireRx   bool
-	wireCaps byte
-	rxCache  *xproto.DeltaCache
-	rxSeg    []byte
+	// Wire protocol v2 receive state (docs/pipelining.md, "Wire
+	// protocol v2"): wireRx and the decode scratch are owned by the
+	// request-loop goroutine exclusively and need no lock. They live and
+	// die with the conn: session teardown (farm eviction, Server.Close)
+	// severs the connection and drops them.
+	wireRx bool
+	rxSeg  []byte
 
-	// metrics holds this connection's view of the same counter and
-	// histogram names the server registry aggregates, plus
-	// "roundtrips", "events" and "dropped". QueryCounters answers from
-	// it. The pointer is immutable after ServeConn creates it.
-	metrics *obs.Registry
-
-	// Handles into metrics for the per-request, per-reply and per-event
-	// paths, resolved in ServeConn and immutable afterwards. byOp holds
-	// each opcode's "requests.<OpName>" counters in both registries,
-	// resolved on the opcode's first request so neither registry gains
-	// zero-valued rows; only the request-loop goroutine touches it.
-	requests     *obs.Counter
-	roundtrips   *obs.Counter
-	events       *obs.Counter
-	dispatchTime *obs.Histogram
-	byOp         [256]*opCounters
+	// byOp holds each opcode's "requests.<OpName>" counter in the server
+	// registry, resolved on the opcode's first request so the registry
+	// gains no zero-valued rows; only the request-loop goroutine
+	// touches it.
+	byOp [256]*obs.Counter
 }
 
-// opCounters are one opcode's request counters in the server registry
-// and in a connection's.
-type opCounters struct{ server, conn *obs.Counter }
-
-// countOp bumps op's request counters in both registries.
+// countOp bumps op's request counter in the server registry.
 func (c *conn) countOp(op uint16) {
-	var oc *opCounters
-	if int(op) < len(c.byOp) {
-		oc = c.byOp[op]
+	if int(op) >= len(c.byOp) {
+		// Opcodes are read off the wire, so an out-of-table one is
+		// counted by name rather than trusted as an index.
+		c.s.metrics.Counter("requests." + xproto.OpName(op)).Inc()
+		return
 	}
-	if oc == nil {
-		oc = &opCounters{
-			server: c.s.metrics.Counter("requests." + xproto.OpName(op)),
-			conn:   c.metrics.Counter("requests." + xproto.OpName(op)),
-		}
-		if int(op) < len(c.byOp) {
-			c.byOp[op] = oc
-		}
+	if c.byOp[op] == nil {
+		c.byOp[op] = c.s.metrics.Counter("requests." + xproto.OpName(op))
 	}
-	oc.server.Inc()
-	oc.conn.Inc()
+	c.byOp[op].Inc()
 }
 
 // New creates a server with the given screen size.
@@ -391,8 +366,8 @@ const DefaultWriteTimeout = 10 * time.Second
 
 // SetWriteTimeout changes the stalled-peer write bound. Zero disables
 // the bound (writes may block forever — only sensible in tests). Each
-// severed connection increments the "stalled" counter on both the
-// server registry and the connection's own.
+// severed connection increments the server registry's "stalled"
+// counter.
 func (s *Server) SetWriteTimeout(d time.Duration) { s.writeTimeout.Store(int64(d)) }
 
 // SetWireV2 sets whether the server accepts wire-protocol-v2 upgrades
@@ -401,13 +376,6 @@ func (s *Server) SetWriteTimeout(d time.Duration) { s.writeTimeout.Store(int64(d
 // the knob the negotiation-matrix test and `xsimd -wire v1` use.
 // Affects connections negotiated after the call.
 func (s *Server) SetWireV2(on bool) { s.wireV2.Store(on) }
-
-// Stats reports aggregate request count across all connections. It is
-// a compatibility shim over Metrics(): the same number is the
-// "requests" counter in the registry.
-func (s *Server) Stats() (requests uint64) {
-	return s.metrics.Counter("requests").Value()
-}
 
 // Metrics returns the server-wide registry: "requests" and per-opcode
 // "requests.<OpName>" counters, the "dispatch" histogram of request
@@ -493,6 +461,11 @@ func (s *Server) Close() {
 	}
 }
 
+// outQueueSlots is the depth of a connection's outbound queue. When it
+// is full, events are dropped (counted as "dropped") and replies wait
+// for space up to the write timeout.
+const outQueueSlots = 4096
+
 // framePool recycles outbound frame buffers: enqueueFrame fills one,
 // the writer goroutine (or a drop path) returns it. Pooled as *[]byte
 // so channel sends and puts move one pointer, not a slice header.
@@ -507,16 +480,11 @@ var framePool = sync.Pool{
 // until it closes.
 func (s *Server) ServeConn(nc net.Conn) {
 	c := &conn{
-		s:       s,
-		rw:      nc,
-		out:     make(chan *[]byte, 4096),
-		done:    make(chan struct{}),
-		metrics: obs.NewRegistry(),
+		s:    s,
+		rw:   nc,
+		out:  make(chan *[]byte, outQueueSlots),
+		done: make(chan struct{}),
 	}
-	c.requests = c.metrics.Counter("requests")
-	c.roundtrips = c.metrics.Counter("roundtrips")
-	c.events = c.metrics.Counter("events")
-	c.dispatchTime = c.metrics.Histogram("dispatch")
 	s.connsMu.Lock()
 	if s.closed {
 		s.connsMu.Unlock()
@@ -538,11 +506,10 @@ func (s *Server) ServeConn(nc net.Conn) {
 	// Once the request loop accepts a v2 upgrade it queues the
 	// wireTxSentinel; everything dequeued before the sentinel is written
 	// in v1 framing (the setup block and the upgrade ack must be), and
-	// every batch after it is wrapped in a checksummed — and, when the
-	// client asked for it, compressed — KindWireSeg envelope. Small
-	// batches stay unwrapped: the v2 client accepts both framings on the
-	// same stream (no delta runs in this direction, so there is no cache
-	// to keep in sync).
+	// every batch after it is wrapped in a checksummed, compressed
+	// KindWireSeg envelope. Small batches stay unwrapped: a segment
+	// carries the same v1 frames, so the v2 client accepts both
+	// framings on the same stream.
 	go func() {
 		var batch, seg []byte
 		v2 := false
@@ -585,11 +552,10 @@ func (s *Server) ServeConn(nc net.Conn) {
 				out := batch
 				wireRaw.Add(uint64(len(batch)))
 				if v2 && len(batch) >= wireWrapMin {
-					tryCompress := c.wireCaps&xproto.WireCapCompress != 0
 					var compressed bool
-					seg, compressed = xproto.AppendWireSegServerFrame(seg[:0], batch, tryCompress)
+					seg, compressed = xproto.AppendWireSegServerFrame(seg[:0], batch)
 					wireSegs.Inc()
-					if tryCompress && !compressed {
+					if !compressed {
 						wireSkip.Inc()
 					}
 					out = seg
@@ -635,6 +601,7 @@ func (s *Server) ServeConn(nc net.Conn) {
 	// request Decode copies what it retains — see ReadRequestFrameInto).
 	br := bufio.NewReaderSize(&segmentReader{s: s, conn: nc}, 64<<10)
 	var rbuf []byte
+	upgradeSeen := false
 loop:
 	for {
 		op, payload, err := xproto.ReadRequestFrameInto(br, rbuf)
@@ -653,18 +620,23 @@ loop:
 			// skipping keeps both sides' numbering in lockstep.
 			continue
 		case xproto.OpUpgradeWire:
-			// The v2 capability exchange follows the attach idiom: no
-			// sequence number on either side (the client writes it before
-			// its Display exists), answered out-of-band with a KindWireAck.
-			s.handleUpgradeWire(c, payload)
+			// The v2 upgrade follows the attach idiom: no sequence number
+			// on either side (the client writes it before its Display
+			// exists), answered out-of-band with a KindWireAck. It is
+			// honoured once, before the first request; anywhere else it
+			// is consumed and ignored, since a second ack would reach a
+			// Display that no longer expects one.
+			if !upgradeSeen && c.seq == 0 {
+				s.handleUpgradeWire(c, payload)
+			}
+			upgradeSeen = true
 			continue
 		case xproto.OpWireSeg:
 			// A v2 segment of batched requests. Decode failure is fatal:
-			// the envelope checksum or the delta cache no longer vouches
-			// for the stream, so sever rather than dispatch garbage.
+			// the envelope checksum no longer vouches for the stream, so
+			// sever rather than dispatch garbage.
 			if err := s.serveWireSeg(c, payload); err != nil {
 				s.metrics.Counter("wire.decode.errors").Inc()
-				c.metrics.Counter("wire.decode.errors").Inc()
 				c.protoError("wire: %v", err)
 				break loop
 			}
@@ -693,12 +665,10 @@ func (s *Server) serveRequest(c *conn, op uint16, payload []byte) {
 		}
 	}
 	c.seq++
-	// Counters are bumped before dispatch so a QueryCounters reply
-	// includes its own request; timing wraps only decode + handle,
-	// so the "dispatch" histogram measures true service time, not
-	// the simulated IPC latency above.
+	// Counters are bumped before dispatch; timing wraps only decode +
+	// handle, so the "dispatch" histogram measures true service time,
+	// not the simulated IPC latency above.
 	s.requests.Inc()
-	c.requests.Inc()
 	c.countOp(op)
 	if s.rollupRequests != nil {
 		s.rollupRequests.Inc()
@@ -742,7 +712,6 @@ func (s *Server) serveRequest(c *conn, op uint16, payload []byte) {
 		elapsed = time.Since(begin)
 	}
 	s.dispatchTime.Observe(elapsed)
-	c.dispatchTime.Observe(elapsed)
 	if s.rollupDispatch != nil {
 		s.rollupDispatch.Observe(elapsed)
 	}
@@ -759,39 +728,32 @@ const wireWrapMin = 128
 // signal; the pointee is never touched.
 var wireTxSentinel = new([]byte)
 
-// handleUpgradeWire answers the OpUpgradeWire capability exchange. Like
-// the attach handshake it carries no sequence number on either side.
-// The ack ([u8 version][u8 caps]) is queued behind the setup block that
-// ServeConn already enqueued, so the client always reads setup first;
-// the tx-upgrade sentinel is queued after the ack, so the ack itself
-// still crosses in v1 framing.
+// handleUpgradeWire answers the OpUpgradeWire request. Like the attach
+// handshake it carries no sequence number on either side. The ack
+// ([u8 version]) is queued behind the setup block that ServeConn
+// already enqueued, so the client always reads setup first; the
+// tx-upgrade sentinel is queued after the ack, so the ack itself still
+// crosses in v1 framing.
 func (s *Server) handleUpgradeWire(c *conn, payload []byte) {
 	var req xproto.UpgradeWireReq
 	r := xproto.NewReader(payload)
 	req.Decode(r)
 	accept := r.Err() == nil && req.Version >= 2 && s.wireV2.Load()
-	ver, caps := byte(1), byte(0)
+	ver := byte(1)
 	if accept {
 		ver = 2
-		caps = req.Caps & (xproto.WireCapCompress | xproto.WireCapDelta)
 		c.wireRx = true
-		c.wireCaps = caps
-		c.rxCache = xproto.NewDeltaCache()
 	}
-	w := xproto.AcquireWriter()
-	w.PutU8(ver)
-	w.PutU8(caps)
-	c.enqueueFrame(xproto.KindWireAck, w.Bytes(), true)
-	xproto.ReleaseWriter(w)
+	c.enqueueFrame(xproto.KindWireAck, []byte{ver}, true)
 	if accept {
 		c.enqueueBuf(wireTxSentinel, true, false)
 	}
 }
 
-// serveWireSeg decodes one v2 segment and serves each inner request
-// through the standard pipeline. Any error means the stream can no
-// longer be trusted (checksum mismatch, cache desync, torn framing) and
-// the caller severs the connection — corruption degrades to a clean
+// serveWireSeg decodes one v2 segment and serves each v1 request frame
+// inside it through the standard pipeline. Any error means the stream
+// can no longer be trusted (checksum mismatch, torn framing) and the
+// caller severs the connection — corruption degrades to a clean
 // connection loss, never to a garbled request reaching a handler.
 func (s *Server) serveWireSeg(c *conn, payload []byte) error {
 	if !c.wireRx {
@@ -802,7 +764,7 @@ func (s *Server) serveWireSeg(c *conn, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	return c.rxCache.DecodeRequestSegment(raw, func(op uint16, pl []byte) error {
+	return xproto.WalkRequestFrames(raw, func(op uint16, pl []byte) error {
 		switch op {
 		case xproto.OpAttachSession, xproto.OpUpgradeWire, xproto.OpWireSeg:
 			// Handshake opcodes are pre-setup, outer-framing-only; nested
@@ -826,7 +788,6 @@ func (c *conn) close() {
 // stayed full past the write timeout).
 func (c *conn) markStalled() {
 	c.s.metrics.Counter("stalled").Inc()
-	c.metrics.Counter("stalled").Inc()
 }
 
 // segmentReader counts wire segments and charges the per-segment
@@ -918,7 +879,7 @@ func (c *conn) enqueueBuf(bp *[]byte, mustDeliver, pooled bool) {
 		release()
 	default:
 		release()
-		c.metrics.Counter("dropped").Inc()
+		c.s.metrics.Counter("dropped").Inc()
 	}
 }
 
@@ -926,7 +887,6 @@ func (c *conn) enqueueBuf(bp *[]byte, mustDeliver, pooled bool) {
 // enqueueFrame copies the encoded bytes into the outbound frame before
 // the writer is released, so the hot reply path allocates nothing.
 func (c *conn) reply(encode func(w *xproto.Writer)) {
-	c.roundtrips.Inc()
 	w := xproto.AcquireWriter()
 	w.PutU64(c.seq)
 	encode(w)
@@ -945,7 +905,6 @@ func (c *conn) protoError(format string, args ...any) {
 
 // sendEvent delivers an event to this connection.
 func (c *conn) sendEvent(ev *xproto.Event) {
-	c.events.Inc()
 	w := xproto.AcquireWriter()
 	ev.Encode(w)
 	c.enqueueFrame(xproto.KindEvent, w.Bytes(), false)

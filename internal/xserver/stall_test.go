@@ -1,8 +1,13 @@
 package xserver
 
 import (
+	"io"
 	"testing"
 	"time"
+
+	"repro/internal/obs/slo"
+	"repro/internal/xclient"
+	"repro/internal/xproto"
 )
 
 // TestStalledPeerSevered: a client that connects and then never reads
@@ -64,5 +69,71 @@ func TestWriteTimeoutDisabled(t *testing.T) {
 	}
 	if got := s.Metrics().Counter("stalled").Value(); got != 0 {
 		t.Fatalf("stalled counter = %d with timeout disabled", got)
+	}
+}
+
+// TestDroppedEventsReachServerRegistry: events dropped because a peer
+// stopped draining its outbound queue are counted on the server
+// registry, so Metrics(), /metrics and the SLO error budget see them.
+func TestDroppedEventsReachServerRegistry(t *testing.T) {
+	s := New(200, 200)
+	defer s.Close()
+	s.SetWriteTimeout(0)
+
+	// Connection A reads one byte of its setup block, so its writer has
+	// dequeued the block and is blocked writing the rest. It selects
+	// property events on the root and never reads again: every event
+	// from now on waits in its outbound queue or is dropped.
+	a := s.ConnectPipe()
+	defer a.Close()
+	if _, err := io.ReadFull(a, make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	selectProps := &xproto.ChangeWindowAttributesReq{
+		Window: s.Root(), Mask: xproto.AttrEventMask, EventMask: xproto.PropertyChangeMask,
+	}
+	if _, err := a.Write(xproto.AppendRequestFrame(nil, selectProps)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.treeMu.Lock()
+		selected := len(s.root.masks) == 1
+		s.treeMu.Unlock()
+		if selected {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("connection A never selected property events on the root")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Connection B floods A: this server does not propagate substructure
+	// events, so root property changes are what reach A.
+	b, err := xclient.Open(s.ConnectPipe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	prop, err := b.InternAtom("FLOOD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const changes = 6000
+	for i := 0; i < changes; i++ {
+		b.ChangeProperty(s.Root(), prop, xproto.AtomString, []byte{byte(i)})
+	}
+	if err := b.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	const want = changes - outQueueSlots
+	if got := s.Metrics().Counter("dropped").Value(); got != want {
+		t.Fatalf("server registry counted %d dropped events, want %d", got, want)
+	}
+	budget := slo.Build(slo.Sources{Server: s.Metrics()}).ErrorBudget
+	if got := budget.ByCounter["dropped"]; got != want {
+		t.Fatalf("SLO error budget counted %d dropped events, want %d", got, want)
 	}
 }

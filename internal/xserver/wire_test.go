@@ -1,0 +1,62 @@
+package xserver
+
+import (
+	"encoding/binary"
+	"testing"
+	"time"
+
+	"repro/internal/xproto"
+)
+
+// TestMidStreamUpgradeIgnored: OpUpgradeWire is honoured only as a
+// connection's first frame after an optional attach. Later in the
+// stream it is consumed without a sequence number and without an ack,
+// so the next frame is the reply a v1 client expects and later batches
+// stay unwrapped.
+func TestMidStreamUpgradeIgnored(t *testing.T) {
+	s := New(100, 100)
+	defer s.Close()
+	nc := s.ConnectPipe()
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+
+	send := func(reqs ...xproto.Request) {
+		t.Helper()
+		var buf []byte
+		for _, r := range reqs {
+			buf = xproto.AppendRequestFrame(buf, r)
+		}
+		if _, err := nc.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// wantReply reads the next frame and requires it to be a plain v1
+	// reply to request seq.
+	wantReply := func(seq uint64) {
+		t.Helper()
+		kind, payload, err := xproto.ReadServerFrame(nc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind != xproto.KindReply {
+			t.Fatalf("frame kind %d, want the reply to request %d (kind %d)", kind, seq, xproto.KindReply)
+		}
+		if got := binary.BigEndian.Uint64(payload); got != seq {
+			t.Fatalf("reply to request %d, want %d", got, seq)
+		}
+	}
+
+	if kind, _, err := xproto.ReadServerFrame(nc); err != nil || kind != xproto.KindReply {
+		t.Fatalf("setup block: kind %d, err %v", kind, err)
+	}
+	send(&xproto.PingReq{})
+	wantReply(1)
+	send(&xproto.UpgradeWireReq{Version: 2}, &xproto.PingReq{})
+	wantReply(2)
+	// A screenshot reply is far above the size a v2 server wraps.
+	send(&xproto.ScreenshotReq{})
+	wantReply(3)
+	if n := s.Metrics().Counter("wire.segments.v2").Value(); n != 0 {
+		t.Fatalf("server wrapped %d v2 segments after a mid-stream upgrade", n)
+	}
+}

@@ -40,8 +40,8 @@ func TestEmitWireBench(t *testing.T) {
 	}
 
 	// runStorm drives the rectangle storm: fills cycling through varying
-	// geometries (the repeated-request shape the delta codec targets),
-	// closed by one Sync so every byte has crossed the wire on return.
+	// geometries (repeated frames that flate's window matches), closed by
+	// one Sync so every byte has crossed the wire on return.
 	runStorm := func(t *testing.T, d *xclient.Display) {
 		t.Helper()
 		w := d.CreateWindow(d.Root, 0, 0, 640, 480, 0, xclient.WindowAttributes{Background: 0x101010})
