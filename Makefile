@@ -1,6 +1,6 @@
 # Pre-PR gate: build, vet, race-gated tests, tkcheck over every Tcl
-# script in the tree (docs/static-analysis.md), the frame-decoder, Tcl
-# and option-database fuzz smoke, the observability smoke
+# script in the tree (docs/static-analysis.md), the frame-decoder, Tcl,
+# option-database and Tcl-linter fuzz smoke, the observability smoke
 # (docs/observability.md), the tkbench smoke (cmd/tkbench/README.md),
 # and the chaos harness (docs/fault-injection.md). All legs must pass
 # before a change ships.
@@ -26,19 +26,23 @@ tkcheck:
 
 # fuzz-smoke gives the wire-frame decoders (v1 outer framing plus the
 # v2 segment envelope and the v1 frames inside it), the Tcl
-# interpreter (scripts and expressions, cold against cached) and the
+# interpreter (scripts and expressions, cold against cached), the
 # option database (.Xdefaults text, option stack against the reference
-# matcher) a bounded fuzzing pass on every check run; longer campaigns
-# just raise -fuzztime. Corpus seeds cover v1 and v2 frames in both directions
+# matcher) and the Tcl linter (no panic, diagnostics inside the text, a
+# parse diagnostic wherever the compiler rejects the text) a bounded
+# fuzzing pass on every check run; longer campaigns just raise
+# -fuzztime. Corpus seeds cover v1 and v2 frames in both directions
 # (internal/xproto/fuzz_test.go), the paper's Figures 1-5 and
-# compute-style loops (internal/tcl/fuzz_test.go), and option patterns
-# of every binding kind (internal/tk/option_test.go).
+# compute-style loops (internal/tcl/fuzz_test.go), option patterns of
+# every binding kind (internal/tk/option_test.go), and Figures 1-5 with
+# the lint fixtures (internal/lint/script_test.go).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRequestFrame$$' -fuzztime 5s ./internal/xproto
 	$(GO) test -run '^$$' -fuzz '^FuzzReadServerFrame$$' -fuzztime 5s ./internal/xproto
 	$(GO) test -run '^$$' -fuzz '^FuzzEval$$' -fuzztime 5s ./internal/tcl
 	$(GO) test -run '^$$' -fuzz '^FuzzExpr$$' -fuzztime 5s ./internal/tcl
 	$(GO) test -run '^$$' -fuzz '^FuzzOptionDB$$' -fuzztime 5s ./internal/tk
+	$(GO) test -run '^$$' -fuzz '^FuzzLint$$' -fuzztime 5s ./internal/lint
 
 bench: bench-farm
 	$(GO) test -bench=. -benchmem

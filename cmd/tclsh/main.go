@@ -61,7 +61,7 @@ func run() int {
 		pending.WriteString(scanner.Text())
 		pending.WriteByte('\n')
 		cmd := pending.String()
-		if !balanced(cmd) {
+		if !tcl.Complete(cmd) {
 			fmt.Print("> ")
 			continue
 		}
@@ -75,19 +75,4 @@ func run() int {
 		fmt.Print(prompt)
 	}
 	return 0
-}
-
-func balanced(s string) bool {
-	depth := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++
-		case '{', '[':
-			depth++
-		case '}', ']':
-			depth--
-		}
-	}
-	return depth <= 0
 }

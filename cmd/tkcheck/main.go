@@ -3,10 +3,11 @@
 // script literals Go sources pass to Eval/MustEval — against the live
 // command registry without evaluating them, recursing into deferred
 // scripts (bind bodies, -command options, after and send arguments),
-// and runs five Go analyzers: lock discipline for "guarded by mu"
+// and runs six Go analyzers: lock discipline for "guarded by mu"
 // fields, the whole-program lock-order graph, pooled-value lifetime,
 // the metrics-name registry (Go names vs the docs/observability.md
-// registry block), and xproto opcode completeness.
+// registry block), xproto opcode completeness, and package doc
+// comments on internal packages.
 //
 // Usage:
 //

@@ -216,7 +216,7 @@ func main() {
 		pending.WriteString(line)
 		pending.WriteByte('\n')
 		cmd := pending.String()
-		if !complete(cmd) {
+		if !tcl.Complete(cmd) {
 			return
 		}
 		pending.Reset()
@@ -228,23 +228,6 @@ func main() {
 		}
 	}, app.Quit)
 	app.MainLoop()
-}
-
-// complete reports whether a command string has balanced braces and
-// brackets, so multi-line commands can be typed interactively.
-func complete(s string) bool {
-	depth := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++
-		case '{', '[':
-			depth++
-		case '}', ']':
-			depth--
-		}
-	}
-	return depth <= 0
 }
 
 func fatal(format string, args ...any) {

@@ -222,6 +222,12 @@ func TestWishInteractive(t *testing.T) {
 	fmt.Fprintln(stdin, `proc double {x} {`)
 	fmt.Fprintln(stdin, `  expr $x * 2`)
 	fmt.Fprintln(stdin, `}`)
+	// A brace inside quotes opens nothing, and a quoted string split
+	// over two lines is one command.
+	fmt.Fprintln(stdin, `print "a{\n"`)
+	fmt.Fprintln(stdin, `set s "one`)
+	fmt.Fprintln(stdin, `two"`)
+	fmt.Fprintln(stdin, `print "s=[string length $s]\n"`)
 	fmt.Fprintln(stdin, `print "double: [double 21]\n"`)
 	fmt.Fprintln(stdin, `destroy .`)
 	stdin.Close()
@@ -233,8 +239,10 @@ func TestWishInteractive(t *testing.T) {
 		cmd.Process.Kill()
 		t.Fatal("interactive wish did not exit")
 	}
-	if !strings.Contains(out.String(), "double: 42") {
-		t.Fatalf("interactive output = %q", out.String())
+	for _, want := range []string{"a{\n", "s=7\n", "double: 42"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("interactive output = %q, want %q in it", out.String(), want)
+		}
 	}
 }
 
@@ -431,5 +439,22 @@ func TestTclshScript(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "fib(15)=610") {
 		t.Fatalf("output = %q", out)
+	}
+}
+
+// TestTclshInteractive: the plain shell reads stdin as wish does,
+// continuing a command only inside an open brace, bracket or quote.
+func TestTclshInteractive(t *testing.T) {
+	_, xsimd := binaries(t)
+	cmd := exec.Command(filepath.Join(filepath.Dir(xsimd), "tclsh"))
+	cmd.Stdin = strings.NewReader("puts \"a{\"\nset s \"one\ntwo\"\nputs s=[string length $s]\n")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("tclsh: %v\n%s", err, out)
+	}
+	for _, want := range []string{"a{\n", "s=7\n"} {
+		if !strings.Contains(string(out), want) {
+			t.Fatalf("output = %q, want %q in it", out, want)
+		}
 	}
 }

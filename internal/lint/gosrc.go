@@ -50,7 +50,7 @@ func lintGoFile(fset *token.FileSet, f *ast.File, src, path string, reg *Registr
 	for _, s := range scripts {
 		l := newLinter(path, s.content, reg, s.posFn)
 		l.procs = procs
-		l.collectDefs(0, len(s.content))
+		l.collectDefs(piece{text: s.content})
 	}
 	for _, n := range extra {
 		procs[n] = true
@@ -60,7 +60,7 @@ func lintGoFile(fset *token.FileSet, f *ast.File, src, path string, reg *Registr
 	for _, s := range scripts {
 		l := newLinter(path, s.content, reg, s.posFn)
 		l.procs = procs
-		l.lintRange(0, len(s.content), modeScript)
+		l.lintScript(piece{text: s.content}, modeScript)
 		diags = append(diags, l.diags...)
 	}
 	return diags

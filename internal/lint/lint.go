@@ -1,16 +1,19 @@
 // Package lint is the static-analysis engine behind cmd/tkcheck.
 //
-// It has two tiers. Tier 1 is a Tcl script linter: scripts are parsed
-// with a position-tracking scanner that performs no substitution and no
-// evaluation (internal/tcl's parser substitutes eagerly against a live
-// interpreter, so it cannot be reused for this), then checked against
-// the live command registry plus a per-command arity/subcommand spec
-// table. Deferred script arguments — bind bodies, -command options,
-// after and send scripts — are linted recursively, so callback errors
-// are caught at load time instead of event time. Tier 2 is a pair of
-// Go analyzers built on go/ast alone: a lock-discipline check driven by
-// "guarded by mu" field annotations, and an xproto opcode-completeness
-// check. See docs/static-analysis.md.
+// It has two tiers. Tier 1 is a Tcl script linter: scripts and
+// expressions are read with internal/tcl's own compiler, through its
+// syntax view (tcl.Parse, tcl.CheckExpr), which gives source positions
+// and evaluates nothing, so the linter sees exactly the commands, words
+// and syntax errors the interpreter does. Each command is checked
+// against the live command registry plus a per-command
+// arity/subcommand spec table. Deferred script arguments — bind
+// bodies, -command options, after and send scripts — are linted
+// recursively, so callback errors are caught at load time instead of
+// event time. Tier 2 is six Go analyzers built on go/ast alone: lock
+// discipline driven by "guarded by mu" field annotations, the
+// whole-program lock-order graph, pooled-value lifetime, the
+// metrics-name registry, xproto opcode completeness, and package doc
+// comments. See docs/static-analysis.md.
 package lint
 
 import (

@@ -58,8 +58,8 @@ func TestFixtureScripts(t *testing.T) {
 			`testdata/deferred.tcl:4:18: unknown command "hilight" [unknown-command]`,
 		}},
 		{"expr.tcl", []string{
-			`testdata/expr.tcl:3:10: expression syntax error: missing operand [expr]`,
-			`testdata/expr.tcl:6:18: expression syntax error: unexpected character "*" [expr]`,
+			`testdata/expr.tcl:3:10: expression syntax error: premature end of expression [expr]`,
+			`testdata/expr.tcl:6:18: expression syntax error: syntax error in expression at "* 4" [expr]`,
 		}},
 		{"path.tcl", []string{
 			`testdata/path.tcl:2:8: bad window path name ".a..b" [path]`,

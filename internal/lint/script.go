@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/tcl"
 )
 
 // lintMode selects how much of a script can be checked.
@@ -22,7 +24,9 @@ const (
 // linter lints one unit: a .tcl file or one script literal extracted
 // from a Go file. src is the unit's entire source; all offsets index
 // into it, and posFn (when non-nil) maps offsets to positions in the
-// enclosing file.
+// enclosing file. Scripts and expressions are read with internal/tcl's
+// own compiler (tcl.Parse, tcl.CheckExpr), so the linter sees exactly
+// the commands, words and syntax errors the interpreter does.
 type linter struct {
 	file  string
 	src   string
@@ -48,8 +52,91 @@ func newLinter(file, src string, reg *Registry, posFn func(int) (int, int)) *lin
 }
 
 func (l *linter) run() {
-	l.collectDefs(0, len(l.src))
-	l.lintRange(0, len(l.src), modeScript)
+	whole := piece{text: l.src}
+	l.collectDefs(whole)
+	l.lintScript(whole, modeScript)
+}
+
+// A piece is script or expression text to check, and where its
+// diagnostics point in the unit's source. A braced word, or any word
+// whose value is its source text, is a range of the source and keeps
+// exact positions. A word whose backslash sequences change its value is
+// checked as the value that will run, and every diagnostic inside it
+// points at the word.
+type piece struct {
+	text   string
+	base   int  // offset in the unit of text[0]
+	pinned bool // every offset in text maps to base
+}
+
+// at maps an offset into p.text to one into the unit's source.
+func (p piece) at(off int) int {
+	if p.pinned {
+		return p.base
+	}
+	return p.base + off
+}
+
+// sub returns the piece for a span of p.text.
+func (p piece) sub(s tcl.Span) piece {
+	return piece{text: p.text[s.Start:s.End], base: p.at(s.Start), pinned: p.pinned}
+}
+
+// word is one word of a command, positioned in the unit.
+type word struct {
+	literal bool   // no $var or [cmd] substitution: val is the runtime value
+	val     string // valid only when literal
+	off     int    // offset of the word's text, inside any braces or quotes
+	braced  bool
+	body    piece   // the word as a script or expression: see piece
+	scripts []piece // the [command] substitutions the word runs
+}
+
+// cmdNode is one parsed command.
+type cmdNode struct {
+	words    []word
+	off, end int
+	// suppress lists rule names a "# tkcheck:ignore" comment directly
+	// above the command disables; a bare ignore yields []string{"all"}.
+	suppress []string
+}
+
+// parse compiles p as a script. When err is set, the last command is
+// the one it cut short.
+func (p piece) parse() ([]cmdNode, *tcl.SyntaxError) {
+	syn := tcl.Parse(p.text)
+	cmds := make([]cmdNode, len(syn.Commands))
+	prev := 0
+	for i, c := range syn.Commands {
+		cmds[i] = cmdNode{off: p.at(c.Start), end: p.at(c.End), suppress: ignoreRules(p.text[prev:c.Start])}
+		prev = c.End
+		for _, w := range c.Words {
+			cw := word{literal: w.Literal, val: w.Value, off: p.at(w.Start), braced: w.Braced, body: p.sub(w.Span)}
+			if w.Literal && !w.Braced && w.Value != cw.body.text {
+				cw.body = piece{text: w.Value, base: cw.off, pinned: true}
+			}
+			for _, s := range w.Scripts {
+				cw.scripts = append(cw.scripts, p.sub(s))
+			}
+			cmds[i].words = append(cmds[i].words, cw)
+		}
+	}
+	return cmds, syn.Err
+}
+
+// ignoreRules returns the rules a "# tkcheck:ignore" comment in the
+// text before a command suppresses for it. Between two commands there
+// are only separators and comments, so the marker is in a comment.
+func ignoreRules(gap string) []string {
+	i := strings.LastIndex(gap, "tkcheck:ignore")
+	if i < 0 {
+		return nil
+	}
+	rest, _, _ := strings.Cut(gap[i+len("tkcheck:ignore"):], "\n")
+	if rules := strings.Fields(rest); len(rules) > 0 {
+		return rules
+	}
+	return []string{"all"}
 }
 
 func (l *linter) diagAt(off int, rule, msg string) {
@@ -71,17 +158,13 @@ func (l *linter) diagAt(off int, rule, msg string) {
 	l.diags = append(l.diags, Diag{File: l.file, Line: line, Col: col, Rule: rule, Msg: msg})
 }
 
-// collectDefs pre-scans a range for proc definitions and renames so
+// collectDefs pre-scans a script for proc definitions and renames so
 // forward references from deferred scripts resolve. It recurses into
 // every braced word and command substitution; a proc defined inside a
 // bind body or an if arm still counts.
-func (l *linter) collectDefs(start, end int) {
-	sc := &scanner{l: &linter{file: l.file, src: l.src, reg: l.reg, procs: l.procs}, pos: start, end: end}
-	for {
-		c, ok := sc.next()
-		if !ok {
-			break
-		}
+func (l *linter) collectDefs(p piece) {
+	cmds, _ := p.parse()
+	for _, c := range cmds {
 		if len(c.words) >= 2 && c.words[0].literal {
 			switch c.words[0].val {
 			case "proc":
@@ -95,42 +178,43 @@ func (l *linter) collectDefs(start, end int) {
 			}
 		}
 		for _, w := range c.words {
-			if w.braced && w.end > w.off {
-				l.collectDefs(w.off, w.end)
+			if w.braced {
+				l.collectDefs(w.body)
 			}
-			for _, r := range w.brackets {
-				l.collectDefs(r[0], r[1])
+			for _, s := range w.scripts {
+				l.collectDefs(s)
 			}
 		}
 	}
 }
 
-// lintRange lints src[start:end) as a script.
-func (l *linter) lintRange(start, end int, mode lintMode) {
-	sc := &scanner{l: l, pos: start, end: end}
-	for {
-		c, ok := sc.next()
-		if !ok {
-			break
-		}
+// lintScript lints p as a script up to its first syntax error, as the
+// interpreter runs it: the command the error cuts short is never
+// invoked, but the [scripts] in it before the error still run.
+func (l *linter) lintScript(p piece, mode lintMode) {
+	cmds, err := p.parse()
+	if err != nil {
+		// Reported before the script's own ignore comments take effect:
+		// a command that does not compile cannot be suppressed.
+		l.diagAt(p.at(err.Offset), "parse", err.Msg)
+	}
+	for i, c := range cmds {
 		if c.suppress != nil {
-			l.suppressed = append(l.suppressed, suppression{rules: c.suppress, start: c.off, end: sc.pos})
+			l.suppressed = append(l.suppressed, suppression{rules: c.suppress, start: c.off, end: c.end})
 		}
-		l.lintCommand(c, mode)
+		// Command substitutions run regardless of which word they sit in.
+		for _, w := range c.words {
+			for _, s := range w.scripts {
+				l.lintScript(s, modeScript)
+			}
+		}
+		if err == nil || i < len(cmds)-1 {
+			l.lintCommand(c, mode)
+		}
 	}
 }
 
 func (l *linter) lintCommand(c cmdNode, mode lintMode) {
-	// Command substitutions run regardless of which word they sit in:
-	// lint every embedded [script].
-	for _, w := range c.words {
-		for _, r := range w.brackets {
-			l.lintRange(r[0], r[1], modeScript)
-		}
-	}
-	if len(c.words) == 0 {
-		return
-	}
 	name := c.words[0]
 	if !name.literal || name.val == "" {
 		return // dynamically-named command; nothing to check
@@ -248,24 +332,37 @@ func (l *linter) lintCommandOptions(c cmdNode, from int, prefix bool) {
 	}
 }
 
-// lintDeferred lints a word's contents as a deferred script. Braced
-// words are verbatim scripts; literal quoted/bare words are too (their
-// raw text re-scans identically). Dynamic words cannot be checked.
+// lintDeferred lints a word's value as a deferred script. Dynamic
+// words cannot be checked.
 func (l *linter) lintDeferred(w word, mode lintMode) {
-	if !w.literal || w.end <= w.off {
-		return
+	if w.literal {
+		l.lintScript(w.body, mode)
 	}
-	l.lintRange(w.off, w.end, mode)
 }
 
 // lintExprWord syntax-checks a word used as an expression. Dynamic
-// words are still checked structurally: $var and [cmd] are valid
-// operands ("if $argc>0 ...").
+// words are still checked structurally, as written: $var and [cmd] are
+// valid operands ("if $argc>0 ..."), and the word's own [scripts] are
+// linted as the word's.
 func (l *linter) lintExprWord(w word) {
-	if w.end <= w.off {
+	if w.body.text != "" {
+		l.lintExpr(w.body, w.literal)
+	}
+}
+
+// lintExpr syntax-checks p as an expression and, when scripts is set,
+// lints the [scripts] among its operands.
+func (l *linter) lintExpr(p piece, scripts bool) {
+	spans, err := tcl.CheckExpr(p.text)
+	if err != nil {
+		l.diagAt(p.at(err.Offset), "expr", "expression syntax error: "+err.Msg)
 		return
 	}
-	l.checkExprRange(w.off, w.end)
+	if scripts {
+		for _, s := range spans {
+			l.lintScript(p.sub(s), modeScript)
+		}
+	}
 }
 
 // checkPathWord validates widget path-name syntax (".a.b"): paths start
@@ -399,18 +496,9 @@ func checkExprCmd(l *linter, c cmdNode) {
 		if !w.literal {
 			return // dynamic pieces; skip
 		}
-		parts = append(parts, w.raw)
+		parts = append(parts, w.val)
 	}
-	joined := strings.Join(parts, " ")
-	sub := newLinter(l.file, joined, l.reg, func(int) (int, int) {
-		if l.posFn != nil {
-			return l.posFn(c.words[1].off)
-		}
-		return lineCol(l.src, c.words[1].off)
-	})
-	sub.procs = l.procs
-	sub.checkExprRange(0, len(joined))
-	l.diags = append(l.diags, sub.diags...)
+	l.lintExpr(piece{text: strings.Join(parts, " "), base: c.words[1].off, pinned: true}, true)
 }
 
 // checkSend lints "send app {script}": a single literal script argument

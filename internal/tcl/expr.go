@@ -212,20 +212,24 @@ type exprCompiler struct {
 
 func compileExpr(src string) exprCode {
 	e := &exprCompiler{compiler: compiler{src: src}, nodes: make([]enode, 0, 2+len(src)/2)}
-	if e.ternary() {
-		if e.space(); e.pos < len(e.src) {
-			e.bad(fmt.Sprintf("syntax error in expression %q", src))
-		}
-	}
-	if e.err != "" {
+	if e.compile(); e.err != "" {
 		return exprCode{err: e.err}
 	}
 	return exprCode{nodes: e.nodes, toks: e.toks}
 }
 
-// bad records a syntax error and reports false.
-func (e *exprCompiler) bad(msg string) bool {
-	e.err = msg
+// compile compiles the whole source as one expression.
+func (e *exprCompiler) compile() {
+	if e.ternary() {
+		if e.space(); e.pos < len(e.src) {
+			e.bad(e.pos, fmt.Sprintf("syntax error in expression %q", e.src))
+		}
+	}
+}
+
+// bad records a syntax error found at offset at and reports false.
+func (e *exprCompiler) bad(at int, msg string) bool {
+	e.err, e.errAt = msg, at
 	return false
 }
 
@@ -273,7 +277,7 @@ func (e *exprCompiler) ternary() bool {
 		return false
 	}
 	if e.peekOp() != ":" {
-		return e.bad("missing ':' in ternary expression")
+		return e.bad(e.pos, "missing ':' in ternary expression")
 	}
 	e.pos++
 	if !e.ternary() {
@@ -312,7 +316,7 @@ func (e *exprCompiler) binary(level int) bool {
 func (e *exprCompiler) unary() bool {
 	e.space()
 	if e.pos >= len(e.src) {
-		return e.bad("premature end of expression")
+		return e.bad(e.pos, "premature end of expression")
 	}
 	op := exprOp(0)
 	switch e.src[e.pos] {
@@ -329,7 +333,7 @@ func (e *exprCompiler) unary() bool {
 	defer func() { e.depth-- }()
 	switch {
 	case e.depth > maxNesting:
-		return e.bad(nestingMsg)
+		return e.bad(e.pos, nestingMsg)
 	case op == 0:
 		return e.primary()
 	}
@@ -351,13 +355,13 @@ func (e *exprCompiler) primary() bool {
 			return false
 		}
 		if e.space(); e.pos >= len(e.src) || e.src[e.pos] != ')' {
-			return e.bad("looking for close parenthesis")
+			return e.bad(e.pos, "looking for close parenthesis")
 		}
 		e.pos++
 		return true
 	case c == '$' && !e.isVarRef(e.pos):
 		e.pos++
-		e.emit(tText, "$")
+		e.emit(tText, "$", e.pos-1)
 		return e.operand(eStr, true, at)
 	case c == '$':
 		return e.operand(eSubst, e.variable(), at)
@@ -372,14 +376,14 @@ func (e *exprCompiler) primary() bool {
 	case isAlpha(c):
 		return e.function()
 	}
-	return e.bad(fmt.Sprintf("syntax error in expression at %q", e.src[e.pos:]))
+	return e.bad(e.pos, fmt.Sprintf("syntax error in expression at %q", e.src[e.pos:]))
 }
 
 // operand adds a leaf for the operand compiled into toks[at:]; a syntax
 // error inside it is the expression's.
 func (e *exprCompiler) operand(op exprOp, ok bool, at int) bool {
 	if !ok {
-		return e.bad(e.toks[len(e.toks)-1].text)
+		return e.bad(e.errAt, e.toks[len(e.toks)-1].text)
 	}
 	e.node(op, len(e.nodes), int64(at))
 	return true
@@ -393,7 +397,7 @@ func (e *exprCompiler) number() bool {
 		}
 		i, err := strconv.ParseInt(src[start:e.pos], 0, 64)
 		if err != nil {
-			return e.bad(fmt.Sprintf("malformed number %q", src[start:e.pos]))
+			return e.bad(start, fmt.Sprintf("malformed number %q", src[start:e.pos]))
 		}
 		e.node(eInt, len(e.nodes), i)
 		return true
@@ -425,7 +429,7 @@ func (e *exprCompiler) number() bool {
 	// Floats, and integers out of range, which fall back to float.
 	f, err := strconv.ParseFloat(tok, 64)
 	if err != nil {
-		return e.bad(fmt.Sprintf("malformed number %q", tok))
+		return e.bad(start, fmt.Sprintf("malformed number %q", tok))
 	}
 	e.node(eFloat, len(e.nodes), int64(math.Float64bits(f)))
 	return true
@@ -437,9 +441,9 @@ func (e *exprCompiler) function() bool {
 	for e.pos < len(e.src) && (isAlpha(e.src[e.pos]) || isDigit(e.src[e.pos])) {
 		e.pos++
 	}
-	at := e.emit(tText, e.src[name:e.pos])
+	at := e.emit(tText, e.src[name:e.pos], name)
 	if e.space(); e.pos >= len(e.src) || e.src[e.pos] != '(' {
-		return e.bad(fmt.Sprintf("syntax error in expression: unknown token %q", e.toks[at].text))
+		return e.bad(name, fmt.Sprintf("syntax error in expression: unknown token %q", e.toks[at].text))
 	}
 	e.pos++
 	if e.space(); e.pos < len(e.src) && e.src[e.pos] == ')' {
@@ -450,19 +454,19 @@ func (e *exprCompiler) function() bool {
 				return false
 			}
 			if e.space(); e.pos >= len(e.src) {
-				return e.bad("missing close parenthesis in function call")
+				return e.bad(e.pos, "missing close parenthesis in function call")
 			}
 			e.pos++
 			if e.src[e.pos-1] == ')' {
 				break
 			}
 			if e.src[e.pos-1] != ',' {
-				return e.bad("syntax error in function arguments")
+				return e.bad(e.pos-1, "syntax error in function arguments")
 			}
 		}
 	}
 	if !knownMathFunc(e.toks[at].text) {
-		return e.bad(fmt.Sprintf("unknown math function %q", e.toks[at].text))
+		return e.bad(name, fmt.Sprintf("unknown math function %q", e.toks[at].text))
 	}
 	e.node(eFunc, start, int64(at))
 	return true

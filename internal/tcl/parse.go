@@ -57,6 +57,15 @@ type compiler struct {
 	pos   int
 	toks  []token
 	depth int
+	// spans, when not nil, holds the source extent of each token, and
+	// a word keeps its tWord header even when it has one part, so the
+	// word's extent and its part's both survive. Only the syntax view
+	// (syntax.go) asks for it; the interpreter's compiles leave it nil.
+	spans []Span
+	// errAt is the source offset of the syntax error; open says the
+	// error is the source ending inside a brace, bracket or quote.
+	errAt int
+	open  bool
 }
 
 // compileScript compiles a script, reusing buf's storage when it is
@@ -66,32 +75,50 @@ func compileScript(src string, buf []token) []token {
 		buf = make([]token, 0, 4+len(src)/8)
 	}
 	c := &compiler{src: src, toks: buf[:0]}
-	c.script(false)
+	c.script(-1)
 	return c.toks
 }
 
-func (c *compiler) emit(kind tokKind, text string) int {
+// emit appends a token whose source starts at start and ends at pos,
+// or where close later puts the end of a container.
+func (c *compiler) emit(kind tokKind, text string, start int) int {
 	c.toks = append(c.toks, token{kind: kind, text: text})
+	if c.spans != nil {
+		c.spans = append(c.spans, Span{start, c.pos})
+	}
 	return len(c.toks) - 1
 }
 
-// fail emits a syntax error and reports false.
-func (c *compiler) fail(msg string) bool {
-	c.emit(tError, msg)
+// failAt emits a syntax error found at offset at and reports false.
+func (c *compiler) failAt(at int, msg string) bool {
+	c.errAt = at
+	c.emit(tError, msg, at)
 	return false
 }
 
+// failOpen reports the source ending inside the brace, bracket or
+// quote opened at at.
+func (c *compiler) failOpen(at int, msg string) bool {
+	c.open = true
+	return c.failAt(at, msg)
+}
+
 // close sets the token count of the container opened at at.
-func (c *compiler) close(at int) { c.toks[at].n = int32(len(c.toks) - at - 1) }
+func (c *compiler) close(at int) {
+	c.toks[at].n = int32(len(c.toks) - at - 1)
+	if c.spans != nil {
+		c.spans[at].End = c.pos
+	}
+}
 
 // closeWord finishes a tWord opened at at, dropping the header when the
-// word has fewer than two parts.
+// word has fewer than two parts and no spans are kept.
 func (c *compiler) closeWord(at int) {
 	c.close(at)
 	switch n := int(c.toks[at].n); {
 	case n == 0:
 		c.toks[at] = token{kind: tText}
-	case c.toks[at+1].extent() == n:
+	case c.spans == nil && c.toks[at+1].extent() == n:
 		c.toks = append(c.toks[:at], c.toks[at+1:]...)
 	}
 }
@@ -103,10 +130,11 @@ func (c *compiler) backslashNewline(i int) bool {
 	return c.src[i] == '\\' && i+1 < len(c.src) && c.src[i+1] == '\n'
 }
 
-// script compiles commands up to the end of the source or, when nested,
-// up to and including the unmatched ']'. It reports false after a
-// syntax error.
-func (c *compiler) script(nested bool) bool {
+// script compiles commands up to the end of the source or, for the
+// [script] whose '[' is at open, up to and including the unmatched ']';
+// open is -1 at top level. It reports false after a syntax error.
+func (c *compiler) script(open int) bool {
+	nested := open >= 0
 	for {
 		for c.pos < len(c.src) {
 			if ch := c.src[c.pos]; isBlank(ch) || ch == '\n' || ch == ';' {
@@ -119,7 +147,7 @@ func (c *compiler) script(nested bool) bool {
 		}
 		switch {
 		case c.pos >= len(c.src):
-			return !nested || c.fail("missing close-bracket")
+			return !nested || c.failOpen(open, "missing close-bracket")
 		case nested && c.src[c.pos] == ']':
 			c.pos++
 			return true
@@ -150,7 +178,7 @@ func (c *compiler) comment() {
 
 // command compiles the words of one command.
 func (c *compiler) command(nested bool) bool {
-	at := c.emit(tCmd, "")
+	at := c.emit(tCmd, "", c.pos)
 	for {
 		for c.pos < len(c.src) && (isBlank(c.src[c.pos]) || c.backslashNewline(c.pos)) {
 			if c.src[c.pos] == '\\' {
@@ -179,7 +207,7 @@ func (c *compiler) word(nested bool) bool {
 	case '"':
 		return c.quoted(false)
 	}
-	at := c.emit(tWord, "")
+	at := c.emit(tWord, "", c.pos)
 	mode := inBare
 	if nested {
 		mode = inNested
@@ -203,6 +231,7 @@ func (c *compiler) endsWord(i int) bool {
 // backslash-newline and the blanks after it become a single space.
 func (c *compiler) braced() bool {
 	depth := 0
+	open := c.pos
 	c.pos++ // '{'
 	run := c.pos
 	var esc []byte
@@ -229,28 +258,34 @@ func (c *compiler) braced() bool {
 				}
 				c.pos++
 				if !c.endsWord(c.pos) {
-					return c.fail("extra characters after close-brace")
+					return c.failAt(c.pos, "extra characters after close-brace")
 				}
-				c.emit(tText, text)
+				c.emit(tText, text, open)
 				return true
 			}
 			depth--
 		}
 		c.pos++
 	}
-	return c.fail("missing close-brace")
+	c.pos = len(c.src) // a final backslash steps past the end
+	return c.failOpen(open, "missing close-brace")
 }
 
 // quoted compiles a "..." word. Inside an expression an operator may
 // follow the closing quote directly.
 func (c *compiler) quoted(inExpr bool) bool {
+	open := c.pos
+	at := c.emit(tWord, "", open)
 	c.pos++ // '"'
-	at := c.emit(tWord, "")
 	ok := c.parts(inQuote)
-	if ok {
+	switch {
+	case !ok:
+	case c.pos >= len(c.src):
+		ok = c.failOpen(open, `missing "`)
+	default:
 		c.pos++ // '"'
 		if !inExpr && !c.endsWord(c.pos) {
-			ok = c.fail("extra characters after close-quote")
+			ok = c.failAt(c.pos, "extra characters after close-quote")
 		}
 	}
 	c.closeWord(at)
@@ -259,16 +294,17 @@ func (c *compiler) quoted(inExpr bool) bool {
 
 // parts compiles literal text, backslash sequences, $variables and
 // [scripts] up to the end that mode gives, leaving pos on the closing
-// '"' or ')'.
+// '"' or ')', or at the end of the source if it has none.
 func (c *compiler) parts(mode partMode) bool {
+	lit := c.pos   // start of the pending literal
 	run := c.pos   // start of the pending literal's unescaped tail
 	var esc []byte // the pending literal so far, once it has a backslash sequence
 	flush := func() {
 		if esc != nil {
-			c.emit(tText, string(append(esc, c.src[run:c.pos]...)))
+			c.emit(tText, string(append(esc, c.src[run:c.pos]...)), lit)
 			esc = nil
 		} else if run < c.pos {
-			c.emit(tText, c.src[run:c.pos])
+			c.emit(tText, c.src[run:c.pos], lit)
 		}
 	}
 	depth := 0
@@ -280,14 +316,14 @@ func (c *compiler) parts(mode partMode) bool {
 			if !c.variable() {
 				return false
 			}
-			run = c.pos
+			lit, run = c.pos, c.pos
 			continue
 		case ch == '[':
 			flush()
 			if !c.bracket() {
 				return false
 			}
-			run = c.pos
+			lit, run = c.pos, c.pos
 			continue
 		case ch == '\\':
 			if mode <= inNested && c.backslashNewline(c.pos) {
@@ -312,12 +348,6 @@ func (c *compiler) parts(mode partMode) bool {
 		c.pos++
 	}
 	flush()
-	switch mode {
-	case inQuote:
-		return c.fail(`missing "`)
-	case inIndex:
-		return c.fail("missing )")
-	}
 	return true
 }
 
@@ -329,30 +359,35 @@ func (c *compiler) isVarRef(i int) bool {
 
 // variable compiles $name, ${name} or $name(index) at pos.
 func (c *compiler) variable() bool {
+	start := c.pos
 	c.pos++ // '$'
 	if c.src[c.pos] == '{' {
 		end := strings.IndexByte(c.src[c.pos:], '}')
 		if end < 0 {
-			return c.fail("missing close-brace for variable name")
+			return c.failOpen(start, "missing close-brace for variable name")
 		}
-		c.emit(tVar, c.src[c.pos+1:c.pos+end])
 		c.pos += end + 1
+		c.emit(tVar, c.src[start+2:c.pos-1], start)
 		return true
 	}
-	start := c.pos
 	for c.pos < len(c.src) && isVarNameChar(c.src[c.pos]) {
 		c.pos++
 	}
-	at := c.emit(tVar, c.src[start:c.pos])
+	at := c.emit(tVar, c.src[start+1:c.pos], start)
 	if c.pos >= len(c.src) || c.src[c.pos] != '(' {
 		return true
 	}
+	paren := c.pos
 	c.pos++ // '('
 	ok := c.parts(inIndex)
-	c.close(at)
-	if ok {
+	switch {
+	case !ok:
+	case c.pos >= len(c.src):
+		ok = c.failAt(paren, "missing )")
+	default:
 		c.pos++ // ')'
 	}
+	c.close(at)
 	return ok
 }
 
@@ -364,18 +399,24 @@ func isVarNameChar(c byte) bool {
 // unmatched ']', so brackets inside its braces and quotes don't count.
 // A syntax error inside fails the whole bracket: none of it runs.
 func (c *compiler) bracket() bool {
+	open := c.pos
+	at := c.emit(tScript, "", open)
 	c.pos++ // '['
-	at := c.emit(tScript, "")
 	c.depth++
-	ok := c.depth <= maxNesting && c.script(true)
+	ok := c.depth <= maxNesting && c.script(open)
 	c.depth--
 	if !ok {
 		msg := nestingMsg
 		if len(c.toks) > at+1 {
 			msg = c.toks[len(c.toks)-1].text
+		} else {
+			c.errAt = open
 		}
 		c.toks = c.toks[:at]
-		return c.fail(msg)
+		if c.spans != nil {
+			c.spans = c.spans[:at]
+		}
+		return c.failAt(c.errAt, msg)
 	}
 	c.close(at)
 	return true

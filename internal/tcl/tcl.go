@@ -15,6 +15,12 @@
 // cache admits a text only the second time it is seen, so one-shot
 // scripts stay out, and it is discarded whole when it fills.
 //
+// Tools read Tcl through the same compiler (syntax.go): Parse and
+// CheckExpr turn on a table of source offsets kept beside the tokens,
+// Complete tells a shell whether a command is finished, and none of them
+// evaluates anything, so a linter or a shell sees exactly the commands,
+// words and syntax errors evaluation would.
+//
 // The package is self-contained: it has no knowledge of windows or X.
 // Applications embed it exactly as Figure 6 of the Tk paper shows: create
 // an Interp, register application-specific commands with Register, and

@@ -1,9 +1,7 @@
 package xserver
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"net"
 	"sync/atomic"
 	"time"
@@ -250,9 +248,8 @@ func (f *Farm) refuse(nc net.Conn, msg string) {
 
 // ServeConn runs the farm handshake on one connection, then hands it to
 // its session's server for the rest of its life. The first client
-// frame must arrive within attachTimeout; an AttachSession frame routes
-// by name, and any other first frame is replayed to the default
-// session ("") so pre-farm clients keep working against a farm of one.
+// frame must be an AttachSession naming the session ("" is the default
+// one), and must arrive within attachTimeout; anything else is refused.
 func (f *Farm) ServeConn(nc net.Conn) {
 	nc.SetReadDeadline(time.Now().Add(attachTimeout))
 	op, payload, err := xproto.ReadRequestFrame(nc)
@@ -261,27 +258,17 @@ func (f *Farm) ServeConn(nc net.Conn) {
 		return
 	}
 	nc.SetReadDeadline(time.Time{})
-	name := ""
-	if op == xproto.OpAttachSession {
-		var req xproto.AttachSessionReq
-		r := xproto.NewReader(payload)
-		req.Decode(r)
-		if r.Err() != nil {
-			f.refuse(nc, fmt.Sprintf("farm: malformed attach: %v", r.Err()))
-			return
-		}
-		name = req.Session
-	} else {
-		// Legacy first frame: put it back in front of the stream so the
-		// session server dispatches it as request #1.
-		frame := make([]byte, 0, len(payload)+6)
-		frame = append(frame, byte(op>>8), byte(op))
-		n := len(payload)
-		frame = append(frame, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-		frame = append(frame, payload...)
-		nc = &replayConn{Conn: nc, r: io.MultiReader(bytes.NewReader(frame), nc)}
+	if op != xproto.OpAttachSession {
+		f.refuse(nc, fmt.Sprintf("farm: first frame is %s, want AttachSession", xproto.OpName(op)))
+		return
 	}
-	sess, err := f.attach(name)
+	var req xproto.AttachSessionReq
+	r := xproto.NewReader(payload)
+	if req.Decode(r); r.Err() != nil {
+		f.refuse(nc, fmt.Sprintf("farm: malformed attach: %v", r.Err()))
+		return
+	}
+	sess, err := f.attach(req.Session)
 	if err != nil {
 		f.refuse(nc, err.Error())
 		return
@@ -291,14 +278,6 @@ func (f *Farm) ServeConn(nc net.Conn) {
 	f.connsGauge.Add(-1)
 	f.detach(sess)
 }
-
-// replayConn prepends already-read bytes to a connection's stream.
-type replayConn struct {
-	net.Conn
-	r io.Reader
-}
-
-func (rc *replayConn) Read(p []byte) (int, error) { return rc.r.Read(p) }
 
 // Serve accepts connections on l until the listener is closed.
 func (f *Farm) Serve(l net.Listener) {

@@ -480,39 +480,36 @@ func TestAttachSessionAgainstPlainServer(t *testing.T) {
 	}
 }
 
-// TestFarmLegacyFirstFrameReplay: a client that speaks a normal request
-// first (no attach handshake) lands in the default session and its
-// first frame is dispatched as request #1, not lost. Raw wire frames:
-// xclient.Open cannot stand in here because it reads the setup block
-// before sending anything, and a farm needs the client to speak first.
-func TestFarmLegacyFirstFrameReplay(t *testing.T) {
+// TestFarmRefusesNonAttachFirstFrame: a client that speaks a normal
+// request first, with no attach handshake, is refused at once with the
+// sequence-0 error frame, and no session is created for it. Raw wire
+// frames: xclient.Open reads the setup block before sending anything,
+// and a farm needs the client to speak first.
+func TestFarmRefusesNonAttachFirstFrame(t *testing.T) {
 	f := NewFarm(FarmOptions{Width: 160, Height: 120})
 	defer f.Close()
 	nc := f.ConnectPipe()
 	defer nc.Close()
 
+	// One write, so the farm reads all of it before it hangs up.
 	done := make(chan error, 1)
-	go func() { done <- xproto.WriteRequestFrame(nc, xproto.OpPing, nil) }()
-	kind, _, err := xproto.ReadServerFrame(nc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != xproto.KindReply {
-		t.Fatalf("setup frame kind = %d, want reply", kind)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	go func() {
+		_, err := nc.Write(xproto.AppendRequestFrame(nil, &xproto.PingReq{}))
+		done <- err
+	}()
 	kind, payload, err := xproto.ReadServerFrame(nc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := xproto.NewReader(payload)
-	if seq := r.U64(); kind != xproto.KindReply || seq != 1 {
-		t.Fatalf("replayed ping answered with kind=%d seq=%d, want reply seq=1", kind, seq)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := f.Lookup(""); !ok {
-		t.Fatal("legacy client did not land in the default session")
+	r := xproto.NewReader(payload)
+	if seq, msg := r.U64(), r.String(); kind != xproto.KindError || seq != 0 || !strings.Contains(msg, "want AttachSession") {
+		t.Fatalf("first-frame Ping answered with kind=%d seq=%d %q, want the sequence-0 refusal", kind, seq, msg)
+	}
+	if _, ok := f.Lookup(""); ok {
+		t.Fatal("a refused client created the default session")
 	}
 }
 
