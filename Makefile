@@ -1,5 +1,6 @@
-# Pre-PR gate: build, vet, race-gated tests, tkcheck over every Tcl
-# script in the tree (docs/static-analysis.md), the frame-decoder, Tcl,
+# Pre-PR gate: build, vet, gofmt over every tracked Go file,
+# race-gated tests, tkcheck over every Tcl script and Go package in the
+# tree (docs/static-analysis.md), the frame-decoder, Tcl,
 # option-database and Tcl-linter fuzz smoke, the observability smoke
 # (docs/observability.md), the tkbench smoke (cmd/tkbench/README.md),
 # and the chaos harness (docs/fault-injection.md). All legs must pass
@@ -7,15 +8,21 @@
 
 GO ?= go
 
-.PHONY: check build vet test tkcheck fuzz-smoke bench bench-smoke bench-farm bench-wire tkbench-smoke chaos
+.PHONY: check build vet fmt test tkcheck fuzz-smoke bench bench-smoke bench-farm bench-wire tkbench-smoke chaos
 
-check: build vet test tkcheck fuzz-smoke bench-smoke tkbench-smoke chaos
+check: build vet fmt test tkcheck fuzz-smoke bench-smoke tkbench-smoke chaos
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when gofmt -l prints anything for the tracked Go files: a
+# file it would reformat, or one it cannot parse.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go') 2>&1); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test -race ./...

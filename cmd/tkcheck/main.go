@@ -3,22 +3,23 @@
 // script literals Go sources pass to Eval/MustEval — against the live
 // command registry without evaluating them, recursing into deferred
 // scripts (bind bodies, -command options, after and send arguments),
-// and runs six Go analyzers: lock discipline for "guarded by mu"
-// fields, the whole-program lock-order graph, pooled-value lifetime,
-// the metrics-name registry (Go names vs the docs/observability.md
-// registry block), xproto opcode completeness, and package doc
-// comments on internal packages.
+// and runs six Go analyzers over type-checked packages: lock
+// discipline for "guarded by mu" fields, the whole-program lock-order
+// graph, pooled-value lifetime, the metrics-name registry (Go names vs
+// the docs/observability.md registry block), xproto opcode
+// completeness, and package doc comments on internal packages.
 //
 // Usage:
 //
-//	tkcheck [-tests] [-known name,...] [-json] [-time] [-j N] target ...
+//	tkcheck [-tests] [-known name,...] [-json] [-time] target ...
 //
 // Targets are .tcl, .go, or .md files, directories, or dir/...
-// patterns. Analysis fans out across CPUs (cap it with -j); output
-// order is deterministic regardless. -json emits one machine-readable
-// report on stdout instead of the human lines; -time prints
-// per-analyzer wall time to stderr. Exits 1 when any diagnostic is
-// reported, 2 on usage or read/parse errors.
+// patterns. The Go analyzers import dependencies from compiled export
+// data, so checking Go code needs the go command on PATH. Output order
+// is deterministic. -json emits one machine-readable report on stdout
+// instead of the human lines; -time prints per-analyzer wall time to
+// stderr. Exits 1 when any diagnostic is reported, 2 on usage, read,
+// parse or export-data errors.
 package main
 
 import (
@@ -43,17 +44,15 @@ func run(args []string, out, errOut io.Writer) int {
 	known := fs.String("known", "", "comma-separated extra command names to treat as known")
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON report on stdout")
 	timings := fs.Bool("time", false, "print per-analyzer timing to stderr")
-	jobs := fs.Int("j", 0, "max parallel analysis workers (0 = one per CPU)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() == 0 {
-		fmt.Fprintln(errOut, "usage: tkcheck [-tests] [-known name,...] [-json] [-time] [-j N] target ...")
+		fmt.Fprintln(errOut, "usage: tkcheck [-tests] [-known name,...] [-json] [-time] target ...")
 		return 2
 	}
 	r := lint.NewRunner()
 	r.IncludeTests = *tests
-	r.Jobs = *jobs
 	for _, name := range strings.Split(*known, ",") {
 		if name = strings.TrimSpace(name); name != "" {
 			r.Reg.AddKnown(name)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -131,22 +133,6 @@ func TestGoldenJSONOutput(t *testing.T) {
 	}
 }
 
-// TestJobsFlagDeterministic runs the same mixed target set with -j 1
-// and -j 8: stdout must be identical.
-func TestJobsFlagDeterministic(t *testing.T) {
-	targets := []string{fixtures + "/lockorder", fixtures + "/pool", fixtures + "/locks", fixtures + "/arity.tcl"}
-	_, serial, _ := runCheck(t, append([]string{"-j", "1"}, targets...)...)
-	if !strings.Contains(serial, "problem(s)") {
-		t.Fatalf("expected diagnostics, got:\n%s", serial)
-	}
-	for i := 0; i < 5; i++ {
-		_, parallel, _ := runCheck(t, append([]string{"-j", "8"}, targets...)...)
-		if parallel != serial {
-			t.Fatalf("parallel output differs from serial:\n--- j1\n%s\n--- j8\n%s", serial, parallel)
-		}
-	}
-}
-
 func TestKnownFlag(t *testing.T) {
 	code, _, _ := runCheck(t, fixtures+"/unknown.tcl")
 	if code != 1 {
@@ -167,5 +153,15 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if code, _, _ := runCheck(t, "-bogusflag"); code != 2 {
 		t.Error("bad flag should exit 2")
+	}
+	// A Go package whose import has no export data cannot be
+	// type-checked: that is an error, not a silent pass.
+	dir := t.TempDir()
+	src := "package p\n\nimport _ \"repro/internal/nosuch\"\n"
+	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, errOut := runCheck(t, dir); code != 2 || !strings.Contains(errOut, "go list -export") {
+		t.Errorf("unbuildable import: exit = %d, stderr %q; want 2 and the go list error", code, errOut)
 	}
 }

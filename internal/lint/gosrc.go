@@ -2,9 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"os"
 	"strconv"
 	"strings"
 )
@@ -18,20 +16,6 @@ import (
 // the known set, and procs defined by any script in the file are
 // visible to all of its scripts — "send jukebox {play ...}" in one
 // Eval resolves against the proc another Eval defines.
-
-// LintGoFile lints the Tcl script literals in one Go source file.
-func LintGoFile(path string, reg *Registry) ([]Diag, error) {
-	srcBytes, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, path, srcBytes, parser.ParseComments)
-	if err != nil {
-		return nil, err
-	}
-	return lintGoFile(fset, f, string(srcBytes), path, reg), nil
-}
 
 type goScript struct {
 	content string

@@ -9,11 +9,11 @@
 // arity/subcommand spec table. Deferred script arguments — bind
 // bodies, -command options, after and send scripts — are linted
 // recursively, so callback errors are caught at load time instead of
-// event time. Tier 2 is six Go analyzers built on go/ast alone: lock
-// discipline driven by "guarded by mu" field annotations, the
-// whole-program lock-order graph, pooled-value lifetime, the
-// metrics-name registry, xproto opcode completeness, and package doc
-// comments. See docs/static-analysis.md.
+// event time. Tier 2 is six Go analyzers over packages type-checked
+// with go/types: lock discipline driven by "guarded by mu" field
+// annotations, the whole-program lock-order graph, pooled-value
+// lifetime, the metrics-name registry, xproto opcode completeness, and
+// package doc comments. See docs/static-analysis.md.
 package lint
 
 import (
@@ -34,19 +34,10 @@ type Diag struct {
 	Col  int
 	Rule string
 	Msg  string
-	// Severity is "error" or "warning"; the zero value means "error".
-	Severity string
 }
 
 func (d Diag) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s [%s]", d.File, d.Line, d.Col, d.Msg, d.Rule)
-}
-
-func (d Diag) severity() string {
-	if d.Severity == "" {
-		return "error"
-	}
-	return d.Severity
 }
 
 // SortDiags orders diagnostics by file, then position, then rule and
@@ -96,7 +87,7 @@ func WriteJSON(w io.Writer, diags []Diag) error {
 	for _, d := range diags {
 		rep.Diagnostics = append(rep.Diagnostics, jsonDiag{
 			File: d.File, Line: d.Line, Col: d.Col,
-			Analyzer: d.Rule, Severity: d.severity(), Message: d.Msg,
+			Analyzer: d.Rule, Severity: "error", Message: d.Msg,
 		})
 	}
 	enc := json.NewEncoder(w)

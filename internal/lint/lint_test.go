@@ -2,8 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"testing"
@@ -168,8 +167,9 @@ func TestProcSharingAcrossScripts(t *testing.T) {
 // analyzer: the declared chain on box is enforced edge by edge
 // (direct, through a leaf group, across independent chains, and one
 // call level deep), cycles are reported whether or not the mutexes are
-// declared, and same-class nesting is allowed only through the
-// conditionally swapped pair idiom.
+// declared, same-class nesting is allowed only through the
+// conditionally swapped pair idiom, and mutexes reached through
+// promoted fields keep the class of the struct that declares them.
 func TestLockOrderFixture(t *testing.T) {
 	assertDiags(t, checkFixture(t, filepath.Join("testdata", "lockorder")), []string{
 		`testdata/lockorder/lockorder.go:43:2: box.first acquired while box.second is held, contradicting the declared lock order (box.first is ordered before box.second) [lockorder]`,
@@ -179,6 +179,7 @@ func TestLockOrderFixture(t *testing.T) {
 		`testdata/lockorder/lockorder.go:74:2: box.leafA acquired while box.leafB is held (via call to box.lockLeafA), but both are members of the same lock-order leaf group (group members must not nest) [lockorder]`,
 		`testdata/lockorder/lockorder.go:74:2: lock-order cycle: box.leafA -> box.leafB -> box.leafA (via call to box.lockLeafA) [lockorder]`,
 		`testdata/lockorder/lockorder.go:93:2: cell.mu acquired in unorderedPair while another cell.mu is already held (no ordered-pair idiom: lock both through a conditionally swapped lo/hi pair) [lockorder]`,
+		`testdata/lockorder/lockorder.go:108:2: box.solo acquired while box.leafB is held, but the lock-order declaration puts them on independent chains (they must never be held together) [lockorder]`,
 	})
 }
 
@@ -196,19 +197,64 @@ type s struct{ a, b sync.Mutex }
 func (x *s) f() { x.a.Lock(); x.b.Lock(); x.b.Unlock(); x.a.Unlock() }
 func (x *s) g() { x.b.Lock(); x.a.Lock(); x.a.Unlock(); x.b.Unlock() }
 `
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "reorder.go", src, parser.ParseComments)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "reorder.go")
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	diags := CheckLockOrder(fset, []*ast.File{f})
-	if len(diags) != 1 {
-		t.Fatalf("diags = %v, want exactly the cycle", diags)
+	assertDiags(t, checkFixture(t, path), []string{
+		path + `:8:31: lock-order cycle: s.a -> s.b -> s.a [lockorder]`,
+	})
+}
+
+// TestPathsThatLeaveDoNotJoin pins the shared walker's branch rule: a
+// switch case that returns and an if branch that panics do not flow
+// into the code after them, while a branch that falls through does.
+func TestPathsThatLeaveDoNotJoin(t *testing.T) {
+	src := `package p
+
+import "sync"
+
+type s struct {
+	mu sync.Mutex
+	n  int // guarded by mu
+}
+
+func (x *s) caseReturns(k int) {
+	x.mu.Lock()
+	switch k {
+	case 1:
+		x.mu.Unlock()
+		return
 	}
-	want := "lock-order cycle: s.a -> s.b -> s.a"
-	if diags[0].Msg != want {
-		t.Fatalf("msg = %q, want %q", diags[0].Msg, want)
+	x.n++
+	x.mu.Unlock()
+}
+
+func (x *s) branchPanics(k int) {
+	x.mu.Lock()
+	if k == 1 {
+		x.mu.Unlock()
+		panic(k)
 	}
+	x.n++
+	x.mu.Unlock()
+}
+
+func (x *s) branchFallsThrough(k int) {
+	x.mu.Lock()
+	if k == 1 {
+		x.mu.Unlock()
+	}
+	x.n++
+}
+`
+	path := filepath.Join(t.TempDir(), "paths.go")
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	assertDiags(t, checkFixture(t, path), []string{
+		path + `:36:4: s.n (guarded by mu) accessed without holding mu [locks]`,
+	})
 }
 
 // TestPoolFixture exercises the pool-lifetime analyzer: leaks on early
@@ -231,56 +277,16 @@ func TestPoolFixture(t *testing.T) {
 }
 
 // TestMetricsRegistryFixture exercises the metrics-name registry: the
-// documented literal, const, wrapper and "prefix."+expr names all
-// match, the undocumented counter and the stale registry entry are
-// flagged from their respective sides, and a truly dynamic name is
-// reported as uncheckable.
+// documented literal, const, const-joined, wrapper and "prefix."+expr
+// names all match, the undocumented counter and the stale registry
+// entry are flagged from their respective sides, and a truly dynamic
+// name is reported as uncheckable.
 func TestMetricsRegistryFixture(t *testing.T) {
 	assertDiags(t, checkFixture(t, filepath.Join("testdata", "metricsreg")), []string{
 		`testdata/metricsreg/metrics.go:32:12: metric "undocumented.count" is not documented in the metrics registry (add it to the metrics-registry block in docs/observability.md) [metrics]`,
 		`testdata/metricsreg/metrics.go:36:12: metric name is dynamic (not a string literal, package const, wrapper parameter, or "prefix."+expr) and cannot be checked against the registry [metrics]`,
 		`testdata/metricsreg/registry.md:12:1: documented metric "ghost.metric" is not constructed anywhere in the scanned Go code (stale registry entry?) [metrics]`,
 	})
-}
-
-// TestDeterministicParallelOrder runs the same multi-target check
-// serially and with a saturated worker pool: the diagnostics must come
-// back identical, byte for byte, regardless of scheduling.
-func TestDeterministicParallelOrder(t *testing.T) {
-	targets := []string{
-		filepath.Join("testdata", "locks"),
-		filepath.Join("testdata", "lockorder"),
-		filepath.Join("testdata", "pool"),
-		filepath.Join("testdata", "metricsreg"),
-		filepath.Join("testdata", "opcodes"),
-		filepath.Join("testdata", "arity.tcl"),
-		filepath.Join("testdata", "unknown.tcl"),
-	}
-	run := func(jobs int) []string {
-		r := NewRunner()
-		r.Jobs = jobs
-		for _, tgt := range targets {
-			if err := r.Check(tgt); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var got []string
-		for _, d := range r.Finish() {
-			got = append(got, d.String())
-		}
-		if errs := r.Errs(); len(errs) > 0 {
-			t.Fatalf("unexpected errors: %v", errs)
-		}
-		return got
-	}
-	serial := run(1)
-	if len(serial) == 0 {
-		t.Fatal("fixtures produced no diagnostics; the comparison is vacuous")
-	}
-	for i := 0; i < 10; i++ {
-		parallel := run(8)
-		assertDiags(t, parallel, serial)
-	}
 }
 
 // TestPkgdocFixture exercises the package-doc analyzer: the undocumented
@@ -290,4 +296,64 @@ func TestPkgdocFixture(t *testing.T) {
 	assertDiags(t, checkFixture(t, filepath.Join("testdata", "pkgdoc")+string(filepath.Separator)+"..."), []string{
 		`testdata/pkgdoc/internal/nodoc/nodoc.go:1:1: package nodoc has no package doc comment (want a "Package ..." comment on one file's package clause) [pkgdoc]`,
 	})
+}
+
+// TestTreeMutexOpsHaveClasses loads the packages make tkcheck checks
+// and asserts that the lock analyzers name the mutex of every Lock,
+// RLock, Unlock and RUnlock call of a sync or obs timed mutex, so that
+// a form they cannot name fails here instead of dropping out of the
+// lock graph unseen.
+func TestTreeMutexOpsHaveClasses(t *testing.T) {
+	for _, leg := range []struct {
+		tests   bool
+		targets []string
+	}{
+		{false, []string{"../../examples/...", "../../cmd/...", "../../internal/..."}},
+		{true, []string{"../../cmd/wish"}},
+	} {
+		r := NewRunner()
+		r.IncludeTests = leg.tests
+		for _, target := range leg.targets {
+			if err := r.Check(target); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ops := 0
+		for _, p := range r.loadGo() {
+			for _, f := range p.files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					switch sel.Sel.Name {
+					case "Lock", "RLock", "Unlock", "RUnlock":
+					default:
+						return true
+					}
+					pos := p.fset.Position(call.Pos())
+					if p.info.Selections[sel] == nil {
+						t.Errorf("%s: no type information for %s", pos, types.ExprString(call.Fun))
+					} else if x, _, ok := mutexOp(p.info, call); ok {
+						ops++
+						if lockClass(p.info, x) == "" {
+							t.Errorf("%s: the lock analyzers cannot name the mutex of %s", pos, types.ExprString(call.Fun))
+						}
+					}
+					return true
+				})
+			}
+		}
+		if errs := r.Errs(); len(errs) > 0 {
+			t.Fatal(errs)
+		}
+		if ops == 0 {
+			t.Fatalf("%v: no mutex operations found", leg.targets)
+		}
+		t.Logf("%v: %d mutex operations", leg.targets, ops)
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -24,16 +26,11 @@ import (
 // Mutex identity is the *class*, not the instance: "Server.treeMu" is
 // the treeMu field of any Server, "pixmap.mu" is the mu field of any
 // pixmap, and a package-level "var patternMu sync.Mutex" is just
-// "patternMu". The analysis is interprocedural one call level deep
-// through same-package helpers: when f calls g while holding H, every
-// mutex g (or a function g directly calls) acquires becomes an edge
-// from H. Like the rest of tkcheck it is syntactic — types are
-// resolved from declarations in the files at hand (receiver and
-// parameter types, struct field types, same-package function results
-// with single-parameter generic substitution), and anything it cannot
-// resolve is skipped rather than guessed.
-
-// A mutex class is named "Struct.field" or "pkgvar".
+// "patternMu". The type checker names both the mutex a call locks and
+// the function a call invokes, so the analysis is interprocedural one
+// call level deep through same-package functions and methods: when f
+// calls g while holding H, every mutex g (or a function g directly
+// calls) acquires becomes an edge from H.
 
 // chainPos places a declared mutex within the declared order: its
 // chain index and its level along that chain. Mutexes on different
@@ -43,37 +40,33 @@ type chainPos struct {
 	chain, level int
 }
 
-// lockDecls is the parsed "// lock-order:" declaration set of one
-// package.
-type lockDecls struct {
-	rank map[string]chainPos
-	pos  token.Pos // position of the first declaration block
-}
-
-// CheckLockOrder analyzes one package's files.
-func CheckLockOrder(fset *token.FileSet, files []*ast.File) []Diag {
-	env := newPkgEnv(files)
-	if len(env.mutexes) == 0 {
-		return nil
-	}
+// checkLockOrder analyzes one package.
+func checkLockOrder(p *goPackage) []Diag {
 	var diags []Diag
-	decls := parseLockOrderDecls(fset, files, env, &diags)
+	rank := parseLockOrderDecls(p, &diags)
 
 	// First pass: per-function walks collect direct acquisitions,
 	// held-at acquisition edges, and calls made while holding locks.
-	summaries := make(map[string]*funcSummary)
+	summaries := make(map[*types.Func]*funcSummary)
 	var walks []*lockOrderWalk
-	for _, f := range files {
+	for _, f := range p.files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			w := newLockOrderWalk(fset, env, fd)
-			w.block(fd.Body.List, make(map[string]string))
+			w := &lockOrderWalk{
+				fset:         p.fset,
+				info:         p.info,
+				funcName:     fd.Name.Name,
+				orderedPairs: collectOrderedPairs(fd.Body),
+				summary:      &funcSummary{acquires: make(map[string]token.Pos), calls: make(map[*types.Func]bool)},
+			}
+			w.flow = flow[map[string]string]{info: p.info, hooks: w}
+			w.flow.body(fd.Body, w.fresh())
 			walks = append(walks, w)
-			if w.key != "" {
-				summaries[w.key] = w.summary
+			if fn, ok := p.info.Defs[fd.Name].(*types.Func); ok {
+				summaries[fn] = w.summary
 			}
 		}
 	}
@@ -98,13 +91,9 @@ func CheckLockOrder(fset *token.FileSet, files []*ast.File) []Diag {
 			addEdge(acq.held, acq.acquired, acq.pos, "")
 		}
 		for _, call := range w.heldCalls {
-			sum := summaries[call.callee]
-			if sum == nil {
-				continue
-			}
 			for m := range effectiveAcquires(call.callee, summaries, 1) {
 				for _, h := range call.held {
-					addEdge(h, m, call.pos, fmt.Sprintf(" (via call to %s)", call.callee))
+					addEdge(h, m, call.pos, fmt.Sprintf(" (via call to %s)", funcName(call.callee)))
 				}
 			}
 		}
@@ -113,7 +102,7 @@ func CheckLockOrder(fset *token.FileSet, files []*ast.File) []Diag {
 
 	// Declared-order check: every edge must be consistent with the
 	// declaration.
-	if decls != nil {
+	if rank != nil {
 		froms := make([]string, 0, len(edges))
 		for from := range edges {
 			froms = append(froms, from)
@@ -127,28 +116,28 @@ func CheckLockOrder(fset *token.FileSet, files []*ast.File) []Diag {
 			sort.Strings(tos)
 			for _, to := range tos {
 				e := edges[from][to]
-				fp, fok := decls.rank[from]
-				tp, tok := decls.rank[to]
+				fp, fok := rank[from]
+				tp, tok := rank[to]
 				if !fok || !tok {
 					continue
 				}
-				p := fset.Position(e.pos)
+				pos := p.fset.Position(e.pos)
 				switch {
 				case fp.chain != tp.chain:
 					diags = append(diags, Diag{
-						File: p.Filename, Line: p.Line, Col: p.Column, Rule: "lockorder",
+						File: pos.Filename, Line: pos.Line, Col: pos.Column, Rule: "lockorder",
 						Msg: fmt.Sprintf("%s acquired while %s is held%s, but the lock-order declaration puts them on independent chains (they must never be held together)",
 							to, from, e.site),
 					})
 				case fp.level == tp.level:
 					diags = append(diags, Diag{
-						File: p.Filename, Line: p.Line, Col: p.Column, Rule: "lockorder",
+						File: pos.Filename, Line: pos.Line, Col: pos.Column, Rule: "lockorder",
 						Msg: fmt.Sprintf("%s acquired while %s is held%s, but both are members of the same lock-order leaf group (group members must not nest)",
 							to, from, e.site),
 					})
 				case fp.level > tp.level:
 					diags = append(diags, Diag{
-						File: p.Filename, Line: p.Line, Col: p.Column, Rule: "lockorder",
+						File: pos.Filename, Line: pos.Line, Col: pos.Column, Rule: "lockorder",
 						Msg: fmt.Sprintf("%s acquired while %s is held%s, contradicting the declared lock order (%s is ordered before %s)",
 							to, from, e.site, to, from),
 					})
@@ -158,13 +147,274 @@ func CheckLockOrder(fset *token.FileSet, files []*ast.File) []Diag {
 	}
 
 	// Cycle check over the whole graph, declared or not.
-	diags = append(diags, findLockCycles(fset, edges)...)
+	diags = append(diags, findLockCycles(p.fset, edges)...)
 	return diags
+}
+
+// mutexOp decodes a Lock, RLock, Unlock or RUnlock call of a sync or
+// obs timed mutex's method. x is the operand, x.mu in x.mu.Lock(), or
+// the value a mutex is embedded in.
+func mutexOp(info *types.Info, call *ast.CallExpr) (x ast.Expr, acquire, ok bool) {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel {
+		return nil, false, false
+	}
+	switch sel.Sel.Name {
+	case "Lock", "RLock":
+		acquire = true
+	case "Unlock", "RUnlock":
+	default:
+		return nil, false, false
+	}
+	m := info.Selections[sel]
+	if m == nil || m.Kind() != types.MethodVal || !isMutex(m.Obj().Type().(*types.Signature).Recv().Type()) {
+		return nil, false, false
+	}
+	return ast.Unparen(sel.X), acquire, true
+}
+
+// mutexTypes are the mutexes the lock analyzers know, by package and
+// type name.
+var mutexTypes = map[string]bool{
+	"sync.Mutex": true, "sync.RWMutex": true,
+	"obs.TimedMutex": true, "obs.TimedRWMutex": true,
+}
+
+// isMutex reports whether t is one of mutexTypes or a pointer to one.
+func isMutex(t types.Type) bool {
+	n := namedOf(t)
+	return n != nil && n.Obj().Pkg() != nil && mutexTypes[n.Obj().Pkg().Name()+"."+n.Obj().Name()]
+}
+
+// lockClass names the mutex x denotes: "Type.field" for a field of a
+// named struct type (the struct that declares the field, for a
+// promoted one) and the bare name for a package-level variable. It
+// returns "" for any other form, such as a mutex embedded in x, a
+// local variable or an element of a slice.
+func lockClass(info *types.Info, x ast.Expr) string {
+	if !isMutex(info.TypeOf(x)) {
+		return ""
+	}
+	var id *ast.Ident
+	switch x := x.(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		if m := info.Selections[x]; m != nil {
+			t := m.Recv()
+			path := m.Index()
+			for _, i := range path[:len(path)-1] {
+				if ptr, ok := t.Underlying().(*types.Pointer); ok {
+					t = ptr.Elem()
+				}
+				t = t.Underlying().(*types.Struct).Field(i).Type()
+			}
+			if n := namedOf(t); n != nil {
+				return n.Obj().Name() + "." + x.Sel.Name
+			}
+			return ""
+		}
+		id = x.Sel
+	default:
+		return ""
+	}
+	if v, ok := info.Uses[id].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+		return v.Name()
+	}
+	return ""
+}
+
+// mutexClasses lists the mutex classes a package declares.
+func mutexClasses(pkg *types.Package) map[string]bool {
+	classes := make(map[string]bool)
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		switch obj := scope.Lookup(name).(type) {
+		case *types.TypeName:
+			st, ok := obj.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if isMutex(st.Field(i).Type()) {
+					classes[name+"."+st.Field(i).Name()] = true
+				}
+			}
+		case *types.Var:
+			if isMutex(obj.Type()) {
+				classes[name] = true
+			}
+		}
+	}
+	return classes
+}
+
+// funcSummary is one function's contribution to the interprocedural
+// pass: the mutex classes it acquires directly and the functions it
+// calls.
+type funcSummary struct {
+	acquires map[string]token.Pos
+	calls    map[*types.Func]bool
+}
+
+type acqEdgeRec struct {
+	held     string
+	acquired string
+	pos      token.Pos
+}
+
+type heldCallRec struct {
+	callee *types.Func
+	held   []string
+	pos    token.Pos
+}
+
+// lockOrderWalk walks one function, tracking which mutex classes are
+// held, each mapped to the identifier that locked it (for the pair
+// idiom). Deferred unlocks keep their locks held, closures inherit the
+// current state and go-closures start empty, as in the lock-discipline
+// analyzer.
+type lockOrderWalk struct {
+	flow         flow[map[string]string]
+	fset         *token.FileSet
+	info         *types.Info
+	funcName     string
+	orderedPairs map[string]bool
+	summary      *funcSummary
+	acqEdges     []acqEdgeRec
+	heldCalls    []heldCallRec
+	diags        []Diag
+}
+
+func (w *lockOrderWalk) fresh() map[string]string { return make(map[string]string) }
+
+func (w *lockOrderWalk) fork(held map[string]string) map[string]string { return maps.Clone(held) }
+
+// join keeps a mutex held only if both paths hold it.
+func (w *lockOrderWalk) join(held, other map[string]string) map[string]string {
+	maps.DeleteFunc(held, func(k, _ string) bool {
+		_, ok := other[k]
+		return !ok
+	})
+	return held
+}
+
+func (w *lockOrderWalk) stmt(ast.Stmt, map[string]string) bool { return false }
+
+func (w *lockOrderWalk) exit(token.Pos, map[string]string) {}
+
+// visit applies lock effects and records call facts.
+func (w *lockOrderWalk) visit(n ast.Node, held map[string]string) bool {
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		if x, acquire, ok := mutexOp(w.info, n); ok {
+			class := lockClass(w.info, x)
+			switch {
+			case class == "":
+			case acquire:
+				locker := ""
+				if sel, ok := x.(*ast.SelectorExpr); ok {
+					if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
+						locker = id.Name
+					}
+				}
+				w.acquire(class, locker, n.Pos(), held)
+			default:
+				delete(held, class)
+			}
+			return false
+		}
+		if fn := callee(w.info, n); fn != nil {
+			w.summary.calls[fn] = true
+			if len(held) > 0 {
+				keys := make([]string, 0, len(held))
+				for k := range held {
+					keys = append(keys, k)
+				}
+				sort.Strings(keys)
+				w.heldCalls = append(w.heldCalls, heldCallRec{callee: fn, held: keys, pos: n.Pos()})
+			}
+		}
+	case *ast.FuncLit:
+		w.flow.block(n.Body.List, w.fork(held))
+		return false
+	}
+	return true
+}
+
+// acquire records a Lock/RLock of class through locker while held.
+func (w *lockOrderWalk) acquire(class, locker string, pos token.Pos, held map[string]string) {
+	if _, seen := w.summary.acquires[class]; !seen {
+		w.summary.acquires[class] = pos
+	}
+	for h, hLocker := range held {
+		if h != class {
+			w.acqEdges = append(w.acqEdges, acqEdgeRec{held: h, acquired: class, pos: pos})
+			continue
+		}
+		// Same class twice: fine only through the ordered-pair idiom.
+		if locker != "" && hLocker != "" && locker != hLocker && w.orderedPairs[pairKey(locker, hLocker)] {
+			continue
+		}
+		p := w.fset.Position(pos)
+		w.diags = append(w.diags, Diag{
+			File: p.Filename, Line: p.Line, Col: p.Column, Rule: "lockorder",
+			Msg: fmt.Sprintf("%s acquired in %s while another %s is already held (no ordered-pair idiom: lock both through a conditionally swapped lo/hi pair)",
+				class, w.funcName, class),
+		})
+	}
+	if _, already := held[class]; !already {
+		held[class] = locker
+	}
+}
+
+// collectOrderedPairs finds the ascending-order pair idiom: an if
+// statement whose condition is an ordering comparison and whose body
+// swaps exactly two identifiers (lo, hi = b, a). Locking the same
+// mutex class through both identifiers of such a pair is a
+// deterministic acquisition order, not a deadlock.
+func collectOrderedPairs(body *ast.BlockStmt) map[string]bool {
+	pairs := make(map[string]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		ifs, ok := n.(*ast.IfStmt)
+		if !ok {
+			return true
+		}
+		cmp, ok := ifs.Cond.(*ast.BinaryExpr)
+		if !ok {
+			return true
+		}
+		switch cmp.Op {
+		case token.LSS, token.GTR, token.LEQ, token.GEQ:
+		default:
+			return true
+		}
+		for _, st := range ifs.Body.List {
+			as, ok := st.(*ast.AssignStmt)
+			if !ok || len(as.Lhs) != 2 {
+				continue
+			}
+			a, aok := as.Lhs[0].(*ast.Ident)
+			b, bok := as.Lhs[1].(*ast.Ident)
+			if aok && bok {
+				pairs[pairKey(a.Name, b.Name)] = true
+			}
+		}
+		return true
+	})
+	return pairs
+}
+
+func pairKey(a, b string) string {
+	if b < a {
+		a, b = b, a
+	}
+	return a + "|" + b
 }
 
 // effectiveAcquires returns the mutexes callee acquires directly plus,
 // when depth > 0, those acquired by functions callee directly calls.
-func effectiveAcquires(callee string, summaries map[string]*funcSummary, depth int) map[string]bool {
+func effectiveAcquires(callee *types.Func, summaries map[*types.Func]*funcSummary, depth int) map[string]bool {
 	out := make(map[string]bool)
 	sum := summaries[callee]
 	if sum == nil {
@@ -276,13 +526,13 @@ func normalizeCycle(cyc []string) string {
 // mutex field of another struct in the package, and a package-level
 // mutex variable is named bare on a struct of the package that anchors
 // the declaration. Separate lines are independent chains: two mutexes
-// on different chains must never be held together. Returns nil when
-// the package declares nothing.
-func parseLockOrderDecls(fset *token.FileSet, files []*ast.File, env *pkgEnv, diags *[]Diag) *lockDecls {
-	d := &lockDecls{rank: make(map[string]chainPos)}
+// on different chains must never be held together. It returns each
+// declared mutex's place, or nil when the package declares nothing.
+func parseLockOrderDecls(p *goPackage, diags *[]Diag) map[string]chainPos {
+	var rank map[string]chainPos
+	var classes map[string]bool
 	chain := 0
-	found := false
-	for _, f := range files {
+	for _, f := range p.files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok || gd.Tok != token.TYPE {
@@ -309,23 +559,20 @@ func parseLockOrderDecls(fset *token.FileSet, files []*ast.File, env *pkgEnv, di
 					if !ok {
 						continue
 					}
-					if !found {
-						found = true
-						d.pos = doc.Pos()
+					if rank == nil {
+						rank = make(map[string]chainPos)
+						classes = mutexClasses(p.types)
 					}
-					parseLockOrderLine(fset, doc.Pos(), ts.Name.Name, rest, chain, d, env, diags)
+					parseLockOrderLine(p.fset, doc.Pos(), ts.Name.Name, rest, chain, rank, classes, diags)
 					chain++
 				}
 			}
 		}
 	}
-	if !found {
-		return nil
-	}
-	return d
+	return rank
 }
 
-func parseLockOrderLine(fset *token.FileSet, pos token.Pos, owner, line string, chain int, d *lockDecls, env *pkgEnv, diags *[]Diag) {
+func parseLockOrderLine(fset *token.FileSet, pos token.Pos, owner, line string, chain int, rank map[string]chainPos, classes map[string]bool, diags *[]Diag) {
 	declDiag := func(format string, args ...any) {
 		p := fset.Position(pos)
 		*diags = append(*diags, Diag{
@@ -356,19 +603,19 @@ func parseLockOrderLine(fset *token.FileSet, pos token.Pos, owner, line string, 
 			if !strings.Contains(n, ".") {
 				// A bare name is a field of the annotated struct, or a
 				// package-level mutex variable.
-				if env.mutexes[owner+"."+n] {
+				if classes[owner+"."+n] {
 					id = owner + "." + n
 				}
 			}
-			if !env.mutexes[id] {
+			if !classes[id] {
 				declDiag("lock-order declaration names %q, which is not a mutex known to this package", n)
 				continue
 			}
-			if prev, dup := d.rank[id]; dup {
+			if prev, dup := rank[id]; dup {
 				declDiag("lock-order declaration names %s twice (chains %d and %d)", id, prev.chain, chain)
 				continue
 			}
-			d.rank[id] = chainPos{chain: chain, level: level}
+			rank[id] = chainPos{chain: chain, level: level}
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
+	"maps"
 	"regexp"
 )
 
@@ -13,42 +15,39 @@ import (
 // either by calling recv.<mutex>.Lock() (deferred Unlocks keep it
 // held; a plain Unlock releases it) or by carrying a doc comment
 // saying the mutex is held on entry ("Called with s.mu held."). The
-// analysis is flow-aware enough for the codebase's idioms: branches
-// that terminate (return/break/continue) don't leak their lock state
-// into the fall-through path, loops are analyzed with their entry
-// state, and closures inherit the state at their creation point except
-// for "go func" closures, which start with nothing held.
+// walk follows the shared statement walker's flow (flow.go); closures
+// inherit the state at their creation point except for "go func"
+// closures, which start with nothing held.
 //
-// It is syntactic (go/ast only, matching the receiver identifier), so
-// accesses through other variables of the same type are not tracked —
-// a deliberate trade against false positives in a zero-dependency
-// analyzer.
+// Only accesses through the receiver itself are tracked: a guarded
+// field reached through another variable of the same type is not — a
+// deliberate trade against false positives in constructors and
+// helpers that own the value outright.
 
 var (
 	guardedRe = regexp.MustCompile(`guarded by (\w+)`)
 	heldRe    = regexp.MustCompile(`(?:\w+\.)?(\w+)\s+held`)
 )
 
-// CheckLocks analyzes one package's files (parsed with comments).
-func CheckLocks(fset *token.FileSet, files []*ast.File) []Diag {
-	guards := collectGuards(files) // struct name -> field -> mutex
+// checkLocks analyzes one package.
+func checkLocks(p *goPackage) []Diag {
+	guards := collectGuards(p)
 	if len(guards) == 0 {
 		return nil
 	}
 	var diags []Diag
-	for _, f := range files {
+	for _, f := range p.files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || len(fd.Recv.List) == 0 || fd.Body == nil {
+			if !ok || fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 || fd.Body == nil {
 				continue
 			}
-			recvType := receiverTypeName(fd.Recv.List[0].Type)
-			fields := guards[recvType]
-			if fields == nil || len(fd.Recv.List[0].Names) == 0 {
+			recv := p.info.Defs[fd.Recv.List[0].Names[0]]
+			if recv == nil {
 				continue
 			}
-			recvName := fd.Recv.List[0].Names[0].Name
-			if recvName == "_" {
+			named := namedOf(recv.Type())
+			if named == nil {
 				continue
 			}
 			held := make(map[string]bool)
@@ -57,49 +56,40 @@ func CheckLocks(fset *token.FileSet, files []*ast.File) []Diag {
 					held[m[1]] = true
 				}
 			}
-			a := &lockAnalyzer{
-				fset: fset, recv: recvName, structName: recvType, fields: fields,
-			}
-			a.block(fd.Body.List, held)
+			a := &lockAnalyzer{fset: p.fset, info: p.info, recv: recv, structName: named.Obj().Name(), guards: guards}
+			a.flow = flow[map[string]bool]{info: p.info, hooks: a}
+			a.flow.body(fd.Body, held)
 			diags = append(diags, a.diags...)
 		}
 	}
 	return diags
 }
 
-// collectGuards reads "guarded by X" field annotations.
-func collectGuards(files []*ast.File) map[string]map[string]string {
-	guards := make(map[string]map[string]string)
-	for _, f := range files {
+// collectGuards reads "guarded by X" field annotations, mapping each
+// guarded field to its mutex's name.
+func collectGuards(p *goPackage) map[*types.Var]string {
+	guards := make(map[*types.Var]string)
+	for _, f := range p.files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok {
-				return true
-			}
-			st, ok := ts.Type.(*ast.StructType)
+			st, ok := n.(*ast.StructType)
 			if !ok {
 				return true
 			}
 			for _, field := range st.Fields.List {
-				mutex := ""
+				var m []string
 				if field.Comment != nil {
-					if m := guardedRe.FindStringSubmatch(field.Comment.Text()); m != nil {
-						mutex = m[1]
-					}
+					m = guardedRe.FindStringSubmatch(field.Comment.Text())
 				}
-				if mutex == "" && field.Doc != nil {
-					if m := guardedRe.FindStringSubmatch(field.Doc.Text()); m != nil {
-						mutex = m[1]
-					}
+				if m == nil && field.Doc != nil {
+					m = guardedRe.FindStringSubmatch(field.Doc.Text())
 				}
-				if mutex == "" {
+				if m == nil {
 					continue
 				}
-				if guards[ts.Name.Name] == nil {
-					guards[ts.Name.Name] = make(map[string]string)
-				}
 				for _, name := range field.Names {
-					guards[ts.Name.Name][name.Name] = mutex
+					if v, ok := p.info.Defs[name].(*types.Var); ok {
+						guards[v] = m[1]
+					}
 				}
 			}
 			return true
@@ -108,300 +98,69 @@ func collectGuards(files []*ast.File) map[string]map[string]string {
 	return guards
 }
 
-func receiverTypeName(t ast.Expr) string {
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	// Generic receivers — (sh *shard[V]) or (m *table[K, V]) — wrap the
-	// type name in an index expression; unwrap to the base identifier so
-	// methods on generic types are analyzed like any others.
-	switch g := t.(type) {
-	case *ast.IndexExpr:
-		t = g.X
-	case *ast.IndexListExpr:
-		t = g.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
-}
-
 type lockAnalyzer struct {
+	flow       flow[map[string]bool]
 	fset       *token.FileSet
-	recv       string
+	info       *types.Info
+	recv       types.Object
 	structName string
-	fields     map[string]string // field -> guarding mutex
+	guards     map[*types.Var]string
 	diags      []Diag
 }
 
-func (a *lockAnalyzer) diag(pos token.Pos, field, mutex string) {
-	p := a.fset.Position(pos)
-	a.diags = append(a.diags, Diag{
-		File: p.Filename, Line: p.Line, Col: p.Column, Rule: "locks",
-		Msg: fmt.Sprintf("%s.%s (guarded by %s) accessed without holding %s",
-			a.structName, field, mutex, mutex),
-	})
+func (a *lockAnalyzer) fresh() map[string]bool { return make(map[string]bool) }
+
+func (a *lockAnalyzer) fork(held map[string]bool) map[string]bool { return maps.Clone(held) }
+
+// join keeps a mutex held only if both paths hold it.
+func (a *lockAnalyzer) join(held, other map[string]bool) map[string]bool {
+	maps.DeleteFunc(held, func(k string, _ bool) bool { return !other[k] })
+	return held
 }
 
-// block walks statements in order, mutating held; it returns true if
-// the block always terminates (return, or an unconditional branch).
-func (a *lockAnalyzer) block(stmts []ast.Stmt, held map[string]bool) bool {
-	for _, s := range stmts {
-		if a.stmt(s, held) {
-			return true
-		}
-	}
-	return false
-}
+func (a *lockAnalyzer) stmt(ast.Stmt, map[string]bool) bool { return false }
 
-func copyHeld(held map[string]bool) map[string]bool {
-	c := make(map[string]bool, len(held))
-	for k, v := range held {
-		c[k] = v
-	}
-	return c
-}
+func (a *lockAnalyzer) exit(token.Pos, map[string]bool) {}
 
-// merge keeps a mutex held only if both paths hold it.
-func merge(into, other map[string]bool) {
-	for k := range into {
-		if !other[k] {
-			delete(into, k)
-		}
-	}
-}
-
-func (a *lockAnalyzer) stmt(s ast.Stmt, held map[string]bool) bool {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		a.expr(s.X, held)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			a.expr(e, held)
-		}
-		for _, e := range s.Lhs {
-			a.expr(e, held)
-		}
-	case *ast.IncDecStmt:
-		a.expr(s.X, held)
-	case *ast.SendStmt:
-		a.expr(s.Chan, held)
-		a.expr(s.Value, held)
-	case *ast.DeclStmt:
-		ast.Inspect(s, func(n ast.Node) bool {
-			if e, ok := n.(ast.Expr); ok {
-				a.expr(e, held)
+// visit checks guarded-field accesses and applies Lock/Unlock effects.
+// A read lock counts as holding the mutex: it protects reads of
+// guarded fields, which is all the analyzer distinguishes.
+func (a *lockAnalyzer) visit(n ast.Node, held map[string]bool) bool {
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		if x, acquire, ok := mutexOp(a.info, n); ok {
+			if sel, ok := x.(*ast.SelectorExpr); ok && a.isRecv(sel.X) {
+				held[sel.Sel.Name] = acquire
 				return false
 			}
-			return true
-		})
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			a.expr(e, held)
-		}
-		return true
-	case *ast.BranchStmt:
-		// break/continue/goto leave the surrounding analysis; treat as
-		// terminating so their branch state doesn't leak.
-		return true
-	case *ast.BlockStmt:
-		return a.block(s.List, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			a.stmt(s.Init, held)
-		}
-		a.expr(s.Cond, held)
-		thenHeld := copyHeld(held)
-		thenTerm := a.block(s.Body.List, thenHeld)
-		var elseHeld map[string]bool
-		elseTerm := false
-		if s.Else != nil {
-			elseHeld = copyHeld(held)
-			elseTerm = a.stmt(s.Else, elseHeld)
-		}
-		switch {
-		case s.Else == nil:
-			if !thenTerm {
-				merge(held, thenHeld)
-			}
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			for k := range held {
-				delete(held, k)
-			}
-			for k, v := range elseHeld {
-				held[k] = v
-			}
-		case elseTerm:
-			for k := range held {
-				delete(held, k)
-			}
-			for k, v := range thenHeld {
-				held[k] = v
-			}
-		default:
-			merge(thenHeld, elseHeld)
-			for k := range held {
-				delete(held, k)
-			}
-			for k, v := range thenHeld {
-				held[k] = v
-			}
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			a.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			a.expr(s.Cond, held)
-		}
-		bodyHeld := copyHeld(held)
-		a.block(s.Body.List, bodyHeld)
-		if s.Post != nil {
-			a.stmt(s.Post, bodyHeld)
-		}
-		merge(held, bodyHeld)
-	case *ast.RangeStmt:
-		a.expr(s.X, held)
-		bodyHeld := copyHeld(held)
-		a.block(s.Body.List, bodyHeld)
-		merge(held, bodyHeld)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			a.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			a.expr(s.Tag, held)
-		}
-		a.caseClauses(s.Body, held)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			a.stmt(s.Init, held)
-		}
-		a.caseClauses(s.Body, held)
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if comm, ok := c.(*ast.CommClause); ok {
-				caseHeld := copyHeld(held)
-				if comm.Comm != nil {
-					a.stmt(comm.Comm, caseHeld)
-				}
-				a.block(comm.Body, caseHeld)
-				merge(held, caseHeld)
-			}
-		}
-	case *ast.DeferStmt:
-		// defer recv.mu.Unlock() keeps the mutex held to function end;
-		// other deferred calls run at exit with an unknowable state, so
-		// their bodies are analyzed with the current state (the common
-		// idiom defers cleanup created under the same lock). The
-		// unlock-in-closure form, defer func() { recv.mu.Unlock() }(),
-		// behaves the same way: the Unlock applies only to the closure's
-		// own copy of the state, so the mutex stays held in the
-		// enclosing function. Call arguments are evaluated at the defer
-		// statement itself, so they are checked against the current
-		// state in both forms.
-		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			for _, e := range s.Call.Args {
-				a.expr(e, held)
-			}
-			a.block(fl.Body.List, copyHeld(held))
-		} else {
-			for _, e := range s.Call.Args {
-				a.expr(e, held)
-			}
-		}
-	case *ast.GoStmt:
-		// The goroutine runs concurrently: nothing is held inside.
-		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			a.block(fl.Body.List, make(map[string]bool))
-		}
-		for _, e := range s.Call.Args {
-			a.expr(e, held)
-		}
-	case *ast.LabeledStmt:
-		return a.stmt(s.Stmt, held)
-	}
-	return false
-}
-
-func (a *lockAnalyzer) caseClauses(body *ast.BlockStmt, held map[string]bool) {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok {
-			caseHeld := copyHeld(held)
-			for _, e := range cc.List {
-				a.expr(e, caseHeld)
-			}
-			a.block(cc.Body, caseHeld)
-			merge(held, caseHeld)
-		}
-	}
-}
-
-// expr checks guarded-field accesses and applies Lock/Unlock effects in
-// one expression.
-func (a *lockAnalyzer) expr(e ast.Expr, held map[string]bool) {
-	switch e := e.(type) {
-	case *ast.CallExpr:
-		if mutex, isLock, ok := a.lockCall(e); ok {
-			held[mutex] = isLock
-			return
-		}
-		a.expr(e.Fun, held)
-		for _, arg := range e.Args {
-			a.expr(arg, held)
 		}
 	case *ast.SelectorExpr:
-		if id, ok := e.X.(*ast.Ident); ok && id.Name == a.recv {
-			if mutex, guarded := a.fields[e.Sel.Name]; guarded && !held[mutex] {
-				a.diag(e.Sel.Pos(), e.Sel.Name, mutex)
-			}
-			return
+		if !a.isRecv(n.X) {
+			return true
 		}
-		a.expr(e.X, held)
+		if sel := a.info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal {
+			field := sel.Obj().(*types.Var)
+			if mutex, guarded := a.guards[field.Origin()]; guarded && !held[mutex] {
+				p := a.fset.Position(n.Sel.Pos())
+				a.diags = append(a.diags, Diag{
+					File: p.Filename, Line: p.Line, Col: p.Column, Rule: "locks",
+					Msg: fmt.Sprintf("%s.%s (guarded by %s) accessed without holding %s",
+						a.structName, field.Name(), mutex, mutex),
+				})
+			}
+		}
+		return false
 	case *ast.FuncLit:
 		// Closures inherit the lock state at their creation point (the
 		// codebase creates and invokes them under the same lock, e.g.
 		// c.reply(func(w){...}) inside handlers).
-		a.block(e.Body.List, copyHeld(held))
-	case *ast.Ident, *ast.BasicLit:
-	default:
-		ast.Inspect(e, func(n ast.Node) bool {
-			if n == e {
-				return true
-			}
-			if sub, ok := n.(ast.Expr); ok {
-				a.expr(sub, held)
-				return false
-			}
-			return true
-		})
+		a.flow.block(n.Body.List, a.fork(held))
+		return false
 	}
+	return true
 }
 
-// lockCall recognizes recv.<mutex>.Lock() / Unlock() calls, and their
-// RWMutex read-side forms RLock() / RUnlock(): for this analysis a read
-// lock counts as holding the mutex (it protects reads of guarded
-// fields, which is all the analyzer distinguishes).
-func (a *lockAnalyzer) lockCall(call *ast.CallExpr) (mutex string, isLock, ok bool) {
-	sel, selOK := call.Fun.(*ast.SelectorExpr)
-	if !selOK {
-		return "", false, false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return "", false, false
-	}
-	inner, innerOK := sel.X.(*ast.SelectorExpr)
-	if !innerOK {
-		return "", false, false
-	}
-	id, idOK := inner.X.(*ast.Ident)
-	if !idOK || id.Name != a.recv {
-		return "", false, false
-	}
-	return inner.Sel.Name, sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock", true
+func (a *lockAnalyzer) isRecv(e ast.Expr) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && a.info.Uses[id] == a.recv
 }

@@ -3,11 +3,12 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/token"
+	"go/types"
 	"path"
 	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -17,11 +18,12 @@ import (
 // the observability surface cannot silently drift in either direction.
 //
 // Code side: string arguments to .Counter(...) / .Gauge(...) /
-// .Histogram(...) calls. Besides plain literals the collector resolves
-// package-level string constants (fault's CtrJitter et al), one level
-// of wrapper function (a function that forwards a string parameter
-// into a metric accessor names metrics at its call sites, like
-// fault.Conn.inject), and "prefix." + expr concatenations, which
+// .Histogram(...) calls. A name is any constant string expression —
+// a literal, a constant such as fault's CtrJitter, or constants
+// joined with + — as the type checker evaluates it. One level of
+// wrapper function is resolved (a function that forwards one of its
+// string parameters into a metric accessor names metrics at its call
+// sites, like fault.Conn.inject), and "prefix." + expr concatenations
 // normalize to the pattern "prefix.*".
 //
 // Doc side: fenced code blocks tagged "metrics-registry" in Markdown
@@ -59,23 +61,6 @@ func NewMetricsFacts() *MetricsFacts {
 	}
 }
 
-// Merge folds another accumulator (e.g. a parallel worker's) into m.
-func (m *MetricsFacts) Merge(other *MetricsFacts) {
-	m.codeSeen = m.codeSeen || other.codeSeen
-	m.docSeen = m.docSeen || other.docSeen
-	for name, site := range other.code {
-		if cur, ok := m.code[name]; !ok || earlierSite(site, cur) {
-			m.code[name] = site
-		}
-	}
-	for name, site := range other.doc {
-		if cur, ok := m.doc[name]; !ok || earlierSite(site, cur) {
-			m.doc[name] = site
-		}
-	}
-	m.extra = append(m.extra, other.extra...)
-}
-
 func earlierSite(a, b metricSite) bool {
 	if a.file != b.file {
 		return a.file < b.file
@@ -88,180 +73,100 @@ func earlierSite(a, b metricSite) bool {
 
 var metricAccessors = map[string]bool{"Counter": true, "Gauge": true, "Histogram": true}
 
-// CollectPackage gathers metric names from one package's files.
-func (m *MetricsFacts) CollectPackage(fset *token.FileSet, files []*ast.File) {
-	consts := packageStringConsts(files)
-	wrappers := metricWrappers(files)
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			params := paramNames(fd.Type)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
+// collectPackage gathers metric names from one package. The first
+// pass finds the wrappers: functions that pass one of their own
+// parameters to an accessor. The second records the names at accessor
+// and wrapper call sites.
+func (m *MetricsFacts) collectPackage(p *goPackage) {
+	wrappers := make(map[*types.Func]int)
+	for pass := 0; pass < 2; pass++ {
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
 				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				var arg ast.Expr
-				switch {
-				case metricAccessors[sel.Sel.Name] && len(call.Args) == 1:
-					arg = call.Args[0]
-				default:
-					idx, isWrapper := wrappers[sel.Sel.Name]
-					if !isWrapper || idx >= len(call.Args) {
+				fn, _ := p.info.Defs[fd.Name].(*types.Func)
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
 						return true
 					}
-					arg = call.Args[idx]
-				}
-				m.recordCodeName(fset, arg, consts, params)
-				return true
-			})
+					sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+					accessor := isSel && metricAccessors[sel.Sel.Name] && len(call.Args) == 1
+					i, isWrapper := wrappers[callee(p.info, call)]
+					switch {
+					case accessor:
+						i = 0
+					case !isWrapper || i >= len(call.Args):
+						return true
+					}
+					arg := call.Args[i]
+					if param := paramIndex(p.info, fn, arg); param >= 0 {
+						// The enclosing function forwards a name: its
+						// call sites supply the names.
+						if pass == 0 && accessor {
+							wrappers[fn] = param
+						}
+					} else if pass == 1 {
+						m.recordCodeName(p, arg)
+					}
+					return true
+				})
+			}
 		}
 	}
 	m.codeSeen = true
 }
 
-func (m *MetricsFacts) recordCodeName(fset *token.FileSet, arg ast.Expr, consts map[string]string, params map[string]bool) {
-	p := fset.Position(arg.Pos())
-	site := metricSite{file: p.Filename, line: p.Line, col: p.Column}
+// paramIndex returns the position of the parameter of fn that arg
+// names, or -1.
+func paramIndex(info *types.Info, fn *types.Func, arg ast.Expr) int {
+	id, ok := ast.Unparen(arg).(*ast.Ident)
+	if !ok || fn == nil {
+		return -1
+	}
+	params := fn.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len(); i++ {
+		if info.Uses[id] == params.At(i) {
+			return i
+		}
+	}
+	return -1
+}
+
+func (m *MetricsFacts) recordCodeName(p *goPackage, arg ast.Expr) {
+	pos := p.fset.Position(arg.Pos())
+	site := metricSite{file: pos.Filename, line: pos.Line, col: pos.Column}
 	add := func(name string) {
 		if cur, ok := m.code[name]; !ok || earlierSite(site, cur) {
 			m.code[name] = site
 		}
 	}
-	switch v := arg.(type) {
-	case *ast.BasicLit:
-		if v.Kind == token.STRING {
-			if s, err := strconv.Unquote(v.Value); err == nil {
-				add(s)
-				return
-			}
-		}
-	case *ast.Ident:
-		if s, ok := consts[v.Name]; ok {
-			add(s)
+	if s, ok := stringConst(p.info, arg); ok {
+		add(s)
+		return
+	}
+	// "prefix." + dynamic normalizes to the pattern "prefix.*".
+	if bin, ok := ast.Unparen(arg).(*ast.BinaryExpr); ok && bin.Op == token.ADD {
+		if s, ok := stringConst(p.info, bin.X); ok && s != "" {
+			add(s + "*")
 			return
-		}
-		if params[v.Name] {
-			// The enclosing function is a name-forwarding wrapper; its
-			// call sites supply the names.
-			return
-		}
-	case *ast.BinaryExpr:
-		// "prefix." + dynamic normalizes to the pattern "prefix.*".
-		if v.Op == token.ADD {
-			if lit, ok := v.X.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-				if s, err := strconv.Unquote(lit.Value); err == nil && s != "" {
-					add(s + "*")
-					return
-				}
-			}
 		}
 	}
 	m.extra = append(m.extra, Diag{
-		File: p.Filename, Line: p.Line, Col: p.Column, Rule: "metrics",
+		File: pos.Filename, Line: pos.Line, Col: pos.Column, Rule: "metrics",
 		Msg: "metric name is dynamic (not a string literal, package const, wrapper parameter, or \"prefix.\"+expr) and cannot be checked against the registry",
 	})
 }
 
-// packageStringConsts collects top-level string constants.
-func packageStringConsts(files []*ast.File) map[string]string {
-	consts := make(map[string]string)
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.CONST {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					if i >= len(vs.Values) {
-						break
-					}
-					lit, ok := vs.Values[i].(*ast.BasicLit)
-					if !ok || lit.Kind != token.STRING {
-						continue
-					}
-					if s, err := strconv.Unquote(lit.Value); err == nil {
-						consts[name.Name] = s
-					}
-				}
-			}
-		}
+// stringConst returns the value of a constant string expression.
+func stringConst(info *types.Info, e ast.Expr) (string, bool) {
+	v := info.Types[e].Value
+	if v == nil || v.Kind() != constant.String {
+		return "", false
 	}
-	return consts
-}
-
-// metricWrappers finds functions that forward a string parameter into
-// a metric accessor, mapping wrapper name to the forwarded parameter's
-// index. One level only: wrappers of wrappers are not resolved.
-func metricWrappers(files []*ast.File) map[string]int {
-	wrappers := make(map[string]int)
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			idx := paramIndexes(fd.Type)
-			if len(idx) == 0 {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || !metricAccessors[sel.Sel.Name] || len(call.Args) != 1 {
-					return true
-				}
-				if id, ok := call.Args[0].(*ast.Ident); ok {
-					if i, isParam := idx[id.Name]; isParam {
-						wrappers[fd.Name.Name] = i
-					}
-				}
-				return true
-			})
-		}
-	}
-	return wrappers
-}
-
-func paramIndexes(ft *ast.FuncType) map[string]int {
-	idx := make(map[string]int)
-	if ft.Params == nil {
-		return idx
-	}
-	i := 0
-	for _, p := range ft.Params.List {
-		for _, n := range p.Names {
-			idx[n.Name] = i
-			i++
-		}
-		if len(p.Names) == 0 {
-			i++
-		}
-	}
-	return idx
-}
-
-func paramNames(ft *ast.FuncType) map[string]bool {
-	names := make(map[string]bool)
-	for n := range paramIndexes(ft) {
-		names[n] = true
-	}
-	return names
+	return constant.StringVal(v), true
 }
 
 var (

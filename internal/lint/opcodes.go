@@ -49,31 +49,6 @@ func NewOpcodeFacts() *OpcodeFacts {
 	}
 }
 
-// Merge folds another accumulator (e.g. a parallel worker's) into o.
-// Positions keep the earliest site so merged output is independent of
-// worker scheduling.
-func (o *OpcodeFacts) Merge(other *OpcodeFacts) {
-	for name, pos := range other.ops {
-		cur, ok := o.ops[name]
-		if !ok || pos.Filename < cur.Filename ||
-			(pos.Filename == cur.Filename && pos.Offset < cur.Offset) {
-			o.ops[name] = pos
-		}
-	}
-	for name := range other.factoryCases {
-		o.factoryCases[name] = true
-	}
-	for name := range other.dispatchTypes {
-		o.dispatchTypes[name] = true
-	}
-	for name := range other.nameEntries {
-		o.nameEntries[name] = true
-	}
-	o.factorySeen = o.factorySeen || other.factorySeen
-	o.dispatchSeen = o.dispatchSeen || other.dispatchSeen
-	o.namesSeen = o.namesSeen || other.namesSeen
-}
-
 // Collect scans one parsed file for opcode constants, NewRequest
 // factory cases, and request-dispatch type switches.
 func (o *OpcodeFacts) Collect(fset *token.FileSet, f *ast.File) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -30,10 +31,10 @@ import (
 // function whose name starts with "Acquire" may return a raw pool
 // checkout — that is the accessor idiom itself.
 //
-// Like the other Go analyzers this is syntactic: it tracks simple
-// identifiers within one function, treats a deferred release (plain or
-// closure-wrapped) as covering all paths, and analyzes branches with
-// the same copy-and-merge flow the lock analyzers use.
+// It tracks local variables within one function, on the shared
+// statement walker's paths (flow.go); a deferred release, plain or
+// closure-wrapped, covers all paths, and every function literal is a
+// scope of its own.
 
 // release states for one tracked value along the current path.
 const (
@@ -49,23 +50,27 @@ const (
 
 type poolVal struct {
 	kind     int
-	pool     string // pool identifier for rawKind ("framePool")
+	pool     string // the pool expression for rawKind ("framePool")
 	acquired token.Position
 	state    int
 	deferred bool // a deferred release covers every exit path
 }
 
-// CheckPoolLifetime analyzes one package's files.
-func CheckPoolLifetime(fset *token.FileSet, files []*ast.File) []Diag {
+// poolVals is the per-path state: the tracked values by variable.
+type poolVals map[types.Object]*poolVal
+
+// checkPoolLifetime analyzes one package.
+func checkPoolLifetime(p *goPackage) []Diag {
 	var diags []Diag
-	for _, f := range files {
+	for _, f := range p.files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			a := &poolAnalyzer{fset: fset, funcName: fd.Name.Name}
-			a.analyzeBody(fd.Body)
+			a := &poolAnalyzer{fset: p.fset, info: p.info, funcName: fd.Name.Name}
+			a.flow = flow[poolVals]{info: p.info, hooks: a}
+			a.flow.body(fd.Body, a.fresh())
 			diags = append(diags, a.diags...)
 		}
 	}
@@ -73,7 +78,9 @@ func CheckPoolLifetime(fset *token.FileSet, files []*ast.File) []Diag {
 }
 
 type poolAnalyzer struct {
+	flow     flow[poolVals]
 	fset     *token.FileSet
+	info     *types.Info
 	funcName string
 	diags    []Diag
 }
@@ -86,32 +93,10 @@ func (a *poolAnalyzer) diag(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// analyzeBody runs the path walk over one function (or function
-// literal) body with a fresh tracking scope.
-func (a *poolAnalyzer) analyzeBody(body *ast.BlockStmt) {
-	vals := make(map[string]*poolVal)
-	terminated := a.block(body.List, vals)
-	if !terminated {
-		a.checkLeaks(body.End(), vals)
-	}
-}
+func (a *poolAnalyzer) fresh() poolVals { return make(poolVals) }
 
-// checkLeaks reports every tracked value still live at an exit.
-func (a *poolAnalyzer) checkLeaks(pos token.Pos, vals map[string]*poolVal) {
-	for name, v := range vals {
-		if v.state == poolLive && !v.deferred {
-			what := "pool checkout"
-			if v.kind == writerKind {
-				what = "AcquireWriter result"
-			}
-			a.diag(pos, "%s %q (acquired at line %d) is not released on this return path (missing defer?)",
-				what, name, v.acquired.Line)
-		}
-	}
-}
-
-func copyVals(vals map[string]*poolVal) map[string]*poolVal {
-	c := make(map[string]*poolVal, len(vals))
+func (a *poolAnalyzer) fork(vals poolVals) poolVals {
+	c := make(poolVals, len(vals))
 	for k, v := range vals {
 		vv := *v
 		c[k] = &vv
@@ -119,9 +104,9 @@ func copyVals(vals map[string]*poolVal) map[string]*poolVal {
 	return c
 }
 
-// mergeVals folds a branch's end state into the fall-through state.
-func mergeVals(into, other map[string]*poolVal) {
-	for k, v := range into {
+// join folds another path's end state into vals.
+func (a *poolAnalyzer) join(vals, other poolVals) poolVals {
+	for k, v := range vals {
 		o, ok := other[k]
 		if !ok {
 			continue
@@ -132,234 +117,117 @@ func mergeVals(into, other map[string]*poolVal) {
 		v.deferred = v.deferred && o.deferred
 	}
 	for k, o := range other {
-		if _, ok := into[k]; !ok {
+		if _, ok := vals[k]; !ok {
 			vv := *o
-			into[k] = &vv
+			vals[k] = &vv
+		}
+	}
+	return vals
+}
+
+// exit reports every tracked value still live where a path leaves the
+// function.
+func (a *poolAnalyzer) exit(pos token.Pos, vals poolVals) {
+	for obj, v := range vals {
+		if v.state == poolLive && !v.deferred {
+			what := "pool checkout"
+			if v.kind == writerKind {
+				what = "AcquireWriter result"
+			}
+			a.diag(pos, "%s %q (acquired at line %d) is not released on this return path (missing defer?)",
+				what, obj.Name(), v.acquired.Line)
 		}
 	}
 }
 
-func (a *poolAnalyzer) block(stmts []ast.Stmt, vals map[string]*poolVal) bool {
-	for _, s := range stmts {
-		if a.stmt(s, vals) {
+// visit flags uses of released values; a function literal is analyzed
+// as a scope of its own.
+func (a *poolAnalyzer) visit(n ast.Node, vals poolVals) bool {
+	switch n := n.(type) {
+	case *ast.Ident:
+		a.useCheck(n, vals)
+	case *ast.FuncLit:
+		a.flow.body(n.Body, a.fresh())
+		return false
+	}
+	return true
+}
+
+func (a *poolAnalyzer) stmt(st ast.Stmt, vals poolVals) bool {
+	switch st := st.(type) {
+	case *ast.AssignStmt:
+		a.assign(st, vals)
+		return true
+	case *ast.ExprStmt:
+		call, ok := st.X.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		if obj := a.releaseTarget(call, vals); obj != nil {
+			v := vals[obj]
+			if v.state == poolDone && !v.deferred {
+				a.diag(call.Pos(), "pooled value %q released twice", obj.Name())
+			}
+			v.state = poolDone
 			return true
 		}
-	}
-	return false
-}
-
-func (a *poolAnalyzer) stmt(s ast.Stmt, vals map[string]*poolVal) bool {
-	switch s := s.(type) {
-	case *ast.AssignStmt:
-		a.assign(s, vals)
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if name, ok := releaseTarget(call, vals); ok {
-				a.release(name, vals, call.Pos())
-				return false
+		if objs := a.handoffTargets(call, vals); len(objs) > 0 {
+			a.flow.expr(st.X, vals)
+			for _, obj := range objs {
+				vals[obj].state = poolDone
 			}
-			if isPanicCall(call) {
-				a.useCheckExpr(s.X, vals)
-				a.checkLeaks(s.X.Pos(), vals)
-				return true
-			}
-			if names := handoffTargets(call, vals); len(names) > 0 {
-				a.useCheckExpr(s.X, vals)
-				for _, n := range names {
-					vals[n].state = poolDone
-				}
-				return false
-			}
+			return true
 		}
-		a.useCheckExpr(s.X, vals)
 	case *ast.SendStmt:
-		a.useCheckExpr(s.Chan, vals)
-		if id, ok := s.Value.(*ast.Ident); ok {
-			if v, tracked := vals[id.Name]; tracked {
+		a.flow.expr(st.Chan, vals)
+		if id, ok := st.Value.(*ast.Ident); ok {
+			if v := vals[a.info.Uses[id]]; v != nil {
 				a.useCheck(id, vals)
 				if v.kind == writerKind {
-					a.diag(s.Pos(), "pooled Writer %q escapes through a channel send (pair it with ReleaseWriter in this function instead)", id.Name)
+					a.diag(st.Pos(), "pooled Writer %q escapes through a channel send (pair it with ReleaseWriter in this function instead)", id.Name)
 				}
 				// Raw pool checkouts transfer ownership to the
 				// receiver; the Writer diag above still marks it done
 				// so one escape isn't also reported as a leak.
 				v.state = poolDone
-				return false
+				return true
 			}
 		}
-		a.useCheckExpr(s.Value, vals)
+		a.flow.expr(st.Value, vals)
+		return true
 	case *ast.ReturnStmt:
-		for _, e := range s.Results {
+		for _, e := range st.Results {
 			if id, ok := e.(*ast.Ident); ok {
-				if v, tracked := vals[id.Name]; tracked && v.state == poolLive {
+				if v := vals[a.info.Uses[id]]; v != nil && v.state == poolLive {
+					v.state = poolDone
 					if v.kind == rawKind && strings.HasPrefix(a.funcName, "Acquire") {
-						v.state = poolDone // the accessor idiom hands the value to the caller
-						continue
+						continue // the accessor idiom hands the value to the caller
 					}
 					a.diag(e.Pos(), "pooled value %q escapes via return (the pool can reclaim it while the caller still uses it)", id.Name)
-					v.state = poolDone
 					continue
 				}
 			}
-			a.useCheckExpr(e, vals)
+			a.flow.expr(e, vals)
 		}
-		a.checkLeaks(s.Pos(), vals)
-		return true
-	case *ast.BranchStmt:
 		return true
 	case *ast.DeferStmt:
-		a.deferStmt(s, vals)
-	case *ast.GoStmt:
-		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			a.analyzeBody(fl.Body)
-		}
-		for _, e := range s.Call.Args {
-			a.useCheckExpr(e, vals)
-		}
-	case *ast.IncDecStmt:
-		a.useCheckExpr(s.X, vals)
-	case *ast.DeclStmt:
-		ast.Inspect(s, func(n ast.Node) bool {
-			if e, ok := n.(ast.Expr); ok {
-				a.useCheckExpr(e, vals)
-				return false
+		// defer ReleaseWriter(w), and a deferred function literal that
+		// releases w, cover every path.
+		ast.Inspect(st.Call, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if obj := a.releaseTarget(call, vals); obj != nil {
+					vals[obj].deferred = true
+					vals[obj].state = poolDone
+				}
 			}
 			return true
 		})
-	case *ast.BlockStmt:
-		return a.block(s.List, vals)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			a.stmt(s.Init, vals)
-		}
-		a.useCheckExpr(s.Cond, vals)
-		thenVals := copyVals(vals)
-		thenTerm := a.block(s.Body.List, thenVals)
-		var elseVals map[string]*poolVal
-		elseTerm := false
-		if s.Else != nil {
-			elseVals = copyVals(vals)
-			elseTerm = a.stmt(s.Else, elseVals)
-		}
-		switch {
-		case s.Else == nil:
-			if !thenTerm {
-				mergeVals(vals, thenVals)
-			}
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			replaceVals(vals, elseVals)
-		case elseTerm:
-			replaceVals(vals, thenVals)
-		default:
-			mergeVals(thenVals, elseVals)
-			replaceVals(vals, thenVals)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			a.stmt(s.Init, vals)
-		}
-		if s.Cond != nil {
-			a.useCheckExpr(s.Cond, vals)
-		}
-		bodyVals := copyVals(vals)
-		a.block(s.Body.List, bodyVals)
-		if s.Post != nil {
-			a.stmt(s.Post, bodyVals)
-		}
-		mergeVals(vals, bodyVals)
-	case *ast.RangeStmt:
-		a.useCheckExpr(s.X, vals)
-		bodyVals := copyVals(vals)
-		a.block(s.Body.List, bodyVals)
-		mergeVals(vals, bodyVals)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			a.stmt(s.Init, vals)
-		}
-		if s.Tag != nil {
-			a.useCheckExpr(s.Tag, vals)
-		}
-		a.caseClauses(s.Body, vals)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			a.stmt(s.Init, vals)
-		}
-		a.caseClauses(s.Body, vals)
-	case *ast.SelectStmt:
-		type branch struct {
-			vals map[string]*poolVal
-			term bool
-		}
-		var live []map[string]*poolVal
-		allTerm := true
-		for _, c := range s.Body.List {
-			comm, ok := c.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			b := branch{vals: copyVals(vals)}
-			if comm.Comm != nil {
-				a.stmt(comm.Comm, b.vals)
-			}
-			b.term = a.block(comm.Body, b.vals)
-			if !b.term {
-				live = append(live, b.vals)
-				allTerm = false
-			}
-		}
-		if allTerm && len(s.Body.List) > 0 {
-			return true
-		}
-		if len(live) > 0 {
-			replaceVals(vals, live[0])
-			for _, lv := range live[1:] {
-				mergeVals(vals, lv)
-			}
-		}
-	case *ast.LabeledStmt:
-		return a.stmt(s.Stmt, vals)
 	}
 	return false
 }
 
-func replaceVals(into, from map[string]*poolVal) {
-	for k := range into {
-		delete(into, k)
-	}
-	for k, v := range from {
-		vv := *v
-		into[k] = &vv
-	}
-}
-
-func (a *poolAnalyzer) caseClauses(body *ast.BlockStmt, vals map[string]*poolVal) {
-	first := true
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		caseVals := copyVals(vals)
-		for _, e := range cc.List {
-			a.useCheckExpr(e, caseVals)
-		}
-		term := a.block(cc.Body, caseVals)
-		if term {
-			continue
-		}
-		if first {
-			// A switch may not enter any case; merge against the
-			// entry state as well as across cases.
-			first = false
-		}
-		mergeVals(vals, caseVals)
-	}
-}
-
 // assign handles both acquisition forms and escape-by-store.
-func (a *poolAnalyzer) assign(s *ast.AssignStmt, vals map[string]*poolVal) {
+func (a *poolAnalyzer) assign(s *ast.AssignStmt, vals poolVals) {
 	// Escape: a tracked value stored through a selector or index
 	// outlives the function's control of it.
 	for i, lhs := range s.Lhs {
@@ -370,8 +238,8 @@ func (a *poolAnalyzer) assign(s *ast.AssignStmt, vals map[string]*poolVal) {
 		if !ok {
 			continue
 		}
-		v, tracked := vals[id.Name]
-		if !tracked || v.state != poolLive {
+		obj := a.info.Uses[id]
+		if v := vals[obj]; v == nil || v.state != poolLive {
 			continue
 		}
 		switch lhs.(type) {
@@ -379,86 +247,91 @@ func (a *poolAnalyzer) assign(s *ast.AssignStmt, vals map[string]*poolVal) {
 			a.diag(s.Pos(), "pooled value %q escapes via store into a struct or container (the pool can reclaim it out from under the holder)", id.Name)
 			// One report per value: the store is the bug, later
 			// appearances of the identifier are the same escape.
-			delete(vals, id.Name)
+			delete(vals, obj)
 		}
 	}
-	for _, e := range s.Rhs {
-		a.useCheckExpr(e, vals)
-	}
+	a.flow.exprs(s.Rhs, vals)
 	for _, e := range s.Lhs {
 		// Writes through *x or x[i] are uses of x itself.
 		if _, isIdent := e.(*ast.Ident); !isIdent {
-			a.useCheckExpr(e, vals)
+			a.flow.expr(e, vals)
 		}
 	}
 	if len(s.Lhs) != 1 || len(s.Rhs) != 1 {
 		return
 	}
 	id, ok := s.Lhs[0].(*ast.Ident)
-	if !ok || id.Name == "_" {
+	if !ok {
 		return
 	}
-	if kind, pool, ok := acquireSource(s.Rhs[0]); ok {
-		vals[id.Name] = &poolVal{
+	obj := a.info.ObjectOf(id)
+	if obj == nil {
+		return
+	}
+	if kind, pool, ok := a.acquireSource(s.Rhs[0]); ok {
+		vals[obj] = &poolVal{
 			kind: kind, pool: pool,
 			acquired: a.fset.Position(s.Rhs[0].Pos()),
 		}
 		return
 	}
-	// Rebinding an identifier drops tracking of the old value.
-	delete(vals, id.Name)
+	// Rebinding a variable drops tracking of the old value.
+	delete(vals, obj)
 }
 
 // acquireSource recognizes the two checkout idioms.
-func acquireSource(e ast.Expr) (kind int, pool string, ok bool) {
+func (a *poolAnalyzer) acquireSource(e ast.Expr) (kind int, pool string, ok bool) {
 	switch v := e.(type) {
 	case *ast.CallExpr:
-		if calleeName(v) == "AcquireWriter" {
+		if calleeName(a.info, v) == "AcquireWriter" {
 			return writerKind, "", true
 		}
 	case *ast.TypeAssertExpr:
-		call, isCall := v.X.(*ast.CallExpr)
-		if !isCall {
-			return 0, "", false
+		if call, isCall := v.X.(*ast.CallExpr); isCall {
+			if pool, isGet := a.poolCall(call, "Get"); isGet {
+				return rawKind, pool, true
+			}
 		}
-		sel, isSel := call.Fun.(*ast.SelectorExpr)
-		if !isSel || sel.Sel.Name != "Get" {
-			return 0, "", false
-		}
-		p := exprString(sel.X)
-		if p == "" || !strings.Contains(strings.ToLower(p), "pool") {
-			return 0, "", false
-		}
-		return rawKind, p, true
 	}
 	return 0, "", false
 }
 
-// releaseTarget recognizes ReleaseWriter(x) and pool.Put(x) for a
-// tracked x.
-func releaseTarget(call *ast.CallExpr, vals map[string]*poolVal) (string, bool) {
-	if len(call.Args) != 1 {
+// poolCall reports whether call invokes a sync.Pool's method of that
+// name, and returns the pool expression.
+func (a *poolAnalyzer) poolCall(call *ast.CallExpr, method string) (string, bool) {
+	fn := callee(a.info, call)
+	if fn == nil || fn.FullName() != "(*sync.Pool)."+method {
 		return "", false
+	}
+	return types.ExprString(ast.Unparen(call.Fun).(*ast.SelectorExpr).X), true
+}
+
+// releaseTarget recognizes ReleaseWriter(x) and pool.Put(x) for a
+// tracked x, returning x's variable.
+func (a *poolAnalyzer) releaseTarget(call *ast.CallExpr, vals poolVals) types.Object {
+	if len(call.Args) != 1 {
+		return nil
 	}
 	id, ok := call.Args[0].(*ast.Ident)
 	if !ok {
-		return "", false
+		return nil
 	}
-	v, tracked := vals[id.Name]
-	if !tracked {
-		return "", false
+	obj := a.info.Uses[id]
+	v := vals[obj]
+	if v == nil {
+		return nil
 	}
 	switch v.kind {
 	case writerKind:
-		if calleeName(call) == "ReleaseWriter" {
-			return id.Name, true
+		if calleeName(a.info, call) == "ReleaseWriter" {
+			return obj
 		}
 	case rawKind:
-		if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel && sel.Sel.Name == "Put" && exprString(sel.X) == v.pool {
-			return id.Name, true
+		if pool, ok := a.poolCall(call, "Put"); ok && pool == v.pool {
+			return obj
 		}
 	}
-	return "", false
+	return nil
 }
 
 // handoffTargets recognizes the enqueue-handoff idiom: a call to a
@@ -466,124 +339,31 @@ func releaseTarget(call *ast.CallExpr, vals map[string]*poolVal) (string, bool) 
 // checkouts passed as arguments (the callee delivers the buffer or
 // returns it to the pool itself). Writers stay tracked — they must be
 // released where they were acquired.
-func handoffTargets(call *ast.CallExpr, vals map[string]*poolVal) []string {
-	name := calleeName(call)
+func (a *poolAnalyzer) handoffTargets(call *ast.CallExpr, vals poolVals) []types.Object {
+	name := calleeName(a.info, call)
 	if !strings.HasPrefix(name, "enqueue") && !strings.HasPrefix(name, "Enqueue") {
 		return nil
 	}
-	var names []string
+	var objs []types.Object
 	for _, arg := range call.Args {
 		id, ok := arg.(*ast.Ident)
 		if !ok {
 			continue
 		}
-		if v, tracked := vals[id.Name]; tracked && v.kind == rawKind && v.state == poolLive {
-			names = append(names, id.Name)
+		obj := a.info.Uses[id]
+		if v := vals[obj]; v != nil && v.kind == rawKind && v.state == poolLive {
+			objs = append(objs, obj)
 		}
 	}
-	return names
-}
-
-func (a *poolAnalyzer) release(name string, vals map[string]*poolVal, pos token.Pos) {
-	v := vals[name]
-	if v.state == poolDone && !v.deferred {
-		a.diag(pos, "pooled value %q released twice", name)
-		return
-	}
-	v.state = poolDone
-}
-
-func (a *poolAnalyzer) deferStmt(s *ast.DeferStmt, vals map[string]*poolVal) {
-	if name, ok := releaseTarget(s.Call, vals); ok {
-		vals[name].deferred = true
-		vals[name].state = poolDone
-		return
-	}
-	if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
-		// defer func() { ... ReleaseWriter(w) ... }() covers all paths
-		// just like the plain form.
-		ast.Inspect(fl.Body, func(n ast.Node) bool {
-			call, isCall := n.(*ast.CallExpr)
-			if !isCall {
-				return true
-			}
-			if name, isRel := releaseTarget(call, vals); isRel {
-				vals[name].deferred = true
-				vals[name].state = poolDone
-			}
-			return true
-		})
-		for _, e := range s.Call.Args {
-			a.useCheckExpr(e, vals)
-		}
-		return
-	}
-	for _, e := range s.Call.Args {
-		a.useCheckExpr(e, vals)
-	}
+	return objs
 }
 
 // useCheck flags a read of a value that already went back to the pool.
-func (a *poolAnalyzer) useCheck(id *ast.Ident, vals map[string]*poolVal) {
-	v, tracked := vals[id.Name]
-	if !tracked {
-		return
-	}
-	if v.state == poolDone && !v.deferred {
+func (a *poolAnalyzer) useCheck(id *ast.Ident, vals poolVals) {
+	obj := a.info.Uses[id]
+	if v := vals[obj]; v != nil && v.state == poolDone && !v.deferred {
 		a.diag(id.Pos(), "use of pooled value %q after it was released to the pool", id.Name)
 		// One report per value: further uses are the same bug.
-		delete(vals, id.Name)
+		delete(vals, obj)
 	}
-}
-
-// useCheckExpr walks an expression flagging uses of dead values; it
-// also recurses into function literals as independent scopes.
-func (a *poolAnalyzer) useCheckExpr(e ast.Expr, vals map[string]*poolVal) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			a.useCheck(n, vals)
-		case *ast.FuncLit:
-			a.analyzeBody(n.Body)
-			return false
-		}
-		return true
-	})
-}
-
-func isPanicCall(call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	return ok && id.Name == "panic"
-}
-
-// calleeName returns the bare function name of a call, qualified or
-// not: xproto.AcquireWriter and AcquireWriter both yield
-// "AcquireWriter".
-func calleeName(call *ast.CallExpr) string {
-	switch f := call.Fun.(type) {
-	case *ast.Ident:
-		return f.Name
-	case *ast.SelectorExpr:
-		return f.Sel.Name
-	}
-	return ""
-}
-
-// exprString renders a simple identifier-or-selector chain ("x",
-// "pkg.x"); "" for anything more complex.
-func exprString(e ast.Expr) string {
-	switch v := e.(type) {
-	case *ast.Ident:
-		return v.Name
-	case *ast.SelectorExpr:
-		base := exprString(v.X)
-		if base == "" {
-			return ""
-		}
-		return base + "." + v.Sel.Name
-	}
-	return ""
 }

@@ -8,38 +8,34 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
 // Runner drives a tkcheck run over a set of targets: .tcl files are
 // linted directly, Go files have their Eval/MustEval script literals
-// linted, each Go directory is analyzed as a package (lock discipline,
-// lock order, pool lifetime, package docs), and Markdown files feed
-// the metrics registry's doc side. Cross-target facts (opcodes,
-// metrics) accumulate across everything scanned and are evaluated by
-// Finish.
+// linted, each Go package is type-checked and analyzed (lock
+// discipline, lock order, pool lifetime, package docs), and Markdown
+// files feed the metrics registry's doc side. Cross-target facts
+// (opcodes, metrics) accumulate across everything scanned and are
+// evaluated by Finish.
 //
-// Check only collects work; Finish fans the collected targets out
-// across a worker pool (one worker per CPU by default), merges each
-// worker's diagnostics and facts, and sorts — so the output is
-// deterministic regardless of scheduling. Read and parse failures
-// discovered during the parallel phase are reported by Errs.
+// Check only collects work; Finish runs it and sorts the diagnostics,
+// so the output is a deterministic function of the inputs. Read, parse
+// and export-data failures discovered by Finish are reported by Errs.
 type Runner struct {
 	Reg *Registry
 	// IncludeTests lints _test.go files too. Off by default: tests
 	// deliberately feed the interpreter bad scripts to exercise its
 	// error paths.
 	IncludeTests bool
-	// Jobs caps the worker pool; 0 means GOMAXPROCS.
-	Jobs int
 
-	work []workItem
+	tclFiles []string
+	mdFiles  []string
+	goDirs   []goDir
 
-	mu      sync.Mutex
+	fset    *token.FileSet
 	opcodes *OpcodeFacts
 	metrics *MetricsFacts
 	diags   []Diag
@@ -47,22 +43,17 @@ type Runner struct {
 	timings map[string]time.Duration
 }
 
-type workItem struct {
-	kind  int // tclItem, goDirItem, mdItem
+// goDir is one directory's queued Go files.
+type goDir struct {
 	dir   string
 	paths []string
 }
-
-const (
-	tclItem = iota
-	goDirItem
-	mdItem
-)
 
 // NewRunner builds a Runner with a fresh registry and fact state.
 func NewRunner() *Runner {
 	return &Runner{
 		Reg:     NewRegistry(),
+		fset:    token.NewFileSet(),
 		opcodes: NewOpcodeFacts(),
 		metrics: NewMetricsFacts(),
 		timings: make(map[string]time.Duration),
@@ -102,11 +93,11 @@ func (r *Runner) Check(target string) error {
 	}
 	switch {
 	case strings.HasSuffix(target, ".tcl"):
-		r.work = append(r.work, workItem{kind: tclItem, paths: []string{target}})
+		r.tclFiles = append(r.tclFiles, target)
 	case strings.HasSuffix(target, ".go"):
-		r.work = append(r.work, workItem{kind: goDirItem, dir: filepath.Dir(target), paths: []string{target}})
+		r.goDirs = append(r.goDirs, goDir{dir: filepath.Dir(target), paths: []string{target}})
 	case strings.HasSuffix(target, ".md"):
-		r.work = append(r.work, workItem{kind: mdItem, paths: []string{target}})
+		r.mdFiles = append(r.mdFiles, target)
 	default:
 		return fmt.Errorf("tkcheck: don't know how to check %q (want a directory, dir/..., *.tcl, *.go or *.md)", target)
 	}
@@ -126,9 +117,9 @@ func (r *Runner) queueDir(dir string) error {
 		name := e.Name()
 		switch {
 		case strings.HasSuffix(name, ".tcl"):
-			r.work = append(r.work, workItem{kind: tclItem, paths: []string{filepath.Join(dir, name)}})
+			r.tclFiles = append(r.tclFiles, filepath.Join(dir, name))
 		case strings.HasSuffix(name, ".md"):
-			r.work = append(r.work, workItem{kind: mdItem, paths: []string{filepath.Join(dir, name)}})
+			r.mdFiles = append(r.mdFiles, filepath.Join(dir, name))
 		case strings.HasSuffix(name, "_test.go"):
 			if r.IncludeTests {
 				goFiles = append(goFiles, filepath.Join(dir, name))
@@ -138,65 +129,44 @@ func (r *Runner) queueDir(dir string) error {
 		}
 	}
 	if len(goFiles) > 0 {
-		r.work = append(r.work, workItem{kind: goDirItem, dir: dir, paths: goFiles})
+		r.goDirs = append(r.goDirs, goDir{dir: dir, paths: goFiles})
 	}
 	return nil
 }
 
-// Finish runs the queued work across the worker pool, evaluates the
-// cross-target facts, and returns all diagnostics, sorted. Check Errs
-// afterwards for read/parse failures.
+// Finish runs the queued work, evaluates the cross-target facts, and
+// returns all diagnostics, sorted. Check Errs afterwards for read,
+// parse and export-data failures.
 func (r *Runner) Finish() []Diag {
-	jobs := r.Jobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
+	for _, path := range r.tclFiles {
+		r.checkTclFile(path)
 	}
-	if jobs > len(r.work) {
-		jobs = len(r.work)
+	for _, path := range r.mdFiles {
+		r.checkDocFile(path)
 	}
-	if jobs > 1 {
-		var wg sync.WaitGroup
-		next := make(chan workItem)
-		for i := 0; i < jobs; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w := r.newWorker()
-				for item := range next {
-					w.run(item)
-				}
-				r.mergeWorker(w)
-			}()
-		}
-		for _, item := range r.work {
-			next <- item
-		}
-		close(next)
-		wg.Wait()
-	} else {
-		w := r.newWorker()
-		for _, item := range r.work {
-			w.run(item)
-		}
-		r.mergeWorker(w)
+	for _, p := range r.loadGo() {
+		r.timed("metrics", func() { r.metrics.collectPackage(p) })
+		r.timed("locks", func() { r.diags = append(r.diags, checkLocks(p)...) })
+		r.timed("lockorder", func() { r.diags = append(r.diags, checkLockOrder(p)...) })
+		r.timed("pool", func() { r.diags = append(r.diags, checkPoolLifetime(p)...) })
+		r.timed("pkgdoc", func() { r.diags = append(r.diags, CheckPackageDoc(p.dir, p.fset, p.files)...) })
 	}
-	r.work = nil
+	r.tclFiles, r.mdFiles, r.goDirs = nil, nil, nil
 	r.diags = append(r.diags, r.opcodes.Diags()...)
 	r.diags = append(r.diags, r.metrics.Diags()...)
 	SortDiags(r.diags)
 	return r.diags
 }
 
-// Errs returns read and parse failures encountered by Finish, in a
-// deterministic order.
+// Errs returns read, parse and export-data failures encountered by
+// Finish, in a deterministic order.
 func (r *Runner) Errs() []error {
 	sort.Slice(r.errs, func(i, j int) bool { return r.errs[i].Error() < r.errs[j].Error() })
 	return r.errs
 }
 
-// AnalyzerTiming is cumulative wall time one analyzer spent across all
-// targets (summed across workers, so parallel runs can exceed the
-// run's wall clock).
+// AnalyzerTiming is the wall time one analyzer spent across all
+// targets.
 type AnalyzerTiming struct {
 	Name     string
 	Duration time.Duration
@@ -212,119 +182,87 @@ func (r *Runner) Timings() []AnalyzerTiming {
 	return out
 }
 
-// worker is one goroutine's private accumulation state; merged under
-// the Runner's lock when the worker drains.
-type worker struct {
-	r       *Runner
-	diags   []Diag
-	errs    []error
-	opcodes *OpcodeFacts
-	metrics *MetricsFacts
-	timings map[string]time.Duration
-}
-
-func (r *Runner) newWorker() *worker {
-	return &worker{
-		r:       r,
-		opcodes: NewOpcodeFacts(),
-		metrics: NewMetricsFacts(),
-		timings: make(map[string]time.Duration),
-	}
-}
-
-func (r *Runner) mergeWorker(w *worker) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.diags = append(r.diags, w.diags...)
-	r.errs = append(r.errs, w.errs...)
-	r.opcodes.Merge(w.opcodes)
-	r.metrics.Merge(w.metrics)
-	for name, d := range w.timings {
-		r.timings[name] += d
-	}
-}
-
-func (w *worker) timed(name string, fn func()) {
+func (r *Runner) timed(name string, fn func()) {
 	begin := time.Now()
 	fn()
-	w.timings[name] += time.Since(begin)
+	r.timings[name] += time.Since(begin)
 }
 
-func (w *worker) run(item workItem) {
-	switch item.kind {
-	case tclItem:
-		w.checkTclFile(item.paths[0])
-	case mdItem:
-		w.checkDocFile(item.paths[0])
-	case goDirItem:
-		w.checkGoFiles(item.dir, item.paths)
-	}
-}
-
-func (w *worker) checkTclFile(path string) {
+func (r *Runner) checkTclFile(path string) {
 	src, err := os.ReadFile(path)
 	if err != nil {
-		w.errs = append(w.errs, err)
+		r.errs = append(r.errs, err)
 		return
 	}
-	w.timed("scripts", func() {
-		w.diags = append(w.diags, LintScriptSource(path, string(src), w.r.Reg)...)
+	r.timed("scripts", func() {
+		r.diags = append(r.diags, LintScriptSource(path, string(src), r.Reg)...)
 	})
 }
 
-func (w *worker) checkDocFile(path string) {
+func (r *Runner) checkDocFile(path string) {
 	src, err := os.ReadFile(path)
 	if err != nil {
-		w.errs = append(w.errs, err)
+		r.errs = append(r.errs, err)
 		return
 	}
-	w.timed("metrics", func() {
-		w.metrics.CollectDoc(path, string(src))
+	r.timed("metrics", func() {
+		r.metrics.CollectDoc(path, string(src))
 	})
 }
 
-// checkGoFiles parses a directory's Go files once and runs every Go
-// analysis over them: script-literal linting, opcode and metric fact
-// collection, lock discipline, lock order, pool lifetime, and
-// package-doc presence.
-func (w *worker) checkGoFiles(dir string, paths []string) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, path := range paths {
+// loadGo parses the queued Go files, lints their script literals,
+// collects their opcode facts, and returns them type-checked, one
+// goPackage per package clause in each directory; none when export
+// data cannot be had.
+func (r *Runner) loadGo() []*goPackage {
+	var pkgs []*goPackage
+	for _, d := range r.goDirs {
+		pkgs = append(pkgs, r.parseGoFiles(d)...)
+	}
+	var err error
+	r.timed("types", func() { err = typeCheck(r.fset, pkgs) })
+	if err != nil {
+		// Without their imports' types the analyzers would misread
+		// the packages; the error says why they did not run.
+		r.errs = append(r.errs, err)
+		return nil
+	}
+	return pkgs
+}
+
+// parseGoFiles parses one directory's Go files and groups them by
+// package clause, so that with -tests an external package main_test
+// is checked apart from package main.
+func (r *Runner) parseGoFiles(d goDir) []*goPackage {
+	var pkgs []*goPackage
+	byName := make(map[string]*goPackage)
+	for _, path := range d.paths {
 		src, err := os.ReadFile(path)
 		if err != nil {
-			w.errs = append(w.errs, err)
-			return
+			r.errs = append(r.errs, err)
+			return nil
 		}
 		var f *ast.File
 		begin := time.Now()
-		f, err = parser.ParseFile(fset, path, src, parser.ParseComments)
-		w.timings["parse"] += time.Since(begin)
+		f, err = parser.ParseFile(r.fset, path, src, parser.ParseComments)
+		r.timings["parse"] += time.Since(begin)
 		if err != nil {
-			w.errs = append(w.errs, fmt.Errorf("tkcheck: %v", err))
-			return
+			r.errs = append(r.errs, fmt.Errorf("tkcheck: %v", err))
+			return nil
 		}
-		files = append(files, f)
-		w.timed("scripts", func() {
-			w.diags = append(w.diags, lintGoFile(fset, f, string(src), path, w.r.Reg)...)
+		r.timed("scripts", func() {
+			r.diags = append(r.diags, lintGoFile(r.fset, f, string(src), path, r.Reg)...)
 		})
-		w.timed("opcodes", func() {
-			w.opcodes.Collect(fset, f)
+		r.timed("opcodes", func() {
+			r.opcodes.Collect(r.fset, f)
 		})
+		p := byName[f.Name.Name]
+		if p == nil {
+			p = &goPackage{dir: d.dir, fset: r.fset}
+			byName[f.Name.Name] = p
+			pkgs = append(pkgs, p)
+		}
+		p.files = append(p.files, f)
 	}
-	w.timed("metrics", func() {
-		w.metrics.CollectPackage(fset, files)
-	})
-	w.timed("locks", func() {
-		w.diags = append(w.diags, CheckLocks(fset, files)...)
-	})
-	w.timed("lockorder", func() {
-		w.diags = append(w.diags, CheckLockOrder(fset, files)...)
-	})
-	w.timed("pool", func() {
-		w.diags = append(w.diags, CheckPoolLifetime(fset, files)...)
-	})
-	w.timed("pkgdoc", func() {
-		w.diags = append(w.diags, CheckPackageDoc(dir, fset, files)...)
-	})
+	return pkgs
 }

@@ -94,3 +94,18 @@ func unorderedPair(x, y *cell) {
 	y.mu.Unlock()
 	x.mu.Unlock()
 }
+
+// outer reaches box's mutexes through promoted fields: the classes are
+// still box's, so the declared chains apply.
+type outer struct {
+	box
+}
+
+// badPromoted holds mutexes from two independent chains at once,
+// through promoted fields.
+func (o *outer) badPromoted() {
+	o.leafB.Lock()
+	o.solo.Lock()
+	o.solo.Unlock()
+	o.leafB.Unlock()
+}

@@ -35,3 +35,11 @@ func record(r registry, opName func() string) {
 func recordDynamic(r registry, suffix string) {
 	r.Counter(suffix + ".made.up").Inc()
 }
+
+// docPrefix + "joined" is a constant expression, so its name is checked
+// against the registry like a literal.
+const docPrefix = "documented."
+
+func recordJoined(r registry) {
+	r.Counter(docPrefix + "joined").Inc()
+}

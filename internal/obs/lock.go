@@ -12,10 +12,10 @@ import (
 // the same machinery as every other latency in the system.
 //
 // The method sets are intentionally identical to sync.Mutex /
-// sync.RWMutex (Lock/Unlock, plus RLock/RUnlock), so tkcheck's lock
-// analyzer — which matches recv.<field>.Lock() syntactically — checks
-// "guarded by <mutex>" annotations against timed mutexes exactly as it
-// does against plain ones.
+// sync.RWMutex (Lock/Unlock, plus RLock/RUnlock), and tkcheck's lock
+// analyzers know the timed types beside the sync ones, so "guarded by
+// <mutex>" annotations and the lock-order graph cover timed mutexes
+// exactly as they do plain ones.
 
 // TimedMutex is a sync.Mutex whose Lock records the acquisition wait.
 type TimedMutex struct {

@@ -330,16 +330,16 @@ func (app *App) DispatchEvent(ev *xproto.Event) {
 	// Keep the structure cache current (§3.3).
 	switch ev.Type {
 	case xproto.ConfigureNotify:
+		// The toolkit owns the geometry of internal windows: resizeWindow
+		// writes their cache, as Tk_MoveResizeWindow does, so a notify
+		// for an older configure must not overwrite it. Only a
+		// top-level's geometry can change outside the toolkit.
+		if !w.TopLevel {
+			break
+		}
 		sizeChanged := int(ev.Width) != w.Width || int(ev.Height) != w.Height
 		w.X, w.Y = int(ev.X), int(ev.Y)
 		w.Width, w.Height = int(ev.Width), int(ev.Height)
-		// The server's notify can carry a size that differs from the
-		// optimistic cache (it reports configures in request order, so a
-		// notify for an older configure may land after a newer local
-		// resize). Any slaves laid out against the overwritten size are
-		// now stale: re-arrange, exactly as Tk's packer does on its
-		// master's ConfigureNotify. The repack is idempotent, so the
-		// layout converges once the final notify arrives.
 		if sizeChanged {
 			if packer := app.packerFor(w); packer != nil {
 				packer.scheduleRepack(w)
