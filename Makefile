@@ -56,15 +56,12 @@ bench: bench-farm
 	OBS_BENCH=1 $(GO) test -run 'TestEmitObsBench|TestEmitPipelineBench|TestEmitMTServerBench|TestEmitSLOBench|TestEmitRenderBench|TestEmitWireBench' -count=1 .
 
 # bench-smoke runs the metrics-path, pipelining, multi-client, SLO,
-# render, farm and wire-codec end-to-end checks (emitting
-# BENCH_obs.json, BENCH_pipeline.json, BENCH_mtserver.json,
-# BENCH_slo.json, BENCH_render.json, BENCH_farm.json and
-# BENCH_wire.json as side effects): roundtrip p50 must track the
-# simulated IPC latency, 8 pipelined round trips must beat 8 serial
-# ones ≥ 4× under the per-segment model (and per-request times must
-# stay framing-independent), aggregate throughput at 8 concurrent
-# clients must be ≥ 3× the single-client baseline, span sampling at
-# the default 1-in-64 interval must cost < 10% of pipelined round-trip
+# render, farm and wire-codec end-to-end checks: roundtrip p50 must
+# track the simulated IPC latency, 8 pipelined round trips must beat 8
+# serial ones ≥ 4× under the per-segment model (and per-request times
+# must stay framing-independent), aggregate throughput at 8 concurrent
+# clients must be ≥ 3× the single-client baseline, span sampling at the
+# default 1-in-64 interval must cost < 10% of pipelined round-trip
 # throughput, the tiled renderer must beat the seed flat renderer ≥ 3×
 # on the fill/scroll/text storm, painters must keep ≥ half their
 # throughput under concurrent screenshot export, the session farm must
@@ -72,9 +69,16 @@ bench: bench-farm
 # mid-run eviction with zero cross-tenant damage (docs/farm.md), and
 # wire protocol v2, compressed segments of the same frames v1 sends,
 # must cut bytes-on-wire ≥ 5× and finish the 10 ms-RTT storm ≥ 2×
-# faster than v1 (docs/pipelining.md, "Wire protocol v2").
+# faster than v1 (docs/pipelining.md, "Wire protocol v2"). The test
+# binary runs in .bench_build/smoke/, so the artifacts it emits
+# (BENCH_obs.json, BENCH_pipeline.json, BENCH_mtserver.json,
+# BENCH_slo.json, BENCH_render.json, BENCH_farm.json and
+# BENCH_wire.json) land there and the tree stays clean; bench-farm and
+# bench-wire refresh the committed BENCH_farm.json and BENCH_wire.json.
 bench-smoke:
-	OBS_BENCH=1 $(GO) test -run 'TestEmitObsBench|TestEmitPipelineBench|TestEmitMTServerBench|TestEmitSLOBench|TestEmitRenderBench|TestEmitFarmBench|TestEmitWireBench' -count=1 .
+	mkdir -p .bench_build/smoke
+	$(GO) test -c -o .bench_build/smoke/repro.test .
+	cd .bench_build/smoke && OBS_BENCH=1 ./repro.test -test.run 'TestEmitObsBench|TestEmitPipelineBench|TestEmitMTServerBench|TestEmitSLOBench|TestEmitRenderBench|TestEmitFarmBench|TestEmitWireBench' -test.count=1 -test.timeout=10m
 
 # bench-farm runs just the display-farm benchmark (BENCH_farm.json):
 # 1000+ concurrent wish-style sessions, bounded-memory assertion, p99

@@ -139,10 +139,9 @@ func (app *App) runIdle() bool {
 
 // DoOneEvent processes one round of events. With wait=false it returns
 // immediately when nothing is pending. It reports whether any work was
-// done.
+// done. Buffered requests are flushed only when it is about to block,
+// as Xlib flushes only before it waits for the server.
 func (app *App) DoOneEvent(wait bool) bool {
-	app.Disp.Flush()
-
 	// 1. Already-queued X events and posted work.
 	select {
 	case ev, ok := <-app.Disp.Events():
@@ -186,7 +185,8 @@ func (app *App) DoOneEvent(wait bool) bool {
 	if !wait {
 		return false
 	}
-	// 4. Block for the next source.
+	// 4. Block for the next source, with every request on the wire.
+	app.Disp.Flush()
 	var timerCh <-chan time.Time
 	if app.timers.Len() > 0 {
 		d := time.Until(app.timers.entries[0].when)
@@ -254,22 +254,21 @@ func (app *App) StartServing() (stop func()) {
 }
 
 // Update processes all pending events, timers and idle handlers without
-// waiting: the "update" Tcl command. Each round begins with a server sync
-// so that every event caused by our own earlier requests (including those
-// issued from idle handlers in the previous round) has arrived before we
-// decide we are done.
+// waiting: the "update" Tcl command. Each round drains the queues first
+// and then syncs with the server once, so the round's requests, idle
+// redraws included, travel in one flush and cost one round trip. The
+// sync makes every event caused by those requests arrive before Update
+// decides it is done; it loops only if the sync brought work. This is
+// Tk's order: its update calls XSync after the drain.
 func (app *App) Update() {
 	for {
-		if err := app.Disp.Sync(); err != nil {
-			return
-		}
-		if !app.DoOneEvent(false) {
-			return
-		}
 		for app.DoOneEvent(false) {
 			if app.Quitting() {
 				return
 			}
+		}
+		if err := app.Disp.Sync(); err != nil || !app.DoOneEvent(false) {
+			return
 		}
 	}
 }

@@ -11,6 +11,7 @@ package tk
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -100,6 +101,9 @@ type Window struct {
 
 	// selectedMask accumulates the X event mask this client has selected.
 	selectedMask uint32
+
+	// background is the X background pixel last sent for the window.
+	background uint32
 
 	// handlers are C-level (Go) event handlers: mask → funcs.
 	handlers []evtHandler
@@ -317,16 +321,16 @@ func NewApp(d *xclient.Display, cfg Config) (*App, error) {
 	main := &Window{
 		App: app, Path: ".", Name: "", Class: cfg.Class,
 		Width: 200, Height: 200, ReqWidth: 0, ReqHeight: 0,
-		TopLevel: true,
+		TopLevel: true, selectedMask: structureMask, background: 0xffffff,
 	}
 	main.XID = d.CreateWindow(d.Root, 0, 0, 200, 200, 0, xclient.WindowAttributes{
-		Background: 0xffffff,
+		Background: main.background,
 		Border:     0x000000,
+		EventMask:  main.selectedMask,
 	})
 	app.windows["."] = main
 	app.xidMap[main.XID] = main
 	app.Main = main
-	app.selectStructure(main)
 	main.Map()
 
 	// Comm window for send: an unmapped override-redirect child of root.
@@ -347,11 +351,10 @@ func NewApp(d *xclient.Display, cfg Config) (*App, error) {
 	return app, nil
 }
 
-// selectStructure subscribes the app to structural events on a window.
-func (app *App) selectStructure(w *Window) {
-	w.selectedMask |= xproto.StructureNotifyMask | xproto.ExposureMask
-	app.Disp.SelectInput(w.XID, w.selectedMask)
-}
+// structureMask is the event mask every toolkit window is created with:
+// structure changes keep the cache of §3.3 current, and exposures drive
+// redisplay.
+const structureMask = xproto.StructureNotifyMask | xproto.ExposureMask
 
 // Metrics returns the application's metrics registry. It is the
 // display connection's registry, so protocol counters ("requests",
@@ -434,18 +437,19 @@ func (app *App) createWindow(path, class string, top bool) (*Window, error) {
 	w := &Window{
 		App: app, Path: path, Name: name, Class: class,
 		Parent: parent, Width: 1, Height: 1, TopLevel: top,
+		selectedMask: structureMask, background: 0xffffff,
 	}
 	xparent := parent.XID
 	if top {
 		xparent = app.Disp.Root
 	}
 	w.XID = app.Disp.CreateWindow(xparent, 0, 0, 1, 1, 0, xclient.WindowAttributes{
-		Background: 0xffffff,
+		Background: w.background,
+		EventMask:  w.selectedMask,
 	})
 	parent.Children = append(parent.Children, w)
 	app.windows[path] = w
 	app.xidMap[w.XID] = w
-	app.selectStructure(w)
 	return w, nil
 }
 
@@ -453,13 +457,21 @@ func (app *App) createWindow(path, class string, top bool) (*Window, error) {
 // commands are deleted, widgets notified, geometry managers informed, and
 // the X windows destroyed.
 func (app *App) DestroyWindow(w *Window) {
+	app.destroyWindow(w, true)
+}
+
+// destroyWindow tears down w's subtree, children first. The server
+// destroys X children with their parent, so as in Tk_DestroyWindow only
+// the subtree's root and the top-levels in it (whose X parent is the
+// root window) need a DestroyWindow request; sendReq says w is one.
+func (app *App) destroyWindow(w *Window, sendReq bool) {
 	if w.Destroyed {
 		return
 	}
 	// Children first (use a copy: destruction mutates the slice).
 	children := append([]*Window(nil), w.Children...)
 	for _, ch := range children {
-		app.DestroyWindow(ch)
+		app.destroyWindow(ch, ch.TopLevel)
 	}
 	w.Destroyed = true
 	w.Mapped = false
@@ -491,15 +503,13 @@ func (app *App) DestroyWindow(w *Window) {
 	delete(app.windows, w.Path)
 	delete(app.xidMap, w.XID)
 	if w.Parent != nil {
-		sibs := w.Parent.Children
-		for i, sib := range sibs {
-			if sib == w {
-				w.Parent.Children = append(sibs[:i], sibs[i+1:]...)
-				break
-			}
+		if i := slices.Index(w.Parent.Children, w); i >= 0 {
+			w.Parent.Children = slices.Delete(w.Parent.Children, i, i+1)
 		}
 	}
-	app.Disp.DestroyWindow(w.XID)
+	if sendReq {
+		app.Disp.DestroyWindow(w.XID)
+	}
 
 	if w == app.Main {
 		app.Destroy()
@@ -662,18 +672,34 @@ func (w *Window) Unmap() {
 
 // ScheduleRedraw arranges for the widget to repaint at idle time,
 // collapsing repeated damage into one repaint (a when-idle handler,
-// §3.2).
+// §3.2). A window that is not viewable is not painted, as Tk's display
+// procedures return early unless Tk_IsMapped: the server exposes it
+// when it becomes viewable, and the Expose repaints it.
 func (w *Window) ScheduleRedraw() {
-	if w.redrawPending || w.Destroyed || w.Widget == nil {
+	if w.redrawPending || w.Destroyed || w.Widget == nil || !w.viewable() {
 		return
 	}
 	w.redrawPending = true
 	w.App.DoWhenIdle(func() {
 		w.redrawPending = false
-		if !w.Destroyed && w.Widget != nil {
+		if !w.Destroyed && w.Widget != nil && w.viewable() {
 			w.Widget.Redraw()
 		}
 	})
+}
+
+// viewable reports whether w and its ancestors up to its top-level are
+// mapped.
+func (w *Window) viewable() bool {
+	for cur := w; cur != nil; cur = cur.Parent {
+		if !cur.Mapped {
+			return false
+		}
+		if cur.TopLevel {
+			break
+		}
+	}
+	return true
 }
 
 // AddEventHandler registers a Go-level handler for the events in mask on
@@ -686,7 +712,12 @@ func (w *Window) AddEventHandler(mask uint32, fn func(ev *xproto.Event)) {
 	}
 }
 
-// SetBackground changes the window's X background pixel.
+// SetBackground changes the window's X background pixel; an unchanged
+// pixel sends nothing.
 func (w *Window) SetBackground(pixel uint32) {
+	if pixel == w.background {
+		return
+	}
+	w.background = pixel
 	w.App.Disp.SetWindowBackground(w.XID, pixel)
 }

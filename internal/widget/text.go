@@ -2,6 +2,7 @@ package widget
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,6 +33,15 @@ type Text struct {
 	topLine int // first visible line (0-based)
 
 	tags map[string]*textTag
+
+	// Redisplay state. Redraw repaints the rows of lines dmgLo..dmgHi
+	// (none while dmgLo > dmgHi), of the line the cursor was drawn on
+	// (cursorDrawn) and of the cursor's line; it repaints everything
+	// when repaintAll is set or the window is no longer drawnW×drawnH.
+	dmgLo, dmgHi   int
+	repaintAll     bool
+	cursorDrawn    int
+	drawnW, drawnH int
 }
 
 type textTag struct {
@@ -74,7 +84,7 @@ func registerText(app *tk.App) {
 		}
 		tx := &Text{base: *b, lines: []string{""}, tags: make(map[string]*textTag)}
 		tx.win.Widget = tx
-		tx.geomAndExposure()
+		tx.win.AddEventHandler(xproto.ExposureMask, func(*xproto.Event) { tx.redrawAll() })
 		tx.bindBehaviour()
 		// A resize changes how many lines are visible; keep the attached
 		// scrollbar current.
@@ -147,6 +157,7 @@ func (tx *Text) Insert(line, ch int, s string) {
 		if tx.curLine == line && tx.curChar >= ch {
 			tx.curChar += len(s)
 		}
+		tx.damage(line, line)
 	} else {
 		newLines := make([]string, 0, len(tx.lines)+len(parts)-1)
 		newLines = append(newLines, tx.lines[:line]...)
@@ -157,9 +168,9 @@ func (tx *Text) Insert(line, ch int, s string) {
 		tx.lines = newLines
 		tx.curLine = line + len(parts) - 1
 		tx.curChar = len(parts[len(parts)-1])
+		tx.damage(line, math.MaxInt)
 	}
 	tx.updateScrollbar()
-	tx.win.ScheduleRedraw()
 }
 
 // Delete removes the range [start, end).
@@ -175,8 +186,12 @@ func (tx *Text) Delete(l1, c1, l2, c2 int) {
 	newLines = append(newLines, tx.lines[l2+1:]...)
 	tx.lines = newLines
 	tx.curLine, tx.curChar = l1, c1
+	if l1 == l2 {
+		tx.damage(l1, l1)
+	} else {
+		tx.damage(l1, math.MaxInt)
+	}
 	tx.updateScrollbar()
-	tx.win.ScheduleRedraw()
 }
 
 // Get returns the text in [start, end).
@@ -283,6 +298,8 @@ func (tag *textTag) covers(line, ch int) bool {
 	return false
 }
 
+// handleKey edits the text or moves the insertion cursor for one key,
+// then keeps the cursor in view.
 func (tx *Text) handleKey(ev *xproto.Event) {
 	switch ev.Keysym {
 	case xproto.KsBackSpace:
@@ -332,6 +349,19 @@ func (tx *Text) handleKey(ev *xproto.Event) {
 		}
 		tx.Insert(tx.curLine, tx.curChar, ch)
 	}
+	tx.seeInsert()
+}
+
+// seeInsert scrolls the view by the least amount that shows the
+// insertion cursor's line. Tk's text bindings likewise keep the cursor
+// in view after every key ("yview -pickplace insert").
+func (tx *Text) seeInsert() {
+	switch rows := tx.visibleLines(); {
+	case tx.curLine < tx.topLine:
+		tx.View(tx.curLine)
+	case tx.curLine >= tx.topLine+rows:
+		tx.View(tx.curLine - rows + 1)
+	}
 }
 
 // updateScrollbar keeps an attached scrollbar current.
@@ -363,7 +393,7 @@ func (tx *Text) View(line int) {
 	}
 	tx.topLine = line
 	tx.updateScrollbar()
-	tx.win.ScheduleRedraw()
+	tx.redrawAll()
 }
 
 func (tx *Text) tagNames() []string {
@@ -386,7 +416,7 @@ func (tx *Text) recompute() error {
 	cols := tx.cv.GetInt("-width", 40)
 	rows := tx.cv.GetInt("-height", 10)
 	tx.win.GeometryRequest(cols*tx.font.TextWidth("0")+2*bd+6, rows*tx.lineHeight()+2*bd)
-	tx.win.ScheduleRedraw()
+	tx.redrawAll()
 	tx.updateScrollbar()
 	return nil
 }
@@ -507,7 +537,7 @@ func (tx *Text) tagCommand(args []string) (string, error) {
 		}
 		tag := getTag(args[1])
 		tag.ranges = append(tag.ranges, textRange{l1, c1, l2, c2})
-		tx.win.ScheduleRedraw()
+		tx.redrawAll()
 		return "", nil
 	case "remove":
 		if len(args) != 2 {
@@ -515,7 +545,7 @@ func (tx *Text) tagCommand(args []string) (string, error) {
 		}
 		if tag, ok := tx.tags[args[1]]; ok {
 			tag.ranges = nil
-			tx.win.ScheduleRedraw()
+			tx.redrawAll()
 		}
 		return "", nil
 	case "names":
@@ -537,7 +567,7 @@ func (tx *Text) tagCommand(args []string) (string, error) {
 				return "", fmt.Errorf("unknown tag option %q", args[i])
 			}
 		}
-		tx.win.ScheduleRedraw()
+		tx.redrawAll()
 		return "", nil
 	case "bind":
 		if len(args) < 3 || len(args) > 4 {
@@ -557,96 +587,151 @@ func (tx *Text) tagCommand(args []string) (string, error) {
 	return "", fmt.Errorf("bad tag option %q: should be add, bind, configure, names, or remove", args[0])
 }
 
-// Redraw implements tk.Widget.
+// damage marks lines lo..hi for repainting at idle time; the rows of
+// the old and new cursor lines are repainted with them.
+func (tx *Text) damage(lo, hi int) {
+	if tx.dmgLo > tx.dmgHi {
+		tx.dmgLo, tx.dmgHi = lo, hi
+	} else {
+		tx.dmgLo, tx.dmgHi = min(tx.dmgLo, lo), max(tx.dmgHi, hi)
+	}
+	tx.win.ScheduleRedraw()
+}
+
+// redrawAll schedules a repaint of the whole widget: for exposure,
+// scrolling, tag changes and configuration.
+func (tx *Text) redrawAll() {
+	tx.repaintAll = true
+	tx.win.ScheduleRedraw()
+}
+
+// textPaint is what painting a row needs, resolved once per Redraw.
+type textPaint struct {
+	bd, lh, cw int
+	gcText     xproto.ID
+	tags       []tagPaint
+}
+
+// tagPaint is a tag with its resolved graphics contexts: bg fills its
+// background (0 for none), fg draws its text and underline (0 when the
+// tag changes neither).
+type tagPaint struct {
+	tag    *textTag
+	bg, fg xproto.ID
+}
+
+// Redraw implements tk.Widget. A full repaint clears the window and
+// paints every visible row; otherwise only the damaged rows are cleared
+// and repainted. Either way the border is drawn last, over any text
+// that overflows into it.
 func (tx *Text) Redraw() {
 	if tx.win.Destroyed {
 		return
 	}
-	tx.clear(tx.bg)
-	bd := tx.cv.GetInt("-borderwidth", 2)
-	d := tx.app.Disp
-	lh := tx.lineHeight()
-	cw := tx.font.TextWidth("0")
-	visible := tx.visibleLines()
-
-	// Tag backgrounds first.
+	p := textPaint{
+		bd:     tx.cv.GetInt("-borderwidth", 2),
+		lh:     tx.lineHeight(),
+		cw:     tx.font.TextWidth("0"),
+		gcText: tx.app.GC(tx.fg, tx.bg, 1, tx.fontID()),
+	}
 	for _, name := range tx.tagNames() {
 		tag := tx.tags[name]
-		if tag.background == "" {
-			continue
-		}
-		px, err := tx.app.Color(tag.background)
-		if err != nil {
-			continue
-		}
-		gc := tx.app.GC(px, px, 1, tx.fontID())
-		for _, r := range tag.ranges {
-			for line := max(r.startLine, tx.topLine); line <= r.endLine && line < tx.topLine+visible && line < len(tx.lines); line++ {
-				c1, c2 := 0, len(tx.lines[line])
-				if line == r.startLine {
-					c1 = r.startChar
-				}
-				if line == r.endLine {
-					c2 = r.endChar
-				}
-				if c2 <= c1 {
-					continue
-				}
-				y := bd + (line-tx.topLine)*lh
-				d.FillRectangle(tx.win.XID, gc, bd+3+c1*cw, y, (c2-c1)*cw, lh)
+		tp := tagPaint{tag: tag}
+		if tag.background != "" {
+			if px, err := tx.app.Color(tag.background); err == nil {
+				tp.bg = tx.app.GC(px, px, 1, tx.fontID())
 			}
 		}
+		if tag.foreground != "" || tag.underline {
+			fg := tx.fg
+			if tag.foreground != "" {
+				if px, err := tx.app.Color(tag.foreground); err == nil {
+					fg = px
+				}
+			}
+			tp.fg = tx.app.GC(fg, tx.bg, 1, tx.fontID())
+		}
+		if tp.bg != 0 || tp.fg != 0 {
+			p.tags = append(p.tags, tp)
+		}
 	}
-
-	// Text lines (per-tag foreground applied per whole line segment for
-	// simplicity: tagged segments redrawn over the base text).
-	gcText := tx.app.GC(tx.fg, tx.bg, 1, tx.fontID())
-	for row := 0; row < visible; row++ {
+	full := tx.repaintAll || tx.win.Width != tx.drawnW || tx.win.Height != tx.drawnH
+	if full {
+		tx.clear(tx.bg)
+	}
+	gcClear := tx.app.GC(tx.bg, tx.bg, 1, tx.fontID())
+	for row, visible := 0, tx.visibleLines(); row < visible; row++ {
 		line := tx.topLine + row
-		if line >= len(tx.lines) {
-			break
+		if !full {
+			if line != tx.curLine && line != tx.cursorDrawn && (line < tx.dmgLo || line > tx.dmgHi) {
+				continue
+			}
+			tx.app.Disp.FillRectangle(tx.win.XID, gcClear, p.bd, p.bd+row*p.lh, tx.win.Width-2*p.bd, p.lh)
 		}
-		y := bd + row*lh + tx.font.Ascent + 1
-		d.DrawString(tx.win.XID, gcText, bd+3, y, tx.lines[line])
+		if line < len(tx.lines) {
+			tx.paintLine(line, &p)
+		}
 	}
-	for _, name := range tx.tagNames() {
-		tag := tx.tags[name]
-		if tag.foreground == "" && !tag.underline {
+	tx.draw3DBorder(0, 0, tx.win.Width, tx.win.Height, p.bd, tx.bg, tx.cv.Get("-relief"))
+	tx.repaintAll = false
+	tx.dmgLo, tx.dmgHi = 0, -1
+	tx.cursorDrawn = tx.curLine
+	tx.drawnW, tx.drawnH = tx.win.Width, tx.win.Height
+}
+
+// paintLine draws one visible line over a cleared row: tag backgrounds,
+// the text, tagged foregrounds and underlines, then the insertion
+// cursor if it is on this line. Nothing it draws leaves the row.
+func (tx *Text) paintLine(line int, p *textPaint) {
+	d := tx.app.Disp
+	text := tx.lines[line]
+	top := p.bd + (line-tx.topLine)*p.lh
+	baseline := top + tx.font.Ascent + 1
+	// span returns the characters of line that range r covers.
+	span := func(r textRange) (int, int) {
+		c1, c2 := 0, len(text)
+		if line == r.startLine {
+			c1 = r.startChar
+		}
+		if line == r.endLine {
+			c2 = r.endChar
+		}
+		return c1, c2
+	}
+	for _, tp := range p.tags {
+		if tp.bg == 0 {
 			continue
 		}
-		fg := tx.fg
-		if tag.foreground != "" {
-			if px, err := tx.app.Color(tag.foreground); err == nil {
-				fg = px
+		for _, r := range tp.tag.ranges {
+			if line < r.startLine || line > r.endLine {
+				continue
 			}
-		}
-		gc := tx.app.GC(fg, tx.bg, 1, tx.fontID())
-		for _, r := range tag.ranges {
-			for line := max(r.startLine, tx.topLine); line <= r.endLine && line < tx.topLine+visible && line < len(tx.lines); line++ {
-				c1, c2 := 0, len(tx.lines[line])
-				if line == r.startLine {
-					c1 = r.startChar
-				}
-				if line == r.endLine {
-					c2 = r.endChar
-				}
-				if c2 <= c1 || c1 >= len(tx.lines[line]) {
-					continue
-				}
-				c2 = min(c2, len(tx.lines[line]))
-				y := bd + (line-tx.topLine)*lh + tx.font.Ascent + 1
-				d.DrawString(tx.win.XID, gc, bd+3+c1*cw, y, tx.lines[line][c1:c2])
-				if tag.underline {
-					d.FillRectangle(tx.win.XID, gc, bd+3+c1*cw, y+2, (c2-c1)*cw, 1)
-				}
+			if c1, c2 := span(r); c2 > c1 {
+				d.FillRectangle(tx.win.XID, tp.bg, p.bd+3+c1*p.cw, top, (c2-c1)*p.cw, p.lh)
 			}
 		}
 	}
-
-	// Insertion cursor.
-	if tx.curLine >= tx.topLine && tx.curLine < tx.topLine+visible {
-		y := bd + (tx.curLine-tx.topLine)*lh
-		d.FillRectangle(tx.win.XID, gcText, bd+3+tx.curChar*cw, y+1, 1, lh-2)
+	d.DrawString(tx.win.XID, p.gcText, p.bd+3, baseline, text)
+	for _, tp := range p.tags {
+		if tp.fg == 0 {
+			continue
+		}
+		for _, r := range tp.tag.ranges {
+			if line < r.startLine || line > r.endLine {
+				continue
+			}
+			c1, c2 := span(r)
+			if c2 <= c1 || c1 >= len(text) {
+				continue
+			}
+			c2 = min(c2, len(text))
+			d.DrawString(tx.win.XID, tp.fg, p.bd+3+c1*p.cw, baseline, text[c1:c2])
+			if tp.tag.underline {
+				d.FillRectangle(tx.win.XID, tp.fg, p.bd+3+c1*p.cw, baseline+2, (c2-c1)*p.cw, 1)
+			}
+		}
 	}
-	tx.draw3DBorder(0, 0, tx.win.Width, tx.win.Height, bd, tx.bg, tx.cv.Get("-relief"))
+	if line == tx.curLine {
+		d.FillRectangle(tx.win.XID, p.gcText, p.bd+3+tx.curChar*p.cw, top+1, 1, p.lh-2)
+	}
 }

@@ -162,48 +162,49 @@ func shade(pixel uint32, factor float64) uint32 {
 }
 
 // draw3DBorder renders a Motif-style relief border of width bw around
-// the rectangle (x, y, w, h) in the widget's window.
+// the rectangle (x, y, w, h) in the widget's window. Each ring i of the
+// border is four one-pixel strips: top and left in one shade, bottom
+// and right in the other. All strips of a shade go in one request, as
+// Xlib's XFillRectangles sends them, the top-left shade first. The
+// border width is clamped to fit, as Tk_Draw3DRectangle clamps it.
 func (b *base) draw3DBorder(x, y, w, h, bw int, bg uint32, relief string) {
+	bw = min(bw, w/2, h/2)
 	if bw <= 0 || relief == "flat" {
 		return
 	}
-	d := b.app.Disp
 	light := shade(bg, 1.4)
 	dark := shade(bg, 0.6)
 	top, bottom := light, dark
-	switch relief {
-	case "sunken":
+	if relief == "sunken" || relief == "groove" {
 		top, bottom = dark, light
-	case "groove":
-		top, bottom = dark, light
-	case "ridge":
-		top, bottom = light, dark
 	}
-	gcTop := b.app.GC(top, bg, 1, b.fontID())
-	gcBottom := b.app.GC(bottom, bg, 1, b.fontID())
 	half := bw
 	if relief == "groove" || relief == "ridge" {
-		half = bw / 2
-		if half < 1 {
-			half = 1
-		}
+		half = max(bw/2, 1)
 	}
+	rect := func(x, y, w, h int) xproto.Rect {
+		return xproto.Rect{X: int16(x), Y: int16(y), W: uint16(w), H: uint16(h)}
+	}
+	rects := make([]xproto.Rect, 0, 4*bw)
 	for i := 0; i < half; i++ {
-		// Top and left in the top shade.
-		d.FillRectangle(b.win.XID, gcTop, x+i, y+i, w-2*i, 1)
-		d.FillRectangle(b.win.XID, gcTop, x+i, y+i, 1, h-2*i)
-		// Bottom and right in the bottom shade.
-		d.FillRectangle(b.win.XID, gcBottom, x+i, y+h-1-i, w-2*i, 1)
-		d.FillRectangle(b.win.XID, gcBottom, x+w-1-i, y+i, 1, h-2*i)
+		rects = append(rects, rect(x+i, y+i, w-2*i, 1), rect(x+i, y+i, 1, h-2*i))
 	}
-	if relief == "groove" || relief == "ridge" {
-		for i := half; i < bw; i++ {
-			d.FillRectangle(b.win.XID, gcBottom, x+i, y+i, w-2*i, 1)
-			d.FillRectangle(b.win.XID, gcBottom, x+i, y+i, 1, h-2*i)
-			d.FillRectangle(b.win.XID, gcTop, x+i, y+h-1-i, w-2*i, 1)
-			d.FillRectangle(b.win.XID, gcTop, x+w-1-i, y+i, 1, h-2*i)
-		}
+	// The inner rings of a groove or ridge swap the shades. Their strips
+	// end one pixel short of the corners the other shade paints, so
+	// sending the top-left shade first leaves those corners to it.
+	for i := half; i < bw; i++ {
+		rects = append(rects, rect(x+i, y+h-1-i, w-2*i, 1), rect(x+w-1-i, y+i, 1, h-2*i))
 	}
+	nTop := len(rects)
+	for i := 0; i < half; i++ {
+		rects = append(rects, rect(x+i, y+h-1-i, w-2*i, 1), rect(x+w-1-i, y+i, 1, h-2*i))
+	}
+	for i := half; i < bw; i++ {
+		rects = append(rects, rect(x+i, y+i, w-2*i-1, 1), rect(x+i, y+i, 1, h-2*i-1))
+	}
+	d := b.app.Disp
+	d.FillRectangles(b.win.XID, b.app.GC(top, bg, 1, b.fontID()), rects[:nTop])
+	d.FillRectangles(b.win.XID, b.app.GC(bottom, bg, 1, b.fontID()), rects[nTop:])
 }
 
 func (b *base) fontID() xproto.ID {

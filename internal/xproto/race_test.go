@@ -1,0 +1,5 @@
+//go:build race
+
+package xproto
+
+const raceEnabled = true

@@ -28,6 +28,7 @@ import (
 	"hash/crc32"
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // Wire-upgrade opcodes. Like OpAttachSession, both are consumed by the
@@ -91,13 +92,43 @@ func (q *WireSegReq) Decode(r *Reader) {
 // envelopes (hardware-accelerated on the platforms that matter).
 var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
 
+// pooledWriter is a recycled compressor. Building a flate.Writer costs
+// about 1 MiB, so the pool must hand one back to whichever goroutine
+// compresses next.
+type pooledWriter struct {
+	fw   *flate.Writer
+	busy atomic.Bool // on loan to a caller
+}
+
 // flateWriterPool recycles compressors across segments; Reset rebinds
-// one to the current output in O(1).
-var flateWriterPool = sync.Pool{
-	New: func() any {
-		fw, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
-		return fw
-	},
+// one to the current output in O(1). A sync.Pool keeps the first item
+// put on a P in that P's private slot, which no other P can take, so a
+// writer released on one P would be rebuilt by a compression on the
+// other. putFlateWriter therefore puts each writer twice: the second
+// copy lands in the P's shared list, which every P can steal from (in
+// the victim cache too). getFlateWriter skips copies still on loan.
+var flateWriterPool sync.Pool
+
+func getFlateWriter() *pooledWriter {
+	for {
+		pw, _ := flateWriterPool.Get().(*pooledWriter)
+		if pw == nil {
+			fw, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
+			pw = &pooledWriter{fw: fw}
+			pw.busy.Store(true)
+			return pw
+		}
+		if pw.busy.CompareAndSwap(false, true) {
+			return pw
+		}
+		// A second copy of a writer already on loan: drop it.
+	}
+}
+
+func putFlateWriter(pw *pooledWriter) {
+	pw.busy.Store(false)
+	flateWriterPool.Put(pw)
+	flateWriterPool.Put(pw)
 }
 
 // flateReaderPool recycles decompressors; every flate.NewReader
@@ -127,11 +158,11 @@ func appendSegmentPayload(dst, raw []byte) (out []byte, compressed bool) {
 	bodyAt := len(dst)
 	if len(raw) >= minCompressSize {
 		sw := &sliceWriter{buf: dst}
-		fw := flateWriterPool.Get().(*flate.Writer)
-		fw.Reset(sw)
-		fw.Write(raw) //nolint:errcheck — sliceWriter cannot fail
-		fw.Close()    //nolint:errcheck
-		flateWriterPool.Put(fw)
+		pw := getFlateWriter()
+		pw.fw.Reset(sw)
+		pw.fw.Write(raw) //nolint:errcheck — sliceWriter cannot fail
+		pw.fw.Close()    //nolint:errcheck
+		putFlateWriter(pw)
 		dst = sw.buf
 		if len(dst)-bodyAt < len(raw) {
 			dst[flagAt] = segFlagCompressed

@@ -1,6 +1,8 @@
 package xserver
 
 import (
+	"slices"
+
 	"repro/internal/xproto"
 )
 
@@ -158,12 +160,10 @@ func (s *Server) destroyWindow(w *window) {
 	ev := &xproto.Event{Type: xproto.DestroyNotify, Window: w.id, Time: s.now()}
 	s.broadcast(w, ev, xproto.StructureNotifyMask)
 	if w.parent != nil {
-		sibs := w.parent.children
-		for i, sib := range sibs {
-			if sib == w {
-				w.parent.children = append(sibs[:i], sibs[i+1:]...)
-				break
-			}
+		// slices.Delete zeroes the vacated slot, so the parent's array
+		// does not keep the destroyed window reachable.
+		if i := slices.Index(w.parent.children, w); i >= 0 {
+			w.parent.children = slices.Delete(w.parent.children, i, i+1)
 		}
 	}
 	delete(s.windows, w.id)

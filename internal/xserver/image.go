@@ -211,6 +211,11 @@ func (im *image) fillTileRow(ty, x0, y0, x1, y1 int, pixel uint32) {
 			im.touch(t)
 			continue
 		}
+		if t.px == nil && t.solid == pixel {
+			// A partial fill in a solid tile's own colour changes no
+			// pixel: no slab, no damage.
+			continue
+		}
 		t = im.writableTile(tx, ty)
 		if cx1-cx0 == tileSize {
 			// Full tile width: the covered rows are one contiguous

@@ -32,6 +32,24 @@ func TestImageFillAndClip(t *testing.T) {
 	}
 }
 
+// TestSameColourFillKeepsTileSolid: a partial fill in a solid tile's own
+// colour changes no pixel, so the tile gets no slab and no damage.
+func TestSameColourFillKeepsTileSolid(t *testing.T) {
+	im := newFilledImage(100, 100, 0xabcdef, nil)
+	im.snapshot() // clears the damage of the initial fill
+	im.fillRect(5, 5, 10, 3, 0xabcdef)
+	if im.tiles[0].px != nil {
+		t.Fatal("a same-colour partial fill gave the solid tile a slab")
+	}
+	if n := im.damagedTiles(); n != 0 {
+		t.Fatalf("a same-colour partial fill damaged %d tiles, want 0", n)
+	}
+	im.fillRect(5, 5, 10, 3, 0x123456)
+	if im.tiles[0].px == nil || im.get(5, 5) != 0x123456 || im.get(4, 5) != 0xabcdef {
+		t.Fatal("a partial fill in another colour did not paint the tile")
+	}
+}
+
 // TestImageResizePreservesContent: a window resize builds a new backing
 // store painted with the background (newFilledImage), which is what the
 // seed's resize-preserving-content followed by a full background fill
