@@ -167,9 +167,9 @@ func TestProcSharingAcrossScripts(t *testing.T) {
 // analyzer: the declared chain on box is enforced edge by edge
 // (direct, through a leaf group, across independent chains, and one
 // call level deep), cycles are reported whether or not the mutexes are
-// declared, same-class nesting is allowed only through the
-// conditionally swapped pair idiom, and mutexes reached through
-// promoted fields keep the class of the struct that declares them.
+// declared, nesting two mutexes of one class is reported however they
+// are ordered, and mutexes reached through promoted fields keep the
+// class of the struct that declares them.
 func TestLockOrderFixture(t *testing.T) {
 	assertDiags(t, checkFixture(t, filepath.Join("testdata", "lockorder")), []string{
 		`testdata/lockorder/lockorder.go:43:2: box.first acquired while box.second is held, contradicting the declared lock order (box.first is ordered before box.second) [lockorder]`,
@@ -178,7 +178,8 @@ func TestLockOrderFixture(t *testing.T) {
 		`testdata/lockorder/lockorder.go:59:2: box.solo acquired while box.first is held, but the lock-order declaration puts them on independent chains (they must never be held together) [lockorder]`,
 		`testdata/lockorder/lockorder.go:74:2: box.leafA acquired while box.leafB is held (via call to box.lockLeafA), but both are members of the same lock-order leaf group (group members must not nest) [lockorder]`,
 		`testdata/lockorder/lockorder.go:74:2: lock-order cycle: box.leafA -> box.leafB -> box.leafA (via call to box.lockLeafA) [lockorder]`,
-		`testdata/lockorder/lockorder.go:93:2: cell.mu acquired in unorderedPair while another cell.mu is already held (no ordered-pair idiom: lock both through a conditionally swapped lo/hi pair) [lockorder]`,
+		`testdata/lockorder/lockorder.go:85:2: cell.mu acquired in orderedPair while another cell.mu is already held [lockorder]`,
+		`testdata/lockorder/lockorder.go:93:2: cell.mu acquired in unorderedPair while another cell.mu is already held [lockorder]`,
 		`testdata/lockorder/lockorder.go:108:2: box.solo acquired while box.leafB is held, but the lock-order declaration puts them on independent chains (they must never be held together) [lockorder]`,
 	})
 }

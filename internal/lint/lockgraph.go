@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"maps"
 	"sort"
 	"strings"
 )
@@ -18,14 +17,13 @@ import (
 //     machine-readable "// lock-order:" block on a struct's doc comment
 //     (see parseLockOrderDecls for the syntax);
 //   - any cycle in the acquisition graph, declared order or not;
-//   - any re-acquisition of a mutex class already held, unless the
-//     function uses the ascending-ID pair idiom (two locks of the same
-//     class taken in an order fixed by a conditional swap, as
-//     xserver's CopyArea does for same-depth pixmap pairs).
+//   - any acquisition of a mutex class already held: two instances of
+//     one class have no order the analyzer can check, so nesting them
+//     is always reported.
 //
-// Mutex identity is the *class*, not the instance: "Server.treeMu" is
-// the treeMu field of any Server, "pixmap.mu" is the mu field of any
-// pixmap, and a package-level "var patternMu sync.Mutex" is just
+// Mutex identity is the *class*, not the instance: "Server.mu" is the
+// mu field of any Server, "Farm.sessMu" is the sessMu field of any
+// Farm, and a package-level "var patternMu sync.Mutex" is just
 // "patternMu". The type checker names both the mutex a call locks and
 // the function a call invokes, so the analysis is interprocedural one
 // call level deep through same-package functions and methods: when f
@@ -56,13 +54,12 @@ func checkLockOrder(p *goPackage) []Diag {
 				continue
 			}
 			w := &lockOrderWalk{
-				fset:         p.fset,
-				info:         p.info,
-				funcName:     fd.Name.Name,
-				orderedPairs: collectOrderedPairs(fd.Body),
-				summary:      &funcSummary{acquires: make(map[string]token.Pos), calls: make(map[*types.Func]bool)},
+				fset:     p.fset,
+				info:     p.info,
+				funcName: fd.Name.Name,
+				summary:  &funcSummary{acquires: make(map[string]token.Pos), calls: make(map[*types.Func]bool)},
 			}
-			w.flow = flow[map[string]string]{info: p.info, hooks: w}
+			w.flow = flow[map[string]bool]{info: p.info, hooks: w}
 			w.flow.body(fd.Body, w.fresh())
 			walks = append(walks, w)
 			if fn, ok := p.info.Defs[fd.Name].(*types.Func); ok {
@@ -177,7 +174,7 @@ func mutexOp(info *types.Info, call *ast.CallExpr) (x ast.Expr, acquire, ok bool
 // type name.
 var mutexTypes = map[string]bool{
 	"sync.Mutex": true, "sync.RWMutex": true,
-	"obs.TimedMutex": true, "obs.TimedRWMutex": true,
+	"obs.TimedMutex": true,
 }
 
 // isMutex reports whether t is one of mutexTypes or a pointer to one.
@@ -270,41 +267,23 @@ type heldCallRec struct {
 }
 
 // lockOrderWalk walks one function, tracking which mutex classes are
-// held, each mapped to the identifier that locked it (for the pair
-// idiom). Deferred unlocks keep their locks held, closures inherit the
+// held. Deferred unlocks keep their locks held, closures inherit the
 // current state and go-closures start empty, as in the lock-discipline
 // analyzer.
 type lockOrderWalk struct {
-	flow         flow[map[string]string]
-	fset         *token.FileSet
-	info         *types.Info
-	funcName     string
-	orderedPairs map[string]bool
-	summary      *funcSummary
-	acqEdges     []acqEdgeRec
-	heldCalls    []heldCallRec
-	diags        []Diag
+	heldLocks
+	flow      flow[map[string]bool]
+	fset      *token.FileSet
+	info      *types.Info
+	funcName  string
+	summary   *funcSummary
+	acqEdges  []acqEdgeRec
+	heldCalls []heldCallRec
+	diags     []Diag
 }
-
-func (w *lockOrderWalk) fresh() map[string]string { return make(map[string]string) }
-
-func (w *lockOrderWalk) fork(held map[string]string) map[string]string { return maps.Clone(held) }
-
-// join keeps a mutex held only if both paths hold it.
-func (w *lockOrderWalk) join(held, other map[string]string) map[string]string {
-	maps.DeleteFunc(held, func(k, _ string) bool {
-		_, ok := other[k]
-		return !ok
-	})
-	return held
-}
-
-func (w *lockOrderWalk) stmt(ast.Stmt, map[string]string) bool { return false }
-
-func (w *lockOrderWalk) exit(token.Pos, map[string]string) {}
 
 // visit applies lock effects and records call facts.
-func (w *lockOrderWalk) visit(n ast.Node, held map[string]string) bool {
+func (w *lockOrderWalk) visit(n ast.Node, held map[string]bool) bool {
 	switch n := n.(type) {
 	case *ast.CallExpr:
 		if x, acquire, ok := mutexOp(w.info, n); ok {
@@ -312,13 +291,7 @@ func (w *lockOrderWalk) visit(n ast.Node, held map[string]string) bool {
 			switch {
 			case class == "":
 			case acquire:
-				locker := ""
-				if sel, ok := x.(*ast.SelectorExpr); ok {
-					if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-						locker = id.Name
-					}
-				}
-				w.acquire(class, locker, n.Pos(), held)
+				w.acquire(class, n.Pos(), held)
 			default:
 				delete(held, class)
 			}
@@ -342,74 +315,23 @@ func (w *lockOrderWalk) visit(n ast.Node, held map[string]string) bool {
 	return true
 }
 
-// acquire records a Lock/RLock of class through locker while held.
-func (w *lockOrderWalk) acquire(class, locker string, pos token.Pos, held map[string]string) {
+// acquire records a Lock/RLock of class while held.
+func (w *lockOrderWalk) acquire(class string, pos token.Pos, held map[string]bool) {
 	if _, seen := w.summary.acquires[class]; !seen {
 		w.summary.acquires[class] = pos
 	}
-	for h, hLocker := range held {
+	for h := range held {
 		if h != class {
 			w.acqEdges = append(w.acqEdges, acqEdgeRec{held: h, acquired: class, pos: pos})
-			continue
-		}
-		// Same class twice: fine only through the ordered-pair idiom.
-		if locker != "" && hLocker != "" && locker != hLocker && w.orderedPairs[pairKey(locker, hLocker)] {
 			continue
 		}
 		p := w.fset.Position(pos)
 		w.diags = append(w.diags, Diag{
 			File: p.Filename, Line: p.Line, Col: p.Column, Rule: "lockorder",
-			Msg: fmt.Sprintf("%s acquired in %s while another %s is already held (no ordered-pair idiom: lock both through a conditionally swapped lo/hi pair)",
-				class, w.funcName, class),
+			Msg: fmt.Sprintf("%s acquired in %s while another %s is already held", class, w.funcName, class),
 		})
 	}
-	if _, already := held[class]; !already {
-		held[class] = locker
-	}
-}
-
-// collectOrderedPairs finds the ascending-order pair idiom: an if
-// statement whose condition is an ordering comparison and whose body
-// swaps exactly two identifiers (lo, hi = b, a). Locking the same
-// mutex class through both identifiers of such a pair is a
-// deterministic acquisition order, not a deadlock.
-func collectOrderedPairs(body *ast.BlockStmt) map[string]bool {
-	pairs := make(map[string]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok {
-			return true
-		}
-		cmp, ok := ifs.Cond.(*ast.BinaryExpr)
-		if !ok {
-			return true
-		}
-		switch cmp.Op {
-		case token.LSS, token.GTR, token.LEQ, token.GEQ:
-		default:
-			return true
-		}
-		for _, st := range ifs.Body.List {
-			as, ok := st.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != 2 {
-				continue
-			}
-			a, aok := as.Lhs[0].(*ast.Ident)
-			b, bok := as.Lhs[1].(*ast.Ident)
-			if aok && bok {
-				pairs[pairKey(a.Name, b.Name)] = true
-			}
-		}
-		return true
-	})
-	return pairs
-}
-
-func pairKey(a, b string) string {
-	if b < a {
-		a, b = b, a
-	}
-	return a + "|" + b
+	held[class] = true
 }
 
 // effectiveAcquires returns the mutexes callee acquires directly plus,
@@ -517,8 +439,8 @@ func normalizeCycle(cyc []string) string {
 // parseLockOrderDecls scans struct doc comments for "lock-order:"
 // lines. The grammar, one chain per line:
 //
-//	// lock-order: treeMu -> pixmap.mu -> {atomsMu, fontsMu}
-//	// lock-order: connsMu
+//	// lock-order: first -> second -> {leafA, leafB}
+//	// lock-order: solo
 //
 // "->" separates levels from outermost to innermost; "{a, b}" declares
 // a leaf group whose members must never nest in each other; a bare

@@ -99,6 +99,7 @@ func collectGuards(p *goPackage) map[*types.Var]string {
 }
 
 type lockAnalyzer struct {
+	heldLocks
 	flow       flow[map[string]bool]
 	fset       *token.FileSet
 	info       *types.Info
@@ -108,19 +109,24 @@ type lockAnalyzer struct {
 	diags      []Diag
 }
 
-func (a *lockAnalyzer) fresh() map[string]bool { return make(map[string]bool) }
+// heldLocks supplies the walker hooks the two lock analyzers share:
+// their path state is the set of mutexes held, and they act on
+// expressions only (visit).
+type heldLocks struct{}
 
-func (a *lockAnalyzer) fork(held map[string]bool) map[string]bool { return maps.Clone(held) }
+func (heldLocks) fresh() map[string]bool { return make(map[string]bool) }
+
+func (heldLocks) fork(held map[string]bool) map[string]bool { return maps.Clone(held) }
 
 // join keeps a mutex held only if both paths hold it.
-func (a *lockAnalyzer) join(held, other map[string]bool) map[string]bool {
+func (heldLocks) join(held, other map[string]bool) map[string]bool {
 	maps.DeleteFunc(held, func(k string, _ bool) bool { return !other[k] })
 	return held
 }
 
-func (a *lockAnalyzer) stmt(ast.Stmt, map[string]bool) bool { return false }
+func (heldLocks) stmt(ast.Stmt, map[string]bool) bool { return false }
 
-func (a *lockAnalyzer) exit(token.Pos, map[string]bool) {}
+func (heldLocks) exit(token.Pos, map[string]bool) {}
 
 // visit checks guarded-field accesses and applies Lock/Unlock effects.
 // A read lock counts as holding the mutex: it protects reads of

@@ -30,8 +30,7 @@ import (
 // files (docs/observability.md holds the canonical one). Each
 // non-comment line's first field is a metric name; <placeholder>
 // segments normalize to "*", so "requests.<OpName>" matches the
-// code-side pattern "requests.*" and "lockwait.<subsystem>" matches
-// every literal lockwait name.
+// code-side pattern "requests.*".
 //
 // Like the opcode analyzer this is a cross-target facts accumulator:
 // names are collected per package and per document, and the two sides

@@ -21,7 +21,7 @@ import (
 // function whose name starts with "enqueue"/"Enqueue" — the delivery
 // half of the channel-handoff idiom factored into a helper (the
 // callee either sends the buffer on or returns it to the pool on
-// every failure path; xserver's conn.enqueueBuf is the model).
+// every failure path; xserver's conn.enqueue is the model).
 //
 // For every function it flags, per return path: a pooled value that is
 // neither released nor deferred-released (an early return — or a panic

@@ -1,7 +1,7 @@
 // Package fixtures exercises the lock-order analyzer: the declared
 // chain on box (order, leaf group, independent chain), acquisition
-// cycles direct and through a helper call, and the conditionally
-// swapped pair idiom on cell.
+// cycles direct and through a helper call, and same-class nesting on
+// cell, however it is ordered.
 package fixtures
 
 import "sync"
@@ -19,8 +19,8 @@ type box struct {
 	solo   sync.Mutex
 }
 
-// cell is locked through the pair idiom; it is deliberately absent
-// from the declaration — same-class nesting is checked structurally.
+// cell is nested with itself below; it is deliberately absent from
+// the declaration — same-class nesting is checked structurally.
 type cell struct {
 	mu sync.Mutex
 	id uint32
@@ -75,7 +75,7 @@ func (b *box) badViaCall() {
 	b.leafB.Unlock()
 }
 
-// orderedPair locks two cells through the swap idiom: no diagnostic.
+// orderedPair locks two cells in ID order: still one class nested.
 func orderedPair(x, y *cell) {
 	lo, hi := x, y
 	if y.id < x.id {

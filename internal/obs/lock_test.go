@@ -1,28 +1,31 @@
 package obs
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
 
 // TestTimedMutexCountsAcquisitions: every Lock is observed (count), and
-// a forced contended acquisition records a nonzero wait.
+// a forced contended acquisition records and returns a nonzero wait,
+// where an uncontended one returns zero.
 func TestTimedMutexCountsAcquisitions(t *testing.T) {
 	reg := NewRegistry()
 	var m TimedMutex
 	m.Instrument(reg.Histogram("lockwait.test"))
 
-	m.Lock()
+	if wait := m.Lock(); wait != 0 {
+		t.Fatalf("uncontended Lock returned a %dns wait, want 0", wait)
+	}
 	m.Unlock()
 
 	// Contended path: a second goroutine blocks until we release.
 	m.Lock()
 	started := make(chan struct{})
 	done := make(chan struct{})
+	var contended int64
 	go func() {
 		close(started)
-		m.Lock()
+		contended = m.Lock()
 		m.Unlock()
 		close(done)
 	}()
@@ -38,31 +41,8 @@ func TestTimedMutexCountsAcquisitions(t *testing.T) {
 	if snap.Max < int64(time.Millisecond) {
 		t.Fatalf("max wait = %dns, want ≥ 1ms from the contended acquisition", snap.Max)
 	}
-}
-
-// TestTimedRWMutexReaders: read locks are concurrent (both readers hold
-// at once) and every acquisition — read or write — is observed.
-func TestTimedRWMutexReaders(t *testing.T) {
-	reg := NewRegistry()
-	var m TimedRWMutex
-	m.Instrument(reg.Histogram("lockwait.rw"))
-
-	m.RLock()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		m.RLock() // must not block against the other read lock
-		m.RUnlock()
-	}()
-	wg.Wait()
-	m.RUnlock()
-
-	m.Lock()
-	m.Unlock()
-
-	if got := reg.Histogram("lockwait.rw").Snapshot().Count; got != 3 {
-		t.Fatalf("histogram count = %d, want 3 (two RLocks + one Lock)", got)
+	if contended < int64(time.Millisecond) {
+		t.Fatalf("contended Lock returned %dns, want ≥ 1ms", contended)
 	}
 }
 
@@ -72,9 +52,4 @@ func TestTimedMutexUninstrumented(t *testing.T) {
 	var m TimedMutex
 	m.Lock()
 	m.Unlock()
-	var rw TimedRWMutex
-	rw.RLock()
-	rw.RUnlock()
-	rw.Lock()
-	rw.Unlock()
 }

@@ -1,6 +1,6 @@
 // Package slo folds metric-registry snapshots and request spans into a
 // machine-readable service-level report: p50/p99 dispatch and
-// round-trip latency, per-subsystem lock-wait quantiles, and an error
+// round-trip latency, lock-wait quantiles, and an error
 // budget computed from the error-class counters. It is the rollup the
 // standing regression harness (ROADMAP item 5) asserts against —
 // BENCH_slo.json is one of these reports serialized by the OBS_BENCH

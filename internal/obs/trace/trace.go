@@ -2,7 +2,7 @@
 // low-overhead recorder that follows one protocol request through every
 // layer of the stack — tk event dispatch, client encode/flush, the wire
 // (including any fault-injected jitter), server dispatch with its
-// per-subsystem lock waits, reply decode and cookie wake — and exports
+// lock wait, reply decode and cookie wake — and exports
 // the result as Chrome trace-event JSON.
 //
 // Correlation is by protocol sequence number: the client numbers every

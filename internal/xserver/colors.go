@@ -152,16 +152,13 @@ func lookupColor(name string) (uint32, bool) {
 }
 
 // allocNamedColor resolves a color spec through the server's interned
-// cell cache (the stand-in for colormap cell allocation): a read-lock
-// hit for specs seen before — the common case once an application's
-// palette is warm — and a write-lock insert on first use. Misses are
-// cached too, so repeated bad specs don't re-parse.
+// cell cache (the stand-in for colormap cell allocation): specs seen
+// before — the common case once an application's palette is warm — are
+// a map hit. Misses are cached too, so repeated bad specs don't
+// re-parse. Called with s.mu held.
 func (s *Server) allocNamedColor(name string) (uint32, bool) {
 	key := strings.ToLower(strings.ReplaceAll(name, " ", ""))
-	s.colorsMu.RLock()
-	px, ok := s.colorCells[key]
-	s.colorsMu.RUnlock()
-	if ok {
+	if px, ok := s.colorCells[key]; ok {
 		return px &^ cellMiss, px&cellMiss == 0
 	}
 	px, found := lookupColor(name)
@@ -169,9 +166,7 @@ func (s *Server) allocNamedColor(name string) (uint32, bool) {
 	if !found {
 		cell = cellMiss
 	}
-	s.colorsMu.Lock()
 	s.colorCells[key] = cell
-	s.colorsMu.Unlock()
 	return px, found
 }
 

@@ -16,7 +16,7 @@ const (
 )
 
 // compOp is one step of a composite plan: a paint operation recorded
-// under treeMu and replayed outside it. Blits reference copy-on-write
+// under s.mu and replayed outside it. Blits reference copy-on-write
 // snapshots of window images, so replaying never reads mutable tree
 // state.
 type compOp struct {
@@ -41,8 +41,8 @@ const (
 // descendants, with w's content origin at (ox, oy), in exactly the
 // order composite used to paint them: border, content, children
 // bottom-to-top, then the window-manager decoration for top-level
-// windows. Called with s.treeMu held; the returned ops own snapshots
-// and copied strings, nothing aliasing the tree.
+// windows. Called with s.mu held; the returned ops own snapshots and
+// copied strings, nothing aliasing the tree.
 func (s *Server) compositePlan(ops []compOp, w *window, ox, oy int) []compOp {
 	// Border.
 	if w.borderWidth > 0 {
@@ -99,51 +99,55 @@ func renderPlan(dst *image, ops []compOp) {
 	}
 }
 
-// handleScreenshot renders the composited screen (or one window's
-// subtree) and replies with packed RGB pixels. treeMu is held only for
-// the plan: a walk of the tree recording geometry and copy-on-write
-// tile snapshots (pointer grabs, no pixel copies). The expensive work —
-// composing the plan into a fresh image and packing RGB triples
-// straight into the reply buffer — happens after treeMu is released, so
-// observers taking screenshots never stall painters for longer than the
-// snapshot walk.
-func (s *Server) handleScreenshot(c *conn, q *xproto.ScreenshotReq) {
-	var ops []compOp
-	var shotW, shotH int
-	s.treeMu.Lock()
+// screenshot is a Screenshot request's plan: the composited size and
+// the paint operations that compose it.
+type screenshot struct {
+	w, h int
+	ops  []compOp
+}
+
+// planScreenshot plans the composited screen (or one window's subtree):
+// a walk of the tree recording geometry and copy-on-write tile
+// snapshots (pointer grabs, no pixel copies). It returns nil after
+// reporting a bad window. Called with s.mu held; dispatch runs the
+// expensive part, reply, after releasing it, so observers taking
+// screenshots never stall painters for longer than the snapshot walk.
+func (s *Server) planScreenshot(c *conn, q *xproto.ScreenshotReq) *screenshot {
 	if q.Window == xproto.None || q.Window == s.Root() {
-		shotW, shotH = s.width, s.height
-		ops = append(ops, compOp{kind: opFill, x: 0, y: 0, w: s.width, h: s.height, pixel: s.root.background})
-		ops = append(ops, compOp{kind: opBlit, src: s.root.img.snapshot(), x: 0, y: 0, w: s.width, h: s.height})
+		shot := &screenshot{w: s.width, h: s.height}
+		shot.ops = append(shot.ops,
+			compOp{kind: opFill, x: 0, y: 0, w: s.width, h: s.height, pixel: s.root.background},
+			compOp{kind: opBlit, src: s.root.img.snapshot(), x: 0, y: 0, w: s.width, h: s.height})
 		for _, ch := range s.root.children {
 			if ch.mapped {
-				ops = s.compositePlan(ops, ch, ch.x+ch.borderWidth, ch.y+ch.borderWidth)
+				shot.ops = s.compositePlan(shot.ops, ch, ch.x+ch.borderWidth, ch.y+ch.borderWidth)
 			}
 		}
-	} else {
-		w := s.windows[q.Window]
-		if w == nil {
-			s.treeMu.Unlock()
-			c.protoError("Screenshot: bad window %d", q.Window)
-			return
-		}
-		bw := w.borderWidth
-		dh := decorationHeight(s, w)
-		shotW, shotH = w.w+2*bw, w.h+2*bw+dh
-		ops = s.compositePlan(ops, w, bw, bw+dh)
+		return shot
 	}
-	s.treeMu.Unlock()
+	w := s.windows[q.Window]
+	if w == nil {
+		c.protoError("Screenshot: bad window %d", q.Window)
+		return nil
+	}
+	bw := w.borderWidth
+	dh := decorationHeight(s, w)
+	return &screenshot{w: w.w + 2*bw, h: w.h + 2*bw + dh, ops: s.compositePlan(nil, w, bw, bw+dh)}
+}
 
+// reply composes the plan into a fresh image and replies with its
+// packed RGB pixels. It needs no lock.
+func (shot *screenshot) reply(c *conn) {
 	begin := time.Now()
-	shot := newImage(shotW, shotH)
-	renderPlan(shot, ops)
+	im := newImage(shot.w, shot.h)
+	renderPlan(im, shot.ops)
 	c.reply(func(w *xproto.Writer) {
 		// Pack pixels straight into the reply payload: exactly w*h*3
 		// bytes, indexed directly, no intermediate slice.
-		dst := xproto.AppendScreenshotPixels(w, uint16(shot.w), uint16(shot.h), shot.w*shot.h*3)
-		shot.packRGB(dst)
+		dst := xproto.AppendScreenshotPixels(w, uint16(im.w), uint16(im.h), im.w*im.h*3)
+		im.packRGB(dst)
 	})
-	s.render.screenshot.Observe(time.Since(begin))
+	c.s.render.screenshot.Observe(time.Since(begin))
 }
 
 func decorationHeight(s *Server, w *window) int {

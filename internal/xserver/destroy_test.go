@@ -25,17 +25,17 @@ func TestDestroyReleasesChildSlots(t *testing.T) {
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	s.treeMu.Lock()
+	s.mu.Lock()
 	p := s.windows[parent]
 	root := s.root
-	s.treeMu.Unlock()
+	s.mu.Unlock()
 
 	d.DestroyWindow(parent)
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	s.treeMu.Lock()
-	defer s.treeMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, arr := range [][]*window{p.children, root.children} {
 		for i, w := range arr[:cap(arr)] {
 			if w != nil && s.windows[w.id] != w {

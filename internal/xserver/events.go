@@ -6,7 +6,7 @@ import (
 	"repro/internal/xproto"
 )
 
-// viewable reports whether w and all its ancestors are mapped. Called with s.treeMu held.
+// viewable reports whether w and all its ancestors are mapped. Called with s.mu held.
 func (s *Server) viewable(w *window) bool {
 	for x := w; x != nil; x = x.parent {
 		if !x.mapped {
@@ -17,7 +17,7 @@ func (s *Server) viewable(w *window) bool {
 }
 
 // absPos returns the absolute (root-relative) position of w's content
-// origin. Called with s.treeMu held.
+// origin. Called with s.mu held.
 func (s *Server) absPos(w *window) (int, int) {
 	x, y := 0, 0
 	for cur := w; cur != nil; cur = cur.parent {
@@ -29,7 +29,7 @@ func (s *Server) absPos(w *window) (int, int) {
 }
 
 // deepestAt finds the deepest viewable window containing the absolute
-// point (x, y), starting from the root. Called with s.treeMu held.
+// point (x, y), starting from the root. Called with s.mu held.
 func (s *Server) deepestAt(x, y int) *window {
 	cur := s.root
 	cx, cy := 0, 0
@@ -56,12 +56,12 @@ func (s *Server) deepestAt(x, y int) *window {
 }
 
 // broadcast sends ev to every client that selected mask on w. It reports
-// whether anyone received it. Called with s.treeMu held.
+// whether anyone received it. Called with s.mu held.
 func (s *Server) broadcast(w *window, ev *xproto.Event, mask uint32) bool {
 	delivered := false
 	for c, m := range w.masks {
 		if m&mask != 0 {
-			c.sendEvent(ev)
+			s.sendEvent(c, ev)
 			delivered = true
 		}
 	}
@@ -70,7 +70,7 @@ func (s *Server) broadcast(w *window, ev *xproto.Event, mask uint32) bool {
 
 // deliverDevice routes a device event (key/button/motion) to target,
 // propagating to ancestors until some client has selected it, translating
-// coordinates as it goes (X11 event propagation). Called with s.treeMu held.
+// coordinates as it goes (X11 event propagation). Called with s.mu held.
 func (s *Server) deliverDevice(target *window, ev *xproto.Event, mask uint32) {
 	w := target
 	for w != nil {
@@ -85,7 +85,7 @@ func (s *Server) deliverDevice(target *window, ev *xproto.Event, mask uint32) {
 	}
 }
 
-// Called with s.treeMu held.
+// Called with s.mu held.
 func (s *Server) sendExpose(w *window) {
 	ev := &xproto.Event{
 		Type: xproto.Expose, Window: w.id,
@@ -94,7 +94,7 @@ func (s *Server) sendExpose(w *window) {
 	s.broadcast(w, ev, xproto.ExposureMask)
 }
 
-// sendExposeTree exposes w and every viewable descendant. Called with s.treeMu held.
+// sendExposeTree exposes w and every viewable descendant. Called with s.mu held.
 func (s *Server) sendExposeTree(w *window) {
 	if !s.viewable(w) {
 		return
@@ -107,7 +107,7 @@ func (s *Server) sendExposeTree(w *window) {
 	}
 }
 
-// Called with s.treeMu held.
+// Called with s.mu held.
 func (s *Server) sendConfigureNotify(w *window) {
 	ev := &xproto.Event{
 		Type: xproto.ConfigureNotify, Window: w.id,
@@ -118,7 +118,7 @@ func (s *Server) sendConfigureNotify(w *window) {
 	s.broadcast(w, ev, xproto.StructureNotifyMask)
 }
 
-// Called with s.treeMu held.
+// Called with s.mu held.
 func (s *Server) sendPropertyNotify(w *window, atom xproto.Atom, state uint8) {
 	ev := &xproto.Event{
 		Type: xproto.PropertyNotify, Window: w.id,
@@ -127,7 +127,7 @@ func (s *Server) sendPropertyNotify(w *window, atom xproto.Atom, state uint8) {
 	s.broadcast(w, ev, xproto.PropertyChangeMask)
 }
 
-// Called with s.treeMu held.
+// Called with s.mu held.
 func (s *Server) mapWindow(w *window) {
 	if w.mapped {
 		return
@@ -139,7 +139,7 @@ func (s *Server) mapWindow(w *window) {
 	s.refreshPointerWindow()
 }
 
-// Called with s.treeMu held.
+// Called with s.mu held.
 func (s *Server) unmapWindow(w *window) {
 	if !w.mapped {
 		return
@@ -151,7 +151,7 @@ func (s *Server) unmapWindow(w *window) {
 }
 
 // destroyWindow removes w and its subtree, notifying interested clients
-// (children first, as X does). Called with s.treeMu held.
+// (children first, as X does). Called with s.mu held.
 func (s *Server) destroyWindow(w *window) {
 	for len(w.children) > 0 {
 		s.destroyWindow(w.children[len(w.children)-1])
@@ -171,7 +171,7 @@ func (s *Server) destroyWindow(w *window) {
 		// Every non-root window in s.windows passed through
 		// handleCreateWindow's quota reservation exactly once; this is
 		// the matching release (recursion covers the subtree).
-		s.usedWindows.Add(-1)
+		s.usedWindows--
 	}
 	for sel, o := range s.selections {
 		if o.owner == w {
@@ -191,7 +191,7 @@ func (s *Server) destroyWindow(w *window) {
 	w.parent = nil
 }
 
-// Called with s.treeMu held.
+// Called with s.mu held.
 func (s *Server) setFocus(f xproto.ID) {
 	if s.focus == f {
 		return
@@ -208,7 +208,7 @@ func (s *Server) setFocus(f xproto.ID) {
 }
 
 // refreshPointerWindow recomputes which window contains the pointer and
-// generates crossing events on change. Called with s.treeMu held.
+// generates crossing events on change. Called with s.mu held.
 func (s *Server) refreshPointerWindow() {
 	newWin := s.deepestAt(s.pointerX, s.pointerY)
 	old := s.pointerWin
@@ -238,7 +238,7 @@ func (s *Server) refreshPointerWindow() {
 	}
 }
 
-// handleFakeInput injects synthetic user input (the simulator's XTEST). Called with s.treeMu held.
+// handleFakeInput injects synthetic user input (the simulator's XTEST). Called with s.mu held.
 func (s *Server) handleFakeInput(q *xproto.FakeInputReq) {
 	switch q.Kind {
 	case xproto.FakeMotion:
@@ -352,7 +352,7 @@ func (s *Server) handleFakeInput(q *xproto.FakeInputReq) {
 
 // keyTarget determines which window receives keyboard input: the focus
 // window when one is set, otherwise the window under the pointer
-// (PointerRoot focus mode). Called with s.treeMu held.
+// (PointerRoot focus mode). Called with s.mu held.
 func (s *Server) keyTarget() *window {
 	if s.focus != xproto.None && s.focus != s.Root() {
 		if w := s.windows[s.focus]; w != nil {
@@ -363,7 +363,7 @@ func (s *Server) keyTarget() *window {
 }
 
 // deliverTargetFor walks up from w to the nearest window where some
-// client selected mask, without delivering. Called with s.treeMu held.
+// client selected mask, without delivering. Called with s.mu held.
 func (s *Server) deliverTargetFor(w *window, mask uint32) *window {
 	for x := w; x != nil; x = x.parent {
 		for _, m := range x.masks {

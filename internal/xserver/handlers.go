@@ -7,39 +7,30 @@ import (
 	"repro/internal/xproto"
 )
 
-// handle executes one decoded request under the subsystem locks it
-// needs — there is no global lock (see the Server doc comment for the
-// model and the lock order). Tree-touching handlers take s.treeMu
-// themselves; resource requests touch only their sharded table;
-// atom/font/color requests take their subsystem RWMutex, read side
-// first.
-func (s *Server) handle(c *conn, req xproto.Request) {
+// handle executes one decoded request. Called with s.mu held (dispatch
+// takes it once per request; see the Server doc comment). A Screenshot
+// returns its plan, which dispatch composes after releasing s.mu.
+func (s *Server) handle(c *conn, req xproto.Request) *screenshot {
 	switch q := req.(type) {
-	// --- Window tree, input and selections: treeMu. ------------------
+	// --- Window tree, input and selections. --------------------------
 	case *xproto.CreateWindowReq:
 		s.handleCreateWindow(c, q)
 	case *xproto.ChangeWindowAttributesReq:
 		s.handleChangeAttributes(c, q)
 	case *xproto.DestroyWindowReq:
-		s.treeMu.Lock()
 		if w := s.windows[q.Window]; w != nil && w != s.root {
 			s.destroyWindow(w)
 		}
-		s.treeMu.Unlock()
 	case *xproto.MapWindowReq:
-		s.treeMu.Lock()
 		if w := s.windows[q.Window]; w != nil {
 			s.mapWindow(w)
 		} else {
 			c.protoError("MapWindow: bad window %d", q.Window)
 		}
-		s.treeMu.Unlock()
 	case *xproto.UnmapWindowReq:
-		s.treeMu.Lock()
 		if w := s.windows[q.Window]; w != nil {
 			s.unmapWindow(w)
 		}
-		s.treeMu.Unlock()
 	case *xproto.ConfigureWindowReq:
 		s.handleConfigureWindow(c, q)
 	case *xproto.GetGeometryReq:
@@ -57,19 +48,16 @@ func (s *Server) handle(c *conn, req xproto.Request) {
 	case *xproto.SetSelectionOwnerReq:
 		s.handleSetSelectionOwner(c, q)
 	case *xproto.GetSelectionOwnerReq:
-		s.treeMu.Lock()
 		var owner xproto.ID
 		if sel := s.selections[q.Selection]; sel != nil && sel.owner != nil {
 			owner = sel.owner.id
 		}
-		s.treeMu.Unlock()
 		c.reply(func(w *xproto.Writer) { (&xproto.WindowReply{Window: owner}).Encode(w) })
 	case *xproto.ConvertSelectionReq:
 		s.handleConvertSelection(c, q)
 	case *xproto.SendEventReq:
 		s.handleSendEvent(c, q)
 	case *xproto.QueryPointerReq:
-		s.treeMu.Lock()
 		rep := &xproto.QueryPointerReply{
 			X: int16(s.pointerX), Y: int16(s.pointerY),
 			State: s.buttons | s.modifiers,
@@ -77,64 +65,46 @@ func (s *Server) handle(c *conn, req xproto.Request) {
 		if s.pointerWin != nil {
 			rep.Child = s.pointerWin.id
 		}
-		s.treeMu.Unlock()
 		c.reply(func(w *xproto.Writer) { rep.Encode(w) })
 	case *xproto.SetInputFocusReq:
-		s.treeMu.Lock()
 		s.setFocus(q.Focus)
-		s.treeMu.Unlock()
 	case *xproto.GetInputFocusReq:
-		s.treeMu.Lock()
 		focus := s.focus
-		s.treeMu.Unlock()
 		c.reply(func(w *xproto.Writer) { (&xproto.WindowReply{Window: focus}).Encode(w) })
 	case *xproto.FakeInputReq:
-		s.treeMu.Lock()
 		s.handleFakeInput(q)
-		s.treeMu.Unlock()
 	case *xproto.ScreenshotReq:
-		s.handleScreenshot(c, q)
+		return s.planScreenshot(c, q)
 	case *xproto.ClearAreaReq:
 		s.handleClearArea(c, q)
 	case *xproto.CopyAreaReq:
 		s.handleCopyArea(c, q)
 
-	// --- Atoms: read-mostly table behind atomsMu. --------------------
+	// --- Atoms. ------------------------------------------------------
 	case *xproto.InternAtomReq:
 		s.handleInternAtom(c, q)
 	case *xproto.GetAtomNameReq:
-		s.atomsMu.RLock()
 		name := s.atomNames[q.Atom]
-		s.atomsMu.RUnlock()
 		c.reply(func(w *xproto.Writer) { (&xproto.NameReply{Name: name}).Encode(w) })
 
-	// --- Fonts: read-mostly map; font objects immutable once open. ---
+	// --- Fonts: font objects are immutable once open. ----------------
 	case *xproto.OpenFontReq:
-		f := openFont(q.Name)
-		s.fontsMu.Lock()
-		s.fonts[q.Fid] = f
-		s.fontsMu.Unlock()
+		s.fonts[q.Fid] = openFont(q.Name)
 	case *xproto.CloseFontReq:
-		s.fontsMu.Lock()
 		delete(s.fonts, q.Fid)
-		s.fontsMu.Unlock()
 	case *xproto.QueryFontReq:
-		s.fontsMu.RLock()
 		f := s.fonts[q.Fid]
-		s.fontsMu.RUnlock()
 		if f == nil {
 			c.protoError("QueryFont: bad font %d", q.Fid)
-			return
+			return nil
 		}
 		rep := &xproto.QueryFontReply{Ascent: int16(f.ascent), Descent: int16(f.descent), Widths: f.widths()}
 		c.reply(func(w *xproto.Writer) { rep.Encode(w) })
 	case *xproto.QueryTextExtentsReq:
-		s.fontsMu.RLock()
 		f := s.fonts[q.Fid]
-		s.fontsMu.RUnlock()
 		if f == nil {
 			c.protoError("QueryTextExtents: bad font %d", q.Fid)
-			return
+			return nil
 		}
 		rep := &xproto.QueryTextExtentsReply{
 			Ascent:  int16(f.ascent),
@@ -154,91 +124,84 @@ func (s *Server) handle(c *conn, req xproto.Request) {
 			R: uint16(px>>16&0xff) * 0x101, G: uint16(px>>8&0xff) * 0x101, B: uint16(px&0xff) * 0x101}
 		c.reply(func(w *xproto.Writer) { rep.Encode(w) })
 
-	// --- Per-client resources: sharded tables, shard locks only. -----
+	// --- Per-client resources. ----------------------------------------
 	case *xproto.CreatePixmapReq:
 		// Quota is reserved for the nominal flat size before the tiles
 		// are allocated; an ID overwrite releases what the displaced
 		// pixmap had reserved, so usage tracks the live table exactly.
 		bytes := int64(q.Width) * int64(q.Height) * 4
-		if !reserveQuota(&s.usedPixmapBytes, s.quotaPixmapBytes.Load(), bytes) {
-			s.quotaDenied(c, "pixmap_bytes", "CreatePixmap", s.quotaPixmapBytes.Load())
-			return
+		if !reserveQuota(&s.usedPixmapBytes, s.quota.MaxPixmapBytes, bytes) {
+			s.quotaDenied(c, "pixmap_bytes", "CreatePixmap", s.quota.MaxPixmapBytes)
+			return nil
 		}
-		p := &pixmap{img: newImageM(int(q.Width), int(q.Height), s.render), bytes: bytes, owner: c}
-		p.mu.Instrument(s.metrics.Histogram("lockwait.pixmaps"))
-		if old, ok := s.pixmaps.set(q.Pid, p); ok {
-			s.usedPixmapBytes.Add(-old.bytes)
+		if old := s.pixmaps[q.Pid]; old != nil {
+			s.usedPixmapBytes -= old.bytes
 		}
+		s.pixmaps[q.Pid] = &pixmap{img: newImageM(int(q.Width), int(q.Height), s.render), bytes: bytes, owner: c}
 	case *xproto.FreePixmapReq:
-		if p, ok := s.pixmaps.take(q.Pid); ok {
-			s.usedPixmapBytes.Add(-p.bytes)
+		if p := s.pixmaps[q.Pid]; p != nil {
+			delete(s.pixmaps, q.Pid)
+			s.usedPixmapBytes -= p.bytes
 		}
 	case *xproto.CreateGCReq:
-		if !reserveQuota(&s.usedGCs, s.quotaGCs.Load(), 1) {
-			s.quotaDenied(c, "gcs", "CreateGC", s.quotaGCs.Load())
-			return
+		if !reserveQuota(&s.usedGCs, s.quota.MaxGCs, 1) {
+			s.quotaDenied(c, "gcs", "CreateGC", s.quota.MaxGCs)
+			return nil
 		}
 		gc := &gcontext{foreground: 0, background: 0xffffff, lineWidth: 1, owner: c}
 		applyGC(gc, q.Mask, q.Foreground, q.Background, q.LineWidth, q.Font)
-		if _, ok := s.gcs.set(q.Gid, gc); ok {
-			s.usedGCs.Add(-1)
+		if s.gcs[q.Gid] != nil {
+			s.usedGCs--
 		}
+		s.gcs[q.Gid] = gc
 	case *xproto.ChangeGCReq:
-		ok := s.gcs.with(q.Gid, func(gc *gcontext) {
+		if gc := s.gcs[q.Gid]; gc != nil {
 			applyGC(gc, q.Mask, q.Foreground, q.Background, q.LineWidth, q.Font)
-		})
-		if !ok {
+		} else {
 			c.protoError("ChangeGC: bad gc %d", q.Gid)
 		}
 	case *xproto.FreeGCReq:
-		if _, ok := s.gcs.take(q.Gid); ok {
-			s.usedGCs.Add(-1)
+		if s.gcs[q.Gid] != nil {
+			delete(s.gcs, q.Gid)
+			s.usedGCs--
 		}
 	case *xproto.CreateCursorReq:
-		s.cursors.set(q.Cid, q.Shape)
+		s.cursors[q.Cid] = q.Shape
 
-	// --- Drawing: GC snapshot, then the drawable's own lock. ---------
+	// --- Drawing. ----------------------------------------------------
 	case *xproto.PolyLineReq:
-		if gc, ok := s.gcSnapshot(q.Gc); ok {
-			s.withDrawable(q.Drawable, func(im *image) {
-				for i := 0; i+1 < len(q.Points); i++ {
-					im.drawLine(int(q.Points[i].X), int(q.Points[i].Y),
-						int(q.Points[i+1].X), int(q.Points[i+1].Y), gc.lineWidth, gc.foreground)
-				}
-			})
+		if gc, im := s.gcs[q.Gc], s.drawable(q.Drawable); gc != nil && im != nil {
+			for i := 0; i+1 < len(q.Points); i++ {
+				im.drawLine(int(q.Points[i].X), int(q.Points[i].Y),
+					int(q.Points[i+1].X), int(q.Points[i+1].Y), gc.lineWidth, gc.foreground)
+			}
 		}
 	case *xproto.PolySegmentReq:
-		if gc, ok := s.gcSnapshot(q.Gc); ok {
-			s.withDrawable(q.Drawable, func(im *image) {
-				for i := 0; i+1 < len(q.Points); i += 2 {
-					im.drawLine(int(q.Points[i].X), int(q.Points[i].Y),
-						int(q.Points[i+1].X), int(q.Points[i+1].Y), gc.lineWidth, gc.foreground)
-				}
-			})
+		if gc, im := s.gcs[q.Gc], s.drawable(q.Drawable); gc != nil && im != nil {
+			for i := 0; i+1 < len(q.Points); i += 2 {
+				im.drawLine(int(q.Points[i].X), int(q.Points[i].Y),
+					int(q.Points[i+1].X), int(q.Points[i+1].Y), gc.lineWidth, gc.foreground)
+			}
 		}
 	case *xproto.PolyRectangleReq:
-		if gc, ok := s.gcSnapshot(q.Gc); ok {
-			s.withDrawable(q.Drawable, func(im *image) {
-				for _, rc := range q.Rects {
-					im.drawRect(int(rc.X), int(rc.Y), int(rc.W), int(rc.H), gc.lineWidth, gc.foreground)
-				}
-			})
+		if gc, im := s.gcs[q.Gc], s.drawable(q.Drawable); gc != nil && im != nil {
+			for _, rc := range q.Rects {
+				im.drawRect(int(rc.X), int(rc.Y), int(rc.W), int(rc.H), gc.lineWidth, gc.foreground)
+			}
 		}
 	case *xproto.FillPolyReq:
-		if gc, ok := s.gcSnapshot(q.Gc); ok {
-			s.withDrawable(q.Drawable, func(im *image) {
-				im.fillPoly(q.Points, gc.foreground)
-			})
+		if gc, im := s.gcs[q.Gc], s.drawable(q.Drawable); gc != nil && im != nil {
+			im.fillPoly(q.Points, gc.foreground)
 		}
 	case *xproto.PolyFillRectangleReq:
 		// The dominant opcode by volume: the whole rect list is one
 		// clipped batch pass, large fills fan out across the render
 		// pool, and the batch service time lands in render.fill.
-		if gc, ok := s.gcSnapshot(q.Gc); ok {
+		if gc := s.gcs[q.Gc]; gc != nil {
 			begin := time.Now()
-			s.withDrawable(q.Drawable, func(im *image) {
+			if im := s.drawable(q.Drawable); im != nil {
 				im.fillRects(q.Rects, gc.foreground)
-			})
+			}
 			s.render.fill.Observe(time.Since(begin))
 		}
 	case *xproto.PolyText8Req:
@@ -246,7 +209,7 @@ func (s *Server) handle(c *conn, req xproto.Request) {
 	case *xproto.ImageText8Req:
 		s.handleDrawText(c, q.Drawable, q.Gc, q.X, q.Y, q.Text, true)
 
-	// --- Lock-free odds and ends. ------------------------------------
+	// --- Odds and ends. ----------------------------------------------
 	case *xproto.BellReq:
 		// The simulated bell rings silently.
 	case *xproto.PingReq:
@@ -270,10 +233,10 @@ func (s *Server) handle(c *conn, req xproto.Request) {
 	default:
 		c.protoError("unhandled request %T", req)
 	}
+	return nil
 }
 
-// applyGC mutates gc per mask. Callers hold the gcs shard lock holding
-// gc (CreateGC applies before publication).
+// applyGC mutates gc per mask.
 func applyGC(gc *gcontext, mask, fg, bg uint32, lw uint16, font xproto.ID) {
 	if mask&xproto.GCForeground != 0 {
 		gc.foreground = fg
@@ -289,38 +252,20 @@ func applyGC(gc *gcontext, mask, fg, bg uint32, lw uint16, font xproto.ID) {
 	}
 }
 
-// gcSnapshot returns a value copy of the GC taken under its shard lock,
-// so drawing paths work from a stable view without holding any lock
-// across the pixel operations (which take the drawable's own lock).
-func (s *Server) gcSnapshot(id xproto.ID) (gcontext, bool) {
-	var g gcontext
-	ok := s.gcs.with(id, func(gc *gcontext) { g = *gc })
-	return g, ok
+// drawable returns the pixels of pixmap or window id, or nil if it is
+// neither. Called with s.mu held.
+func (s *Server) drawable(id xproto.ID) *image {
+	if p := s.pixmaps[id]; p != nil {
+		return p.img
+	}
+	if w := s.windows[id]; w != nil {
+		return w.img
+	}
+	return nil
 }
 
-// withDrawable runs fn on id's pixel buffer under the lock guarding it:
-// the pixmap's own mutex for pixmaps, treeMu for windows. Reports
-// whether the drawable exists. Nothing else is held on entry, so this
-// respects the lock order trivially.
-func (s *Server) withDrawable(id xproto.ID, fn func(im *image)) bool {
-	if p, ok := s.pixmaps.get(id); ok {
-		p.with(fn)
-		return true
-	}
-	s.treeMu.Lock()
-	defer s.treeMu.Unlock()
-	w := s.windows[id]
-	if w == nil {
-		return false
-	}
-	fn(w.img)
-	return true
-}
-
-// handleCreateWindow creates a window under treeMu.
+// handleCreateWindow creates a window. Called with s.mu held.
 func (s *Server) handleCreateWindow(c *conn, q *xproto.CreateWindowReq) {
-	s.treeMu.Lock()
-	defer s.treeMu.Unlock()
 	parent := s.windows[q.Parent]
 	if parent == nil {
 		c.protoError("CreateWindow: bad parent %d", q.Parent)
@@ -332,8 +277,8 @@ func (s *Server) handleCreateWindow(c *conn, q *xproto.CreateWindowReq) {
 	}
 	// Reserve after the validity checks so a denied or invalid request
 	// leaves usage untouched; destroyWindow releases the reservation.
-	if !reserveQuota(&s.usedWindows, s.quotaWindows.Load(), 1) {
-		s.quotaDenied(c, "windows", "CreateWindow", s.quotaWindows.Load())
+	if !reserveQuota(&s.usedWindows, s.quota.MaxWindows, 1) {
+		s.quotaDenied(c, "windows", "CreateWindow", s.quota.MaxWindows)
 		return
 	}
 	w := &window{
@@ -359,16 +304,9 @@ func (s *Server) handleCreateWindow(c *conn, q *xproto.CreateWindowReq) {
 	s.windows[q.Wid] = w
 }
 
-// handleChangeAttributes updates window attributes under treeMu. The
-// cursor table is its own subsystem, so the cursor shape is resolved
-// before treeMu is taken — no two subsystem locks ever nest here.
+// handleChangeAttributes updates window attributes. Called with s.mu
+// held.
 func (s *Server) handleChangeAttributes(c *conn, q *xproto.ChangeWindowAttributesReq) {
-	var cursorShape string
-	if q.Mask&xproto.AttrCursor != 0 {
-		cursorShape, _ = s.cursors.get(q.Cursor)
-	}
-	s.treeMu.Lock()
-	defer s.treeMu.Unlock()
 	w := s.windows[q.Window]
 	if w == nil {
 		c.protoError("ChangeWindowAttributes: bad window %d", q.Window)
@@ -391,14 +329,13 @@ func (s *Server) handleChangeAttributes(c *conn, q *xproto.ChangeWindowAttribute
 		w.override = q.OverrideRedirect
 	}
 	if q.Mask&xproto.AttrCursor != 0 {
-		w.cursor = cursorShape
+		w.cursor = s.cursors[q.Cursor]
 	}
 }
 
-// handleConfigureWindow moves/resizes/restacks a window under treeMu.
+// handleConfigureWindow moves/resizes/restacks a window. Called with
+// s.mu held.
 func (s *Server) handleConfigureWindow(c *conn, q *xproto.ConfigureWindowReq) {
-	s.treeMu.Lock()
-	defer s.treeMu.Unlock()
 	w := s.windows[q.Window]
 	if w == nil || w == s.root {
 		c.protoError("ConfigureWindow: bad window %d", q.Window)
@@ -449,21 +386,18 @@ func (s *Server) handleConfigureWindow(c *conn, q *xproto.ConfigureWindowReq) {
 	s.refreshPointerWindow()
 }
 
-// handleGetGeometry answers for windows (under treeMu) and pixmaps
-// (dimensions are immutable — no lock needed).
+// handleGetGeometry answers for windows and pixmaps. Called with s.mu
+// held.
 func (s *Server) handleGetGeometry(c *conn, q *xproto.GetGeometryReq) {
-	s.treeMu.Lock()
 	if w := s.windows[q.Drawable]; w != nil {
 		rep := &xproto.GeometryReply{
 			Root: s.Root(), X: int16(w.x), Y: int16(w.y),
 			Width: uint16(w.w), Height: uint16(w.h), BorderWidth: uint16(w.borderWidth),
 		}
-		s.treeMu.Unlock()
 		c.reply(func(wr *xproto.Writer) { rep.Encode(wr) })
 		return
 	}
-	s.treeMu.Unlock()
-	if p, ok := s.pixmaps.get(q.Drawable); ok {
+	if p := s.pixmaps[q.Drawable]; p != nil {
 		rep := &xproto.GeometryReply{Width: uint16(p.img.w), Height: uint16(p.img.h)}
 		c.reply(func(wr *xproto.Writer) { rep.Encode(wr) })
 		return
@@ -471,10 +405,9 @@ func (s *Server) handleGetGeometry(c *conn, q *xproto.GetGeometryReq) {
 	c.protoError("GetGeometry: bad drawable %d", q.Drawable)
 }
 
-// handleQueryTree reports a window's parent and children under treeMu.
+// handleQueryTree reports a window's parent and children. Called with
+// s.mu held.
 func (s *Server) handleQueryTree(c *conn, q *xproto.QueryTreeReq) {
-	s.treeMu.Lock()
-	defer s.treeMu.Unlock()
 	w := s.windows[q.Window]
 	if w == nil {
 		c.protoError("QueryTree: bad window %d", q.Window)
@@ -490,31 +423,20 @@ func (s *Server) handleQueryTree(c *conn, q *xproto.QueryTreeReq) {
 	c.reply(func(wr *xproto.Writer) { rep.Encode(wr) })
 }
 
-// handleInternAtom interns an atom: read-lock fast path for the
-// intern-once-read-forever workload, write lock only on a miss (with a
-// re-check, since another client may have interned between the locks).
+// handleInternAtom interns an atom. Called with s.mu held.
 func (s *Server) handleInternAtom(c *conn, q *xproto.InternAtomReq) {
-	s.atomsMu.RLock()
 	a, ok := s.atoms[q.Name]
-	s.atomsMu.RUnlock()
 	if !ok && !q.OnlyIfExists {
-		s.atomsMu.Lock()
-		a, ok = s.atoms[q.Name]
-		if !ok {
-			a = s.nextAtom
-			s.nextAtom++
-			s.atoms[q.Name] = a
-			s.atomNames[a] = q.Name
-		}
-		s.atomsMu.Unlock()
+		a = s.nextAtom
+		s.nextAtom++
+		s.atoms[q.Name] = a
+		s.atomNames[a] = q.Name
 	}
 	c.reply(func(w *xproto.Writer) { (&xproto.AtomReply{Atom: a}).Encode(w) })
 }
 
-// handleChangeProperty updates a window property under treeMu.
+// handleChangeProperty updates a window property. Called with s.mu held.
 func (s *Server) handleChangeProperty(c *conn, q *xproto.ChangePropertyReq) {
-	s.treeMu.Lock()
-	defer s.treeMu.Unlock()
 	w := s.windows[q.Window]
 	if w == nil {
 		c.protoError("ChangeProperty: bad window %d", q.Window)
@@ -532,10 +454,8 @@ func (s *Server) handleChangeProperty(c *conn, q *xproto.ChangePropertyReq) {
 	s.sendPropertyNotify(w, q.Property, xproto.PropertyNewValue)
 }
 
-// handleDeleteProperty removes a window property under treeMu.
+// handleDeleteProperty removes a window property. Called with s.mu held.
 func (s *Server) handleDeleteProperty(c *conn, q *xproto.DeletePropertyReq) {
-	s.treeMu.Lock()
-	defer s.treeMu.Unlock()
 	w := s.windows[q.Window]
 	if w == nil {
 		return
@@ -546,11 +466,9 @@ func (s *Server) handleDeleteProperty(c *conn, q *xproto.DeletePropertyReq) {
 	}
 }
 
-// handleGetProperty reads (and optionally deletes) a property under
-// treeMu.
+// handleGetProperty reads (and optionally deletes) a property. Called
+// with s.mu held.
 func (s *Server) handleGetProperty(c *conn, q *xproto.GetPropertyReq) {
-	s.treeMu.Lock()
-	defer s.treeMu.Unlock()
 	w := s.windows[q.Window]
 	if w == nil {
 		c.protoError("GetProperty: bad window %d", q.Window)
@@ -565,10 +483,9 @@ func (s *Server) handleGetProperty(c *conn, q *xproto.GetPropertyReq) {
 	}
 }
 
-// handleListProperties lists a window's property atoms under treeMu.
+// handleListProperties lists a window's property atoms. Called with
+// s.mu held.
 func (s *Server) handleListProperties(c *conn, q *xproto.ListPropertiesReq) {
-	s.treeMu.Lock()
-	defer s.treeMu.Unlock()
 	w := s.windows[q.Window]
 	if w == nil {
 		c.protoError("ListProperties: bad window %d", q.Window)
@@ -582,10 +499,9 @@ func (s *Server) handleListProperties(c *conn, q *xproto.ListPropertiesReq) {
 	c.reply(func(wr *xproto.Writer) { rep.Encode(wr) })
 }
 
-// handleSetSelectionOwner transfers selection ownership under treeMu.
+// handleSetSelectionOwner transfers selection ownership. Called with
+// s.mu held.
 func (s *Server) handleSetSelectionOwner(c *conn, q *xproto.SetSelectionOwnerReq) {
-	s.treeMu.Lock()
-	defer s.treeMu.Unlock()
 	var newOwner *window
 	if q.Owner != xproto.None {
 		newOwner = s.windows[q.Owner]
@@ -604,7 +520,7 @@ func (s *Server) handleSetSelectionOwner(c *conn, q *xproto.SetSelectionOwnerReq
 			Time:      s.now(),
 		}
 		if old.owner.owner != nil {
-			old.owner.owner.sendEvent(ev)
+			s.sendEvent(old.owner.owner, ev)
 		}
 	}
 	if newOwner == nil {
@@ -614,10 +530,9 @@ func (s *Server) handleSetSelectionOwner(c *conn, q *xproto.SetSelectionOwnerReq
 	}
 }
 
-// handleConvertSelection routes a selection conversion under treeMu.
+// handleConvertSelection routes a selection conversion. Called with s.mu
+// held.
 func (s *Server) handleConvertSelection(c *conn, q *xproto.ConvertSelectionReq) {
-	s.treeMu.Lock()
-	defer s.treeMu.Unlock()
 	requestor := s.windows[q.Requestor]
 	if requestor == nil {
 		c.protoError("ConvertSelection: bad requestor %d", q.Requestor)
@@ -636,7 +551,7 @@ func (s *Server) handleConvertSelection(c *conn, q *xproto.ConvertSelectionReq) 
 			Time:      s.now(),
 		}
 		if requestor.owner != nil {
-			requestor.owner.sendEvent(ev)
+			s.sendEvent(requestor.owner, ev)
 		}
 		return
 	}
@@ -650,13 +565,12 @@ func (s *Server) handleConvertSelection(c *conn, q *xproto.ConvertSelectionReq) 
 		Property:  q.Property,
 		Time:      q.Time,
 	}
-	sel.owner.owner.sendEvent(ev)
+	s.sendEvent(sel.owner.owner, ev)
 }
 
-// handleSendEvent forwards a client-constructed event under treeMu.
+// handleSendEvent forwards a client-constructed event. Called with s.mu
+// held.
 func (s *Server) handleSendEvent(c *conn, q *xproto.SendEventReq) {
-	s.treeMu.Lock()
-	defer s.treeMu.Unlock()
 	w := s.windows[q.Destination]
 	if w == nil {
 		c.protoError("SendEvent: bad window %d", q.Destination)
@@ -668,21 +582,19 @@ func (s *Server) handleSendEvent(c *conn, q *xproto.SendEventReq) {
 	if q.EventMask == 0 {
 		// X semantics: deliver to the client that created the window.
 		if w.owner != nil {
-			w.owner.sendEvent(&ev)
+			s.sendEvent(w.owner, &ev)
 		}
 		return
 	}
 	for cc, mask := range w.masks {
 		if mask&q.EventMask != 0 {
-			cc.sendEvent(&ev)
+			s.sendEvent(cc, &ev)
 		}
 	}
 }
 
-// handleClearArea clears a window rectangle under treeMu.
+// handleClearArea clears a window rectangle. Called with s.mu held.
 func (s *Server) handleClearArea(c *conn, q *xproto.ClearAreaReq) {
-	s.treeMu.Lock()
-	defer s.treeMu.Unlock()
 	w := s.windows[q.Window]
 	if w == nil {
 		c.protoError("ClearArea: bad window %d", q.Window)
@@ -698,92 +610,40 @@ func (s *Server) handleClearArea(c *conn, q *xproto.ClearAreaReq) {
 	w.img.fillRect(int(q.X), int(q.Y), wd, ht, w.background)
 }
 
-// handleCopyArea copies pixels between drawables, taking only the locks
-// the pair needs: two pixmap locks nest in ascending ID order; a mixed
-// window/pixmap pair takes treeMu before the pixmap lock (the
-// documented order); window-to-window needs treeMu alone.
+// handleCopyArea copies pixels between drawables. Called with s.mu held.
 func (s *Server) handleCopyArea(c *conn, q *xproto.CopyAreaReq) {
 	begin := time.Now()
 	defer func() { s.render.copyArea.Observe(time.Since(begin)) }()
-	sp, sIsPix := s.pixmaps.get(q.Src)
-	dp, dIsPix := s.pixmaps.get(q.Dst)
-	copyRect := func(dst, src *image) {
-		dst.copyFrom(src, int(q.SrcX), int(q.SrcY), int(q.DstX), int(q.DstY), int(q.Width), int(q.Height))
+	src, dst := s.drawable(q.Src), s.drawable(q.Dst)
+	if src == nil || dst == nil {
+		c.protoError("CopyArea: bad drawable")
+		return
 	}
-	switch {
-	case sIsPix && dIsPix:
-		if sp == dp {
-			sp.with(func(im *image) { copyRect(im, im) })
-			return
-		}
-		lo, hi := sp, dp
-		if q.Dst < q.Src {
-			lo, hi = dp, sp
-		}
-		lo.mu.Lock()
-		hi.mu.Lock()
-		copyRect(dp.img, sp.img)
-		hi.mu.Unlock()
-		lo.mu.Unlock()
-	case sIsPix:
-		s.treeMu.Lock()
-		w := s.windows[q.Dst]
-		if w == nil {
-			s.treeMu.Unlock()
-			c.protoError("CopyArea: bad drawable")
-			return
-		}
-		sp.with(func(im *image) { copyRect(w.img, im) })
-		s.treeMu.Unlock()
-	case dIsPix:
-		s.treeMu.Lock()
-		w := s.windows[q.Src]
-		if w == nil {
-			s.treeMu.Unlock()
-			c.protoError("CopyArea: bad drawable")
-			return
-		}
-		dp.with(func(im *image) { copyRect(im, w.img) })
-		s.treeMu.Unlock()
-	default:
-		s.treeMu.Lock()
-		src := s.windows[q.Src]
-		dst := s.windows[q.Dst]
-		if src == nil || dst == nil {
-			s.treeMu.Unlock()
-			c.protoError("CopyArea: bad drawable")
-			return
-		}
-		copyRect(dst.img, src.img)
-		s.treeMu.Unlock()
-	}
+	dst.copyFrom(src, int(q.SrcX), int(q.SrcY), int(q.DstX), int(q.DstY), int(q.Width), int(q.Height))
 }
 
-// handleDrawText draws text into a drawable. The GC and font are
-// snapshotted under their own locks first (fonts are immutable once
-// opened, so f outlives the read lock), then the drawable's lock is
-// taken for the pixel work.
+// handleDrawText draws text into a drawable in the GC's font. Called
+// with s.mu held.
 func (s *Server) handleDrawText(c *conn, drawable, gcID xproto.ID, x, y int16, text string, imageText bool) {
-	gc, ok := s.gcSnapshot(gcID)
-	if !ok {
+	gc := s.gcs[gcID]
+	if gc == nil {
 		c.protoError("DrawText: bad drawable or gc")
 		return
 	}
-	s.fontsMu.RLock()
 	f := s.fonts[gc.font]
-	s.fontsMu.RUnlock()
 	if f == nil {
 		f = openFont("fixed")
 	}
 	begin := time.Now()
-	drew := s.withDrawable(drawable, func(im *image) {
+	im := s.drawable(drawable)
+	if im != nil {
 		if imageText {
 			im.fillRect(int(x), int(y)-f.ascent, f.textWidth(text), f.ascent+f.descent, gc.background)
 		}
 		f.drawString(im, int(x), int(y), text, gc.foreground)
-	})
+	}
 	s.render.text.Observe(time.Since(begin))
-	if !drew {
+	if im == nil {
 		c.protoError("DrawText: bad drawable or gc")
 	}
 }

@@ -19,12 +19,10 @@ import "repro/internal/xproto"
 // writer clones it first).
 //
 // Concurrency: an image has no lock of its own. All tile state — slab
-// pointers, versions, dirty and shared flags — is guarded by the lock
-// of the drawable that owns the image (treeMu for windows, the pixmap's
-// mu for pixmaps), exactly like the pixels were before tiling. A
-// snapshot taken under that lock is immutable afterwards and may be
-// read with no lock at all: writers never mutate a shared slab, they
-// replace it.
+// pointers, versions, dirty and shared flags — is guarded by the
+// server's mu, exactly like the pixels were before tiling. A snapshot
+// taken under that lock is immutable afterwards and may be read with no
+// lock at all: writers never mutate a shared slab, they replace it.
 type image struct {
 	w, h   int
 	tw, th int    // tiles across / down

@@ -11,8 +11,8 @@ import (
 
 // windowCount snapshots the live window count (including the root).
 func (s *Server) windowCount() int {
-	s.treeMu.Lock()
-	defer s.treeMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return len(s.windows)
 }
 
@@ -64,7 +64,7 @@ func TestCleanupConnNestedOwnership(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	s.treeMu.Lock()
+	s.mu.Lock()
 	survivorW1 := s.windows[w1]
 	survivorA2 := s.windows[a2]
 	var leaked []xproto.ID
@@ -79,7 +79,7 @@ func TestCleanupConnNestedOwnership(t *testing.T) {
 			w1Children = append(w1Children, ch.id)
 		}
 	}
-	s.treeMu.Unlock()
+	s.mu.Unlock()
 
 	if survivorW1 == nil || survivorA2 == nil {
 		t.Fatalf("client A's windows destroyed by B's cleanup (w1=%v a2=%v)", survivorW1 != nil, survivorA2 != nil)
@@ -143,9 +143,9 @@ func TestMultiClientStressRace(t *testing.T) {
 	}
 	palette := []string{"red", "green", "blue", "mediumseagreen", "bisque", "gold", "steelblue", "palepink1"}
 
-	s.atomsMu.RLock()
+	s.mu.Lock()
 	atomBase := len(s.atoms)
-	s.atomsMu.RUnlock()
+	s.mu.Unlock()
 
 	tops := make([]xproto.ID, clients)
 	runPhase("create tops", func(i int, d *xclient.Display) error {
@@ -205,22 +205,21 @@ func TestMultiClientStressRace(t *testing.T) {
 	if got := s.windowCount(); got != 1 {
 		t.Errorf("window count after teardown = %d, want 1 (root only)", got)
 	}
-	if got := s.gcs.size(); got != 0 {
-		t.Errorf("gc table size = %d, want 0", got)
-	}
-	if got := s.pixmaps.size(); got != 0 {
-		t.Errorf("pixmap table size = %d, want 0", got)
-	}
-	s.atomsMu.RLock()
+	s.mu.Lock()
+	gcCount, pixmapCount := len(s.gcs), len(s.pixmaps)
 	atomCount, nameCount := len(s.atoms), len(s.atomNames)
-	s.atomsMu.RUnlock()
+	cells := len(s.colorCells)
+	s.mu.Unlock()
+	if gcCount != 0 {
+		t.Errorf("gc table size = %d, want 0", gcCount)
+	}
+	if pixmapCount != 0 {
+		t.Errorf("pixmap table size = %d, want 0", pixmapCount)
+	}
 	wantAtoms := atomBase + len(sharedAtoms) + clients
 	if atomCount != wantAtoms || nameCount != wantAtoms {
 		t.Errorf("atom tables = %d/%d entries, want %d (no duplicate interning under contention)", atomCount, nameCount, wantAtoms)
 	}
-	s.colorsMu.RLock()
-	cells := len(s.colorCells)
-	s.colorsMu.RUnlock()
 	if cells != len(palette) {
 		t.Errorf("color cells = %d, want %d (one per distinct spec)", cells, len(palette))
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 )
 
 // Per-session resource quotas (docs/farm.md). A Quota bounds what one
@@ -15,10 +14,6 @@ import (
 // request fails, the connection lives on, and the client sees the
 // denial through the ordinary error path (Display.ErrorHandler), never
 // a kill.
-//
-// Accounting is atomic CAS-reserve / atomic release, deliberately
-// lock-free: allocation handlers already hold their subsystem locks and
-// the quota must not add edges to the declared lock order.
 
 // Quota bounds one server's (one farm session's) resource allocation.
 // A zero field means that resource is unlimited.
@@ -28,40 +23,29 @@ type Quota struct {
 	MaxGCs         int64 // live graphics contexts
 }
 
-// SetQuota installs the quota. Call before the server accepts
-// connections; limits apply to allocations from then on (existing usage
-// is kept, not re-audited).
-func (s *Server) SetQuota(q Quota) {
-	s.quotaWindows.Store(q.MaxWindows)
-	s.quotaPixmapBytes.Store(q.MaxPixmapBytes)
-	s.quotaGCs.Store(q.MaxGCs)
-}
+// SetQuota installs the quota. Call before the server accepts its
+// first connection.
+func (s *Server) SetQuota(q Quota) { s.quota = q }
 
 // QuotaUsage reports live quota-accounted usage. After every client of
 // the server has disconnected and been cleaned up, all three are zero
 // (the reconciliation invariant the farm tests assert).
 func (s *Server) QuotaUsage() (windows, pixmapBytes, gcs int64) {
-	return s.usedWindows.Load(), s.usedPixmapBytes.Load(), s.usedGCs.Load()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.usedWindows, s.usedPixmapBytes, s.usedGCs
 }
 
-// reserveQuota claims n units of used against limit, failing without
+// reserveQuota claims n units of *used against limit, failing without
 // side effects if the claim would exceed it. A non-positive limit is
 // unlimited (the claim is still counted, so usage reporting and
 // release stay uniform).
-func reserveQuota(used *atomic.Int64, limit int64, n int64) bool {
-	if limit <= 0 {
-		used.Add(n)
-		return true
+func reserveQuota(used *int64, limit, n int64) bool {
+	if limit > 0 && *used+n > limit {
+		return false
 	}
-	for {
-		cur := used.Load()
-		if cur+n > limit {
-			return false
-		}
-		if used.CompareAndSwap(cur, cur+n) {
-			return true
-		}
-	}
+	*used += n
+	return true
 }
 
 // quotaDenied counts a denial and sends the clean X error for it. The

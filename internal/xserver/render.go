@@ -11,10 +11,10 @@ import (
 // the independent tile rows of large fills out across CPUs.
 //
 // The pool holds no locks: a worker only ever writes pixels of tiles
-// handed to it by the caller, who holds the owning drawable's lock for
-// the whole fan-out and blocks until every job finishes — so the
-// drawable lock still guards all tile state, and two jobs of one fill
-// never share a tile (they cover distinct tile rows).
+// handed to it by the caller, who holds the server's mu for the whole
+// fan-out and blocks until every job finishes — so mu still guards all
+// tile state, and two jobs of one fill never share a tile (they cover
+// distinct tile rows).
 
 // renderMetrics is the render pipeline's slice of the server registry,
 // resolved once in New so the draw hot path never does a registry
@@ -28,7 +28,7 @@ type renderMetrics struct {
 	fill          *obs.Histogram // rect-fill batch service time
 	copyArea      *obs.Histogram // copy service time
 	text          *obs.Histogram // glyph blit service time
-	screenshot    *obs.Histogram // compose + pack time (outside treeMu)
+	screenshot    *obs.Histogram // compose + pack time (outside mu)
 }
 
 func newRenderMetrics(reg *obs.Registry) *renderMetrics {

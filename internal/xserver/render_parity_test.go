@@ -635,8 +635,8 @@ func TestUndrawnWindowsHoldNoSlabs(t *testing.T) {
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	s.treeMu.Lock()
-	defer s.treeMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if len(s.windows) != 202 {
 		t.Fatalf("server has %d windows, want 202", len(s.windows))
 	}

@@ -24,105 +24,79 @@ import (
 
 // Server is a simulated X display.
 //
-// Request handling is locked per subsystem, not globally, so independent
-// clients dispatch in parallel (docs/architecture.md, "The locking
-// model"). Every mutable field carries a "guarded by <mutex>" annotation
-// naming its subsystem mutex, and cmd/tkcheck's lock analyzer checks
-// that annotated fields are only touched with that mutex held (or from
-// methods documented "s.<mutex> held"). The subsystem mutexes are
-// obs.TimedMutex/TimedRWMutex, so every acquisition wait lands in a
-// "lockwait.<subsystem>" histogram.
+// One mutex, mu, serializes request handling, as X's own dispatch loop
+// does: the request loop takes it once per request and holds it across
+// the handler (dispatch), so a handler may touch any server state.
+// Displays are independent — a farm runs its sessions in parallel, one
+// Server each — and decoding, the simulated latency sleeps, frame
+// writing and screenshot composition all run outside mu, so the clients
+// of one display still overlap everything but the handlers themselves
+// (docs/architecture.md, "One lock per display"). Every mutable field
+// carries a "guarded by mu" annotation, and cmd/tkcheck's lock analyzer
+// checks that annotated fields are only touched with mu held (or from
+// methods documented "s.mu held").
 //
-// Lock order (always acquire left before right, release before taking a
-// peer): treeMu → pixmap.mu → {gcs, pixmaps, cursors shard locks,
-// fontsMu, colorsMu, atomsMu}. The right-hand group are leaves — no
-// server mutex is ever acquired while one of them is held — except that
-// two pixmap locks may nest in ascending-ID order (CopyArea between
-// pixmaps). connsMu is independent: never held together with any other
-// server mutex.
+// Nothing blocks while mu is held: a frame for the requesting connection
+// that its outbound queue cannot take at once is staged and queued after
+// mu is released (conn.enqueue), and an event for any other connection is
+// dropped when that connection's queue is full (Server.sendEvent). mu is
+// an obs.TimedMutex whose waits land in the "lockwait.tree" histogram.
 //
-// Per-tile render state needs no lock class of its own: a tiled image's
-// slab pointers, versions and copy-on-write shared/dirty flags are all
-// guarded by the lock of the drawable that owns the image — treeMu for
-// window pixels, the pixmap's mu for pixmap pixels — exactly as the
-// flat pixel buffers were. Screenshot snapshots alias slabs under that
-// lock and are immutable afterwards (writers clone shared slabs instead
-// of mutating them), so composing and packing a snapshot takes no lock
-// at all; and the render worker pool's fill jobs run while their
-// submitter holds the drawable lock, touching disjoint tiles, acquiring
-// nothing (see render.go).
-//
-// The declaration below is the machine-readable form of that order;
-// cmd/tkcheck's lock-order analyzer checks every acquisition edge in
-// the package against it (resShard.mu is the class of all three
-// resource tables' shard locks, and the ascending-ID pixmap pair is
-// the one sanctioned same-class nesting).
-//
-// lock-order: treeMu -> pixmap.mu -> {atomsMu, fontsMu, colorsMu, resShard.mu}
-// lock-order: connsMu
+// Tile render state needs no lock of its own: a tiled image's slab
+// pointers, versions and copy-on-write shared/dirty flags are guarded by
+// mu like every other pixel. Screenshot snapshots alias slabs under mu
+// and are immutable afterwards (writers clone shared slabs instead of
+// mutating them), so composing and packing a snapshot takes no lock at
+// all; and the render worker pool's fill jobs run while their submitter
+// holds mu, touching disjoint tiles, acquiring nothing (see render.go).
 type Server struct {
 	width, height int     // immutable after New
-	root          *window // the pointer is immutable; its contents are guarded by treeMu
+	root          *window // the pointer is immutable; its contents are guarded by mu
 
-	// treeMu is the window subsystem: the window tree and every
-	// window's fields and pixels, input state (focus, pointer, grabs)
-	// and selection ownership — the state whose invariants span
-	// multiple windows and so cannot be sharded.
-	treeMu     obs.TimedMutex
-	windows    map[xproto.ID]*window      // guarded by treeMu
-	selections map[xproto.Atom]*selection // guarded by treeMu
-	focus      xproto.ID                  // guarded by treeMu
-	pointerX   int                        // guarded by treeMu
-	pointerY   int                        // guarded by treeMu
-	buttons    uint16                     // guarded by treeMu
-	modifiers  uint16                     // guarded by treeMu
-	pointerWin *window                    // guarded by treeMu
-	grabWin    *window                    // guarded by treeMu
+	mu         obs.TimedMutex
+	requester  *conn                      // guarded by mu: the connection whose request holds mu
+	windows    map[xproto.ID]*window      // guarded by mu
+	pixmaps    map[xproto.ID]*pixmap      // guarded by mu
+	gcs        map[xproto.ID]*gcontext    // guarded by mu
+	cursors    map[xproto.ID]string       // guarded by mu
+	fonts      map[xproto.ID]*font        // guarded by mu
+	atoms      map[string]xproto.Atom     // guarded by mu
+	atomNames  map[xproto.Atom]string     // guarded by mu
+	nextAtom   xproto.Atom                // guarded by mu
+	selections map[xproto.Atom]*selection // guarded by mu
+	focus      xproto.ID                  // guarded by mu
+	pointerX   int                        // guarded by mu
+	pointerY   int                        // guarded by mu
+	buttons    uint16                     // guarded by mu
+	modifiers  uint16                     // guarded by mu
+	pointerWin *window                    // guarded by mu
+	grabWin    *window                    // guarded by mu
 
-	// Atoms are intern-once, read-forever (exactly the workload Tk's
-	// resource names generate): reads take the read lock, a miss
-	// upgrades to the write lock and re-checks.
-	atomsMu   obs.TimedRWMutex
-	atoms     map[string]xproto.Atom // guarded by atomsMu
-	atomNames map[xproto.Atom]string // guarded by atomsMu
-	nextAtom  xproto.Atom            // guarded by atomsMu
-
-	// Fonts: the map is read-mostly; font objects themselves are
-	// immutable once opened, so they may be used after release.
-	fontsMu obs.TimedRWMutex
-	fonts   map[xproto.ID]*font // guarded by fontsMu
-
-	// Colors: interned cells for resolved color specs (the stand-in for
-	// colormap cell allocation). Bounded by the distinct colors clients
+	// colorCells interns resolved color specs (the stand-in for
+	// colormap cell allocation), bounded by the distinct colors clients
 	// actually use.
-	colorsMu   obs.TimedRWMutex
-	colorCells map[string]uint32 // guarded by colorsMu
+	colorCells map[string]uint32 // guarded by mu
 
-	// Per-client resources live in sharded tables: clients touching
-	// disjoint IDs take disjoint shard locks. Table pointers are
-	// immutable after New.
-	gcs     *resTable[*gcontext]
-	pixmaps *resTable[*pixmap]
-	cursors *resTable[string]
+	conns      map[*conn]bool // guarded by mu
+	listener   net.Listener   // guarded by mu
+	closed     bool           // guarded by mu
+	nextIDBase uint32         // guarded by mu: the next connection's resource-ID range base
 
-	nextIDBase   atomic.Uint32 // next connection's resource-ID range base
-	latency      atomic.Int64  // nanoseconds per request (or per segment)
-	latModel     atomic.Int32  // LatencyModel selecting how latency is charged
-	writeTimeout atomic.Int64  // nanoseconds a stalled peer may block a write
-	wireV2       atomic.Bool   // accept wire-protocol-v2 upgrades (SetWireV2)
-	start        time.Time     // immutable after New
+	latency      atomic.Int64 // nanoseconds per request (or per segment)
+	latModel     atomic.Int32 // LatencyModel selecting how latency is charged
+	writeTimeout atomic.Int64 // nanoseconds a stalled peer may block a write
+	wireV2       atomic.Bool  // accept wire-protocol-v2 upgrades (SetWireV2)
+	start        time.Time    // immutable after New
 
-	// Resource quota (SetQuota, docs/farm.md): limits and live usage are
-	// atomics, so allocating handlers CAS-reserve against the limit with
-	// no new lock and every free path (FreeGC/FreePixmap, DestroyWindow,
-	// cleanupConn's sweeps) releases what the allocation reserved. A zero
-	// limit means unlimited.
-	quotaWindows     atomic.Int64
-	quotaPixmapBytes atomic.Int64
-	quotaGCs         atomic.Int64
-	usedWindows      atomic.Int64
-	usedPixmapBytes  atomic.Int64
-	usedGCs          atomic.Int64
+	// Resource quota (SetQuota, docs/farm.md): allocating handlers
+	// reserve against the limit, and every free path (FreeGC/FreePixmap,
+	// DestroyWindow, cleanupConn's sweeps) releases what the allocation
+	// reserved. A zero limit means unlimited. quota is set before the
+	// server accepts its first connection and immutable afterwards.
+	quota           Quota
+	usedWindows     int64 // guarded by mu
+	usedPixmapBytes int64 // guarded by mu
+	usedGCs         int64 // guarded by mu
 
 	// rollup aggregation (SetRollup): when this server is one session of
 	// a farm, the farm's registry is attached here and the hot dispatch
@@ -141,19 +115,13 @@ type Server struct {
 	// immutable afterwards.
 	activity *atomic.Int64
 
-	// Connection registry, independent of the dispatch locks above.
-	connsMu  obs.TimedMutex
-	conns    map[*conn]bool // guarded by connsMu
-	listener net.Listener   // guarded by connsMu
-	closed   bool           // guarded by connsMu
-
 	// metrics aggregates across all connections: "requests",
 	// per-opcode "requests.<OpName>" counters, the "dispatch"
-	// service-time histogram, and the per-subsystem "lockwait.*"
-	// histograms. The span layer adds "trace.sampled" (dispatches picked
-	// for span recording) and "trace.spans" (spans recorded). The
-	// pointer is immutable after New; the registry itself is safe for
-	// concurrent use.
+	// service-time histogram, and mu's "lockwait.tree" histogram. The
+	// span layer adds "trace.sampled" (dispatches picked for span
+	// recording) and "trace.spans" (spans recorded). The pointer is
+	// immutable after New; the registry itself is safe for concurrent
+	// use.
 	metrics *obs.Registry
 
 	// requests and dispatchTime are metrics' per-request handles,
@@ -161,15 +129,10 @@ type Server struct {
 	requests     *obs.Counter
 	dispatchTime *obs.Histogram
 
-	// tracer, when set, records a server.dispatch span (with per-subsystem
-	// lock waits attributed) for sampled requests. Atomic so SetTracer
-	// may race dispatch.
+	// tracer, when set, records a server.dispatch span (with the wait
+	// for mu) for sampled requests. Atomic so SetTracer may race
+	// dispatch.
 	tracer atomic.Pointer[trace.Tracer]
-
-	// lockNames maps each lockwait histogram back to its subsystem name,
-	// so a sampled dispatch can label the waits its collector gathered.
-	// Immutable after New.
-	lockNames map[*obs.Histogram]string
 
 	// render is the render pipeline's pre-resolved slice of the metrics
 	// registry: tile damage/COW/snapshot counters and the per-primitive
@@ -177,10 +140,8 @@ type Server struct {
 	render *renderMetrics
 }
 
-// gcontext is a server-side graphics context. Fields are mutated only
-// under the gcs shard lock holding it (applyGC runs inside
-// resTable.with); dispatch paths that draw take a value snapshot under
-// that lock and work from the copy.
+// gcontext is a server-side graphics context. Like every resource it is
+// reached only through the server's tables, so mu guards its fields.
 type gcontext struct {
 	foreground uint32
 	background uint32
@@ -191,20 +152,11 @@ type gcontext struct {
 
 // pixmap is a server-side off-screen drawable. The img pointer and the
 // image's dimensions are immutable after CreatePixmap; the pixel
-// contents are guarded by mu, so clients drawing into distinct pixmaps
-// never contend (and never touch treeMu at all).
+// contents are guarded by the server's mu.
 type pixmap struct {
-	mu    obs.TimedMutex
 	img   *image // the pointer is immutable; pixel contents are guarded by mu
 	bytes int64  // nominal quota cost (w·h·4 at create), immutable
 	owner *conn  // creating connection, immutable; cleanupConn sweeps by it
-}
-
-// with runs fn on the pixmap's pixels under its lock.
-func (p *pixmap) with(fn func(im *image)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fn(p.img)
 }
 
 // property is a window property value.
@@ -220,8 +172,8 @@ type selection struct {
 }
 
 // window is a server-side window. All fields are guarded by the
-// server's treeMu (windows are reached only through Server.windows or
-// the tree itself).
+// server's mu (windows are reached only through Server.windows or the
+// tree itself).
 type window struct {
 	id          xproto.ID
 	parent      *window
@@ -257,11 +209,23 @@ type conn struct {
 	wireRx bool
 	rxSeg  []byte
 
+	// staged holds, in order, the connection's own frames that its
+	// outbound queue could not take without waiting (enqueue); flush
+	// delivers them once s.mu is released. Only the request-loop
+	// goroutine touches it, and the slice is reused across requests.
+	staged []stagedFrame
+
 	// byOp holds each opcode's "requests.<OpName>" counter in the server
 	// registry, resolved on the opcode's first request so the registry
 	// gains no zero-valued rows; only the request-loop goroutine
 	// touches it.
 	byOp [256]*obs.Counter
+}
+
+// stagedFrame is a frame waiting in conn.staged.
+type stagedFrame struct {
+	bp          *[]byte
+	mustDeliver bool
 }
 
 // countOp bumps op's request counter in the server registry.
@@ -284,6 +248,9 @@ func New(width, height int) *Server {
 		width:      width,
 		height:     height,
 		windows:    make(map[xproto.ID]*window),
+		pixmaps:    make(map[xproto.ID]*pixmap),
+		gcs:        make(map[xproto.ID]*gcontext),
+		cursors:    make(map[xproto.ID]string),
 		fonts:      make(map[xproto.ID]*font),
 		atoms:      make(map[string]xproto.Atom),
 		atomNames:  make(map[xproto.Atom]string),
@@ -293,21 +260,10 @@ func New(width, height int) *Server {
 		metrics:    obs.NewRegistry(),
 		start:      time.Now(),
 		nextAtom:   100,
+		nextIDBase: 0x00200000,
 	}
-	s.nextIDBase.Store(0x00200000)
 	s.wireV2.Store(true)
-	s.lockNames = make(map[*obs.Histogram]string)
-	for _, n := range []string{"tree", "atoms", "fonts", "colors", "conns", "gcs", "pixmaps", "cursors"} {
-		s.lockNames[s.metrics.Histogram("lockwait."+n)] = n
-	}
-	s.treeMu.Instrument(s.metrics.Histogram("lockwait.tree"))
-	s.atomsMu.Instrument(s.metrics.Histogram("lockwait.atoms"))
-	s.fontsMu.Instrument(s.metrics.Histogram("lockwait.fonts"))
-	s.colorsMu.Instrument(s.metrics.Histogram("lockwait.colors"))
-	s.connsMu.Instrument(s.metrics.Histogram("lockwait.conns"))
-	s.gcs = newResTable[*gcontext](s.metrics.Histogram("lockwait.gcs"))
-	s.pixmaps = newResTable[*pixmap](s.metrics.Histogram("lockwait.pixmaps"))
-	s.cursors = newResTable[string](s.metrics.Histogram("lockwait.cursors"))
+	s.mu.Instrument(s.metrics.Histogram("lockwait.tree"))
 	s.writeTimeout.Store(int64(DefaultWriteTimeout))
 	s.render = newRenderMetrics(s.metrics)
 	s.requests = s.metrics.Counter("requests")
@@ -380,7 +336,7 @@ func (s *Server) SetWireV2(on bool) { s.wireV2.Store(on) }
 // Metrics returns the server-wide registry: "requests" and per-opcode
 // "requests.<OpName>" counters, the "dispatch" histogram of request
 // service times (decode + handle, excluding simulated latency), and the
-// "lockwait.<subsystem>" histograms of mutex acquisition waits.
+// "lockwait.tree" histogram of waits for the display lock.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
 // SetTracer attaches (or, with nil, detaches) a span tracer. Give the
@@ -413,9 +369,9 @@ func (s *Server) now() uint32 {
 
 // Serve accepts connections on l until the listener is closed.
 func (s *Server) Serve(l net.Listener) {
-	s.connsMu.Lock()
+	s.mu.Lock()
 	s.listener = l
-	s.connsMu.Unlock()
+	s.mu.Unlock()
 	for {
 		nc, err := l.Accept()
 		if err != nil {
@@ -445,14 +401,14 @@ func (s *Server) ConnectPipe() net.Conn {
 
 // Close shuts the server down, closing all connections.
 func (s *Server) Close() {
-	s.connsMu.Lock()
+	s.mu.Lock()
 	s.closed = true
 	l := s.listener
 	conns := make([]*conn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
-	s.connsMu.Unlock()
+	s.mu.Unlock()
 	if l != nil {
 		l.Close()
 	}
@@ -463,7 +419,7 @@ func (s *Server) Close() {
 
 // outQueueSlots is the depth of a connection's outbound queue. When it
 // is full, events are dropped (counted as "dropped") and replies wait
-// for space up to the write timeout.
+// for space, outside s.mu, up to the write timeout.
 const outQueueSlots = 4096
 
 // framePool recycles outbound frame buffers: enqueueFrame fills one,
@@ -485,15 +441,16 @@ func (s *Server) ServeConn(nc net.Conn) {
 		out:  make(chan *[]byte, outQueueSlots),
 		done: make(chan struct{}),
 	}
-	s.connsMu.Lock()
+	s.mu.Lock()
 	if s.closed {
-		s.connsMu.Unlock()
+		s.mu.Unlock()
 		nc.Close()
 		return
 	}
 	s.conns[c] = true
-	s.connsMu.Unlock()
-	base := s.nextIDBase.Add(0x00200000) - 0x00200000
+	base := s.nextIDBase
+	s.nextIDBase += 0x00200000
+	s.mu.Unlock()
 
 	// Writer goroutine: coalesces every frame queued at wake-up time
 	// into a single Write, so a burst of replies/events crosses the
@@ -587,9 +544,10 @@ func (s *Server) ServeConn(nc net.Conn) {
 		Width:          uint16(s.width),
 		Height:         uint16(s.height),
 	}
+	// The first frame on an empty queue: it never stages.
 	w := xproto.AcquireWriter()
 	setup.Encode(w)
-	c.enqueueFrame(xproto.KindReply, w.Bytes(), true)
+	c.enqueueFrame(xproto.KindReply, w.Bytes(), true, true)
 	xproto.ReleaseWriter(w)
 
 	// Request loop. Requests are read through a buffered reader over a
@@ -645,9 +603,6 @@ loop:
 		s.serveRequest(c, op, payload)
 	}
 	c.close()
-	s.connsMu.Lock()
-	delete(s.conns, c)
-	s.connsMu.Unlock()
 	s.cleanupConn(c)
 }
 
@@ -677,39 +632,23 @@ func (s *Server) serveRequest(c *conn, op uint16, payload []byte) {
 	if a := s.activity; a != nil {
 		a.Store(begin.UnixNano())
 	}
-	var elapsed time.Duration
-	if tr := s.tracer.Load(); tr != nil && tr.Sampled(c.seq) {
-		// Sampled dispatch: collect this goroutine's contended lock
-		// waits (dispatch runs synchronously here, so every wait the
-		// collector sees belongs to this request) and attribute them
-		// to the span by subsystem.
+	tr := s.tracer.Load()
+	sampled := tr != nil && tr.Sampled(c.seq)
+	wait := s.dispatch(c, op, payload)
+	elapsed := time.Since(begin)
+	if sampled {
+		// A sampled dispatch's span carries the wait for the display
+		// lock it paid, and no lock-wait arg when it paid none.
 		s.metrics.Counter("trace.sampled").Inc()
 		span := trace.Span{
 			Seq: c.seq, Name: "server.dispatch", Side: "server",
-			Op: xproto.OpName(op), Start: begin.UnixNano(),
+			Op: xproto.OpName(op), Start: begin.UnixNano(), Dur: int64(elapsed),
 		}
-		remove := obs.SetWaitCollector(func(h *obs.Histogram, waitNs int64) {
-			key := "lockwait.other" // untimed mutexes (e.g. per-pixmap locks)
-			if n, ok := s.lockNames[h]; ok {
-				key = "lockwait." + n
-			}
-			for i := range span.Args {
-				if span.Args[i].Key == key {
-					span.Args[i].Val += waitNs
-					return
-				}
-			}
-			span.Args = append(span.Args, trace.Arg{Key: key, Val: waitNs})
-		})
-		s.dispatch(c, op, payload)
-		remove()
-		elapsed = time.Since(begin)
-		span.Dur = int64(elapsed)
+		if wait > 0 {
+			span.Args = []trace.Arg{{Key: "lockwait.tree", Val: wait}}
+		}
 		tr.Record(span)
 		s.metrics.Counter("trace.spans").Inc()
-	} else {
-		s.dispatch(c, op, payload)
-		elapsed = time.Since(begin)
 	}
 	s.dispatchTime.Observe(elapsed)
 	if s.rollupDispatch != nil {
@@ -733,7 +672,8 @@ var wireTxSentinel = new([]byte)
 // ([u8 version]) is queued behind the setup block that ServeConn
 // already enqueued, so the client always reads setup first; the
 // tx-upgrade sentinel is queued after the ack, so the ack itself still
-// crosses in v1 framing.
+// crosses in v1 framing. The queue holds at most the setup block, so
+// neither stages.
 func (s *Server) handleUpgradeWire(c *conn, payload []byte) {
 	var req xproto.UpgradeWireReq
 	r := xproto.NewReader(payload)
@@ -744,9 +684,9 @@ func (s *Server) handleUpgradeWire(c *conn, payload []byte) {
 		ver = 2
 		c.wireRx = true
 	}
-	c.enqueueFrame(xproto.KindWireAck, []byte{ver}, true)
+	c.enqueueFrame(xproto.KindWireAck, []byte{ver}, true, true)
 	if accept {
-		c.enqueueBuf(wireTxSentinel, true, false)
+		c.enqueue(wireTxSentinel, true, true)
 	}
 }
 
@@ -814,83 +754,112 @@ func (sr *segmentReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// enqueueFrame frames and queues a server-to-client message into a
-// pooled buffer (ownership passes to the writer goroutine on send, and
-// returns to the pool here on every non-delivery path). Replies and
-// errors must not be dropped; events may be dropped under extreme
-// backpressure rather than deadlocking the server. Even mustDeliver
-// waits are bounded: if the outbound queue stays full past the write
-// timeout the peer has stopped draining it, and the connection is
-// counted as stalled and severed rather than wedging the dispatcher.
-func (c *conn) enqueueFrame(kind byte, payload []byte, mustDeliver bool) {
+// enqueueFrame frames a message for c into a pooled buffer and queues
+// it without waiting (enqueue). own is set for c's own frames — the
+// current request's reply, error or events, and the handshake frames —
+// and clear for an event another connection's request raised for c.
+// Pooled buffers pass to the writer goroutine on delivery and return to
+// the pool on every non-delivery path (release).
+func (c *conn) enqueueFrame(kind byte, payload []byte, mustDeliver, own bool) {
 	bp := framePool.Get().(*[]byte)
 	buf := append((*bp)[:0], kind)
 	buf = append(buf, byte(len(payload)>>24), byte(len(payload)>>16), byte(len(payload)>>8), byte(len(payload)))
 	buf = append(buf, payload...)
 	*bp = buf
-	c.enqueueBuf(bp, mustDeliver, true)
+	c.enqueue(bp, mustDeliver, own)
 }
 
-// enqueueBuf delivers one buffer pointer to the writer goroutine with
-// enqueueFrame's backpressure rules; pooled buffers are returned to the
-// pool on every non-delivery path (the tx-upgrade sentinel is not
-// pooled).
-func (c *conn) enqueueBuf(bp *[]byte, mustDeliver, pooled bool) {
-	release := func() {
-		if pooled {
-			framePool.Put(bp)
-		}
+// enqueue queues bp without waiting, so it is safe with s.mu held. c's
+// own frames keep the order they were produced in: one the queue cannot
+// take, and every own frame after it, is staged until flush. Another
+// connection's event for c is queued at once or, if c's queue is full,
+// dropped. Only c's request goroutine calls it with own set.
+func (c *conn) enqueue(bp *[]byte, mustDeliver, own bool) {
+	switch {
+	case !own:
+		c.offer(bp, false)
+	case len(c.staged) == 0 && c.offer(bp, mustDeliver):
+	default:
+		c.staged = append(c.staged, stagedFrame{bp, mustDeliver})
 	}
-	if mustDeliver {
-		// Fast path: queue space available or connection already gone.
-		select {
-		case c.out <- bp:
-			return
-		case <-c.done:
-			release()
-			return
-		default:
-		}
-		to := c.s.writeTimeout.Load()
-		if to <= 0 {
-			select {
-			case c.out <- bp:
-			case <-c.done:
-				release()
-			}
-			return
-		}
-		timer := time.NewTimer(time.Duration(to))
-		defer timer.Stop()
-		select {
-		case c.out <- bp:
-		case <-c.done:
-			release()
-		case <-timer.C:
-			release()
-			c.markStalled()
-			c.close()
-		}
-		return
-	}
+}
+
+// offer queues bp if the queue has room. It reports false, keeping bp,
+// only when the queue is full and bp must be delivered (a reply or an
+// error); a full queue drops an event, counted as "dropped", and a
+// closed connection discards anything.
+func (c *conn) offer(bp *[]byte, mustDeliver bool) bool {
 	select {
 	case c.out <- bp:
 	case <-c.done:
-		release()
+		release(bp)
 	default:
-		release()
+		if mustDeliver {
+			return false
+		}
+		release(bp)
 		c.s.metrics.Counter("dropped").Inc()
+	}
+	return true
+}
+
+// flush delivers the staged frames in order, waiting for queue space
+// where a frame must be delivered. The wait is bounded: if the queue
+// stays full past the write timeout the peer has stopped draining it,
+// and the connection is counted as stalled and severed rather than
+// wedging its request loop. The request goroutine calls it after each
+// request, with s.mu released.
+func (c *conn) flush() {
+	for _, f := range c.staged {
+		if !c.offer(f.bp, f.mustDeliver) {
+			c.deliver(f.bp)
+		}
+	}
+	clear(c.staged)
+	c.staged = c.staged[:0]
+}
+
+// deliver queues bp once the queue has room, or gives up as flush
+// describes.
+func (c *conn) deliver(bp *[]byte) {
+	to := c.s.writeTimeout.Load()
+	if to <= 0 {
+		select {
+		case c.out <- bp:
+		case <-c.done:
+			release(bp)
+		}
+		return
+	}
+	timer := time.NewTimer(time.Duration(to))
+	defer timer.Stop()
+	select {
+	case c.out <- bp:
+	case <-c.done:
+		release(bp)
+	case <-timer.C:
+		release(bp)
+		c.markStalled()
+		c.close()
+	}
+}
+
+// release returns an undelivered buffer to the pool; the tx-upgrade
+// sentinel is not pooled.
+func release(bp *[]byte) {
+	if bp != wireTxSentinel {
+		framePool.Put(bp)
 	}
 }
 
 // reply sends a reply for the current request. The Writer is pooled:
-// enqueueFrame copies the encoded bytes into the outbound frame before
-// the writer is released, so the hot reply path allocates nothing.
+// enqueueFrame copies the encoded bytes before the writer is released,
+// so the hot reply path allocates nothing.
 func (c *conn) reply(encode func(w *xproto.Writer)) {
 	w := xproto.AcquireWriter()
 	w.PutU64(c.seq)
 	encode(w)
-	c.enqueueFrame(xproto.KindReply, w.Bytes(), true)
+	c.enqueueFrame(xproto.KindReply, w.Bytes(), true, true)
 	xproto.ReleaseWriter(w)
 }
 
@@ -899,35 +868,46 @@ func (c *conn) protoError(format string, args ...any) {
 	w := xproto.AcquireWriter()
 	w.PutU64(c.seq)
 	w.PutString(fmt.Sprintf(format, args...))
-	c.enqueueFrame(xproto.KindError, w.Bytes(), true)
+	c.enqueueFrame(xproto.KindError, w.Bytes(), true, true)
 	xproto.ReleaseWriter(w)
 }
 
-// sendEvent delivers an event to this connection.
-func (c *conn) sendEvent(ev *xproto.Event) {
+// sendEvent delivers an event to c: in order with the current request's
+// other frames if c made the request, else at once or, if c's queue is
+// full, not at all. Called with s.mu held.
+func (s *Server) sendEvent(c *conn, ev *xproto.Event) {
 	w := xproto.AcquireWriter()
 	ev.Encode(w)
-	c.enqueueFrame(xproto.KindEvent, w.Bytes(), false)
+	c.enqueueFrame(xproto.KindEvent, w.Bytes(), false, c == s.requester)
 	xproto.ReleaseWriter(w)
 }
 
-// dispatch decodes and executes one request. Locking is per subsystem,
-// inside handle and the handlers it calls — there is no server-wide
-// lock, so requests from different clients that touch different
-// subsystems (or different shards of one) run in parallel.
-func (s *Server) dispatch(c *conn, op uint16, payload []byte) {
+// dispatch decodes and executes one request and returns how long it
+// waited for s.mu. The handler runs with s.mu held, as in X's dispatch
+// loop; decoding, screenshot composition and the delivery of frames
+// staged for the requester run outside it.
+func (s *Server) dispatch(c *conn, op uint16, payload []byte) (wait int64) {
+	defer c.flush()
 	req := xproto.NewRequest(op)
 	if req == nil {
 		c.protoError("bad request opcode %d", op)
-		return
+		return 0
 	}
 	r := xproto.NewReader(payload)
 	req.Decode(r)
 	if r.Err() != nil {
 		c.protoError("malformed request %d: %v", op, r.Err())
-		return
+		return 0
 	}
-	s.handle(c, req)
+	wait = s.mu.Lock()
+	s.requester = c
+	shot := s.handle(c, req)
+	s.requester = nil
+	s.mu.Unlock()
+	if shot != nil {
+		shot.reply(c)
+	}
+	return wait
 }
 
 // cleanupConn releases all resources owned by a departed client: its
@@ -937,7 +917,9 @@ func (s *Server) dispatch(c *conn, op uint16, payload []byte) {
 // session disconnects QuotaUsage reports zero across the board — the
 // reconciliation invariant the farm bench asserts on teardown.
 func (s *Server) cleanupConn(c *conn) {
-	s.treeMu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.conns, c)
 	// Collect first, destroy second: destroyWindow mutates s.windows
 	// (and detaches whole subtrees), so destroying while ranging over
 	// the map would visit it mid-mutation. Top-level windows go first
@@ -968,23 +950,20 @@ func (s *Server) cleanupConn(c *conn) {
 			delete(s.selections, sel)
 		}
 	}
-	s.treeMu.Unlock()
-	s.gcs.sweep(func(gc *gcontext) bool {
-		if gc.owner != c {
-			return false
+	for id, gc := range s.gcs {
+		if gc.owner == c {
+			delete(s.gcs, id)
+			s.usedGCs--
 		}
-		s.usedGCs.Add(-1)
-		return true
-	})
+	}
 	// Pixmaps are per-client resources too: sweeping them here (by the
 	// owner recorded at CreatePixmap) both releases their quota bytes and
 	// frees their backing tiles when a client departs, instead of letting
 	// orphaned pixmaps accumulate for the life of the server.
-	s.pixmaps.sweep(func(p *pixmap) bool {
-		if p.owner != c {
-			return false
+	for id, p := range s.pixmaps {
+		if p.owner == c {
+			delete(s.pixmaps, id)
+			s.usedPixmapBytes -= p.bytes
 		}
-		s.usedPixmapBytes.Add(-p.bytes)
-		return true
-	})
+	}
 }

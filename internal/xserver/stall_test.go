@@ -34,9 +34,9 @@ func TestStalledPeerSevered(t *testing.T) {
 	}
 
 	// The server stays fully usable for well-behaved clients.
-	s.connsMu.Lock()
+	s.mu.Lock()
 	live := len(s.conns)
-	s.connsMu.Unlock()
+	s.mu.Unlock()
 	_ = live // the stalled conn unregisters once its read loop exits
 	buf := make([]byte, 16)
 	if _, err := nc.Read(buf); err == nil {
@@ -97,9 +97,9 @@ func TestDroppedEventsReachServerRegistry(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		s.treeMu.Lock()
+		s.mu.Lock()
 		selected := len(s.root.masks) == 1
-		s.treeMu.Unlock()
+		s.mu.Unlock()
 		if selected {
 			break
 		}
@@ -135,5 +135,67 @@ func TestDroppedEventsReachServerRegistry(t *testing.T) {
 	budget := slo.Build(slo.Sources{Server: s.Metrics()}).ErrorBudget
 	if got := budget.ByCounter["dropped"]; got != want {
 		t.Fatalf("SLO error budget counted %d dropped events, want %d", got, want)
+	}
+}
+
+// TestStalledReaderDoesNotStallOthers: a client that floods
+// reply-bearing requests and never reads fills its outbound queue, and
+// its request loop then waits for queue space up to the write timeout.
+// It waits with the display lock released, so another client's
+// requests finish promptly. The flood is of QueryTree, whose handler
+// walks the window tree, and of Ping, whose handler touches nothing.
+func TestStalledReaderDoesNotStallOthers(t *testing.T) {
+	for _, flood := range []xproto.Request{
+		&xproto.QueryTreeReq{Window: 1},
+		&xproto.PingReq{},
+	} {
+		t.Run(xproto.OpName(flood.Op()), func(t *testing.T) {
+			s := New(200, 200)
+			defer s.Close()
+			s.SetWriteTimeout(3 * time.Second)
+			d, err := xclient.Open(s.ConnectPipe())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+
+			nc := s.ConnectPipe()
+			defer nc.Close()
+			if _, _, err := xproto.ReadServerFrame(nc); err != nil {
+				t.Fatal(err)
+			}
+			frame := xproto.AppendRequestFrame(nil, flood)
+			var batch []byte
+			for i := 0; i < 6000; i++ {
+				batch = append(batch, frame...)
+			}
+			go nc.Write(batch) // returns once the server severs or closes the pipe
+
+			// The flooder is stuck once its queue is full and its request
+			// count stops moving.
+			requests := s.Metrics().Counter("requests")
+			deadline := time.Now().Add(5 * time.Second)
+			for last := uint64(0); ; {
+				time.Sleep(20 * time.Millisecond)
+				n := requests.Value()
+				if n > outQueueSlots && n == last {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("flood never stalled: %d requests served", n)
+				}
+				last = n
+			}
+
+			begin := time.Now()
+			w := d.CreateWindow(d.Root, 0, 0, 10, 10, 0, xclient.WindowAttributes{})
+			d.MapWindow(w)
+			if err := d.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if took := time.Since(begin); took > 500*time.Millisecond {
+				t.Fatalf("another client's CreateWindow+MapWindow+Sync took %v behind a stalled reader, want < 500ms", took)
+			}
+		})
 	}
 }

@@ -264,10 +264,10 @@ func TestZeroSizeReconfigureKeepsContent(t *testing.T) {
 	if n := d.EventsSeen() - exposes; n != 0 {
 		t.Errorf("re-sending the clamped size sent %d more Expose events", n)
 	}
-	s.treeMu.Lock()
+	s.mu.Lock()
 	win := s.windows[w]
 	gotW, gotH, px := win.w, win.h, win.img.get(0, 8)
-	s.treeMu.Unlock()
+	s.mu.Unlock()
 	if gotW != 1 || gotH != 20 {
 		t.Fatalf("window is %dx%d, want 1x20", gotW, gotH)
 	}

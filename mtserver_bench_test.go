@@ -1,10 +1,10 @@
 // Multi-client dispatch benchmarks: N concurrent clients driving a
-// pipelined mixed-subsystem request stream against one server. Under
-// the giant lock this throughput was flat in N; with per-subsystem
-// locking the clients' simulated wire latencies (and their dispatch
-// work) overlap, so aggregate throughput scales. The gated emitter
-// writes BENCH_mtserver.json, the artifact the EXPERIMENTS.md
-// concurrency table points at.
+// pipelined mixed-subsystem request stream against one server. The
+// display's one lock is held only across each request's handler; the
+// clients' simulated wire latencies, decoding and frame writing run
+// outside it and overlap, so aggregate throughput scales with N. The
+// gated emitter writes BENCH_mtserver.json, the artifact the
+// EXPERIMENTS.md concurrency table points at.
 package repro_test
 
 import (
@@ -20,7 +20,7 @@ import (
 )
 
 // stressAtoms is the overlapping atom set every benchmark client
-// interns from — after the first pass it is all read-lock hits.
+// interns from — after the first pass it is all table hits.
 var stressAtoms = []string{
 	"WM_NAME", "BENCH_A", "BENCH_B", "BENCH_C", "BENCH_D", "BENCH_E", "BENCH_F", "BENCH_G",
 }
@@ -106,7 +106,8 @@ func openClients(tb testing.TB, s *xserver.Server, n int) []*xclient.Display {
 // BenchmarkMultiClientDispatch measures aggregate multi-client request
 // throughput at 1 ms of simulated latency per wire segment. The
 // interesting number is how little ns/req grows from clients=1 to
-// clients=8: with subsystem locking the per-segment sleeps overlap.
+// clients=8: the per-segment sleeps run outside the display lock and
+// overlap.
 func BenchmarkMultiClientDispatch(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("clients=%d", n), func(b *testing.B) {
@@ -137,13 +138,12 @@ func BenchmarkMultiClientDispatch(b *testing.B) {
 }
 
 // TestEmitMTServerBench measures aggregate throughput at 1/2/4/8
-// concurrent clients, snapshots the per-subsystem lock-wait histograms,
-// measures the allocation cost of the hot reply path, and writes
+// concurrent clients, snapshots the lock-wait histogram, measures the
+// allocation cost of the hot reply path, and writes
 // BENCH_mtserver.json. It doubles as the acceptance check (make check
 // runs it with OBS_BENCH=1): aggregate throughput at 8 clients must be
-// ≥ 3× the single-client baseline — impossible under a giant lock that
-// serializes the per-segment latency, which is exactly what the old
-// server did.
+// ≥ 3× the single-client baseline — impossible if the per-segment
+// latency were paid while holding the display lock.
 func TestEmitMTServerBench(t *testing.T) {
 	requireObsBench(t, "BENCH_mtserver.json")
 
@@ -158,8 +158,8 @@ func TestEmitMTServerBench(t *testing.T) {
 	throughput := make(map[int]float64) // clients -> aggregate requests/sec
 	for _, n := range []int{1, 2, 4, 8} {
 		displays := openClients(t, s, n)
-		// Warm the atom/color caches so every measured pass exercises the
-		// read-lock fast paths, not first-touch interning.
+		// Warm the atom/color caches so every measured pass exercises
+		// table hits, not first-touch interning.
 		if _, _, err := runClients(displays, 2); err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestEmitMTServerBench(t *testing.T) {
 			throughput[8], throughput[1], speedup)
 	}
 
-	// Per-subsystem lock-wait histograms, accumulated over the whole run.
+	// Lock-wait histograms, accumulated over the whole run.
 	type lockwait struct {
 		Count uint64 `json:"acquisitions"`
 		P50Ns int64  `json:"p50_wait_ns"`

@@ -132,7 +132,8 @@ func BenchmarkRenderStorm(b *testing.B) {
 // side pays for the full client/server protocol round and the flat
 // baseline is called directly — and painters must keep ≥ half their
 // throughput while screenshot readers hammer the composite path, which
-// the old hold-treeMu-for-the-whole-render screenshot made impossible.
+// the old screenshot, which held the lock for the whole render, made
+// impossible.
 func TestEmitRenderBench(t *testing.T) {
 	requireObsBench(t, "BENCH_render.json")
 
@@ -179,7 +180,7 @@ func TestEmitRenderBench(t *testing.T) {
 	// Screenshot-concurrency column: two painters alone, then the same
 	// painters with two connections exporting root screenshots at a
 	// live-capture pace (~15 fps each). The plan/replay split means a
-	// reader holds treeMu only for the snapshot walk, so painters keep
+	// reader holds the display lock only for the snapshot walk, so painters keep
 	// nearly all their throughput; the seed held the lock across the
 	// whole compose-and-pack, stalling painters for milliseconds per
 	// frame. The readers are paced, not free-running, so the column

@@ -35,8 +35,8 @@ func pingRounds(t *testing.T, d *xclient.Display, flight, iters int) {
 
 // TestEmitSLOBench is the SLO emitter and the tracing-overhead
 // acceptance check (make check runs it with OBS_BENCH=1): the report
-// must carry dispatch and round-trip quantiles, per-subsystem lock
-// waits, span-derived wire time and a clean error budget, and the
+// must carry dispatch and round-trip quantiles, lock waits,
+// span-derived wire time and a clean error budget, and the
 // pipelined ping throughput with 1-in-64 sampling must stay within 10%
 // of the untraced run.
 func TestEmitSLOBench(t *testing.T) {
@@ -72,7 +72,7 @@ func TestEmitSLOBench(t *testing.T) {
 		t.Fatal("report has no round-trip quantiles")
 	}
 	if len(report.Lockwait) == 0 {
-		t.Fatal("report has no per-subsystem lockwait quantiles")
+		t.Fatal("report has no lockwait quantiles")
 	}
 	if report.ErrorBudget.Requests == 0 {
 		t.Fatal("error budget saw no requests")
