@@ -1,16 +1,16 @@
 # Pre-PR gate: build, vet, gofmt over every tracked Go file,
 # race-gated tests, tkcheck over every Tcl script and Go package in the
 # tree (docs/static-analysis.md), the frame-decoder, Tcl,
-# option-database and Tcl-linter fuzz smoke, the observability smoke
-# (docs/observability.md), the tkbench smoke (cmd/tkbench/README.md),
-# and the chaos harness (docs/fault-injection.md). All legs must pass
-# before a change ships.
+# option-database and Tcl-linter fuzz smoke, the connection-queue race
+# stress, the observability smoke (docs/observability.md), the tkbench
+# smoke (cmd/tkbench/README.md), and the chaos harness
+# (docs/fault-injection.md). All legs must pass before a change ships.
 
 GO ?= go
 
-.PHONY: check build vet fmt test tkcheck fuzz-smoke bench bench-smoke bench-farm bench-wire tkbench-smoke chaos
+.PHONY: check build vet fmt test tkcheck fuzz-smoke race-stress bench bench-smoke bench-farm bench-wire tkbench-smoke chaos
 
-check: build vet fmt test tkcheck fuzz-smoke bench-smoke tkbench-smoke chaos
+check: build vet fmt test tkcheck fuzz-smoke race-stress bench-smoke tkbench-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExpr$$' -fuzztime 5s ./internal/tcl
 	$(GO) test -run '^$$' -fuzz '^FuzzOptionDB$$' -fuzztime 5s ./internal/tk
 	$(GO) test -run '^$$' -fuzz '^FuzzLint$$' -fuzztime 5s ./internal/lint
+
+# race-stress runs the tests of the connection queues ten times under
+# the race detector: the display's event queue and wake channel
+# (internal/xclient), the server's per-connection output buffer
+# (internal/xserver) and Update's contract on top of them
+# (internal/tk). The race detector sees only the interleavings a run
+# executes, and two goroutines share each of these queues.
+race-stress:
+	$(GO) test -race -count=10 -run '^(TestSyncQueuesRoundEvents|TestWakeOnConnectionLoss|TestOpenGoroutines|TestPipelineStress|TestOwnEventsWaitForSlowReader|TestStalledReaderDoesNotStallOthers|TestDroppedEventsReachServerRegistry|TestMultiClientStressRace|TestUpdateDispatchesIdleHandlersEvents)$$' ./internal/xclient ./internal/xserver ./internal/tk
 
 bench: bench-farm
 	$(GO) test -bench=. -benchmem

@@ -87,9 +87,6 @@ type Toolkit struct {
 	Disp    *xclient.Display
 	widgets map[xproto.ID]*Widget
 	font    *xclient.Font
-	// received counts events taken from Disp, to compare with its
-	// EventsSeen count.
-	received uint64
 }
 
 // NewToolkit initializes the baseline toolkit over a display connection.
@@ -263,24 +260,14 @@ func (tk *Toolkit) DispatchEvent(ev *xproto.Event) {
 	}
 }
 
-// ProcessPending dispatches every event the server has sent so far. An
-// event the read loop has queued but the feeder has not yet handed to
-// the channel is waited for (EventsSeen counts it), not missed by the
-// non-blocking poll.
+// ProcessPending dispatches every event the server has sent so far.
 func (tk *Toolkit) ProcessPending() {
 	tk.Disp.Flush()
 	for {
-		var ev xproto.Event
-		var ok bool
-		if tk.received < tk.Disp.EventsSeen() {
-			ev, ok = tk.Disp.NextEvent()
-		} else {
-			ev, ok = tk.Disp.PollEvent()
-		}
+		ev, ok, _ := tk.Disp.PollEvent()
 		if !ok {
 			return
 		}
-		tk.received++
 		tk.DispatchEvent(&ev)
 	}
 }

@@ -14,22 +14,15 @@ import (
 //   - w := xproto.AcquireWriter() ... xproto.ReleaseWriter(w) — an
 //     acquire/release pair around a reusable wire-format Writer;
 //   - bp := somePool.Get().(*T) ... somePool.Put(bp) — a raw sync.Pool
-//     checkout, where sending bp down a channel transfers ownership to
-//     the receiver (the conn.out frame-buffer handoff).
-//
-// Ownership of a raw checkout also transfers by passing it to a
-// function whose name starts with "enqueue"/"Enqueue" — the delivery
-// half of the channel-handoff idiom factored into a helper (the
-// callee either sends the buffer on or returns it to the pool on
-// every failure path; xserver's conn.enqueue is the model).
+//     checkout.
 //
 // For every function it flags, per return path: a pooled value that is
 // neither released nor deferred-released (an early return — or a panic
 // — leaks the value); any use of a value after it went back to the
 // pool; and pooled values escaping their function through channel
-// sends (Writers), struct or container stores, or return values. A
-// function whose name starts with "Acquire" may return a raw pool
-// checkout — that is the accessor idiom itself.
+// sends, struct or container stores, or return values. A function whose
+// name starts with "Acquire" may return a raw pool checkout — that is
+// the accessor idiom itself.
 //
 // It tracks local variables within one function, on the shared
 // statement walker's paths (flow.go); a deferred release, plain or
@@ -171,24 +164,18 @@ func (a *poolAnalyzer) stmt(st ast.Stmt, vals poolVals) bool {
 			v.state = poolDone
 			return true
 		}
-		if objs := a.handoffTargets(call, vals); len(objs) > 0 {
-			a.flow.expr(st.X, vals)
-			for _, obj := range objs {
-				vals[obj].state = poolDone
-			}
-			return true
-		}
 	case *ast.SendStmt:
 		a.flow.expr(st.Chan, vals)
 		if id, ok := st.Value.(*ast.Ident); ok {
 			if v := vals[a.info.Uses[id]]; v != nil {
 				a.useCheck(id, vals)
+				what, release := "pool checkout", v.pool+".Put"
 				if v.kind == writerKind {
-					a.diag(st.Pos(), "pooled Writer %q escapes through a channel send (pair it with ReleaseWriter in this function instead)", id.Name)
+					what, release = "pooled Writer", "ReleaseWriter"
 				}
-				// Raw pool checkouts transfer ownership to the
-				// receiver; the Writer diag above still marks it done
-				// so one escape isn't also reported as a leak.
+				a.diag(st.Pos(), "%s %q escapes through a channel send (pair it with %s in this function instead)", what, id.Name, release)
+				// Marked done so one escape isn't also reported as a
+				// leak.
 				v.state = poolDone
 				return true
 			}
@@ -332,30 +319,6 @@ func (a *poolAnalyzer) releaseTarget(call *ast.CallExpr, vals poolVals) types.Ob
 		}
 	}
 	return nil
-}
-
-// handoffTargets recognizes the enqueue-handoff idiom: a call to a
-// function named enqueue*/Enqueue* takes ownership of any live raw
-// checkouts passed as arguments (the callee delivers the buffer or
-// returns it to the pool itself). Writers stay tracked — they must be
-// released where they were acquired.
-func (a *poolAnalyzer) handoffTargets(call *ast.CallExpr, vals poolVals) []types.Object {
-	name := calleeName(a.info, call)
-	if !strings.HasPrefix(name, "enqueue") && !strings.HasPrefix(name, "Enqueue") {
-		return nil
-	}
-	var objs []types.Object
-	for _, arg := range call.Args {
-		id, ok := arg.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		obj := a.info.Uses[id]
-		if v := vals[obj]; v != nil && v.kind == rawKind && v.state == poolLive {
-			objs = append(objs, obj)
-		}
-	}
-	return objs
 }
 
 // useCheck flags a read of a value that already went back to the pool.

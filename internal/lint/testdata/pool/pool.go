@@ -1,7 +1,7 @@
 // Package fixtures exercises the pool-lifetime analyzer: both checkout
 // idioms (AcquireWriter/ReleaseWriter and raw sync.Pool Get/Put), leak
-// detection per return path, use-after-release, escapes, and the
-// sanctioned channel-handoff and accessor idioms.
+// detection per return path, use-after-release, escapes (a channel send
+// included), and the sanctioned accessor idiom.
 package fixtures
 
 import "sync"
@@ -54,8 +54,8 @@ func goodDeferClosure() {
 	w.buf = nil
 }
 
-// goodTransfer hands the checkout to a consumer over a channel
-// (ownership transfer) or puts it back when the consumer is full.
+// goodTransfer hands the checkout to a consumer over a channel: an
+// escape, though it puts the checkout back when the consumer is full.
 func goodTransfer(out chan *buffer) {
 	bp := framePool.Get().(*buffer)
 	select {
@@ -113,8 +113,8 @@ func escapeByStore(h *holder) {
 	h.w = w
 }
 
-// enqueueBuffer is the delivery half of the channel handoff: it either
-// sends the buffer on or returns it to the pool.
+// enqueueBuffer either sends the buffer on or returns it to the pool;
+// its name transfers no ownership.
 func enqueueBuffer(out chan *buffer, bp *buffer) {
 	select {
 	case out <- bp:
@@ -123,16 +123,16 @@ func enqueueBuffer(out chan *buffer, bp *buffer) {
 	}
 }
 
-// goodEnqueueHandoff passes a raw checkout to an enqueue* helper —
-// the sanctioned delivery-handoff idiom, not a leak.
+// goodEnqueueHandoff passes a raw checkout to an enqueue* helper,
+// which does not transfer ownership: a leak at return.
 func goodEnqueueHandoff(out chan *buffer) {
 	bp := framePool.Get().(*buffer)
 	bp.b = append(bp.b[:0], 1)
 	enqueueBuffer(out, bp)
 }
 
-// leakViaPlainCall passes a checkout to a non-enqueue function, which
-// does not transfer ownership: still a leak at return.
+// leakViaPlainCall passes a checkout to a plain function, which does
+// not transfer ownership either: still a leak at return.
 func leakViaPlainCall(out chan *buffer) {
 	bp := framePool.Get().(*buffer)
 	deliverBuffer(out, bp)

@@ -142,37 +142,17 @@ func (app *App) runIdle() bool {
 // done. Buffered requests are flushed only when it is about to block,
 // as Xlib flushes only before it waits for the server.
 func (app *App) DoOneEvent(wait bool) bool {
-	// 1. Already-queued X events and posted work.
+	// 1. Already-queued X events and posted work. The display's queue
+	// holds every event the read loop has taken off the wire, so after a
+	// Sync this poll sees every event that preceded the reply.
+	if dispatched, lost := app.dispatchQueued(); dispatched || lost {
+		return dispatched
+	}
 	select {
-	case ev, ok := <-app.Disp.Events():
-		if !ok {
-			app.quitFlag.Store(true)
-			return false
-		}
-		app.evReceived++
-		app.DispatchEvent(&ev)
-		return true
 	case fn := <-app.posted:
 		fn()
 		return true
 	default:
-	}
-	// An event the read loop has queued but the feeder goroutine has not
-	// yet parked on the channel is still pending work: the non-blocking
-	// poll above races the feeder and can miss it, which would break
-	// Update's "Sync ⇒ events dispatched" contract. The counter
-	// comparison is race-free (see Display.EventsSeen), so when it shows
-	// an event in flight this blocking receive returns promptly — the
-	// feeder delivers it, or closes the channel on disconnect.
-	if app.evReceived < app.Disp.EventsSeen() {
-		ev, ok := <-app.Disp.Events()
-		if !ok {
-			app.quitFlag.Store(true)
-			return false
-		}
-		app.evReceived++
-		app.DispatchEvent(&ev)
-		return true
 	}
 	// 2. Expired timers.
 	if app.runDueTimers() {
@@ -198,20 +178,36 @@ func (app *App) DoOneEvent(wait bool) bool {
 		timerCh = t.C
 	}
 	select {
-	case ev, ok := <-app.Disp.Events():
-		if !ok {
-			app.quitFlag.Store(true)
-			return false
-		}
-		app.evReceived++
-		app.DispatchEvent(&ev)
-		return true
+	case <-app.Disp.Wake():
+		// The token may announce an event step 1 already took; the
+		// caller's loop comes back here.
+		dispatched, _ := app.dispatchQueued()
+		return dispatched
 	case fn := <-app.posted:
 		fn()
 		return true
 	case <-timerCh:
 		return app.runDueTimers()
 	}
+}
+
+// dispatchQueued dispatches the oldest event in the display's queue and
+// reports whether there was one. With the queue empty on a lost
+// connection it reports lost and ends the main loop.
+func (app *App) dispatchQueued() (dispatched, lost bool) {
+	ev, ok, lost := app.Disp.PollEvent()
+	if !ok {
+		if lost {
+			app.quitFlag.Store(true)
+		}
+		return false, lost
+	}
+	// DispatchEvent keeps its argument (a SelectionNotify is stored), so
+	// the copy escapes; made here, it costs a heap event only when there
+	// is one.
+	e := ev
+	app.DispatchEvent(&e)
+	return true, false
 }
 
 // MainLoop runs the dispatcher until Quit or destruction of the main

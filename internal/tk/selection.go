@@ -156,14 +156,12 @@ func (app *App) GetSelection() (string, error) {
 // reentrant requests.
 func (app *App) pumpOnce() {
 	app.Disp.Flush()
+	if dispatched, lost := app.dispatchQueued(); dispatched || lost {
+		return
+	}
 	select {
-	case ev, ok := <-app.Disp.Events():
-		if !ok {
-			app.quitFlag.Store(true)
-			return
-		}
-		app.evReceived++
-		app.DispatchEvent(&ev)
+	case <-app.Disp.Wake():
+		app.dispatchQueued()
 	case fn := <-app.posted:
 		fn()
 	case <-time.After(10 * time.Millisecond):

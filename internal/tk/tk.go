@@ -174,12 +174,6 @@ type App struct {
 	timers *timerQueue
 	idle   []func()
 	posted chan func()
-	// evReceived counts events taken off Disp.Events(), mirroring the
-	// display's EventsSeen count. When the two differ an event is in
-	// flight between the read loop and the channel, so a blocking
-	// receive is guaranteed to return promptly. Touched only on the
-	// event-loop goroutine (DoOneEvent / pumpOnce).
-	evReceived uint64
 	// evSpanSeq numbers dispatched events for span sampling (the tk side
 	// has no protocol sequence, so it samples on its own counter).
 	// Touched only on the event-loop goroutine.

@@ -36,12 +36,9 @@ const setupTimeout = 10 * time.Second
 // Display is an open connection to a display server.
 //
 // Its lock order is declared for cmd/tkcheck's lock-order analyzer:
-// the writer lock may be held while registering a reply waiter, and
-// the event-queue and error-sink locks never nest with anything.
+// the writer lock may be held while registering a reply waiter.
 //
-// lock-order: mu -> pendMu
-// lock-order: evMu
-// lock-order: errMu
+// lock-order: mu -> rmu
 type Display struct {
 	conn net.Conn
 
@@ -62,37 +59,24 @@ type Display struct {
 	idNext uint32     // guarded by mu (written once more in Open, pre-publication)
 	closed bool       // guarded by mu
 
-	// Reply routing (the XCB cookie model): every reply-bearing request
-	// registers a waiter keyed by its sequence number, so any number of
-	// requests can be in flight at once and readLoop routes each
-	// reply/error to its own waiter. pendMu is ordered after mu
-	// (SendWithReply takes mu then pendMu; nothing takes them the other
-	// way around).
-	pendMu  sync.Mutex
-	waiters map[uint64]*Cookie // guarded by pendMu
-	lostErr error              // guarded by pendMu — set once when readLoop exits
+	// rmu guards what readLoop hands to other goroutines. Reply routing
+	// follows the XCB cookie model: every reply-bearing request registers
+	// a waiter keyed by its sequence number, so any number of requests
+	// can be in flight at once and readLoop routes each reply/error to
+	// its own waiter. Events go to an unbounded queue, as Xlib's do, so
+	// the socket reader never blocks however far the application falls
+	// behind. rmu is ordered after mu (SendWithReply takes mu then rmu;
+	// nothing takes them the other way around).
+	rmu     sync.Mutex
+	waiters map[uint64]*Cookie // guarded by rmu
+	evQueue []xproto.Event     // guarded by rmu — evQueue[evHead:] are queued
+	evHead  int                // guarded by rmu
+	errors  []string           // guarded by rmu — async errors for TakeErrors
+	lostErr error              // guarded by rmu — set once when readLoop exits
 
-	// Incoming events are buffered in an unbounded queue (as Xlib's
-	// event queue is) so the socket reader never blocks however far the
-	// application falls behind; a feeder goroutine moves them onto the
-	// events channel consumers select on.
-	events  chan xproto.Event
-	evMu    sync.Mutex
-	evCond  *sync.Cond
-	evQueue []xproto.Event // guarded by evMu
-	evDone  bool           // guarded by evMu
-
-	// evSeen counts events the read loop has queued since Open. Because
-	// the read loop is sequential, by the time any round trip resolves
-	// the count covers every event the server sent before that reply —
-	// see EventsSeen.
-	evSeen atomic.Uint64
-
-	errMu  sync.Mutex
-	errors []string // guarded by errMu
-
-	readerDone chan struct{}
-	stop       chan struct{} // closed by Close; releases the feeder
+	// wake holds a token once readLoop has queued an event or lost the
+	// connection since the consumer last took it (see Wake).
+	wake chan struct{}
 
 	// rtTimeout is the Cookie.Wait deadline in nanoseconds (0 disables);
 	// atomic so SetRoundTripTimeout may be called from any goroutine.
@@ -163,8 +147,6 @@ type Display struct {
 	wireRTTGa      *obs.Gauge
 }
 
-const eventChanSize = 64
-
 // WireMode selects the wire protocol OpenWith negotiates at setup.
 type WireMode int
 
@@ -226,14 +208,11 @@ func OpenWith(conn net.Conn, cfg Config) (*Display, error) {
 		}
 	}
 	d := &Display{
-		conn:       conn,
-		waiters:    make(map[uint64]*Cookie),
-		events:     make(chan xproto.Event, eventChanSize),
-		readerDone: make(chan struct{}),
-		stop:       make(chan struct{}),
-		metrics:    obs.NewRegistry(),
+		conn:    conn,
+		waiters: make(map[uint64]*Cookie),
+		wake:    make(chan struct{}, 1),
+		metrics: obs.NewRegistry(),
 	}
-	d.evCond = sync.NewCond(&d.evMu)
 	d.rtTimeout.Store(int64(DefaultRoundTripTimeout))
 	// The setup block arrives before anything else. Bound the wait so a
 	// dead endpoint fails the Open instead of hanging it.
@@ -318,7 +297,6 @@ func OpenWith(conn net.Conn, cfg Config) (*Display, error) {
 	d.wireThreshGa = d.metrics.Gauge("wire.flush.threshold")
 	d.wireRTTGa = d.metrics.Gauge("wire.rtt.ewma")
 	go d.readLoop()
-	go d.feedEvents()
 	return d, nil
 }
 
@@ -369,15 +347,10 @@ func (d *Display) Close() {
 		return
 	}
 	d.closed = true
+	// The read loop sees the closed connection and reports the loss to
+	// the event consumer (connLost).
 	d.conn.Close()
-	close(d.stop)
 	d.mu.Unlock()
-	// Wake the feeder so it can observe the stop and exit. Signaled
-	// after mu is released: evMu is a leaf and must never nest under
-	// the writer lock (see the lock-order declaration on Display).
-	d.evMu.Lock()
-	d.evCond.Signal()
-	d.evMu.Unlock()
 }
 
 // Closed reports whether the display connection has been closed.
@@ -403,7 +376,6 @@ func (d *Display) NewID() xproto.ID {
 // turned into one clean connection-lost error that fails every
 // outstanding and future cookie rather than hanging them.
 func (d *Display) readLoop() {
-	defer close(d.readerDone)
 	// Frames are read into a reusable scratch buffer. Events are decoded
 	// before the next read (Event.Decode copies what it keeps), so the
 	// steady-state event path allocates nothing; reply and error payloads
@@ -464,11 +436,7 @@ func (d *Display) handleServerFrame(kind byte, payload []byte) error {
 			return nil
 		}
 		d.eventsCtr.Inc()
-		d.evSeen.Add(1)
-		d.evMu.Lock()
-		d.evQueue = append(d.evQueue, ev)
-		d.evCond.Signal()
-		d.evMu.Unlock()
+		d.queueEvent(ev)
 		return nil
 	case xproto.KindReply, xproto.KindError:
 		d.routeReply(kind, append([]byte(nil), payload...))
@@ -478,22 +446,44 @@ func (d *Display) handleServerFrame(kind byte, payload []byte) error {
 	}
 }
 
-// connLost marks the connection dead with its root cause: the event
-// queue is drained-and-closed, and every cookie still waiting (or
-// registered from now on) fails with err instead of blocking forever.
+// queueEvent appends ev to the event queue and wakes the consumer.
+func (d *Display) queueEvent(ev xproto.Event) {
+	d.rmu.Lock()
+	if len(d.evQueue) == cap(d.evQueue) && d.evHead >= len(d.evQueue)/2 {
+		// At least half of the full array has been polled: move the
+		// rest to its front instead of growing it, so a queue that
+		// never drains keeps an array a small multiple of its depth.
+		d.evQueue = d.evQueue[:copy(d.evQueue, d.evQueue[d.evHead:])]
+		d.evHead = 0
+	}
+	d.evQueue = append(d.evQueue, ev)
+	d.rmu.Unlock()
+	d.signal()
+}
+
+// connLost marks the connection dead with its root cause: every cookie
+// still waiting (or registered from now on) fails with err instead of
+// blocking forever, and the event consumer is woken to see the loss
+// once it has drained the queue.
 func (d *Display) connLost(err error) {
-	d.evMu.Lock()
-	d.evDone = true
-	d.evCond.Signal()
-	d.evMu.Unlock()
-	d.pendMu.Lock()
+	d.rmu.Lock()
 	d.lostErr = err
 	for seq, ck := range d.waiters {
 		delete(d.waiters, seq)
 		ck.resolve(nil, err)
 	}
 	d.inflightGa.Set(0)
-	d.pendMu.Unlock()
+	d.rmu.Unlock()
+	d.signal()
+}
+
+// signal leaves a wake token for the event consumer unless one is
+// already waiting.
+func (d *Display) signal() {
+	select {
+	case d.wake <- struct{}{}:
+	default:
+	}
 }
 
 // routeReply delivers one reply or error frame to the cookie waiting on
@@ -506,13 +496,13 @@ func (d *Display) routeReply(kind byte, payload []byte) {
 		d.asyncError(fmt.Sprintf("malformed server message: %v", r.Err()))
 		return
 	}
-	d.pendMu.Lock()
+	d.rmu.Lock()
 	ck := d.waiters[seq]
 	if ck != nil {
 		delete(d.waiters, seq)
 		d.inflightGa.Set(int64(len(d.waiters)))
 	}
-	d.pendMu.Unlock()
+	d.rmu.Unlock()
 	if ck == nil {
 		if kind == xproto.KindError {
 			d.asyncError(r.String())
@@ -548,67 +538,34 @@ func (d *Display) routeReply(kind byte, payload []byte) {
 	ck.resolve(payload[8:], nil)
 }
 
-// feedEvents moves queued events onto the events channel, closing it
-// when the connection has dropped and the queue is drained.
-func (d *Display) feedEvents() {
-	for {
-		d.evMu.Lock()
-		for len(d.evQueue) == 0 && !d.evDone {
-			d.evCond.Wait()
-		}
-		if len(d.evQueue) == 0 && d.evDone {
-			d.evMu.Unlock()
-			close(d.events)
-			return
-		}
-		ev := d.evQueue[0]
-		d.evQueue = d.evQueue[1:]
-		if len(d.evQueue) == 0 {
-			// Let the backing array be reclaimed after bursts.
-			d.evQueue = nil
-		}
-		d.evMu.Unlock()
-		select {
-		case d.events <- ev:
-		case <-d.stop:
-			// Consumer is gone (explicit Close): discard and finish.
-			close(d.events)
-			return
-		}
+// PollEvent takes the oldest queued event, without waiting: ok reports
+// whether there was one. With the queue empty, lost reports whether the
+// connection is gone, so no event will ever arrive. The read loop is
+// sequential, so once a round trip (Sync) returns, every event the
+// server sent before its reply is already in the queue.
+func (d *Display) PollEvent() (ev xproto.Event, ok, lost bool) {
+	d.rmu.Lock()
+	defer d.rmu.Unlock()
+	if d.evHead == len(d.evQueue) {
+		return ev, false, d.lostErr != nil
 	}
-}
-
-// Events returns the incoming event channel; it is closed when the
-// connection drops.
-func (d *Display) Events() <-chan xproto.Event { return d.events }
-
-// EventsSeen returns the number of events the read loop has queued for
-// delivery since Open. The read loop is sequential, so once any round
-// trip completes the count includes every event the server sent before
-// that reply. A consumer that tracks how many events it has received
-// from Events() can therefore distinguish "nothing pending" from
-// "queued but not yet handed to the channel by the feeder": when the
-// counts differ, a blocking receive on Events() is guaranteed to
-// return promptly (the feeder delivers the event, or closes the
-// channel on disconnect). A non-blocking poll alone cannot tell — it
-// races the feeder goroutine.
-func (d *Display) EventsSeen() uint64 { return d.evSeen.Load() }
-
-// NextEvent blocks for the next event; ok is false after disconnect.
-func (d *Display) NextEvent() (xproto.Event, bool) {
-	ev, ok := <-d.events
-	return ev, ok
-}
-
-// PollEvent returns an event if one is queued.
-func (d *Display) PollEvent() (xproto.Event, bool) {
-	select {
-	case ev, ok := <-d.events:
-		return ev, ok
-	default:
-		return xproto.Event{}, false
+	ev = d.evQueue[d.evHead]
+	d.evHead++
+	if d.evHead == len(d.evQueue) {
+		// Drained: the next burst refills the array from its start, as
+		// Xlib reuses its event structures.
+		d.evQueue, d.evHead = d.evQueue[:0], 0
 	}
+	return ev, true, false
 }
+
+// Wake returns the channel an idle event loop selects on beside its
+// other sources, as an Xlib client selects on ConnectionNumber: it
+// holds a token once an event has been queued, or the connection lost,
+// since the last receive. A token may outlive the events it announced
+// (they were polled already), so a wake is a cue to PollEvent, not a
+// promise of an event. One goroutine consumes a display's events.
+func (d *Display) Wake() <-chan struct{} { return d.wake }
 
 // SetRoundTripTimeout replaces the deadline Cookie.Wait applies to
 // every round trip (DefaultRoundTripTimeout initially; 0 disables).
@@ -624,15 +581,15 @@ func (d *Display) asyncError(msg string) {
 		d.ErrorHandler(msg)
 		return
 	}
-	d.errMu.Lock()
+	d.rmu.Lock()
 	d.errors = append(d.errors, msg)
-	d.errMu.Unlock()
+	d.rmu.Unlock()
 }
 
 // TakeErrors returns and clears the accumulated asynchronous errors.
 func (d *Display) TakeErrors() []string {
-	d.errMu.Lock()
-	defer d.errMu.Unlock()
+	d.rmu.Lock()
+	defer d.rmu.Unlock()
 	errs := d.errors
 	d.errors = nil
 	return errs
@@ -851,9 +808,9 @@ func (d *Display) SendWithReply(req xproto.Request) *Cookie {
 		d.tracedFlush = ck.seq
 		d.metrics.Counter("trace.sampled").Inc()
 	}
-	d.pendMu.Lock()
+	d.rmu.Lock()
 	if lost := d.lostErr; lost != nil {
-		d.pendMu.Unlock()
+		d.rmu.Unlock()
 		d.mu.Unlock()
 		ck.resolve(nil, lost)
 		return ck
@@ -863,7 +820,7 @@ func (d *Display) SendWithReply(req xproto.Request) *Cookie {
 	}
 	d.waiters[ck.seq] = ck
 	d.inflightGa.Set(int64(len(d.waiters)))
-	d.pendMu.Unlock()
+	d.rmu.Unlock()
 	d.mu.Unlock()
 	return ck
 }
@@ -871,13 +828,13 @@ func (d *Display) SendWithReply(req xproto.Request) *Cookie {
 // failCookie resolves ck with err if it is still pending; a cookie the
 // read loop already resolved is left alone.
 func (d *Display) failCookie(ck *Cookie, err error) {
-	d.pendMu.Lock()
+	d.rmu.Lock()
 	if d.waiters[ck.seq] == ck {
 		delete(d.waiters, ck.seq)
 		d.inflightGa.Set(int64(len(d.waiters)))
 		ck.resolve(nil, err)
 	}
-	d.pendMu.Unlock()
+	d.rmu.Unlock()
 }
 
 // Wait flushes any buffered requests (so the awaited request is on the

@@ -13,8 +13,8 @@ import (
 	"repro/internal/xserver"
 )
 
-// TestServerShutdownSurfacesCleanly: when the server dies, the event
-// channel closes and round trips fail rather than hanging.
+// TestServerShutdownSurfacesCleanly: when the server dies, the display
+// reports the lost connection and round trips fail rather than hanging.
 func TestServerShutdownSurfacesCleanly(t *testing.T) {
 	srv := xserver.New(400, 300)
 	d, err := xclient.Open(srv.ConnectPipe())
@@ -27,27 +27,8 @@ func TestServerShutdownSurfacesCleanly(t *testing.T) {
 	}
 	srv.Close()
 
-	// The event channel closes.
-	select {
-	case _, ok := <-d.Events():
-		if ok {
-			// Drain any final events; the channel must close eventually.
-			deadline := time.After(2 * time.Second)
-			for {
-				select {
-				case _, ok := <-d.Events():
-					if !ok {
-						goto closed
-					}
-				case <-deadline:
-					t.Fatal("event channel never closed")
-				}
-			}
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no close notification")
-	}
-closed:
+	// The display reports the loss once its queue is drained.
+	waitLost(t, d)
 	// Round trips fail promptly.
 	if err := d.Sync(); err == nil {
 		t.Fatal("Sync after server death should fail")

@@ -73,7 +73,12 @@ func TestPipelineStress(t *testing.T) {
 			select {
 			case <-stop:
 				return
-			case <-d.Events():
+			case <-d.Wake():
+				for {
+					if _, ok, _ := d.PollEvent(); !ok {
+						break
+					}
+				}
 			}
 		}
 	}()
@@ -189,19 +194,7 @@ func TestLateCookieAfterConnectionLoss(t *testing.T) {
 	}
 	d.ErrorHandler = func(msg string) {} // silence the async error log
 	srv.Close()
-	// Wait for the client to notice the loss (events channel closes).
-	deadline := time.After(2 * time.Second)
-	for {
-		select {
-		case _, ok := <-d.Events():
-			if !ok {
-				goto lost
-			}
-		case <-deadline:
-			t.Fatal("client never noticed connection loss")
-		}
-	}
-lost:
+	waitLost(t, d)
 	ck := d.InternAtomAsync("TOO_LATE")
 	done := make(chan error, 1)
 	go func() {

@@ -27,16 +27,40 @@ func waitEvent(t *testing.T, d *xclient.Display, what string, pred func(ev xprot
 	t.Helper()
 	deadline := time.After(2 * time.Second)
 	for {
-		select {
-		case ev, ok := <-d.Events():
-			if !ok {
-				t.Fatalf("waiting for %s: connection closed", what)
-			}
+		ev, ok, lost := d.PollEvent()
+		if ok {
 			if pred(ev) {
 				return ev
 			}
+			continue
+		}
+		if lost {
+			t.Fatalf("waiting for %s: connection closed", what)
+		}
+		select {
+		case <-d.Wake():
 		case <-deadline:
 			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// waitLost drains d's events until it reports the connection lost.
+func waitLost(t *testing.T, d *xclient.Display) {
+	t.Helper()
+	deadline := time.After(2 * time.Second)
+	for {
+		_, ok, lost := d.PollEvent()
+		if lost {
+			return
+		}
+		if ok {
+			continue
+		}
+		select {
+		case <-d.Wake():
+		case <-deadline:
+			t.Fatal("client never noticed connection loss")
 		}
 	}
 }

@@ -36,11 +36,14 @@ import (
 // checks that annotated fields are only touched with mu held (or from
 // methods documented "s.mu held").
 //
-// Nothing blocks while mu is held: a frame for the requesting connection
-// that its outbound queue cannot take at once is staged and queued after
-// mu is released (conn.enqueue), and an event for any other connection is
-// dropped when that connection's queue is full (Server.sendEvent). mu is
-// an obs.TimedMutex whose waits land in the "lockwait.tree" histogram.
+// Nothing blocks while mu is held. Each connection has one output
+// buffer, as each X client does, and a handler appends whole frames to
+// it (conn.push): the requesting connection's frames always, and an
+// event for any other connection only while that connection's buffer
+// has room (Server.sendEvent). A requester whose buffer is full waits
+// for the writer after its request, with mu released (conn.waitRoom).
+// A connection's buffer lock nests inside mu. mu is an obs.TimedMutex
+// whose waits land in the "lockwait.tree" histogram.
 //
 // Tile render state needs no lock of its own: a tiled image's slab
 // pointers, versions and copy-on-write shared/dirty flags are guarded by
@@ -49,6 +52,8 @@ import (
 // mutating them), so composing and packing a snapshot takes no lock at
 // all; and the render worker pool's fill jobs run while their submitter
 // holds mu, touching disjoint tiles, acquiring nothing (see render.go).
+//
+// lock-order: mu -> conn.outMu
 type Server struct {
 	width, height int     // immutable after New
 	root          *window // the pointer is immutable; its contents are guarded by mu
@@ -196,10 +201,21 @@ type window struct {
 type conn struct {
 	s    *Server
 	rw   net.Conn
-	out  chan *[]byte
 	done chan struct{}
 	seq  uint64
 	once sync.Once
+
+	// The output buffer, one per client as the X server keeps it:
+	// handlers append whole frames (push) and the writer goroutine takes
+	// all of them for each Write (writeLoop). ready holds a token for the
+	// writer while frames wait; taken holds one for a requester waiting
+	// for room (waitRoom) once the writer has emptied the buffer.
+	outMu    sync.Mutex
+	out      []byte // guarded by outMu
+	frames   int    // guarded by outMu: the frames in out
+	upgraded bool   // guarded by outMu: the v2 upgrade ack is in out or already written
+	ready    chan struct{}
+	taken    chan struct{}
 
 	// Wire protocol v2 receive state (docs/pipelining.md, "Wire
 	// protocol v2"): wireRx and the decode scratch are owned by the
@@ -209,23 +225,11 @@ type conn struct {
 	wireRx bool
 	rxSeg  []byte
 
-	// staged holds, in order, the connection's own frames that its
-	// outbound queue could not take without waiting (enqueue); flush
-	// delivers them once s.mu is released. Only the request-loop
-	// goroutine touches it, and the slice is reused across requests.
-	staged []stagedFrame
-
 	// byOp holds each opcode's "requests.<OpName>" counter in the server
 	// registry, resolved on the opcode's first request so the registry
 	// gains no zero-valued rows; only the request-loop goroutine
 	// touches it.
 	byOp [256]*obs.Counter
-}
-
-// stagedFrame is a frame waiting in conn.staged.
-type stagedFrame struct {
-	bp          *[]byte
-	mustDeliver bool
 }
 
 // countOp bumps op's request counter in the server registry.
@@ -417,29 +421,21 @@ func (s *Server) Close() {
 	}
 }
 
-// outQueueSlots is the depth of a connection's outbound queue. When it
-// is full, events are dropped (counted as "dropped") and replies wait
-// for space, outside s.mu, up to the write timeout.
+// outQueueSlots bounds a connection's output buffer, in frames. An
+// event another connection's request raises for a connection whose
+// buffer is full is dropped (counted as "dropped"); a requester whose
+// buffer is full waits for the writer after its request.
 const outQueueSlots = 4096
-
-// framePool recycles outbound frame buffers: enqueueFrame fills one,
-// the writer goroutine (or a drop path) returns it. Pooled as *[]byte
-// so channel sends and puts move one pointer, not a slice header.
-var framePool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 256)
-		return &b
-	},
-}
 
 // ServeConn runs the protocol on one established connection, blocking
 // until it closes.
 func (s *Server) ServeConn(nc net.Conn) {
 	c := &conn{
-		s:    s,
-		rw:   nc,
-		out:  make(chan *[]byte, outQueueSlots),
-		done: make(chan struct{}),
+		s:     s,
+		rw:    nc,
+		done:  make(chan struct{}),
+		ready: make(chan struct{}, 1),
+		taken: make(chan struct{}, 1),
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -451,91 +447,7 @@ func (s *Server) ServeConn(nc net.Conn) {
 	base := s.nextIDBase
 	s.nextIDBase += 0x00200000
 	s.mu.Unlock()
-
-	// Writer goroutine: coalesces every frame queued at wake-up time
-	// into a single Write, so a burst of replies/events crosses the
-	// wire as one segment (the mirror of the client's batched flush).
-	// Each Write carries a deadline so a peer that stops reading cannot
-	// wedge the goroutine forever: on timeout the connection is counted
-	// as stalled and severed. Frame buffers return to the pool here,
-	// after the batch copy.
-	//
-	// Once the request loop accepts a v2 upgrade it queues the
-	// wireTxSentinel; everything dequeued before the sentinel is written
-	// in v1 framing (the setup block and the upgrade ack must be), and
-	// every batch after it is wrapped in a checksummed, compressed
-	// KindWireSeg envelope. Small batches stay unwrapped: a segment
-	// carries the same v1 frames, so the v2 client accepts both
-	// framings on the same stream.
-	go func() {
-		var batch, seg []byte
-		v2 := false
-		wireSegs := s.metrics.Counter("wire.segments.v2")
-		wireRaw := s.metrics.Counter("wire.bytes.raw")
-		wireWire := s.metrics.Counter("wire.bytes.wire")
-		wireSkip := s.metrics.Counter("wire.compress.skipped")
-		for {
-			select {
-			case bp, ok := <-c.out:
-				if !ok {
-					return
-				}
-				if bp == wireTxSentinel {
-					v2 = true
-					continue
-				}
-				batch = append(batch[:0], *bp...)
-				framePool.Put(bp)
-				sentinel := false
-			coalesce:
-				for {
-					select {
-					case more, ok := <-c.out:
-						if !ok {
-							break coalesce
-						}
-						if more == wireTxSentinel {
-							// Flush what precedes the upgrade in the old
-							// framing; the new framing starts next batch.
-							sentinel = true
-							break coalesce
-						}
-						batch = append(batch, *more...)
-						framePool.Put(more)
-					default:
-						break coalesce
-					}
-				}
-				out := batch
-				wireRaw.Add(uint64(len(batch)))
-				if v2 && len(batch) >= wireWrapMin {
-					var compressed bool
-					seg, compressed = xproto.AppendWireSegServerFrame(seg[:0], batch)
-					wireSegs.Inc()
-					if !compressed {
-						wireSkip.Inc()
-					}
-					out = seg
-				}
-				wireWire.Add(uint64(len(out)))
-				if to := s.writeTimeout.Load(); to > 0 {
-					nc.SetWriteDeadline(time.Now().Add(time.Duration(to)))
-				}
-				if _, err := nc.Write(out); err != nil {
-					if ne, ok := err.(net.Error); ok && ne.Timeout() {
-						c.markStalled()
-					}
-					c.close()
-					return
-				}
-				if sentinel {
-					v2 = true
-				}
-			case <-c.done:
-				return
-			}
-		}
-	}()
+	go c.writeLoop()
 
 	// Connection setup block.
 	setup := &xproto.SetupReply{
@@ -544,10 +456,9 @@ func (s *Server) ServeConn(nc net.Conn) {
 		Width:          uint16(s.width),
 		Height:         uint16(s.height),
 	}
-	// The first frame on an empty queue: it never stages.
 	w := xproto.AcquireWriter()
 	setup.Encode(w)
-	c.enqueueFrame(xproto.KindReply, w.Bytes(), true, true)
+	c.push(xproto.KindReply, w.Bytes(), true)
 	xproto.ReleaseWriter(w)
 
 	// Request loop. Requests are read through a buffered reader over a
@@ -654,6 +565,7 @@ func (s *Server) serveRequest(c *conn, op uint16, payload []byte) {
 	if s.rollupDispatch != nil {
 		s.rollupDispatch.Observe(elapsed)
 	}
+	c.waitRoom()
 }
 
 // wireWrapMin is the smallest outbound batch worth wrapping in a v2
@@ -661,19 +573,12 @@ func (s *Server) serveRequest(c *conn, op uint16, payload []byte) {
 // the v2 client accepts unwrapped v1 frames on the same stream.
 const wireWrapMin = 128
 
-// wireTxSentinel is the writer-goroutine signal that the v2 upgrade was
-// accepted: frames queued before it cross in v1 framing, batches after
-// it are wrapped (see ServeConn's writer). The pointer identity is the
-// signal; the pointee is never touched.
-var wireTxSentinel = new([]byte)
-
 // handleUpgradeWire answers the OpUpgradeWire request. Like the attach
 // handshake it carries no sequence number on either side. The ack
-// ([u8 version]) is queued behind the setup block that ServeConn
-// already enqueued, so the client always reads setup first; the
-// tx-upgrade sentinel is queued after the ack, so the ack itself still
-// crosses in v1 framing. The queue holds at most the setup block, so
-// neither stages.
+// ([u8 version]) lands behind the setup block that ServeConn already
+// pushed, so the client always reads setup first, and push marks the
+// connection upgraded as it appends the ack, so the batch that carries
+// both still crosses in v1 framing.
 func (s *Server) handleUpgradeWire(c *conn, payload []byte) {
 	var req xproto.UpgradeWireReq
 	r := xproto.NewReader(payload)
@@ -684,10 +589,7 @@ func (s *Server) handleUpgradeWire(c *conn, payload []byte) {
 		ver = 2
 		c.wireRx = true
 	}
-	c.enqueueFrame(xproto.KindWireAck, []byte{ver}, true, true)
-	if accept {
-		c.enqueue(wireTxSentinel, true, true)
-	}
+	c.push(xproto.KindWireAck, []byte{ver}, true)
 }
 
 // serveWireSeg decodes one v2 segment and serves each v1 request frame
@@ -723,13 +625,6 @@ func (c *conn) close() {
 	})
 }
 
-// markStalled records that this connection was severed because the peer
-// stopped draining it (a write deadline expired or the outbound queue
-// stayed full past the write timeout).
-func (c *conn) markStalled() {
-	c.s.metrics.Counter("stalled").Inc()
-}
-
 // segmentReader counts wire segments and charges the per-segment
 // simulated latency: each successful read from the underlying
 // connection is one segment (one client flush, up to the buffer size),
@@ -754,112 +649,127 @@ func (sr *segmentReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// enqueueFrame frames a message for c into a pooled buffer and queues
-// it without waiting (enqueue). own is set for c's own frames — the
-// current request's reply, error or events, and the handshake frames —
-// and clear for an event another connection's request raised for c.
-// Pooled buffers pass to the writer goroutine on delivery and return to
-// the pool on every non-delivery path (release).
-func (c *conn) enqueueFrame(kind byte, payload []byte, mustDeliver, own bool) {
-	bp := framePool.Get().(*[]byte)
-	buf := append((*bp)[:0], kind)
-	buf = append(buf, byte(len(payload)>>24), byte(len(payload)>>16), byte(len(payload)>>8), byte(len(payload)))
-	buf = append(buf, payload...)
-	*bp = buf
-	c.enqueue(bp, mustDeliver, own)
-}
-
-// enqueue queues bp without waiting, so it is safe with s.mu held. c's
-// own frames keep the order they were produced in: one the queue cannot
-// take, and every own frame after it, is staged until flush. Another
-// connection's event for c is queued at once or, if c's queue is full,
-// dropped. Only c's request goroutine calls it with own set.
-func (c *conn) enqueue(bp *[]byte, mustDeliver, own bool) {
-	switch {
-	case !own:
-		c.offer(bp, false)
-	case len(c.staged) == 0 && c.offer(bp, mustDeliver):
-	default:
-		c.staged = append(c.staged, stagedFrame{bp, mustDeliver})
-	}
-}
-
-// offer queues bp if the queue has room. It reports false, keeping bp,
-// only when the queue is full and bp must be delivered (a reply or an
-// error); a full queue drops an event, counted as "dropped", and a
-// closed connection discards anything.
-func (c *conn) offer(bp *[]byte, mustDeliver bool) bool {
-	select {
-	case c.out <- bp:
-	case <-c.done:
-		release(bp)
-	default:
-		if mustDeliver {
-			return false
-		}
-		release(bp)
+// push appends one frame to c's output buffer and wakes the writer. own
+// is set for c's own frames: the current request's reply, error or
+// events, and the handshake frames. They are always appended, in the
+// order they are produced. An event another connection's request
+// raised for c is dropped instead, and counted as "dropped", when the
+// buffer already holds outQueueSlots frames. Safe with s.mu held.
+func (c *conn) push(kind byte, payload []byte, own bool) {
+	c.outMu.Lock()
+	if !own && c.frames >= outQueueSlots {
+		c.outMu.Unlock()
 		c.s.metrics.Counter("dropped").Inc()
-	}
-	return true
-}
-
-// flush delivers the staged frames in order, waiting for queue space
-// where a frame must be delivered. The wait is bounded: if the queue
-// stays full past the write timeout the peer has stopped draining it,
-// and the connection is counted as stalled and severed rather than
-// wedging its request loop. The request goroutine calls it after each
-// request, with s.mu released.
-func (c *conn) flush() {
-	for _, f := range c.staged {
-		if !c.offer(f.bp, f.mustDeliver) {
-			c.deliver(f.bp)
-		}
-	}
-	clear(c.staged)
-	c.staged = c.staged[:0]
-}
-
-// deliver queues bp once the queue has room, or gives up as flush
-// describes.
-func (c *conn) deliver(bp *[]byte) {
-	to := c.s.writeTimeout.Load()
-	if to <= 0 {
-		select {
-		case c.out <- bp:
-		case <-c.done:
-			release(bp)
-		}
 		return
 	}
-	timer := time.NewTimer(time.Duration(to))
-	defer timer.Stop()
+	n := len(payload)
+	c.out = append(c.out, kind, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
+	c.out = append(c.out, payload...)
+	c.frames++
+	if kind == xproto.KindWireAck {
+		// Batches taken after the one that carries the ack are wrapped.
+		c.upgraded = payload[0] >= 2
+	}
+	c.outMu.Unlock()
 	select {
-	case c.out <- bp:
-	case <-c.done:
-		release(bp)
-	case <-timer.C:
-		release(bp)
-		c.markStalled()
-		c.close()
+	case c.ready <- struct{}{}:
+	default:
 	}
 }
 
-// release returns an undelivered buffer to the pool; the tx-upgrade
-// sentinel is not pooled.
-func release(bp *[]byte) {
-	if bp != wireTxSentinel {
-		framePool.Put(bp)
+// waitRoom holds c's request loop while its output buffer is full,
+// until the writer takes the buffer or the connection closes: X stops
+// serving a client whose output is backed up. The request goroutine
+// calls it after each request, with s.mu released; the writer's write
+// deadline bounds the wait.
+func (c *conn) waitRoom() {
+	for {
+		c.outMu.Lock()
+		full := c.frames >= outQueueSlots
+		c.outMu.Unlock()
+		if !full {
+			return
+		}
+		select {
+		case <-c.taken:
+		case <-c.done:
+			return
+		}
+	}
+}
+
+// writeLoop is c's writer goroutine. It takes the whole output buffer
+// for each Write, so a burst of replies and events crosses the wire as
+// one segment (the mirror of the client's batched flush), and leaves its
+// spare buffer for the handlers to fill meanwhile. Each Write carries a
+// deadline so a peer that stops reading cannot wedge the goroutine
+// forever: on timeout the connection is counted as "stalled" and
+// severed. After the batch that carries an accepting upgrade ack, every
+// batch of at least wireWrapMin bytes is wrapped in a checksummed,
+// compressed KindWireSeg envelope; smaller ones stay unwrapped, since a
+// segment carries the same v1 frames and the v2 client accepts both
+// framings on one stream.
+func (c *conn) writeLoop() {
+	s := c.s
+	wireSegs := s.metrics.Counter("wire.segments.v2")
+	wireRaw := s.metrics.Counter("wire.bytes.raw")
+	wireWire := s.metrics.Counter("wire.bytes.wire")
+	wireSkip := s.metrics.Counter("wire.compress.skipped")
+	var spare, seg []byte
+	v2 := false
+	for {
+		select {
+		case <-c.ready:
+		case <-c.done:
+			return
+		}
+		c.outMu.Lock()
+		batch := c.out
+		c.out, c.frames = spare[:0], 0
+		upgraded := c.upgraded
+		c.outMu.Unlock()
+		select {
+		case c.taken <- struct{}{}:
+		default:
+		}
+		spare = batch
+		if len(batch) == 0 {
+			continue // the frames this token announced went with the last batch
+		}
+		out := batch
+		wireRaw.Add(uint64(len(batch)))
+		if v2 && len(batch) >= wireWrapMin {
+			var compressed bool
+			seg, compressed = xproto.AppendWireSegServerFrame(seg[:0], batch)
+			wireSegs.Inc()
+			if !compressed {
+				wireSkip.Inc()
+			}
+			out = seg
+		}
+		wireWire.Add(uint64(len(out)))
+		if to := s.writeTimeout.Load(); to > 0 {
+			c.rw.SetWriteDeadline(time.Now().Add(time.Duration(to)))
+		}
+		if _, err := c.rw.Write(out); err != nil {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				s.metrics.Counter("stalled").Inc()
+			}
+			c.close()
+			return
+		}
+		v2 = upgraded
 	}
 }
 
 // reply sends a reply for the current request. The Writer is pooled:
-// enqueueFrame copies the encoded bytes before the writer is released,
-// so the hot reply path allocates nothing.
+// push copies the encoded bytes before the writer is released, so the
+// hot reply path allocates nothing.
 func (c *conn) reply(encode func(w *xproto.Writer)) {
 	w := xproto.AcquireWriter()
 	w.PutU64(c.seq)
 	encode(w)
-	c.enqueueFrame(xproto.KindReply, w.Bytes(), true, true)
+	c.push(xproto.KindReply, w.Bytes(), true)
 	xproto.ReleaseWriter(w)
 }
 
@@ -868,26 +778,24 @@ func (c *conn) protoError(format string, args ...any) {
 	w := xproto.AcquireWriter()
 	w.PutU64(c.seq)
 	w.PutString(fmt.Sprintf(format, args...))
-	c.enqueueFrame(xproto.KindError, w.Bytes(), true, true)
+	c.push(xproto.KindError, w.Bytes(), true)
 	xproto.ReleaseWriter(w)
 }
 
-// sendEvent delivers an event to c: in order with the current request's
-// other frames if c made the request, else at once or, if c's queue is
-// full, not at all. Called with s.mu held.
+// sendEvent delivers an event to c: always if c made the current
+// request, else only while c's output buffer has room. Called with s.mu
+// held.
 func (s *Server) sendEvent(c *conn, ev *xproto.Event) {
 	w := xproto.AcquireWriter()
 	ev.Encode(w)
-	c.enqueueFrame(xproto.KindEvent, w.Bytes(), false, c == s.requester)
+	c.push(xproto.KindEvent, w.Bytes(), c == s.requester)
 	xproto.ReleaseWriter(w)
 }
 
 // dispatch decodes and executes one request and returns how long it
 // waited for s.mu. The handler runs with s.mu held, as in X's dispatch
-// loop; decoding, screenshot composition and the delivery of frames
-// staged for the requester run outside it.
+// loop; decoding and screenshot composition run outside it.
 func (s *Server) dispatch(c *conn, op uint16, payload []byte) (wait int64) {
-	defer c.flush()
 	req := xproto.NewRequest(op)
 	if req == nil {
 		c.protoError("bad request opcode %d", op)

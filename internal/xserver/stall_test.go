@@ -12,16 +12,16 @@ import (
 
 // TestStalledPeerSevered: a client that connects and then never reads
 // its end of the pipe cannot wedge the server. The writer's deadline
-// (or the bounded mustDeliver enqueue) fires, the "stalled" counter
-// increments, and the connection is severed.
+// fires, the "stalled" counter increments, and the connection is
+// severed.
 func TestStalledPeerSevered(t *testing.T) {
 	s := New(200, 200)
 	defer s.Close()
 	s.SetWriteTimeout(50 * time.Millisecond)
 
-	// The setup block is the first mustDeliver frame; with the peer
-	// never reading, the writer blocks on a synchronous pipe until the
-	// deadline severs it.
+	// The setup block is the first frame in the output buffer; with the
+	// peer never reading, the writer blocks on a synchronous pipe until
+	// the deadline severs it.
 	nc := s.ConnectPipe()
 	defer nc.Close()
 
@@ -72,18 +72,68 @@ func TestWriteTimeoutDisabled(t *testing.T) {
 	}
 }
 
-// TestDroppedEventsReachServerRegistry: events dropped because a peer
-// stopped draining its outbound queue are counted on the server
-// registry, so Metrics(), /metrics and the SLO error budget see them.
+// TestOwnEventsWaitForSlowReader: the events a client's own requests
+// raise for it are never dropped. A client that stops reading is not
+// served until its output drains, as X does, so once it reads again
+// every event arrives.
+func TestOwnEventsWaitForSlowReader(t *testing.T) {
+	s := New(200, 200)
+	defer s.Close()
+	s.SetWriteTimeout(0)
+
+	nc := s.ConnectPipe()
+	defer nc.Close()
+	_, payload, err := xproto.ReadServerFrame(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var setup xproto.SetupReply
+	setup.Decode(xproto.NewReader(payload))
+	win := xproto.ID(setup.ResourceIDBase + 1)
+	batch := xproto.AppendRequestFrame(nil, &xproto.CreateWindowReq{
+		Wid: win, Parent: s.Root(), Width: 10, Height: 10, EventMask: xproto.PropertyChangeMask,
+	})
+	const changes = 6000
+	for i := 0; i < changes; i++ {
+		batch = xproto.AppendRequestFrame(batch, &xproto.ChangePropertyReq{
+			Window: win, Property: xproto.AtomWMName, Type: xproto.AtomString, Data: []byte{byte(i)},
+		})
+	}
+	go nc.Write(batch) // returns once the server has read every request
+	time.Sleep(500 * time.Millisecond)
+
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got := 0
+	for got < changes {
+		kind, payload, err := xproto.ReadServerFrame(nc)
+		if err != nil {
+			t.Fatalf("after %d of %d PropertyNotify events: %v (server dropped %d)",
+				got, changes, err, s.Metrics().Counter("dropped").Value())
+		}
+		var ev xproto.Event
+		ev.Decode(xproto.NewReader(payload))
+		if kind == xproto.KindEvent && ev.Type == xproto.PropertyNotify && ev.Window == win {
+			got++
+		}
+	}
+	if n := s.Metrics().Counter("dropped").Value(); n != 0 {
+		t.Fatalf("server dropped %d of the client's own events", n)
+	}
+}
+
+// TestDroppedEventsReachServerRegistry: events another connection
+// raises for a peer that stopped draining its output buffer are
+// dropped and counted on the server registry, so Metrics(), /metrics
+// and the SLO error budget see them.
 func TestDroppedEventsReachServerRegistry(t *testing.T) {
 	s := New(200, 200)
 	defer s.Close()
 	s.SetWriteTimeout(0)
 
 	// Connection A reads one byte of its setup block, so its writer has
-	// dequeued the block and is blocked writing the rest. It selects
+	// taken the block and is blocked writing the rest. It selects
 	// property events on the root and never reads again: every event
-	// from now on waits in its outbound queue or is dropped.
+	// from now on waits in its output buffer or is dropped.
 	a := s.ConnectPipe()
 	defer a.Close()
 	if _, err := io.ReadFull(a, make([]byte, 1)); err != nil {
@@ -139,8 +189,8 @@ func TestDroppedEventsReachServerRegistry(t *testing.T) {
 }
 
 // TestStalledReaderDoesNotStallOthers: a client that floods
-// reply-bearing requests and never reads fills its outbound queue, and
-// its request loop then waits for queue space up to the write timeout.
+// reply-bearing requests and never reads fills its output buffer, and
+// its request loop then waits for room up to the write timeout.
 // It waits with the display lock released, so another client's
 // requests finish promptly. The flood is of QueryTree, whose handler
 // walks the window tree, and of Ping, whose handler touches nothing.
@@ -171,7 +221,7 @@ func TestStalledReaderDoesNotStallOthers(t *testing.T) {
 			}
 			go nc.Write(batch) // returns once the server severs or closes the pipe
 
-			// The flooder is stuck once its queue is full and its request
+			// The flooder is stuck once its buffer is full and its request
 			// count stops moving.
 			requests := s.Metrics().Counter("requests")
 			deadline := time.Now().Add(5 * time.Second)

@@ -255,13 +255,14 @@ func TestZeroSizeReconfigureKeepsContent(t *testing.T) {
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	exposes := d.EventsSeen()
+	events := d.Metrics().Counter("events")
+	exposes := events.Value()
 	d.ResizeWindow(w, 0, 20)
 	d.ResizeWindow(w, 0, 20)
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if n := d.EventsSeen() - exposes; n != 0 {
+	if n := events.Value() - exposes; n != 0 {
 		t.Errorf("re-sending the clamped size sent %d more Expose events", n)
 	}
 	s.mu.Lock()
