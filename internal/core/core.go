@@ -187,6 +187,7 @@ func (a *App) ScreenshotPPM(path, filename string) error {
 		if err != nil {
 			return err
 		}
+		w.MakeExist()
 		win = w.XID
 	}
 	shot, err := a.Disp.Screenshot(win)

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -413,5 +415,70 @@ func TestScreenshotErrors(t *testing.T) {
 	}
 	if err := app.ScreenshotPPM(".", "/nonexistent-dir/x.ppm"); err == nil {
 		t.Fatal("bad path should fail")
+	}
+}
+
+// fifty is Table II row 3's proc from cmd/tkbench/buttons.tcl, with the
+// option database entries that file makes: a frame of fifty packed
+// buttons, one per label.
+const fifty = `
+option add *Button.background lightsteelblue
+option add *Button.activeBackground steelblue
+option add *Button.relief raised
+
+proc fifty {labels} {
+    frame .f
+    set i 0
+    foreach label $labels {
+        button .f.b$i -text $label -command "set pressed $i"
+        pack append .f .f.b$i {top fillx}
+        incr i
+    }
+    pack append . .f {top}
+}
+`
+
+// TestTableIIRow3Pixels pins the whole screen through Table II row 3
+// (create, display and delete fifty buttons), then a top-level and a
+// posted menu. How and when the toolkit's windows reach the server must
+// not move a pixel: each step's screen has a fixed CRC-32.
+func TestTableIIRow3Pixels(t *testing.T) {
+	labels := func(f func(i int) string) string {
+		out := make([]string, 50)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return tcl.FormatList(out)
+	}
+	short := labels(func(i int) string { return strings.Repeat(string(rune('a'+i%26)), 3+i%12) })
+	long := labels(func(i int) string { return fmt.Sprintf("button %d of fifty", i*7) })
+	steps := []struct {
+		name, script string
+		crc          uint32
+	}{
+		{"fifty short labels", "fifty {" + short + "}", 0x2030d59e},
+		{"destroy .f", "destroy .f", 0x9f980f60},
+		{"fifty long labels", "fifty {" + long + "}", 0xf52ee6b2},
+		{"destroy .f again", "destroy .f", 0x592393af},
+		{"toplevel", "toplevel .t; button .t.b -text {in a top-level}; pack append .t .t.b {top}", 0x3261b77c},
+		{"posted menu", `menu .m
+			.m add command -label Open
+			.m add command -label Save
+			.m add separator
+			.m add checkbutton -label Wrap -variable wrap
+			.m post 40 40`, 0x1ae8db2c},
+	}
+	app, _ := newApp(t, "buttons")
+	app.MustEval(fifty)
+	for _, st := range steps {
+		app.MustEval(st.script)
+		app.Update()
+		shot, err := app.Disp.Screenshot(xproto.None)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := crc32.ChecksumIEEE(shot.Pixels); got != st.crc {
+			t.Errorf("%s: screen CRC-32 %#08x, want %#08x", st.name, got, st.crc)
+		}
 	}
 }

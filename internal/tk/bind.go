@@ -236,10 +236,7 @@ func (app *App) Bind(w *Window, spec, script string) error {
 		app.bindings.byWindow[w.Path] = append(list, b)
 	}
 	// Extend the X event selection to cover the bound events.
-	if m := requiredMask(seq); m&^w.selectedMask != 0 {
-		w.selectedMask |= m
-		app.Disp.SelectInput(w.XID, w.selectedMask)
-	}
+	w.selectInput(requiredMask(seq))
 	return nil
 }
 

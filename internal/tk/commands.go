@@ -175,6 +175,7 @@ func (app *App) cmdFocus(in *tcl.Interp, args []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	w.MakeExist()
 	app.Disp.SetInputFocus(w.XID)
 	return "", nil
 }
@@ -410,6 +411,7 @@ func (app *App) cmdWinfo(in *tcl.Interp, args []string) (string, error) {
 		}
 		return ".", nil
 	case "id":
+		w.MakeExist()
 		return strconv.FormatUint(uint64(w.XID), 10), nil
 	case "manager":
 		if w.Manager != nil {
@@ -437,6 +439,7 @@ func (app *App) cmdWm(in *tcl.Interp, args []string) (string, error) {
 	}
 	switch args[1] {
 	case "title":
+		w.MakeExist()
 		if len(args) == 3 {
 			rep, err := app.Disp.GetProperty(w.XID, xproto.AtomWMName, false)
 			if err != nil {
@@ -482,6 +485,7 @@ func (app *App) cmdRaise(in *tcl.Interp, args []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	w.makeSiblingsExist()
 	app.Disp.RaiseWindow(w.XID)
 	return "", nil
 }
@@ -494,6 +498,7 @@ func (app *App) cmdLower(in *tcl.Interp, args []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	w.makeSiblingsExist()
 	app.Disp.LowerWindow(w.XID)
 	return "", nil
 }

@@ -58,7 +58,7 @@ func (app *App) CreateTimerHandler(d time.Duration, fn func()) int {
 	e := &timerEntry{when: time.Now().Add(d), fn: fn, id: q.nextID, seq: q.nextSeq}
 	q.byID[e.id] = e
 	heap.Push(q, e)
-	app.Metrics().Gauge("tk.timers.depth").Set(int64(len(q.byID)))
+	app.timersDepth.Set(int64(len(q.byID)))
 	return e.id
 }
 
@@ -67,7 +67,7 @@ func (app *App) DeleteTimerHandler(id int) {
 	if e, ok := app.timers.byID[id]; ok {
 		e.fn = nil // cancelled; skipped when popped
 		delete(app.timers.byID, id)
-		app.Metrics().Gauge("tk.timers.depth").Set(int64(len(app.timers.byID)))
+		app.timersDepth.Set(int64(len(app.timers.byID)))
 	}
 }
 
@@ -75,7 +75,7 @@ func (app *App) DeleteTimerHandler(id int) {
 // when-idle handlers).
 func (app *App) DoWhenIdle(fn func()) {
 	app.idle = append(app.idle, fn)
-	app.Metrics().Gauge("tk.idle.depth").Set(int64(len(app.idle)))
+	app.idleDepth.Set(int64(len(app.idle)))
 }
 
 // Post delivers fn into the event loop from any goroutine: the toolkit's
@@ -117,7 +117,7 @@ func (app *App) runDueTimers() bool {
 		}
 	}
 	if ran {
-		app.Metrics().Gauge("tk.timers.depth").Set(int64(len(q.byID)))
+		app.timersDepth.Set(int64(len(q.byID)))
 	}
 	return ran
 }
@@ -130,7 +130,7 @@ func (app *App) runIdle() bool {
 	}
 	batch := app.idle
 	app.idle = nil
-	app.Metrics().Gauge("tk.idle.depth").Set(0)
+	app.idleDepth.Set(0)
 	for _, fn := range batch {
 		fn() // may call DoWhenIdle, which updates the gauge again
 	}
@@ -192,10 +192,26 @@ func (app *App) DoOneEvent(wait bool) bool {
 }
 
 // dispatchQueued dispatches the oldest event in the display's queue and
-// reports whether there was one. With the queue empty on a lost
-// connection it reports lost and ends the main loop.
+// reports whether there was one. With that queue empty it dispatches the
+// ConfigureNotify MakeExist owes a window, carrying the window's current
+// geometry: the server sent none, as the window did not exist when its
+// geometry changed. With both empty on a lost connection it reports lost
+// and ends the main loop.
 func (app *App) dispatchQueued() (dispatched, lost bool) {
 	ev, ok, lost := app.Disp.PollEvent()
+	if !ok && len(app.configNotify) > 0 {
+		w := app.configNotify[0]
+		app.configNotify[0] = nil // the queue must not keep a destroyed window alive
+		app.configNotify = app.configNotify[1:]
+		if !w.Destroyed {
+			app.DispatchEvent(&xproto.Event{
+				Type: xproto.ConfigureNotify, Window: w.XID,
+				X: int16(w.X), Y: int16(w.Y), Width: uint16(w.Width), Height: uint16(w.Height),
+				BorderWidth: uint16(w.BorderWidth),
+			})
+		}
+		return true, false
+	}
 	if !ok {
 		if lost {
 			app.quitFlag.Store(true)
@@ -297,7 +313,7 @@ func (app *App) DispatchEvent(ev *xproto.Event) {
 					Seq: seq, Name: "tk.event", Side: "tk", Op: op,
 					Start: begin.UnixNano(), Dur: int64(time.Since(begin)),
 				})
-				app.Metrics().Counter("trace.spans").Inc()
+				app.spansCtr.Inc()
 			}()
 		}
 	}

@@ -44,6 +44,7 @@ func (app *App) OwnSelection(win *Window, lost func(win *Window)) {
 	}
 	app.selOwner = win
 	app.selLost = lost
+	win.MakeExist()
 	app.Disp.SetSelectionOwner(xproto.AtomPrimary, win.XID, 0)
 }
 

@@ -72,7 +72,8 @@ type Window struct {
 	// Children in creation order.
 	Children []*Window
 
-	// XID is the server-side window.
+	// XID names the server-side window. It is allocated when the Window
+	// is, but the server learns of it only in MakeExist.
 	XID xproto.ID
 
 	// Actual geometry (cached structure information, §3.3).
@@ -99,11 +100,24 @@ type Window struct {
 	// size/placement within its parent.
 	Manager GeometryManager
 
+	// exists says the X window has been created (MakeExist). Until then
+	// geometry, event mask, background and override-redirect live only
+	// in this record, and CreateWindow carries them.
+	exists bool
+
+	// needConfigNotify says the geometry changed before the window
+	// existed, so no server ConfigureNotify reported it (Tk's
+	// TK_NEED_CONFIG_NOTIFY).
+	needConfigNotify bool
+
 	// selectedMask accumulates the X event mask this client has selected.
 	selectedMask uint32
 
-	// background is the X background pixel last sent for the window.
+	// background is the window's X background pixel.
 	background uint32
+
+	// overrideRedirect marks a top-level the window manager leaves alone.
+	overrideRedirect bool
 
 	// handlers are C-level (Go) event handlers: mask → funcs.
 	handlers []evtHandler
@@ -161,10 +175,14 @@ type App struct {
 	options *optionDB
 	packer  *Packer
 
-	// Handles into the display registry for event dispatch and the
-	// resource caches' hit and miss counts, resolved in NewApp.
+	// Handles into the display registry for event dispatch, the queue
+	// depths, sampled spans and the resource caches' hit and miss
+	// counts, resolved in NewApp.
 	eventsCtr    *obs.Counter
 	dispatchHist *obs.Histogram
+	timersDepth  *obs.Gauge
+	idleDepth    *obs.Gauge
+	spansCtr     *obs.Counter
 	colorStats   cacheStats
 	fontStats    cacheStats
 	cursorStats  cacheStats
@@ -174,6 +192,9 @@ type App struct {
 	timers *timerQueue
 	idle   []func()
 	posted chan func()
+	// configNotify holds windows owed a ConfigureNotify by MakeExist. It
+	// is dispatched locally once the display's queue is empty.
+	configNotify []*Window
 	// evSpanSeq numbers dispatched events for span sampling (the tk side
 	// has no protocol sequence, so it samples on its own counter).
 	// Touched only on the event-loop goroutine.
@@ -278,6 +299,9 @@ func NewApp(d *xclient.Display, cfg Config) (*App, error) {
 	m := d.Metrics()
 	app.eventsCtr = m.Counter("tk.events")
 	app.dispatchHist = m.Histogram("tk.dispatch")
+	app.timersDepth = m.Gauge("tk.timers.depth")
+	app.idleDepth = m.Gauge("tk.idle.depth")
+	app.spansCtr = m.Counter("trace.spans")
 	app.colorStats = cacheStats{m.Counter("tk.cache.color.hits"), m.Counter("tk.cache.color.misses")}
 	app.fontStats = cacheStats{m.Counter("tk.cache.font.hits"), m.Counter("tk.cache.font.misses")}
 	app.cursorStats = cacheStats{m.Counter("tk.cache.cursor.hits"), m.Counter("tk.cache.cursor.misses")}
@@ -311,17 +335,13 @@ func NewApp(d *xclient.Display, cfg Config) (*App, error) {
 	app.atomSendRes, _ = ckSendRes.Wait()
 	app.atomSelProp, _ = ckSelProp.Wait()
 
-	// The main window "." is a top-level child of the root.
+	// The main window "." is a top-level child of the root, made and
+	// mapped at once.
 	main := &Window{
-		App: app, Path: ".", Name: "", Class: cfg.Class,
+		App: app, Path: ".", Name: "", Class: cfg.Class, XID: d.NewID(),
 		Width: 200, Height: 200, ReqWidth: 0, ReqHeight: 0,
 		TopLevel: true, selectedMask: structureMask, background: 0xffffff,
 	}
-	main.XID = d.CreateWindow(d.Root, 0, 0, 200, 200, 0, xclient.WindowAttributes{
-		Background: main.background,
-		Border:     0x000000,
-		EventMask:  main.selectedMask,
-	})
 	app.windows["."] = main
 	app.xidMap[main.XID] = main
 	app.Main = main
@@ -428,19 +448,13 @@ func (app *App) createWindow(path, class string, top bool) (*Window, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bad window path name %q", path)
 	}
+	// As Tk_CreateWindow, this only fills in the record: the X window is
+	// made by MakeExist, when the toolkit first needs it.
 	w := &Window{
 		App: app, Path: path, Name: name, Class: class,
-		Parent: parent, Width: 1, Height: 1, TopLevel: top,
+		Parent: parent, XID: app.Disp.NewID(), Width: 1, Height: 1, TopLevel: top,
 		selectedMask: structureMask, background: 0xffffff,
 	}
-	xparent := parent.XID
-	if top {
-		xparent = app.Disp.Root
-	}
-	w.XID = app.Disp.CreateWindow(xparent, 0, 0, 1, 1, 0, xclient.WindowAttributes{
-		Background: w.background,
-		EventMask:  w.selectedMask,
-	})
 	parent.Children = append(parent.Children, w)
 	app.windows[path] = w
 	app.xidMap[w.XID] = w
@@ -457,7 +471,8 @@ func (app *App) DestroyWindow(w *Window) {
 // destroyWindow tears down w's subtree, children first. The server
 // destroys X children with their parent, so as in Tk_DestroyWindow only
 // the subtree's root and the top-levels in it (whose X parent is the
-// root window) need a DestroyWindow request; sendReq says w is one.
+// root window) need a DestroyWindow request; sendReq says w is one. A
+// window that never existed needs none.
 func (app *App) destroyWindow(w *Window, sendReq bool) {
 	if w.Destroyed {
 		return
@@ -501,7 +516,7 @@ func (app *App) destroyWindow(w *Window, sendReq bool) {
 			w.Parent.Children = slices.Delete(w.Parent.Children, i, i+1)
 		}
 	}
-	if sendReq {
+	if sendReq && w.exists {
 		app.Disp.DestroyWindow(w.XID)
 	}
 
@@ -617,7 +632,7 @@ func (w *Window) GeometryRequest(width, height int) {
 }
 
 // resizeWindow applies a geometry decision to a window, updating the
-// cache and the server.
+// cache, and the server if the window exists.
 func (app *App) resizeWindow(w *Window, x, y, width, height int, moveToo bool) {
 	if width < 1 {
 		width = 1
@@ -633,8 +648,13 @@ func (app *App) resizeWindow(w *Window, x, y, width, height int, moveToo bool) {
 	w.Width, w.Height = width, height
 	if moveToo {
 		w.X, w.Y = x, y
+	}
+	switch {
+	case !w.exists:
+		w.needConfigNotify = true
+	case moveToo:
 		app.Disp.MoveResizeWindow(w.XID, x, y, width, height)
-	} else {
+	default:
 		app.Disp.ResizeWindow(w.XID, width, height)
 	}
 	if w.Widget != nil {
@@ -646,16 +666,83 @@ func (app *App) resizeWindow(w *Window, x, y, width, height int, moveToo bool) {
 	}
 }
 
+// MoveToplevel moves a top-level window to root coordinates x, y, as
+// Tk_MoveToplevelWindow does. Before the window exists only the cache
+// changes, and the position travels in its CreateWindow.
+func (w *Window) MoveToplevel(x, y int) {
+	w.App.resizeWindow(w, x, y, w.Width, w.Height, true)
+}
+
+// MakeExist creates the window's X window if it does not exist yet, as
+// Tk_MakeWindowExist does: the parent first (a top-level's X parent is
+// the root), then one CreateWindow carrying the geometry and attributes
+// cached so far. Map calls it, and so does every request that names the
+// window.
+//
+// X stacks siblings in creation order, but lazy windows reach the server
+// in the order they are needed. So MakeExist raises every later-created
+// sibling that already exists, in creation order, which puts w back in
+// its creation-order place. That assumes existing siblings are still in
+// creation order; raise and lower keep it true by making every sibling
+// exist before they restack.
+func (w *Window) MakeExist() {
+	if w.exists || w.Destroyed {
+		return
+	}
+	app := w.App
+	xparent := app.Disp.Root
+	if !w.TopLevel {
+		w.Parent.MakeExist()
+		xparent = w.Parent.XID
+	}
+	app.Disp.Request(&xproto.CreateWindowReq{
+		Wid: w.XID, Parent: xparent,
+		X: int16(w.X), Y: int16(w.Y),
+		Width: uint16(w.Width), Height: uint16(w.Height), BorderWidth: uint16(w.BorderWidth),
+		Background: w.background, EventMask: w.selectedMask, OverrideRedirect: w.overrideRedirect,
+	})
+	w.exists = true
+	if !w.TopLevel {
+		later := w.Parent.Children[slices.Index(w.Parent.Children, w)+1:]
+		for _, sib := range later {
+			if sib.exists && !sib.TopLevel {
+				app.Disp.RaiseWindow(sib.XID)
+			}
+		}
+	}
+	if w.needConfigNotify {
+		w.needConfigNotify = false
+		app.configNotify = append(app.configNotify, w)
+	}
+}
+
+// makeSiblingsExist makes w exist and, unless w is a top-level, every
+// sibling too, in creation order, so a restack of w is one among windows
+// the server already knows.
+func (w *Window) makeSiblingsExist() {
+	if w.TopLevel {
+		w.MakeExist()
+		return
+	}
+	for _, sib := range w.Parent.Children {
+		if !sib.TopLevel {
+			sib.MakeExist()
+		}
+	}
+}
+
 // Map makes the window viewable.
 func (w *Window) Map() {
 	if w.Mapped || w.Destroyed {
 		return
 	}
+	w.MakeExist()
 	w.Mapped = true
 	w.App.Disp.MapWindow(w.XID)
 }
 
-// Unmap hides the window.
+// Unmap hides the window. A mapped window exists, so Unmap always names
+// a window the server knows.
 func (w *Window) Unmap() {
 	if !w.Mapped || w.Destroyed {
 		return
@@ -700,18 +787,41 @@ func (w *Window) viewable() bool {
 // this window, extending the X selection as needed (§3.2).
 func (w *Window) AddEventHandler(mask uint32, fn func(ev *xproto.Event)) {
 	w.handlers = append(w.handlers, evtHandler{mask: mask, fn: fn})
-	if mask&^w.selectedMask != 0 {
-		w.selectedMask |= mask
+	w.selectInput(mask)
+}
+
+// selectInput adds mask to the window's event selection, telling the
+// server only if the window exists.
+func (w *Window) selectInput(mask uint32) {
+	if mask&^w.selectedMask == 0 {
+		return
+	}
+	w.selectedMask |= mask
+	if w.exists {
 		w.App.Disp.SelectInput(w.XID, w.selectedMask)
 	}
 }
 
 // SetBackground changes the window's X background pixel; an unchanged
-// pixel sends nothing.
+// pixel, or a window that does not exist yet, sends nothing.
 func (w *Window) SetBackground(pixel uint32) {
 	if pixel == w.background {
 		return
 	}
 	w.background = pixel
-	w.App.Disp.SetWindowBackground(w.XID, pixel)
+	if w.exists {
+		w.App.Disp.SetWindowBackground(w.XID, pixel)
+	}
+}
+
+// SetOverrideRedirect marks a top-level (a menu) as one the window
+// manager leaves alone. Before the window exists the flag travels in its
+// CreateWindow.
+func (w *Window) SetOverrideRedirect(on bool) {
+	w.overrideRedirect = on
+	if w.exists {
+		w.App.Disp.Request(&xproto.ChangeWindowAttributesReq{
+			Window: w.XID, Mask: xproto.AttrOverride, OverrideRedirect: on,
+		})
+	}
 }

@@ -25,9 +25,21 @@ func newTestApp(t testing.TB) (*App, *bytes.Buffer) {
 		t.Fatal(err)
 	}
 	t.Cleanup(app.Destroy)
+	t.Cleanup(func() { noAsyncErrors(t, d) })
 	var out bytes.Buffer
 	app.Interp.Out = &out
 	return app, &out
+}
+
+// noAsyncErrors fails t if the server answered any one-way request of d
+// with an error. Such a request fails silently: a window named before it
+// exists gets BadWindow, which only errors.async counts. The Sync brings
+// every answer in first; it fails harmlessly if the test closed d.
+func noAsyncErrors(t testing.TB, d *xclient.Display) {
+	_ = d.Sync()
+	if n := d.Metrics().Counter("errors.async").Value(); n != 0 {
+		t.Errorf("%d asynchronous X errors", n)
+	}
 }
 
 // mkWindow creates a plain window with a requested size.

@@ -73,22 +73,26 @@ func TestUpdateDispatchesIdleHandlersEvents(t *testing.T) {
 	}
 }
 
-// TestDestroySendsOneRequestPerXSubtree: destroying a frame of 50
-// buttons and a top-level sends DestroyWindow for the frame and the
-// top-level only, since the server destroys X children with their
-// parent, and leaves neither on the server.
+// TestDestroySendsOneRequestPerXSubtree: destroying a mapped frame of
+// 50 mapped buttons and a mapped top-level sends DestroyWindow for the
+// frame and the top-level only, since the server destroys X children
+// with their parent, and leaves neither on the server.
 func TestDestroySendsOneRequestPerXSubtree(t *testing.T) {
 	app, _ := newTestApp(t)
 	f := mkWindow(t, app, ".f", 100, 100)
+	f.Map()
 	for i := 0; i < 50; i++ {
-		if _, err := app.CreateWindow(".f.b"+strconv.Itoa(i), "Button"); err != nil {
+		b, err := app.CreateWindow(".f.b"+strconv.Itoa(i), "Button")
+		if err != nil {
 			t.Fatal(err)
 		}
+		b.Map()
 	}
 	top, err := app.CreateTopLevel(".f.top", "Toplevel")
 	if err != nil {
 		t.Fatal(err)
 	}
+	top.Map()
 	app.Update()
 
 	destroys := app.Metrics().Counter("requests.DestroyWindow")

@@ -221,3 +221,47 @@ func TestKeysymPercentSubstitution(t *testing.T) {
 		t.Fatalf("keys = %q", got)
 	}
 }
+
+// TestMenuCostsNothingUntilPosted: building a menu sends no request for
+// its window; its size and override-redirect wait in the toolkit's
+// record. Posting it sends one CreateWindow, at the posted position.
+func TestMenuCostsNothingUntilPosted(t *testing.T) {
+	app, _ := newApp(t)
+	m := app.Metrics()
+	creates, configures := m.Counter("requests.CreateWindow"), m.Counter("requests.ConfigureWindow")
+	c0, f0 := creates.Value(), configures.Value()
+	app.MustEval(`menu .m
+		.m add command -label Open
+		.m add command -label Save
+		.m add separator
+		.m add command -label Quit`)
+	app.Update()
+	if n := configures.Value() - f0; n != 0 {
+		t.Errorf("building the menu sent %d ConfigureWindow, want 0", n)
+	}
+	if n := creates.Value() - c0; n != 0 {
+		t.Errorf("building the menu sent %d CreateWindow, want 0", n)
+	}
+	app.MustEval(`.m post 40 40`)
+	app.Update()
+	if n := creates.Value() - c0; n != 1 {
+		t.Errorf("posting the menu sent %d CreateWindow, want 1", n)
+	}
+	w, _ := app.NameToWindow(".m")
+	geom, err := app.Disp.GetGeometry(w.XID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if geom.X != 40 || geom.Y != 40 || int(geom.Width) != w.Width || int(geom.Height) != w.Height {
+		t.Errorf("posted menu at %dx%d+%d+%d on the server, want %dx%d+40+40",
+			geom.Width, geom.Height, geom.X, geom.Y, w.Width, w.Height)
+	}
+}
+
+// TestFlashUnmappedButton: flashing a button that was never mapped
+// draws nothing, so it names no window the server lacks.
+func TestFlashUnmappedButton(t *testing.T) {
+	app, _ := newApp(t)
+	app.MustEval(`button .b -text Hello`)
+	app.MustEval(`.b flash`)
+}

@@ -223,8 +223,13 @@ func (bt *Button) setVariable(value string) {
 }
 
 // Flash alternates the button between active and normal colors a few
-// times (the ".hello flash" example in §4).
+// times (the ".hello flash" example in §4). An unmapped button draws
+// nothing, as Tk's display procedure returns unless Tk_IsMapped: it may
+// have no X window yet.
 func (bt *Button) Flash() {
+	if !bt.win.Mapped {
+		return
+	}
 	for i := 0; i < 4; i++ {
 		bt.active = !bt.active
 		bt.Redraw()

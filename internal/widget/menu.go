@@ -59,9 +59,7 @@ func registerMenu(app *tk.App) {
 		m.geomAndExposure()
 		m.bindBehaviour()
 		// Menus are override-redirect: no WM decoration.
-		app.Disp.Request(&xproto.ChangeWindowAttributesReq{
-			Window: m.win.XID, Mask: xproto.AttrOverride, OverrideRedirect: true,
-		})
+		m.win.SetOverrideRedirect(true)
 		return m.install(m, args[2:])
 	})
 	registerMenubutton(app)
@@ -112,8 +110,7 @@ func (m *Menu) bindBehaviour() {
 
 // Post displays the menu with its top-left corner at root coordinates.
 func (m *Menu) Post(x, y int) {
-	m.app.Disp.MoveWindow(m.win.XID, x, y)
-	m.win.X, m.win.Y = x, y
+	m.win.MoveToplevel(x, y)
 	m.posted = true
 	m.win.Map()
 	m.app.Disp.RaiseWindow(m.win.XID)
@@ -164,8 +161,6 @@ func (m *Menu) recompute() error {
 		h = 10
 	}
 	m.win.GeometryRequest(maxW+2*bd, h)
-	m.app.Disp.ResizeWindow(m.win.XID, maxW+2*bd, h)
-	m.win.Width, m.win.Height = maxW+2*bd, h
 	m.win.ScheduleRedraw()
 	return nil
 }

@@ -139,6 +139,9 @@ func (b *base) resolve() error {
 	if c := b.cv.Get("-cursor"); c != "" {
 		cursor, err := b.app.Cursor(c)
 		if err == nil {
+			// CreateWindow carries no cursor, so a cursor makes the
+			// window exist.
+			b.win.MakeExist()
 			b.app.Disp.SetWindowCursor(b.win.XID, cursor)
 		}
 	}

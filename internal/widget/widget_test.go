@@ -17,6 +17,15 @@ func newApp(t *testing.T) (*core.App, *bytes.Buffer) {
 		t.Fatal(err)
 	}
 	t.Cleanup(app.Close)
+	// Every test ends with no asynchronous X error: a request that names
+	// a window before it exists fails silently, counted only in
+	// errors.async. The Sync brings every answer in first.
+	t.Cleanup(func() {
+		_ = app.Disp.Sync()
+		if n := app.Metrics().Counter("errors.async").Value(); n != 0 {
+			t.Errorf("%d asynchronous X errors", n)
+		}
+	})
 	var out bytes.Buffer
 	app.Interp.Out = &out
 	return app, &out

@@ -145,6 +145,8 @@ type Display struct {
 	wireDecodeErrs *obs.Counter
 	wireThreshGa   *obs.Gauge
 	wireRTTGa      *obs.Gauge
+	sampledCtr     *obs.Counter
+	spansCtr       *obs.Counter
 }
 
 // WireMode selects the wire protocol OpenWith negotiates at setup.
@@ -296,6 +298,8 @@ func OpenWith(conn net.Conn, cfg Config) (*Display, error) {
 	d.wireDecodeErrs = d.metrics.Counter("wire.decode.errors")
 	d.wireThreshGa = d.metrics.Gauge("wire.flush.threshold")
 	d.wireRTTGa = d.metrics.Gauge("wire.rtt.ewma")
+	d.sampledCtr = d.metrics.Counter("trace.sampled")
+	d.spansCtr = d.metrics.Counter("trace.spans")
 	go d.readLoop()
 	return d, nil
 }
@@ -528,7 +532,7 @@ func (d *Display) routeReply(kind byte, payload []byte) {
 				Op:    xproto.OpName(ck.op),
 				Start: ck.begin.UnixNano(), Dur: int64(elapsed),
 			})
-			d.metrics.Counter("trace.spans").Inc()
+			d.spansCtr.Inc()
 		}
 	}
 	if kind == xproto.KindError {
@@ -660,7 +664,7 @@ func (d *Display) flushLocked() error {
 			Start: start, Dur: trace.Now() - start,
 			Args: []trace.Arg{{Key: "frames", Val: frames}, {Key: "bytes", Val: bytes}},
 		})
-		d.metrics.Counter("trace.spans").Inc()
+		d.spansCtr.Inc()
 		return err
 	}
 	_, err := d.conn.Write(out)
@@ -806,7 +810,7 @@ func (d *Display) SendWithReply(req xproto.Request) *Cookie {
 		ck.traced = true
 		ck.op = req.Op()
 		d.tracedFlush = ck.seq
-		d.metrics.Counter("trace.sampled").Inc()
+		d.sampledCtr.Inc()
 	}
 	d.rmu.Lock()
 	if lost := d.lostErr; lost != nil {
@@ -879,7 +883,7 @@ func (ck *Cookie) Wait(decode func(r *xproto.Reader)) error {
 				Op:    xproto.OpName(ck.op),
 				Start: waitStart, Dur: trace.Now() - waitStart,
 			})
-			ck.d.metrics.Counter("trace.spans").Inc()
+			ck.d.spansCtr.Inc()
 		}
 	}
 	if ck.err != nil {

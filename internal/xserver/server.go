@@ -129,10 +129,14 @@ type Server struct {
 	// use.
 	metrics *obs.Registry
 
-	// requests and dispatchTime are metrics' per-request handles,
-	// resolved in New. Immutable afterwards.
+	// requests and dispatchTime are metrics' per-request handles, and
+	// sampled, spans and dropped its handles for sampled dispatches and
+	// dropped events, resolved in New. Immutable afterwards.
 	requests     *obs.Counter
 	dispatchTime *obs.Histogram
+	sampled      *obs.Counter
+	spans        *obs.Counter
+	dropped      *obs.Counter
 
 	// tracer, when set, records a server.dispatch span (with the wait
 	// for mu) for sampled requests. Atomic so SetTracer may race
@@ -272,6 +276,9 @@ func New(width, height int) *Server {
 	s.render = newRenderMetrics(s.metrics)
 	s.requests = s.metrics.Counter("requests")
 	s.dispatchTime = s.metrics.Histogram("dispatch")
+	s.sampled = s.metrics.Counter("trace.sampled")
+	s.spans = s.metrics.Counter("trace.spans")
+	s.dropped = s.metrics.Counter("dropped")
 	for a, name := range xproto.PredefinedAtoms {
 		s.atoms[name] = a
 		s.atomNames[a] = name
@@ -550,7 +557,7 @@ func (s *Server) serveRequest(c *conn, op uint16, payload []byte) {
 	if sampled {
 		// A sampled dispatch's span carries the wait for the display
 		// lock it paid, and no lock-wait arg when it paid none.
-		s.metrics.Counter("trace.sampled").Inc()
+		s.sampled.Inc()
 		span := trace.Span{
 			Seq: c.seq, Name: "server.dispatch", Side: "server",
 			Op: xproto.OpName(op), Start: begin.UnixNano(), Dur: int64(elapsed),
@@ -559,7 +566,7 @@ func (s *Server) serveRequest(c *conn, op uint16, payload []byte) {
 			span.Args = []trace.Arg{{Key: "lockwait.tree", Val: wait}}
 		}
 		tr.Record(span)
-		s.metrics.Counter("trace.spans").Inc()
+		s.spans.Inc()
 	}
 	s.dispatchTime.Observe(elapsed)
 	if s.rollupDispatch != nil {
@@ -659,7 +666,7 @@ func (c *conn) push(kind byte, payload []byte, own bool) {
 	c.outMu.Lock()
 	if !own && c.frames >= outQueueSlots {
 		c.outMu.Unlock()
-		c.s.metrics.Counter("dropped").Inc()
+		c.s.dropped.Inc()
 		return
 	}
 	n := len(payload)
