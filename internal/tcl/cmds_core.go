@@ -89,20 +89,39 @@ func cmdIncr(in *Interp, args []string) (string, error) {
 }
 
 func cmdAppend(in *Interp, args []string) (string, error) {
+	return in.appendVar(args, false)
+}
+
+// appendVar implements append and, with list set, lappend. It writes
+// into the interpreter's append buffer. When the variable still holds
+// the buffer's last string, compared by content, the buffer extends it
+// in place, so a loop that appends to one variable copies its value
+// only when the buffer grows; otherwise the buffer restarts from the
+// variable's value. A strings.Builder never rewrites bytes it has
+// handed out, so earlier values stay as they were.
+func (in *Interp) appendVar(args []string, list bool) (string, error) {
 	if err := arity(args, 1, -1, "varName ?value value ...?"); err != nil {
 		return "", err
 	}
 	cur := ""
 	if in.VarExists(args[1]) {
 		var err error
-		cur, err = in.GetVar(args[1])
-		if err != nil {
+		if cur, err = in.GetVar(args[1]); err != nil {
 			return "", err
 		}
 	}
-	var b strings.Builder
-	b.WriteString(cur)
+	b := &in.appendBuf
+	if cur != b.String() {
+		b.Reset()
+		b.WriteString(cur)
+	}
 	for _, v := range args[2:] {
+		if list {
+			if b.Len() > 0 {
+				b.WriteByte(' ')
+			}
+			v = QuoteElement(v)
+		}
 		b.WriteString(v)
 	}
 	return in.SetVar(args[1], b.String())
@@ -340,7 +359,7 @@ func cmdForeach(in *Interp, args []string) (string, error) {
 	if len(varNames) == 0 {
 		return "", errf("foreach varlist is empty")
 	}
-	items, err := ParseList(args[2])
+	items, err := in.list(args[2])
 	if err != nil {
 		return "", err
 	}
@@ -622,12 +641,7 @@ func cmdUplevel(in *Interp, args []string) (string, error) {
 	if len(rest) > 1 {
 		script = strings.Join(rest, " ")
 	}
-	saved := in.frames
-	// Capped slice: procedure calls inside the uplevel script must not
-	// overwrite the caller frames we put aside.
-	in.frames = saved[: level+1 : level+1]
-	defer func() { in.frames = saved }()
-	return in.Eval(script)
+	return in.atLevel(level, func() (string, error) { return in.Eval(script) })
 }
 
 func cmdRename(in *Interp, args []string) (string, error) {

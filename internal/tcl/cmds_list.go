@@ -1,6 +1,7 @@
 package tcl
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,70 +49,41 @@ func listIndex(spec string, length int) (int, error) {
 	return n, nil
 }
 
-// cmdLindex and cmdLlength walk the list without splitting it.
 func cmdLindex(in *Interp, args []string) (string, error) {
 	if err := arity(args, 2, 2, "list index"); err != nil {
 		return "", err
 	}
-	k, err := strconv.Atoi(args[2])
-	if err != nil {
-		k = -1 // end-relative or bad: needs the length first
-	}
-	elem, n, err := listAt(args[1], k)
+	elems, err := in.list(args[1])
 	if err != nil {
 		return "", err
 	}
-	i, err := listIndex(args[2], n)
-	switch {
-	case err != nil:
+	i, err := listIndex(args[2], len(elems))
+	if err != nil || i < 0 || i >= len(elems) {
 		return "", err
-	case i < 0 || i >= n:
-		return "", nil
-	case i != k:
-		elem, _, err = listAt(args[1], i)
 	}
-	return elem, err
+	return elems[i], nil
 }
 
 func cmdLlength(in *Interp, args []string) (string, error) {
 	if err := arity(args, 1, 1, "list"); err != nil {
 		return "", err
 	}
-	_, n, err := listAt(args[1], -1)
+	elems, err := in.list(args[1])
 	if err != nil {
 		return "", err
 	}
-	return strconv.Itoa(n), nil
+	return strconv.Itoa(len(elems)), nil
 }
 
 func cmdLappend(in *Interp, args []string) (string, error) {
-	if err := arity(args, 1, -1, "varName ?value value ...?"); err != nil {
-		return "", err
-	}
-	cur := ""
-	if in.VarExists(args[1]) {
-		var err error
-		cur, err = in.GetVar(args[1])
-		if err != nil {
-			return "", err
-		}
-	}
-	var b strings.Builder
-	b.WriteString(cur)
-	for _, v := range args[2:] {
-		if b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(QuoteElement(v))
-	}
-	return in.SetVar(args[1], b.String())
+	return in.appendVar(args, true)
 }
 
 func cmdLrange(in *Interp, args []string) (string, error) {
 	if err := arity(args, 3, 3, "list first last"); err != nil {
 		return "", err
 	}
-	elems, err := ParseList(args[1])
+	elems, err := in.list(args[1])
 	if err != nil {
 		return "", err
 	}
@@ -139,27 +111,17 @@ func cmdLinsert(in *Interp, args []string) (string, error) {
 	if err := arity(args, 3, -1, "list index element ?element ...?"); err != nil {
 		return "", err
 	}
-	elems, err := ParseList(args[1])
+	elems, err := in.list(args[1])
 	if err != nil {
 		return "", err
 	}
-	i, err := listIndex(args[2], len(elems))
+	// The elements go before index i; end is the position after the
+	// last element, so end-1 is before the last one.
+	i, err := listIndex(args[2], len(elems)+1)
 	if err != nil {
-		if args[2] == "end" {
-			i = len(elems)
-		} else {
-			return "", err
-		}
+		return "", err
 	}
-	if args[2] == "end" {
-		i = len(elems)
-	}
-	if i < 0 {
-		i = 0
-	}
-	if i > len(elems) {
-		i = len(elems)
-	}
+	i = min(max(i, 0), len(elems))
 	out := make([]string, 0, len(elems)+len(args)-3)
 	out = append(out, elems[:i]...)
 	out = append(out, args[3:]...)
@@ -171,7 +133,7 @@ func cmdLreplace(in *Interp, args []string) (string, error) {
 	if err := arity(args, 3, -1, "list first last ?element element ...?"); err != nil {
 		return "", err
 	}
-	elems, err := ParseList(args[1])
+	elems, err := in.list(args[1])
 	if err != nil {
 		return "", err
 	}
@@ -224,10 +186,11 @@ func cmdLsort(in *Interp, args []string) (string, error) {
 			return "", errf("bad option %q: must be -ascii, -integer, -real, -increasing or -decreasing", opt)
 		}
 	}
-	elems, err := ParseList(args[len(args)-1])
+	elems, err := in.list(args[len(args)-1])
 	if err != nil {
 		return "", err
 	}
+	elems = slices.Clone(elems) // sorted in place; the slot keeps the original
 	var sortErr error
 	less := func(a, b string) bool {
 		switch mode {
@@ -282,7 +245,7 @@ func cmdLsearch(in *Interp, args []string) (string, error) {
 	if len(rest) != 2 {
 		return "", errf(`wrong # args: should be "lsearch ?mode? list pattern"`)
 	}
-	elems, err := ParseList(rest[0])
+	elems, err := in.list(rest[0])
 	if err != nil {
 		return "", err
 	}
@@ -319,7 +282,7 @@ func cmdJoin(in *Interp, args []string) (string, error) {
 	if len(args) == 3 {
 		sep = args[2]
 	}
-	elems, err := ParseList(args[1])
+	elems, err := in.list(args[1])
 	if err != nil {
 		return "", err
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -148,15 +149,18 @@ func FuzzEval(f *testing.F) {
 				t.Fatalf("run %d of %q: cached %s, cold %s", i, s, a, b)
 			}
 		}
-		checkList(t, s)
+		checkList(t, New(), s)
 	})
 }
 
 // checkList checks that lindex and llength agree with ParseList on s,
 // errors included, and that lindex of a built list returns its elements.
-func checkList(t *testing.T, s string) {
+// It also checks that the list commands give the same outcomes on s and
+// on a copy of it, whichever of the two a slot holds, before and after
+// other lists have taken every slot.
+func checkList(t *testing.T, in *Interp, s string) {
 	elems, perr := ParseList(s)
-	n, err := cmdLlength(nil, []string{"llength", s})
+	n, err := cmdLlength(in, []string{"llength", s})
 	if perr != nil {
 		if err == nil || err.Error() != perr.Error() {
 			t.Fatalf("llength %q = %q, %v; ParseList error %v", s, n, err, perr)
@@ -165,7 +169,7 @@ func checkList(t *testing.T, s string) {
 		t.Fatalf("llength %q = %q, %v; ParseList has %d elements", s, n, err, len(elems))
 	}
 	for _, idx := range []string{"-1", "0", "1", "2", strconv.Itoa(len(elems)), "end", "end-1"} {
-		got, err := cmdLindex(nil, []string{"lindex", s, idx})
+		got, err := cmdLindex(in, []string{"lindex", s, idx})
 		if perr != nil {
 			if err == nil || err.Error() != perr.Error() {
 				t.Fatalf("lindex %q %s = %q, %v; ParseList error %v", s, idx, got, err, perr)
@@ -181,15 +185,51 @@ func checkList(t *testing.T, s string) {
 			t.Fatalf("lindex %q %s = %q, %v; want %q", s, idx, got, err, want)
 		}
 	}
+
+	c := strings.Clone(s)
+	want := listViews(in, s)
+	same := func(l, when string) {
+		if got := listViews(in, l); !slices.Equal(got, want) {
+			t.Fatalf("list commands on %q %s: %q, want %q", s, when, got, want)
+		}
+	}
+	same(c, "with the original in a slot")
+	// Lists of the same length and other content take every slot.
+	for k := range listSlots {
+		cmdLlength(in, []string{"llength", strings.Repeat(strconv.Itoa(k), max(len(s), 1))})
+	}
+	same(c, "after the slots turned over")
+	same(s, "with the copy in a slot")
+
 	if perr != nil {
 		elems = strings.Fields(s)
 	}
 	list := FormatList(elems)
 	for i, want := range elems {
-		if got, err := cmdLindex(nil, []string{"lindex", list, strconv.Itoa(i)}); err != nil || got != want {
+		if got, err := cmdLindex(in, []string{"lindex", list, strconv.Itoa(i)}); err != nil || got != want {
 			t.Fatalf("lindex [list %q] %d = %q, %v; want %q", elems, i, got, err, want)
 		}
 	}
+}
+
+// listIndices are the indices listViews reads.
+var listIndices = []string{"-1", "0", "1", "2", "3", "end", "end-1"}
+
+// listViews returns the outcomes of llength, lindex, lrange and foreach
+// on the list s.
+func listViews(in *Interp, s string) []string {
+	views := []string{outcome(cmdLlength(in, []string{"llength", s}))}
+	for _, idx := range listIndices {
+		views = append(views, outcome(cmdLindex(in, []string{"lindex", s, idx})))
+	}
+	views = append(views, outcome(cmdLrange(in, []string{"lrange", s, "1", "end-1"})))
+	var seen []string
+	in.Register("seen", func(_ *Interp, args []string) (string, error) {
+		seen = append(seen, args[1])
+		return "", nil
+	})
+	_, err := cmdForeach(in, []string{"foreach", "e", s, "seen $e"})
+	return append(views, outcome(fmt.Sprintf("%q", seen), err))
 }
 
 // fuzzOps are the integer operators FuzzExpr checks against Go.

@@ -9,42 +9,62 @@ import (
 // sequences inside bare or quoted elements are substituted. Elements
 // without backslash sequences are substrings of s, not copies.
 func ParseList(s string) ([]string, error) {
-	_, n, err := listAt(s, -1)
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	elems := make([]string, 0, n)
-	for i := 0; ; {
-		e, next, _ := listElem(s, i, true)
-		if next < 0 {
-			return elems, nil
-		}
-		elems, i = append(elems, e), next
-	}
-}
-
-// listAt walks the whole list s, checking it as ParseList does, and
-// returns its element k (when 0 <= k < n) and its length n. It builds
-// no other element.
-func listAt(s string, k int) (elem string, n int, err error) {
+	// A first pass checks the list and counts its elements, so the
+	// slice is allocated once.
+	n := 0
 	for i := 0; ; n++ {
-		e, next, err := listElem(s, i, n == k)
-		switch {
-		case err != nil:
-			return "", 0, err
-		case next < 0:
-			return elem, n, nil
-		case n == k:
-			elem = e
+		_, next, err := listElem(s, i)
+		if err != nil {
+			return nil, err
+		}
+		if next < 0 {
+			break
 		}
 		i = next
 	}
+	if n == 0 {
+		return nil, nil
+	}
+	elems := make([]string, 0, n)
+	for i := 0; len(elems) < n; {
+		e, next, _ := listElem(s, i)
+		elems, i = append(elems, e), next
+	}
+	return elems, nil
+}
+
+// listSlots is how many parsed lists an interpreter keeps (see list).
+const listSlots = 4
+
+// listSlot is a list string and its elements.
+type listSlot struct {
+	s     string
+	elems []string
+}
+
+// list returns the elements of list s, parsing it only when none of the
+// interpreter's slots holds an equal string, so a loop that indexes one
+// list parses it once. Go's == compares lengths, then data pointers,
+// then bytes: the usual hit costs no scan, and an equal copy hits too.
+// The slots take turns; errors are not kept. The elements are shared
+// with the slot, so callers must not modify them.
+func (in *Interp) list(s string) ([]string, error) {
+	for i := range in.lists {
+		if in.lists[i].s == s {
+			return in.lists[i].elems, nil
+		}
+	}
+	elems, err := ParseList(s)
+	if err == nil {
+		in.lists[in.listNext] = listSlot{s, elems}
+		in.listNext = (in.listNext + 1) % listSlots
+	}
+	return elems, err
 }
 
 // listElem scans the element at or after s[i], returning the index just
-// past it, or -1 at the end of the list. It builds the element only when
-// want is set.
-func listElem(s string, i int, want bool) (elem string, next int, err error) {
+// past it, or -1 at the end of the list.
+func listElem(s string, i int) (elem string, next int, err error) {
 	n := len(s)
 	for i < n && isListSpace(s[i]) {
 		i++
@@ -88,7 +108,7 @@ func listElem(s string, i int, want bool) (elem string, next int, err error) {
 		if j+1 < n && !isListSpace(s[j+1]) {
 			return "", 0, errf("list element in quotes followed by %q instead of space", s[j+1:])
 		}
-		return unescape(s[i+1:j], want), j + 1, nil
+		return unescape(s[i+1 : j]), j + 1, nil
 	}
 	j := i
 	for j < n && !isListSpace(s[j]) {
@@ -104,12 +124,12 @@ func listElem(s string, i int, want bool) (elem string, next int, err error) {
 		j++
 	}
 	j = min(j, n)
-	return unescape(s[i:j], want), j, nil
+	return unescape(s[i:j]), j, nil
 }
 
-// unescape substitutes the backslash sequences in s when want is set.
-func unescape(s string, want bool) string {
-	if !want || strings.IndexByte(s, '\\') < 0 {
+// unescape substitutes the backslash sequences in s.
+func unescape(s string) string {
+	if strings.IndexByte(s, '\\') < 0 {
 		return s
 	}
 	b := make([]byte, 0, len(s))

@@ -112,6 +112,10 @@ func TestListCommands(t *testing.T) {
 	expect(t, in, "range {a b c} 1 end", "b c") // historic alias
 	expect(t, in, "linsert {a c} 1 b", "a b c")
 	expect(t, in, "linsert {a b} end c", "a b c")
+	expect(t, in, "linsert {a b c} end-1 X", "a b X c") // Tcl 8: end is after the last element
+	expect(t, in, "linsert {a b c} end-3 X", "X a b c")
+	expect(t, in, "linsert {a b c} -5 X", "X a b c")
+	expect(t, in, "linsert {a b c} 7 X", "a b c X")
 	expect(t, in, "lreplace {a b c d} 1 2 x y z", "a x y z d")
 	expect(t, in, "lreplace {a b c} 0 0", "b c")
 	expect(t, in, "lsearch {a b c} b", "1")
@@ -144,4 +148,45 @@ func TestListNestedStructures(t *testing.T) {
 	// Deep nesting survives round trips.
 	evalOK(t, in, "set n {a {b {c {d e}}}}")
 	expect(t, in, "lindex [lindex [lindex [lindex $n 1] 1] 1] 1", "e")
+}
+
+// TestListCommandsLeaveSlotsAlone: lsort sorts a copy, and linsert and
+// lreplace build new lists, so a list a slot keeps still reads as its
+// string says.
+func TestListCommandsLeaveSlotsAlone(t *testing.T) {
+	in := New()
+	evalOK(t, in, "set l {c b a}; llength $l")
+	expect(t, in, "lsort $l", "a b c")
+	expect(t, in, "lindex $l 0", "c")
+	expect(t, in, "linsert $l 0 x", "x c b a")
+	expect(t, in, "lreplace $l 0 0 z", "z b a")
+	expect(t, in, "lrange $l 0 end", "c b a")
+	expect(t, in, "join $l -", "c-b-a")
+}
+
+// TestAppendKeepsEarlierValues: append and lappend extend the value
+// they wrote last in place, and values taken from it earlier, or from a
+// variable that holds an equal copy, stay as they were.
+func TestAppendKeepsEarlierValues(t *testing.T) {
+	in := New()
+	evalOK(t, in, "set a x; lappend a y; set b $a; lappend a z; lappend b w")
+	expect(t, in, "list $a $b", "{x y z} {x y w}")
+	evalOK(t, in, "set c [string range $a 0 end]; append c !; append a ?")
+	expect(t, in, "list $a $b $c", "{x y z?} {x y w} {x y z!}")
+	evalOK(t, in, "lappend a {p q}; lappend c r; lappend a s")
+	expect(t, in, "list $a $c", "{x y z? {p q} s} {x y z! r}")
+	expect(t, in, "set b", "x y w")
+}
+
+// TestAppendTraces: append and lappend fire one read trace and one write
+// trace, and a trace that appends to another variable on the way does
+// not disturb the value being built.
+func TestAppendTraces(t *testing.T) {
+	in := New()
+	evalOK(t, in, "proc tr {n i op} {global log; lappend log $n$op}")
+	evalOK(t, in, "set log {}; set v a; trace variable v rw tr")
+	expect(t, in, "lappend v b", "a b")
+	expect(t, in, "append v c", "a bc")
+	expect(t, in, "set log", "vr vw vr vw")
+	expect(t, in, "lappend fresh x", "x")
 }

@@ -175,6 +175,13 @@ type Interp struct {
 	seenNext uint
 	scratch  []token
 
+	// lists holds the lists parsed last, and listNext the slot the
+	// next one takes (see list); appendBuf holds the value append and
+	// lappend wrote last (see appendVar).
+	lists     [listSlots]listSlot
+	listNext  int
+	appendBuf strings.Builder
+
 	// deleted is set by Delete; evaluation fails afterwards.
 	deleted bool
 }
@@ -252,6 +259,13 @@ func (in *Interp) Eval(script string) (string, error) {
 		in.scratch = code[:0]
 	}
 	return res, err
+}
+
+// GlobalEval executes script in the global frame, whatever procedure is
+// running, as Tcl_GlobalEval does. Tk runs the scripts events trigger
+// (bindings, after, widget callbacks, send) this way.
+func (in *Interp) GlobalEval(script string) (string, error) {
+	return in.atLevel(0, func() (string, error) { return in.Eval(script) })
 }
 
 // evalCode runs compiled commands one nesting level down.

@@ -75,15 +75,22 @@ func (in *Interp) GetVar(name string) (string, error) {
 	return in.varRead(name, "")
 }
 
+// atLevel runs fn with the frame at the given absolute level (0 =
+// global) as the current one, then restores the caller's frames. The
+// slice it installs is capped, so a procedure fn calls (directly or from
+// a variable trace) reallocates it rather than overwrite the frames put
+// aside.
+func (in *Interp) atLevel(level int, fn func() (string, error)) (string, error) {
+	saved := in.frames
+	in.frames = saved[: level+1 : level+1]
+	defer func() { in.frames = saved }()
+	return fn()
+}
+
 // GetGlobal returns the value of a global variable regardless of the
 // current frame.
 func (in *Interp) GetGlobal(name string) (string, error) {
-	saved := in.frames
-	// The capped slice forces any append (a proc called from a variable
-	// trace) to reallocate rather than overwrite saved frames.
-	in.frames = saved[:1:1]
-	defer func() { in.frames = saved }()
-	return in.varRead(name, "")
+	return in.atLevel(0, func() (string, error) { return in.varRead(name, "") })
 }
 
 // SetVar assigns value to variable full (possibly name(index)) in the
@@ -112,10 +119,7 @@ func (in *Interp) SetVar(full, value string) (string, error) {
 
 // SetGlobal assigns a global variable regardless of the current frame.
 func (in *Interp) SetGlobal(full, value string) (string, error) {
-	saved := in.frames
-	in.frames = saved[:1:1] // capped: see GetGlobal
-	defer func() { in.frames = saved }()
-	return in.SetVar(full, value)
+	return in.atLevel(0, func() (string, error) { return in.SetVar(full, value) })
 }
 
 // UnsetVar removes a variable or array element from the current frame.
@@ -182,6 +186,12 @@ func (in *Interp) TraceVar(name string, ops string, fn func(in *Interp, name, in
 	base, _, _ := splitVarName(name)
 	v := in.lookupVar(in.current(), base, true)
 	v.traces = append(v.traces, VarTrace{Ops: ops, Fn: fn})
+}
+
+// TraceGlobal registers a trace on a global variable regardless of the
+// current frame, as Tk's variable links do (TCL_GLOBAL_ONLY).
+func (in *Interp) TraceGlobal(name string, ops string, fn func(in *Interp, name, index, op string)) {
+	in.atLevel(0, func() (string, error) { in.TraceVar(name, ops, fn); return "", nil })
 }
 
 func (in *Interp) fireTraces(v *Var, name, index, op string) {

@@ -407,7 +407,7 @@ func (bt *bindingTable) trigger(app *App, w *Window, ev *xproto.Event) {
 		return
 	}
 	cmd := substitutePercents(app, best.script, w, ev)
-	if _, err := app.Interp.Eval(cmd); err != nil {
+	if _, err := app.Interp.GlobalEval(cmd); err != nil {
 		app.BackgroundError(fmt.Sprintf("binding %q on %s", best.spec, w.Path), err)
 	}
 }

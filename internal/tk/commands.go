@@ -124,7 +124,7 @@ func (app *App) cmdAfter(in *tcl.Interp, args []string) (string, error) {
 	case "idle":
 		script := strings.Join(args[2:], " ")
 		app.DoWhenIdle(func() {
-			if _, err := in.Eval(script); err != nil {
+			if _, err := in.GlobalEval(script); err != nil {
 				app.BackgroundError("after idle script", err)
 			}
 		})
@@ -144,7 +144,7 @@ func (app *App) cmdAfter(in *tcl.Interp, args []string) (string, error) {
 	}
 	script := strings.Join(args[2:], " ")
 	id := app.CreateTimerHandler(time.Duration(ms)*time.Millisecond, func() {
-		if _, err := in.Eval(script); err != nil {
+		if _, err := in.GlobalEval(script); err != nil {
 			app.BackgroundError("after script", err)
 		}
 	})
@@ -289,7 +289,7 @@ func (app *App) cmdSelection(in *tcl.Interp, args []string) (string, error) {
 		}
 		script := args[3]
 		app.SetSelectionHandler(w, func() string {
-			res, err := in.Eval(script)
+			res, err := in.GlobalEval(script)
 			if err != nil {
 				app.BackgroundError("selection handler", err)
 				return ""
@@ -512,7 +512,7 @@ func (app *App) cmdTkwait(in *tcl.Interp, args []string) (string, error) {
 	switch args[1] {
 	case "variable":
 		done := false
-		in.TraceVar(args[2], "w", func(*tcl.Interp, string, string, string) {
+		in.TraceGlobal(args[2], "w", func(*tcl.Interp, string, string, string) {
 			done = true
 		})
 		for !done && !app.Quitting() {

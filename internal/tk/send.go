@@ -138,11 +138,12 @@ func (app *App) lookupApp(name string) (xproto.ID, error) {
 }
 
 // Send invokes a Tcl command in the named application and returns its
-// result — the paper's remote procedure call. Sending to ourselves simply
-// evaluates locally (as Tk does).
+// result — the paper's remote procedure call. The target evaluates it
+// at global level, and sending to ourselves simply evaluates locally, as
+// Tk does.
 func (app *App) Send(target, script string) (string, error) {
 	if target == app.Name {
-		return app.Interp.Eval(script)
+		return app.Interp.GlobalEval(script)
 	}
 	commXID, err := app.lookupApp(target)
 	if err != nil {
@@ -225,7 +226,7 @@ func (app *App) handleCommEvent(ev *xproto.Event) {
 			if err != nil {
 				continue
 			}
-			result, evalErr := app.Interp.Eval(parts[2])
+			result, evalErr := app.Interp.GlobalEval(parts[2])
 			code := "0"
 			if evalErr != nil {
 				code = "1"

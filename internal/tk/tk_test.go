@@ -746,6 +746,45 @@ func TestTkwaitVariable(t *testing.T) {
 	}
 }
 
+// TestEventScriptsRunGlobally: bindings, after and after idle scripts
+// and send run in the global frame even when a procedure enters the
+// event loop, as Tcl_GlobalEval has them.
+func TestEventScriptsRunGlobally(t *testing.T) {
+	app, _ := newTestApp(t)
+	w := mkWindow(t, app, ".x", 100, 100)
+	app.MustEval(`pack append . .x {top}; bind .x <Button-1> {set b $x}`)
+	app.Update()
+	rx, ry := w.RootCoords()
+	app.Disp.WarpPointer(rx+10, ry+10)
+	app.Disp.FakeButton(1, true)
+	app.Disp.FakeButton(1, false)
+	app.MustEval(`set x global; set r unset; set s unset; set b unset`)
+	app.MustEval(`proc p {} {set x local; after 0 {set r $x}; after idle {set s $x}; update; send test {set x}}`)
+	if got := app.MustEval(`p`); got != "global" {
+		t.Fatalf("send to self read x as %q, want the global x", got)
+	}
+	if got := app.MustEval(`list $r $s $b`); got != "global global global" {
+		t.Fatalf("after, after idle and the binding read x as %q, want the global x each time", got)
+	}
+}
+
+// TestTkwaitVariableInProc: tkwait variable waits on the global
+// variable, the one an after script running globally sets. A guard
+// timer ends the wait if the two disagree.
+func TestTkwaitVariableInProc(t *testing.T) {
+	app, _ := newTestApp(t)
+	app.MustEval(`set guard [after 5000 {destroy .}]`)
+	app.MustEval(`proc w {} {after 10 {set done 1}; tkwait variable done}`)
+	app.MustEval(`w`)
+	if app.Quitting() {
+		t.Fatal("tkwait variable done, called in a proc, still waited after 5 s")
+	}
+	app.MustEval(`after cancel $guard`)
+	if got, err := app.Interp.GetGlobal("done"); got != "1" {
+		t.Fatalf("global done = %q, %v", got, err)
+	}
+}
+
 func TestConfigFramework(t *testing.T) {
 	app, _ := newTestApp(t)
 	mkWindow(t, app, ".b", 10, 10)

@@ -181,7 +181,7 @@ func (bt *Button) watchVariable() {
 			bt.win.ScheduleRedraw()
 		}
 	}
-	bt.app.Interp.TraceVar(name, "wu", func(*tcl.Interp, string, string, string) {
+	bt.app.Interp.TraceGlobal(name, "wu", func(*tcl.Interp, string, string, string) {
 		if !bt.win.Destroyed {
 			update()
 		}

@@ -69,7 +69,7 @@ func (e *Entry) watchVariable() {
 	if v, err := e.app.Interp.GetGlobal(name); err == nil {
 		e.setText(v, false)
 	}
-	e.app.Interp.TraceVar(name, "w", func(*tcl.Interp, string, string, string) {
+	e.app.Interp.TraceGlobal(name, "w", func(*tcl.Interp, string, string, string) {
 		if e.win.Destroyed {
 			return
 		}

@@ -238,7 +238,7 @@ func (b *base) eval(context, script string) {
 	if strings.TrimSpace(script) == "" {
 		return
 	}
-	if _, err := b.app.Interp.Eval(script); err != nil {
+	if _, err := b.app.Interp.GlobalEval(script); err != nil {
 		b.app.BackgroundError(context, err)
 	}
 }

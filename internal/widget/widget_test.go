@@ -389,6 +389,33 @@ func TestEntryTextvariable(t *testing.T) {
 	}
 }
 
+// TestWidgetsUseGlobals: -textvariable and -variable name global
+// variables, as in Tk, even for a widget created inside a procedure, and
+// a -command runs at global level even when a procedure invokes it.
+func TestWidgetsUseGlobals(t *testing.T) {
+	app, _ := newApp(t)
+	app.MustEval(`set name before; set mode off; set x global`)
+	app.MustEval(`proc mk {} {
+		set x local
+		entry .e -textvariable name
+		checkbutton .c -variable mode -onvalue on -offvalue off
+		button .b -command {set r $x}
+		.b invoke
+	}`)
+	app.MustEval(`mk`)
+	if got := app.MustEval(`set r`); got != "global" {
+		t.Fatalf("-command read x as %q, want the global x", got)
+	}
+	app.MustEval(`set name after; set mode on`)
+	if got := app.MustEval(`.e get`); got != "after" {
+		t.Fatalf(".e get = %q after the global name changed", got)
+	}
+	app.MustEval(`.c invoke`)
+	if got := app.MustEval(`set mode`); got != "off" {
+		t.Fatalf("mode = %q after invoking the checkbutton that showed it on", got)
+	}
+}
+
 func TestScale(t *testing.T) {
 	app, _ := newApp(t)
 	app.MustEval(`scale .s -from 0 -to 100 -length 120 -command {set scaleval}`)
