@@ -29,6 +29,23 @@ func TestTkerrorHook(t *testing.T) {
 	}
 }
 
+// TestTkerrorRunsGlobally: tkerror runs at global level, as Tk runs it,
+// not in the frame of the procedure that entered the event loop, and
+// receives a message with list-special characters intact.
+func TestTkerrorRunsGlobally(t *testing.T) {
+	app, _ := newTestApp(t)
+	app.MustEval(`set x global; proc tkerror {msg} {upvar x y; global seen; set seen $y}`)
+	app.MustEval(`proc p {} {set x local; after 0 {error boom}; update}; p`)
+	if got := app.MustEval(`set seen`); got != "global" {
+		t.Fatalf("tkerror's upvar x read %q, want the global x", got)
+	}
+	app.MustEval(`proc tkerror {msg} {global seen; set seen $msg}`)
+	app.MustEval(`after 0 [list error {a {b} "c; $d [e]}]; update`)
+	if got := app.MustEval(`set seen`); got != `a {b} "c; $d [e]` {
+		t.Fatalf("tkerror received %q", got)
+	}
+}
+
 // TestTclSelectionHandle: selection handlers written in Tcl (§3.6).
 func TestTclSelectionHandle(t *testing.T) {
 	app, _ := newTestApp(t)

@@ -556,14 +556,14 @@ func (app *App) MustEval(script string) string {
 
 // BackgroundError reports an error from an asynchronously executed Tcl
 // command (an event binding, timer or send). If the application defines a
-// tkerror procedure it is invoked with the message (as in Tk); otherwise
-// the error is printed to the interpreter's output.
+// tkerror procedure it is invoked at global level with the message (as in
+// Tk); otherwise the error is printed to the interpreter's output.
 func (app *App) BackgroundError(context string, err error) {
 	if err == nil {
 		return
 	}
 	if app.Interp.HasCommand("tkerror") {
-		if _, herr := app.Interp.Call("tkerror", err.Error()); herr == nil {
+		if _, herr := app.Interp.GlobalEval(tcl.FormatList([]string{"tkerror", err.Error()})); herr == nil {
 			return
 		}
 	}

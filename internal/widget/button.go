@@ -36,7 +36,16 @@ type Button struct {
 	indicatorSize int
 }
 
-func buttonSpecs(kind int) []tk.OptionSpec {
+// buttonSpecs holds the option table of each button kind, built once on
+// first use.
+var buttonSpecs = [...]optionTable{
+	kindLabel:  {build: func() []tk.OptionSpec { return makeButtonSpecs(kindLabel) }},
+	kindButton: {build: func() []tk.OptionSpec { return makeButtonSpecs(kindButton) }},
+	kindCheck:  {build: func() []tk.OptionSpec { return makeButtonSpecs(kindCheck) }},
+	kindRadio:  {build: func() []tk.OptionSpec { return makeButtonSpecs(kindRadio) }},
+}
+
+func makeButtonSpecs(kind int) []tk.OptionSpec {
 	specs := standardSpecs(DefBackground)
 	specs = append(specs,
 		tk.OptionSpec{Name: "-text", DBName: "text", DBClass: "Text", Default: ""},
@@ -98,7 +107,7 @@ func registerButtons(app *tk.App) {
 			if len(args) < 2 {
 				return "", fmt.Errorf(`wrong # args: should be "%s pathName ?options?"`, args[0])
 			}
-			b, err := newBase(app, args[1], classFor(kind), buttonSpecs(kind), false)
+			b, err := newBase(app, args[1], classFor(kind), buttonSpecs[kind].get(), false)
 			if err != nil {
 				return "", err
 			}

@@ -39,20 +39,21 @@ type canvasItem struct {
 	tags   []string
 }
 
-func canvasSpecs() []tk.OptionSpec {
+// canvasSpecs is the Canvas option table, built once on first use.
+var canvasSpecs = optionTable{build: func() []tk.OptionSpec {
 	specs := standardSpecs("White")
 	return append(specs,
 		tk.OptionSpec{Name: "-width", DBName: "width", DBClass: "Width", Default: "200"},
 		tk.OptionSpec{Name: "-height", DBName: "height", DBClass: "Height", Default: "150"},
 	)
-}
+}}
 
 func registerCanvas(app *tk.App) {
 	app.Interp.Register("canvas", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) < 2 {
 			return "", fmt.Errorf(`wrong # args: should be "canvas pathName ?options?"`)
 		}
-		b, err := newBase(app, args[1], "Canvas", canvasSpecs(), false)
+		b, err := newBase(app, args[1], "Canvas", canvasSpecs.get(), false)
 		if err != nil {
 			return "", err
 		}

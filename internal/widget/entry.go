@@ -23,7 +23,8 @@ type Entry struct {
 	selTo   int
 }
 
-func entrySpecs() []tk.OptionSpec {
+// entrySpecs is the Entry option table, built once on first use.
+var entrySpecs = optionTable{build: func() []tk.OptionSpec {
 	specs := standardSpecs("White")
 	for i := range specs {
 		if specs[i].Name == "-relief" {
@@ -35,14 +36,14 @@ func entrySpecs() []tk.OptionSpec {
 		tk.OptionSpec{Name: "-textvariable", DBName: "textVariable", DBClass: "Variable", Default: ""},
 		tk.OptionSpec{Name: "-selectbackground", DBName: "selectBackground", DBClass: "Foreground", Default: DefSelectBackground},
 	)
-}
+}}
 
 func registerEntry(app *tk.App) {
 	app.Interp.Register("entry", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) < 2 {
 			return "", fmt.Errorf(`wrong # args: should be "entry pathName ?options?"`)
 		}
-		b, err := newBase(app, args[1], "Entry", entrySpecs(), false)
+		b, err := newBase(app, args[1], "Entry", entrySpecs.get(), false)
 		if err != nil {
 			return "", err
 		}

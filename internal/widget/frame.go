@@ -14,14 +14,15 @@ type Frame struct {
 	base
 }
 
-func frameSpecs() []tk.OptionSpec {
+// frameSpecs is the Frame and Toplevel option table, built once on first use.
+var frameSpecs = optionTable{build: func() []tk.OptionSpec {
 	specs := standardSpecs(DefBackground)
 	return append(specs,
 		tk.OptionSpec{Name: "-width", DBName: "width", DBClass: "Width", Default: "0"},
 		tk.OptionSpec{Name: "-height", DBName: "height", DBClass: "Height", Default: "0"},
 		tk.OptionSpec{Name: "-geometry", DBName: "geometry", DBClass: "Geometry", Default: ""},
 	)
-}
+}}
 
 func registerFrame(app *tk.App) {
 	create := func(top bool) tcl.CmdFunc {
@@ -33,7 +34,7 @@ func registerFrame(app *tk.App) {
 			if top {
 				class = "Toplevel"
 			}
-			b, err := newBase(app, args[1], class, frameSpecs(), top)
+			b, err := newBase(app, args[1], class, frameSpecs.get(), top)
 			if err != nil {
 				return "", err
 			}

@@ -26,7 +26,8 @@ type Listbox struct {
 	anchor            int
 }
 
-func listboxSpecs() []tk.OptionSpec {
+// listboxSpecs is the Listbox option table, built once on first use.
+var listboxSpecs = optionTable{build: func() []tk.OptionSpec {
 	specs := standardSpecs(DefBackground)
 	return append(specs,
 		tk.OptionSpec{Name: "-scroll", DBName: "scrollCommand", DBClass: "ScrollCommand", Default: ""},
@@ -34,14 +35,14 @@ func listboxSpecs() []tk.OptionSpec {
 		tk.OptionSpec{Name: "-geometry", DBName: "geometry", DBClass: "Geometry", Default: "15x10"},
 		tk.OptionSpec{Name: "-selectbackground", DBName: "selectBackground", DBClass: "Foreground", Default: DefSelectBackground},
 	)
-}
+}}
 
 func registerListbox(app *tk.App) {
 	app.Interp.Register("listbox", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) < 2 {
 			return "", fmt.Errorf(`wrong # args: should be "listbox pathName ?options?"`)
 		}
-		b, err := newBase(app, args[1], "Listbox", listboxSpecs(), false)
+		b, err := newBase(app, args[1], "Listbox", listboxSpecs.get(), false)
 		if err != nil {
 			return "", err
 		}

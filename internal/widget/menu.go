@@ -33,7 +33,8 @@ type Menu struct {
 	posted  bool
 }
 
-func menuSpecs() []tk.OptionSpec {
+// menuSpecs is the Menu option table, built once on first use.
+var menuSpecs = optionTable{build: func() []tk.OptionSpec {
 	specs := standardSpecs(DefBackground)
 	for i := range specs {
 		if specs[i].Name == "-relief" {
@@ -43,14 +44,14 @@ func menuSpecs() []tk.OptionSpec {
 	return append(specs,
 		tk.OptionSpec{Name: "-activebackground", DBName: "activeBackground", DBClass: "Foreground", Default: DefActiveBackground},
 	)
-}
+}}
 
 func registerMenu(app *tk.App) {
 	app.Interp.Register("menu", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) < 2 {
 			return "", fmt.Errorf(`wrong # args: should be "menu pathName ?options?"`)
 		}
-		b, err := newBase(app, args[1], "Menu", menuSpecs(), true)
+		b, err := newBase(app, args[1], "Menu", menuSpecs.get(), true)
 		if err != nil {
 			return "", err
 		}
@@ -312,7 +313,8 @@ type Menubutton struct {
 	active bool
 }
 
-func menubuttonSpecs() []tk.OptionSpec {
+// menubuttonSpecs is the Menubutton option table, built once on first use.
+var menubuttonSpecs = optionTable{build: func() []tk.OptionSpec {
 	specs := standardSpecs(DefBackground)
 	for i := range specs {
 		if specs[i].Name == "-relief" {
@@ -326,14 +328,14 @@ func menubuttonSpecs() []tk.OptionSpec {
 		tk.OptionSpec{Name: "-padx", DBName: "padX", DBClass: "Pad", Default: "4"},
 		tk.OptionSpec{Name: "-pady", DBName: "padY", DBClass: "Pad", Default: "2"},
 	)
-}
+}}
 
 func registerMenubutton(app *tk.App) {
 	app.Interp.Register("menubutton", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) < 2 {
 			return "", fmt.Errorf(`wrong # args: should be "menubutton pathName ?options?"`)
 		}
-		b, err := newBase(app, args[1], "Menubutton", menubuttonSpecs(), false)
+		b, err := newBase(app, args[1], "Menubutton", menubuttonSpecs.get(), false)
 		if err != nil {
 			return "", err
 		}

@@ -15,7 +15,8 @@ type Message struct {
 	lines []string
 }
 
-func messageSpecs() []tk.OptionSpec {
+// messageSpecs is the Message option table, built once on first use.
+var messageSpecs = optionTable{build: func() []tk.OptionSpec {
 	specs := standardSpecs(DefBackground)
 	return append(specs,
 		tk.OptionSpec{Name: "-text", DBName: "text", DBClass: "Text", Default: ""},
@@ -25,14 +26,14 @@ func messageSpecs() []tk.OptionSpec {
 		tk.OptionSpec{Name: "-padx", DBName: "padX", DBClass: "Pad", Default: "4"},
 		tk.OptionSpec{Name: "-pady", DBName: "padY", DBClass: "Pad", Default: "2"},
 	)
-}
+}}
 
 func registerMessage(app *tk.App) {
 	app.Interp.Register("message", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) < 2 {
 			return "", fmt.Errorf(`wrong # args: should be "message pathName ?options?"`)
 		}
-		b, err := newBase(app, args[1], "Message", messageSpecs(), false)
+		b, err := newBase(app, args[1], "Message", messageSpecs.get(), false)
 		if err != nil {
 			return "", err
 		}

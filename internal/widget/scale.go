@@ -18,7 +18,8 @@ type Scale struct {
 	dragging bool
 }
 
-func scaleSpecs() []tk.OptionSpec {
+// scaleSpecs is the Scale option table, built once on first use.
+var scaleSpecs = optionTable{build: func() []tk.OptionSpec {
 	specs := standardSpecs(DefBackground)
 	return append(specs,
 		tk.OptionSpec{Name: "-command", DBName: "command", DBClass: "Command", Default: ""},
@@ -31,14 +32,14 @@ func scaleSpecs() []tk.OptionSpec {
 		tk.OptionSpec{Name: "-showvalue", DBName: "showValue", DBClass: "ShowValue", Default: "1"},
 		tk.OptionSpec{Name: "-sliderlength", DBName: "sliderLength", DBClass: "SliderLength", Default: "25"},
 	)
-}
+}}
 
 func registerScale(app *tk.App) {
 	app.Interp.Register("scale", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) < 2 {
 			return "", fmt.Errorf(`wrong # args: should be "scale pathName ?options?"`)
 		}
-		b, err := newBase(app, args[1], "Scale", scaleSpecs(), false)
+		b, err := newBase(app, args[1], "Scale", scaleSpecs.get(), false)
 		if err != nil {
 			return "", err
 		}

@@ -28,7 +28,8 @@ type Scrollbar struct {
 	dragOffset int
 }
 
-func scrollbarSpecs() []tk.OptionSpec {
+// scrollbarSpecs is the Scrollbar option table, built once on first use.
+var scrollbarSpecs = optionTable{build: func() []tk.OptionSpec {
 	specs := standardSpecs(DefBackground)
 	for i := range specs {
 		if specs[i].Name == "-relief" {
@@ -41,14 +42,14 @@ func scrollbarSpecs() []tk.OptionSpec {
 		tk.OptionSpec{Name: "-width", DBName: "width", DBClass: "Width", Default: "15"},
 		tk.OptionSpec{Name: "-length", DBName: "length", DBClass: "Length", Default: "100"},
 	)
-}
+}}
 
 func registerScrollbar(app *tk.App) {
 	app.Interp.Register("scrollbar", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) < 2 {
 			return "", fmt.Errorf(`wrong # args: should be "scrollbar pathName ?options?"`)
 		}
-		b, err := newBase(app, args[1], "Scrollbar", scrollbarSpecs(), false)
+		b, err := newBase(app, args[1], "Scrollbar", scrollbarSpecs.get(), false)
 		if err != nil {
 			return "", err
 		}

@@ -58,7 +58,8 @@ type textRange struct {
 	endLine, endChar     int
 }
 
-func textSpecs() []tk.OptionSpec {
+// textSpecs is the Text option table, built once on first use.
+var textSpecs = optionTable{build: func() []tk.OptionSpec {
 	specs := standardSpecs("White")
 	for i := range specs {
 		if specs[i].Name == "-relief" {
@@ -71,14 +72,14 @@ func textSpecs() []tk.OptionSpec {
 		tk.OptionSpec{Name: "-scroll", DBName: "scrollCommand", DBClass: "ScrollCommand", Default: ""},
 		tk.OptionSpec{Name: "-yscroll", Synonym: "-scroll"},
 	)
-}
+}}
 
 func registerText(app *tk.App) {
 	app.Interp.Register("text", func(in *tcl.Interp, args []string) (string, error) {
 		if len(args) < 2 {
 			return "", fmt.Errorf(`wrong # args: should be "text pathName ?options?"`)
 		}
-		b, err := newBase(app, args[1], "Text", textSpecs(), false)
+		b, err := newBase(app, args[1], "Text", textSpecs.get(), false)
 		if err != nil {
 			return "", err
 		}

@@ -10,6 +10,7 @@ package widget
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/tcl"
 	"repro/internal/tk"
@@ -241,6 +242,22 @@ func (b *base) eval(context, script string) {
 	if _, err := b.app.Interp.GlobalEval(script); err != nil {
 		b.app.BackgroundError(context, err)
 	}
+}
+
+// optionTable is a widget class's option table, built once on first use,
+// as Tk's static Tk_ConfigSpec arrays are built once: every widget of the
+// class shares it, and nothing writes to a table once it is built. A
+// table is a package-level value, so a process that makes no widget of
+// the class holds none of it on the heap.
+type optionTable struct {
+	once  sync.Once
+	build func() []tk.OptionSpec
+	specs []tk.OptionSpec
+}
+
+func (t *optionTable) get() []tk.OptionSpec {
+	t.once.Do(func() { t.specs = t.build() })
+	return t.specs
 }
 
 // standardSpecs returns the option specs shared by most widgets.

@@ -317,8 +317,9 @@ func (f *Farm) ConnectPipe() net.Conn {
 }
 
 // Evict forcibly retires a session: it is removed from the registry
-// under sessMu, then — lock released — its server is closed, which
-// severs its clients and runs the ordinary per-connection cleanup.
+// and counted under sessMu, then — lock released — its server is
+// closed, which severs its clients and runs the ordinary
+// per-connection cleanup.
 // Reports whether the session existed. Other tenants are untouchable
 // by construction: the victim's server holds no other session's state.
 func (f *Farm) Evict(name string) bool {
@@ -327,21 +328,22 @@ func (f *Farm) Evict(name string) bool {
 	if sess != nil {
 		delete(f.sessions, name)
 		f.sessionsGauge.Set(int64(len(f.sessions)))
+		f.evictions.Inc()
 	}
 	f.sessMu.Unlock()
 	if sess == nil {
 		return false
 	}
 	sess.srv.Close()
-	f.evictions.Inc()
 	return true
 }
 
 // sweepIdle evicts every session idle past the deadline, including ones
 // with parked connections (an idle wish holding its pipe open does not
 // pin its session — its connection is severed with the session).
-// Victims are collected under sessMu and destroyed after it is
-// released. Returns the number evicted.
+// Victims are collected and counted under sessMu, so no reader sees a
+// session gone before its eviction is counted, and destroyed after the
+// lock is released. Returns the number evicted.
 func (f *Farm) sweepIdle(now time.Time) int {
 	f.sweeps.Inc()
 	cutoff := now.Add(-f.idleEvict).UnixNano()
@@ -354,10 +356,10 @@ func (f *Farm) sweepIdle(now time.Time) int {
 		}
 	}
 	f.sessionsGauge.Set(int64(len(f.sessions)))
+	f.evictions.Add(uint64(len(victims)))
 	f.sessMu.Unlock()
 	for _, sess := range victims {
 		sess.srv.Close()
-		f.evictions.Inc()
 	}
 	return len(victims)
 }

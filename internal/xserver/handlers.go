@@ -171,32 +171,39 @@ func (s *Server) handle(c *conn, req xproto.Request) *screenshot {
 	// --- Drawing. ----------------------------------------------------
 	case *xproto.PolyLineReq:
 		if gc, im := s.gcs[q.Gc], s.drawable(q.Drawable); gc != nil && im != nil {
+			begin := time.Now()
 			for i := 0; i+1 < len(q.Points); i++ {
 				im.drawLine(int(q.Points[i].X), int(q.Points[i].Y),
 					int(q.Points[i+1].X), int(q.Points[i+1].Y), gc.lineWidth, gc.foreground)
 			}
+			s.render.line.Observe(time.Since(begin))
 		}
 	case *xproto.PolySegmentReq:
 		if gc, im := s.gcs[q.Gc], s.drawable(q.Drawable); gc != nil && im != nil {
+			begin := time.Now()
 			for i := 0; i+1 < len(q.Points); i += 2 {
 				im.drawLine(int(q.Points[i].X), int(q.Points[i].Y),
 					int(q.Points[i+1].X), int(q.Points[i+1].Y), gc.lineWidth, gc.foreground)
 			}
+			s.render.line.Observe(time.Since(begin))
 		}
 	case *xproto.PolyRectangleReq:
 		if gc, im := s.gcs[q.Gc], s.drawable(q.Drawable); gc != nil && im != nil {
+			begin := time.Now()
 			for _, rc := range q.Rects {
 				im.drawRect(int(rc.X), int(rc.Y), int(rc.W), int(rc.H), gc.lineWidth, gc.foreground)
 			}
+			s.render.line.Observe(time.Since(begin))
 		}
 	case *xproto.FillPolyReq:
 		if gc, im := s.gcs[q.Gc], s.drawable(q.Drawable); gc != nil && im != nil {
+			begin := time.Now()
 			im.fillPoly(q.Points, gc.foreground)
+			s.render.fill.Observe(time.Since(begin))
 		}
 	case *xproto.PolyFillRectangleReq:
-		// The dominant opcode by volume: the whole rect list is one
-		// clipped batch pass, large fills fan out across the render
-		// pool, and the batch service time lands in render.fill.
+		// The dominant opcode by volume: its rectangles fill in order,
+		// and the request's service time lands in render.fill.
 		if gc := s.gcs[q.Gc]; gc != nil {
 			begin := time.Now()
 			if im := s.drawable(q.Drawable); im != nil {

@@ -1,6 +1,10 @@
 package xserver
 
-import "repro/internal/xproto"
+import (
+	"math/bits"
+
+	"repro/internal/xproto"
+)
 
 // image is a server-side pixel buffer: the backing store of a window or
 // pixmap. Pixels are packed 0x00RRGGBB.
@@ -13,13 +17,12 @@ import "repro/internal/xproto"
 // no slab while it is solid — one colour, as every window is between
 // a background fill and its first non-uniform drawing — and gets one
 // on its first partial write. Slabs of the bottom tile row hold only
-// the rows inside the image. Each tile carries a version (bumped on
-// every write acquisition), a dirty flag (damage since the last
-// snapshot) and a shared flag (a snapshot aliases the slab; the next
-// writer clones it first).
+// the rows inside the image. Each tile carries a dirty flag (damage
+// since the last snapshot) and a shared flag (a snapshot aliases the
+// slab; the next writer clones it first).
 //
 // Concurrency: an image has no lock of its own. All tile state — slab
-// pointers, versions, dirty and shared flags — is guarded by the
+// pointers, dirty and shared flags — is guarded by the
 // server's mu, exactly like the pixels were before tiling. A snapshot
 // taken under that lock is immutable afterwards and may be read with no
 // lock at all: writers never mutate a shared slab, they replace it.
@@ -38,11 +41,10 @@ const (
 
 // tile is one 64×64 cell plus its damage-tracking state.
 type tile struct {
-	px      []uint32 // nil while solid; else the in-image rows × 64 pixels, row-major
-	solid   uint32   // the value of every pixel while px is nil
-	version uint64   // bumped on every write acquisition
-	shared  bool     // a snapshot aliases px: clone before writing
-	dirty   bool     // written since the last snapshot
+	px     []uint32 // nil while solid; else the in-image rows × 64 pixels, row-major
+	solid  uint32   // the value of every pixel while px is nil
+	shared bool     // a snapshot aliases px: clone before writing
+	dirty  bool     // written since the last snapshot
 }
 
 func newImage(w, h int) *image { return newImageM(w, h, nil) }
@@ -76,10 +78,8 @@ func newFilledImage(w, h int, pixel uint32, m *renderMetrics) *image {
 	return im
 }
 
-// touch records a write acquisition of t: the version is bumped and a
-// clean tile is marked dirty.
+// touch records a write to t: a clean tile is marked dirty.
 func (im *image) touch(t *tile) {
-	t.version++
 	if !t.dirty {
 		t.dirty = true
 		if im.m != nil {
@@ -122,7 +122,7 @@ func (im *image) snapshot() *image {
 		t := &im.tiles[i]
 		t.shared = true
 		t.dirty = false
-		sn.tiles[i] = tile{px: t.px, solid: t.solid, version: t.version}
+		sn.tiles[i] = tile{px: t.px, solid: t.solid}
 	}
 	if im.m != nil {
 		im.m.tilesSnapshot.Add(uint64(len(im.tiles)))
@@ -141,14 +141,6 @@ func (im *image) damagedTiles() int {
 	return n
 }
 
-func (im *image) set(x, y int, pixel uint32) {
-	if x < 0 || y < 0 || x >= im.w || y >= im.h {
-		return
-	}
-	t := im.writableTile(x>>tileShift, y>>tileShift)
-	t.px[(y&tileMask)<<tileShift|(x&tileMask)] = pixel
-}
-
 func (im *image) get(x, y int) uint32 {
 	if x < 0 || y < 0 || x >= im.w || y >= im.h {
 		return 0
@@ -160,10 +152,19 @@ func (im *image) get(x, y int) uint32 {
 	return t.px[(y&tileMask)<<tileShift|(x&tileMask)]
 }
 
-// fillSpan pattern-fills a contiguous span by doubling copies: one
-// store, then log2(n) memmoves, instead of one store per pixel.
+// shortSpan is the longest span fillSpan stores pixel by pixel: below
+// it a memmove's call costs more than the stores. BenchmarkDrawLines,
+// whose wide-line rows are mostly this short, ran about 10% faster with
+// any limit from 8 to 64 than with none; 16 sits in that flat range.
+const shortSpan = 16
+
+// fillSpan fills a contiguous span: a short one by plain stores, a
+// longer one by doubling copies (one store, then log2(n) memmoves).
 func fillSpan(s []uint32, pixel uint32) {
-	if len(s) == 0 {
+	if len(s) <= shortSpan {
+		for i := range s {
+			s[i] = pixel
+		}
 		return
 	}
 	s[0] = pixel
@@ -172,20 +173,15 @@ func fillSpan(s []uint32, pixel uint32) {
 	}
 }
 
-// fillRect fills a clipped rectangle.
+// fillRect fills a rectangle, clipped to the image, one tile at a time:
+// the first covered row of each tile is filled, the rest are row copies
+// of it.
 func (im *image) fillRect(x, y, w, h int, pixel uint32) {
 	x0, y0 := max(x, 0), max(y, 0)
 	x1, y1 := min(x+w, im.w), min(y+h, im.h)
 	if x0 >= x1 || y0 >= y1 {
 		return
 	}
-	im.fillClipped(x0, y0, x1, y1, pixel)
-}
-
-// fillClipped fills [x0,x1)×[y0,y1), already clipped to the image, one
-// tile at a time: the first covered row of each tile is pattern-filled,
-// the rest are row copies of it.
-func (im *image) fillClipped(x0, y0, x1, y1 int, pixel uint32) {
 	for ty := y0 >> tileShift; ty <= (y1-1)>>tileShift; ty++ {
 		im.fillTileRow(ty, x0, y0, x1, y1, pixel)
 	}
@@ -235,29 +231,10 @@ func (im *image) fillTileRow(ty, x0, y0, x1, y1 int, pixel uint32) {
 }
 
 // fillRects fills a batch of rectangles (one PolyFillRectangle request)
-// in a single clipped pass, fanning the tile rows of large fills out
-// across the render worker pool. Tile rows of one rectangle are
-// disjoint tile sets, so the workers never touch the same tile; the
-// rectangles themselves run in order, preserving overlap semantics.
+// in order, so later rectangles paint over earlier ones.
 func (im *image) fillRects(rects []xproto.Rect, pixel uint32) {
 	for _, rc := range rects {
-		x, y, w, h := int(rc.X), int(rc.Y), int(rc.W), int(rc.H)
-		x0, y0 := max(x, 0), max(y, 0)
-		x1, y1 := min(x+w, im.w), min(y+h, im.h)
-		if x0 >= x1 || y0 >= y1 {
-			continue
-		}
-		ty0, ty1 := y0>>tileShift, (y1-1)>>tileShift
-		if (x1-x0)*(y1-y0) >= parallelFillMin && ty1 > ty0 && parallelizeFills() {
-			if im.m != nil {
-				im.m.parallelFills.Inc()
-			}
-			parallelTileRows(ty0, ty1, func(ty int) {
-				im.fillTileRow(ty, x0, y0, x1, y1, pixel)
-			})
-			continue
-		}
-		im.fillClipped(x0, y0, x1, y1, pixel)
+		im.fillRect(int(rc.X), int(rc.Y), int(rc.W), int(rc.H), pixel)
 	}
 }
 
@@ -272,56 +249,67 @@ func (im *image) drawRect(x, y, w, h, lw int, pixel uint32) {
 	im.fillRect(x+w-lw, y, lw, h, pixel) // right
 }
 
-// drawLine draws a 1-pixel Bresenham line, thickened for lw > 1.
-// Horizontal and vertical lines — the overwhelming majority of what
-// widgets draw (borders, separators, reliefs) — collapse to one
-// row-wise rectangle fill; only true diagonals walk pixel by pixel.
+// drawLine draws a 1-pixel Bresenham line from (x0, y0) to (x1, y1),
+// thickened for lw > 1 to an lw×lw square at every point, one span per
+// row. The walk runs once, in the direction the segment was given: the
+// variant is not symmetric, so swapping the endpoints can move pixels.
+//
+// The walk's points form row-runs, one per y. Along a segment x moves
+// one way only, so on each row the squares cover one span: from where
+// the walk entered the oldest run whose square reaches that row to
+// where it left the newest. A row is final when the walk leaves the
+// newest run that reaches it (the last run finishes lw rows), and a
+// ring of the last lw entry points holds the rest. Consecutive rows
+// with the same span — all of a horizontal or vertical line — share one
+// fillRect.
 func (im *image) drawLine(x0, y0, x1, y1, lw int, pixel uint32) {
-	if lw < 1 {
-		lw = 1
-	}
-	r := 0
-	if lw > 1 {
-		r = lw / 2
-	}
-	if y0 == y1 {
-		lx := min(x0, x1)
-		if lw <= 1 {
-			im.fillRect(lx, y0, abs(x1-x0)+1, 1, pixel)
-		} else {
-			im.fillRect(lx-r, y0-r, abs(x1-x0)+lw, lw, pixel)
-		}
-		return
-	}
-	if x0 == x1 {
-		ly := min(y0, y1)
-		if lw <= 1 {
-			im.fillRect(x0, ly, 1, abs(y1-y0)+1, pixel)
-		} else {
-			im.fillRect(x0-r, ly-r, lw, abs(y1-y0)+lw, pixel)
-		}
-		return
-	}
-	dx := abs(x1 - x0)
-	dy := -abs(y1 - y0)
-	sx := 1
+	lw = max(lw, 1)
+	r := lw / 2
+	dx, dy := abs(x1-x0), -abs(y1-y0)
+	sx, sy := 1, 1
 	if x0 > x1 {
 		sx = -1
 	}
-	sy := 1
 	if y0 > y1 {
 		sy = -1
 	}
-	err := dx + dy
-	for {
-		if lw <= 1 {
-			im.set(x0, y0, pixel)
-		} else {
-			im.fillRect(x0-r, y0-r, lw, lw, pixel)
+	// lead is the offset from a run's y to the row of its square the
+	// walk finishes first: the top one going down, the bottom going up.
+	lead := -r
+	if sy < 0 {
+		lead = lw - 1 - r
+	}
+	// The ring's length is a power of two of at least lw, so a run's
+	// slot is its number masked.
+	var ringBuf [16]int
+	ring := ringBuf[:]
+	if lw > len(ring) {
+		ring = make([]int, 1<<bits.Len(uint(lw-1)))
+	}
+	mask := len(ring) - 1
+
+	// The pending rectangle: span [rx0, rx1) on rn rows from ry on, in
+	// the walk's direction.
+	var rx0, rx1, ry, rn int
+	flush := func() {
+		if rn > 0 {
+			im.fillRect(rx0, min(ry, ry+(rn-1)*sy), rx1-rx0, rn, pixel)
 		}
-		if x0 == x1 && y0 == y1 {
+	}
+	row := func(y, enter, leave int) {
+		xa, xb := min(enter, leave)-r, max(enter, leave)-r+lw
+		if rn > 0 && xa == rx0 && xb == rx1 {
+			rn++
 			return
 		}
+		flush()
+		rx0, rx1, ry, rn = xa, xb, y, 1
+	}
+
+	n, err := 0, dx+dy // n numbers the current run; ring[n&mask] is where it was entered
+	ring[0] = x0
+	for x0 != x1 || y0 != y1 {
+		px, py := x0, y0
 		e2 := 2 * err
 		if e2 >= dy {
 			err += dy
@@ -331,12 +319,22 @@ func (im *image) drawLine(x0, y0, x1, y1, lw int, pixel uint32) {
 			err += dx
 			y0 += sy
 		}
+		if y0 != py {
+			row(py+lead, ring[max(0, n-lw+1)&mask], px)
+			n++
+			ring[n&mask] = x0
+		}
 	}
+	for k := 0; k < lw; k++ {
+		row(y0+lead+k*sy, ring[max(0, n-lw+1+k)&mask], x0)
+	}
+	flush()
 }
 
 // fillPoly fills a polygon with the even-odd rule using a scanline
-// algorithm. One crossing buffer is hoisted out of the scanline loop
-// and reused (insertion-sorted in place) across rows.
+// algorithm, one span per pair of crossings. One crossing buffer, on the
+// stack for up to 16 crossings, is reused (insertion-sorted in place)
+// across rows.
 func (im *image) fillPoly(pts []xproto.Point, pixel uint32) {
 	if len(pts) < 3 {
 		return
@@ -348,7 +346,8 @@ func (im *image) fillPoly(pts []xproto.Point, pixel uint32) {
 	}
 	minY = max(minY, 0)
 	maxY = min(maxY, im.h-1)
-	xs := make([]int, 0, 2*len(pts))
+	var xsBuf [16]int
+	xs := xsBuf[:0]
 	n := len(pts)
 	for y := minY; y <= maxY; y++ {
 		xs = xs[:0]

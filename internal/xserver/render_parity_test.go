@@ -57,7 +57,7 @@ func TestRenderParityFillRect(t *testing.T) {
 }
 
 // TestRenderParityFillRects covers the batched PolyFillRectangle path,
-// including a storm large enough to cross the parallel-fill threshold.
+// rectangles overlapping in order and one clipped on every side.
 func TestRenderParityFillRects(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tiled := newImage(1024, 512)
@@ -75,8 +75,7 @@ func TestRenderParityFillRects(t *testing.T) {
 		flat.FillRect(int(r.X), int(r.Y), int(r.W), int(r.H), 0x123456)
 	}
 
-	// One screen-size rect: area far above parallelFillMin, so this
-	// exercises the worker-pool fan-out.
+	// One rect larger than the image, clipped on every side.
 	tiled.fillRects([]xproto.Rect{{X: -8, Y: -8, W: 1040, H: 528}}, 0xabcdef)
 	flat.FillRect(-8, -8, 1040, 528, 0xabcdef)
 	requireSamePixels(t, "fillRects", tiled, flat)
@@ -93,7 +92,7 @@ func TestRenderParityRectAndLine(t *testing.T) {
 		tiled.drawRect(x, y, w, h, lw, px)
 		flat.DrawRect(x, y, w, h, lw, px)
 	}
-	// Horizontal and vertical lines hit the fillRect fast path; make
+	// Horizontal and vertical lines collapse to one rectangle; make
 	// sure both orientations and both directions match the seed's
 	// Bresenham walk, at every width.
 	for lw := 1; lw <= 5; lw++ {
@@ -117,6 +116,57 @@ func TestRenderParityRectAndLine(t *testing.T) {
 	requireSamePixels(t, "rect+line", tiled, flat)
 }
 
+// TestRenderParityLineSweep draws lines of widths 0–9 (and two widths
+// past the ring drawLine keeps on the stack) in both directions into a
+// 150×100 image, whose tile seams sit at x = 64 and 128 and y = 64 and
+// whose bottom tile row is partial. Endpoints fall inside the image or
+// off it on every side. Each batch of four is drawn forwards and then
+// reversed, each time into a cleared image, so that no stray pixel is
+// painted over before the comparison.
+func TestRenderParityLineSweep(t *testing.T) {
+	const w, h = 150, 100
+	rng := rand.New(rand.NewSource(8))
+	coord := func(size int) int {
+		switch rng.Intn(4) {
+		case 0:
+			return -1 - rng.Intn(40) // off the low side
+		case 1:
+			return size + rng.Intn(40) // off the high side
+		default:
+			return rng.Intn(size)
+		}
+	}
+	tiled, flat := newImage(w, h), flatimg.New(w, h)
+	for _, lw := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 24} {
+		segs := [][4]int{
+			{0, 64, w - 1, 64}, {64, 0, 64, h - 1}, {127, -5, 129, h + 5}, // along and across seams
+			{-10, h - 1, w + 10, h - 2}, {3, 63, 140, 65}, {-20, -20, w + 20, h + 20}, // the partial row, diagonals
+			{-30, 10, -2, 90}, {w + 1, -8, w + 30, h + 8}, {10, -30, 140, -2}, {5, h + 1, 145, h + 30}, // wholly off one side
+			{7, 9, 7, 9}, // a single point
+		}
+		for i := 0; i < 100; i++ {
+			segs = append(segs, [4]int{coord(w), coord(h), coord(w), coord(h)})
+		}
+		for i := 0; i < len(segs); i += 4 {
+			batch := segs[i:min(i+4, len(segs))]
+			for _, back := range []bool{false, true} {
+				bg := rng.Uint32() & 0xffffff
+				tiled.fillRect(0, 0, w, h, bg)
+				flat.FillRect(0, 0, w, h, bg)
+				for _, sg := range batch {
+					if back {
+						sg = [4]int{sg[2], sg[3], sg[0], sg[1]}
+					}
+					px := rng.Uint32() & 0xffffff
+					tiled.drawLine(sg[0], sg[1], sg[2], sg[3], lw, px)
+					flat.DrawLine(sg[0], sg[1], sg[2], sg[3], lw, px)
+				}
+				requireSamePixels(t, fmt.Sprintf("lw %d, segments %v, reversed %v", lw, batch, back), tiled, flat)
+			}
+		}
+	}
+}
+
 func TestRenderParityFillPoly(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	tiled := newImage(220, 180)
@@ -135,6 +185,32 @@ func TestRenderParityFillPoly(t *testing.T) {
 		flat.FillPoly(xs, ys, px)
 	}
 	requireSamePixels(t, "fillPoly", tiled, flat)
+
+	// Polygons across the tile seams at 64 and 128 and into the partial
+	// bottom tile row: a triangle and a star around tile corners, and a
+	// comb whose rows cross more edges than fillPoly's stack buffer holds.
+	polys := [][]int{
+		{50, 40, 90, 70, 40, 100},
+		{128, 40, 136, 120, 200, 128, 136, 136, 128, 179, 120, 136, 56, 128, 120, 120},
+	}
+	comb := []int{20, 175}
+	for i := 0; i < 12; i++ {
+		comb = append(comb, 20+i*16, 60, 28+i*16, 150)
+	}
+	comb = append(comb, 212, 175)
+	polys = append(polys, comb)
+	for i, poly := range polys {
+		pts := make([]xproto.Point, len(poly)/2)
+		xs, ys := make([]int, len(pts)), make([]int, len(pts))
+		for j := range pts {
+			xs[j], ys[j] = poly[2*j], poly[2*j+1]
+			pts[j] = xproto.Point{X: int16(xs[j]), Y: int16(ys[j])}
+		}
+		px := 0x102030 * uint32(i+1)
+		tiled.fillPoly(pts, px)
+		flat.FillPoly(xs, ys, px)
+	}
+	requireSamePixels(t, "fillPoly across seams", tiled, flat)
 }
 
 func TestRenderParityText(t *testing.T) {
@@ -276,7 +352,7 @@ func TestRenderParityRandomOps(t *testing.T) {
 			want := flatimg.New(flat.W, flat.H)
 			want.CopyFrom(flat, 0, 0, 0, 0, flat.W, flat.H)
 			snaps = append(snaps, snap{tiled.snapshot(), want})
-			tiled.set(x, y, px)
+			tiled.fillRect(x, y, 1, 1, px)
 			flat.Set(x, y, px)
 		case 9:
 			what = "resize"
@@ -342,7 +418,7 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 	if n := len(fi.tiles[fi.tw].px); n != 0 {
 		t.Fatalf("untouched bottom tile has a slab of %d pixels", n)
 	}
-	fi.set(5, 66, 0x222222)
+	fi.fillRect(5, 66, 1, 1, 0x222222)
 	if n := len(fi.tiles[fi.tw].px); n != (70-tileSize)*tileSize {
 		t.Fatalf("bottom-row slab holds %d pixels, want %d (6 rows)", n, (70-tileSize)*tileSize)
 	}

@@ -46,12 +46,12 @@ import (
 // whose waits land in the "lockwait.tree" histogram.
 //
 // Tile render state needs no lock of its own: a tiled image's slab
-// pointers, versions and copy-on-write shared/dirty flags are guarded by
-// mu like every other pixel. Screenshot snapshots alias slabs under mu
-// and are immutable afterwards (writers clone shared slabs instead of
-// mutating them), so composing and packing a snapshot takes no lock at
-// all; and the render worker pool's fill jobs run while their submitter
-// holds mu, touching disjoint tiles, acquiring nothing (see render.go).
+// pointers and copy-on-write shared/dirty flags are guarded by mu like
+// every other pixel, and every draw request runs inline on the
+// goroutine that dispatches it. Screenshot snapshots alias slabs under
+// mu and are immutable afterwards (writers clone shared slabs instead
+// of mutating them), so composing and packing a snapshot takes no lock
+// at all.
 //
 // lock-order: mu -> conn.outMu
 type Server struct {

@@ -25,8 +25,8 @@ func TestImageFillAndClip(t *testing.T) {
 		t.Fatal("clipped fill")
 	}
 	// set/get out of range are no-ops / zero.
-	im.set(-1, 0, 1)
-	im.set(100, 100, 1)
+	im.fillRect(-1, 0, 1, 1, 1)
+	im.fillRect(100, 100, 1, 1, 1)
 	if im.get(-1, 0) != 0 || im.get(100, 100) != 0 {
 		t.Fatal("out-of-range access")
 	}
@@ -108,7 +108,7 @@ func TestImageFillPoly(t *testing.T) {
 func TestCopyFromOverlap(t *testing.T) {
 	im := newImage(10, 1)
 	for i := 0; i < 10; i++ {
-		im.set(i, 0, uint32(i+1))
+		im.fillRect(i, 0, 1, 1, uint32(i+1))
 	}
 	// Overlapping self-copy shifts right by 2.
 	im.copyFrom(im, 0, 0, 2, 0, 8, 1)

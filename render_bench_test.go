@@ -259,7 +259,7 @@ func TestEmitRenderBench(t *testing.T) {
 	}
 
 	counters := map[string]uint64{}
-	for _, name := range []string{"render.tiles.damaged", "render.tiles.cow", "render.tiles.snapshot", "render.fill.parallel"} {
+	for _, name := range []string{"render.tiles.damaged", "render.tiles.cow", "render.tiles.snapshot"} {
 		counters[name] = s.Metrics().Counter(name).Value()
 	}
 
