@@ -31,8 +31,10 @@ tkcheck:
 	$(GO) run ./cmd/tkcheck ./examples/... ./cmd/... ./internal/... ./docs
 	$(GO) run ./cmd/tkcheck -tests ./cmd/wish
 
-# fuzz-smoke gives the wire-frame decoders (v1 outer framing plus the
-# v2 segment envelope and the v1 frames inside it), the Tcl
+# fuzz-smoke gives the wire-frame decoders (the one frame reader per
+# direction that the server and client read loops use, which must read
+# the same frame into a reused scratch buffer as into a fresh one, plus
+# the v2 segment envelope and the v1 frames inside it), the Tcl
 # interpreter (scripts and expressions, cold against cached), the
 # option database (.Xdefaults text, option stack against the reference
 # matcher) and the Tcl linter (no panic, diagnostics inside the text, a

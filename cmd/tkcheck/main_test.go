@@ -74,7 +74,7 @@ tkcheck: 3 problem(s)
 	}
 	// -time reports to stderr only, so golden stdout stays stable; the
 	// analyzers that ran over this fixture must each show up.
-	for _, name := range []string{"parse", "metrics", "lockorder", "pool"} {
+	for _, name := range []string{"parse", "metrics", "lockorder", "locks"} {
 		if !strings.Contains(errOut, "tkcheck: "+name) {
 			t.Errorf("stderr timing output missing %q:\n%s", name, errOut)
 		}

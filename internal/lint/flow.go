@@ -2,11 +2,10 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// The statement walker the locks, lockorder and pool analyzers share.
+// The statement walker the locks and lockorder analyzers share.
 // It follows a function body's control flow and leaves what flows to
 // the analyzer: a per-path state S and the hooks below.
 //
@@ -37,13 +36,6 @@ type pathHooks[S any] interface {
 	// visit applies one expression node's effect; false skips the
 	// node's children.
 	visit(n ast.Node, s S) bool
-	// stmt applies a statement without control flow of its own, or a
-	// return or defer, reporting false to leave it to the walker,
-	// which visits its expressions.
-	stmt(st ast.Stmt, s S) bool
-	// exit is called where a path leaves the function: at a return, a
-	// panic, or the end of the body.
-	exit(pos token.Pos, s S)
 }
 
 type flow[S any] struct {
@@ -53,9 +45,7 @@ type flow[S any] struct {
 
 // body walks a function body from s.
 func (f flow[S]) body(b *ast.BlockStmt, s S) {
-	if s, term := f.block(b.List, s); !term {
-		f.hooks.exit(b.End(), s)
-	}
+	f.block(b.List, s)
 }
 
 // block walks statements in order, reporting whether every path
@@ -143,37 +133,26 @@ func (f flow[S]) stmt(st ast.Stmt, s S) (S, bool) {
 			f.body(fl.Body, h.fresh())
 		}
 	case *ast.DeferStmt:
-		if !h.stmt(st, s) {
-			f.exprs(st.Call.Args, s)
-			if fl, ok := st.Call.Fun.(*ast.FuncLit); ok {
-				f.expr(fl, s)
-			}
+		f.exprs(st.Call.Args, s)
+		if fl, ok := st.Call.Fun.(*ast.FuncLit); ok {
+			f.expr(fl, s)
 		}
 	case *ast.ReturnStmt:
-		if !h.stmt(st, s) {
-			f.exprs(st.Results, s)
-		}
-		h.exit(st.Pos(), s)
+		f.exprs(st.Results, s)
 		return s, true
 	case *ast.ExprStmt:
+		f.expr(st.X, s)
 		if f.isPanic(st.X) {
-			f.expr(st.X, s)
-			h.exit(st.X.Pos(), s)
 			return s, true
 		}
-		if !h.stmt(st, s) {
-			f.expr(st.X, s)
-		}
 	default:
-		if !h.stmt(st, s) {
-			ast.Inspect(st, func(n ast.Node) bool {
-				if e, ok := n.(ast.Expr); ok {
-					f.expr(e, s)
-					return false
-				}
-				return true
-			})
-		}
+		ast.Inspect(st, func(n ast.Node) bool {
+			if e, ok := n.(ast.Expr); ok {
+				f.expr(e, s)
+				return false
+			}
+			return true
+		})
 	}
 	return s, false
 }

@@ -258,27 +258,6 @@ func (x *s) branchFallsThrough(k int) {
 	})
 }
 
-// TestPoolFixture exercises the pool-lifetime analyzer: leaks on early
-// return and panic, use-after-release, double release, and the three
-// escape routes are flagged, a channel send of a raw checkout included;
-// the linear, deferred (plain and closure-wrapped) and accessor idioms
-// are not — and passing a checkout to a function, whatever its name,
-// does NOT transfer ownership, so that checkout still leaks.
-func TestPoolFixture(t *testing.T) {
-	assertDiags(t, checkFixture(t, filepath.Join("testdata", "pool")), []string{
-		`testdata/pool/pool.go:62:7: pool checkout "bp" escapes through a channel send (pair it with framePool.Put in this function instead) [pool]`,
-		`testdata/pool/pool.go:72:3: AcquireWriter result "w" (acquired at line 70) is not released on this return path (missing defer?) [pool]`,
-		`testdata/pool/pool.go:81:2: AcquireWriter result "w" (acquired at line 79) is not released on this return path (missing defer?) [pool]`,
-		`testdata/pool/pool.go:88:2: use of pooled value "w" after it was released to the pool [pool]`,
-		`testdata/pool/pool.go:95:2: pooled value "w" released twice [pool]`,
-		`testdata/pool/pool.go:101:2: pooled Writer "w" escapes through a channel send (pair it with ReleaseWriter in this function instead) [pool]`,
-		`testdata/pool/pool.go:107:9: pooled value "w" escapes via return (the pool can reclaim it while the caller still uses it) [pool]`,
-		`testdata/pool/pool.go:113:2: pooled value "w" escapes via store into a struct or container (the pool can reclaim it out from under the holder) [pool]`,
-		`testdata/pool/pool.go:132:2: pool checkout "bp" (acquired at line 129) is not released on this return path (missing defer?) [pool]`,
-		`testdata/pool/pool.go:139:2: pool checkout "bp" (acquired at line 137) is not released on this return path (missing defer?) [pool]`,
-	})
-}
-
 // TestMetricsRegistryFixture exercises the metrics-name registry: the
 // documented literal, const, const-joined, wrapper and "prefix."+expr
 // names all match, the undocumented counter and the stale registry

@@ -124,10 +124,6 @@ func (heldLocks) join(held, other map[string]bool) map[string]bool {
 	return held
 }
 
-func (heldLocks) stmt(ast.Stmt, map[string]bool) bool { return false }
-
-func (heldLocks) exit(token.Pos, map[string]bool) {}
-
 // visit checks guarded-field accesses and applies Lock/Unlock effects.
 // A read lock counts as holding the mutex: it protects reads of
 // guarded fields, which is all the analyzer distinguishes.

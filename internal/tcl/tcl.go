@@ -393,9 +393,3 @@ func (in *Interp) invoke(words []string) (string, error) {
 	}
 	return res, nil
 }
-
-// Call invokes command name with the given arguments (not re-parsed).
-func (in *Interp) Call(name string, args ...string) (string, error) {
-	words := append([]string{name}, args...)
-	return in.EvalWords(words)
-}

@@ -459,11 +459,11 @@ func TestTimeCommand(t *testing.T) {
 
 func TestCallAndEvalWords(t *testing.T) {
 	in := New()
-	res, err := in.Call("set", "q", "multi word value")
+	res, err := in.EvalWords([]string{"set", "q", "multi word value"})
 	if err != nil || res != "multi word value" {
-		t.Fatalf("Call: %q, %v", res, err)
+		t.Fatalf("EvalWords: %q, %v", res, err)
 	}
-	// Arguments passed via Call are not re-parsed.
+	// Words passed to EvalWords are not re-parsed.
 	expect(t, in, "set q", "multi word value")
 }
 

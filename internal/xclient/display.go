@@ -52,12 +52,12 @@ type Display struct {
 	// Errors.
 	ErrorHandler func(msg string)
 
-	mu     sync.Mutex // serializes writers
-	wbuf   []byte     // guarded by mu
-	wcount int        // guarded by mu — frames buffered since the last flush
-	seq    uint64     // guarded by mu
-	idNext uint32     // guarded by mu (written once more in Open, pre-publication)
-	closed bool       // guarded by mu
+	mu     sync.Mutex    // serializes writers
+	wbuf   xproto.Writer // guarded by mu — the output buffer, as Xlib keeps one
+	wcount int           // guarded by mu — frames buffered since the last flush
+	seq    uint64        // guarded by mu
+	idNext uint32        // guarded by mu (written once more in Open, pre-publication)
+	closed bool          // guarded by mu
 
 	// rmu guards what readLoop hands to other goroutines. Reply routing
 	// follows the XCB cookie model: every reply-bearing request registers
@@ -184,29 +184,22 @@ func Open(conn net.Conn) (*Display, error) {
 }
 
 // OpenWith establishes a Display with explicit session and
-// wire-protocol configuration. Both handshakes are written raw before
-// the setup block is read, and neither carries a sequence number on
-// either side, so the cookie/span sequence lockstep is untouched
-// whatever is negotiated.
+// wire-protocol configuration. Both handshakes are written raw, in one
+// write, before the setup block is read, and neither carries a sequence
+// number on either side, so the cookie/span sequence lockstep is
+// untouched whatever is negotiated.
 func OpenWith(conn net.Conn, cfg Config) (*Display, error) {
+	var hs xproto.Writer
 	if cfg.Attach || cfg.Session != "" {
-		w := xproto.AcquireWriter()
-		(&xproto.AttachSessionReq{Session: cfg.Session}).Encode(w)
-		err := xproto.WriteRequestFrame(conn, xproto.OpAttachSession, w.Bytes())
-		xproto.ReleaseWriter(w)
-		if err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("xclient: writing session attach: %w", err)
-		}
+		hs.RequestFrame(&xproto.AttachSessionReq{Session: cfg.Session})
 	}
 	if cfg.Wire == WireV2 {
-		w := xproto.AcquireWriter()
-		(&xproto.UpgradeWireReq{Version: 2}).Encode(w)
-		err := xproto.WriteRequestFrame(conn, xproto.OpUpgradeWire, w.Bytes())
-		xproto.ReleaseWriter(w)
-		if err != nil {
+		hs.RequestFrame(&xproto.UpgradeWireReq{Version: 2})
+	}
+	if len(hs.Bytes()) > 0 {
+		if _, err := conn.Write(hs.Bytes()); err != nil {
 			conn.Close()
-			return nil, fmt.Errorf("xclient: writing wire upgrade: %w", err)
+			return nil, fmt.Errorf("xclient: writing connection handshake: %w", err)
 		}
 	}
 	d := &Display{
@@ -219,7 +212,7 @@ func OpenWith(conn net.Conn, cfg Config) (*Display, error) {
 	// The setup block arrives before anything else. Bound the wait so a
 	// dead endpoint fails the Open instead of hanging it.
 	conn.SetReadDeadline(time.Now().Add(setupTimeout))
-	kind, payload, err := xproto.ReadServerFrame(conn)
+	kind, payload, err := xproto.ReadServerFrame(conn, nil)
 	conn.SetReadDeadline(time.Time{})
 	if err != nil {
 		conn.Close()
@@ -264,7 +257,7 @@ func OpenWith(conn net.Conn, cfg Config) (*Display, error) {
 		// so it is read synchronously here — the negotiation is settled
 		// before the read loop starts and before the first request.
 		conn.SetReadDeadline(time.Now().Add(setupTimeout))
-		kind, ack, err := xproto.ReadServerFrame(conn)
+		kind, ack, err := xproto.ReadServerFrame(conn, nil)
 		conn.SetReadDeadline(time.Time{})
 		if err != nil {
 			conn.Close()
@@ -333,16 +326,6 @@ func OpenSession(conn net.Conn, session string) (*Display, error) {
 	return OpenWith(conn, Config{Session: session, Attach: true})
 }
 
-// DialSession connects to a display farm at a TCP address and attaches
-// to the named session.
-func DialSession(addr, session string) (*Display, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return OpenSession(conn, session)
-}
-
 // Close shuts the connection down.
 func (d *Display) Close() {
 	d.mu.Lock()
@@ -387,7 +370,7 @@ func (d *Display) readLoop() {
 	// lazily at Wait), so those are copied out of the scratch.
 	var scratch []byte
 	for {
-		kind, payload, err := xproto.ReadServerFrameInto(d.conn, scratch)
+		kind, payload, err := xproto.ReadServerFrame(d.conn, scratch)
 		if err != nil {
 			d.connLost(fmt.Errorf("xclient: connection lost: %w", err))
 			return
@@ -609,10 +592,10 @@ func (d *Display) Metrics() *obs.Registry { return d.metrics }
 // sampled request (see internal/obs/trace).
 func (d *Display) SetTracer(t *trace.Tracer) { d.tracer.Store(t) }
 
-// send buffers a request, encoding it directly into the write buffer
-// (no per-request Writer or header allocation). v1 and v2 buffer the
-// same frames; v2 differs only at flush, where the buffer is wrapped
-// into a segment. Must be called with d.mu held.
+// send buffers a request, encoding its frame in place in the output
+// buffer. v1 and v2 buffer the same frames; v2 differs only at flush,
+// where the buffer is wrapped into a segment. Must be called with d.mu
+// held.
 func (d *Display) send(req xproto.Request) uint64 {
 	d.requestsCtr.Inc()
 	op := req.Op()
@@ -621,7 +604,7 @@ func (d *Display) send(req xproto.Request) uint64 {
 	}
 	d.opCtrs[op].Inc()
 	d.seq++
-	d.wbuf = xproto.AppendRequestFrame(d.wbuf, req)
+	d.wbuf.RequestFrame(req)
 	d.wcount++
 	return d.seq
 }
@@ -629,7 +612,8 @@ func (d *Display) send(req xproto.Request) uint64 {
 // flushLocked writes the buffered requests as one wire segment. Must be
 // called with d.mu held.
 func (d *Display) flushLocked() error {
-	if len(d.wbuf) == 0 || d.closed {
+	batch := d.wbuf.Bytes()
+	if len(batch) == 0 || d.closed {
 		return nil
 	}
 	frames := int64(d.wcount)
@@ -641,24 +625,24 @@ func (d *Display) flushLocked() error {
 
 	// Pick what actually goes on the wire: the v1 frames as they are, or
 	// one v2 segment wrapping them.
-	out := d.wbuf
+	out := batch
 	if d.wireTx {
 		var compressed bool
-		d.segTx, compressed = xproto.AppendWireSegRequestFrame(d.segTx[:0], d.wbuf)
+		d.segTx, compressed = xproto.AppendWireSegRequestFrame(d.segTx[:0], batch)
 		out = d.segTx
 		d.wireSegs.Inc()
 		if !compressed {
 			d.wireSkipped.Inc()
 		}
 	}
-	d.wireBytesRaw.Add(uint64(len(d.wbuf)))
+	d.wireBytesRaw.Add(uint64(len(batch)))
 	d.wireBytesWire.Add(uint64(len(out)))
 
 	if tr := d.tracer.Load(); tr != nil && tracedSeq != 0 {
 		bytes := int64(len(out))
 		start := trace.Now()
 		_, err := d.conn.Write(out)
-		d.wbuf = d.wbuf[:0]
+		d.wbuf.Reset()
 		tr.Record(trace.Span{
 			Seq: tracedSeq, Name: "client.flush", Side: "client",
 			Start: start, Dur: trace.Now() - start,
@@ -668,7 +652,7 @@ func (d *Display) flushLocked() error {
 		return err
 	}
 	_, err := d.conn.Write(out)
-	d.wbuf = d.wbuf[:0]
+	d.wbuf.Reset()
 	return err
 }
 
@@ -728,7 +712,7 @@ func (d *Display) Request(req xproto.Request) {
 	d.send(req)
 	// Keep the buffer bounded even without explicit flushes.
 	var flushErr error
-	if len(d.wbuf) >= d.flushThresholdLocked() {
+	if len(d.wbuf.Bytes()) >= d.flushThresholdLocked() {
 		flushErr = d.flushLocked()
 	}
 	d.mu.Unlock()

@@ -152,10 +152,10 @@ func TestAppSurvivesPeerDisconnect(t *testing.T) {
 func fakeServer(t *testing.T) (client, server net.Conn) {
 	t.Helper()
 	client, server = net.Pipe()
-	w := xproto.NewWriter()
 	setup := &xproto.SetupReply{ResourceIDBase: 0x200000, Root: 1, Width: 400, Height: 300}
-	setup.Encode(w)
-	go xproto.WriteServerFrame(server, xproto.KindReply, w.Bytes())
+	var frame xproto.Writer
+	frame.ServerFrame(xproto.KindReply, setup.Encode)
+	go server.Write(frame.Bytes())
 	return client, server
 }
 
@@ -225,7 +225,9 @@ func TestGarbageFrameKindFailsCookiesCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deliver a frame whose kind byte is garbage.
-	if err := xproto.WriteServerFrame(server, 0x7f, []byte("noise")); err != nil {
+	var frame xproto.Writer
+	frame.ServerFrame(0x7f, func(w *xproto.Writer) { copy(w.AppendRaw(5), "noise") })
+	if _, err := server.Write(frame.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	err = ck.Wait(nil)
@@ -254,18 +256,20 @@ func TestMalformedEventSkippedStreamSurvives(t *testing.T) {
 	defer d.Close()
 
 	// A 1-byte event payload cannot decode.
-	if err := xproto.WriteServerFrame(server, xproto.KindEvent, []byte{1}); err != nil {
+	var event xproto.Writer
+	event.ServerFrame(xproto.KindEvent, func(w *xproto.Writer) { w.PutU8(1) })
+	if _, err := server.Write(event.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	// Answer the subsequent ping by hand: seq 1, empty reply body.
 	go func() {
-		op, _, err := xproto.ReadRequestFrame(server)
+		op, _, err := xproto.ReadRequestFrame(server, nil)
 		if err != nil || op != xproto.OpPing {
 			return
 		}
-		w := xproto.NewWriter()
-		w.PutU64(1)
-		xproto.WriteServerFrame(server, xproto.KindReply, w.Bytes())
+		var reply xproto.Writer
+		reply.ServerFrame(xproto.KindReply, func(w *xproto.Writer) { w.PutU64(1) })
+		server.Write(reply.Bytes())
 	}()
 	if err := d.Sync(); err != nil {
 		t.Fatalf("Sync after malformed event: %v", err)

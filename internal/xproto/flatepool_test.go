@@ -9,13 +9,13 @@ import (
 
 // repetitiveFrames renders n fill requests that compress well.
 func repetitiveFrames(n int, drawable ID) []byte {
-	var frames []byte
+	var w Writer
 	for i := 0; i < n; i++ {
-		frames = AppendRequestFrame(frames, &PolyFillRectangleReq{
+		w.RequestFrame(&PolyFillRectangleReq{
 			Drawable: drawable, Gc: 4, Rects: []Rect{{X: int16(i), Y: 10, W: 20, H: 20}},
 		})
 	}
-	return frames
+	return w.Bytes()
 }
 
 // TestSegmentCompressConcurrent compresses from many goroutines at once:
@@ -34,7 +34,7 @@ func TestSegmentCompressConcurrent(t *testing.T) {
 					t.Errorf("goroutine %d segment %d did not compress", g, i)
 					return
 				}
-				op, payload, err := ReadRequestFrame(bytes.NewReader(frame))
+				op, payload, err := ReadRequestFrame(bytes.NewReader(frame), nil)
 				if err != nil || op != OpWireSeg {
 					t.Errorf("goroutine %d segment %d: op %d, err %v", g, i, op, err)
 					return

@@ -2,6 +2,8 @@ package xproto
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"testing"
 )
 
@@ -10,37 +12,57 @@ import (
 // compressed v2 segment, and a v2 segment of several v1 request frames.
 func fuzzSeedRequestFrames() [][]byte {
 	seeds := [][]byte{
-		AppendRequestFrame(nil, &PingReq{}),
-		AppendRequestFrame(nil, &PolyFillRectangleReq{Drawable: 3, Gc: 4, Rects: []Rect{{X: 1, Y: 2, W: 3, H: 4}}}),
-		AppendRequestFrame(nil, &UpgradeWireReq{Version: 2}),
+		requestFrames(&PingReq{}),
+		requestFrames(&PolyFillRectangleReq{Drawable: 3, Gc: 4, Rects: []Rect{{X: 1, Y: 2, W: 3, H: 4}}}),
+		requestFrames(&UpgradeWireReq{Version: 2}),
 	}
 	// A compressible v2 segment: one v1 frame with a repetitive payload.
-	var frames bytes.Buffer
-	WriteRequestFrame(&frames, OpPing, bytes.Repeat([]byte{0x42}, 300))
-	seg, _ := AppendWireSegRequestFrame(nil, frames.Bytes())
+	seg, _ := AppendWireSegRequestFrame(nil, rawFrame(OpPing, bytes.Repeat([]byte{0x42}, 300)))
 	seeds = append(seeds, seg)
 	// A v2 segment of the frames a small drawing batch sends.
-	var batch []byte
+	var batch []Request
 	for i := 0; i < 3; i++ {
-		batch = AppendRequestFrame(batch, &PolyFillRectangleReq{Drawable: 3, Gc: 4, Rects: []Rect{{X: int16(i), Y: 2, W: 3, H: 4}}})
+		batch = append(batch, &PolyFillRectangleReq{Drawable: 3, Gc: 4, Rects: []Rect{{X: int16(i), Y: 2, W: 3, H: 4}}})
 	}
-	batch = AppendRequestFrame(batch, &PingReq{})
-	seg, _ = AppendWireSegRequestFrame(nil, batch)
+	seg, _ = AppendWireSegRequestFrame(nil, requestFrames(append(batch, &PingReq{})...))
 	seeds = append(seeds, seg)
 	return seeds
 }
 
+// readTwice reads data with a nil scratch buffer and again with a
+// scratch buffer large enough to hold it and full of stale bytes, as a
+// read loop passes the previous frame's buffer back in. Both reads must
+// give the same tag, payload and error, and the second must read into
+// the scratch buffer rather than allocate.
+func readTwice(t *testing.T, data []byte, read func(r io.Reader, buf []byte) (uint16, []byte, error)) (tag uint16, payload []byte, err error) {
+	tag, payload, err = read(bytes.NewReader(data), nil)
+	scratch := make([]byte, len(data)+6)
+	for i := range scratch {
+		scratch[i] = byte(i*7 + 0xa5)
+	}
+	tag2, payload2, err2 := read(bytes.NewReader(data), scratch)
+	if tag2 != tag || !bytes.Equal(payload2, payload) || fmt.Sprint(err2) != fmt.Sprint(err) {
+		t.Fatalf("stale scratch read tag %d, payload %x, err %v; nil scratch read tag %d, payload %x, err %v",
+			tag2, payload2, err2, tag, payload, err)
+	}
+	if len(payload2) > 0 && &payload2[0] != &scratch[0] {
+		t.Fatal("the payload was not read into a scratch buffer large enough to hold it")
+	}
+	return tag, payload, err
+}
+
 // FuzzReadRequestFrame drives the full client→server decode path —
-// outer v1 framing, then (for OpWireSeg) the segment envelope, the
-// optional flate body and the v1 request frames inside it. The
-// property under test is "no panic, no out-of-bounds": any malformed
-// input must come back as an error.
+// outer v1 framing through the server's one frame reader, then (for
+// OpWireSeg) the segment envelope, the optional flate body and the v1
+// request frames inside it. The properties under test are "no panic,
+// no out-of-bounds": any malformed input must come back as an error;
+// and a reused scratch buffer reads what a fresh one does.
 func FuzzReadRequestFrame(f *testing.F) {
 	for _, s := range fuzzSeedRequestFrames() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		op, payload, err := ReadRequestFrame(bytes.NewReader(data))
+		op, payload, err := readTwice(t, data, ReadRequestFrame)
 		if err != nil {
 			return
 		}
@@ -67,8 +89,9 @@ func FuzzReadRequestFrame(f *testing.F) {
 }
 
 // FuzzReadServerFrame drives the server→client decode path: outer v1
-// framing, then (for KindWireSeg) the envelope and the concatenated
-// inner server frames.
+// framing through the client's one frame reader, then (for
+// KindWireSeg) the envelope and the concatenated inner server frames,
+// with the same properties as FuzzReadRequestFrame.
 func FuzzReadServerFrame(f *testing.F) {
 	// v1 seeds: a reply-shaped frame and an event-shaped frame.
 	var reply []byte
@@ -82,8 +105,11 @@ func FuzzReadServerFrame(f *testing.F) {
 	ack := []byte{KindWireAck, 0, 0, 0, 1, 2}
 	f.Add(ack)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kind, payload, err := ReadServerFrame(bytes.NewReader(data))
-		if err != nil || kind != KindWireSeg {
+		kind, payload, err := readTwice(t, data, func(r io.Reader, buf []byte) (uint16, []byte, error) {
+			kind, payload, err := ReadServerFrame(r, buf)
+			return uint16(kind), payload, err
+		})
+		if err != nil || kind != uint16(KindWireSeg) {
 			return
 		}
 		raw, _, err := DecodeSegmentPayload(payload, nil)

@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // Message kinds on the server-to-client stream.
@@ -23,33 +22,14 @@ const (
 	KindError
 )
 
-// Writer accumulates a message payload.
+// Writer accumulates encoded bytes: a message payload, or whole frames
+// appended by RequestFrame and ServerFrame. The zero value is ready to
+// use. Each connection keeps one as its output buffer and encodes every
+// frame into it in place, so once the buffer has grown to the
+// connection's largest batch, encoding allocates nothing.
 type Writer struct {
 	buf []byte
 }
-
-// NewWriter returns a Writer with some preallocated capacity.
-func NewWriter() *Writer { return &Writer{buf: make([]byte, 0, 64)} }
-
-// writerPool recycles Writers for hot encode paths: the server's
-// reply/error/event senders acquire one, encode, copy the bytes into an
-// outbound frame, and release it, so steady-state encoding allocates
-// nothing.
-var writerPool = sync.Pool{
-	New: func() any { return &Writer{buf: make([]byte, 0, 256)} },
-}
-
-// AcquireWriter returns an empty Writer from the pool. Pair with
-// ReleaseWriter once the accumulated bytes have been copied out.
-func AcquireWriter() *Writer {
-	w := writerPool.Get().(*Writer)
-	w.Reset()
-	return w
-}
-
-// ReleaseWriter returns w to the pool. The caller must not use w — or
-// any slice obtained from w.Bytes() — afterwards.
-func ReleaseWriter(w *Writer) { writerPool.Put(w) }
 
 // Reset clears the writer for reuse.
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
@@ -205,58 +185,68 @@ func (r *Reader) ByteSlice() []byte {
 	return b
 }
 
-// WriteFrame writes header, then a u32 payload length, then the payload.
-// Client-to-server frames use a [u16 opcode] header; server-to-client
-// frames a [u8 kind] header. The two directions never mix on a stream, so
-// the framings may differ.
-func WriteFrame(w io.Writer, header []byte, payload []byte) error {
-	if _, err := w.Write(header); err != nil {
-		return err
-	}
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(payload)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// RequestFrame appends one client-to-server frame for req:
+// [u16 opcode][u32 payload length][payload]. The payload is encoded in
+// place and its length back-filled.
+func (w *Writer) RequestFrame(req Request) {
+	w.PutU16(req.Op())
+	lenAt := len(w.buf)
+	w.PutU32(0)
+	req.Encode(w)
+	binary.BigEndian.PutUint32(w.buf[lenAt:], uint32(len(w.buf)-lenAt-4))
 }
 
-// ReadRequestFrame reads one client-to-server frame, returning the opcode
-// and payload.
-func ReadRequestFrame(r io.Reader) (op uint16, payload []byte, err error) {
-	var hdr [6]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	op = binary.BigEndian.Uint16(hdr[:2])
-	n := binary.BigEndian.Uint32(hdr[2:])
-	if n > 64<<20 {
-		return 0, nil, fmt.Errorf("xproto: oversized request (%d bytes)", n)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return op, payload, nil
+// ServerFrame appends one server-to-client frame:
+// [u8 kind][u32 payload length][payload]. encode appends the payload in
+// place and its length is back-filled. The two directions never mix on
+// a stream, so their headers may differ.
+func (w *Writer) ServerFrame(kind byte, encode func(w *Writer)) {
+	w.PutU8(kind)
+	lenAt := len(w.buf)
+	w.PutU32(0)
+	encode(w)
+	binary.BigEndian.PutUint32(w.buf[lenAt:], uint32(len(w.buf)-lenAt-4))
 }
 
-// ReadRequestFrameInto is ReadRequestFrame with a caller-owned scratch
-// buffer: the returned payload aliases buf when it fits (buf is grown
-// otherwise), so a read loop that passes the previous payload back in
+// ReadRequestFrame reads one client-to-server frame into the caller's
+// scratch buffer buf, returning the opcode and payload. The payload
+// aliases buf when it fits (buf is grown otherwise; nil is a valid
+// scratch), so a read loop that passes the previous payload back in
 // runs allocation-free once the buffer has grown to the workload's
 // largest request. The caller must fully consume each payload before
 // the next call; that is safe here because every request Decode copies
 // the variable-length fields it retains (see requests.go).
-func ReadRequestFrameInto(r io.Reader, buf []byte) (op uint16, payload []byte, err error) {
-	var hdr [6]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func ReadRequestFrame(r io.Reader, buf []byte) (op uint16, payload []byte, err error) {
+	return readFrame(r, buf, 2)
+}
+
+// ReadServerFrame reads one server-to-client frame into the caller's
+// scratch buffer buf, returning the message kind and payload, on the
+// same terms as ReadRequestFrame. Callers that hand a payload to
+// something outliving the next read (the client's reply cookies decode
+// lazily) must copy it first.
+func ReadServerFrame(r io.Reader, buf []byte) (kind byte, payload []byte, err error) {
+	tag, payload, err := readFrame(r, buf, 1)
+	return byte(tag), payload, err
+}
+
+// readFrame reads a frame header, a big-endian tag of tagLen bytes (the
+// opcode or kind) and a u32 payload length, into buf, and then the
+// payload over it.
+func readFrame(r io.Reader, buf []byte, tagLen int) (tag uint16, payload []byte, err error) {
+	if cap(buf) < tagLen+4 {
+		buf = make([]byte, tagLen+4)
+	}
+	hdr := buf[:tagLen+4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
-	op = binary.BigEndian.Uint16(hdr[:2])
-	n := binary.BigEndian.Uint32(hdr[2:])
+	for _, b := range hdr[:tagLen] {
+		tag = tag<<8 | uint16(b)
+	}
+	n := binary.BigEndian.Uint32(hdr[tagLen:])
 	if n > 64<<20 {
-		return 0, nil, fmt.Errorf("xproto: oversized request (%d bytes)", n)
+		return 0, nil, fmt.Errorf("xproto: oversized frame (%d bytes)", n)
 	}
 	if uint32(cap(buf)) < n {
 		buf = make([]byte, n)
@@ -265,75 +255,5 @@ func ReadRequestFrameInto(r io.Reader, buf []byte) (op uint16, payload []byte, e
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
-	return op, payload, nil
-}
-
-// WriteRequestFrame writes one client-to-server frame.
-func WriteRequestFrame(w io.Writer, op uint16, payload []byte) error {
-	var hdr [2]byte
-	binary.BigEndian.PutUint16(hdr[:], op)
-	return WriteFrame(w, hdr[:], payload)
-}
-
-// AppendRequestFrame appends one client-to-server frame for req to buf,
-// encoding the payload in place and backfilling the length field, so a
-// client can batch many requests into one write buffer without an
-// intermediate Writer or header allocation per request.
-func AppendRequestFrame(buf []byte, req Request) []byte {
-	w := Writer{buf: buf}
-	w.PutU16(req.Op())
-	lenAt := len(w.buf)
-	w.PutU32(0) // payload length, backfilled once the payload is encoded
-	req.Encode(&w)
-	binary.BigEndian.PutUint32(w.buf[lenAt:], uint32(len(w.buf)-lenAt-4))
-	return w.buf
-}
-
-// ReadServerFrame reads one server-to-client frame, returning the message
-// kind and payload.
-func ReadServerFrame(r io.Reader) (kind byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	kind = hdr[0]
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > 64<<20 {
-		return 0, nil, fmt.Errorf("xproto: oversized server message (%d bytes)", n)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return kind, payload, nil
-}
-
-// ReadServerFrameInto is ReadServerFrame with a caller-owned scratch
-// buffer (the server-to-client mirror of ReadRequestFrameInto): the
-// returned payload aliases buf when it fits. Callers that hand a
-// payload to something outliving the next read — the client's reply
-// cookies decode lazily — must copy it first.
-func ReadServerFrameInto(r io.Reader, buf []byte) (kind byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	kind = hdr[0]
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > 64<<20 {
-		return 0, nil, fmt.Errorf("xproto: oversized server message (%d bytes)", n)
-	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	payload = buf[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return kind, payload, nil
-}
-
-// WriteServerFrame writes one server-to-client frame.
-func WriteServerFrame(w io.Writer, kind byte, payload []byte) error {
-	return WriteFrame(w, []byte{kind}, payload)
+	return tag, payload, nil
 }

@@ -256,7 +256,7 @@ func DecodeSegmentPayload(payload, scratch []byte) (raw, newScratch []byte, err 
 // WalkRequestFrames iterates the v1 request frames concatenated inside
 // a decoded client→server segment, invoking fn for each. The payload
 // passed to fn aliases raw and is valid only until the caller's next
-// read into that buffer (the ReadRequestFrameInto contract — request
+// read into that buffer (the ReadRequestFrame contract — request
 // Decode copies what it retains). A torn frame ends the walk with an
 // error, which the caller must treat as fatal to the connection.
 func WalkRequestFrames(raw []byte, fn func(op uint16, payload []byte) error) error {

@@ -6,14 +6,22 @@ import (
 	"testing"
 )
 
-// rawFrame renders one v1 request frame for op carrying payload as is.
-func rawFrame(t *testing.T, op uint16, payload []byte) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteRequestFrame(&buf, op, payload); err != nil {
-		t.Fatalf("WriteRequestFrame: %v", err)
+// rawFrame renders one v1 request frame for op carrying payload as is:
+// a frame's u32 length and payload are laid out as PutBytes lays them.
+func rawFrame(op uint16, payload []byte) []byte {
+	var w Writer
+	w.PutU16(op)
+	w.PutBytes(payload)
+	return w.Bytes()
+}
+
+// requestFrames renders the v1 request frames for reqs, concatenated.
+func requestFrames(reqs ...Request) []byte {
+	var w Writer
+	for _, req := range reqs {
+		w.RequestFrame(req)
 	}
-	return buf.Bytes()
+	return w.Bytes()
 }
 
 // randomPayload returns n seeded random bytes: flate cannot shrink
@@ -52,7 +60,7 @@ func collectSegment(t *testing.T, seg []byte) []walkedFrame {
 // segment envelope bytes.
 func segPayload(t *testing.T, frame []byte) []byte {
 	t.Helper()
-	op, payload, err := ReadRequestFrame(bytes.NewReader(frame))
+	op, payload, err := ReadRequestFrame(bytes.NewReader(frame), nil)
 	if err != nil {
 		t.Fatalf("ReadRequestFrame: %v", err)
 	}
@@ -65,14 +73,15 @@ func segPayload(t *testing.T, frame []byte) []byte {
 func TestWireSegRoundTripCompressed(t *testing.T) {
 	// Highly repetitive v1 frames: compression must kick in, and the
 	// walk must reproduce every (op, payload) pair in order.
-	var frames []byte
+	var w Writer
 	var want [][]byte
 	for i := 0; i < 50; i++ {
 		req := &PolyFillRectangleReq{Drawable: 3, Gc: 4, Rects: []Rect{{X: int16(i), Y: 10, W: 20, H: 20}}}
-		start := len(frames)
-		frames = AppendRequestFrame(frames, req)
-		want = append(want, append([]byte(nil), frames[start+6:]...))
+		start := len(w.Bytes())
+		w.RequestFrame(req)
+		want = append(want, append([]byte(nil), w.Bytes()[start+6:]...))
 	}
+	frames := w.Bytes()
 	frame, compressed := AppendWireSegRequestFrame(nil, frames)
 	if !compressed {
 		t.Fatalf("repetitive segment did not compress")
@@ -99,7 +108,7 @@ func TestWireSegIncompressiblePassthrough(t *testing.T) {
 	// Random bytes do not compress: the envelope must fall back to the
 	// verbatim body and still round-trip.
 	payload := randomPayload(2048)
-	frame, compressed := AppendWireSegRequestFrame(nil, rawFrame(t, OpPing, payload))
+	frame, compressed := AppendWireSegRequestFrame(nil, rawFrame(OpPing, payload))
 	if compressed {
 		t.Fatalf("random segment claims to have compressed")
 	}
@@ -110,7 +119,7 @@ func TestWireSegIncompressiblePassthrough(t *testing.T) {
 }
 
 func TestWireSegSmallSegmentNotCompressed(t *testing.T) {
-	frames := AppendRequestFrame(nil, &PingReq{})
+	frames := requestFrames(&PingReq{})
 	if len(frames) >= minCompressSize {
 		t.Fatalf("test premise broken: tiny frame is %d bytes", len(frames))
 	}
@@ -121,7 +130,7 @@ func TestWireSegSmallSegmentNotCompressed(t *testing.T) {
 }
 
 func TestSegmentChecksumMismatch(t *testing.T) {
-	frame, compressed := AppendWireSegRequestFrame(nil, rawFrame(t, OpPing, randomPayload(200)))
+	frame, compressed := AppendWireSegRequestFrame(nil, rawFrame(OpPing, randomPayload(200)))
 	if compressed {
 		t.Fatalf("test premise broken: random segment compressed")
 	}
@@ -134,7 +143,7 @@ func TestSegmentChecksumMismatch(t *testing.T) {
 }
 
 func TestSegmentCorruptCompressedBody(t *testing.T) {
-	frame, compressed := AppendWireSegRequestFrame(nil, rawFrame(t, OpPing, bytes.Repeat([]byte{5}, 500)))
+	frame, compressed := AppendWireSegRequestFrame(nil, rawFrame(OpPing, bytes.Repeat([]byte{5}, 500)))
 	if !compressed {
 		t.Fatalf("repetitive segment did not compress")
 	}
@@ -152,7 +161,7 @@ func TestSegmentCorruptCompressedBody(t *testing.T) {
 }
 
 func TestSegmentTruncationAndFlags(t *testing.T) {
-	frame, _ := AppendWireSegRequestFrame(nil, rawFrame(t, OpPing, []byte{1, 2, 3}))
+	frame, _ := AppendWireSegRequestFrame(nil, rawFrame(OpPing, []byte{1, 2, 3}))
 	seg := segPayload(t, frame)
 
 	if _, _, err := DecodeSegmentPayload(seg[:5], nil); err == nil {
@@ -176,7 +185,7 @@ func TestWalkRequestFrames(t *testing.T) {
 	}
 	var raw []byte
 	for _, f := range frames {
-		raw = append(raw, rawFrame(t, f.op, f.payload)...)
+		raw = append(raw, rawFrame(f.op, f.payload)...)
 	}
 	i := 0
 	err := WalkRequestFrames(raw, func(op uint16, payload []byte) error {
@@ -228,7 +237,7 @@ func TestWalkServerFrames(t *testing.T) {
 		raw = append(raw, f.payload...)
 	}
 	sframe, _ := AppendWireSegServerFrame(nil, raw)
-	kind, seg, err := ReadServerFrame(bytes.NewReader(sframe))
+	kind, seg, err := ReadServerFrame(bytes.NewReader(sframe), nil)
 	if err != nil || kind != KindWireSeg {
 		t.Fatalf("ReadServerFrame: kind %d, err %v", kind, err)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestWriterReaderPrimitives(t *testing.T) {
-	w := NewWriter()
+	var w Writer
 	w.PutU8(0xab)
 	w.PutU16(0x1234)
 	w.PutU32(0xdeadbeef)
@@ -46,21 +46,57 @@ func TestReaderShortMessage(t *testing.T) {
 }
 
 func TestFraming(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteRequestFrame(&buf, OpMapWindow, []byte("payload")); err != nil {
-		t.Fatal(err)
+	var w Writer
+	w.RequestFrame(&MapWindowReq{Window: 7})
+	want := []byte{byte(OpMapWindow >> 8), byte(OpMapWindow), 0, 0, 0, 4, 0, 0, 0, 7}
+	if !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("request frame bytes %x, want %x", w.Bytes(), want)
 	}
-	op, payload, err := ReadRequestFrame(&buf)
-	if err != nil || op != OpMapWindow || string(payload) != "payload" {
-		t.Fatalf("request frame: %d %q %v", op, payload, err)
+	op, payload, err := ReadRequestFrame(bytes.NewReader(w.Bytes()), nil)
+	if err != nil || op != OpMapWindow || !bytes.Equal(payload, want[6:]) {
+		t.Fatalf("request frame: %d %x %v", op, payload, err)
 	}
-	buf.Reset()
-	if err := WriteServerFrame(&buf, KindEvent, []byte("ev")); err != nil {
-		t.Fatal(err)
+	w.Reset()
+	w.ServerFrame(KindEvent, func(w *Writer) { copy(w.AppendRaw(2), "ev") })
+	if want := []byte{KindEvent, 0, 0, 0, 2, 'e', 'v'}; !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("server frame bytes %x, want %x", w.Bytes(), want)
 	}
-	kind, payload, err := ReadServerFrame(&buf)
+	kind, payload, err := ReadServerFrame(bytes.NewReader(w.Bytes()), nil)
 	if err != nil || kind != KindEvent || string(payload) != "ev" {
 		t.Fatalf("server frame: %d %q %v", kind, payload, err)
+	}
+}
+
+// TestFramePathsAllocateNothing: once an output buffer and a read
+// scratch buffer have grown, appending a frame to the one and reading a
+// frame into the other allocate nothing, in either direction.
+func TestFramePathsAllocateNothing(t *testing.T) {
+	req := &PolyFillRectangleReq{Drawable: 3, Gc: 4, Rects: []Rect{{X: 1, Y: 2, W: 3, H: 4}}}
+	ev := &Event{Type: Expose, Window: 5, Width: 10, Height: 20, Data: "x"}
+	var reqFrame, evFrame, out Writer
+	reqFrame.RequestFrame(req)
+	evFrame.ServerFrame(KindEvent, ev.Encode)
+	r := bytes.NewReader(nil)
+	var scratch []byte
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"RequestFrame", func() { out.Reset(); out.RequestFrame(req) }},
+		{"ServerFrame", func() { out.Reset(); out.ServerFrame(KindEvent, ev.Encode) }},
+		{"ReadRequestFrame", func() {
+			r.Reset(reqFrame.Bytes())
+			_, scratch, _ = ReadRequestFrame(r, scratch)
+		}},
+		{"ReadServerFrame", func() {
+			r.Reset(evFrame.Bytes())
+			_, scratch, _ = ReadServerFrame(r, scratch)
+		}},
+	} {
+		c.fn() // grows the buffer
+		if n := testing.AllocsPerRun(100, c.fn); n != 0 {
+			t.Errorf("%s allocated %v times per frame, want 0", c.name, n)
+		}
 	}
 }
 
@@ -76,8 +112,8 @@ func TestEventRoundTrip(t *testing.T) {
 			Property: Atom(atom + 3), Requestor: ID(win + 1),
 			Count: 2, BorderWidth: 3, PropState: 1, SendEvent: true, Data: data,
 		}
-		w := NewWriter()
-		ev.Encode(w)
+		var w Writer
+		ev.Encode(&w)
 		var got Event
 		got.Decode(NewReader(w.Bytes()))
 		return reflect.DeepEqual(ev, got)
@@ -142,8 +178,8 @@ func TestRequestRoundTrips(t *testing.T) {
 		&UpgradeWireReq{Version: 2},
 	}
 	for _, req := range reqs {
-		w := NewWriter()
-		req.Encode(w)
+		var w Writer
+		req.Encode(&w)
 		fresh := NewRequest(req.Op())
 		if fresh == nil {
 			t.Fatalf("NewRequest(%d) returned nil", req.Op())

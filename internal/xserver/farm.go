@@ -230,19 +230,15 @@ func (f *Farm) detach(sess *Session) {
 // pre-setup error frame (sequence 0), then close. xclient.Open decodes
 // it into a clear error instead of a timeout.
 func (f *Farm) refuse(nc net.Conn, msg string) {
-	w := xproto.AcquireWriter()
-	w.PutU64(0)
-	w.PutString(msg)
-	frame := make([]byte, 0, len(w.Bytes())+5)
-	frame = append(frame, xproto.KindError)
-	n := len(w.Bytes())
-	frame = append(frame, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-	frame = append(frame, w.Bytes()...)
-	xproto.ReleaseWriter(w)
+	var frame xproto.Writer
+	frame.ServerFrame(xproto.KindError, func(w *xproto.Writer) {
+		w.PutU64(0)
+		w.PutString(msg)
+	})
 	if to := DefaultWriteTimeout; to > 0 {
 		nc.SetWriteDeadline(time.Now().Add(to))
 	}
-	nc.Write(frame)
+	nc.Write(frame.Bytes())
 	nc.Close()
 }
 
@@ -252,7 +248,7 @@ func (f *Farm) refuse(nc net.Conn, msg string) {
 // one), and must arrive within attachTimeout; anything else is refused.
 func (f *Farm) ServeConn(nc net.Conn) {
 	nc.SetReadDeadline(time.Now().Add(attachTimeout))
-	op, payload, err := xproto.ReadRequestFrame(nc)
+	op, payload, err := xproto.ReadRequestFrame(nc, nil)
 	if err != nil {
 		f.refuse(nc, fmt.Sprintf("farm: reading attach handshake: %v", err))
 		return

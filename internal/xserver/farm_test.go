@@ -492,12 +492,14 @@ func TestFarmRefusesNonAttachFirstFrame(t *testing.T) {
 	defer nc.Close()
 
 	// One write, so the farm reads all of it before it hangs up.
+	var frame xproto.Writer
+	frame.RequestFrame(&xproto.PingReq{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := nc.Write(xproto.AppendRequestFrame(nil, &xproto.PingReq{}))
+		_, err := nc.Write(frame.Bytes())
 		done <- err
 	}()
-	kind, payload, err := xproto.ReadServerFrame(nc)
+	kind, payload, err := xproto.ReadServerFrame(nc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,17 +130,6 @@ func (im *image) snapshot() *image {
 	return sn
 }
 
-// damagedTiles counts tiles written since the last snapshot.
-func (im *image) damagedTiles() int {
-	n := 0
-	for i := range im.tiles {
-		if im.tiles[i].dirty {
-			n++
-		}
-	}
-	return n
-}
-
 func (im *image) get(x, y int) uint32 {
 	if x < 0 || y < 0 || x >= im.w || y >= im.h {
 		return 0

@@ -129,10 +129,12 @@ type Server struct {
 	// use.
 	metrics *obs.Registry
 
-	// requests and dispatchTime are metrics' per-request handles, and
-	// sampled, spans and dropped its handles for sampled dispatches and
-	// dropped events, resolved in New. Immutable afterwards.
+	// requests and dispatchTime are metrics' per-request handles,
+	// segments its per-read handle, and sampled, spans and dropped its
+	// handles for sampled dispatches and dropped events, resolved in New.
+	// Immutable afterwards.
 	requests     *obs.Counter
+	segments     *obs.Counter
 	dispatchTime *obs.Histogram
 	sampled      *obs.Counter
 	spans        *obs.Counter
@@ -210,14 +212,15 @@ type conn struct {
 	once sync.Once
 
 	// The output buffer, one per client as the X server keeps it:
-	// handlers append whole frames (push) and the writer goroutine takes
-	// all of them for each Write (writeLoop). ready holds a token for the
-	// writer while frames wait; taken holds one for a requester waiting
-	// for room (waitRoom) once the writer has emptied the buffer.
+	// handlers encode whole frames into it (push) and the writer
+	// goroutine takes all of them for each Write (writeLoop). ready holds
+	// a token for the writer while frames wait; taken holds one for a
+	// requester waiting for room (waitRoom) once the writer has emptied
+	// the buffer.
 	outMu    sync.Mutex
-	out      []byte // guarded by outMu
-	frames   int    // guarded by outMu: the frames in out
-	upgraded bool   // guarded by outMu: the v2 upgrade ack is in out or already written
+	out      xproto.Writer // guarded by outMu
+	frames   int           // guarded by outMu: the frames in out
+	upgraded bool          // guarded by outMu: the v2 upgrade ack is in out or already written
 	ready    chan struct{}
 	taken    chan struct{}
 
@@ -275,6 +278,7 @@ func New(width, height int) *Server {
 	s.writeTimeout.Store(int64(DefaultWriteTimeout))
 	s.render = newRenderMetrics(s.metrics)
 	s.requests = s.metrics.Counter("requests")
+	s.segments = s.metrics.Counter("segments")
 	s.dispatchTime = s.metrics.Histogram("dispatch")
 	s.sampled = s.metrics.Counter("trace.sampled")
 	s.spans = s.metrics.Counter("trace.spans")
@@ -463,24 +467,21 @@ func (s *Server) ServeConn(nc net.Conn) {
 		Width:          uint16(s.width),
 		Height:         uint16(s.height),
 	}
-	w := xproto.AcquireWriter()
-	setup.Encode(w)
-	c.push(xproto.KindReply, w.Bytes(), true)
-	xproto.ReleaseWriter(w)
+	c.push(xproto.KindReply, setup.Encode, true)
 
 	// Request loop. Requests are read through a buffered reader over a
 	// latency-charging wrapper: under LatencyPerSegment each underlying
 	// conn read (one wire segment, typically one client flush) pays the
 	// simulated latency once, however many requests it carries; under
 	// LatencyPerRequest the historical per-request sleep below applies.
-	// The payload scratch buffer is reused across requests (safe: every
-	// request Decode copies what it retains — see ReadRequestFrameInto).
+	// The scratch buffer is reused across requests (safe: every request
+	// Decode copies what it retains — see ReadRequestFrame).
 	br := bufio.NewReaderSize(&segmentReader{s: s, conn: nc}, 64<<10)
 	var rbuf []byte
 	upgradeSeen := false
 loop:
 	for {
-		op, payload, err := xproto.ReadRequestFrameInto(br, rbuf)
+		op, payload, err := xproto.ReadRequestFrame(br, rbuf)
 		if err != nil {
 			break
 		}
@@ -596,7 +597,7 @@ func (s *Server) handleUpgradeWire(c *conn, payload []byte) {
 		ver = 2
 		c.wireRx = true
 	}
-	c.push(xproto.KindWireAck, []byte{ver}, true)
+	c.push(xproto.KindWireAck, func(w *xproto.Writer) { w.PutU8(ver) }, true)
 }
 
 // serveWireSeg decodes one v2 segment and serves each v1 request frame
@@ -646,7 +647,7 @@ type segmentReader struct {
 func (sr *segmentReader) Read(p []byte) (int, error) {
 	n, err := sr.conn.Read(p)
 	if n > 0 {
-		sr.s.metrics.Counter("segments").Inc()
+		sr.s.segments.Inc()
 		if sr.s.latModel.Load() == int32(LatencyPerSegment) {
 			if lat := sr.s.latency.Load(); lat > 0 {
 				time.Sleep(time.Duration(lat))
@@ -656,26 +657,28 @@ func (sr *segmentReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// push appends one frame to c's output buffer and wakes the writer. own
+// push encodes one frame of the given kind straight into c's output
+// buffer, with encode appending its payload, and wakes the writer. own
 // is set for c's own frames: the current request's reply, error or
 // events, and the handshake frames. They are always appended, in the
 // order they are produced. An event another connection's request
 // raised for c is dropped instead, and counted as "dropped", when the
-// buffer already holds outQueueSlots frames. Safe with s.mu held.
-func (c *conn) push(kind byte, payload []byte, own bool) {
+// buffer already holds outQueueSlots frames. encode runs with outMu
+// held, so it must not block. Safe with s.mu held.
+func (c *conn) push(kind byte, encode func(w *xproto.Writer), own bool) {
 	c.outMu.Lock()
 	if !own && c.frames >= outQueueSlots {
 		c.outMu.Unlock()
 		c.s.dropped.Inc()
 		return
 	}
-	n := len(payload)
-	c.out = append(c.out, kind, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-	c.out = append(c.out, payload...)
+	c.out.ServerFrame(kind, encode)
 	c.frames++
 	if kind == xproto.KindWireAck {
 		// Batches taken after the one that carries the ack are wrapped.
-		c.upgraded = payload[0] >= 2
+		// The ack's one payload byte, the version, ends the buffer.
+		out := c.out.Bytes()
+		c.upgraded = out[len(out)-1] >= 2
 	}
 	c.outMu.Unlock()
 	select {
@@ -707,8 +710,8 @@ func (c *conn) waitRoom() {
 
 // writeLoop is c's writer goroutine. It takes the whole output buffer
 // for each Write, so a burst of replies and events crosses the wire as
-// one segment (the mirror of the client's batched flush), and leaves its
-// spare buffer for the handlers to fill meanwhile. Each Write carries a
+// one segment (the mirror of the client's batched flush), and swaps in
+// its emptied spare for the handlers to fill meanwhile. Each Write carries a
 // deadline so a peer that stops reading cannot wedge the goroutine
 // forever: on timeout the connection is counted as "stalled" and
 // severed. After the batch that carries an accepting upgrade ack, every
@@ -722,7 +725,8 @@ func (c *conn) writeLoop() {
 	wireRaw := s.metrics.Counter("wire.bytes.raw")
 	wireWire := s.metrics.Counter("wire.bytes.wire")
 	wireSkip := s.metrics.Counter("wire.compress.skipped")
-	var spare, seg []byte
+	var spare xproto.Writer
+	var seg []byte
 	v2 := false
 	for {
 		select {
@@ -731,15 +735,15 @@ func (c *conn) writeLoop() {
 			return
 		}
 		c.outMu.Lock()
-		batch := c.out
-		c.out, c.frames = spare[:0], 0
+		c.out, spare = spare, c.out
+		c.frames = 0
 		upgraded := c.upgraded
 		c.outMu.Unlock()
 		select {
 		case c.taken <- struct{}{}:
 		default:
 		}
-		spare = batch
+		batch := spare.Bytes()
 		if len(batch) == 0 {
 			continue // the frames this token announced went with the last batch
 		}
@@ -765,38 +769,34 @@ func (c *conn) writeLoop() {
 			c.close()
 			return
 		}
+		spare.Reset()
 		v2 = upgraded
 	}
 }
 
-// reply sends a reply for the current request. The Writer is pooled:
-// push copies the encoded bytes before the writer is released, so the
-// hot reply path allocates nothing.
+// reply sends a reply for the current request, with encode appending
+// the reply body after the sequence number.
 func (c *conn) reply(encode func(w *xproto.Writer)) {
-	w := xproto.AcquireWriter()
-	w.PutU64(c.seq)
-	encode(w)
-	c.push(xproto.KindReply, w.Bytes(), true)
-	xproto.ReleaseWriter(w)
+	c.push(xproto.KindReply, func(w *xproto.Writer) {
+		w.PutU64(c.seq)
+		encode(w)
+	}, true)
 }
 
 // protoError sends an error message for the current request.
 func (c *conn) protoError(format string, args ...any) {
-	w := xproto.AcquireWriter()
-	w.PutU64(c.seq)
-	w.PutString(fmt.Sprintf(format, args...))
-	c.push(xproto.KindError, w.Bytes(), true)
-	xproto.ReleaseWriter(w)
+	msg := fmt.Sprintf(format, args...)
+	c.push(xproto.KindError, func(w *xproto.Writer) {
+		w.PutU64(c.seq)
+		w.PutString(msg)
+	}, true)
 }
 
 // sendEvent delivers an event to c: always if c made the current
 // request, else only while c's output buffer has room. Called with s.mu
 // held.
 func (s *Server) sendEvent(c *conn, ev *xproto.Event) {
-	w := xproto.AcquireWriter()
-	ev.Encode(w)
-	c.push(xproto.KindEvent, w.Bytes(), c == s.requester)
-	xproto.ReleaseWriter(w)
+	c.push(xproto.KindEvent, ev.Encode, c == s.requester)
 }
 
 // dispatch decodes and executes one request and returns how long it

@@ -83,29 +83,30 @@ func TestOwnEventsWaitForSlowReader(t *testing.T) {
 
 	nc := s.ConnectPipe()
 	defer nc.Close()
-	_, payload, err := xproto.ReadServerFrame(nc)
+	_, payload, err := xproto.ReadServerFrame(nc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var setup xproto.SetupReply
 	setup.Decode(xproto.NewReader(payload))
 	win := xproto.ID(setup.ResourceIDBase + 1)
-	batch := xproto.AppendRequestFrame(nil, &xproto.CreateWindowReq{
+	var batch xproto.Writer
+	batch.RequestFrame(&xproto.CreateWindowReq{
 		Wid: win, Parent: s.Root(), Width: 10, Height: 10, EventMask: xproto.PropertyChangeMask,
 	})
 	const changes = 6000
 	for i := 0; i < changes; i++ {
-		batch = xproto.AppendRequestFrame(batch, &xproto.ChangePropertyReq{
+		batch.RequestFrame(&xproto.ChangePropertyReq{
 			Window: win, Property: xproto.AtomWMName, Type: xproto.AtomString, Data: []byte{byte(i)},
 		})
 	}
-	go nc.Write(batch) // returns once the server has read every request
+	go nc.Write(batch.Bytes()) // returns once the server has read every request
 	time.Sleep(500 * time.Millisecond)
 
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	got := 0
 	for got < changes {
-		kind, payload, err := xproto.ReadServerFrame(nc)
+		kind, payload, err := xproto.ReadServerFrame(nc, nil)
 		if err != nil {
 			t.Fatalf("after %d of %d PropertyNotify events: %v (server dropped %d)",
 				got, changes, err, s.Metrics().Counter("dropped").Value())
@@ -142,7 +143,9 @@ func TestDroppedEventsReachServerRegistry(t *testing.T) {
 	selectProps := &xproto.ChangeWindowAttributesReq{
 		Window: s.Root(), Mask: xproto.AttrEventMask, EventMask: xproto.PropertyChangeMask,
 	}
-	if _, err := a.Write(xproto.AppendRequestFrame(nil, selectProps)); err != nil {
+	var frame xproto.Writer
+	frame.RequestFrame(selectProps)
+	if _, err := a.Write(frame.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -211,15 +214,14 @@ func TestStalledReaderDoesNotStallOthers(t *testing.T) {
 
 			nc := s.ConnectPipe()
 			defer nc.Close()
-			if _, _, err := xproto.ReadServerFrame(nc); err != nil {
+			if _, _, err := xproto.ReadServerFrame(nc, nil); err != nil {
 				t.Fatal(err)
 			}
-			frame := xproto.AppendRequestFrame(nil, flood)
-			var batch []byte
+			var batch xproto.Writer
 			for i := 0; i < 6000; i++ {
-				batch = append(batch, frame...)
+				batch.RequestFrame(flood)
 			}
-			go nc.Write(batch) // returns once the server severs or closes the pipe
+			go nc.Write(batch.Bytes()) // returns once the server severs or closes the pipe
 
 			// The flooder is stuck once its buffer is full and its request
 			// count stops moving.

@@ -22,11 +22,11 @@ func TestMidStreamUpgradeIgnored(t *testing.T) {
 
 	send := func(reqs ...xproto.Request) {
 		t.Helper()
-		var buf []byte
+		var buf xproto.Writer
 		for _, r := range reqs {
-			buf = xproto.AppendRequestFrame(buf, r)
+			buf.RequestFrame(r)
 		}
-		if _, err := nc.Write(buf); err != nil {
+		if _, err := nc.Write(buf.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -34,7 +34,7 @@ func TestMidStreamUpgradeIgnored(t *testing.T) {
 	// reply to request seq.
 	wantReply := func(seq uint64) {
 		t.Helper()
-		kind, payload, err := xproto.ReadServerFrame(nc)
+		kind, payload, err := xproto.ReadServerFrame(nc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestMidStreamUpgradeIgnored(t *testing.T) {
 		}
 	}
 
-	if kind, _, err := xproto.ReadServerFrame(nc); err != nil || kind != xproto.KindReply {
+	if kind, _, err := xproto.ReadServerFrame(nc, nil); err != nil || kind != xproto.KindReply {
 		t.Fatalf("setup block: kind %d, err %v", kind, err)
 	}
 	send(&xproto.PingReq{})
@@ -58,5 +58,27 @@ func TestMidStreamUpgradeIgnored(t *testing.T) {
 	wantReply(3)
 	if n := s.Metrics().Counter("wire.segments.v2").Value(); n != 0 {
 		t.Fatalf("server wrapped %d v2 segments after a mid-stream upgrade", n)
+	}
+}
+
+// TestReplyAndEventAllocateNothing: a reply and an event are encoded
+// straight into the connection's output buffer, so once the buffer has
+// grown, neither allocates.
+func TestReplyAndEventAllocateNothing(t *testing.T) {
+	s := New(100, 100)
+	defer s.Close()
+	c := &conn{s: s, ready: make(chan struct{}, 1)}
+	ev := &xproto.Event{Type: xproto.Expose, Window: 5, Width: 10, Height: 20}
+	run := func() {
+		c.reply(func(w *xproto.Writer) { w.PutU32(7) })
+		s.sendEvent(c, ev)
+		c.outMu.Lock()
+		c.out.Reset()
+		c.frames = 0
+		c.outMu.Unlock()
+	}
+	run() // grows the buffer
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Fatalf("a reply and an event allocated %v times, want 0", n)
 	}
 }

@@ -41,8 +41,8 @@ func TestSameColourFillKeepsTileSolid(t *testing.T) {
 	if im.tiles[0].px != nil {
 		t.Fatal("a same-colour partial fill gave the solid tile a slab")
 	}
-	if n := im.damagedTiles(); n != 0 {
-		t.Fatalf("a same-colour partial fill damaged %d tiles, want 0", n)
+	if im.tiles[0].dirty {
+		t.Fatal("a same-colour partial fill damaged the tile")
 	}
 	im.fillRect(5, 5, 10, 3, 0x123456)
 	if im.tiles[0].px == nil || im.get(5, 5) != 0x123456 || im.get(4, 5) != 0xabcdef {
