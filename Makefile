@@ -2,13 +2,13 @@
 # race-gated tests, tkcheck over every Tcl script and Go package in the
 # tree (docs/static-analysis.md), the frame-decoder, Tcl,
 # option-database and Tcl-linter fuzz smoke, the connection-queue race
-# stress, the observability smoke (docs/observability.md), the tkbench
-# smoke (cmd/tkbench/README.md), and the chaos harness
+# stress, the performance gates (gates_test.go), the tkbench smoke
+# (cmd/tkbench/README.md), and the chaos harness
 # (docs/fault-injection.md). All legs must pass before a change ships.
 
 GO ?= go
 
-.PHONY: check build vet fmt test tkcheck fuzz-smoke race-stress bench bench-smoke bench-farm bench-wire tkbench-smoke chaos
+.PHONY: check build vet fmt test tkcheck fuzz-smoke race-stress bench bench-smoke tkbench-smoke chaos
 
 check: build vet fmt test tkcheck fuzz-smoke race-stress bench-smoke tkbench-smoke chaos
 
@@ -62,47 +62,24 @@ fuzz-smoke:
 race-stress:
 	$(GO) test -race -count=10 -run '^(TestSyncQueuesRoundEvents|TestWakeOnConnectionLoss|TestOpenGoroutines|TestPipelineStress|TestOwnEventsWaitForSlowReader|TestStalledReaderDoesNotStallOthers|TestDroppedEventsReachServerRegistry|TestMultiClientStressRace|TestUpdateDispatchesIdleHandlersEvents)$$' ./internal/xclient ./internal/xserver ./internal/tk
 
-bench: bench-farm
+# bench runs the microbenchmarks, then every row of the gate table in
+# gates_test.go, and writes BENCH_gates.json, the committed artifact,
+# into the tree.
+bench:
 	$(GO) test -bench=. -benchmem
-	OBS_BENCH=1 $(GO) test -run 'TestEmitObsBench|TestEmitPipelineBench|TestEmitMTServerBench|TestEmitSLOBench|TestEmitRenderBench|TestEmitWireBench' -count=1 .
+	OBS_BENCH=1 $(GO) test -run '^TestGates$$' -count=1 -timeout 600s .
 
-# bench-smoke runs the metrics-path, pipelining, multi-client, SLO,
-# render, farm and wire-codec end-to-end checks: roundtrip p50 must
-# track the simulated IPC latency, 8 pipelined round trips must beat 8
-# serial ones ≥ 4× under the per-segment model (and per-request times
-# must stay framing-independent), aggregate throughput at 8 concurrent
-# clients must be ≥ 3× the single-client baseline, span sampling at the
-# default 1-in-64 interval must cost < 10% of pipelined round-trip
-# throughput, the tiled renderer must beat the seed flat renderer ≥ 3×
-# on the fill/scroll/text storm, painters must keep ≥ half their
-# throughput under concurrent screenshot export, the session farm must
-# hold 1000 concurrent sessions with bounded memory and survive a 10%
-# mid-run eviction with zero cross-tenant damage (docs/farm.md), and
-# wire protocol v2, compressed segments of the same frames v1 sends,
-# must cut bytes-on-wire ≥ 5× and finish the 10 ms-RTT storm ≥ 2×
-# faster than v1 (docs/pipelining.md, "Wire protocol v2"). The test
-# binary runs in .bench_build/smoke/, so the artifacts it emits
-# (BENCH_obs.json, BENCH_pipeline.json, BENCH_mtserver.json,
-# BENCH_slo.json, BENCH_render.json, BENCH_farm.json and
-# BENCH_wire.json) land there and the tree stays clean; bench-farm and
-# bench-wire refresh the committed BENCH_farm.json and BENCH_wire.json.
+# bench-smoke runs every row of the gate table in gates_test.go
+# (pipelining, multi-client dispatch, span-sampling overhead, render
+# storm and painters, the session farm, and wire protocol v2), each
+# against the bound its row states. The test binary runs in
+# .bench_build/smoke/, so BENCH_gates.json lands there and the tree
+# stays clean. One row runs as -test.run 'TestGates/farm'; such a run
+# leaves the artifact alone.
 bench-smoke:
 	mkdir -p .bench_build/smoke
 	$(GO) test -c -o .bench_build/smoke/repro.test .
-	cd .bench_build/smoke && OBS_BENCH=1 ./repro.test -test.run 'TestEmitObsBench|TestEmitPipelineBench|TestEmitMTServerBench|TestEmitSLOBench|TestEmitRenderBench|TestEmitFarmBench|TestEmitWireBench' -test.count=1 -test.timeout=10m
-
-# bench-farm runs just the display-farm benchmark (BENCH_farm.json):
-# 1000+ concurrent wish-style sessions, bounded-memory assertion, p99
-# dispatch latency, and the 10%-eviction chaos scenario. See
-# docs/farm.md.
-bench-farm:
-	OBS_BENCH=1 $(GO) test -run TestEmitFarmBench -count=1 -timeout 600s .
-
-# bench-wire runs just the wire-protocol-v2 benchmark (BENCH_wire.json):
-# v1-vs-v2 bytes on the wire and storm completion time at 0/1/10 ms
-# simulated RTT. See docs/pipelining.md, "Wire protocol v2".
-bench-wire:
-	OBS_BENCH=1 $(GO) test -run TestEmitWireBench -count=1 -timeout 600s .
+	cd .bench_build/smoke && OBS_BENCH=1 ./repro.test -test.run '^TestGates$$' -test.count=1 -test.timeout=10m
 
 # tkbench-smoke runs the benchmark's own tests (about 10 s, offline):
 # every workload briefly, race-gated, with its Go-model oracles, so a

@@ -1,11 +1,10 @@
 // Package slo folds metric-registry snapshots and request spans into a
 // machine-readable service-level report: p50/p99 dispatch and
 // round-trip latency, lock-wait quantiles, and an error
-// budget computed from the error-class counters. It is the rollup the
-// standing regression harness (ROADMAP item 5) asserts against —
-// BENCH_slo.json is one of these reports serialized by the OBS_BENCH
-// gate — and the live introspection endpoint (internal/obs/statshttp)
-// serves it from a running server.
+// budget computed from the error-class counters. The slo row of the
+// repository's gate table (gates_test.go) checks that a traced
+// workload's report fills every section, and the live introspection
+// endpoint (internal/obs/statshttp) serves it from a running server.
 package slo
 
 import (
@@ -110,8 +109,8 @@ func IsErrorCounter(name string) bool {
 	return errorCounterNames[name]
 }
 
-// MarshalReport renders a report as indented JSON — the format both
-// BENCH_slo.json and the /slo endpoint emit.
+// MarshalReport renders a report as indented JSON — the format the
+// /slo endpoint emits.
 func MarshalReport(r Report) ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }

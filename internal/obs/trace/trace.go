@@ -17,9 +17,10 @@
 // server's dispatch span.
 //
 // A Tracer with a zero interval records nothing and costs one atomic
-// load per request on the instrumented paths; the acceptance gate for
-// the pipelined benchmark is < 5% overhead at 1-in-64 sampling, so
-// tracing can stay enabled in production-shaped runs.
+// load per request on the instrumented paths. The cost of sampling 1 in
+// 64 is gated by the slo.sampling_overhead row of the repository's gate
+// table (gates_test.go), so tracing can stay enabled in
+// production-shaped runs.
 package trace
 
 import (
@@ -81,8 +82,8 @@ type Tracer struct {
 
 // DefaultInterval is the sampling interval tracing-enabled entry points
 // (wish -spans, xsimd) use unless told otherwise: 1 request in 64,
-// chosen so the pipelined benchmark stays within 5% of its untraced
-// throughput.
+// chosen so pipelined round trips stay within the slo.sampling_overhead
+// bound of the gate table (gates_test.go).
 const DefaultInterval = 64
 
 // New returns a tracer retaining at most capacity spans (minimum 1),

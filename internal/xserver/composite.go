@@ -135,8 +135,9 @@ func (s *Server) planScreenshot(c *conn, q *xproto.ScreenshotReq) *screenshot {
 	return &screenshot{w: w.w + 2*bw, h: w.h + 2*bw + dh, ops: s.compositePlan(nil, w, bw, bw+dh)}
 }
 
-// reply composes the plan into a fresh image and replies with its
-// packed RGB pixels. It needs no lock.
+// reply composes the plan into a fresh image with no lock held, then
+// replies with its packed RGB pixels. The packing runs inside the
+// reply's encode function, so under c's outMu.
 func (shot *screenshot) reply(c *conn) {
 	begin := time.Now()
 	im := newImage(shot.w, shot.h)

@@ -232,6 +232,12 @@ type conn struct {
 	wireRx bool
 	rxSeg  []byte
 
+	// Span timing, owned by the request-loop goroutine: spanning is set
+	// while a sampled request dispatches, and replied holds the time its
+	// reply or error was handed to the writer, zero until then.
+	spanning bool
+	replied  time.Time
+
 	// byOp holds each opcode's "requests.<OpName>" counter in the server
 	// registry, resolved on the opcode's first request so the registry
 	// gains no zero-valued rows; only the request-loop goroutine
@@ -553,15 +559,24 @@ func (s *Server) serveRequest(c *conn, op uint16, payload []byte) {
 	}
 	tr := s.tracer.Load()
 	sampled := tr != nil && tr.Sampled(c.seq)
+	c.spanning = sampled
 	wait := s.dispatch(c, op, payload)
 	elapsed := time.Since(begin)
 	if sampled {
-		// A sampled dispatch's span carries the wait for the display
+		// A sampled dispatch's span ends where its reply or error was
+		// handed to the writer, so it nests inside the client's round
+		// trip however late this goroutine runs again; a request that
+		// sent neither ends it here. It carries the wait for the display
 		// lock it paid, and no lock-wait arg when it paid none.
+		dur := elapsed
+		if !c.replied.IsZero() {
+			dur = c.replied.Sub(begin)
+		}
+		c.spanning, c.replied = false, time.Time{}
 		s.sampled.Inc()
 		span := trace.Span{
 			Seq: c.seq, Name: "server.dispatch", Side: "server",
-			Op: xproto.OpName(op), Start: begin.UnixNano(), Dur: int64(elapsed),
+			Op: xproto.OpName(op), Start: begin.UnixNano(), Dur: int64(dur),
 		}
 		if wait > 0 {
 			span.Args = []trace.Arg{{Key: "lockwait.tree", Val: wait}}
@@ -774,9 +789,18 @@ func (c *conn) writeLoop() {
 	}
 }
 
+// markReplied records, for a sampled request's span, when its first
+// reply or error is handed to the writer.
+func (c *conn) markReplied() {
+	if c.spanning && c.replied.IsZero() {
+		c.replied = time.Now()
+	}
+}
+
 // reply sends a reply for the current request, with encode appending
 // the reply body after the sequence number.
 func (c *conn) reply(encode func(w *xproto.Writer)) {
+	c.markReplied()
 	c.push(xproto.KindReply, func(w *xproto.Writer) {
 		w.PutU64(c.seq)
 		encode(w)
@@ -786,6 +810,7 @@ func (c *conn) reply(encode func(w *xproto.Writer)) {
 // protoError sends an error message for the current request.
 func (c *conn) protoError(format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
+	c.markReplied()
 	c.push(xproto.KindError, func(w *xproto.Writer) {
 		w.PutU64(c.seq)
 		w.PutString(msg)

@@ -1,17 +1,13 @@
-// Render-pipeline benchmarks: a PolyFillRectangle/PolyText8 storm
-// against the tiled damage-tracked renderer, compared to the seed's
-// flat per-pixel renderer preserved in internal/flatimg, plus the
-// screenshot-concurrency column: how much painter throughput survives
-// while other connections continuously export composited screenshots.
-// The gated emitter writes BENCH_render.json, the artifact the
-// EXPERIMENTS.md render table points at.
+// The render storm: a PolyFillRectangle/PolyText8/CopyArea round
+// against the tiled damage-tracked renderer, and the same round on the
+// seed's flat per-pixel renderer preserved in internal/flatimg. The
+// render rows of gates_test.go compare the two and time painters
+// against screenshot readers.
 package repro_test
 
 import (
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/flatimg"
 	"repro/internal/xclient"
@@ -122,173 +118,4 @@ func BenchmarkRenderStorm(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(px)*float64(b.N)/1e6/b.Elapsed().Seconds(), "MPx/s")
-}
-
-// TestEmitRenderBench times the storm against both renderers, measures
-// how much painter throughput survives concurrent screenshot export,
-// and writes BENCH_render.json. It doubles as the acceptance check
-// (make check runs it with OBS_BENCH=1): the tiled pipeline must be
-// ≥ 3x the seed flat renderer on the storm — even though the tiled
-// side pays for the full client/server protocol round and the flat
-// baseline is called directly — and painters must keep ≥ half their
-// throughput while screenshot readers hammer the composite path, which
-// the old screenshot, which held the lock for the whole render, made
-// impossible.
-func TestEmitRenderBench(t *testing.T) {
-	requireObsBench(t, "BENCH_render.json")
-
-	const rounds = 10
-	const reps = 3
-	rects := stormRects()
-	px := stormPixels()
-
-	// Seed flat renderer, direct calls.
-	flat := flatimg.New(stormW, stormH)
-	flatStormRound(flat, rects) // warm
-	flatBest := minDuration(reps, func() time.Duration {
-		start := time.Now()
-		for i := 0; i < rounds; i++ {
-			flatStormRound(flat, rects)
-		}
-		return time.Since(start)
-	})
-
-	// Tiled renderer, full protocol round per storm.
-	s := xserver.New(stormW, stormH)
-	defer s.Close()
-	d, win, gc := stormClient(t, s, 0)
-	defer d.Close()
-	if err := tiledStormRound(d, win, gc, rects); err != nil { // warm
-		t.Fatal(err)
-	}
-	tiledBest := minDuration(reps, func() time.Duration {
-		start := time.Now()
-		for i := 0; i < rounds; i++ {
-			if err := tiledStormRound(d, win, gc, rects); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return time.Since(start)
-	})
-
-	speedup := float64(flatBest) / float64(tiledBest)
-	if speedup < 3 {
-		t.Fatalf("tiled storm %.2fms vs flat %.2fms per %d rounds (%.2fx): want ≥ 3x",
-			float64(tiledBest)/1e6, float64(flatBest)/1e6, rounds, speedup)
-	}
-
-	// Screenshot-concurrency column: two painters alone, then the same
-	// painters with two connections exporting root screenshots at a
-	// live-capture pace (~15 fps each). The plan/replay split means a
-	// reader holds the display lock only for the snapshot walk, so painters keep
-	// nearly all their throughput; the seed held the lock across the
-	// whole compose-and-pack, stalling painters for milliseconds per
-	// frame. The readers are paced, not free-running, so the column
-	// measures lock stalls rather than raw CPU sharing on small hosts.
-	painterRounds := func(withReaders bool) float64 {
-		const painters = 2
-		const proundsEach = 75
-		ds := make([]*xclient.Display, painters)
-		wins := make([]xproto.ID, painters)
-		gcs := make([]xproto.ID, painters)
-		for i := range ds {
-			ds[i], wins[i], gcs[i] = stormClient(t, s, i*64)
-		}
-		defer func() {
-			for _, pd := range ds {
-				pd.Close()
-			}
-		}()
-
-		stop := make(chan struct{})
-		var readers sync.WaitGroup
-		if withReaders {
-			for r := 0; r < 2; r++ {
-				rd, err := xclient.Open(s.ConnectPipe())
-				if err != nil {
-					t.Fatal(err)
-				}
-				readers.Add(1)
-				go func(rd *xclient.Display) {
-					defer readers.Done()
-					defer rd.Close()
-					tick := time.NewTicker(66 * time.Millisecond)
-					defer tick.Stop()
-					for {
-						select {
-						case <-stop:
-							return
-						case <-tick.C:
-						}
-						if _, err := rd.Screenshot(xproto.None); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				}(rd)
-			}
-		}
-
-		var wg sync.WaitGroup
-		start := time.Now()
-		for i := range ds {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				for n := 0; n < proundsEach; n++ {
-					if err := tiledStormRound(ds[i], wins[i], gcs[i], rects); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}(i)
-		}
-		wg.Wait()
-		wall := time.Since(start)
-		close(stop)
-		readers.Wait()
-		return float64(painters*proundsEach) / wall.Seconds()
-	}
-
-	alone := painterRounds(false)
-	contended := painterRounds(true)
-	ratio := contended / alone
-	if ratio < 0.5 {
-		t.Fatalf("painter throughput under concurrent screenshots: %.1f vs %.1f rounds/s alone (ratio %.2f): want ≥ 0.5 — screenshots are stalling painters",
-			contended, alone, ratio)
-	}
-
-	counters := map[string]uint64{}
-	for _, name := range []string{"render.tiles.damaged", "render.tiles.cow", "render.tiles.snapshot"} {
-		counters[name] = s.Metrics().Counter(name).Value()
-	}
-
-	out := struct {
-		StormRects      int               `json:"storm_rects"`
-		StormPx         int               `json:"storm_clipped_px"`
-		FlatNsPerRound  int64             `json:"flat_ns_per_round"`
-		TiledNsPerRound int64             `json:"tiled_ns_per_round"`
-		FlatMPxPerSec   float64           `json:"flat_mpx_per_sec"`
-		TiledMPxPerSec  float64           `json:"tiled_mpx_per_sec"`
-		Speedup         float64           `json:"storm_speedup_tiled_vs_flat"`
-		PainterAlone    float64           `json:"painter_rounds_per_sec_alone"`
-		PainterShots    float64           `json:"painter_rounds_per_sec_with_screenshots"`
-		ConcurrencyKeep float64           `json:"painter_throughput_kept_under_screenshots"`
-		Counters        map[string]uint64 `json:"render_counters"`
-	}{
-		StormRects:      len(rects),
-		StormPx:         px,
-		FlatNsPerRound:  flatBest.Nanoseconds() / rounds,
-		TiledNsPerRound: tiledBest.Nanoseconds() / rounds,
-		FlatMPxPerSec:   float64(px) * rounds / 1e6 / flatBest.Seconds(),
-		TiledMPxPerSec:  float64(px) * rounds / 1e6 / tiledBest.Seconds(),
-		Speedup:         speedup,
-		PainterAlone:    alone,
-		PainterShots:    contended,
-		ConcurrencyKeep: ratio,
-		Counters:        counters,
-	}
-	writeBenchJSON(t, "BENCH_render.json", out)
-	t.Logf("wrote BENCH_render.json: storm %.2fx vs flat renderer (%.0f vs %.0f MPx/s), %.0f%% painter throughput kept under screenshots",
-		speedup, out.TiledMPxPerSec, out.FlatMPxPerSec, ratio*100)
 }
