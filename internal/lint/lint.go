@@ -27,7 +27,7 @@ import (
 // A Diag is one diagnostic, positioned at a 1-based line and column.
 // Rule doubles as the analyzer name in machine-readable output:
 // "parse", "unknown-command", "arity", "expr", "path", "options",
-// "locks", "lockorder", "metrics", "opcodes", "pkgdoc".
+// "locks", "lockorder", "argv", "metrics", "opcodes", "pkgdoc".
 type Diag struct {
 	File string
 	Line int

@@ -184,6 +184,28 @@ func TestLockOrderFixture(t *testing.T) {
 	})
 }
 
+// TestArgvFixture exercises the argument-lifetime analyzer: each command
+// in bad.go keeps its args one way (a field, a field through a helper,
+// a package-level variable through a local, a map, a channel, a
+// returned error, a goroutine, a stored closure, a closure handed to
+// time.AfterFunc, and the enclosing function's variable), and nothing
+// in clean.go is reported.
+func TestArgvFixture(t *testing.T) {
+	const msg = "; they are valid only during the call, so keep a copy (slices.Clone) [argv]"
+	assertDiags(t, checkFixture(t, filepath.Join("testdata", "argv")), []string{
+		`testdata/argv/bad.go:25:2: a command's args are kept in a field` + msg,
+		`testdata/argv/bad.go:35:2: a command's args are kept in a field (via call to widget.install)` + msg,
+		`testdata/argv/bad.go:43:2: a command's args are kept in a package-level variable` + msg,
+		`testdata/argv/bad.go:48:2: a command's args are kept in a map` + msg,
+		`testdata/argv/bad.go:53:2: a command's args are kept in a channel` + msg,
+		`testdata/argv/bad.go:62:13: a command's args are kept in a returned value` + msg,
+		`testdata/argv/bad.go:66:2: a command's args are kept in a goroutine` + msg,
+		`testdata/argv/bad.go:71:2: a command's args are kept in a field` + msg,
+		`testdata/argv/bad.go:76:30: a command's args are kept in a closure passed to a function that may keep it` + msg,
+		`testdata/argv/bad.go:85:3: a command's args are kept in a variable declared outside the command` + msg,
+	})
+}
+
 // TestLockCycleFromReorderedAcquisitions is the reorder acceptance
 // check: two functions taking the same two mutexes in opposite orders
 // — no declaration anywhere — must produce a cycle diagnostic naming

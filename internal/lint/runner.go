@@ -16,10 +16,10 @@ import (
 // Runner drives a tkcheck run over a set of targets: .tcl files are
 // linted directly, Go files have their Eval/MustEval script literals
 // linted, each Go package is type-checked and analyzed (lock
-// discipline, lock order, package docs), and Markdown
-// files feed the metrics registry's doc side. Cross-target facts
-// (opcodes, metrics) accumulate across everything scanned and are
-// evaluated by Finish.
+// discipline, lock order, command argument lifetimes, package docs),
+// and Markdown files feed the metrics registry's doc side.
+// Cross-target facts (opcodes, metrics) accumulate across everything
+// scanned and are evaluated by Finish.
 //
 // Check only collects work; Finish runs it and sorts the diagnostics,
 // so the output is a deterministic function of the inputs. Read, parse
@@ -148,6 +148,7 @@ func (r *Runner) Finish() []Diag {
 		r.timed("metrics", func() { r.metrics.collectPackage(p) })
 		r.timed("locks", func() { r.diags = append(r.diags, checkLocks(p)...) })
 		r.timed("lockorder", func() { r.diags = append(r.diags, checkLockOrder(p)...) })
+		r.timed("argv", func() { r.diags = append(r.diags, checkArgv(p)...) })
 		r.timed("pkgdoc", func() { r.diags = append(r.diags, CheckPackageDoc(p.dir, p.fset, p.files)...) })
 	}
 	r.tclFiles, r.mdFiles, r.goDirs = nil, nil, nil

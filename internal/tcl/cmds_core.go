@@ -158,16 +158,23 @@ func cmdProc(in *Interp, args []string) (string, error) {
 	return "", nil
 }
 
+// The free list of call frames holds at most maxFreeFrames, and a
+// frame whose map held more than maxFrameVars variables is dropped
+// rather than kept, since a cleared map keeps its size.
+const (
+	maxFreeFrames = 8
+	maxFrameVars  = 32
+)
+
 // callProc pushes a frame, binds formals, and evaluates a procedure body.
 func (in *Interp) callProc(def *procDef, args []string) (string, error) {
-	f := &frame{vars: make(map[string]*Var, len(def.formals)+4), level: len(in.frames)}
+	f := in.pushFrame(len(def.formals) + 4)
+	defer in.popFrame(f)
 	actuals := args[1:]
 	ai := 0
-	for fi, formal := range def.formals {
+	for _, formal := range def.formals {
 		if formal.isVarArg {
-			rest := make([]string, 0, len(actuals)-ai)
-			rest = append(rest, actuals[ai:]...)
-			f.vars["args"] = &Var{value: FormatList(rest)}
+			f.vars["args"] = &Var{value: FormatList(actuals[ai:])}
 			ai = len(actuals)
 			break
 		}
@@ -178,16 +185,12 @@ func (in *Interp) callProc(def *procDef, args []string) (string, error) {
 		case formal.hasDef:
 			f.vars[formal.name] = &Var{value: formal.def}
 		default:
-			_ = fi
 			return "", errf(`no value given for parameter "%s" to "%s"`, formal.name, def.name)
 		}
 	}
 	if ai < len(actuals) {
 		return "", errf(`called "%s" with too many arguments`, def.name)
 	}
-
-	in.frames = append(in.frames, f)
-	defer func() { in.frames = in.frames[:len(in.frames)-1] }()
 
 	if def.code == nil {
 		def.code = slices.Clone(compileScript(def.body, in.scratch))
@@ -211,6 +214,33 @@ func (in *Interp) callProc(def *procDef, args []string) (string, error) {
 		return "", err
 	}
 	return res, nil
+}
+
+// pushFrame makes a procedure frame current, taking it from the free
+// list when it holds one; hint sizes a new frame's map.
+func (in *Interp) pushFrame(hint int) *frame {
+	var f *frame
+	if n := len(in.freeFrames); n > 0 {
+		f = in.freeFrames[n-1]
+		in.freeFrames[n-1] = nil
+		in.freeFrames = in.freeFrames[:n-1]
+	} else {
+		f = &frame{vars: make(map[string]*Var, hint)}
+	}
+	f.level = len(in.frames)
+	in.frames = append(in.frames, f)
+	return f
+}
+
+// popFrame removes f, the current frame, and puts it on the free list
+// with its map cleared, unless the list is full or the map grew large.
+func (in *Interp) popFrame(f *frame) {
+	in.frames[len(in.frames)-1] = nil
+	in.frames = in.frames[:len(in.frames)-1]
+	if len(in.freeFrames) < maxFreeFrames && len(f.vars) <= maxFrameVars {
+		clear(f.vars)
+		in.freeFrames = append(in.freeFrames, f)
+	}
 }
 
 func cmdReturn(in *Interp, args []string) (string, error) {

@@ -140,11 +140,15 @@ func FuzzEval(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		// Cold and cached evaluations agree: S three times in one
 		// interpreter (miss, admit, hit) against three whitespace-
-		// prefixed variants, which are never cached, in another.
+		// prefixed variants, which are never cached, in another. Every
+		// evaluation, error or not, ends at top level with its words
+		// popped.
 		cached, cold := fuzzInterp(), fuzzInterp()
 		for i := 1; i <= 3; i++ {
 			a := outcome(cached.Eval(s))
+			checkIdle(t, cached)
 			b := outcome(cold.Eval(strings.Repeat(" ", i) + s))
+			checkIdle(t, cold)
 			if a != b {
 				t.Fatalf("run %d of %q: cached %s, cold %s", i, s, a, b)
 			}

@@ -489,27 +489,42 @@ func hexVal(c byte) int {
 }
 
 // run executes compiled commands and returns the last one's result.
+// Each command's words go on the word stack (Interp.argv) as they are
+// substituted; a [script] in a later word runs its commands above them.
+// The command gets its words capped at their count, so appending to
+// them reallocates rather than overwrite the stack.
 func (in *Interp) run(toks []token) (string, error) {
 	result := ""
 	for i := 0; i < len(toks); {
 		if toks[i].kind != tCmd {
 			return in.part(toks, i) // a syntax error between commands
 		}
-		words := make([]string, toks[i].n)
+		base, n := len(in.argv), int(toks[i].n)
 		i++
-		for w := range words {
+		for range n {
 			s, err := in.part(toks, i)
 			if err != nil {
+				in.popWords(base)
 				return "", err
 			}
-			words[w], i = s, i+toks[i].extent()
+			in.argv = append(in.argv, s)
+			i += toks[i].extent()
 		}
 		var err error
-		if result, err = in.invoke(words); err != nil {
+		result, err = in.invoke(in.argv[base : base+n : base+n])
+		in.popWords(base)
+		if err != nil {
 			return "", err
 		}
 	}
 	return result, nil
+}
+
+// popWords clears the word stack down to base, so a command that kept
+// its words reads empty strings instead of another command's.
+func (in *Interp) popWords(base int) {
+	clear(in.argv[base:])
+	in.argv = in.argv[:base]
 }
 
 // part evaluates the word or part at toks[i].

@@ -1,6 +1,7 @@
 package tcl
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -120,12 +121,13 @@ func TestParseStopsAtError(t *testing.T) {
 }
 
 // TestParseLiteralValues: a literal word's Value is exactly the argument
-// the interpreter passes.
+// the interpreter passes. The recorder copies the words: a command's
+// args are valid only during the call.
 func TestParseLiteralValues(t *testing.T) {
 	in := New()
 	var args []string
 	in.Register("rec", func(_ *Interp, a []string) (string, error) {
-		args = a
+		args = slices.Clone(a)
 		return "", nil
 	})
 	for _, src := range []string{

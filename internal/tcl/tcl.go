@@ -99,6 +99,14 @@ func (r *returnError) Error() string { return r.value }
 // paper). args[0] is the command name as invoked. The returned string is
 // the command result; a non-nil error aborts the script unless it is a
 // control-flow signal.
+//
+// As a command procedure's argv is in Tcl's C interface, args and every
+// subslice of it are valid only during the call: the interpreter takes
+// the words from a stack it reuses, and clears them once the command
+// returns. The strings themselves stay valid, since Go strings are
+// immutable, so a command that keeps a word keeps the string, and one
+// that keeps a list of words copies the slice (slices.Clone). Appending
+// to args reallocates it, so a command may build on it.
 type CmdFunc func(in *Interp, args []string) (string, error)
 
 // command holds a registered command: either a Go procedure or a Tcl proc.
@@ -138,7 +146,10 @@ type VarTrace struct {
 	Fn  func(in *Interp, name, index, op string)
 }
 
-// frame is one procedure call frame (level 0 is global).
+// frame is one procedure call frame (level 0 is global). callProc
+// takes a procedure's frame from the interpreter's free list and puts
+// it back, its map cleared, when the call returns; nothing else keeps
+// a frame, and upvar links point at a Var, which is never reused.
 type frame struct {
 	vars  map[string]*Var
 	level int
@@ -161,11 +172,19 @@ type Interp struct {
 
 	// Trace, when set, observes every command invocation with its fully
 	// substituted words, before execution (tclsh -trace uses it to log
-	// command history).
+	// command history). As with a CmdFunc's args, words is valid only
+	// during the call.
 	Trace func(words []string)
 
 	nesting  int   // depth of recursive evaluation
 	cmdCount int64 // commands invoked, for info cmdcount
+
+	// argv is the word stack: run pushes each command's words as it
+	// substitutes them, above those of the commands still running, and
+	// clears and pops them when the command returns or a word fails.
+	// freeFrames holds call frames for callProc to reuse (see frame).
+	argv       []string
+	freeFrames []*frame
 
 	// cache holds compiled scripts and expressions by text; seen records
 	// the hashes of texts seen once (see admit); scratch is a spare token
@@ -357,8 +376,11 @@ func (in *Interp) admit(text string, cached bool) bool {
 	return true
 }
 
-// EvalWords invokes a command from pre-parsed words, bypassing the parser.
-// Tk uses it to splice event fields into bound commands efficiently.
+// EvalWords invokes a command from pre-parsed words, bypassing the
+// parser, for a caller that already has the words split. As with a
+// CmdFunc's args, the command and the Trace hook may use words only
+// during the call, so the caller may reuse the slice once EvalWords
+// returns.
 func (in *Interp) EvalWords(words []string) (string, error) {
 	if len(words) == 0 {
 		return "", nil

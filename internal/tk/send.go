@@ -174,14 +174,14 @@ func (app *App) Send(target, script string) (string, error) {
 			delete(app.sendResults, serial)
 			// The histogram records only completed RPCs (success or
 			// remote error), not timeouts.
-			app.Metrics().Histogram("tk.send").Observe(time.Since(begin))
+			app.sendHist.Observe(time.Since(begin))
 			if res.code != 0 {
 				return "", &tcl.Error{Code: tcl.ErrorStatus, Msg: res.result}
 			}
 			return res.result, nil
 		}
 		if time.Now().After(deadline) {
-			app.Metrics().Counter("tk.send.timeout").Inc()
+			app.sendTimeouts.Inc()
 			// Probe the target's communication window: a peer that
 			// crashed or closed its display no longer has one (the server
 			// destroys a departed client's windows), so distinguish "dead

@@ -176,13 +176,15 @@ type App struct {
 	packer  *Packer
 
 	// Handles into the display registry for event dispatch, the queue
-	// depths, sampled spans and the resource caches' hit and miss
-	// counts, resolved in NewApp.
+	// depths, sampled spans, completed and timed-out sends and the
+	// resource caches' hit and miss counts, resolved in NewApp.
 	eventsCtr    *obs.Counter
 	dispatchHist *obs.Histogram
 	timersDepth  *obs.Gauge
 	idleDepth    *obs.Gauge
 	spansCtr     *obs.Counter
+	sendHist     *obs.Histogram
+	sendTimeouts *obs.Counter
 	colorStats   cacheStats
 	fontStats    cacheStats
 	cursorStats  cacheStats
@@ -302,6 +304,8 @@ func NewApp(d *xclient.Display, cfg Config) (*App, error) {
 	app.timersDepth = m.Gauge("tk.timers.depth")
 	app.idleDepth = m.Gauge("tk.idle.depth")
 	app.spansCtr = m.Counter("trace.spans")
+	app.sendHist = m.Histogram("tk.send")
+	app.sendTimeouts = m.Counter("tk.send.timeout")
 	app.colorStats = cacheStats{m.Counter("tk.cache.color.hits"), m.Counter("tk.cache.color.misses")}
 	app.fontStats = cacheStats{m.Counter("tk.cache.font.hits"), m.Counter("tk.cache.font.misses")}
 	app.cursorStats = cacheStats{m.Counter("tk.cache.cursor.hits"), m.Counter("tk.cache.cursor.misses")}
