@@ -3,12 +3,11 @@
 // script literals Go sources pass to Eval/MustEval — against the live
 // command registry without evaluating them, recursing into deferred
 // scripts (bind bodies, -command options, after and send arguments),
-// and runs six Go analyzers over type-checked packages: lock
+// and runs five Go analyzers over type-checked packages: lock
 // discipline for "guarded by mu" fields, the whole-program lock-order
 // graph, command procedures that keep their args past the call, the
-// metrics-name registry (Go names vs the
-// docs/observability.md registry block), xproto opcode completeness,
-// and package doc comments on internal packages.
+// metrics-name registry (Go names vs the docs/observability.md
+// registry block), and package doc comments on internal packages.
 //
 // Usage:
 //

@@ -31,7 +31,6 @@ func TestExitNonZeroOnBadFixtures(t *testing.T) {
 		{fixtures + "/path.tcl", `path.tcl:2:8: bad window path name ".a..b"`},
 		{fixtures + "/locks", `locks.go:23:11: counter.count (guarded by mu) accessed without holding mu`},
 		{fixtures + "/argv", `bad.go:25:2: a command's args are kept in a field`},
-		{fixtures + "/opcodes", `opcodes.go:9:2: opcode OpOrphan has no case in the NewRequest factory`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.target, func(t *testing.T) {

@@ -11,9 +11,9 @@
 // recursively, so callback errors are caught at load time instead of
 // event time. Tier 2 is five Go analyzers over packages type-checked
 // with go/types: lock discipline driven by "guarded by mu" field
-// annotations, the whole-program lock-order graph, the metrics-name
-// registry, xproto opcode completeness, and package doc comments. See
-// docs/static-analysis.md.
+// annotations, the whole-program lock-order graph, command procedures
+// that keep their args past the call, the metrics-name registry, and
+// package doc comments. See docs/static-analysis.md.
 package lint
 
 import (
@@ -27,7 +27,7 @@ import (
 // A Diag is one diagnostic, positioned at a 1-based line and column.
 // Rule doubles as the analyzer name in machine-readable output:
 // "parse", "unknown-command", "arity", "expr", "path", "options",
-// "locks", "lockorder", "argv", "metrics", "opcodes", "pkgdoc".
+// "locks", "lockorder", "argv", "metrics", "pkgdoc".
 type Diag struct {
 	File string
 	Line int

@@ -88,17 +88,6 @@ func TestLocksFixture(t *testing.T) {
 	})
 }
 
-// TestOpcodesFixture exercises opcode completeness: OpOrphan is missing
-// from the factory, the dispatch switch and the opNames table, while
-// OpPing/OpEcho are covered everywhere.
-func TestOpcodesFixture(t *testing.T) {
-	assertDiags(t, checkFixture(t, filepath.Join("testdata", "opcodes")), []string{
-		`testdata/opcodes/opcodes.go:9:2: opcode OpOrphan has no *OrphanReq dispatch arm in any request type switch [opcodes]`,
-		`testdata/opcodes/opcodes.go:9:2: opcode OpOrphan has no case in the NewRequest factory [opcodes]`,
-		`testdata/opcodes/opcodes.go:9:2: opcode OpOrphan has no entry in the opNames table (OpName would fall back to a number) [opcodes]`,
-	})
-}
-
 // TestSuppression checks the tkcheck:ignore escape hatch: a rule list
 // suppresses only those rules for the next command, and a bare ignore
 // suppresses everything.

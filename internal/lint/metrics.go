@@ -32,10 +32,10 @@ import (
 // segments normalize to "*", so "requests.<OpName>" matches the
 // code-side pattern "requests.*".
 //
-// Like the opcode analyzer this is a cross-target facts accumulator:
-// names are collected per package and per document, and the two sides
-// are compared only once both have been seen, so partial runs (Go
-// files only, or docs only) stay silent.
+// This is a cross-target facts accumulator: names are collected per
+// package and per document, and the two sides are compared only once
+// both have been seen, so partial runs (Go files only, or docs only)
+// stay silent.
 
 type metricSite struct {
 	file string

@@ -17,9 +17,9 @@ import (
 // linted directly, Go files have their Eval/MustEval script literals
 // linted, each Go package is type-checked and analyzed (lock
 // discipline, lock order, command argument lifetimes, package docs),
-// and Markdown files feed the metrics registry's doc side.
-// Cross-target facts (opcodes, metrics) accumulate across everything
-// scanned and are evaluated by Finish.
+// and Markdown files feed the metrics registry's doc side. The metrics
+// facts accumulate across everything scanned and are evaluated by
+// Finish.
 //
 // Check only collects work; Finish runs it and sorts the diagnostics,
 // so the output is a deterministic function of the inputs. Read, parse
@@ -36,7 +36,6 @@ type Runner struct {
 	goDirs   []goDir
 
 	fset    *token.FileSet
-	opcodes *OpcodeFacts
 	metrics *MetricsFacts
 	diags   []Diag
 	errs    []error
@@ -54,7 +53,6 @@ func NewRunner() *Runner {
 	return &Runner{
 		Reg:     NewRegistry(),
 		fset:    token.NewFileSet(),
-		opcodes: NewOpcodeFacts(),
 		metrics: NewMetricsFacts(),
 		timings: make(map[string]time.Duration),
 	}
@@ -152,7 +150,6 @@ func (r *Runner) Finish() []Diag {
 		r.timed("pkgdoc", func() { r.diags = append(r.diags, CheckPackageDoc(p.dir, p.fset, p.files)...) })
 	}
 	r.tclFiles, r.mdFiles, r.goDirs = nil, nil, nil
-	r.diags = append(r.diags, r.opcodes.Diags()...)
 	r.diags = append(r.diags, r.metrics.Diags()...)
 	SortDiags(r.diags)
 	return r.diags
@@ -210,10 +207,9 @@ func (r *Runner) checkDocFile(path string) {
 	})
 }
 
-// loadGo parses the queued Go files, lints their script literals,
-// collects their opcode facts, and returns them type-checked, one
-// goPackage per package clause in each directory; none when export
-// data cannot be had.
+// loadGo parses the queued Go files, lints their script literals, and
+// returns them type-checked, one goPackage per package clause in each
+// directory; none when export data cannot be had.
 func (r *Runner) loadGo() []*goPackage {
 	var pkgs []*goPackage
 	for _, d := range r.goDirs {
@@ -252,9 +248,6 @@ func (r *Runner) parseGoFiles(d goDir) []*goPackage {
 		}
 		r.timed("scripts", func() {
 			r.diags = append(r.diags, lintGoFile(r.fset, f, string(src), path, r.Reg)...)
-		})
-		r.timed("opcodes", func() {
-			r.opcodes.Collect(r.fset, f)
 		})
 		p := byName[f.Name.Name]
 		if p == nil {

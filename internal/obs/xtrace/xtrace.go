@@ -80,19 +80,14 @@ func (t *Tracer) Dump(n int) []string {
 	return out
 }
 
-// request decodes and records one client→server frame.
+// request decodes and records one client→server frame. A handshake
+// frame is traced without a number, since the server gives it none.
 func (t *Tracer) request(hdr, payload []byte) {
 	op := binary.BigEndian.Uint16(hdr)
-	t.mu.Lock()
-	t.reqSeq++
-	seq := t.reqSeq
-	if xproto.HasReply(op) {
-		t.pending[seq] = op
-	}
-	t.mu.Unlock()
-
+	rt, _ := xproto.LookupRequest(op)
 	summary := ""
-	if req := xproto.NewRequest(op); req != nil {
+	if rt.New != nil {
+		req := rt.New()
 		r := xproto.NewReader(payload)
 		req.Decode(r)
 		if r.Err() == nil {
@@ -101,6 +96,18 @@ func (t *Tracer) request(hdr, payload []byte) {
 			summary = fmt.Sprintf("<malformed: %v>", r.Err())
 		}
 	}
+	if rt.Handshake {
+		t.ring.Append(fmt.Sprintf("-> %s %s", rt.Name, summary))
+		return
+	}
+
+	t.mu.Lock()
+	t.reqSeq++
+	seq := t.reqSeq
+	if rt.Reply {
+		t.pending[seq] = op
+	}
+	t.mu.Unlock()
 	t.ring.Append(fmt.Sprintf("-> req #%d %s %s", seq, xproto.OpName(op), summary))
 }
 

@@ -68,17 +68,30 @@ func TestTraceGolden(t *testing.T) {
 }
 
 // TestTraceCoverageAndReset spot-checks the line kinds the golden file
-// relies on and that Reset clears the ring but keeps reply matching
-// coherent.
+// relies on, that the attach handshake a remote display opens with is
+// traced without a number, and that Reset clears the ring but keeps
+// reply matching coherent.
 func TestTraceCoverageAndReset(t *testing.T) {
 	srv := xserver.New(100, 100)
 	defer srv.Close()
 	tr := xtrace.New(8)
-	d, err := xclient.Open(tr.Tap(srv.ConnectPipe()))
+	d, err := xclient.OpenWith(tr.Tap(srv.ConnectPipe()), xclient.Config{Attach: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
+
+	// The server numbers no handshake frame, so the first request after
+	// the attach is #1 and its reply is matched to it.
+	if _, err := d.InternAtom("FIRST"); err != nil {
+		t.Fatal(err)
+	}
+	dump := strings.Join(tr.Dump(0), "\n")
+	for _, want := range []string{"-> req #1 InternAtom ", "<- rep #1 InternAtom "} {
+		if !strings.Contains(dump, want) {
+			t.Fatalf("trace after an attach lacks %q:\n%s", want, dump)
+		}
+	}
 
 	w := d.CreateWindow(d.Root, 0, 0, 10, 10, 0, xclient.WindowAttributes{
 		EventMask: xproto.StructureNotifyMask,
@@ -112,7 +125,7 @@ func TestTraceCoverageAndReset(t *testing.T) {
 	if _, err := d.InternAtom("AFTER_RESET"); err != nil {
 		t.Fatal(err)
 	}
-	dump := strings.Join(tr.Dump(0), "\n")
+	dump = strings.Join(tr.Dump(0), "\n")
 	if !strings.Contains(dump, "InternAtom") || !strings.Contains(dump, "<- rep ") {
 		t.Fatalf("post-reset trace = %s", dump)
 	}

@@ -376,26 +376,6 @@ func (in *Interp) admit(text string, cached bool) bool {
 	return true
 }
 
-// EvalWords invokes a command from pre-parsed words, bypassing the
-// parser, for a caller that already has the words split. As with a
-// CmdFunc's args, the command and the Trace hook may use words only
-// during the call, so the caller may reuse the slice once EvalWords
-// returns.
-func (in *Interp) EvalWords(words []string) (string, error) {
-	if len(words) == 0 {
-		return "", nil
-	}
-	if in.deleted {
-		return "", errf("attempt to use deleted interpreter")
-	}
-	in.nesting++
-	defer func() { in.nesting-- }()
-	if in.nesting > maxNesting {
-		return "", errf(nestingMsg)
-	}
-	return in.invoke(words)
-}
-
 // invoke dispatches one fully substituted command.
 func (in *Interp) invoke(words []string) (string, error) {
 	in.cmdCount++

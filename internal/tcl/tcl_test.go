@@ -457,16 +457,6 @@ func TestTimeCommand(t *testing.T) {
 	}
 }
 
-func TestCallAndEvalWords(t *testing.T) {
-	in := New()
-	res, err := in.EvalWords([]string{"set", "q", "multi word value"})
-	if err != nil || res != "multi word value" {
-		t.Fatalf("EvalWords: %q, %v", res, err)
-	}
-	// Words passed to EvalWords are not re-parsed.
-	expect(t, in, "set q", "multi word value")
-}
-
 func TestErrorInfoPropagation(t *testing.T) {
 	in := New()
 	_, err := in.Eval("set")

@@ -56,10 +56,6 @@ func (app *App) ClearSelection(win *Window) {
 	}
 }
 
-// SelectionOwnerWindow returns the window in this application that owns
-// the selection, or nil.
-func (app *App) SelectionOwnerWindow() *Window { return app.selOwner }
-
 // handleSelectionRequest services an ICCCM SelectionRequest event: call
 // the owner's selection handler and hand the result to the requestor.
 func (app *App) handleSelectionRequest(ev *xproto.Event) {

@@ -282,19 +282,6 @@ func (c FontCookie) Wait() (*Font, error) {
 	return f, nil
 }
 
-// TextExtents queries the server for the rendered extents of text in a
-// font (one round trip). Widget code usually uses the cached
-// Font.TextWidth instead; this is the protocol-level query.
-func (d *Display) TextExtents(f *Font, text string) (ascent, descent, width int, err error) {
-	var rep xproto.QueryTextExtentsReply
-	err = d.RoundTrip(&xproto.QueryTextExtentsReq{Fid: f.ID, Text: text},
-		func(r *xproto.Reader) { rep.Decode(r) })
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return int(rep.Ascent), int(rep.Descent), int(rep.Width), nil
-}
-
 // CloseFont releases a font.
 func (d *Display) CloseFont(f *Font) {
 	d.Request(&xproto.CloseFontReq{Fid: f.ID})
@@ -421,11 +408,6 @@ func (d *Display) FillPolygon(drawable, gc xproto.ID, pts []xproto.Point) {
 // DrawString draws text with its baseline at (x, y).
 func (d *Display) DrawString(drawable, gc xproto.ID, x, y int, s string) {
 	d.Request(&xproto.PolyText8Req{Drawable: drawable, Gc: gc, X: int16(x), Y: int16(y), Text: s})
-}
-
-// DrawImageString draws text over a background-filled cell.
-func (d *Display) DrawImageString(drawable, gc xproto.ID, x, y int, s string) {
-	d.Request(&xproto.ImageText8Req{Drawable: drawable, Gc: gc, X: int16(x), Y: int16(y), Text: s})
 }
 
 // AllocColor allocates a color from 16-bit components (a round trip).

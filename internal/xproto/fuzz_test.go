@@ -8,13 +8,13 @@ import (
 )
 
 // fuzzSeedRequestFrames builds representative v1 and v2 client→server
-// frames to seed the corpus: plain v1 requests, the upgrade request, a
-// compressed v2 segment, and a v2 segment of several v1 request frames.
+// frames to seed the corpus: one v1 frame of each sampleRequests entry,
+// so the seeds alone reach every request's Decode, a compressed v2
+// segment, and a v2 segment of several v1 request frames.
 func fuzzSeedRequestFrames() [][]byte {
-	seeds := [][]byte{
-		requestFrames(&PingReq{}),
-		requestFrames(&PolyFillRectangleReq{Drawable: 3, Gc: 4, Rects: []Rect{{X: 1, Y: 2, W: 3, H: 4}}}),
-		requestFrames(&UpgradeWireReq{Version: 2}),
+	var seeds [][]byte
+	for _, req := range sampleRequests {
+		seeds = append(seeds, requestFrames(req))
 	}
 	// A compressible v2 segment: one v1 frame with a repetitive payload.
 	seg, _ := AppendWireSegRequestFrame(nil, rawFrame(OpPing, bytes.Repeat([]byte{0x42}, 300)))

@@ -1,5 +1,7 @@
 package xproto
 
+import "strconv"
+
 // Request opcodes. Core values follow the X11 protocol numbering for
 // familiarity; opcodes 200+ are simulator extensions (synthetic input,
 // screenshots, counters) standing in for the XTEST extension and
@@ -62,123 +64,112 @@ type Request interface {
 	Decode(r *Reader)
 }
 
-// HasReply reports whether a request opcode produces a reply (and hence
-// costs a client round trip).
-func HasReply(op uint16) bool {
-	switch op {
-	case OpGetGeometry, OpQueryTree, OpInternAtom, OpGetAtomName,
-		OpGetProperty, OpListProperties, OpGetSelectionOwner,
-		OpQueryPointer, OpGetInputFocus, OpQueryFont, OpQueryTextExtents,
-		OpAllocColor, OpAllocNamedColor, OpScreenshot, OpPing:
-		return true
-	}
-	return false
+// A RequestType is one row of the request table: what the protocol
+// says about one request opcode.
+type RequestType struct {
+	// Name is the protocol name, as traces, spans and the
+	// "requests.<Name>" counters show it.
+	Name string
+	// New returns an empty request to decode a frame into. It is nil
+	// for WireSeg, whose frames the request loop unwraps.
+	New func() Request
+	// Reply is set when the server answers with a reply, so the request
+	// costs the client a round trip.
+	Reply bool
+	// Handshake is set when the server's request loop consumes the
+	// frame without a sequence number, so it never reaches dispatch:
+	// the session attach, the wire upgrade and the v2 segment, whose
+	// inner requests are numbered instead.
+	Handshake bool
 }
 
-// NewRequest returns an empty request struct for an opcode, for
-// server-side decoding.
+// requestTypes is the request table, indexed by opcode. An opcode no
+// request has holds the zero row.
+var requestTypes = [...]RequestType{
+	OpCreateWindow:           {Name: "CreateWindow", New: newReq[CreateWindowReq]},
+	OpChangeWindowAttributes: {Name: "ChangeWindowAttributes", New: newReq[ChangeWindowAttributesReq]},
+	OpDestroyWindow:          {Name: "DestroyWindow", New: newReq[DestroyWindowReq]},
+	OpMapWindow:              {Name: "MapWindow", New: newReq[MapWindowReq]},
+	OpUnmapWindow:            {Name: "UnmapWindow", New: newReq[UnmapWindowReq]},
+	OpConfigureWindow:        {Name: "ConfigureWindow", New: newReq[ConfigureWindowReq]},
+	OpGetGeometry:            {Name: "GetGeometry", New: newReq[GetGeometryReq], Reply: true},
+	OpQueryTree:              {Name: "QueryTree", New: newReq[QueryTreeReq], Reply: true},
+	OpInternAtom:             {Name: "InternAtom", New: newReq[InternAtomReq], Reply: true},
+	OpGetAtomName:            {Name: "GetAtomName", New: newReq[GetAtomNameReq], Reply: true},
+	OpChangeProperty:         {Name: "ChangeProperty", New: newReq[ChangePropertyReq]},
+	OpDeleteProperty:         {Name: "DeleteProperty", New: newReq[DeletePropertyReq]},
+	OpGetProperty:            {Name: "GetProperty", New: newReq[GetPropertyReq], Reply: true},
+	OpListProperties:         {Name: "ListProperties", New: newReq[ListPropertiesReq], Reply: true},
+	OpSetSelectionOwner:      {Name: "SetSelectionOwner", New: newReq[SetSelectionOwnerReq]},
+	OpGetSelectionOwner:      {Name: "GetSelectionOwner", New: newReq[GetSelectionOwnerReq], Reply: true},
+	OpConvertSelection:       {Name: "ConvertSelection", New: newReq[ConvertSelectionReq]},
+	OpSendEvent:              {Name: "SendEvent", New: newReq[SendEventReq]},
+	OpQueryPointer:           {Name: "QueryPointer", New: newReq[QueryPointerReq], Reply: true},
+	OpSetInputFocus:          {Name: "SetInputFocus", New: newReq[SetInputFocusReq]},
+	OpGetInputFocus:          {Name: "GetInputFocus", New: newReq[GetInputFocusReq], Reply: true},
+	OpOpenFont:               {Name: "OpenFont", New: newReq[OpenFontReq]},
+	OpCloseFont:              {Name: "CloseFont", New: newReq[CloseFontReq]},
+	OpQueryFont:              {Name: "QueryFont", New: newReq[QueryFontReq], Reply: true},
+	OpQueryTextExtents:       {Name: "QueryTextExtents", New: newReq[QueryTextExtentsReq], Reply: true},
+	OpCreatePixmap:           {Name: "CreatePixmap", New: newReq[CreatePixmapReq]},
+	OpFreePixmap:             {Name: "FreePixmap", New: newReq[FreePixmapReq]},
+	OpCreateGC:               {Name: "CreateGC", New: newReq[CreateGCReq]},
+	OpChangeGC:               {Name: "ChangeGC", New: newReq[ChangeGCReq]},
+	OpFreeGC:                 {Name: "FreeGC", New: newReq[FreeGCReq]},
+	OpClearArea:              {Name: "ClearArea", New: newReq[ClearAreaReq]},
+	OpCopyArea:               {Name: "CopyArea", New: newReq[CopyAreaReq]},
+	OpPolyLine:               {Name: "PolyLine", New: newReq[PolyLineReq]},
+	OpPolySegment:            {Name: "PolySegment", New: newReq[PolySegmentReq]},
+	OpPolyRectangle:          {Name: "PolyRectangle", New: newReq[PolyRectangleReq]},
+	OpFillPoly:               {Name: "FillPoly", New: newReq[FillPolyReq]},
+	OpPolyFillRectangle:      {Name: "PolyFillRectangle", New: newReq[PolyFillRectangleReq]},
+	OpPolyText8:              {Name: "PolyText8", New: newReq[PolyText8Req]},
+	OpImageText8:             {Name: "ImageText8", New: newReq[ImageText8Req]},
+	OpAllocColor:             {Name: "AllocColor", New: newReq[AllocColorReq], Reply: true},
+	OpAllocNamedColor:        {Name: "AllocNamedColor", New: newReq[AllocNamedColorReq], Reply: true},
+	OpCreateCursor:           {Name: "CreateCursor", New: newReq[CreateCursorReq]},
+	OpBell:                   {Name: "Bell", New: newReq[BellReq]},
+	OpFakeInput:              {Name: "FakeInput", New: newReq[FakeInputReq]},
+	OpScreenshot:             {Name: "Screenshot", New: newReq[ScreenshotReq], Reply: true},
+	OpPing:                   {Name: "Ping", New: newReq[PingReq], Reply: true},
+	OpAttachSession:          {Name: "AttachSession", New: newReq[AttachSessionReq], Handshake: true},
+	OpUpgradeWire:            {Name: "UpgradeWire", New: newReq[UpgradeWireReq], Handshake: true},
+	OpWireSeg:                {Name: "WireSeg", Handshake: true},
+}
+
+// newReq is a row's constructor: an empty *T.
+func newReq[T any, P interface {
+	*T
+	Request
+}]() Request {
+	return P(new(T))
+}
+
+// LookupRequest returns op's row of the request table, and false for an
+// opcode no request has.
+func LookupRequest(op uint16) (RequestType, bool) {
+	if int(op) < len(requestTypes) && requestTypes[op].Name != "" {
+		return requestTypes[op], true
+	}
+	return RequestType{}, false
+}
+
+// NewRequest returns an empty request to decode op's frame into, or nil
+// for an opcode no request has and for WireSeg.
 func NewRequest(op uint16) Request {
-	switch op {
-	case OpCreateWindow:
-		return &CreateWindowReq{}
-	case OpChangeWindowAttributes:
-		return &ChangeWindowAttributesReq{}
-	case OpDestroyWindow:
-		return &DestroyWindowReq{}
-	case OpMapWindow:
-		return &MapWindowReq{}
-	case OpUnmapWindow:
-		return &UnmapWindowReq{}
-	case OpConfigureWindow:
-		return &ConfigureWindowReq{}
-	case OpGetGeometry:
-		return &GetGeometryReq{}
-	case OpQueryTree:
-		return &QueryTreeReq{}
-	case OpInternAtom:
-		return &InternAtomReq{}
-	case OpGetAtomName:
-		return &GetAtomNameReq{}
-	case OpChangeProperty:
-		return &ChangePropertyReq{}
-	case OpDeleteProperty:
-		return &DeletePropertyReq{}
-	case OpGetProperty:
-		return &GetPropertyReq{}
-	case OpListProperties:
-		return &ListPropertiesReq{}
-	case OpSetSelectionOwner:
-		return &SetSelectionOwnerReq{}
-	case OpGetSelectionOwner:
-		return &GetSelectionOwnerReq{}
-	case OpConvertSelection:
-		return &ConvertSelectionReq{}
-	case OpSendEvent:
-		return &SendEventReq{}
-	case OpQueryPointer:
-		return &QueryPointerReq{}
-	case OpSetInputFocus:
-		return &SetInputFocusReq{}
-	case OpGetInputFocus:
-		return &GetInputFocusReq{}
-	case OpOpenFont:
-		return &OpenFontReq{}
-	case OpCloseFont:
-		return &CloseFontReq{}
-	case OpQueryFont:
-		return &QueryFontReq{}
-	case OpQueryTextExtents:
-		return &QueryTextExtentsReq{}
-	case OpCreatePixmap:
-		return &CreatePixmapReq{}
-	case OpFreePixmap:
-		return &FreePixmapReq{}
-	case OpCreateGC:
-		return &CreateGCReq{}
-	case OpChangeGC:
-		return &ChangeGCReq{}
-	case OpFreeGC:
-		return &FreeGCReq{}
-	case OpClearArea:
-		return &ClearAreaReq{}
-	case OpCopyArea:
-		return &CopyAreaReq{}
-	case OpPolyLine:
-		return &PolyLineReq{}
-	case OpPolySegment:
-		return &PolySegmentReq{}
-	case OpPolyRectangle:
-		return &PolyRectangleReq{}
-	case OpFillPoly:
-		return &FillPolyReq{}
-	case OpPolyFillRectangle:
-		return &PolyFillRectangleReq{}
-	case OpPolyText8:
-		return &PolyText8Req{}
-	case OpImageText8:
-		return &ImageText8Req{}
-	case OpAllocColor:
-		return &AllocColorReq{}
-	case OpAllocNamedColor:
-		return &AllocNamedColorReq{}
-	case OpCreateCursor:
-		return &CreateCursorReq{}
-	case OpBell:
-		return &BellReq{}
-	case OpFakeInput:
-		return &FakeInputReq{}
-	case OpScreenshot:
-		return &ScreenshotReq{}
-	case OpPing:
-		return &PingReq{}
-	case OpAttachSession:
-		return &AttachSessionReq{}
-	case OpUpgradeWire:
-		return &UpgradeWireReq{}
-	case OpWireSeg:
-		return &WireSegReq{}
+	if rt, ok := LookupRequest(op); ok && rt.New != nil {
+		return rt.New()
 	}
 	return nil
+}
+
+// OpName returns the protocol name of a request opcode ("CreateWindow"),
+// or "op<N>" for an opcode no request has.
+func OpName(op uint16) string {
+	if rt, ok := LookupRequest(op); ok {
+		return rt.Name
+	}
+	return "op" + strconv.FormatUint(uint64(op), 10)
 }
 
 // Window attribute mask bits for CreateWindow/ChangeWindowAttributes.

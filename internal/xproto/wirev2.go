@@ -31,10 +31,11 @@ import (
 	"sync/atomic"
 )
 
-// Wire-upgrade opcodes. Like OpAttachSession, both are consumed by the
-// server's request loop without being assigned a sequence number, so
-// the client/server seq lockstep (which span sampling correlates on)
-// is untouched by the upgrade.
+// Wire-upgrade opcodes. Like OpAttachSession, both are handshake rows
+// of the request table: the server's request loop consumes them
+// without assigning a sequence number, so the client/server seq
+// lockstep (which span sampling correlates on) is untouched by the
+// upgrade.
 const (
 	// OpUpgradeWire asks for v2: the client writes it raw before reading
 	// the setup block, the server answers with a KindWireAck frame
@@ -74,19 +75,6 @@ type UpgradeWireReq struct {
 func (q *UpgradeWireReq) Op() uint16       { return OpUpgradeWire }
 func (q *UpgradeWireReq) Encode(w *Writer) { w.PutU8(q.Version) }
 func (q *UpgradeWireReq) Decode(r *Reader) { q.Version = r.U8() }
-
-// WireSegReq is one v2 segment envelope of batched requests
-// (OpWireSeg). It exists so the opcode has a complete Request type; the
-// server's request loop intercepts and decodes segments before generic
-// dispatch ever sees one, exactly as it intercepts the attach and
-// upgrade handshakes.
-type WireSegReq struct{ Seg []byte }
-
-func (q *WireSegReq) Op() uint16       { return OpWireSeg }
-func (q *WireSegReq) Encode(w *Writer) { w.PutBytes(q.Seg) }
-func (q *WireSegReq) Decode(r *Reader) {
-	q.Seg = append([]byte(nil), r.ByteSlice()...)
-}
 
 // castagnoliTable is the CRC-32C polynomial table used by segment
 // envelopes (hardware-accelerated on the platforms that matter).

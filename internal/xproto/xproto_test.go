@@ -2,7 +2,13 @@ package xproto
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -123,67 +129,84 @@ func TestEventRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRequestRoundTrips checks that every request type decodes to an
-// identical value after encoding.
+// sampleRequests holds one request for each row of the request table
+// that has a constructor, with its fields set. TestRequestRoundTrips
+// round-trips each, and FuzzReadRequestFrame seeds its corpus with one
+// frame of each.
+var sampleRequests = []Request{
+	&CreateWindowReq{Wid: 5, Parent: 1, X: -3, Y: 7, Width: 100, Height: 50,
+		BorderWidth: 2, Background: 0xffffff, Border: 0x123456,
+		EventMask: ExposureMask, OverrideRedirect: true},
+	&ChangeWindowAttributesReq{Window: 9, Mask: AttrEventMask | AttrCursor,
+		EventMask: KeyPressMask, Cursor: 77},
+	&DestroyWindowReq{Window: 4},
+	&MapWindowReq{Window: 4},
+	&UnmapWindowReq{Window: 4},
+	&ConfigureWindowReq{Window: 4, Mask: CWX | CWWidth, X: 10, Width: 20, StackMode: StackBelow},
+	&GetGeometryReq{Drawable: 8},
+	&QueryTreeReq{Window: 1},
+	&InternAtomReq{Name: "FOO", OnlyIfExists: true},
+	&GetAtomNameReq{Atom: 42},
+	&ChangePropertyReq{Window: 2, Property: 3, Type: AtomString, Mode: PropModeAppend, Data: []byte("hi")},
+	&DeletePropertyReq{Window: 2, Property: 3},
+	&GetPropertyReq{Window: 2, Property: 3, Delete: true},
+	&ListPropertiesReq{Window: 2},
+	&SetSelectionOwnerReq{Selection: AtomPrimary, Owner: 6, Time: 99},
+	&GetSelectionOwnerReq{Selection: AtomPrimary},
+	&ConvertSelectionReq{Selection: 1, Target: 3, Property: 9, Requestor: 4, Time: 2},
+	&SendEventReq{Destination: 7, EventMask: 0, Event: Event{Type: ClientMessage, Data: "x"}},
+	&QueryPointerReq{},
+	&SetInputFocusReq{Focus: 3},
+	&GetInputFocusReq{},
+	&OpenFontReq{Fid: 11, Name: "fixed"},
+	&CloseFontReq{Fid: 11},
+	&QueryFontReq{Fid: 11},
+	&QueryTextExtentsReq{Fid: 11, Text: "hello"},
+	&CreatePixmapReq{Pid: 12, Width: 64, Height: 32},
+	&FreePixmapReq{Pid: 12},
+	&CreateGCReq{Gid: 13, Mask: GCForeground, Foreground: 0xff0000},
+	&ChangeGCReq{Gid: 13, Mask: GCFont, Font: 11},
+	&FreeGCReq{Gid: 13},
+	&ClearAreaReq{Window: 2, X: 1, Y: 2, Width: 3, Height: 4},
+	&CopyAreaReq{Src: 1, Dst: 2, Gc: 3, SrcX: 4, SrcY: 5, DstX: 6, DstY: 7, Width: 8, Height: 9},
+	&PolyLineReq{Drawable: 1, Gc: 2, Points: []Point{{1, 2}, {3, 4}}},
+	&PolySegmentReq{Drawable: 1, Gc: 2, Points: []Point{{1, 2}, {3, 4}}},
+	&PolyRectangleReq{Drawable: 1, Gc: 2, Rects: []Rect{{1, 2, 3, 4}}},
+	&FillPolyReq{Drawable: 1, Gc: 2, Points: []Point{{0, 0}, {5, 0}, {0, 5}}},
+	&PolyFillRectangleReq{Drawable: 1, Gc: 2, Rects: []Rect{{1, 2, 3, 4}, {5, 6, 7, 8}}},
+	&PolyText8Req{Drawable: 1, Gc: 2, X: 3, Y: 4, Text: "hello"},
+	&ImageText8Req{Drawable: 1, Gc: 2, X: 3, Y: 4, Text: "hello"},
+	&AllocColorReq{R: 1, G: 2, B: 3},
+	&AllocNamedColorReq{Name: "red"},
+	&CreateCursorReq{Cid: 14, Shape: "coffee_mug"},
+	&BellReq{},
+	&FakeInputReq{Kind: FakeKeyPress, Detail: 0xff1b},
+	&ScreenshotReq{Window: 1},
+	&PingReq{},
+	&AttachSessionReq{Session: "s1"},
+	&UpgradeWireReq{Version: 2},
+}
+
+// TestRequestRoundTrips checks that every request in the request table
+// decodes to an identical value after encoding, and that no row with a
+// constructor lacks a sample.
 func TestRequestRoundTrips(t *testing.T) {
-	reqs := []Request{
-		&CreateWindowReq{Wid: 5, Parent: 1, X: -3, Y: 7, Width: 100, Height: 50,
-			BorderWidth: 2, Background: 0xffffff, Border: 0x123456,
-			EventMask: ExposureMask, OverrideRedirect: true},
-		&ChangeWindowAttributesReq{Window: 9, Mask: AttrEventMask | AttrCursor,
-			EventMask: KeyPressMask, Cursor: 77},
-		&DestroyWindowReq{Window: 4},
-		&MapWindowReq{Window: 4},
-		&UnmapWindowReq{Window: 4},
-		&ConfigureWindowReq{Window: 4, Mask: CWX | CWWidth, X: 10, Width: 20, StackMode: StackBelow},
-		&GetGeometryReq{Drawable: 8},
-		&QueryTreeReq{Window: 1},
-		&InternAtomReq{Name: "FOO", OnlyIfExists: true},
-		&GetAtomNameReq{Atom: 42},
-		&ChangePropertyReq{Window: 2, Property: 3, Type: AtomString, Mode: PropModeAppend, Data: []byte("hi")},
-		&DeletePropertyReq{Window: 2, Property: 3},
-		&GetPropertyReq{Window: 2, Property: 3, Delete: true},
-		&ListPropertiesReq{Window: 2},
-		&SetSelectionOwnerReq{Selection: AtomPrimary, Owner: 6, Time: 99},
-		&GetSelectionOwnerReq{Selection: AtomPrimary},
-		&ConvertSelectionReq{Selection: 1, Target: 3, Property: 9, Requestor: 4, Time: 2},
-		&SendEventReq{Destination: 7, EventMask: 0, Event: Event{Type: ClientMessage, Data: "x"}},
-		&QueryPointerReq{},
-		&SetInputFocusReq{Focus: 3},
-		&GetInputFocusReq{},
-		&OpenFontReq{Fid: 11, Name: "fixed"},
-		&CloseFontReq{Fid: 11},
-		&QueryFontReq{Fid: 11},
-		&CreatePixmapReq{Pid: 12, Width: 64, Height: 32},
-		&FreePixmapReq{Pid: 12},
-		&CreateGCReq{Gid: 13, Mask: GCForeground, Foreground: 0xff0000},
-		&ChangeGCReq{Gid: 13, Mask: GCFont, Font: 11},
-		&FreeGCReq{Gid: 13},
-		&ClearAreaReq{Window: 2, X: 1, Y: 2, Width: 3, Height: 4},
-		&CopyAreaReq{Src: 1, Dst: 2, Gc: 3, SrcX: 4, SrcY: 5, DstX: 6, DstY: 7, Width: 8, Height: 9},
-		&PolyLineReq{Drawable: 1, Gc: 2, Points: []Point{{1, 2}, {3, 4}}},
-		&PolySegmentReq{Drawable: 1, Gc: 2, Points: []Point{{1, 2}, {3, 4}}},
-		&PolyRectangleReq{Drawable: 1, Gc: 2, Rects: []Rect{{1, 2, 3, 4}}},
-		&FillPolyReq{Drawable: 1, Gc: 2, Points: []Point{{0, 0}, {5, 0}, {0, 5}}},
-		&PolyFillRectangleReq{Drawable: 1, Gc: 2, Rects: []Rect{{1, 2, 3, 4}, {5, 6, 7, 8}}},
-		&PolyText8Req{Drawable: 1, Gc: 2, X: 3, Y: 4, Text: "hello"},
-		&ImageText8Req{Drawable: 1, Gc: 2, X: 3, Y: 4, Text: "hello"},
-		&AllocColorReq{R: 1, G: 2, B: 3},
-		&AllocNamedColorReq{Name: "red"},
-		&CreateCursorReq{Cid: 14, Shape: "coffee_mug"},
-		&BellReq{},
-		&FakeInputReq{Kind: FakeKeyPress, Detail: 0xff1b},
-		&ScreenshotReq{Window: 1},
-		&PingReq{},
-		&UpgradeWireReq{Version: 2},
+	samples := make(map[uint16]Request)
+	for _, req := range sampleRequests {
+		samples[req.Op()] = req
 	}
-	for _, req := range reqs {
+	for op, rt := range requestTypes {
+		if rt.New == nil {
+			continue
+		}
+		req, ok := samples[uint16(op)]
+		if !ok {
+			t.Errorf("request %s has no case in sampleRequests", rt.Name)
+			continue
+		}
 		var w Writer
 		req.Encode(&w)
 		fresh := NewRequest(req.Op())
-		if fresh == nil {
-			t.Fatalf("NewRequest(%d) returned nil", req.Op())
-		}
 		r := NewReader(w.Bytes())
 		fresh.Decode(r)
 		if r.Err() != nil {
@@ -195,14 +218,72 @@ func TestRequestRoundTrips(t *testing.T) {
 	}
 }
 
-func TestHasReplyMatchesRegistry(t *testing.T) {
-	// Every opcode with a reply must have a NewRequest factory.
-	for op := uint16(1); op < 210; op++ {
-		if HasReply(op) && NewRequest(op) == nil {
-			t.Errorf("opcode %d has a reply but no request factory", op)
+// TestRequestTable: every Op constant the package declares has a row
+// of the request table named after it, every row that reaches dispatch
+// has a constructor, and each constructor builds the request type its
+// row's name says, for its own opcode. Every opcode is below 256, the
+// size of the per-opcode counter tables.
+func TestRequestTable(t *testing.T) {
+	if len(requestTypes) > 256 {
+		t.Errorf("the request table has %d rows, want at most 256", len(requestTypes))
+	}
+	rows := make(map[string]bool)
+	for op, rt := range requestTypes {
+		if rt.Name == "" {
+			continue
+		}
+		rows[rt.Name] = true
+		if rt.New == nil {
+			if !rt.Handshake {
+				t.Errorf("row %d (%s) reaches dispatch but has no constructor", op, rt.Name)
+			}
+			continue
+		}
+		req := rt.New()
+		if typ := reflect.TypeOf(req).Elem().Name(); typ != rt.Name+"Req" || req.Op() != uint16(op) {
+			t.Errorf("row %d (%s) builds a %s for opcode %d", op, rt.Name, typ, req.Op())
 		}
 	}
+
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	consts := 0
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			d, ok := decl.(*ast.GenDecl)
+			if !ok || d.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range d.Specs {
+				for _, name := range spec.(*ast.ValueSpec).Names {
+					if !opConst.MatchString(name.Name) {
+						continue
+					}
+					consts++
+					if !rows[strings.TrimPrefix(name.Name, "Op")] {
+						t.Errorf("%s: %s has no row in the request table", fset.Position(name.Pos()), name.Name)
+					}
+				}
+			}
+		}
+	}
+	if consts != len(rows) {
+		t.Errorf("%d Op constants, but %d rows in the request table", consts, len(rows))
+	}
 }
+
+// opConst matches the name of a request opcode constant.
+var opConst = regexp.MustCompile(`^Op[A-Z]`)
 
 func TestKeysyms(t *testing.T) {
 	cases := []struct {

@@ -165,17 +165,6 @@ func (f *Farm) SessionCount() int {
 	return len(f.sessions)
 }
 
-// SessionNames returns the live session names (unordered).
-func (f *Farm) SessionNames() []string {
-	f.sessMu.Lock()
-	defer f.sessMu.Unlock()
-	names := make([]string, 0, len(f.sessions))
-	for name := range f.sessions {
-		names = append(names, name)
-	}
-	return names
-}
-
 // Lookup returns the named live session, if any.
 func (f *Farm) Lookup(name string) (*Session, bool) {
 	f.sessMu.Lock()

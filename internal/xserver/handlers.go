@@ -221,22 +221,6 @@ func (s *Server) handle(c *conn, req xproto.Request) *screenshot {
 		// The simulated bell rings silently.
 	case *xproto.PingReq:
 		c.reply(func(w *xproto.Writer) {})
-	case *xproto.AttachSessionReq:
-		// The session handshake never reaches dispatch: the farm consumes
-		// it pre-setup (Farm.ServeConn) and a plain server's request loop
-		// skips it without a sequence number (ServeConn). A mid-stream
-		// attach on an established connection is a no-op by design.
-	case *xproto.UpgradeWireReq:
-		// The wire-v2 upgrade never reaches dispatch either: the request
-		// loop consumes it without a sequence number, answering with a
-		// KindWireAck frame (handleUpgradeWire) once, before the
-		// connection's first request. A mid-stream upgrade on an
-		// established connection is a no-op.
-	case *xproto.WireSegReq:
-		// v2 segments are decoded by the request loop (serveWireSeg) and
-		// their inner frames dispatched individually; a WireSegReq here
-		// means one arrived without negotiation, which the request loop
-		// already rejected as a protocol error before dispatch.
 	default:
 		c.protoError("unhandled request %T", req)
 	}

@@ -241,22 +241,27 @@ type conn struct {
 	// byOp holds each opcode's "requests.<OpName>" counter in the server
 	// registry, resolved on the opcode's first request so the registry
 	// gains no zero-valued rows; only the request-loop goroutine
-	// touches it.
+	// touches it. Every opcode in the request table is below 256.
 	byOp [256]*obs.Counter
 }
 
-// countOp bumps op's request counter in the server registry.
+// countOp bumps op's request counter in the server registry. An opcode
+// with no row in the request table has no counter: opcodes are read off
+// the wire, and a client must not be able to add registry names.
 func (c *conn) countOp(op uint16) {
 	if int(op) >= len(c.byOp) {
-		// Opcodes are read off the wire, so an out-of-table one is
-		// counted by name rather than trusted as an index.
-		c.s.metrics.Counter("requests." + xproto.OpName(op)).Inc()
 		return
 	}
-	if c.byOp[op] == nil {
-		c.byOp[op] = c.s.metrics.Counter("requests." + xproto.OpName(op))
+	ctr := c.byOp[op]
+	if ctr == nil {
+		rt, ok := xproto.LookupRequest(op)
+		if !ok {
+			return
+		}
+		ctr = c.s.metrics.Counter("requests." + rt.Name)
+		c.byOp[op] = ctr
 	}
-	c.byOp[op].Inc()
+	ctr.Inc()
 }
 
 // New creates a server with the given screen size.
@@ -630,11 +635,10 @@ func (s *Server) serveWireSeg(c *conn, payload []byte) error {
 		return err
 	}
 	return xproto.WalkRequestFrames(raw, func(op uint16, pl []byte) error {
-		switch op {
-		case xproto.OpAttachSession, xproto.OpUpgradeWire, xproto.OpWireSeg:
+		if rt, _ := xproto.LookupRequest(op); rt.Handshake {
 			// Handshake opcodes are pre-setup, outer-framing-only; nested
 			// inside a segment they can only be stream damage.
-			return fmt.Errorf("handshake opcode %s inside a v2 segment", xproto.OpName(op))
+			return fmt.Errorf("handshake opcode %s inside a v2 segment", rt.Name)
 		}
 		s.serveRequest(c, op, pl)
 		return nil

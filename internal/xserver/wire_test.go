@@ -3,7 +3,6 @@ package xserver
 import (
 	"encoding/binary"
 	"testing"
-	"time"
 
 	"repro/internal/xproto"
 )
@@ -16,9 +15,7 @@ import (
 func TestMidStreamUpgradeIgnored(t *testing.T) {
 	s := New(100, 100)
 	defer s.Close()
-	nc := s.ConnectPipe()
-	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	nc := rawClient(t, s)
 
 	send := func(reqs ...xproto.Request) {
 		t.Helper()
@@ -46,9 +43,6 @@ func TestMidStreamUpgradeIgnored(t *testing.T) {
 		}
 	}
 
-	if kind, _, err := xproto.ReadServerFrame(nc, nil); err != nil || kind != xproto.KindReply {
-		t.Fatalf("setup block: kind %d, err %v", kind, err)
-	}
 	send(&xproto.PingReq{})
 	wantReply(1)
 	send(&xproto.UpgradeWireReq{Version: 2}, &xproto.PingReq{})
