@@ -63,7 +63,6 @@ func runChaosScenario(t *testing.T, sc fault.Scenario) {
 	srv := xserver.New(800, 600)
 	defer srv.Close()
 	srv.SetLatency(100 * time.Microsecond)
-	srv.SetLatencyModel(xserver.LatencyPerSegment)
 	srv.SetWriteTimeout(time.Second)
 
 	// The faulty connection: the chaos layer sits under xclient exactly

@@ -246,8 +246,8 @@ func TestWishInteractive(t *testing.T) {
 	}
 }
 
-// TestXsimdLatencyFlag: the standalone server's -latency-us flag slows
-// every request, visible from a connected wish.
+// TestXsimdLatencyFlag: the standalone server's -latency-us flag charges
+// every wire segment, visible from a connected wish.
 func TestXsimdLatencyFlag(t *testing.T) {
 	wish, xsimd := binaries(t)
 	l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -6,7 +6,11 @@
 //
 // Usage:
 //
-//	xsimd [-addr 127.0.0.1:6001] [-width 1024] [-height 768] [-latency-us N] [-latency-model request|segment] [-wire v1|v2] [-fault spec] [-stats-addr addr] [-span-interval N] [-sessions N] [-quota spec] [-idle-evict dur]
+//	xsimd [-addr 127.0.0.1:6001] [-width 1024] [-height 768] [-latency-us N] [-wire v1|v2] [-fault spec] [-stats-addr addr] [-span-interval N] [-sessions N] [-quota spec] [-idle-evict dur]
+//
+// -latency-us charges N microseconds of simulated IPC latency per wire
+// segment: each read from a client's connection, typically one flush,
+// however many requests it carries (docs/pipelining.md).
 //
 // -wire controls whether the server accepts wire-protocol-v2 upgrades
 // (docs/pipelining.md): checksummed, compressed segments of v1 frames,
@@ -56,9 +60,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:6001", "TCP address to listen on")
 	width := flag.Int("width", 1024, "screen width in pixels")
 	height := flag.Int("height", 768, "screen height in pixels")
-	latency := flag.Int("latency-us", 0, "simulated per-request IPC latency in microseconds")
-	latModel := flag.String("latency-model", "request",
-		`how simulated latency is charged: "request" (per request) or "segment" (per wire read, rewarding pipelined clients)`)
+	latency := flag.Int("latency-us", 0, "simulated IPC latency per wire segment (one client flush), in microseconds")
 	wireVer := flag.String("wire", "v2",
 		`highest wire protocol to negotiate: "v2" accepts client upgrade requests, "v1" declines them (docs/pipelining.md)`)
 	faultSpec := flag.String("fault", "",
@@ -92,16 +94,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xsimd: %v\n", err)
 		os.Exit(2)
 	}
-	var model xserver.LatencyModel
-	switch *latModel {
-	case "request":
-		model = xserver.LatencyPerRequest
-	case "segment":
-		model = xserver.LatencyPerSegment
-	default:
-		fmt.Fprintf(os.Stderr, "xsimd: unknown -latency-model %q (want request or segment)\n", *latModel)
-		os.Exit(2)
-	}
 	var wireV2 bool
 	switch *wireVer {
 	case "v2", "2":
@@ -130,7 +122,6 @@ func main() {
 		if *latency > 0 {
 			srv.SetLatency(time.Duration(*latency) * time.Microsecond)
 		}
-		srv.SetLatencyModel(model)
 		srv.SetWireV2(wireV2)
 		if spans != nil {
 			srv.SetTracer(spans)

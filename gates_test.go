@@ -41,10 +41,12 @@ type gate struct {
 var gates = []gate{
 	// 8 serial Ping round trips over 8 pipelined ones at 1 ms per wire
 	// segment: the cookie model pays the latency once per flight.
-	{name: "pipeline.speedup_8_in_flight", min: 4, measure: pipelineRatio(xserver.LatencyPerSegment)},
-	// The same ratio with 1 ms per request: batching changes the
-	// framing, not the bill, so the two stay close.
-	{name: "pipeline.per_request_framing", min: 2.0 / 3, max: 1.5, measure: pipelineRatio(xserver.LatencyPerRequest)},
+	{name: "pipeline.speedup_8_in_flight", min: 4, measure: pipelineRatio(true)},
+	// The same ratio with each of the 8 Pings flushed on its own, as an
+	// Xlib client in XSynchronize mode sends them: every request is a
+	// segment, so pipelining changes the framing, not the bill, and the
+	// two stay close.
+	{name: "pipeline.per_request_framing", min: 2.0 / 3, max: 1.5, measure: pipelineRatio(false)},
 	// Time per request at 1 client over time per request at 8, 1 ms per
 	// segment: impossible if the latency were paid under the display lock.
 	{name: "mtserver.speedup_8_clients", min: 3, measure: measureMTServer},
@@ -152,10 +154,17 @@ func median(xs []float64) float64 {
 }
 
 // pingFlight sends len(cookies) Ping requests before waiting for any
-// reply, then waits for every reply.
-func pingFlight(d *xclient.Display, cookies []*xclient.Cookie) error {
+// reply, then waits for every reply. With flushEach it flushes each Ping
+// as it sends it, as an Xlib client in XSynchronize mode does, so every
+// Ping crosses the link in a wire segment of its own.
+func pingFlight(d *xclient.Display, cookies []*xclient.Cookie, flushEach bool) error {
 	for j := range cookies {
 		cookies[j] = d.SendWithReply(&xproto.PingReq{})
+		if flushEach {
+			if err := d.Flush(); err != nil {
+				return err
+			}
+		}
 	}
 	for _, ck := range cookies {
 		if err := ck.Wait(nil); err != nil {
@@ -177,12 +186,13 @@ func newGateApp(t *testing.T, opts core.Options) *core.App {
 }
 
 // pipelineRatio measures 8 serial Ping round trips over 8 pipelined
-// ones at 1 ms of simulated latency under model.
-func pipelineRatio(model xserver.LatencyModel) func(*testing.T, func(string, float64)) float64 {
+// ones at 1 ms of simulated latency per wire segment. Batched, the
+// pipelined Pings cross in one flush; otherwise each is flushed as it
+// is sent.
+func pipelineRatio(batched bool) func(*testing.T, func(string, float64)) float64 {
 	return func(t *testing.T, _ func(string, float64)) float64 {
 		app := newGateApp(t, core.Options{Name: "pipebench"})
 		app.Server.SetLatency(time.Millisecond)
-		app.Server.SetLatencyModel(model)
 		cookies := make([]*xclient.Cookie, 8)
 		serial := func() time.Duration {
 			start := time.Now()
@@ -195,7 +205,7 @@ func pipelineRatio(model xserver.LatencyModel) func(*testing.T, func(string, flo
 		}
 		pipelined := func() time.Duration {
 			start := time.Now()
-			if err := pingFlight(app.Disp, cookies); err != nil {
+			if err := pingFlight(app.Disp, cookies, !batched); err != nil {
 				t.Fatal(err)
 			}
 			return time.Since(start)
@@ -212,7 +222,6 @@ func measureMTServer(t *testing.T, report func(string, float64)) float64 {
 	s := xserver.New(800, 600)
 	defer s.Close()
 	s.SetLatency(time.Millisecond)
-	s.SetLatencyModel(xserver.LatencyPerSegment)
 	displays := openClients(t, s, 9)
 	defer func() {
 		for _, d := range displays {
@@ -251,13 +260,13 @@ func allocsPerPipelinedRTT(t *testing.T) float64 {
 	d.SetRoundTripTimeout(0)
 	const iters = 200
 	cookies := make([]*xclient.Cookie, 8)
-	if err := pingFlight(d, cookies); err != nil { // warm buffers
+	if err := pingFlight(d, cookies, false); err != nil { // warm buffers
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range iters {
-		if err := pingFlight(d, cookies); err != nil {
+		if err := pingFlight(d, cookies, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,7 +294,7 @@ func measureSLO(t *testing.T, _ func(string, float64)) float64 {
 	cookies := make([]*xclient.Cookie, 64)
 	pings := func(d *xclient.Display, flight, flights int) {
 		for range flights {
-			if err := pingFlight(d, cookies[:flight]); err != nil {
+			if err := pingFlight(d, cookies[:flight], false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -662,11 +671,10 @@ func measureFarm(t *testing.T, report func(string, float64)) float64 {
 const wireFills = 3000
 
 // openWire builds a fresh server and display pair speaking the given
-// wire mode, with the per-segment latency model charging rtt per wire
-// read: the simulated network round trip.
+// wire mode, with the server charging rtt per wire read: the simulated
+// network round trip.
 func openWire(t *testing.T, mode xclient.WireMode, rtt time.Duration) (*xserver.Server, *xclient.Display) {
 	srv := xserver.New(640, 480)
-	srv.SetLatencyModel(xserver.LatencyPerSegment)
 	srv.SetLatency(rtt)
 	d, err := xclient.OpenWith(srv.ConnectPipe(), xclient.Config{Wire: mode})
 	if err != nil {

@@ -275,7 +275,8 @@ func cmdReturn(in *Interp, args []string) (string, error) {
 	if len(rest) > 1 {
 		return "", errf(`wrong # args: should be "return ?-code code? ?value?"`)
 	}
-	return "", &returnError{value: val, code: code}
+	in.ret = returnError{value: val, code: code}
+	return "", &in.ret
 }
 
 func cmdIf(in *Interp, args []string) (string, error) {
@@ -297,7 +298,7 @@ func cmdIf(in *Interp, args []string) (string, error) {
 			return "", errf(`wrong # args: no script following "%s" argument`, args[i-1])
 		}
 		if cond {
-			return in.Eval(args[i])
+			return in.eval(args[i])
 		}
 		i++
 		if i >= len(args) {
@@ -312,10 +313,10 @@ func cmdIf(in *Interp, args []string) (string, error) {
 			if i >= len(args) {
 				return "", errf(`wrong # args: no script following "else" argument`)
 			}
-			return in.Eval(args[i])
+			return in.eval(args[i])
 		default:
 			// Implicit else body (old Tcl allowed it).
-			return in.Eval(args[i])
+			return in.eval(args[i])
 		}
 	}
 }
@@ -358,7 +359,7 @@ func cmdFor(in *Interp, args []string) (string, error) {
 	if err := arity(args, 4, 4, "start test next command"); err != nil {
 		return "", err
 	}
-	if _, err := in.Eval(args[1]); err != nil {
+	if _, err := in.eval(args[1]); err != nil {
 		return "", err
 	}
 	test := in.compiledExpr(args[2])
@@ -466,7 +467,7 @@ body:
 			}
 			bodyStr = pairs[j+1]
 		}
-		return in.Eval(bodyStr)
+		return in.eval(bodyStr)
 	}
 	return "", nil
 }
@@ -508,12 +509,12 @@ func cmdCase(in *Interp, args []string) (string, error) {
 		}
 		for _, pat := range pats {
 			if GlobMatch(pat, str) {
-				return in.Eval(body)
+				return in.eval(body)
 			}
 		}
 	}
 	if defaultBody != "" {
-		return in.Eval(defaultBody)
+		return in.eval(defaultBody)
 	}
 	return "", nil
 }
@@ -522,7 +523,7 @@ func cmdCatch(in *Interp, args []string) (string, error) {
 	if err := arity(args, 1, 2, "command ?varName?"); err != nil {
 		return "", err
 	}
-	res, err := in.Eval(args[1])
+	res, err := in.eval(args[1])
 	code := OK
 	if err != nil {
 		switch e := err.(type) {
@@ -569,7 +570,7 @@ func cmdEval(in *Interp, args []string) (string, error) {
 	} else {
 		script = strings.Join(args[1:], " ")
 	}
-	return in.Eval(script)
+	return in.eval(script)
 }
 
 func cmdSubst(in *Interp, args []string) (string, error) {
@@ -671,7 +672,7 @@ func cmdUplevel(in *Interp, args []string) (string, error) {
 	if len(rest) > 1 {
 		script = strings.Join(rest, " ")
 	}
-	return in.atLevel(level, func() (string, error) { return in.Eval(script) })
+	return in.atLevel(level, func() (string, error) { return in.eval(script) })
 }
 
 func cmdRename(in *Interp, args []string) (string, error) {
@@ -709,7 +710,7 @@ func cmdTime(in *Interp, args []string) (string, error) {
 	}
 	start := time.Now()
 	for i := 0; i < count; i++ {
-		if _, err := in.Eval(args[1]); err != nil {
+		if _, err := in.eval(args[1]); err != nil {
 			return "", err
 		}
 	}
@@ -739,7 +740,7 @@ func cmdTrace(in *Interp, args []string) (string, error) {
 		}
 		in.TraceVar(name, ops, func(in *Interp, nm, idx, op string) {
 			cmd := script + " " + QuoteElement(nm) + " " + QuoteElement(idx) + " " + op
-			_, _ = in.Eval(cmd)
+			_, _ = in.eval(cmd)
 		})
 		return "", nil
 	case "vdelete":

@@ -110,7 +110,7 @@ func parseNumber(s string) (exprVal, bool) {
 func (in *Interp) EvalExpr(expr string) (string, error) {
 	v, err := in.exprValue(expr)
 	if err != nil {
-		return "", err
+		return "", in.own(err)
 	}
 	return v.String(), nil
 }
@@ -118,7 +118,8 @@ func (in *Interp) EvalExpr(expr string) (string, error) {
 // EvalBool evaluates a Tcl expression as a condition.
 func (in *Interp) EvalBool(expr string) (bool, error) {
 	x := in.compiledExpr(expr)
-	return in.truth(&x)
+	b, err := in.truth(&x)
+	return b, in.own(err)
 }
 
 // truth evaluates a compiled expression as a condition.

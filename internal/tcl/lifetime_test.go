@@ -165,7 +165,9 @@ func TestEvalAllocs(t *testing.T) {
 	}{
 		{"set a 1", "", "set a 1", 0},
 		{"for loop of 100", "", "for {set i 0} {$i < 100} {incr i} {set x $i}", 1},
-		{"one-argument proc", "proc lcg {x} {return [expr {($x * 1103515245 + 12345) % 2147483648}]}", "lcg 12345", 3},
+		{"one-argument proc", "proc lcg {x} {return [expr {($x * 1103515245 + 12345) % 2147483648}]}", "lcg 12345", 2},
+		{"proc ending in return", "proc r {x} {return $x}", "r 1", 1},
+		{"proc at global level", "proc p {x} {set x}", "uplevel #0 {p 1}", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in := New()
@@ -177,5 +179,31 @@ func TestEvalAllocs(t *testing.T) {
 				t.Fatalf("%q allocated %v times, want at most %v", tc.script, n, tc.max)
 			}
 		})
+	}
+}
+
+// TestReturnErrorIsKept: Eval hands the error of a return that leaves
+// its script to its Go caller as an error of its own, which a later
+// return does not change, whether that Eval is the outermost one or runs
+// inside a script, as a binding that `update` runs does.
+func TestReturnErrorIsKept(t *testing.T) {
+	in := New()
+	_, first := in.Eval("return a")
+	if _, err := in.Eval("return b"); err == nil || err.Error() != "b" {
+		t.Fatalf("second return: %v, want b", err)
+	}
+	if first == nil || first.Error() != "a" {
+		t.Fatalf("first return now reads %v, want a", first)
+	}
+	expect(t, in, "proc r {x} {return $x}; catch {r 7} v; set v", "7")
+
+	var nested error
+	in.Register("keep", func(in *Interp, args []string) (string, error) {
+		_, nested = in.Eval("return c")
+		return "", nil
+	})
+	expect(t, in, "keep; r 8", "8")
+	if nested == nil || nested.Error() != "c" {
+		t.Fatalf("nested return now reads %v, want c", nested)
 	}
 }

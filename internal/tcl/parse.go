@@ -582,5 +582,5 @@ func (in *Interp) SubstituteAll(s string) (string, error) {
 	if cap(c.toks) <= scratchMax {
 		in.scratch = c.toks[:0]
 	}
-	return res, err
+	return res, in.own(err)
 }

@@ -87,7 +87,9 @@ var (
 	errContinue = &Error{Code: ContinueStatus, Msg: `invoked "continue" outside of a loop`}
 )
 
-// returnError signals "return" from within a procedure body.
+// returnError signals "return" from within a procedure body. The
+// interpreter keeps the one a return leaves (Interp.ret), as Tcl's C
+// interface leaves a return's value in the interpreter result.
 type returnError struct {
 	value string
 	code  Status // code requested via "return -code"; usually OK
@@ -178,6 +180,11 @@ type Interp struct {
 
 	nesting  int   // depth of recursive evaluation
 	cmdCount int64 // commands invoked, for info cmdcount
+
+	// ret holds the value and code of the last return. The command
+	// returns a pointer to it, which callProc and catch consume; a
+	// caller outside the interpreter gets a copy (own).
+	ret returnError
 
 	// argv is the word stack: run pushes each command's words as it
 	// substitutes them, above those of the commands still running, and
@@ -271,6 +278,22 @@ func (in *Interp) global() *frame { return in.frames[0] }
 // executed. Control-flow signals (break/continue/return at top level)
 // surface as *Error values with the corresponding Code.
 func (in *Interp) Eval(script string) (string, error) {
+	res, err := in.eval(script)
+	return res, in.own(err)
+}
+
+// GlobalEval executes script in the global frame, whatever procedure is
+// running, as Tcl_GlobalEval does. Tk runs the scripts events trigger
+// (bindings, after, widget callbacks, send) this way.
+func (in *Interp) GlobalEval(script string) (string, error) {
+	res, err := in.atLevel(0, func() (string, error) { return in.eval(script) })
+	return res, in.own(err)
+}
+
+// eval is Eval for the interpreter's own commands: the error a return
+// leaves stays the interpreter's (in.ret), for callProc or catch to
+// consume.
+func (in *Interp) eval(script string) (string, error) {
 	code, kept := in.compiledScript(script)
 	res, err := in.evalCode(code)
 	if !kept && cap(code) <= scratchMax {
@@ -280,11 +303,15 @@ func (in *Interp) Eval(script string) (string, error) {
 	return res, err
 }
 
-// GlobalEval executes script in the global frame, whatever procedure is
-// running, as Tcl_GlobalEval does. Tk runs the scripts events trigger
-// (bindings, after, widget callbacks, send) this way.
-func (in *Interp) GlobalEval(script string) (string, error) {
-	return in.atLevel(0, func() (string, error) { return in.Eval(script) })
+// own hands a caller outside the interpreter an error of its own: the
+// error a return leaves is in.ret, which the next return overwrites, so
+// that caller gets a copy.
+func (in *Interp) own(err error) error {
+	if err == &in.ret {
+		ret := in.ret
+		return &ret
+	}
+	return err
 }
 
 // evalCode runs compiled commands one nesting level down.

@@ -76,11 +76,15 @@ func (in *Interp) GetVar(name string) (string, error) {
 }
 
 // atLevel runs fn with the frame at the given absolute level (0 =
-// global) as the current one, then restores the caller's frames. The
-// slice it installs is capped, so a procedure fn calls (directly or from
-// a variable trace) reallocates it rather than overwrite the frames put
-// aside.
+// global) as the current one, then restores the caller's frames. When
+// that frame is already the current one, fn runs as it is. Otherwise
+// the slice it installs is capped, so a procedure fn calls (directly or
+// from a variable trace) reallocates it rather than overwrite the
+// frames put aside.
 func (in *Interp) atLevel(level int, fn func() (string, error)) (string, error) {
+	if level == len(in.frames)-1 {
+		return fn()
+	}
 	saved := in.frames
 	in.frames = saved[: level+1 : level+1]
 	defer func() { in.frames = saved }()

@@ -107,3 +107,30 @@ func TestLazyWindowsStackInCreationOrder(t *testing.T) {
 	app.MustEval(`pack append . .b4 {top}`)
 	stacking(b2, b3, b4, b1)
 }
+
+// TestDestroyHandsBackXIDs: destroying a subtree hands every window's
+// XID back to the display, those of the windows that die with their
+// parent's X window and of the window that never existed included, so
+// a long-lived application reuses them once it has counted through its
+// range of IDs, and the server accepts them.
+func TestDestroyHandsBackXIDs(t *testing.T) {
+	app, _ := newTestApp(t)
+	for app.Disp.NewID()&(xproto.IDRange-1) < xproto.IDRange-100 { // count out all but the range's last 100 IDs
+	}
+	f := mkWindow(t, app, ".f", 20, 20)
+	b := mkWindow(t, app, ".f.b", 10, 10)
+	n := mkWindow(t, app, ".f.n", 10, 10)
+	b.MakeExist()
+	want := map[xproto.ID]bool{f.XID: true, b.XID: true, n.XID: true}
+	app.DestroyWindow(f)
+	got := map[xproto.ID]bool{}
+	for range 100 {
+		if id := app.Disp.NewID(); want[id] {
+			got[id] = true
+			app.Disp.Request(&xproto.CreateWindowReq{Wid: id, Parent: app.Disp.Root, Width: 1, Height: 1})
+		}
+	}
+	if len(got) != len(want) || len(app.dying) != 0 {
+		t.Fatalf("NewID reused %v of the destroyed windows' XIDs %v; %d XIDs left waiting", got, want, len(app.dying))
+	}
+}

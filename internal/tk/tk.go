@@ -162,6 +162,9 @@ type App struct {
 
 	windows map[string]*Window
 	xidMap  map[xproto.ID]*Window
+	// dying holds the XIDs of destroyed windows whose X windows wait for
+	// an ancestor's DestroyWindow request (destroyWindow).
+	dying []xproto.ID
 
 	bindings *bindingTable
 
@@ -476,11 +479,16 @@ func (app *App) DestroyWindow(w *Window) {
 // destroys X children with their parent, so as in Tk_DestroyWindow only
 // the subtree's root and the top-levels in it (whose X parent is the
 // root window) need a DestroyWindow request; sendReq says w is one. A
-// window that never existed needs none.
+// window that never existed needs none. Each window's XID goes back to
+// the display for reuse (FreeID) once nothing names it on the server:
+// at once if the window never existed, else once the request that
+// destroys its X window is queued. Until then it waits in app.dying,
+// above the XIDs of the calls this one runs inside.
 func (app *App) destroyWindow(w *Window, sendReq bool) {
 	if w.Destroyed {
 		return
 	}
+	mark := len(app.dying)
 	// Children first (use a copy: destruction mutates the slice).
 	children := append([]*Window(nil), w.Children...)
 	for _, ch := range children {
@@ -520,8 +528,17 @@ func (app *App) destroyWindow(w *Window, sendReq bool) {
 			w.Parent.Children = slices.Delete(w.Parent.Children, i, i+1)
 		}
 	}
-	if sendReq && w.exists {
+	switch {
+	case !w.exists:
+		app.Disp.FreeID(w.XID)
+	case sendReq:
 		app.Disp.DestroyWindow(w.XID)
+		for _, id := range app.dying[mark:] {
+			app.Disp.FreeID(id)
+		}
+		app.dying = app.dying[:mark]
+	default:
+		app.dying = append(app.dying, w.XID)
 	}
 
 	if w == app.Main {

@@ -56,7 +56,9 @@ type Display struct {
 	wbuf   xproto.Writer // guarded by mu — the output buffer, as Xlib keeps one
 	wcount int           // guarded by mu — frames buffered since the last flush
 	seq    uint64        // guarded by mu
-	idNext uint32        // guarded by mu (written once more in Open, pre-publication)
+	idNext uint32        // guarded by mu (written once more in Open, pre-publication): the last ID counted out
+	idEnd  uint32        // guarded by mu (written once in Open, pre-publication): the last ID of the range
+	idFree []xproto.ID   // guarded by mu: IDs handed back (FreeID), for NewID once idNext reaches idEnd
 	closed bool          // guarded by mu
 
 	// rmu guards what readLoop hands to other goroutines. Reply routing
@@ -250,7 +252,7 @@ func OpenWith(conn net.Conn, cfg Config) (*Display, error) {
 	d.Root = setup.Root
 	d.Width = int(setup.Width)
 	d.Height = int(setup.Height)
-	d.idNext = setup.ResourceIDBase
+	d.idNext, d.idEnd = setup.ResourceIDBase, setup.ResourceIDBase+xproto.IDRange-1
 	if cfg.Wire == WireV2 {
 		// The ack is queued right behind the setup block (the server's
 		// request loop consumed the upgrade before dispatching anything),
@@ -347,13 +349,51 @@ func (d *Display) Closed() bool {
 	return d.closed
 }
 
-// NewID allocates a fresh resource ID from this connection's range.
+// NewID allocates a resource ID from this connection's range. It counts
+// through the range first, then reuses the IDs handed back with FreeID,
+// as Xlib reuses freed IDs once its range is spent, so the client never
+// names an ID outside its range. With none left it returns None, which
+// every create request refuses.
 func (d *Display) NewID() xproto.ID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.idNext++
-	return xproto.ID(d.idNext)
+	if d.idNext < d.idEnd {
+		d.idNext++
+		return xproto.ID(d.idNext)
+	}
+	n := len(d.idFree)
+	if n == 0 {
+		return 0
+	}
+	id := d.idFree[n-1]
+	d.idFree = d.idFree[:n-1]
+	return id
 }
+
+// FreeID hands back id for NewID to reuse. id names a resource of this
+// connection that was never created, or that a request already queued
+// frees, so a create request that reuses it reaches the server after
+// that free. The free wrappers (DestroyWindow, FreeGC, FreePixmap,
+// CloseFont) call it for the ID they free; a client that destroys a
+// window hands back the IDs of the window's descendants itself.
+//
+// Only the IDs handed back once NewID has counted out all but the last
+// keepIDs of the range are kept: a client that never spends its range
+// keeps none, and one that does reuses what it freed since. An ID from
+// outside the connection's range is ignored.
+func (d *Display) FreeID(id xproto.ID) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.idEnd-d.idNext < keepIDs && uint32(id)&^(xproto.IDRange-1) == d.idEnd&^(xproto.IDRange-1) {
+		d.idFree = append(d.idFree, id)
+	}
+}
+
+// keepIDs is how near the end of its range a connection's ID count must
+// be before FreeID keeps what it is handed: an eighth of the range, so a
+// client reaches it only after creating 1.8 million resources, and then
+// keeps at most 1 MiB of IDs.
+const keepIDs = xproto.IDRange / 8
 
 // readLoop dispatches incoming server messages. Events go to the
 // unbounded queue so this loop never stalls on a slow consumer;

@@ -25,9 +25,11 @@ func (d *Display) CreateWindow(parent xproto.ID, x, y, w, h, borderWidth int, at
 	return id
 }
 
-// DestroyWindow destroys a window and its descendants.
+// DestroyWindow destroys a window and its descendants, and hands back
+// the window's ID (FreeID).
 func (d *Display) DestroyWindow(w xproto.ID) {
 	d.Request(&xproto.DestroyWindowReq{Window: w})
+	d.FreeID(w)
 }
 
 // MapWindow makes a window viewable.
@@ -285,6 +287,7 @@ func (c FontCookie) Wait() (*Font, error) {
 // CloseFont releases a font.
 func (d *Display) CloseFont(f *Font) {
 	d.Request(&xproto.CloseFontReq{Fid: f.ID})
+	d.FreeID(f.ID)
 }
 
 // TextWidth measures a string in this font using cached metrics.
@@ -335,6 +338,7 @@ func (d *Display) ChangeGC(gc xproto.ID, v GCValues) {
 // FreeGC releases a graphics context.
 func (d *Display) FreeGC(gc xproto.ID) {
 	d.Request(&xproto.FreeGCReq{Gid: gc})
+	d.FreeID(gc)
 }
 
 // CreatePixmap creates an off-screen drawable.
@@ -347,6 +351,7 @@ func (d *Display) CreatePixmap(w, h int) xproto.ID {
 // FreePixmap releases a pixmap.
 func (d *Display) FreePixmap(p xproto.ID) {
 	d.Request(&xproto.FreePixmapReq{Pid: p})
+	d.FreeID(p)
 }
 
 // ClearArea clears a window area to its background; zero width/height

@@ -557,3 +557,37 @@ func TestSendEventToWindowOwner(t *testing.T) {
 		t.Fatalf("event = %+v", ev)
 	}
 }
+
+// TestNewIDStaysInRange drives a client through its whole range of
+// resource IDs. Past the end NewID reuses the IDs the free wrappers
+// handed back, so the client's creates keep succeeding, and with none
+// left it answers None rather than an ID outside its range.
+func TestNewIDStaysInRange(t *testing.T) {
+	_, d := newPair(t)
+	gc := d.CreateGC(xclient.GCValues{})
+	end := xproto.ID(uint32(gc)&^(xproto.IDRange-1) + xproto.IDRange - 1)
+	for range xproto.IDRange - 3 { // all but the range's last ID
+		d.NewID()
+	}
+	w := d.CreateWindow(d.Root, 0, 0, 10, 10, 0, xclient.WindowAttributes{})
+	if w != end {
+		t.Fatalf("the last ID counted out is %#x, want the range's last, %#x", uint32(w), uint32(end))
+	}
+	d.DestroyWindow(w)
+	for range 3 {
+		if got := d.CreateWindow(d.Root, 0, 0, 10, 10, 0, xclient.WindowAttributes{}); got != w {
+			t.Fatalf("a window past the range got ID %#x, want the freed %#x", uint32(got), uint32(w))
+		}
+		d.DestroyWindow(w)
+	}
+	d.CreateGC(xclient.GCValues{})
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if errs := d.TakeErrors(); len(errs) != 0 {
+		t.Fatalf("creates past the range failed: %q", errs)
+	}
+	if id := d.NewID(); id != 0 {
+		t.Fatalf("NewID with no ID left = %#x, want None", uint32(id))
+	}
+}

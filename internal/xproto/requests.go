@@ -1233,6 +1233,10 @@ func (q *AttachSessionReq) Op() uint16       { return OpAttachSession }
 func (q *AttachSessionReq) Encode(w *Writer) { w.PutString(q.Session) }
 func (q *AttachSessionReq) Decode(r *Reader) { q.Session = r.String() }
 
+// IDRange is the size of a connection's block of resource IDs: it names
+// its resources from ResourceIDBase to ResourceIDBase+IDRange-1.
+const IDRange = 0x00200000
+
 // SetupReply is sent once by the server immediately after a connection is
 // accepted (the analogue of the X11 connection setup block).
 type SetupReply struct {

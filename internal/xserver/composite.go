@@ -125,7 +125,7 @@ func (s *Server) planScreenshot(c *conn, q *xproto.ScreenshotReq) *screenshot {
 		}
 		return shot
 	}
-	w := s.windows[q.Window]
+	w := s.window(q.Window)
 	if w == nil {
 		c.protoError("Screenshot: bad window %d", q.Window)
 		return nil

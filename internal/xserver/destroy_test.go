@@ -26,7 +26,7 @@ func TestDestroyReleasesChildSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	p := s.windows[parent]
+	p := s.window(parent)
 	root := s.root
 	s.mu.Unlock()
 
@@ -38,7 +38,7 @@ func TestDestroyReleasesChildSlots(t *testing.T) {
 	defer s.mu.Unlock()
 	for _, arr := range [][]*window{p.children, root.children} {
 		for i, w := range arr[:cap(arr)] {
-			if w != nil && s.windows[w.id] != w {
+			if w != nil && s.window(w.id) != w {
 				t.Errorf("slot %d of a children array (len %d) still holds destroyed window %d", i, len(arr), w.id)
 			}
 		}

@@ -166,9 +166,9 @@ func (s *Server) destroyWindow(w *window) {
 			w.parent.children = slices.Delete(w.parent.children, i, i+1)
 		}
 	}
-	delete(s.windows, w.id)
+	delete(s.res, w.id)
 	if w != s.root {
-		// Every non-root window in s.windows passed through
+		// Every non-root window in the table passed through
 		// handleCreateWindow's quota reservation exactly once; this is
 		// the matching release (recursion covers the subtree).
 		s.usedWindows--
@@ -196,12 +196,12 @@ func (s *Server) setFocus(f xproto.ID) {
 	if s.focus == f {
 		return
 	}
-	if old := s.windows[s.focus]; old != nil {
+	if old := s.window(s.focus); old != nil {
 		ev := &xproto.Event{Type: xproto.FocusOut, Window: old.id, Time: s.now()}
 		s.broadcast(old, ev, xproto.FocusChangeMask)
 	}
 	s.focus = f
-	if nw := s.windows[f]; nw != nil {
+	if nw := s.window(f); nw != nil {
 		ev := &xproto.Event{Type: xproto.FocusIn, Window: nw.id, Time: s.now()}
 		s.broadcast(nw, ev, xproto.FocusChangeMask)
 	}
@@ -216,7 +216,7 @@ func (s *Server) refreshPointerWindow() {
 		return
 	}
 	s.pointerWin = newWin
-	if old != nil && s.windows[old.id] == old {
+	if old != nil && s.window(old.id) == old {
 		ax, ay := s.absPos(old)
 		ev := &xproto.Event{
 			Type: xproto.LeaveNotify, Window: old.id,
@@ -355,7 +355,7 @@ func (s *Server) handleFakeInput(q *xproto.FakeInputReq) {
 // (PointerRoot focus mode). Called with s.mu held.
 func (s *Server) keyTarget() *window {
 	if s.focus != xproto.None && s.focus != s.Root() {
-		if w := s.windows[s.focus]; w != nil {
+		if w := s.window(s.focus); w != nil {
 			return w
 		}
 	}

@@ -215,10 +215,10 @@ func (f *Farm) detach(sess *Session) {
 	sess.lastActive.Store(time.Now().UnixNano())
 }
 
-// refuse answers a connection the farm will not serve: a clean
-// pre-setup error frame (sequence 0), then close. xclient.Open decodes
-// it into a clear error instead of a timeout.
-func (f *Farm) refuse(nc net.Conn, msg string) {
+// refuse answers a connection the farm or a server will not serve: a
+// clean pre-setup error frame (sequence 0), then close. xclient.Open
+// decodes it into a clear error instead of a timeout.
+func refuse(nc net.Conn, msg string) {
 	var frame xproto.Writer
 	frame.ServerFrame(xproto.KindError, func(w *xproto.Writer) {
 		w.PutU64(0)
@@ -239,23 +239,23 @@ func (f *Farm) ServeConn(nc net.Conn) {
 	nc.SetReadDeadline(time.Now().Add(attachTimeout))
 	op, payload, err := xproto.ReadRequestFrame(nc, nil)
 	if err != nil {
-		f.refuse(nc, fmt.Sprintf("farm: reading attach handshake: %v", err))
+		refuse(nc, fmt.Sprintf("farm: reading attach handshake: %v", err))
 		return
 	}
 	nc.SetReadDeadline(time.Time{})
 	if op != xproto.OpAttachSession {
-		f.refuse(nc, fmt.Sprintf("farm: first frame is %s, want AttachSession", xproto.OpName(op)))
+		refuse(nc, fmt.Sprintf("farm: first frame is %s, want AttachSession", xproto.OpName(op)))
 		return
 	}
 	var req xproto.AttachSessionReq
 	r := xproto.NewReader(payload)
 	if req.Decode(r); r.Err() != nil {
-		f.refuse(nc, fmt.Sprintf("farm: malformed attach: %v", r.Err()))
+		refuse(nc, fmt.Sprintf("farm: malformed attach: %v", r.Err()))
 		return
 	}
 	sess, err := f.attach(req.Session)
 	if err != nil {
-		f.refuse(nc, err.Error())
+		refuse(nc, err.Error())
 		return
 	}
 	f.connsGauge.Add(1)

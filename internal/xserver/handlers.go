@@ -18,17 +18,17 @@ func (s *Server) handle(c *conn, req xproto.Request) *screenshot {
 	case *xproto.ChangeWindowAttributesReq:
 		s.handleChangeAttributes(c, q)
 	case *xproto.DestroyWindowReq:
-		if w := s.windows[q.Window]; w != nil && w != s.root {
+		if w := s.window(q.Window); w != nil && w != s.root {
 			s.destroyWindow(w)
 		}
 	case *xproto.MapWindowReq:
-		if w := s.windows[q.Window]; w != nil {
+		if w := s.window(q.Window); w != nil {
 			s.mapWindow(w)
 		} else {
 			c.protoError("MapWindow: bad window %d", q.Window)
 		}
 	case *xproto.UnmapWindowReq:
-		if w := s.windows[q.Window]; w != nil {
+		if w := s.window(q.Window); w != nil {
 			s.unmapWindow(w)
 		}
 	case *xproto.ConfigureWindowReq:
@@ -89,11 +89,15 @@ func (s *Server) handle(c *conn, req xproto.Request) *screenshot {
 
 	// --- Fonts: font objects are immutable once open. ----------------
 	case *xproto.OpenFontReq:
-		s.fonts[q.Fid] = openFont(q.Name)
+		if s.legalNewID(c, q.Fid, "OpenFont") {
+			s.res[q.Fid] = openFont(q.Name)
+		}
 	case *xproto.CloseFontReq:
-		delete(s.fonts, q.Fid)
+		if s.font(q.Fid) != nil {
+			s.free(q.Fid)
+		}
 	case *xproto.QueryFontReq:
-		f := s.fonts[q.Fid]
+		f := s.font(q.Fid)
 		if f == nil {
 			c.protoError("QueryFont: bad font %d", q.Fid)
 			return nil
@@ -101,7 +105,7 @@ func (s *Server) handle(c *conn, req xproto.Request) *screenshot {
 		rep := &xproto.QueryFontReply{Ascent: int16(f.ascent), Descent: int16(f.descent), Widths: f.widths()}
 		c.reply(func(w *xproto.Writer) { rep.Encode(w) })
 	case *xproto.QueryTextExtentsReq:
-		f := s.fonts[q.Fid]
+		f := s.font(q.Fid)
 		if f == nil {
 			c.protoError("QueryTextExtents: bad font %d", q.Fid)
 			return nil
@@ -127,50 +131,49 @@ func (s *Server) handle(c *conn, req xproto.Request) *screenshot {
 	// --- Per-client resources. ----------------------------------------
 	case *xproto.CreatePixmapReq:
 		// Quota is reserved for the nominal flat size before the tiles
-		// are allocated; an ID overwrite releases what the displaced
-		// pixmap had reserved, so usage tracks the live table exactly.
+		// are allocated.
+		if !s.legalNewID(c, q.Pid, "CreatePixmap") {
+			return nil
+		}
 		bytes := int64(q.Width) * int64(q.Height) * 4
 		if !reserveQuota(&s.usedPixmapBytes, s.quota.MaxPixmapBytes, bytes) {
 			s.quotaDenied(c, "pixmap_bytes", "CreatePixmap", s.quota.MaxPixmapBytes)
 			return nil
 		}
-		if old := s.pixmaps[q.Pid]; old != nil {
-			s.usedPixmapBytes -= old.bytes
-		}
-		s.pixmaps[q.Pid] = &pixmap{img: newImageM(int(q.Width), int(q.Height), s.render), bytes: bytes, owner: c}
+		s.res[q.Pid] = &pixmap{img: newImageM(int(q.Width), int(q.Height), s.render), bytes: bytes}
 	case *xproto.FreePixmapReq:
-		if p := s.pixmaps[q.Pid]; p != nil {
-			delete(s.pixmaps, q.Pid)
-			s.usedPixmapBytes -= p.bytes
+		if s.pixmap(q.Pid) != nil {
+			s.free(q.Pid)
 		}
 	case *xproto.CreateGCReq:
+		if !s.legalNewID(c, q.Gid, "CreateGC") {
+			return nil
+		}
 		if !reserveQuota(&s.usedGCs, s.quota.MaxGCs, 1) {
 			s.quotaDenied(c, "gcs", "CreateGC", s.quota.MaxGCs)
 			return nil
 		}
-		gc := &gcontext{foreground: 0, background: 0xffffff, lineWidth: 1, owner: c}
+		gc := &gcontext{foreground: 0, background: 0xffffff, lineWidth: 1}
 		applyGC(gc, q.Mask, q.Foreground, q.Background, q.LineWidth, q.Font)
-		if s.gcs[q.Gid] != nil {
-			s.usedGCs--
-		}
-		s.gcs[q.Gid] = gc
+		s.res[q.Gid] = gc
 	case *xproto.ChangeGCReq:
-		if gc := s.gcs[q.Gid]; gc != nil {
+		if gc := s.gc(q.Gid); gc != nil {
 			applyGC(gc, q.Mask, q.Foreground, q.Background, q.LineWidth, q.Font)
 		} else {
 			c.protoError("ChangeGC: bad gc %d", q.Gid)
 		}
 	case *xproto.FreeGCReq:
-		if s.gcs[q.Gid] != nil {
-			delete(s.gcs, q.Gid)
-			s.usedGCs--
+		if s.gc(q.Gid) != nil {
+			s.free(q.Gid)
 		}
 	case *xproto.CreateCursorReq:
-		s.cursors[q.Cid] = q.Shape
+		if s.legalNewID(c, q.Cid, "CreateCursor") {
+			s.res[q.Cid] = &cursor{shape: q.Shape}
+		}
 
 	// --- Drawing. ----------------------------------------------------
 	case *xproto.PolyLineReq:
-		if gc, im := s.gcs[q.Gc], s.drawable(q.Drawable); gc != nil && im != nil {
+		if gc, im := s.gc(q.Gc), s.drawable(q.Drawable); gc != nil && im != nil {
 			begin := time.Now()
 			for i := 0; i+1 < len(q.Points); i++ {
 				im.drawLine(int(q.Points[i].X), int(q.Points[i].Y),
@@ -179,7 +182,7 @@ func (s *Server) handle(c *conn, req xproto.Request) *screenshot {
 			s.render.line.Observe(time.Since(begin))
 		}
 	case *xproto.PolySegmentReq:
-		if gc, im := s.gcs[q.Gc], s.drawable(q.Drawable); gc != nil && im != nil {
+		if gc, im := s.gc(q.Gc), s.drawable(q.Drawable); gc != nil && im != nil {
 			begin := time.Now()
 			for i := 0; i+1 < len(q.Points); i += 2 {
 				im.drawLine(int(q.Points[i].X), int(q.Points[i].Y),
@@ -188,7 +191,7 @@ func (s *Server) handle(c *conn, req xproto.Request) *screenshot {
 			s.render.line.Observe(time.Since(begin))
 		}
 	case *xproto.PolyRectangleReq:
-		if gc, im := s.gcs[q.Gc], s.drawable(q.Drawable); gc != nil && im != nil {
+		if gc, im := s.gc(q.Gc), s.drawable(q.Drawable); gc != nil && im != nil {
 			begin := time.Now()
 			for _, rc := range q.Rects {
 				im.drawRect(int(rc.X), int(rc.Y), int(rc.W), int(rc.H), gc.lineWidth, gc.foreground)
@@ -196,7 +199,7 @@ func (s *Server) handle(c *conn, req xproto.Request) *screenshot {
 			s.render.line.Observe(time.Since(begin))
 		}
 	case *xproto.FillPolyReq:
-		if gc, im := s.gcs[q.Gc], s.drawable(q.Drawable); gc != nil && im != nil {
+		if gc, im := s.gc(q.Gc), s.drawable(q.Drawable); gc != nil && im != nil {
 			begin := time.Now()
 			im.fillPoly(q.Points, gc.foreground)
 			s.render.fill.Observe(time.Since(begin))
@@ -204,7 +207,7 @@ func (s *Server) handle(c *conn, req xproto.Request) *screenshot {
 	case *xproto.PolyFillRectangleReq:
 		// The dominant opcode by volume: its rectangles fill in order,
 		// and the request's service time lands in render.fill.
-		if gc := s.gcs[q.Gc]; gc != nil {
+		if gc := s.gc(q.Gc); gc != nil {
 			begin := time.Now()
 			if im := s.drawable(q.Drawable); im != nil {
 				im.fillRects(q.Rects, gc.foreground)
@@ -243,27 +246,14 @@ func applyGC(gc *gcontext, mask, fg, bg uint32, lw uint16, font xproto.ID) {
 	}
 }
 
-// drawable returns the pixels of pixmap or window id, or nil if it is
-// neither. Called with s.mu held.
-func (s *Server) drawable(id xproto.ID) *image {
-	if p := s.pixmaps[id]; p != nil {
-		return p.img
-	}
-	if w := s.windows[id]; w != nil {
-		return w.img
-	}
-	return nil
-}
-
 // handleCreateWindow creates a window. Called with s.mu held.
 func (s *Server) handleCreateWindow(c *conn, q *xproto.CreateWindowReq) {
-	parent := s.windows[q.Parent]
+	parent := s.window(q.Parent)
 	if parent == nil {
 		c.protoError("CreateWindow: bad parent %d", q.Parent)
 		return
 	}
-	if s.windows[q.Wid] != nil {
-		c.protoError("CreateWindow: window %d already exists", q.Wid)
+	if !s.legalNewID(c, q.Wid, "CreateWindow") {
 		return
 	}
 	// Reserve after the validity checks so a denied or invalid request
@@ -292,13 +282,13 @@ func (s *Server) handleCreateWindow(c *conn, q *xproto.CreateWindowReq) {
 		w.masks[c] = q.EventMask
 	}
 	parent.children = append(parent.children, w)
-	s.windows[q.Wid] = w
+	s.res[q.Wid] = w
 }
 
 // handleChangeAttributes updates window attributes. Called with s.mu
 // held.
 func (s *Server) handleChangeAttributes(c *conn, q *xproto.ChangeWindowAttributesReq) {
-	w := s.windows[q.Window]
+	w := s.window(q.Window)
 	if w == nil {
 		c.protoError("ChangeWindowAttributes: bad window %d", q.Window)
 		return
@@ -320,14 +310,14 @@ func (s *Server) handleChangeAttributes(c *conn, q *xproto.ChangeWindowAttribute
 		w.override = q.OverrideRedirect
 	}
 	if q.Mask&xproto.AttrCursor != 0 {
-		w.cursor = s.cursors[q.Cursor]
+		w.cursor = s.cursor(q.Cursor)
 	}
 }
 
 // handleConfigureWindow moves/resizes/restacks a window. Called with
 // s.mu held.
 func (s *Server) handleConfigureWindow(c *conn, q *xproto.ConfigureWindowReq) {
-	w := s.windows[q.Window]
+	w := s.window(q.Window)
 	if w == nil || w == s.root {
 		c.protoError("ConfigureWindow: bad window %d", q.Window)
 		return
@@ -380,26 +370,26 @@ func (s *Server) handleConfigureWindow(c *conn, q *xproto.ConfigureWindowReq) {
 // handleGetGeometry answers for windows and pixmaps. Called with s.mu
 // held.
 func (s *Server) handleGetGeometry(c *conn, q *xproto.GetGeometryReq) {
-	if w := s.windows[q.Drawable]; w != nil {
-		rep := &xproto.GeometryReply{
-			Root: s.Root(), X: int16(w.x), Y: int16(w.y),
-			Width: uint16(w.w), Height: uint16(w.h), BorderWidth: uint16(w.borderWidth),
+	var rep *xproto.GeometryReply
+	switch r := s.res[q.Drawable].(type) {
+	case *window:
+		rep = &xproto.GeometryReply{
+			Root: s.Root(), X: int16(r.x), Y: int16(r.y),
+			Width: uint16(r.w), Height: uint16(r.h), BorderWidth: uint16(r.borderWidth),
 		}
-		c.reply(func(wr *xproto.Writer) { rep.Encode(wr) })
+	case *pixmap:
+		rep = &xproto.GeometryReply{Width: uint16(r.img.w), Height: uint16(r.img.h)}
+	default:
+		c.protoError("GetGeometry: bad drawable %d", q.Drawable)
 		return
 	}
-	if p := s.pixmaps[q.Drawable]; p != nil {
-		rep := &xproto.GeometryReply{Width: uint16(p.img.w), Height: uint16(p.img.h)}
-		c.reply(func(wr *xproto.Writer) { rep.Encode(wr) })
-		return
-	}
-	c.protoError("GetGeometry: bad drawable %d", q.Drawable)
+	c.reply(func(wr *xproto.Writer) { rep.Encode(wr) })
 }
 
 // handleQueryTree reports a window's parent and children. Called with
 // s.mu held.
 func (s *Server) handleQueryTree(c *conn, q *xproto.QueryTreeReq) {
-	w := s.windows[q.Window]
+	w := s.window(q.Window)
 	if w == nil {
 		c.protoError("QueryTree: bad window %d", q.Window)
 		return
@@ -428,7 +418,7 @@ func (s *Server) handleInternAtom(c *conn, q *xproto.InternAtomReq) {
 
 // handleChangeProperty updates a window property. Called with s.mu held.
 func (s *Server) handleChangeProperty(c *conn, q *xproto.ChangePropertyReq) {
-	w := s.windows[q.Window]
+	w := s.window(q.Window)
 	if w == nil {
 		c.protoError("ChangeProperty: bad window %d", q.Window)
 		return
@@ -447,7 +437,7 @@ func (s *Server) handleChangeProperty(c *conn, q *xproto.ChangePropertyReq) {
 
 // handleDeleteProperty removes a window property. Called with s.mu held.
 func (s *Server) handleDeleteProperty(c *conn, q *xproto.DeletePropertyReq) {
-	w := s.windows[q.Window]
+	w := s.window(q.Window)
 	if w == nil {
 		return
 	}
@@ -460,7 +450,7 @@ func (s *Server) handleDeleteProperty(c *conn, q *xproto.DeletePropertyReq) {
 // handleGetProperty reads (and optionally deletes) a property. Called
 // with s.mu held.
 func (s *Server) handleGetProperty(c *conn, q *xproto.GetPropertyReq) {
-	w := s.windows[q.Window]
+	w := s.window(q.Window)
 	if w == nil {
 		c.protoError("GetProperty: bad window %d", q.Window)
 		return
@@ -477,7 +467,7 @@ func (s *Server) handleGetProperty(c *conn, q *xproto.GetPropertyReq) {
 // handleListProperties lists a window's property atoms. Called with
 // s.mu held.
 func (s *Server) handleListProperties(c *conn, q *xproto.ListPropertiesReq) {
-	w := s.windows[q.Window]
+	w := s.window(q.Window)
 	if w == nil {
 		c.protoError("ListProperties: bad window %d", q.Window)
 		return
@@ -495,7 +485,7 @@ func (s *Server) handleListProperties(c *conn, q *xproto.ListPropertiesReq) {
 func (s *Server) handleSetSelectionOwner(c *conn, q *xproto.SetSelectionOwnerReq) {
 	var newOwner *window
 	if q.Owner != xproto.None {
-		newOwner = s.windows[q.Owner]
+		newOwner = s.window(q.Owner)
 		if newOwner == nil {
 			c.protoError("SetSelectionOwner: bad window %d", q.Owner)
 			return
@@ -524,7 +514,7 @@ func (s *Server) handleSetSelectionOwner(c *conn, q *xproto.SetSelectionOwnerReq
 // handleConvertSelection routes a selection conversion. Called with s.mu
 // held.
 func (s *Server) handleConvertSelection(c *conn, q *xproto.ConvertSelectionReq) {
-	requestor := s.windows[q.Requestor]
+	requestor := s.window(q.Requestor)
 	if requestor == nil {
 		c.protoError("ConvertSelection: bad requestor %d", q.Requestor)
 		return
@@ -562,7 +552,7 @@ func (s *Server) handleConvertSelection(c *conn, q *xproto.ConvertSelectionReq) 
 // handleSendEvent forwards a client-constructed event. Called with s.mu
 // held.
 func (s *Server) handleSendEvent(c *conn, q *xproto.SendEventReq) {
-	w := s.windows[q.Destination]
+	w := s.window(q.Destination)
 	if w == nil {
 		c.protoError("SendEvent: bad window %d", q.Destination)
 		return
@@ -586,7 +576,7 @@ func (s *Server) handleSendEvent(c *conn, q *xproto.SendEventReq) {
 
 // handleClearArea clears a window rectangle. Called with s.mu held.
 func (s *Server) handleClearArea(c *conn, q *xproto.ClearAreaReq) {
-	w := s.windows[q.Window]
+	w := s.window(q.Window)
 	if w == nil {
 		c.protoError("ClearArea: bad window %d", q.Window)
 		return
@@ -616,12 +606,12 @@ func (s *Server) handleCopyArea(c *conn, q *xproto.CopyAreaReq) {
 // handleDrawText draws text into a drawable in the GC's font. Called
 // with s.mu held.
 func (s *Server) handleDrawText(c *conn, drawable, gcID xproto.ID, x, y int16, text string, imageText bool) {
-	gc := s.gcs[gcID]
+	gc := s.gc(gcID)
 	if gc == nil {
 		c.protoError("DrawText: bad drawable or gc")
 		return
 	}
-	f := s.fonts[gc.font]
+	f := s.font(gc.font)
 	if f == nil {
 		f = openFont("fixed")
 	}

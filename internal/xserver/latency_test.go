@@ -9,15 +9,14 @@ import (
 	"repro/internal/xserver"
 )
 
-// TestLatencyPerSegment checks the per-segment model's defining
-// property: a batch of pipelined requests flushed together pays the
-// simulated IPC latency once, not once per request.
+// TestLatencyPerSegment checks the latency model's defining property:
+// a batch of pipelined requests flushed together pays the simulated IPC
+// latency once, not once per request.
 func TestLatencyPerSegment(t *testing.T) {
 	srv := xserver.New(400, 300)
 	t.Cleanup(srv.Close)
 	const lat = 20 * time.Millisecond
 	srv.SetLatency(lat)
-	srv.SetLatencyModel(xserver.LatencyPerSegment)
 
 	d, err := xclient.Open(srv.ConnectPipe())
 	if err != nil {
@@ -42,46 +41,14 @@ func TestLatencyPerSegment(t *testing.T) {
 	elapsed := time.Since(start)
 
 	// All k requests went out in one flush, so one segment: roughly one
-	// latency charge, and nowhere near the k charges the per-request
-	// model would make.
+	// latency charge, and nowhere near k of them.
 	if elapsed < lat {
 		t.Fatalf("batch completed in %v, below the %v wire latency", elapsed, lat)
 	}
 	if elapsed >= time.Duration(k)*lat/2 {
-		t.Fatalf("batch took %v; per-segment model should charge ~1×%v, not per request", elapsed, lat)
+		t.Fatalf("batch took %v; one segment should charge ~1×%v, not one per request", elapsed, lat)
 	}
 	if got := segments.Value() - before; got > 3 {
 		t.Fatalf("batch consumed %d wire segments, want ≤ 3", got)
-	}
-}
-
-// TestLatencyPerRequestDefault checks that the default model still
-// charges latency per request, preserving the pre-pipelining
-// experiment semantics.
-func TestLatencyPerRequestDefault(t *testing.T) {
-	srv := xserver.New(400, 300)
-	t.Cleanup(srv.Close)
-	const lat = 10 * time.Millisecond
-	srv.SetLatency(lat)
-
-	d, err := xclient.Open(srv.ConnectPipe())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(d.Close)
-
-	const k = 5
-	start := time.Now()
-	cookies := make([]xclient.AtomCookie, k)
-	for i := range cookies {
-		cookies[i] = d.InternAtomAsync(fmt.Sprintf("PERREQ_ATOM_%d", i))
-	}
-	for i := range cookies {
-		if _, err := cookies[i].Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if elapsed := time.Since(start); elapsed < time.Duration(k)*lat {
-		t.Fatalf("k=%d requests at %v per-request latency took only %v", k, lat, elapsed)
 	}
 }

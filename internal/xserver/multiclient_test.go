@@ -9,12 +9,34 @@ import (
 	"repro/internal/xproto"
 )
 
-// windowCount snapshots the live window count (including the root).
-func (s *Server) windowCount() int {
+// tableCounts is a snapshot of the resource table by kind.
+type tableCounts struct{ windows, pixmaps, gcs, fonts, cursors int }
+
+// resourceCounts snapshots the resource table; windows include the
+// root.
+func (s *Server) resourceCounts() tableCounts {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.windows)
+	var n tableCounts
+	for _, r := range s.res {
+		switch r.(type) {
+		case *window:
+			n.windows++
+		case *pixmap:
+			n.pixmaps++
+		case *gcontext:
+			n.gcs++
+		case *font:
+			n.fonts++
+		case *cursor:
+			n.cursors++
+		}
+	}
+	return n
 }
+
+// windowCount snapshots the live window count (including the root).
+func (s *Server) windowCount() int { return s.resourceCounts().windows }
 
 // TestCleanupConnNestedOwnership: disconnect cleanup must survive one
 // client owning a subtree nested inside another client's window — the
@@ -65,11 +87,11 @@ func TestCleanupConnNestedOwnership(t *testing.T) {
 	}
 
 	s.mu.Lock()
-	survivorW1 := s.windows[w1]
-	survivorA2 := s.windows[a2]
+	survivorW1 := s.window(w1)
+	survivorA2 := s.window(a2)
 	var leaked []xproto.ID
 	for _, id := range []xproto.ID{bt, b1, b2, b3} {
-		if s.windows[id] != nil {
+		if s.window(id) != nil {
 			leaked = append(leaked, id)
 		}
 	}
@@ -152,6 +174,11 @@ func TestMultiClientStressRace(t *testing.T) {
 		tops[i] = d.CreateWindow(d.Root, i*40, 10, 120, 90, 1,
 			xclient.WindowAttributes{EventMask: xproto.StructureNotifyMask | xproto.ExposureMask})
 		d.MapWindow(tops[i])
+		// A font and a cursor that only the client's departure frees.
+		if _, err := d.OpenFont("fixed"); err != nil {
+			return fmt.Errorf("client %d: open font: %w", i, err)
+		}
+		d.SetWindowCursor(tops[i], d.CreateCursor("watch"))
 		return d.Sync()
 	})
 
@@ -202,20 +229,15 @@ func TestMultiClientStressRace(t *testing.T) {
 	})
 
 	// Everything quiesced (every client synced): counts must be exact.
-	if got := s.windowCount(); got != 1 {
-		t.Errorf("window count after teardown = %d, want 1 (root only)", got)
+	// The root is the one window left; each client still holds its font
+	// and cursor.
+	if got, want := s.resourceCounts(), (tableCounts{windows: 1, fonts: clients, cursors: clients}); got != want {
+		t.Errorf("resource table after teardown = %+v, want %+v", got, want)
 	}
 	s.mu.Lock()
-	gcCount, pixmapCount := len(s.gcs), len(s.pixmaps)
 	atomCount, nameCount := len(s.atoms), len(s.atomNames)
 	cells := len(s.colorCells)
 	s.mu.Unlock()
-	if gcCount != 0 {
-		t.Errorf("gc table size = %d, want 0", gcCount)
-	}
-	if pixmapCount != 0 {
-		t.Errorf("pixmap table size = %d, want 0", pixmapCount)
-	}
 	wantAtoms := atomBase + len(sharedAtoms) + clients
 	if atomCount != wantAtoms || nameCount != wantAtoms {
 		t.Errorf("atom tables = %d/%d entries, want %d (no duplicate interning under contention)", atomCount, nameCount, wantAtoms)
@@ -227,5 +249,24 @@ func TestMultiClientStressRace(t *testing.T) {
 		if errs := d.TakeErrors(); len(errs) != 0 {
 			t.Errorf("client %d saw protocol errors: %v", i, errs)
 		}
+	}
+
+	// Every client leaves: its fonts and cursors go with it.
+	for _, d := range displays {
+		d.Close()
+	}
+	waitForTable(t, s, tableCounts{windows: 1})
+}
+
+// waitForTable waits for the cleanup of departed clients to leave the
+// resource table at want.
+func waitForTable(t *testing.T, s *Server, want tableCounts) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.resourceCounts() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("resource table = %+v after the clients left, want %+v", s.resourceCounts(), want)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }

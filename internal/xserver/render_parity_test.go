@@ -713,10 +713,11 @@ func TestUndrawnWindowsHoldNoSlabs(t *testing.T) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.windows) != 202 {
-		t.Fatalf("server has %d windows, want 202", len(s.windows))
+	if len(s.res) != 202 {
+		t.Fatalf("server has %d resources, want 202 windows", len(s.res))
 	}
-	for id, w := range s.windows {
+	for id, r := range s.res {
+		w := r.(*window)
 		for i := range w.img.tiles {
 			if w.img.tiles[i].px != nil {
 				t.Fatalf("window %d (%dx%d): tile %d has a slab", id, w.w, w.h, i)

@@ -60,11 +60,7 @@ type Server struct {
 
 	mu         obs.TimedMutex
 	requester  *conn                      // guarded by mu: the connection whose request holds mu
-	windows    map[xproto.ID]*window      // guarded by mu
-	pixmaps    map[xproto.ID]*pixmap      // guarded by mu
-	gcs        map[xproto.ID]*gcontext    // guarded by mu
-	cursors    map[xproto.ID]string       // guarded by mu
-	fonts      map[xproto.ID]*font        // guarded by mu
+	res        map[xproto.ID]any          // guarded by mu: every window, pixmap, GC, font and cursor (resources.go)
 	atoms      map[string]xproto.Atom     // guarded by mu
 	atomNames  map[xproto.Atom]string     // guarded by mu
 	nextAtom   xproto.Atom                // guarded by mu
@@ -85,19 +81,19 @@ type Server struct {
 	conns      map[*conn]bool // guarded by mu
 	listener   net.Listener   // guarded by mu
 	closed     bool           // guarded by mu
-	nextIDBase uint32         // guarded by mu: the next connection's resource-ID range base
+	nextIDBase uint32         // guarded by mu: the next fresh resource-ID block's base, 0 once none is left (takeIDBase)
+	freeBases  []uint32       // guarded by mu: the resource-ID blocks departed clients left, for the next ones
 
-	latency      atomic.Int64 // nanoseconds per request (or per segment)
-	latModel     atomic.Int32 // LatencyModel selecting how latency is charged
+	latency      atomic.Int64 // nanoseconds per wire segment
 	writeTimeout atomic.Int64 // nanoseconds a stalled peer may block a write
 	wireV2       atomic.Bool  // accept wire-protocol-v2 upgrades (SetWireV2)
 	start        time.Time    // immutable after New
 
 	// Resource quota (SetQuota, docs/farm.md): allocating handlers
-	// reserve against the limit, and every free path (FreeGC/FreePixmap,
-	// DestroyWindow, cleanupConn's sweeps) releases what the allocation
-	// reserved. A zero limit means unlimited. quota is set before the
-	// server accepts its first connection and immutable afterwards.
+	// reserve against the limit, and free (or destroyWindow, for a
+	// window's subtree) releases what the allocation reserved. A zero
+	// limit means unlimited. quota is set before the server accepts its
+	// first connection and immutable afterwards.
 	quota           Quota
 	usedWindows     int64 // guarded by mu
 	usedPixmapBytes int64 // guarded by mu
@@ -152,13 +148,13 @@ type Server struct {
 }
 
 // gcontext is a server-side graphics context. Like every resource it is
-// reached only through the server's tables, so mu guards its fields.
+// reached only through the server's resource table, so mu guards its
+// fields.
 type gcontext struct {
 	foreground uint32
 	background uint32
 	lineWidth  int
 	font       xproto.ID
-	owner      *conn
 }
 
 // pixmap is a server-side off-screen drawable. The img pointer and the
@@ -167,7 +163,11 @@ type gcontext struct {
 type pixmap struct {
 	img   *image // the pointer is immutable; pixel contents are guarded by mu
 	bytes int64  // nominal quota cost (w·h·4 at create), immutable
-	owner *conn  // creating connection, immutable; cleanupConn sweeps by it
+}
+
+// cursor is a server-side cursor: the shape it was created with.
+type cursor struct {
+	shape string
 }
 
 // property is a window property value.
@@ -183,8 +183,8 @@ type selection struct {
 }
 
 // window is a server-side window. All fields are guarded by the
-// server's mu (windows are reached only through Server.windows or the
-// tree itself).
+// server's mu (windows are reached only through the resource table or
+// the tree itself).
 type window struct {
 	id          xproto.ID
 	parent      *window
@@ -200,16 +200,17 @@ type window struct {
 	masks       map[*conn]uint32
 	props       map[xproto.Atom]property
 	owner       *conn
-	cursor      string
+	cursor      *cursor
 }
 
 // conn is one client connection.
 type conn struct {
-	s    *Server
-	rw   net.Conn
-	done chan struct{}
-	seq  uint64
-	once sync.Once
+	s      *Server
+	rw     net.Conn
+	done   chan struct{}
+	seq    uint64
+	once   sync.Once
+	idBase uint32 // the base of c's resource-ID range; set before c's request loop starts
 
 	// The output buffer, one per client as the X server keeps it:
 	// handlers encode whole frames into it (push) and the writer
@@ -269,11 +270,7 @@ func New(width, height int) *Server {
 	s := &Server{
 		width:      width,
 		height:     height,
-		windows:    make(map[xproto.ID]*window),
-		pixmaps:    make(map[xproto.ID]*pixmap),
-		gcs:        make(map[xproto.ID]*gcontext),
-		cursors:    make(map[xproto.ID]string),
-		fonts:      make(map[xproto.ID]*font),
+		res:        make(map[xproto.ID]any),
 		atoms:      make(map[string]xproto.Atom),
 		atomNames:  make(map[xproto.Atom]string),
 		colorCells: make(map[string]uint32),
@@ -282,7 +279,7 @@ func New(width, height int) *Server {
 		metrics:    obs.NewRegistry(),
 		start:      time.Now(),
 		nextAtom:   100,
-		nextIDBase: 0x00200000,
+		nextIDBase: xproto.IDRange,
 	}
 	s.wireV2.Store(true)
 	s.mu.Instrument(s.metrics.Histogram("lockwait.tree"))
@@ -308,7 +305,7 @@ func New(width, height int) *Server {
 		props:      make(map[xproto.Atom]property),
 	}
 	s.root.img = newFilledImage(width, height, s.root.background, s.render)
-	s.windows[1] = s.root
+	s.res[1] = s.root
 	s.pointerWin = s.root
 	s.pointerX, s.pointerY = width/2, height/2
 	return s
@@ -317,29 +314,25 @@ func New(width, height int) *Server {
 // Root returns the root window ID.
 func (s *Server) Root() xproto.ID { return 1 }
 
-// LatencyModel selects how the simulated IPC latency is charged.
-type LatencyModel int32
-
-const (
-	// LatencyPerRequest charges the latency once per request, however
-	// the requests arrive — the historical default, and what the
-	// EXPERIMENTS.md Table II numbers use. It models a client that
-	// performs a full round trip for every request.
-	LatencyPerRequest LatencyModel = iota
-	// LatencyPerSegment charges the latency once per wire read: a flush
-	// of K pipelined requests arrives as one segment and pays the
-	// latency once, not K times — the payoff the XCB cookie model (and
-	// this client's SendWithReply) exists to collect.
-	LatencyPerSegment
-)
-
-// SetLatency sets the simulated IPC latency applied to every request
-// (or, under LatencyPerSegment, every wire segment).
+// SetLatency sets the simulated IPC latency charged once per wire
+// segment: each read from a client's connection, typically one flush,
+// however many requests it carries (segmentReader).
 func (s *Server) SetLatency(d time.Duration) { s.latency.Store(int64(d)) }
 
-// SetLatencyModel selects how SetLatency's cost is charged. The default
-// is LatencyPerRequest.
-func (s *Server) SetLatencyModel(m LatencyModel) { s.latModel.Store(int32(m)) }
+// LatencyModel once selected how SetLatency's cost was charged.
+//
+// Deprecated: the server has one model, per wire segment.
+type LatencyModel int32
+
+// LatencyPerSegment names the one latency model.
+//
+// Deprecated: there is no other model to select.
+const LatencyPerSegment LatencyModel = 1
+
+// SetLatencyModel does nothing.
+//
+// Deprecated: SetLatency always charges per wire segment.
+func (s *Server) SetLatencyModel(LatencyModel) {}
 
 // DefaultWriteTimeout bounds how long a stalled peer — one that stops
 // reading its end of the connection — may block the server's writer
@@ -465,15 +458,20 @@ func (s *Server) ServeConn(nc net.Conn) {
 		nc.Close()
 		return
 	}
+	base, ok := s.takeIDBase()
+	if !ok {
+		s.mu.Unlock()
+		refuse(nc, "server: maximum number of clients reached: every block of resource IDs is in use")
+		return
+	}
 	s.conns[c] = true
-	base := s.nextIDBase
-	s.nextIDBase += 0x00200000
+	c.idBase = base
 	s.mu.Unlock()
 	go c.writeLoop()
 
 	// Connection setup block.
 	setup := &xproto.SetupReply{
-		ResourceIDBase: base,
+		ResourceIDBase: c.idBase,
 		Root:           s.Root(),
 		Width:          uint16(s.width),
 		Height:         uint16(s.height),
@@ -481,13 +479,12 @@ func (s *Server) ServeConn(nc net.Conn) {
 	c.push(xproto.KindReply, setup.Encode, true)
 
 	// Request loop. Requests are read through a buffered reader over a
-	// latency-charging wrapper: under LatencyPerSegment each underlying
-	// conn read (one wire segment, typically one client flush) pays the
-	// simulated latency once, however many requests it carries; under
-	// LatencyPerRequest the historical per-request sleep below applies.
-	// The scratch buffer is reused across requests (safe: every request
-	// Decode copies what it retains — see ReadRequestFrame).
-	br := bufio.NewReaderSize(&segmentReader{s: s, conn: nc}, 64<<10)
+	// latency-charging wrapper: each underlying conn read (one wire
+	// segment, typically one client flush) pays the simulated latency
+	// once, however many requests it carries. The scratch buffer is
+	// reused across requests (safe: every request Decode copies what it
+	// retains — see ReadRequestFrame).
+	br := bufio.NewReaderSize(&segmentReader{s: s, conn: nc, done: c.done}, 64<<10)
 	var rbuf []byte
 	upgradeSeen := false
 loop:
@@ -536,23 +533,17 @@ loop:
 	s.cleanupConn(c)
 }
 
-// serveRequest runs the full per-request pipeline — simulated
-// per-request latency, sequence accounting, metrics, span sampling,
-// dispatch and service-time histograms — for one decoded request frame,
-// whether it arrived bare on the wire or inside a v2 segment. Inner
-// frames of a segment therefore behave exactly like v1 requests:
-// identical sequence numbering (the lockstep span sampling relies on)
-// and identical LatencyPerRequest semantics.
+// serveRequest runs the full per-request pipeline — sequence
+// accounting, metrics, span sampling, dispatch and service-time
+// histograms — for one decoded request frame, whether it arrived bare
+// on the wire or inside a v2 segment. Inner frames of a segment
+// therefore behave exactly like v1 requests, with identical sequence
+// numbering (the lockstep span sampling relies on).
 func (s *Server) serveRequest(c *conn, op uint16, payload []byte) {
-	if s.latModel.Load() == int32(LatencyPerRequest) {
-		if lat := s.latency.Load(); lat > 0 {
-			time.Sleep(time.Duration(lat))
-		}
-	}
 	c.seq++
 	// Counters are bumped before dispatch; timing wraps only decode +
 	// handle, so the "dispatch" histogram measures true service time,
-	// not the simulated IPC latency above.
+	// not the simulated IPC latency its segment paid.
 	s.requests.Inc()
 	c.countOp(op)
 	if s.rollupRequests != nil {
@@ -652,28 +643,67 @@ func (c *conn) close() {
 	})
 }
 
-// segmentReader counts wire segments and charges the per-segment
-// simulated latency: each successful read from the underlying
-// connection is one segment (one client flush, up to the buffer size),
-// so K pipelined requests in one flush pay the latency once. The sleep
-// happens on the connection's own read goroutine with no server lock
-// held, so concurrent clients overlap their latency.
+// segmentReader counts wire segments and charges the simulated
+// latency: each successful read from the underlying connection is one
+// segment (one client flush, up to the buffer size), so K pipelined
+// requests in one flush pay the latency once. The sleep happens on the
+// connection's own read goroutine with no server lock held, so
+// concurrent clients overlap their latency, and it ends early when the
+// connection closes, so a closed server leaves no goroutine sleeping.
 type segmentReader struct {
-	s    *Server
-	conn net.Conn
+	s     *Server
+	conn  net.Conn
+	done  <-chan struct{} // the connection's; nil never closes
+	timer *time.Timer     // reused by sleep
+	debt  time.Duration   // charges under sleepMin not yet slept, less credit (see charge)
 }
+
+// sleepMin is the shortest charge slept as it comes. time.Sleep does
+// not go much below a millisecond on common hosts, so a shorter charge
+// slept alone would cost about a millisecond whatever it states.
+const sleepMin = time.Millisecond
 
 func (sr *segmentReader) Read(p []byte) (int, error) {
 	n, err := sr.conn.Read(p)
 	if n > 0 {
 		sr.s.segments.Inc()
-		if sr.s.latModel.Load() == int32(LatencyPerSegment) {
-			if lat := sr.s.latency.Load(); lat > 0 {
-				time.Sleep(time.Duration(lat))
-			}
-		}
+		sr.charge(time.Duration(sr.s.latency.Load()))
 	}
 	return n, err
+}
+
+// charge pays one segment's latency d. A charge of sleepMin or more is
+// slept in full. A shorter one is added to the connection's debt; once
+// the debt reaches sleepMin it is slept, and the time the sleep ran
+// over is credited against the next charges.
+func (sr *segmentReader) charge(d time.Duration) {
+	switch {
+	case d <= 0:
+		return
+	case d >= sleepMin:
+		sr.sleep(d)
+		return
+	}
+	if sr.debt += d; sr.debt < sleepMin {
+		return
+	}
+	start := time.Now()
+	sr.sleep(sr.debt)
+	sr.debt -= time.Since(start)
+}
+
+// sleep waits d, or until the connection closes. After a close the
+// connection reads nothing more, so the timer is not reused.
+func (sr *segmentReader) sleep(d time.Duration) {
+	if sr.timer == nil {
+		sr.timer = time.NewTimer(d)
+	} else {
+		sr.timer.Reset(d)
+	}
+	select {
+	case <-sr.timer.C:
+	case <-sr.done:
+	}
 }
 
 // push encodes one frame of the given kind straight into c's output
@@ -852,62 +882,4 @@ func (s *Server) dispatch(c *conn, op uint16, payload []byte) (wait int64) {
 		shot.reply(c)
 	}
 	return wait
-}
-
-// cleanupConn releases all resources owned by a departed client: its
-// windows are destroyed (as X does), its GCs and pixmaps freed, its
-// event-mask entries removed, and its selections cleared. Every release
-// returns its quota reservation, so after the last connection of a
-// session disconnects QuotaUsage reports zero across the board — the
-// reconciliation invariant the farm bench asserts on teardown.
-func (s *Server) cleanupConn(c *conn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.conns, c)
-	// Collect first, destroy second: destroyWindow mutates s.windows
-	// (and detaches whole subtrees), so destroying while ranging over
-	// the map would visit it mid-mutation. Top-level windows go first
-	// (X semantics: the visible tree comes down before orphans deeper
-	// in other clients' trees); the liveness re-check skips windows an
-	// earlier destroy already took down with their ancestor.
-	var topLevel, nested []*window
-	for _, w := range s.windows {
-		if w.owner != c || w == s.root {
-			continue
-		}
-		if w.parent == s.root {
-			topLevel = append(topLevel, w)
-		} else {
-			nested = append(nested, w)
-		}
-	}
-	for _, w := range append(topLevel, nested...) {
-		if s.windows[w.id] == w {
-			s.destroyWindow(w)
-		}
-	}
-	for _, w := range s.windows {
-		delete(w.masks, c)
-	}
-	for sel, o := range s.selections {
-		if o.owner != nil && o.owner.owner == c {
-			delete(s.selections, sel)
-		}
-	}
-	for id, gc := range s.gcs {
-		if gc.owner == c {
-			delete(s.gcs, id)
-			s.usedGCs--
-		}
-	}
-	// Pixmaps are per-client resources too: sweeping them here (by the
-	// owner recorded at CreatePixmap) both releases their quota bytes and
-	// frees their backing tiles when a client departs, instead of letting
-	// orphaned pixmaps accumulate for the life of the server.
-	for id, p := range s.pixmaps {
-		if p.owner == c {
-			delete(s.pixmaps, id)
-			s.usedPixmapBytes -= p.bytes
-		}
-	}
 }

@@ -266,7 +266,7 @@ func TestZeroSizeReconfigureKeepsContent(t *testing.T) {
 		t.Errorf("re-sending the clamped size sent %d more Expose events", n)
 	}
 	s.mu.Lock()
-	win := s.windows[w]
+	win := s.window(w)
 	gotW, gotH, px := win.w, win.h, win.img.get(0, 8)
 	s.mu.Unlock()
 	if gotW != 1 || gotH != 20 {

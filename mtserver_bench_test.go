@@ -113,7 +113,6 @@ func BenchmarkMultiClientDispatch(b *testing.B) {
 			s := xserver.New(800, 600)
 			defer s.Close()
 			s.SetLatency(time.Millisecond)
-			s.SetLatencyModel(xserver.LatencyPerSegment)
 			displays := openClients(b, s, n)
 			defer func() {
 				for _, d := range displays {
