@@ -188,6 +188,7 @@ func BenchmarkRoundTripLatency(b *testing.B) {
 			app.Server.SetLatency(bc.lat)
 			defer app.Server.SetLatency(0)
 			app.Metrics().Reset()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := app.Disp.Sync(); err != nil {

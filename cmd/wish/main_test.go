@@ -442,6 +442,24 @@ func TestTclshScript(t *testing.T) {
 	}
 }
 
+// TestTclshScriptReturn: a return at the top of a script ends it with
+// its value, and the shell exits 0, as Tcl's tclsh does.
+func TestTclshScriptReturn(t *testing.T) {
+	_, xsimd := binaries(t)
+	tclsh := filepath.Join(filepath.Dir(xsimd), "tclsh")
+	script := filepath.Join(t.TempDir(), "r.tcl")
+	if err := os.WriteFile(script, []byte("puts a; return foo; puts b\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(tclsh, script).CombinedOutput()
+	if err != nil {
+		t.Fatalf("tclsh: %v\n%s", err, out)
+	}
+	if string(out) != "a\n" {
+		t.Fatalf("output = %q, want %q", out, "a\n")
+	}
+}
+
 // TestTclshInteractive: the plain shell reads stdin as wish does,
 // continuing a command only inside an open brace, bracket or quote.
 func TestTclshInteractive(t *testing.T) {

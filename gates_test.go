@@ -247,8 +247,8 @@ func measureMTServer(t *testing.T, report func(string, float64)) float64 {
 }
 
 // allocsPerPipelinedRTT counts the process's allocations per Ping round
-// trip, 8 in flight at zero latency with no round-trip timer (it would
-// allocate): the cost of the hot reply path on both ends.
+// trip, 8 in flight at zero latency with the default round-trip
+// deadline: the cost of the hot reply path on both ends.
 func allocsPerPipelinedRTT(t *testing.T) float64 {
 	s := xserver.New(200, 200)
 	defer s.Close()
@@ -257,7 +257,6 @@ func allocsPerPipelinedRTT(t *testing.T) float64 {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.SetRoundTripTimeout(0)
 	const iters = 200
 	cookies := make([]*xclient.Cookie, 8)
 	if err := pingFlight(d, cookies, false); err != nil { // warm buffers

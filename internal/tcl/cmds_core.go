@@ -198,10 +198,7 @@ func (in *Interp) callProc(def *procDef, args []string) (string, error) {
 	res, err := in.evalCode(def.code)
 	if err != nil {
 		if re, ok := err.(*returnError); ok {
-			if re.code == OK {
-				return re.value, nil
-			}
-			return "", &Error{Code: re.code, Msg: re.value}
+			return re.outcome()
 		}
 		if te, ok := err.(*Error); ok {
 			switch te.Code {

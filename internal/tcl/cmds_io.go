@@ -79,7 +79,7 @@ func cmdSource(in *Interp, args []string) (string, error) {
 	if err != nil {
 		return "", errf("couldn't read file %q: %s", args[1], err)
 	}
-	return in.eval(string(data))
+	return in.finish(in.eval(string(data)))
 }
 
 // cmdExec runs an external command pipeline, capturing standard output.

@@ -20,6 +20,39 @@ func TestSourceCommand(t *testing.T) {
 	evalErr(t, in, "source /nonexistent/file.tcl", "couldn't read")
 }
 
+// TestReturnEndsScript: a return at the outermost level ends the
+// script with its value, as Tcl_Eval turns a return at level 0 into the
+// return's outcome; with a -code, the outcome is an *Error of that code.
+func TestReturnEndsScript(t *testing.T) {
+	in := New()
+	expect(t, in, "set a 1; return foo; set a 2", "foo")
+	expect(t, in, "set a", "1")
+	expect(t, in, "return", "")
+	for script, code := range map[string]Status{
+		"return -code error oops":  ErrorStatus,
+		"return -code break oops":  BreakStatus,
+		"return -code return oops": ReturnStatus,
+	} {
+		_, err := in.GlobalEval(script)
+		if e, ok := err.(*Error); !ok || e.Code != code || e.Msg != "oops" {
+			t.Fatalf("GlobalEval(%q) = %#v, want an *Error of code %v", script, err, code)
+		}
+	}
+}
+
+// TestSourceReturn: a return in a sourced file ends the file with its
+// value, as Tcl_EvalFile does; the procedure that sourced it goes on.
+func TestSourceReturn(t *testing.T) {
+	in := New()
+	file := filepath.Join(t.TempDir(), "r.tcl")
+	if err := os.WriteFile(file, []byte("set x 1\nreturn early\nset x 2"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, in, "source "+file, "early")
+	expect(t, in, "set x", "1")
+	expect(t, in, "proc p {} {source "+file+"; return after}; p", "after")
+}
+
 func TestFileCommand(t *testing.T) {
 	in := New()
 	dir := t.TempDir()

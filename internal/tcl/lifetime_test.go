@@ -182,24 +182,29 @@ func TestEvalAllocs(t *testing.T) {
 	}
 }
 
-// TestReturnErrorIsKept: Eval hands the error of a return that leaves
-// its script to its Go caller as an error of its own, which a later
-// return does not change, whether that Eval is the outermost one or runs
-// inside a script, as a binding that `update` runs does.
+// TestReturnErrorIsKept: Eval hands the error of a return -code error
+// that leaves its script, and EvalExpr that of any return, to its Go
+// caller as an error of its own, which a later return does not change,
+// whether that Eval is the outermost one or runs inside a script, as a
+// binding that `update` runs does.
 func TestReturnErrorIsKept(t *testing.T) {
 	in := New()
-	_, first := in.Eval("return a")
-	if _, err := in.Eval("return b"); err == nil || err.Error() != "b" {
+	_, first := in.Eval("return -code error a")
+	if _, err := in.Eval("return -code error b"); err == nil || err.Error() != "b" {
 		t.Fatalf("second return: %v, want b", err)
 	}
 	if first == nil || first.Error() != "a" {
 		t.Fatalf("first return now reads %v, want a", first)
 	}
+	_, inExpr := in.EvalExpr("[return e]")
 	expect(t, in, "proc r {x} {return $x}; catch {r 7} v; set v", "7")
+	if inExpr == nil || inExpr.Error() != "e" {
+		t.Fatalf("a return in an expression now reads %v, want e", inExpr)
+	}
 
 	var nested error
 	in.Register("keep", func(in *Interp, args []string) (string, error) {
-		_, nested = in.Eval("return c")
+		_, nested = in.Eval("return -code error c")
 		return "", nil
 	})
 	expect(t, in, "keep; r 8", "8")

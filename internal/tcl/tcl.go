@@ -97,6 +97,16 @@ type returnError struct {
 
 func (r *returnError) Error() string { return r.value }
 
+// outcome is what a return amounts to where it ends, as Tcl's
+// TclUpdateReturnInfo computes it: its value, or with a -code other
+// than ok, an *Error of that code.
+func (r *returnError) outcome() (string, error) {
+	if r.code == OK {
+		return r.value, nil
+	}
+	return "", &Error{Code: r.code, Msg: r.value}
+}
+
 // CmdFunc is the signature of a command procedure (Figure 6 of the Tk
 // paper). args[0] is the command name as invoked. The returned string is
 // the command result; a non-nil error aborts the script unless it is a
@@ -274,20 +284,20 @@ func (in *Interp) current() *frame { return in.frames[len(in.frames)-1] }
 // global returns the global frame.
 func (in *Interp) global() *frame { return in.frames[0] }
 
-// Eval executes script, returning the result of the last command
-// executed. Control-flow signals (break/continue/return at top level)
-// surface as *Error values with the corresponding Code.
+// Eval executes script as the outermost level of evaluation, returning
+// the result of the last command executed. A return ends the script
+// with its value; a return with a -code other than ok, and a break or
+// continue, surfaces as an *Error with the corresponding Code.
 func (in *Interp) Eval(script string) (string, error) {
-	res, err := in.eval(script)
-	return res, in.own(err)
+	return in.finish(in.eval(script))
 }
 
 // GlobalEval executes script in the global frame, whatever procedure is
-// running, as Tcl_GlobalEval does. Tk runs the scripts events trigger
+// running, as Tcl_GlobalEval does, and as the outermost level of
+// evaluation, as Eval does. Tk runs the scripts events trigger
 // (bindings, after, widget callbacks, send) this way.
 func (in *Interp) GlobalEval(script string) (string, error) {
-	res, err := in.atLevel(0, func() (string, error) { return in.eval(script) })
-	return res, in.own(err)
+	return in.finish(in.atLevel(0, func() (string, error) { return in.eval(script) }))
 }
 
 // eval is Eval for the interpreter's own commands: the error a return
@@ -312,6 +322,16 @@ func (in *Interp) own(err error) error {
 		return &ret
 	}
 	return err
+}
+
+// finish ends a script at a return that left it, as Tcl_Eval does at
+// the outermost level and Tcl_EvalFile at the end of a file: the
+// script's outcome is the return's.
+func (in *Interp) finish(res string, err error) (string, error) {
+	if err == &in.ret {
+		return in.ret.outcome()
+	}
+	return res, err
 }
 
 // evalCode runs compiled commands one nesting level down.

@@ -468,9 +468,11 @@ func (app *App) cmdWm(in *tcl.Interp, args []string) (string, error) {
 		}
 		return "", fmt.Errorf("bad geometry specifier %q", args[3])
 	case "withdraw":
+		w.withdrawn = true
 		w.Unmap()
 		return "", nil
 	case "deiconify":
+		w.withdrawn = false
 		w.Map()
 		return "", nil
 	}

@@ -122,17 +122,22 @@ func (app *App) runDueTimers() bool {
 	return ran
 }
 
-// runIdle runs the currently queued idle handlers (but not ones they
-// enqueue); it reports whether any ran.
-func (app *App) runIdle() bool {
-	if len(app.idle) == 0 {
+// RunIdle runs the idle handlers queued before it was called, but not
+// ones they queue, and reports whether any ran: Tk_DoOneEvent with
+// TK_IDLE_EVENTS. An idle handler may call it, as Tk's MapFrame does, to
+// let the handlers queued behind it run first.
+func (app *App) RunIdle() bool {
+	end := app.idleRan + len(app.idle)
+	if app.idleRan == end {
 		return false
 	}
-	batch := app.idle
-	app.idle = nil
-	app.idleDepth.Set(0)
-	for _, fn := range batch {
-		fn() // may call DoWhenIdle, which updates the gauge again
+	for app.idleRan < end {
+		fn := app.idle[0]
+		app.idle[0] = nil
+		app.idle = app.idle[1:]
+		app.idleRan++
+		app.idleDepth.Set(int64(len(app.idle)))
+		fn() // may queue handlers, or run those behind it
 	}
 	return true
 }
@@ -159,7 +164,7 @@ func (app *App) DoOneEvent(wait bool) bool {
 		return true
 	}
 	// 3. Idle handlers.
-	if app.runIdle() {
+	if app.RunIdle() {
 		return true
 	}
 	if !wait {
@@ -288,7 +293,7 @@ func (app *App) Update() {
 // UpdateIdleTasks runs only the idle queue (update idletasks): display
 // refresh without processing input.
 func (app *App) UpdateIdleTasks() {
-	for app.runIdle() {
+	for app.RunIdle() {
 	}
 	app.Disp.Flush()
 }

@@ -46,6 +46,19 @@ func TestTkerrorRunsGlobally(t *testing.T) {
 	}
 }
 
+// TestReturnInEventScript: a return in a script the event loop runs
+// ends that script; it is not a background error. An error return still
+// is one.
+func TestReturnInEventScript(t *testing.T) {
+	app, _ := newTestApp(t)
+	app.MustEval(`set seen {}; proc tkerror {msg} {global seen; lappend seen $msg}`)
+	app.MustEval(`after 0 {return foo}; update`)
+	app.MustEval(`after 0 {return -code error bar}; update`)
+	if got := app.MustEval(`set seen`); got != "bar" {
+		t.Fatalf("tkerror received %q, want only bar", got)
+	}
+}
+
 // TestTclSelectionHandle: selection handlers written in Tcl (§3.6).
 func TestTclSelectionHandle(t *testing.T) {
 	app, _ := newTestApp(t)

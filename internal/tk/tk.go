@@ -119,6 +119,11 @@ type Window struct {
 	// overrideRedirect marks a top-level the window manager leaves alone.
 	overrideRedirect bool
 
+	// withdrawn says `wm withdraw` hid the window: Map leaves it unmapped
+	// until `wm deiconify`, so a top-level withdrawn before its idle map
+	// stays hidden, as in Tk.
+	withdrawn bool
+
 	// handlers are C-level (Go) event handlers: mask → funcs.
 	handlers []evtHandler
 
@@ -196,7 +201,10 @@ type App struct {
 
 	timers *timerQueue
 	idle   []func()
-	posted chan func()
+	// idleRan counts the idle handlers taken off idle, so a RunIdle
+	// knows where the handlers queued before it end.
+	idleRan int
+	posted  chan func()
 	// configNotify holds windows owed a ConfigureNotify by MakeExist. It
 	// is dispatched locally once the display's queue is empty.
 	configNotify []*Window
@@ -754,7 +762,7 @@ func (w *Window) makeSiblingsExist() {
 
 // Map makes the window viewable.
 func (w *Window) Map() {
-	if w.Mapped || w.Destroyed {
+	if w.Mapped || w.Destroyed || w.withdrawn {
 		return
 	}
 	w.MakeExist()

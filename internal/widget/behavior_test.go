@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/tk"
 	"repro/internal/xproto"
 )
 
@@ -256,6 +257,66 @@ func TestMenuCostsNothingUntilPosted(t *testing.T) {
 		t.Errorf("posted menu at %dx%d+%d+%d on the server, want %dx%d+40+40",
 			geom.Width, geom.Height, geom.X, geom.Y, w.Width, w.Height)
 	}
+}
+
+// TestToplevelMappedAtItsSize: a new top-level is mapped from an idle
+// handler once the packer has sized it, as Tk's MapFrame maps it, so
+// its window is created at its final size, with no ConfigureWindow,
+// and painted once.
+func TestToplevelMappedAtItsSize(t *testing.T) {
+	app, _ := newApp(t)
+	configures := app.Metrics().Counter("requests.ConfigureWindow")
+	f0 := configures.Value()
+	app.MustEval(`toplevel .t`)
+	w, _ := app.NameToWindow(".t")
+	paints := &redrawCounter{Widget: w.Widget}
+	w.Widget = paints
+	app.MustEval(`button .t.b -text hello; pack append .t .t.b {top}`)
+	if got := app.MustEval(`winfo ismapped .t`); got != "0" {
+		t.Fatalf("winfo ismapped .t before update = %s, want 0", got)
+	}
+	app.Update()
+	if got := app.MustEval(`winfo ismapped .t`); got != "1" {
+		t.Fatalf("winfo ismapped .t after update = %s, want 1", got)
+	}
+	if n := configures.Value() - f0; n != 0 {
+		t.Errorf("sent %d ConfigureWindow, want 0", n)
+	}
+	geom, err := app.Disp.GetGeometry(w.XID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int(geom.Width) != w.Width || int(geom.Height) != w.Height || w.Width == 1 {
+		t.Errorf(".t is %dx%d on the server, want its packed size %dx%d", geom.Width, geom.Height, w.Width, w.Height)
+	}
+	if paints.n != 1 {
+		t.Errorf(".t was painted %d times, want 1", paints.n)
+	}
+}
+
+// TestToplevelWithdrawnBeforeMapped: a top-level withdrawn before its
+// idle map stays unmapped until it is deiconified.
+func TestToplevelWithdrawnBeforeMapped(t *testing.T) {
+	app, _ := newApp(t)
+	app.MustEval(`toplevel .t; wm withdraw .t; update`)
+	if got := app.MustEval(`winfo ismapped .t`); got != "0" {
+		t.Fatalf("winfo ismapped .t after wm withdraw = %s, want 0", got)
+	}
+	app.MustEval(`wm deiconify .t; update`)
+	if got := app.MustEval(`winfo ismapped .t`); got != "1" {
+		t.Fatalf("winfo ismapped .t after wm deiconify = %s, want 1", got)
+	}
+}
+
+// redrawCounter counts a widget's repaints.
+type redrawCounter struct {
+	tk.Widget
+	n int
+}
+
+func (c *redrawCounter) Redraw() {
+	c.n++
+	c.Widget.Redraw()
 }
 
 // TestFlashUnmappedButton: flashing a button that was never mapped

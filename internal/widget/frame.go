@@ -41,7 +41,11 @@ func registerFrame(app *tk.App) {
 			f := &Frame{base: *b}
 			f.win.Widget = f
 			f.geomAndExposure()
-			return f.install(f, args[2:])
+			path, err := f.install(f, args[2:])
+			if err == nil && top {
+				app.DoWhenIdle(f.mapFrame)
+			}
+			return path, err
 		}
 	}
 	app.Interp.Register("frame", create(false))
@@ -69,11 +73,21 @@ func (f *Frame) recompute() error {
 	if w > 0 || h > 0 {
 		f.win.GeometryRequest(max(w, 1), max(h, 1))
 	}
-	if f.win.TopLevel {
-		f.win.Map()
-	}
 	f.win.ScheduleRedraw()
 	return nil
+}
+
+// mapFrame maps a new top-level, as Tk's MapFrame does: from an idle
+// handler that first lets the other pending idle handlers run, so the
+// geometry managers have sized the window before it is created, mapped
+// and painted.
+func (f *Frame) mapFrame() {
+	for f.app.RunIdle() {
+		if f.win.Destroyed {
+			return
+		}
+	}
+	f.win.Map()
 }
 
 // widgetCommand implements subcommander; frames have no class-specific

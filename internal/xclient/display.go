@@ -6,6 +6,7 @@
 package xclient
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -75,6 +76,14 @@ type Display struct {
 	evHead  int                // guarded by rmu
 	errors  []string           // guarded by rmu — async errors for TakeErrors
 	lostErr error              // guarded by rmu — set once when readLoop exits
+
+	// One timer bounds every waited-on round trip: Wait records its
+	// cookie's deadline and the timer is armed at the earliest one
+	// recorded (armedAt; zero when disarmed). expire fails the overdue
+	// cookies and re-arms; connLost stops it.
+	timer      *time.Timer              // guarded by rmu — made by the first Wait
+	timerOwner *atomic.Pointer[Display] // guarded by rmu — what the timer fires on
+	armedAt    time.Time                // guarded by rmu
 
 	// wake holds a token once readLoop has queued an event or lost the
 	// connection since the consumer last took it (see Wake).
@@ -395,6 +404,11 @@ func (d *Display) FreeID(id xproto.ID) {
 // keeps at most 1 MiB of IDs.
 const keepIDs = xproto.IDRange / 8
 
+// readBufSize is the read loop's buffer, XCB's read-buffer size: a
+// burst of frames the server wrote at once is read a buffer at a time,
+// not in two reads (header, payload) per frame.
+const readBufSize = 4096
+
 // readLoop dispatches incoming server messages. Events go to the
 // unbounded queue so this loop never stalls on a slow consumer;
 // replies and errors are routed to their waiting cookie by sequence
@@ -403,14 +417,16 @@ const keepIDs = xproto.IDRange / 8
 // turned into one clean connection-lost error that fails every
 // outstanding and future cookie rather than hanging them.
 func (d *Display) readLoop() {
-	// Frames are read into a reusable scratch buffer. Events are decoded
-	// before the next read (Event.Decode copies what it keeps), so the
-	// steady-state event path allocates nothing; reply and error payloads
-	// outlive the loop iteration inside their cookie (decode happens
-	// lazily at Wait), so those are copied out of the scratch.
+	// Frames are read through a buffer into a reusable scratch buffer.
+	// Events are decoded before the next read (Event.Decode copies what
+	// it keeps), so the steady-state event path allocates nothing; reply
+	// and error payloads outlive the loop iteration inside their cookie
+	// (decode happens lazily at Wait), so those are copied out of the
+	// scratch.
+	in := bufio.NewReaderSize(d.conn, readBufSize)
 	var scratch []byte
 	for {
-		kind, payload, err := xproto.ReadServerFrame(d.conn, scratch)
+		kind, payload, err := xproto.ReadServerFrame(in, scratch)
 		if err != nil {
 			d.connLost(fmt.Errorf("xclient: connection lost: %w", err))
 			return
@@ -500,8 +516,74 @@ func (d *Display) connLost(err error) {
 		ck.resolve(nil, err)
 	}
 	d.inflightGa.Set(0)
+	if d.timer != nil {
+		d.timer.Stop()
+		d.timerOwner.Store(nil)
+	}
 	d.rmu.Unlock()
 	d.signal()
+}
+
+// awaitDeadline records that ck, if still pending, must be answered by
+// deadline, arming the display's timer when it is disarmed or set later.
+func (d *Display) awaitDeadline(ck *Cookie, deadline time.Time) {
+	d.rmu.Lock()
+	defer d.rmu.Unlock()
+	if d.waiters[ck.seq] != ck || !ck.deadline.IsZero() {
+		return
+	}
+	ck.deadline = deadline
+	if d.armedAt.IsZero() || d.armedAt.After(deadline) {
+		d.armLocked(deadline)
+	}
+}
+
+// armLocked sets the timer to fire at deadline. Called with d.rmu held.
+func (d *Display) armLocked(deadline time.Time) {
+	d.armedAt = deadline
+	if d.timer != nil {
+		d.timer.Reset(time.Until(deadline))
+		return
+	}
+	// The runtime may keep a stopped timer in its heap until the time it
+	// was set for, so the timer reaches the display through a pointer
+	// that connLost clears.
+	owner := new(atomic.Pointer[Display])
+	owner.Store(d)
+	d.timerOwner = owner
+	d.timer = time.AfterFunc(time.Until(deadline), func() {
+		if d := owner.Load(); d != nil {
+			d.expire()
+		}
+	})
+}
+
+// expire runs when the timer fires: every waited-on cookie whose
+// deadline has passed fails with ErrTimeout, and the timer is re-armed
+// for the earliest deadline left. A reply that arrives later is
+// reported through the async-error path.
+func (d *Display) expire() {
+	d.rmu.Lock()
+	defer d.rmu.Unlock()
+	now := time.Now()
+	var next time.Time
+	for seq, ck := range d.waiters {
+		switch {
+		case ck.deadline.IsZero():
+		case !ck.deadline.After(now):
+			delete(d.waiters, seq)
+			d.metrics.Counter("roundtrip.timeout").Inc()
+			ck.resolve(nil, fmt.Errorf("xclient: round trip (seq %d) timed out after %v: %w",
+				seq, now.Sub(ck.begin).Round(time.Millisecond), ErrTimeout))
+		case next.IsZero() || ck.deadline.Before(next):
+			next = ck.deadline
+		}
+	}
+	d.inflightGa.Set(int64(len(d.waiters)))
+	d.armedAt = time.Time{}
+	if !next.IsZero() {
+		d.armLocked(next)
+	}
 }
 
 // signal leaves a wake token for the event consumer unless one is
@@ -793,6 +875,10 @@ type Cookie struct {
 	payload []byte
 	err     error
 
+	// deadline is when the display's timer fails the cookie, recorded
+	// under the display's rmu by the first Wait; zero until then.
+	deadline time.Time
+
 	decoded  atomic.Bool
 	waitSpan atomic.Bool // client.wait span recorded (Wait may be called twice)
 }
@@ -872,11 +958,13 @@ func (d *Display) failCookie(ck *Cookie, err error) {
 // errors for this request surface as the returned error. Calling Wait
 // again returns the same error outcome without re-decoding.
 //
-// The wait is bounded by the display's round-trip deadline
-// (SetRoundTripTimeout): a wedged server or wire resolves the cookie
-// with an error satisfying errors.Is(err, ErrTimeout) instead of
-// blocking the caller forever. A reply that arrives after the deadline
-// is reported through the async-error path, not delivered here.
+// The wait is bounded by the display's round-trip timeout
+// (SetRoundTripTimeout), counted from the first Wait: a wedged server
+// or wire resolves the cookie with an error satisfying
+// errors.Is(err, ErrTimeout) instead of blocking the caller forever. The
+// display's one timer enforces every waiting cookie's deadline, so a
+// wait arms no timer of its own. A reply that arrives after the
+// deadline is reported through the async-error path, not delivered here.
 func (ck *Cookie) Wait(decode func(r *xproto.Reader)) error {
 	var waitStart int64
 	if ck.traced {
@@ -886,20 +974,9 @@ func (ck *Cookie) Wait(decode func(r *xproto.Reader)) error {
 		ck.d.failCookie(ck, err)
 	}
 	if to := time.Duration(ck.d.rtTimeout.Load()); to > 0 {
-		timer := time.NewTimer(to)
-		select {
-		case <-ck.done:
-			timer.Stop()
-		case <-timer.C:
-			ck.d.metrics.Counter("roundtrip.timeout").Inc()
-			ck.d.failCookie(ck, fmt.Errorf("xclient: round trip (seq %d) timed out after %v: %w", ck.seq, to, ErrTimeout))
-			// failCookie resolved the cookie unless the read loop beat
-			// us to it; either way done is closed now.
-			<-ck.done
-		}
-	} else {
-		<-ck.done
+		ck.d.awaitDeadline(ck, time.Now().Add(to))
 	}
+	<-ck.done
 	if ck.traced && ck.waitSpan.CompareAndSwap(false, true) {
 		if tr := ck.d.tracer.Load(); tr != nil {
 			tr.Record(trace.Span{

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -205,6 +206,175 @@ func TestRoundTripDeadline(t *testing.T) {
 		t.Fatalf("roundtrip.timeout counter = %d, want 1",
 			d.Metrics().Counter("roundtrip.timeout").Value())
 	}
+}
+
+// TestRoundTripDeadlineCountsFromWait: a cookie waited on long after it
+// was sent still gets its full timeout, counted from Wait.
+func TestRoundTripDeadlineCountsFromWait(t *testing.T) {
+	d, server := swallowingDisplay(t)
+	defer server.Close()
+	defer d.Close()
+	d.SetRoundTripTimeout(150 * time.Millisecond)
+	ck := d.SendWithReply(&xproto.PingReq{})
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(300 * time.Millisecond)
+	begin := time.Now()
+	if err := ck.Wait(nil); !errors.Is(err, xclient.ErrTimeout) {
+		t.Fatalf("want ErrTimeout, got: %v", err)
+	}
+	if elapsed := time.Since(begin); elapsed < 150*time.Millisecond {
+		t.Fatalf("a late Wait timed out after %v, before its 150ms", elapsed)
+	}
+}
+
+// TestRoundTripDeadlineLowered: lowering the timeout while the timer is
+// armed for a later deadline makes the next wait fail at its own,
+// earlier deadline.
+func TestRoundTripDeadlineLowered(t *testing.T) {
+	d, server := swallowingDisplay(t)
+	defer server.Close()
+	defer d.Close()
+	d.SetRoundTripTimeout(time.Minute)
+	long := waitAsync(t, d, d.SendWithReply(&xproto.PingReq{}))
+	d.SetRoundTripTimeout(100 * time.Millisecond)
+	begin := time.Now()
+	if err := d.Sync(); !errors.Is(err, xclient.ErrTimeout) {
+		t.Fatalf("want ErrTimeout, got: %v", err)
+	}
+	if elapsed := time.Since(begin); elapsed > 3*time.Second {
+		t.Fatalf("timed out after %v; deadline was 100ms", elapsed)
+	}
+	select {
+	case r := <-long:
+		t.Fatalf("the cookie with a minute's deadline resolved early: %v", r.err)
+	default:
+	}
+	d.Close()
+	if r := <-long; r.err == nil || errors.Is(r.err, xclient.ErrTimeout) {
+		t.Fatalf("closing the display should fail the waiting cookie, got: %v", r.err)
+	}
+}
+
+// TestRoundTripDeadlinesEach: two waits with different deadlines each
+// fail at their own, the later after the timer re-arms for it.
+func TestRoundTripDeadlinesEach(t *testing.T) {
+	d, server := swallowingDisplay(t)
+	defer server.Close()
+	defer d.Close()
+	begin := time.Now()
+	d.SetRoundTripTimeout(100 * time.Millisecond)
+	short := waitAsync(t, d, d.SendWithReply(&xproto.PingReq{}))
+	d.SetRoundTripTimeout(400 * time.Millisecond)
+	long := waitAsync(t, d, d.SendWithReply(&xproto.PingReq{}))
+	r1, r2 := <-short, <-long
+	if !errors.Is(r1.err, xclient.ErrTimeout) || !errors.Is(r2.err, xclient.ErrTimeout) {
+		t.Fatalf("want two ErrTimeouts, got: %v, %v", r1.err, r2.err)
+	}
+	if at := r1.at.Sub(begin); at >= 400*time.Millisecond {
+		t.Fatalf("the 100ms wait failed after %v, at the later deadline", at)
+	}
+	if at := r2.at.Sub(begin); at < 400*time.Millisecond {
+		t.Fatalf("the 400ms wait failed after %v, before its deadline", at)
+	}
+	if n := d.Metrics().Counter("roundtrip.timeout").Value(); n != 2 {
+		t.Fatalf("roundtrip.timeout counter = %d, want 2", n)
+	}
+}
+
+// swallowingDisplay opens a display on a fake server that reads every
+// request and answers none.
+func swallowingDisplay(t *testing.T) (*xclient.Display, net.Conn) {
+	t.Helper()
+	client, server := fakeServer(t)
+	d, err := xclient.Open(client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go io.Copy(io.Discard, server)
+	return d, server
+}
+
+type waitResult struct {
+	err error
+	at  time.Time
+}
+
+// waitAsync flushes ck's request, waits on ck in a goroutine of its own
+// and returns once that Wait has had time to record its deadline, so
+// the caller may change the timeout. The channel gets the outcome and
+// the time it came.
+func waitAsync(t *testing.T, d *xclient.Display, ck *xclient.Cookie) <-chan waitResult {
+	t.Helper()
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan struct{})
+	ch := make(chan waitResult, 1)
+	go func() {
+		close(started)
+		err := ck.Wait(nil)
+		ch <- waitResult{err, time.Now()}
+	}()
+	<-started
+	time.Sleep(20 * time.Millisecond)
+	return ch
+}
+
+// TestReadLoopReadsBuffers: the read loop takes a burst of frames the
+// server wrote at once a buffer at a time, not two reads per frame.
+func TestReadLoopReadsBuffers(t *testing.T) {
+	client, server := fakeServer(t)
+	defer server.Close()
+	conn := &countingConn{Conn: client}
+	d, err := xclient.Open(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	setupReads := conn.reads.Load()
+
+	const events = 200
+	var burst xproto.Writer
+	for i := range events {
+		ev := xproto.Event{Type: xproto.Expose, Window: 2, X: int16(i), Width: 10, Height: 10}
+		burst.ServerFrame(xproto.KindEvent, ev.Encode)
+	}
+	burst.ServerFrame(xproto.KindReply, func(w *xproto.Writer) { w.PutU64(1) })
+	go func() {
+		if op, _, err := xproto.ReadRequestFrame(server, nil); err == nil && op == xproto.OpPing {
+			server.Write(burst.Bytes())
+		}
+	}()
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range events {
+		if ev, ok, _ := d.PollEvent(); !ok || ev.X != int16(i) {
+			t.Fatalf("event %d: got %+v (ok %v)", i, ev, ok)
+		}
+	}
+	n := len(burst.Bytes())
+	limit := (n+4095)/4096 + 1
+	if reads := conn.reads.Load() - setupReads; reads > int64(limit) {
+		t.Fatalf("the read loop made %d reads for %d frames in %d bytes, want at most %d",
+			reads, events+1, n, limit)
+	}
+}
+
+// countingConn counts the reads that return data.
+type countingConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
 }
 
 // TestGarbageFrameKindFailsCookiesCleanly: an unreadable frame header

@@ -1,8 +1,10 @@
 package xclient_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/xclient"
 	"repro/internal/xproto"
@@ -590,4 +592,49 @@ func TestNewIDStaysInRange(t *testing.T) {
 	if id := d.NewID(); id != 0 {
 		t.Fatalf("NewID with no ID left = %#x, want None", uint32(id))
 	}
+}
+
+// TestSyncAllocs: a round trip with the default deadline arms no timer
+// of its own, so it allocates what the request and reply need and no
+// more (the process's count, both ends of the pipe).
+func TestSyncAllocs(t *testing.T) {
+	_, d := newPair(t)
+	if err := d.Sync(); err != nil { // warm buffers
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6 {
+		t.Fatalf("Sync allocated %.1f times, want at most 6", allocs)
+	}
+}
+
+// TestClosedDisplayCollected: once a display that waited on a round
+// trip is closed and its read loop has exited, nothing keeps it
+// reachable; in particular its deadline timer does not.
+func TestClosedDisplayCollected(t *testing.T) {
+	srv := xserver.New(200, 200)
+	defer srv.Close()
+	d, err := xclient.Open(srv.ConnectPipe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	wd := weak.Make(d)
+	d.Close()
+	waitLost(t, d)
+	d = nil
+	for range 100 {
+		runtime.GC()
+		if wd.Value() == nil {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatal("a closed display stayed reachable")
 }

@@ -1,6 +1,7 @@
 package xproto
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -91,7 +92,9 @@ func FuzzReadRequestFrame(f *testing.F) {
 // FuzzReadServerFrame drives the server→client decode path: outer v1
 // framing through the client's one frame reader, then (for
 // KindWireSeg) the envelope and the concatenated inner server frames,
-// with the same properties as FuzzReadRequestFrame.
+// with the same properties as FuzzReadRequestFrame. It also reads the
+// input as a stream of frames, raw and through a buffer as the client's
+// read loop does (sameFrameStream).
 func FuzzReadServerFrame(f *testing.F) {
 	// v1 seeds: a reply-shaped frame and an event-shaped frame.
 	var reply []byte
@@ -100,11 +103,13 @@ func FuzzReadServerFrame(f *testing.F) {
 	var raw []byte
 	raw = append(raw, KindEvent, 0, 0, 0, 1, 9)
 	raw = append(raw, KindReply, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 2)
+	f.Add(raw) // a stream of two frames
 	seg, _ := AppendWireSegServerFrame(nil, raw)
 	f.Add(seg)
 	ack := []byte{KindWireAck, 0, 0, 0, 1, 2}
 	f.Add(ack)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sameFrameStream(t, data)
 		kind, payload, err := readTwice(t, data, func(r io.Reader, buf []byte) (uint16, []byte, error) {
 			kind, payload, err := ReadServerFrame(r, buf)
 			return uint16(kind), payload, err
@@ -124,4 +129,32 @@ func FuzzReadServerFrame(f *testing.F) {
 			return nil
 		})
 	})
+}
+
+// sameFrameStream reads data as a stream of server frames, reusing one
+// scratch buffer, twice: raw, and through a 4 KiB bufio.Reader as the
+// client's read loop reads its connection. Both must give the same
+// frames and end with the same error.
+func sameFrameStream(t *testing.T, data []byte) {
+	read := func(r io.Reader) (frames [][]byte, err error) {
+		var scratch []byte
+		for {
+			kind, payload, err := ReadServerFrame(r, scratch)
+			if err != nil {
+				return frames, err
+			}
+			frames = append(frames, append([]byte{kind}, payload...))
+			scratch = payload
+		}
+	}
+	raw, rawErr := read(bytes.NewReader(data))
+	buffered, bufErr := read(bufio.NewReaderSize(bytes.NewReader(data), 4096))
+	if len(raw) != len(buffered) || fmt.Sprint(rawErr) != fmt.Sprint(bufErr) {
+		t.Fatalf("raw read %d frames and %v; buffered read %d frames and %v", len(raw), rawErr, len(buffered), bufErr)
+	}
+	for i := range raw {
+		if !bytes.Equal(raw[i], buffered[i]) {
+			t.Fatalf("frame %d: raw %x, buffered %x", i, raw[i], buffered[i])
+		}
+	}
 }
