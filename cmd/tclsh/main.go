@@ -27,11 +27,11 @@ func run() int {
 	in := tcl.New()
 	args := os.Args[1:]
 	if len(args) > 0 && args[0] == "-trace" {
-		ring := obs.NewRing(4096)
+		ring := obs.NewRing[string](4096)
 		in.Trace = func(words []string) { ring.Append(strings.Join(words, " ")) }
 		defer func() {
 			for _, e := range ring.Last(0) {
-				fmt.Fprintf(os.Stderr, "%04d %s\n", e.Seq, e.Text)
+				fmt.Fprintf(os.Stderr, "%04d %s\n", e.Seq, e.Val)
 			}
 		}()
 		args = args[1:]

@@ -13,29 +13,35 @@ import (
 	"time"
 )
 
-// buildOnce compiles wish and xsimd into a shared temp dir.
+// binaries builds wish, xsimd and tclsh once per test process into
+// binDir, a temporary directory that TestMain removes.
 var (
 	buildMu  sync.Mutex
 	binDir   string
 	buildErr error
 )
 
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
 func binaries(t *testing.T) (wish, xsimd string) {
 	t.Helper()
 	buildMu.Lock()
 	defer buildMu.Unlock()
 	if binDir == "" && buildErr == nil {
-		dir, err := os.MkdirTemp("", "tkbin")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cmd := exec.Command("go", "build", "-o", dir+string(os.PathSeparator),
-			"repro/cmd/wish", "repro/cmd/xsimd", "repro/cmd/tclsh")
-		cmd.Dir = "../.."
-		if out, err := cmd.CombinedOutput(); err != nil {
-			buildErr = fmt.Errorf("build: %v\n%s", err, out)
-		} else {
-			binDir = dir
+		binDir, buildErr = os.MkdirTemp("", "tkbin")
+		if buildErr == nil {
+			cmd := exec.Command("go", "build", "-o", binDir+string(os.PathSeparator),
+				"repro/cmd/wish", "repro/cmd/xsimd", "repro/cmd/tclsh")
+			cmd.Dir = "../.."
+			if out, err := cmd.CombinedOutput(); err != nil {
+				buildErr = fmt.Errorf("build: %v\n%s", err, out)
+			}
 		}
 	}
 	if buildErr != nil {

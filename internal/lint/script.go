@@ -230,40 +230,16 @@ func (l *linter) lintCommand(c cmdNode, mode lintMode) {
 	if mode == modePrefix {
 		return // arguments will be appended at run time
 	}
-	sp := l.reg.specs[name.val]
-	if sp == nil {
-		return // known (e.g. a proc) but no spec: nothing more to check
-	}
-	nargs := len(c.words) - 1
-	if nargs < sp.min || (sp.max >= 0 && nargs > sp.max) {
-		l.diagAt(name.off, "arity",
-			fmt.Sprintf("wrong # args for %q: got %d, want %s", name.val, nargs, arityRange(sp)))
+	if row := l.reg.rows[name.val]; row != nil && !l.arityOK(c, row) {
 		return
 	}
-	if sp.subs != nil && nargs >= 1 && c.words[1].literal {
-		sub := c.words[1].val
-		subSpec, ok := sp.subs[sub]
-		if !ok {
-			if !sp.subsOpen {
-				l.diagAt(c.words[1].off, "arity",
-					fmt.Sprintf("bad option %q to %q: should be %s", sub, name.val, subNames(sp)))
-			}
-		} else {
-			subArgs := nargs - 1
-			if subArgs < subSpec.min || (subSpec.max >= 0 && subArgs > subSpec.max) {
-				l.diagAt(name.off, "arity",
-					fmt.Sprintf("wrong # args for %q %s: got %d, want %s", name.val, sub, subArgs, arityRange(subSpec)))
-			}
-		}
+	sp := l.reg.specs[name.val]
+	if sp == nil {
+		return
 	}
 	for _, i := range sp.scriptArgs {
 		if i < len(c.words) {
 			l.lintDeferred(c.words[i], modeScript)
-		}
-	}
-	for _, i := range sp.prefixArgs {
-		if i < len(c.words) {
-			l.lintDeferred(c.words[i], modePrefix)
 		}
 	}
 	for _, i := range sp.exprArgs {
@@ -283,6 +259,34 @@ func (l *linter) lintCommand(c cmdNode, mode lintMode) {
 	if sp.check != nil {
 		sp.check(l, c)
 	}
+}
+
+// arityOK checks a command's argument count against its row, and for
+// an ensemble, the subcommand its first argument names and that
+// subcommand's count. It reports false when the command's own count is
+// out of bounds, so its other checks would misread its words.
+func (l *linter) arityOK(c cmdNode, row *tcl.Row) bool {
+	name := c.words[0].val
+	nargs := len(c.words) - 1
+	if !row.Admits(nargs) {
+		l.diagAt(c.words[0].off, "arity",
+			fmt.Sprintf("wrong # args for %q: got %d, want %s", name, nargs, arityRange(row)))
+		return false
+	}
+	if row.Subs == nil || nargs < 1 || !c.words[1].literal {
+		return true
+	}
+	sub := c.words[1].val
+	s := row.Sub(sub)
+	switch {
+	case s == nil && row.Fn == nil:
+		l.diagAt(c.words[1].off, "arity",
+			fmt.Sprintf("bad option %q to %q: should be %s", sub, name, subNames(row)))
+	case s != nil && !s.Admits(nargs-1):
+		l.diagAt(c.words[0].off, "arity",
+			fmt.Sprintf("wrong # args for %q %s: got %d, want %s", name, sub, nargs-1, arityRange(s)))
+	}
+	return true
 }
 
 // lintPathCommand checks a command whose name is a widget path
@@ -386,22 +390,25 @@ func (l *linter) checkPathWord(w word) {
 	}
 }
 
-func arityRange(sp *spec) string {
-	if sp.max < 0 {
-		return fmt.Sprintf("at least %d", sp.min)
+func arityRange(row *tcl.Row) string {
+	if row.Max < 0 {
+		return fmt.Sprintf("at least %d", row.Min)
 	}
-	if sp.min == sp.max {
-		return strconv.Itoa(sp.min)
+	if row.Min == row.Max {
+		return strconv.Itoa(row.Min)
 	}
-	return fmt.Sprintf("%d to %d", sp.min, sp.max)
+	return fmt.Sprintf("%d to %d", row.Min, row.Max)
 }
 
-func subNames(sp *spec) string {
-	names := make([]string, 0, len(sp.subs))
-	for n := range sp.subs {
-		names = append(names, n)
+// subNames lists an ensemble's subcommand names in the order of its
+// rows.
+func subNames(row *tcl.Row) string {
+	var names []string
+	for _, s := range row.Subs {
+		if s.Name != "" {
+			names = append(names, s.Name)
+		}
 	}
-	sortStrings(names)
 	return strings.Join(names, ", ")
 }
 
@@ -447,26 +454,15 @@ func checkIf(l *linter, c cmdNode) {
 	}
 }
 
-// checkAfter handles after's three forms: "after ms", "after ms
-// command...", "after cancel id", "after idle command...".
+// checkAfter checks "after ms ?script?" and "after idle script": the
+// milliseconds value and the deferred script. The rows check "after
+// cancel id".
 func checkAfter(l *linter, c cmdNode) {
 	w := c.words
-	if len(w) < 2 || !w[1].literal {
+	if len(w) < 2 || !w[1].literal || w[1].val == "cancel" {
 		return
 	}
-	switch w[1].val {
-	case "cancel":
-		if len(w) != 3 {
-			l.diagAt(w[0].off, "arity", `wrong # args: should be "after cancel id"`)
-		}
-		return
-	case "idle":
-		if len(w) == 3 {
-			l.lintDeferred(w[2], modeScript)
-		}
-		return
-	}
-	if _, err := strconv.Atoi(w[1].val); err != nil {
+	if _, err := strconv.Atoi(w[1].val); err != nil && w[1].val != "idle" {
 		l.diagAt(w[1].off, "arity", fmt.Sprintf("bad milliseconds value %q to after", w[1].val))
 		return
 	}
@@ -537,12 +533,4 @@ func checkWidgetCreate(l *linter, c cmdNode) {
 			fmt.Sprintf("%s options must come in name/value pairs", class))
 	}
 	l.lintCommandOptions(c, 2, prefixCommandClasses[class])
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

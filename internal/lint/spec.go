@@ -6,216 +6,80 @@ import (
 	"repro/internal/widget"
 )
 
-// A spec gives the linter per-command knowledge: argument-count bounds,
-// closed subcommand sets, which arguments are deferred scripts or
-// expressions, and (for the irregular commands) a custom check.
-//
-// min and max count arguments after the command name; max < 0 means
-// unlimited. For a sub spec the counts are after the subcommand word.
+// A spec gives the linter what the interpreter does not check about a
+// command's arguments: which are deferred scripts, expressions or
+// window paths, and for the irregular commands, a custom check. The
+// bounds on a command's arguments, its usage and its subcommands are
+// the interpreter's own: the rows the command is registered with
+// (tcl.Row).
 type spec struct {
-	min, max int
-	// subs is the closed set of subcommand names keyed on the first
-	// argument; nil means the command has no subcommand structure.
-	subs map[string]*spec
-	// subsOpen, when true, means subs lists only the known
-	// subcommands to arity-check and unknown first arguments are not
-	// an error (e.g. "after 100" where the first arg is a number).
-	subsOpen bool
-	// scriptArgs / exprArgs / prefixArgs are 1-based argument indices
-	// holding full deferred scripts, expressions, or command prefixes
-	// (scripts that get extra arguments appended at call time, so
-	// arity is not checked).
+	// scriptArgs / exprArgs are 1-based argument indices holding full
+	// deferred scripts or expressions.
 	scriptArgs []int
 	exprArgs   []int
-	prefixArgs []int
-	// pathArgs are 1-based argument indices holding widget path names.
+	// pathArgs are 1-based argument indices holding widget path names;
+	// -1 means every argument.
 	pathArgs []int
 	// check, if set, runs after the generic checks for irregular
 	// commands (if, expr, after, send, widget creation, ...).
 	check func(l *linter, c cmdNode)
 }
 
-func argsN(min, max int) *spec { return &spec{min: min, max: max} }
-
-// Registry is the set of command names and specs a lint unit is checked
+// Registry is the set of command rows and specs a lint unit is checked
 // against. Build one with NewRegistry and share it across units.
 type Registry struct {
-	known map[string]bool
+	rows  map[string]*tcl.Row
 	specs map[string]*spec
 }
 
 // Known reports whether name is a known command.
-func (r *Registry) Known(name string) bool { return r.known[name] }
+func (r *Registry) Known(name string) bool { return r.rows[name] != nil }
 
 // AddKnown registers extra command names (application-specific commands
-// such as wish's "screenshot").
+// such as wish's "screenshot"), with no bounds on their arguments.
 func (r *Registry) AddKnown(names ...string) {
 	for _, n := range names {
-		r.known[n] = true
+		if r.rows[n] == nil {
+			r.rows[n] = &tcl.Row{Name: n, Max: -1}
+		}
 	}
 }
 
-// NewRegistry builds the command registry the linter checks against by
-// introspecting the live command sets: the Tcl builtins from a fresh
-// interpreter, the Tk intrinsics from tk.CommandNames, and the widget
-// classes from widget.CommandNames. The arity/subcommand spec table is
-// maintained here, mirroring docs/tcl-commands.md and the command
-// implementations.
+// NewRegistry builds the command registry the linter checks against
+// from the rows the commands are registered with: the Tcl built-ins
+// (tcl.Builtins), the Tk intrinsics (tk.Commands) and the widget
+// classes (widget.Commands).
 func NewRegistry() *Registry {
-	r := &Registry{known: make(map[string]bool), specs: make(map[string]*spec)}
-	for _, n := range tcl.New().CommandNames() {
-		r.known[n] = true
+	r := &Registry{rows: make(map[string]*tcl.Row), specs: map[string]*spec{
+		// Tcl.
+		"while":   {exprArgs: []int{1}, scriptArgs: []int{2}},
+		"for":     {scriptArgs: []int{1, 3, 4}, exprArgs: []int{2}},
+		"foreach": {scriptArgs: []int{3}},
+		"if":      {check: checkIf},
+		"catch":   {scriptArgs: []int{1}},
+		"proc":    {scriptArgs: []int{3}},
+		"eval":    {check: checkEval},
+		"time":    {scriptArgs: []int{1}},
+		"expr":    {check: checkExprCmd},
+		// Tk.
+		"bind":      {pathArgs: []int{1}, scriptArgs: []int{3}},
+		"destroy":   {pathArgs: []int{-1}},
+		"after":     {check: checkAfter},
+		"selection": {check: checkSelection},
+		"send":      {check: checkSend},
+		"wm":        {pathArgs: []int{2}},
+		"raise":     {pathArgs: []int{1}},
+		"lower":     {pathArgs: []int{1}},
+	}}
+	for _, rows := range [][]tcl.Row{tcl.Builtins(), tk.Commands(), widget.Commands()} {
+		for i := range rows {
+			r.rows[rows[i].Name] = &rows[i]
+		}
 	}
-	for _, n := range tk.CommandNames() {
-		r.known[n] = true
-	}
-	for _, n := range widget.CommandNames() {
-		r.known[n] = true
-	}
-	r.addTclSpecs()
-	r.addTkSpecs()
-	r.addWidgetSpecs()
-	return r
-}
-
-func (r *Registry) addTclSpecs() {
-	s := r.specs
-
-	// Variables.
-	s["set"] = argsN(1, 2)
-	s["unset"] = argsN(1, -1)
-	s["incr"] = argsN(1, 2)
-	s["append"] = argsN(1, -1)
-	s["global"] = argsN(1, -1)
-	s["upvar"] = argsN(2, -1)
-	s["array"] = &spec{min: 2, max: -1, subs: map[string]*spec{
-		"exists": argsN(1, 1), "size": argsN(1, 1), "names": argsN(1, 2),
-		"get": argsN(1, 2), "set": argsN(2, 2), "unset": argsN(1, 2),
-	}}
-	s["trace"] = &spec{min: 2, max: -1, subs: map[string]*spec{
-		"variable": argsN(3, 3), "vdelete": argsN(3, 3), "vinfo": argsN(1, 1),
-	}}
-
-	// Control flow.
-	s["if"] = &spec{min: 2, max: -1, check: checkIf}
-	s["while"] = &spec{min: 2, max: 2, exprArgs: []int{1}, scriptArgs: []int{2}}
-	s["for"] = &spec{min: 4, max: 4, scriptArgs: []int{1, 3, 4}, exprArgs: []int{2}}
-	s["foreach"] = &spec{min: 3, max: 3, scriptArgs: []int{3}}
-	s["switch"] = argsN(2, -1)
-	s["case"] = argsN(2, -1)
-	s["break"] = argsN(0, 0)
-	s["continue"] = argsN(0, 0)
-	s["return"] = argsN(0, -1)
-	s["error"] = argsN(1, 3)
-	s["catch"] = &spec{min: 1, max: 2, scriptArgs: []int{1}}
-
-	// Procedures and evaluation.
-	s["proc"] = &spec{min: 3, max: 3, scriptArgs: []int{3}}
-	s["eval"] = &spec{min: 1, max: -1, check: checkEval}
-	s["uplevel"] = argsN(1, -1)
-	s["rename"] = argsN(2, 2)
-	s["subst"] = argsN(1, 1)
-	s["time"] = &spec{min: 1, max: 2, scriptArgs: []int{1}}
-	s["info"] = argsN(1, -1)
-	s["expr"] = &spec{min: 1, max: -1, check: checkExprCmd}
-
-	// Lists.
-	s["list"] = argsN(0, -1)
-	s["lindex"] = argsN(2, 2)
-	s["index"] = argsN(2, 2)
-	s["llength"] = argsN(1, 1)
-	s["lappend"] = argsN(1, -1)
-	s["lrange"] = argsN(3, 3)
-	s["range"] = argsN(3, 3)
-	s["linsert"] = argsN(3, -1)
-	s["lreplace"] = argsN(3, -1)
-	s["lsort"] = argsN(1, -1)
-	s["lsearch"] = argsN(2, 3)
-	s["concat"] = argsN(0, -1)
-	s["join"] = argsN(1, 2)
-	s["split"] = argsN(1, 2)
-
-	// Strings.
-	s["string"] = &spec{min: 2, max: -1, subs: map[string]*spec{
-		"compare": argsN(2, 2), "equal": argsN(2, 2), "first": argsN(2, 2),
-		"last": argsN(2, 2), "index": argsN(2, 2), "length": argsN(1, 1),
-		"match": argsN(2, 2), "range": argsN(3, 3), "repeat": argsN(2, 2),
-		"reverse": argsN(1, 1), "tolower": argsN(1, 1), "toupper": argsN(1, 1),
-		"trim": argsN(1, 2), "trimleft": argsN(1, 2), "trimright": argsN(1, 2),
-		"wordend": argsN(2, 2), "wordstart": argsN(2, 2),
-	}}
-	s["format"] = argsN(1, -1)
-	s["scan"] = argsN(3, -1)
-	s["regexp"] = argsN(2, -1)
-	s["regsub"] = argsN(4, -1)
-
-	// Files and processes.
-	s["exec"] = argsN(1, -1)
-	s["source"] = argsN(1, 1)
-	s["file"] = argsN(2, -1)
-	s["glob"] = argsN(1, -1)
-	s["cd"] = argsN(0, 1)
-	s["pwd"] = argsN(0, 0)
-	s["pid"] = argsN(0, 0)
-	s["puts"] = argsN(1, 3)
-	s["print"] = argsN(0, -1)
-	s["exit"] = argsN(0, 1)
-}
-
-func (r *Registry) addTkSpecs() {
-	s := r.specs
-
-	s["bind"] = &spec{min: 1, max: 3, pathArgs: []int{1}, scriptArgs: []int{3}}
-	s["destroy"] = &spec{min: 0, max: -1, pathArgs: []int{-1}}
-	s["update"] = &spec{min: 0, max: 1, subs: map[string]*spec{"idletasks": argsN(0, 0)}}
-	s["after"] = &spec{min: 1, max: -1, check: checkAfter}
-	s["focus"] = argsN(0, 1)
-	s["option"] = &spec{min: 1, max: -1, subs: map[string]*spec{
-		"add": argsN(2, 3), "clear": argsN(0, 0), "get": argsN(3, 3),
-		"readstring": argsN(1, 2), "readfile": argsN(1, 2),
-	}}
-	s["selection"] = &spec{min: 1, max: -1, check: checkSelection, subs: map[string]*spec{
-		"get": argsN(0, 0), "own": argsN(0, 1), "handle": argsN(2, 2),
-		"clear": argsN(0, 0),
-	}}
-	s["send"] = &spec{min: 2, max: -1, check: checkSend}
-	winfoOne := argsN(1, 1)
-	s["winfo"] = &spec{min: 1, max: -1, subs: map[string]*spec{
-		"interps": argsN(0, 0), "containing": argsN(2, 2),
-		"exists": winfoOne, "name": winfoOne, "class": winfoOne,
-		"children": winfoOne, "parent": winfoOne, "width": winfoOne,
-		"height": winfoOne, "reqwidth": winfoOne, "reqheight": winfoOne,
-		"x": winfoOne, "y": winfoOne, "rootx": winfoOne, "rooty": winfoOne,
-		"ismapped": winfoOne, "geometry": winfoOne, "toplevel": winfoOne,
-		"id": winfoOne, "manager": winfoOne, "screenwidth": winfoOne,
-		"screenheight": winfoOne,
-	}}
-	s["wm"] = &spec{min: 2, max: 3, pathArgs: []int{2}, subs: map[string]*spec{
-		"title": argsN(1, 2), "geometry": argsN(1, 2),
-		"withdraw": argsN(1, 1), "deiconify": argsN(1, 1),
-	}}
-	s["raise"] = &spec{min: 1, max: 1, pathArgs: []int{1}}
-	s["lower"] = &spec{min: 1, max: 1, pathArgs: []int{1}}
-	s["bell"] = argsN(0, 0)
-	s["tkwait"] = &spec{min: 2, max: 2, subs: map[string]*spec{
-		"variable": argsN(1, 1), "window": argsN(1, 1),
-	}}
-	s["tkstats"] = &spec{min: 1, max: 2, subs: map[string]*spec{
-		"counters": argsN(0, 1), "gauges": argsN(0, 1),
-		"histogram": argsN(1, 1), "trace": argsN(0, 1),
-		"spans": argsN(0, 1), "reset": argsN(0, 0),
-	}}
-	s["pack"] = &spec{min: 1, max: -1, subs: map[string]*spec{
-		"append": argsN(2, -1), "before": argsN(2, -1), "after": argsN(2, -1),
-		"unpack": argsN(1, 1), "forget": argsN(1, 1), "info": argsN(1, 1),
-		"slaves": argsN(1, 1), "propagate": argsN(1, 2),
-	}}
-}
-
-func (r *Registry) addWidgetSpecs() {
 	for _, class := range widget.CommandNames() {
-		r.specs[class] = &spec{min: 1, max: -1, check: checkWidgetCreate}
+		r.specs[class] = &spec{check: checkWidgetCreate}
 	}
+	return r
 }
 
 // prefixOptions are configuration options whose value is a command

@@ -149,7 +149,7 @@ func TestHistogramConcurrent(t *testing.T) {
 }
 
 func TestRingWraparound(t *testing.T) {
-	r := NewRing(4)
+	r := NewRing[string](4)
 	for i := 1; i <= 10; i++ {
 		r.Append(fmt.Sprintf("line %d", i))
 	}
@@ -162,7 +162,7 @@ func TestRingWraparound(t *testing.T) {
 	got := r.Last(0)
 	for i, e := range got {
 		wantSeq := uint64(7 + i)
-		if e.Seq != wantSeq || e.Text != fmt.Sprintf("line %d", wantSeq) {
+		if e.Seq != wantSeq || e.Val != fmt.Sprintf("line %d", wantSeq) {
 			t.Fatalf("entry %d = %+v, want seq %d", i, e, wantSeq)
 		}
 	}
@@ -185,7 +185,7 @@ func TestRingWraparound(t *testing.T) {
 }
 
 func TestRingConcurrent(t *testing.T) {
-	r := NewRing(32)
+	r := NewRing[string](32)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

@@ -14,7 +14,7 @@ import (
 
 func TestRingCapacityBound(t *testing.T) {
 	const capacity = 8
-	r := NewRing(capacity)
+	r := NewRing[string](capacity)
 	for i := 0; i < 5*capacity; i++ {
 		r.Append(fmt.Sprintf("line %d", i))
 		if r.Len() > capacity {
@@ -31,19 +31,19 @@ func TestRingCapacityBound(t *testing.T) {
 
 func TestRingClampsCapacityToOne(t *testing.T) {
 	for _, c := range []int{-3, 0} {
-		r := NewRing(c)
+		r := NewRing[string](c)
 		r.Append("a")
 		r.Append("b")
 		last := r.Last(0)
-		if len(last) != 1 || last[0].Text != "b" {
-			t.Fatalf("NewRing(%d): retained %v, want just the newest entry", c, last)
+		if len(last) != 1 || last[0].Val != "b" {
+			t.Fatalf("NewRing[string](%d): retained %v, want just the newest entry", c, last)
 		}
 	}
 }
 
 func TestRingWraparoundOrdering(t *testing.T) {
 	const capacity = 4
-	r := NewRing(capacity)
+	r := NewRing[string](capacity)
 	// Land mid-buffer after wrapping twice, so the window straddles the
 	// physical end of the backing array.
 	const total = 2*capacity + 2
@@ -58,8 +58,8 @@ func TestRingWraparoundOrdering(t *testing.T) {
 	}
 	for i, e := range entries {
 		wantSeq := uint64(total - capacity + 1 + i)
-		if e.Seq != wantSeq || e.Text != fmt.Sprintf("line %d", wantSeq) {
-			t.Errorf("entries[%d] = {%d %q}, want seq %d in chronological order", i, e.Seq, e.Text, wantSeq)
+		if e.Seq != wantSeq || e.Val != fmt.Sprintf("line %d", wantSeq) {
+			t.Errorf("entries[%d] = {%d %q}, want seq %d in chronological order", i, e.Seq, e.Val, wantSeq)
 		}
 	}
 	// A partial window is the newest n, still oldest-first.
@@ -75,7 +75,7 @@ func TestRingConcurrentAppend(t *testing.T) {
 		each       = 500
 		capacity   = 64
 	)
-	r := NewRing(capacity)
+	r := NewRing[string](capacity)
 	var wg sync.WaitGroup
 	seqs := make([][]uint64, goroutines)
 	for g := 0; g < goroutines; g++ {

@@ -17,8 +17,8 @@ import (
 )
 
 // DefaultTarget is the success-rate objective the error budget is
-// computed against when Sources.Target is zero: 99.9% of requests
-// complete without an error-class event.
+// computed against: 99.9% of requests complete without an error-class
+// event.
 const DefaultTarget = 0.999
 
 // Quantiles summarizes one latency histogram.
@@ -79,12 +79,11 @@ type Report struct {
 }
 
 // Sources names the inputs to Build. Nil registries and empty span
-// slices are skipped; Target 0 means DefaultTarget.
+// slices are skipped.
 type Sources struct {
 	Server *obs.Registry
 	Client *obs.Registry
 	Spans  []trace.Span
-	Target float64
 }
 
 // errorCounterPrefixes and errorCounterNames classify registry counters
@@ -117,13 +116,9 @@ func MarshalReport(r Report) ([]byte, error) {
 
 // Build assembles a report from the sources.
 func Build(src Sources) Report {
-	target := src.Target
-	if target == 0 {
-		target = DefaultTarget
-	}
 	r := Report{
 		ErrorBudget: ErrorBudget{
-			Target:    target,
+			Target:    DefaultTarget,
 			ByCounter: make(map[string]uint64),
 		},
 	}
@@ -169,7 +164,7 @@ func Build(src Sources) Report {
 			}
 		}
 	}
-	allowed := (1 - target) * float64(r.ErrorBudget.Requests)
+	allowed := (1 - DefaultTarget) * float64(r.ErrorBudget.Requests)
 	r.ErrorBudget.Allowed = allowed
 	switch {
 	case allowed <= 0:

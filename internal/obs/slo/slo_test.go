@@ -37,12 +37,12 @@ func TestBuildFoldsRegistries(t *testing.T) {
 	}
 	server.Histogram("lockwait.tree").ObserveNs(500)
 	server.Histogram("lockwait.atoms").ObserveNs(0)
-	server.Counter("requests").Add(100)
+	server.Counter("requests").Add(10000)
 	server.Counter("stalled").Inc()
 	client.Counter("errors.async").Add(2)
 	client.Counter("requests").Add(40) // must NOT override the server's view
 
-	r := Build(Sources{Server: server, Client: client, Target: 0.9})
+	r := Build(Sources{Server: server, Client: client})
 	if r.Dispatch == nil || r.Dispatch.Count != 100 {
 		t.Fatalf("dispatch quantiles missing or wrong: %+v", r.Dispatch)
 	}
@@ -60,8 +60,8 @@ func TestBuildFoldsRegistries(t *testing.T) {
 	}
 
 	eb := r.ErrorBudget
-	if eb.Requests != 100 {
-		t.Fatalf("requests = %d, want the server's 100", eb.Requests)
+	if eb.Requests != 10000 {
+		t.Fatalf("requests = %d, want the server's 10000", eb.Requests)
 	}
 	if eb.Errors != 3 {
 		t.Fatalf("errors = %d, want 3 (stalled + 2 errors.async)", eb.Errors)
@@ -69,7 +69,8 @@ func TestBuildFoldsRegistries(t *testing.T) {
 	if eb.ByCounter["stalled"] != 1 || eb.ByCounter["errors.async"] != 2 {
 		t.Fatalf("by_counter = %v", eb.ByCounter)
 	}
-	// Target 0.9 over 100 requests allows 10 errors; 3 spent leaves 70%.
+	// The 0.999 target over 10000 requests allows 10 errors; 3 spent
+	// leaves 70%.
 	if eb.Allowed < 9.99 || eb.Allowed > 10.01 {
 		t.Fatalf("allowed = %g, want 10", eb.Allowed)
 	}
@@ -83,7 +84,7 @@ func TestBuildErrorBudgetEdges(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("requests").Add(100)
 	reg.Counter("stalled").Add(50)
-	r := Build(Sources{Server: reg, Target: 0.9})
+	r := Build(Sources{Server: reg})
 	if r.ErrorBudget.RemainingFraction != 0 {
 		t.Fatalf("overrun budget remaining = %g, want 0", r.ErrorBudget.RemainingFraction)
 	}

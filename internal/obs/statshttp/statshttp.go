@@ -28,9 +28,6 @@ type Options struct {
 	Registry *obs.Registry
 	// Tracer, when non-nil, backs /spans and the report's span rollup.
 	Tracer *trace.Tracer
-	// Target overrides the SLO success-rate objective (0 means
-	// slo.DefaultTarget).
-	Target float64
 }
 
 // NewMux returns a mux serving the introspection endpoints:
@@ -60,7 +57,7 @@ func NewMux(opts Options) *http.ServeMux {
 	})
 	mux.HandleFunc("/slo", func(w http.ResponseWriter, r *http.Request) {
 		opts.Registry.Counter("slo.reports").Inc()
-		src := slo.Sources{Server: opts.Registry, Target: opts.Target}
+		src := slo.Sources{Server: opts.Registry}
 		if opts.Tracer != nil {
 			src.Spans = opts.Tracer.Spans()
 		}

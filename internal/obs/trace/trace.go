@@ -24,9 +24,10 @@
 package trace
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Arg is one numeric span annotation (lock-wait nanoseconds by
@@ -71,13 +72,7 @@ func Now() int64 { return time.Now().UnixNano() }
 // Sampled is a single atomic load plus a modulo.
 type Tracer struct {
 	interval atomic.Uint64 // sample 1-in-interval requests; 0 disables
-
-	mu      sync.Mutex
-	spans   []Span // guarded by mu; fixed capacity ring
-	next    int    // guarded by mu; index of the next write
-	size    int    // guarded by mu; number of valid spans
-	total   uint64 // guarded by mu; spans ever recorded
-	dropped uint64 // guarded by mu; spans overwritten before export
+	ring     *obs.Ring[Span]
 }
 
 // DefaultInterval is the sampling interval tracing-enabled entry points
@@ -89,10 +84,7 @@ const DefaultInterval = 64
 // New returns a tracer retaining at most capacity spans (minimum 1),
 // sampling one request in interval (0 disables sampling).
 func New(capacity, interval int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	t := &Tracer{spans: make([]Span, capacity)}
+	t := &Tracer{ring: obs.NewRing[Span](capacity)}
 	t.SetInterval(interval)
 	return t
 }
@@ -119,61 +111,27 @@ func (t *Tracer) Sampled(seq uint64) bool {
 }
 
 // Record appends one span, overwriting the oldest if the ring is full.
-func (t *Tracer) Record(s Span) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.size == len(t.spans) {
-		t.dropped++
-	}
-	t.spans[t.next] = s
-	t.next = (t.next + 1) % len(t.spans)
-	if t.size < len(t.spans) {
-		t.size++
-	}
-	t.total++
-}
+func (t *Tracer) Record(s Span) { t.ring.Append(s) }
 
 // Spans returns the retained spans in recording order.
 func (t *Tracer) Spans() []Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Span, t.size)
-	start := t.next - t.size
-	if start < 0 {
-		start += len(t.spans)
-	}
-	for i := 0; i < t.size; i++ {
-		out[i] = t.spans[(start+i)%len(t.spans)]
+	entries := t.ring.Last(0)
+	out := make([]Span, len(entries))
+	for i, e := range entries {
+		out[i] = e.Val
 	}
 	return out
 }
 
 // Len reports how many spans are currently retained.
-func (t *Tracer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.size
-}
+func (t *Tracer) Len() int { return t.ring.Len() }
 
 // Total reports how many spans were ever recorded.
-func (t *Tracer) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
+func (t *Tracer) Total() uint64 { return t.ring.Total() }
 
 // Dropped reports how many spans were overwritten before export.
-func (t *Tracer) Dropped() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
+func (t *Tracer) Dropped() uint64 { return t.ring.Dropped() }
 
 // Reset discards all retained spans and the drop count. The sampling
 // interval is kept.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.next, t.size = 0, 0
-	t.total, t.dropped = 0, 0
-}
+func (t *Tracer) Reset() { t.ring.Reset() }

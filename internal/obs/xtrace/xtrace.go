@@ -29,7 +29,7 @@ const maxSummary = 160
 
 // Tracer decodes tapped frames into a ring of trace lines.
 type Tracer struct {
-	ring *obs.Ring
+	ring *obs.Ring[string]
 
 	mu       sync.Mutex
 	reqSeq   uint64            // guarded by mu; client request sequence numbers
@@ -40,7 +40,7 @@ type Tracer struct {
 // New returns a tracer retaining the most recent capacity lines.
 func New(capacity int) *Tracer {
 	return &Tracer{
-		ring:    obs.NewRing(capacity),
+		ring:    obs.NewRing[string](capacity),
 		pending: make(map[uint64]uint16),
 	}
 }
@@ -59,7 +59,7 @@ func (t *Tracer) Tap(c net.Conn) net.Conn {
 
 // Last returns the most recent n trace entries in order (all retained
 // entries if n ≤ 0).
-func (t *Tracer) Last(n int) []obs.Entry { return t.ring.Last(n) }
+func (t *Tracer) Last(n int) []obs.Entry[string] { return t.ring.Last(n) }
 
 // Total reports how many lines were ever traced.
 func (t *Tracer) Total() uint64 { return t.ring.Total() }
@@ -75,7 +75,7 @@ func (t *Tracer) Dump(n int) []string {
 	entries := t.ring.Last(n)
 	out := make([]string, len(entries))
 	for i, e := range entries {
-		out[i] = fmt.Sprintf("%04d %s", e.Seq, e.Text)
+		out[i] = fmt.Sprintf("%04d %s", e.Seq, e.Val)
 	}
 	return out
 }

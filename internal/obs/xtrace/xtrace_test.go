@@ -103,11 +103,11 @@ func TestTraceCoverageAndReset(t *testing.T) {
 	var haveReq, haveRep, haveEvt bool
 	for _, e := range tr.Last(0) {
 		switch {
-		case strings.HasPrefix(e.Text, "-> req "):
+		case strings.HasPrefix(e.Val, "-> req "):
 			haveReq = true
-		case strings.HasPrefix(e.Text, "<- rep "):
+		case strings.HasPrefix(e.Val, "<- rep "):
 			haveRep = true
-		case strings.HasPrefix(e.Text, "<- evt "):
+		case strings.HasPrefix(e.Val, "<- evt "):
 			haveEvt = true
 		}
 	}

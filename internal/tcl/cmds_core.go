@@ -8,46 +8,40 @@ import (
 	"time"
 )
 
-// registerCore installs variable, control-flow and procedure commands.
-func registerCore(in *Interp) {
-	in.Register("set", cmdSet)
-	in.Register("unset", cmdUnset)
-	in.Register("incr", cmdIncr)
-	in.Register("append", cmdAppend)
-	in.Register("proc", cmdProc)
-	in.Register("return", cmdReturn)
-	in.Register("break", func(*Interp, []string) (string, error) { return "", errBreak })
-	in.Register("continue", func(*Interp, []string) (string, error) { return "", errContinue })
-	in.Register("if", cmdIf)
-	in.Register("while", cmdWhile)
-	in.Register("for", cmdFor)
-	in.Register("foreach", cmdForeach)
-	in.Register("switch", cmdSwitch)
-	in.Register("case", cmdCase)
-	in.Register("catch", cmdCatch)
-	in.Register("error", cmdError)
-	in.Register("eval", cmdEval)
-	in.Register("subst", cmdSubst)
-	in.Register("global", cmdGlobal)
-	in.Register("upvar", cmdUpvar)
-	in.Register("uplevel", cmdUplevel)
-	in.Register("rename", cmdRename)
-	in.Register("time", cmdTime)
-	in.Register("trace", cmdTrace)
-}
-
-func arity(args []string, min, max int, usage string) error {
-	n := len(args) - 1
-	if n < min || (max >= 0 && n > max) {
-		return errf("wrong # args: should be %q", args[0]+" "+usage)
-	}
-	return nil
+// coreCommands are the variable, control-flow and procedure commands.
+var coreCommands = []Row{
+	{Name: "set", Fn: cmdSet, Min: 1, Max: 2, Usage: "varName ?newValue?"},
+	{Name: "unset", Fn: cmdUnset, Min: 1, Max: -1, Usage: "varName ?varName ...?"},
+	{Name: "incr", Fn: cmdIncr, Min: 1, Max: 2, Usage: "varName ?increment?"},
+	{Name: "append", Fn: cmdAppend, Min: 1, Max: -1, Usage: "varName ?value value ...?"},
+	{Name: "proc", Fn: cmdProc, Min: 3, Max: 3, Usage: "name args body"},
+	{Name: "return", Fn: cmdReturn, Max: 3, Usage: "?-code code? ?value?"},
+	{Name: "break", Fn: func(*Interp, []string) (string, error) { return "", errBreak }},
+	{Name: "continue", Fn: func(*Interp, []string) (string, error) { return "", errContinue }},
+	{Name: "if", Fn: cmdIf, Min: 2, Max: -1, Usage: "expr1 ?then? body1 ?elseif expr2 ?then? body2 ...? ?else? ?bodyN?"},
+	{Name: "while", Fn: cmdWhile, Min: 2, Max: 2, Usage: "test command"},
+	{Name: "for", Fn: cmdFor, Min: 4, Max: 4, Usage: "start test next command"},
+	{Name: "foreach", Fn: cmdForeach, Min: 3, Max: 3, Usage: "varList list command"},
+	{Name: "switch", Fn: cmdSwitch, Min: 2, Max: -1, Usage: "?options? string pattern body ... ?default body?"},
+	{Name: "case", Fn: cmdCase, Min: 2, Max: -1, Usage: "string ?in? patList body ..."},
+	{Name: "catch", Fn: cmdCatch, Min: 1, Max: 2, Usage: "command ?varName?"},
+	{Name: "error", Fn: cmdError, Min: 1, Max: 3, Usage: "message ?errorInfo? ?errorCode?"},
+	{Name: "eval", Fn: cmdEval, Min: 1, Max: -1, Usage: "arg ?arg ...?"},
+	{Name: "subst", Fn: cmdSubst, Min: 1, Max: 1, Usage: "string"},
+	{Name: "global", Fn: cmdGlobal, Min: 1, Max: -1, Usage: "varName ?varName ...?"},
+	{Name: "upvar", Fn: cmdUpvar, Min: 2, Max: -1, Usage: "?level? otherVar localVar ?otherVar localVar ...?"},
+	{Name: "uplevel", Fn: cmdUplevel, Min: 1, Max: -1, Usage: "?level? command ?arg ...?"},
+	{Name: "rename", Fn: cmdRename, Min: 2, Max: 2, Usage: "oldName newName"},
+	{Name: "time", Fn: cmdTime, Min: 1, Max: 2, Usage: "command ?count?"},
+	{Name: "expr", Fn: cmdExpr, Min: 1, Max: -1, Usage: "arg ?arg ...?"},
+	{Name: "trace", Min: 2, Max: -1, Usage: "option name ?arg ...?", Subs: []Row{
+		{Name: "variable", Fn: traceVariable, Min: 3, Max: 3, Usage: "name ops command"},
+		{Name: "vdelete", Fn: traceVdelete, Min: 3, Max: 3, Usage: "name ops command"},
+		{Name: "vinfo", Fn: traceVinfo, Min: 1, Max: 1, Usage: "name"},
+	}},
 }
 
 func cmdSet(in *Interp, args []string) (string, error) {
-	if err := arity(args, 1, 2, "varName ?newValue?"); err != nil {
-		return "", err
-	}
 	if len(args) == 2 {
 		return in.GetVar(args[1])
 	}
@@ -55,9 +49,6 @@ func cmdSet(in *Interp, args []string) (string, error) {
 }
 
 func cmdUnset(in *Interp, args []string) (string, error) {
-	if err := arity(args, 1, -1, "varName ?varName ...?"); err != nil {
-		return "", err
-	}
 	for _, name := range args[1:] {
 		if err := in.UnsetVar(name); err != nil {
 			return "", err
@@ -67,9 +58,6 @@ func cmdUnset(in *Interp, args []string) (string, error) {
 }
 
 func cmdIncr(in *Interp, args []string) (string, error) {
-	if err := arity(args, 1, 2, "varName ?increment?"); err != nil {
-		return "", err
-	}
 	cur, err := in.GetVar(args[1])
 	if err != nil {
 		return "", err
@@ -100,9 +88,6 @@ func cmdAppend(in *Interp, args []string) (string, error) {
 // variable's value. A strings.Builder never rewrites bytes it has
 // handed out, so earlier values stay as they were.
 func (in *Interp) appendVar(args []string, list bool) (string, error) {
-	if err := arity(args, 1, -1, "varName ?value value ...?"); err != nil {
-		return "", err
-	}
 	cur := ""
 	if in.VarExists(args[1]) {
 		var err error
@@ -128,9 +113,6 @@ func (in *Interp) appendVar(args []string, list bool) (string, error) {
 }
 
 func cmdProc(in *Interp, args []string) (string, error) {
-	if err := arity(args, 3, 3, "name args body"); err != nil {
-		return "", err
-	}
 	name, argList, body := args[1], args[2], args[3]
 	formalSpecs, err := ParseList(argList)
 	if err != nil {
@@ -152,9 +134,9 @@ func cmdProc(in *Interp, args []string) (string, error) {
 		}
 		def.formals = append(def.formals, arg)
 	}
-	in.cmds[name] = &command{proc: def, fn: func(in *Interp, args []string) (string, error) {
+	in.cmds[name] = &command{proc: def, Row: &Row{Name: name, Max: -1, Fn: func(in *Interp, args []string) (string, error) {
 		return in.callProc(def, args)
-	}}
+	}}}
 	return "", nil
 }
 
@@ -270,7 +252,7 @@ func cmdReturn(in *Interp, args []string) (string, error) {
 		val = rest[0]
 	}
 	if len(rest) > 1 {
-		return "", errf(`wrong # args: should be "return ?-code code? ?value?"`)
+		return "", in.usage(args)
 	}
 	in.ret = returnError{value: val, code: code}
 	return "", &in.ret
@@ -281,7 +263,7 @@ func cmdIf(in *Interp, args []string) (string, error) {
 	i := 1
 	for {
 		if i >= len(args) {
-			return "", errf(`wrong # args: no expression after "%s" argument`, args[0])
+			return "", in.usage(args)
 		}
 		cond, err := in.EvalBool(args[i])
 		if err != nil {
@@ -292,7 +274,7 @@ func cmdIf(in *Interp, args []string) (string, error) {
 			i++
 		}
 		if i >= len(args) {
-			return "", errf(`wrong # args: no script following "%s" argument`, args[i-1])
+			return "", in.usage(args)
 		}
 		if cond {
 			return in.eval(args[i])
@@ -308,7 +290,7 @@ func cmdIf(in *Interp, args []string) (string, error) {
 		case "else":
 			i++
 			if i >= len(args) {
-				return "", errf(`wrong # args: no script following "else" argument`)
+				return "", in.usage(args)
 			}
 			return in.eval(args[i])
 		default:
@@ -319,9 +301,6 @@ func cmdIf(in *Interp, args []string) (string, error) {
 }
 
 func cmdWhile(in *Interp, args []string) (string, error) {
-	if err := arity(args, 2, 2, "test command"); err != nil {
-		return "", err
-	}
 	test := in.compiledExpr(args[1])
 	body, _ := in.compiledScript(args[2])
 	for {
@@ -353,9 +332,6 @@ func ignoreBreak(err error) error {
 }
 
 func cmdFor(in *Interp, args []string) (string, error) {
-	if err := arity(args, 4, 4, "start test next command"); err != nil {
-		return "", err
-	}
 	if _, err := in.eval(args[1]); err != nil {
 		return "", err
 	}
@@ -377,9 +353,6 @@ func cmdFor(in *Interp, args []string) (string, error) {
 }
 
 func cmdForeach(in *Interp, args []string) (string, error) {
-	if err := arity(args, 3, 3, "varList list command"); err != nil {
-		return "", err
-	}
 	varNames, err := ParseList(args[1])
 	if err != nil {
 		return "", err
@@ -426,7 +399,7 @@ func cmdSwitch(in *Interp, args []string) (string, error) {
 	}
 body:
 	if i >= len(args) {
-		return "", errf(`wrong # args: should be "switch ?options? string pattern body ... ?default body?"`)
+		return "", in.usage(args)
 	}
 	str := args[i]
 	i++
@@ -472,9 +445,6 @@ body:
 // cmdCase implements the historical "case" command used in Tcl 6.x
 // scripts: case string ?in? {pat body pat body ...} or inline pairs.
 func cmdCase(in *Interp, args []string) (string, error) {
-	if len(args) < 3 {
-		return "", errf(`wrong # args: should be "case string ?in? patList body ..."`)
-	}
 	str := args[1]
 	rest := args[2:]
 	if rest[0] == "in" {
@@ -517,9 +487,6 @@ func cmdCase(in *Interp, args []string) (string, error) {
 }
 
 func cmdCatch(in *Interp, args []string) (string, error) {
-	if err := arity(args, 1, 2, "command ?varName?"); err != nil {
-		return "", err
-	}
 	res, err := in.eval(args[1])
 	code := OK
 	if err != nil {
@@ -544,9 +511,6 @@ func cmdCatch(in *Interp, args []string) (string, error) {
 }
 
 func cmdError(in *Interp, args []string) (string, error) {
-	if err := arity(args, 1, 3, "message ?errorInfo? ?errorCode?"); err != nil {
-		return "", err
-	}
 	e := errf("%s", args[1])
 	if len(args) >= 3 && args[2] != "" {
 		e.Info = args[2]
@@ -558,9 +522,6 @@ func cmdError(in *Interp, args []string) (string, error) {
 }
 
 func cmdEval(in *Interp, args []string) (string, error) {
-	if err := arity(args, 1, -1, "arg ?arg ...?"); err != nil {
-		return "", err
-	}
 	var script string
 	if len(args) == 2 {
 		script = args[1]
@@ -571,16 +532,10 @@ func cmdEval(in *Interp, args []string) (string, error) {
 }
 
 func cmdSubst(in *Interp, args []string) (string, error) {
-	if err := arity(args, 1, 1, "string"); err != nil {
-		return "", err
-	}
 	return in.SubstituteAll(args[1])
 }
 
 func cmdGlobal(in *Interp, args []string) (string, error) {
-	if err := arity(args, 1, -1, "varName ?varName ...?"); err != nil {
-		return "", err
-	}
 	if len(in.frames) == 1 {
 		return "", nil // already global scope: no-op
 	}
@@ -621,9 +576,6 @@ func looksLikeLevel(s string) bool {
 }
 
 func cmdUpvar(in *Interp, args []string) (string, error) {
-	if len(args) < 3 {
-		return "", errf(`wrong # args: should be "upvar ?level? otherVar localVar ?otherVar localVar ...?"`)
-	}
 	rest := args[1:]
 	level := len(in.frames) - 2 // default: one level up
 	if level < 0 {
@@ -637,8 +589,8 @@ func cmdUpvar(in *Interp, args []string) (string, error) {
 		}
 		rest = rest[1:]
 	}
-	if len(rest)%2 != 0 || len(rest) == 0 {
-		return "", errf(`wrong # args: should be "upvar ?level? otherVar localVar ?otherVar localVar ...?"`)
+	if len(rest)%2 != 0 {
+		return "", in.usage(args)
 	}
 	for i := 0; i < len(rest); i += 2 {
 		if err := in.LinkVar(level, rest[i], rest[i+1]); err != nil {
@@ -649,9 +601,6 @@ func cmdUpvar(in *Interp, args []string) (string, error) {
 }
 
 func cmdUplevel(in *Interp, args []string) (string, error) {
-	if len(args) < 2 {
-		return "", errf(`wrong # args: should be "uplevel ?level? command ?arg ...?"`)
-	}
 	rest := args[1:]
 	level := len(in.frames) - 2
 	if level < 0 {
@@ -673,9 +622,6 @@ func cmdUplevel(in *Interp, args []string) (string, error) {
 }
 
 func cmdRename(in *Interp, args []string) (string, error) {
-	if err := arity(args, 2, 2, "oldName newName"); err != nil {
-		return "", err
-	}
 	old, new := args[1], args[2]
 	cmd, ok := in.cmds[old]
 	if !ok {
@@ -694,9 +640,6 @@ func cmdRename(in *Interp, args []string) (string, error) {
 }
 
 func cmdTime(in *Interp, args []string) (string, error) {
-	if err := arity(args, 1, 2, "command ?count?"); err != nil {
-		return "", err
-	}
 	count := 1
 	if len(args) == 3 {
 		n, err := strconv.Atoi(args[2])
@@ -715,45 +658,37 @@ func cmdTime(in *Interp, args []string) (string, error) {
 	return fmt.Sprintf("%d microseconds per iteration", per), nil
 }
 
-// cmdTrace implements variable traces:
-//
-//	trace variable name ops command
-//	trace vdelete name ops command
-//	trace vinfo name
-func cmdTrace(in *Interp, args []string) (string, error) {
-	if len(args) < 3 {
-		return "", errf(`wrong # args: should be "trace variable|vdelete|vinfo name ?ops command?"`)
+// traceVariable implements "trace variable name ops command".
+func traceVariable(in *Interp, args []string) (string, error) {
+	name, ops, script := args[2], args[3], args[4]
+	for _, c := range ops {
+		if c != 'r' && c != 'w' && c != 'u' {
+			return "", errf("bad operations %q: should be one or more of rwu", ops)
+		}
 	}
-	switch args[1] {
-	case "variable", "add":
-		if len(args) != 5 {
-			return "", errf(`wrong # args: should be "trace variable name ops command"`)
-		}
-		name, ops, script := args[2], args[3], args[4]
-		for _, c := range ops {
-			if c != 'r' && c != 'w' && c != 'u' {
-				return "", errf("bad operations %q: should be one or more of rwu", ops)
-			}
-		}
-		in.TraceVar(name, ops, func(in *Interp, nm, idx, op string) {
-			cmd := script + " " + QuoteElement(nm) + " " + QuoteElement(idx) + " " + op
-			_, _ = in.eval(cmd)
-		})
-		return "", nil
-	case "vdelete":
-		// Traces are removed wholesale from the variable.
-		base, _, _ := splitVarName(args[2])
-		if v := in.lookupVar(in.current(), base, false); v != nil {
-			v.traces = nil
-		}
-		return "", nil
-	case "vinfo":
-		base, _, _ := splitVarName(args[2])
-		v := in.lookupVar(in.current(), base, false)
-		if v == nil {
-			return "", nil
-		}
-		return strconv.Itoa(len(v.traces)), nil
+	in.TraceVar(name, ops, func(in *Interp, nm, idx, op string) {
+		cmd := script + " " + QuoteElement(nm) + " " + QuoteElement(idx) + " " + op
+		_, _ = in.eval(cmd)
+	})
+	return "", nil
+}
+
+// traceVdelete implements "trace vdelete name ops command"; it removes
+// every trace of the variable.
+func traceVdelete(in *Interp, args []string) (string, error) {
+	base, _, _ := splitVarName(args[2])
+	if v := in.lookupVar(in.current(), base, false); v != nil {
+		v.traces = nil
 	}
-	return "", errf("bad option %q: should be variable, vdelete or vinfo", args[1])
+	return "", nil
+}
+
+// traceVinfo implements "trace vinfo name": the number of traces.
+func traceVinfo(in *Interp, args []string) (string, error) {
+	base, _, _ := splitVarName(args[2])
+	v := in.lookupVar(in.current(), base, false)
+	if v == nil {
+		return "", nil
+	}
+	return strconv.Itoa(len(v.traces)), nil
 }

@@ -9,18 +9,50 @@ import (
 	"strings"
 )
 
-// registerIO installs output, file-system and process commands.
-func registerIO(in *Interp) {
-	in.Register("puts", cmdPuts)
-	in.Register("print", cmdPrint)
-	in.Register("source", cmdSource)
-	in.Register("exec", cmdExec)
-	in.Register("file", cmdFile)
-	in.Register("glob", cmdGlob)
-	in.Register("pwd", cmdPwd)
-	in.Register("cd", cmdCd)
-	in.Register("pid", cmdPid)
-	in.Register("exit", cmdExit)
+// ioCommands are the output, file-system and process commands.
+var ioCommands = []Row{
+	{Name: "puts", Fn: cmdPuts, Min: 1, Max: 3, Usage: "?-nonewline? ?channel? string"},
+	{Name: "print", Fn: cmdPrint, Max: -1, Usage: "?arg ...?"},
+	{Name: "source", Fn: cmdSource, Min: 1, Max: 1, Usage: "fileName"},
+	{Name: "exec", Fn: cmdExec, Min: 1, Max: -1, Usage: "arg ?arg ...?"},
+	{Name: "file", Fn: fileNameFirst, Min: 2, Max: -1, Usage: "option name ?arg ...?", Subs: []Row{
+		{Name: "atime", Fn: fileInfo(os.Stat, modTime), Min: 1, Max: 1, Usage: "name"},
+		{Name: "delete", Fn: fileDelete, Min: 1, Max: -1, Usage: "name ?name ...?"},
+		{Name: "dirname", Fn: filePath(filepath.Dir), Min: 1, Max: 1, Usage: "name"},
+		{Name: "executable", Fn: fileMode(func(fi os.FileInfo) bool { return fi.Mode().Perm()&0100 != 0 }), Min: 1, Max: 1, Usage: "name"},
+		{Name: "exists", Fn: fileMode(func(os.FileInfo) bool { return true }), Min: 1, Max: 1, Usage: "name"},
+		{Name: "extension", Fn: filePath(filepath.Ext), Min: 1, Max: 1, Usage: "name"},
+		{Name: "isdirectory", Fn: fileMode(os.FileInfo.IsDir), Min: 1, Max: 1, Usage: "name"},
+		{Name: "isfile", Fn: fileMode(func(fi os.FileInfo) bool { return fi.Mode().IsRegular() }), Min: 1, Max: 1, Usage: "name"},
+		{Name: "join", Fn: func(_ *Interp, args []string) (string, error) {
+			return filepath.Join(args[2:]...), nil
+		}, Min: 1, Max: -1, Usage: "name ?name ...?"},
+		{Name: "mkdir", Fn: fileMkdir, Min: 1, Max: -1, Usage: "dir ?dir ...?"},
+		{Name: "mtime", Fn: fileInfo(os.Stat, modTime), Min: 1, Max: 1, Usage: "name"},
+		{Name: "owned", Fn: fileMode(func(os.FileInfo) bool { return true }), Min: 1, Max: 1, Usage: "name"},
+		{Name: "readable", Fn: func(_ *Interp, args []string) (string, error) {
+			f, err := os.Open(args[2])
+			if err == nil {
+				f.Close()
+			}
+			return boolResult(err == nil)
+		}, Min: 1, Max: 1, Usage: "name"},
+		{Name: "rootname", Fn: filePath(func(name string) string {
+			return strings.TrimSuffix(name, filepath.Ext(name))
+		}), Min: 1, Max: 1, Usage: "name"},
+		{Name: "size", Fn: fileInfo(os.Stat, func(fi os.FileInfo) string {
+			return strconv.FormatInt(fi.Size(), 10)
+		}), Min: 1, Max: 1, Usage: "name"},
+		{Name: "split", Fn: fileSplit, Min: 1, Max: 1, Usage: "name"},
+		{Name: "tail", Fn: filePath(filepath.Base), Min: 1, Max: 1, Usage: "name"},
+		{Name: "type", Fn: fileInfo(os.Lstat, fileType), Min: 1, Max: 1, Usage: "name"},
+		{Name: "writable", Fn: fileMode(func(fi os.FileInfo) bool { return fi.Mode().Perm()&0200 != 0 }), Min: 1, Max: 1, Usage: "name"},
+	}},
+	{Name: "glob", Fn: cmdGlob, Min: 1, Max: -1, Usage: "?-nocomplain? pattern ?pattern ...?"},
+	{Name: "pwd", Fn: cmdPwd},
+	{Name: "cd", Fn: cmdCd, Max: 1, Usage: "?dirName?"},
+	{Name: "pid", Fn: func(*Interp, []string) (string, error) { return strconv.Itoa(os.Getpid()), nil }},
+	{Name: "exit", Fn: cmdExit, Max: 1, Usage: "?returnCode?"},
 }
 
 // initEnv populates the global env array from the process environment,
@@ -52,7 +84,7 @@ func cmdPuts(in *Interp, args []string) (string, error) {
 		rest = rest[1:]
 	}
 	if len(rest) != 1 {
-		return "", errf(`wrong # args: should be "puts ?-nonewline? ?channel? string"`)
+		return "", in.usage(args)
 	}
 	s := rest[0]
 	if newline {
@@ -72,9 +104,6 @@ func cmdPrint(in *Interp, args []string) (string, error) {
 }
 
 func cmdSource(in *Interp, args []string) (string, error) {
-	if err := arity(args, 1, 1, "fileName"); err != nil {
-		return "", err
-	}
 	data, err := os.ReadFile(args[1])
 	if err != nil {
 		return "", errf("couldn't read file %q: %s", args[1], err)
@@ -89,9 +118,6 @@ func cmdSource(in *Interp, args []string) (string, error) {
 // the background and returns the pids. Trailing newlines are stripped
 // from captured output.
 func cmdExec(in *Interp, args []string) (string, error) {
-	if len(args) < 2 {
-		return "", errf(`wrong # args: should be "exec arg ?arg ...?"`)
-	}
 	rest := args[1:]
 	background := false
 	if rest[len(rest)-1] == "&" {
@@ -233,128 +259,90 @@ func cmdExec(in *Interp, args []string) (string, error) {
 	return result, nil
 }
 
-// fileOptions are the option names recognized by the file command; used
-// to support both argument orders ("file option name" and the paper's
-// Figure 9 order "file name option").
-var fileOptions = map[string]bool{
-	"atime": true, "dirname": true, "executable": true, "exists": true,
-	"extension": true, "isdirectory": true, "isfile": true, "mtime": true,
-	"owned": true, "readable": true, "rootname": true, "size": true,
-	"tail": true, "writable": true, "delete": true, "mkdir": true,
-	"join": true, "split": true, "type": true,
+// fileNameFirst runs "file name option", the order of the paper's
+// Figure 9, as "file option name".
+func fileNameFirst(in *Interp, args []string) (string, error) {
+	file := in.cmds[args[0]].Row
+	if file.Sub(args[2]) == nil {
+		return "", file.badOption(args[1])
+	}
+	words := append([]string{args[0], args[2], args[1]}, args[3:]...)
+	row, err := file.resolve(words)
+	if err != nil {
+		return "", err
+	}
+	return row.Fn(in, words)
 }
 
-func cmdFile(in *Interp, args []string) (string, error) {
-	if len(args) < 3 {
-		return "", errf(`wrong # args: should be "file option name ?arg ...?"`)
+// fileMode returns the procedure of a file subcommand that tests the
+// file's information with ok, and is false for a file it cannot stat.
+func fileMode(ok func(os.FileInfo) bool) CmdFunc {
+	return func(_ *Interp, args []string) (string, error) {
+		fi, err := os.Stat(args[2])
+		return boolResult(err == nil && ok(fi))
 	}
-	op, name := args[1], args[2]
-	if !fileOptions[op] && fileOptions[name] {
-		// Figure 9 order: file $file isdirectory.
-		op, name = name, op
+}
+
+// filePath returns the procedure of a file subcommand that computes
+// its result from the name alone.
+func filePath(fn func(string) string) CmdFunc {
+	return func(_ *Interp, args []string) (string, error) { return fn(args[2]), nil }
+}
+
+// fileInfo returns the procedure of a file subcommand whose result fn
+// computes from the file's information, read with stat.
+func fileInfo(stat func(string) (os.FileInfo, error), fn func(os.FileInfo) string) CmdFunc {
+	return func(_ *Interp, args []string) (string, error) {
+		fi, err := stat(args[2])
+		if err != nil {
+			return "", errf("couldn't stat %q: %s", args[2], err)
+		}
+		return fn(fi), nil
 	}
-	boolRes := func(b bool) (string, error) {
-		if b {
-			return "1", nil
-		}
-		return "0", nil
+}
+
+// modTime is the result of atime and mtime; both read the modification
+// time.
+func modTime(fi os.FileInfo) string { return strconv.FormatInt(fi.ModTime().Unix(), 10) }
+
+func fileType(fi os.FileInfo) string {
+	switch {
+	case fi.Mode().IsRegular():
+		return "file"
+	case fi.IsDir():
+		return "directory"
+	case fi.Mode()&os.ModeSymlink != 0:
+		return "link"
 	}
-	switch op {
-	case "exists":
-		_, err := os.Stat(name)
-		return boolRes(err == nil)
-	case "isdirectory":
-		fi, err := os.Stat(name)
-		return boolRes(err == nil && fi.IsDir())
-	case "isfile":
-		fi, err := os.Stat(name)
-		return boolRes(err == nil && fi.Mode().IsRegular())
-	case "readable":
-		f, err := os.Open(name)
-		if err == nil {
-			f.Close()
-		}
-		return boolRes(err == nil)
-	case "writable":
-		fi, err := os.Stat(name)
-		return boolRes(err == nil && fi.Mode().Perm()&0200 != 0)
-	case "executable":
-		fi, err := os.Stat(name)
-		return boolRes(err == nil && fi.Mode().Perm()&0100 != 0)
-	case "owned":
-		_, err := os.Stat(name)
-		return boolRes(err == nil)
-	case "size":
-		fi, err := os.Stat(name)
-		if err != nil {
-			return "", errf("couldn't stat %q: %s", name, err)
-		}
-		return strconv.FormatInt(fi.Size(), 10), nil
-	case "mtime":
-		fi, err := os.Stat(name)
-		if err != nil {
-			return "", errf("couldn't stat %q: %s", name, err)
-		}
-		return strconv.FormatInt(fi.ModTime().Unix(), 10), nil
-	case "atime":
-		fi, err := os.Stat(name)
-		if err != nil {
-			return "", errf("couldn't stat %q: %s", name, err)
-		}
-		return strconv.FormatInt(fi.ModTime().Unix(), 10), nil
-	case "dirname":
-		d := filepath.Dir(name)
-		return d, nil
-	case "tail":
-		return filepath.Base(name), nil
-	case "rootname":
-		ext := filepath.Ext(name)
-		return strings.TrimSuffix(name, ext), nil
-	case "extension":
-		return filepath.Ext(name), nil
-	case "type":
-		fi, err := os.Lstat(name)
-		if err != nil {
-			return "", errf("couldn't stat %q: %s", name, err)
-		}
-		switch {
-		case fi.Mode().IsRegular():
-			return "file", nil
-		case fi.IsDir():
-			return "directory", nil
-		case fi.Mode()&os.ModeSymlink != 0:
-			return "link", nil
-		default:
-			return "other", nil
-		}
-	case "delete":
-		for _, n := range args[2:] {
-			_ = os.RemoveAll(n)
-		}
-		return "", nil
-	case "mkdir":
-		for _, n := range args[2:] {
-			if err := os.MkdirAll(n, 0o755); err != nil {
-				return "", errf("couldn't create directory %q: %s", n, err)
-			}
-		}
-		return "", nil
-	case "join":
-		return filepath.Join(args[2:]...), nil
-	case "split":
-		parts := strings.Split(filepath.Clean(name), string(filepath.Separator))
-		if strings.HasPrefix(name, "/") {
-			parts[0] = "/"
-		}
-		return FormatList(parts), nil
+	return "other"
+}
+
+func fileDelete(_ *Interp, args []string) (string, error) {
+	for _, n := range args[2:] {
+		_ = os.RemoveAll(n)
 	}
-	return "", errf("bad option %q for file command", op)
+	return "", nil
+}
+
+func fileMkdir(_ *Interp, args []string) (string, error) {
+	for _, n := range args[2:] {
+		if err := os.MkdirAll(n, 0o755); err != nil {
+			return "", errf("couldn't create directory %q: %s", n, err)
+		}
+	}
+	return "", nil
+}
+
+func fileSplit(_ *Interp, args []string) (string, error) {
+	name := args[2]
+	parts := strings.Split(filepath.Clean(name), string(filepath.Separator))
+	if strings.HasPrefix(name, "/") {
+		parts[0] = "/"
+	}
+	return FormatList(parts), nil
 }
 
 func cmdGlob(in *Interp, args []string) (string, error) {
-	if len(args) < 2 {
-		return "", errf(`wrong # args: should be "glob ?-nocomplain? pattern ?pattern ...?"`)
-	}
 	rest := args[1:]
 	nocomplain := false
 	if rest[0] == "-nocomplain" {
@@ -385,9 +373,6 @@ func cmdPwd(in *Interp, args []string) (string, error) {
 }
 
 func cmdCd(in *Interp, args []string) (string, error) {
-	if err := arity(args, 0, 1, "?dirName?"); err != nil {
-		return "", err
-	}
 	dir := os.Getenv("HOME")
 	if len(args) == 2 {
 		dir = args[1]
@@ -396,10 +381,6 @@ func cmdCd(in *Interp, args []string) (string, error) {
 		return "", errf("couldn't change working directory to %q: %s", dir, err)
 	}
 	return "", nil
-}
-
-func cmdPid(in *Interp, args []string) (string, error) {
-	return strconv.Itoa(os.Getpid()), nil
 }
 
 func cmdExit(in *Interp, args []string) (string, error) {

@@ -7,27 +7,25 @@ import (
 	"strings"
 )
 
-// registerList installs the list commands, including the Tcl 6.x-era
-// short names (index, range) that scripts in the paper use.
-func registerList(in *Interp) {
-	in.Register("list", cmdList)
-	in.Register("lindex", cmdLindex)
-	in.Register("index", cmdLindex) // historical alias used in Figure 9
-	in.Register("llength", cmdLlength)
-	in.Register("lappend", cmdLappend)
-	in.Register("lrange", cmdLrange)
-	in.Register("range", cmdLrange) // historical alias
-	in.Register("linsert", cmdLinsert)
-	in.Register("lreplace", cmdLreplace)
-	in.Register("lsort", cmdLsort)
-	in.Register("lsearch", cmdLsearch)
-	in.Register("concat", cmdConcat)
-	in.Register("join", cmdJoin)
-	in.Register("split", cmdSplit)
-}
-
-func cmdList(in *Interp, args []string) (string, error) {
-	return FormatList(args[1:]), nil
+// listCommands are the list commands, including the Tcl 6.x-era short
+// names (index, range) that scripts in the paper use.
+var listCommands = []Row{
+	{Name: "list", Fn: func(_ *Interp, args []string) (string, error) {
+		return FormatList(args[1:]), nil
+	}, Max: -1, Usage: "?arg arg ...?"},
+	{Name: "lindex", Fn: cmdLindex, Min: 2, Max: 2, Usage: "list index"},
+	{Name: "index", Fn: cmdLindex, Min: 2, Max: 2, Usage: "list index"}, // historical alias used in Figure 9
+	{Name: "llength", Fn: cmdLlength, Min: 1, Max: 1, Usage: "list"},
+	{Name: "lappend", Fn: cmdLappend, Min: 1, Max: -1, Usage: "varName ?value value ...?"},
+	{Name: "lrange", Fn: cmdLrange, Min: 3, Max: 3, Usage: "list first last"},
+	{Name: "range", Fn: cmdLrange, Min: 3, Max: 3, Usage: "list first last"}, // historical alias
+	{Name: "linsert", Fn: cmdLinsert, Min: 3, Max: -1, Usage: "list index element ?element ...?"},
+	{Name: "lreplace", Fn: cmdLreplace, Min: 3, Max: -1, Usage: "list first last ?element element ...?"},
+	{Name: "lsort", Fn: cmdLsort, Min: 1, Max: -1, Usage: "?options? list"},
+	{Name: "lsearch", Fn: cmdLsearch, Min: 2, Max: 3, Usage: "?mode? list pattern"},
+	{Name: "concat", Fn: cmdConcat, Max: -1, Usage: "?arg arg ...?"},
+	{Name: "join", Fn: cmdJoin, Min: 1, Max: 2, Usage: "list ?joinString?"},
+	{Name: "split", Fn: cmdSplit, Min: 1, Max: 2, Usage: "string ?splitChars?"},
 }
 
 // listIndex parses a list index, supporting "end" and "end-N".
@@ -50,9 +48,6 @@ func listIndex(spec string, length int) (int, error) {
 }
 
 func cmdLindex(in *Interp, args []string) (string, error) {
-	if err := arity(args, 2, 2, "list index"); err != nil {
-		return "", err
-	}
 	elems, err := in.list(args[1])
 	if err != nil {
 		return "", err
@@ -65,9 +60,6 @@ func cmdLindex(in *Interp, args []string) (string, error) {
 }
 
 func cmdLlength(in *Interp, args []string) (string, error) {
-	if err := arity(args, 1, 1, "list"); err != nil {
-		return "", err
-	}
 	elems, err := in.list(args[1])
 	if err != nil {
 		return "", err
@@ -80,9 +72,6 @@ func cmdLappend(in *Interp, args []string) (string, error) {
 }
 
 func cmdLrange(in *Interp, args []string) (string, error) {
-	if err := arity(args, 3, 3, "list first last"); err != nil {
-		return "", err
-	}
 	elems, err := in.list(args[1])
 	if err != nil {
 		return "", err
@@ -108,9 +97,6 @@ func cmdLrange(in *Interp, args []string) (string, error) {
 }
 
 func cmdLinsert(in *Interp, args []string) (string, error) {
-	if err := arity(args, 3, -1, "list index element ?element ...?"); err != nil {
-		return "", err
-	}
 	elems, err := in.list(args[1])
 	if err != nil {
 		return "", err
@@ -130,9 +116,6 @@ func cmdLinsert(in *Interp, args []string) (string, error) {
 }
 
 func cmdLreplace(in *Interp, args []string) (string, error) {
-	if err := arity(args, 3, -1, "list first last ?element element ...?"); err != nil {
-		return "", err
-	}
 	elems, err := in.list(args[1])
 	if err != nil {
 		return "", err
@@ -165,9 +148,6 @@ func cmdLreplace(in *Interp, args []string) (string, error) {
 }
 
 func cmdLsort(in *Interp, args []string) (string, error) {
-	if len(args) < 2 {
-		return "", errf(`wrong # args: should be "lsort ?options? list"`)
-	}
 	mode := "ascii"
 	decreasing := false
 	for _, opt := range args[1 : len(args)-1] {
@@ -242,9 +222,6 @@ func cmdLsearch(in *Interp, args []string) (string, error) {
 			return "", errf("bad option %q: must be -exact or -glob", rest[0])
 		}
 	}
-	if len(rest) != 2 {
-		return "", errf(`wrong # args: should be "lsearch ?mode? list pattern"`)
-	}
 	elems, err := in.list(rest[0])
 	if err != nil {
 		return "", err
@@ -275,9 +252,6 @@ func cmdConcat(in *Interp, args []string) (string, error) {
 }
 
 func cmdJoin(in *Interp, args []string) (string, error) {
-	if err := arity(args, 1, 2, "list ?joinString?"); err != nil {
-		return "", err
-	}
 	sep := " "
 	if len(args) == 3 {
 		sep = args[2]
@@ -290,9 +264,6 @@ func cmdJoin(in *Interp, args []string) (string, error) {
 }
 
 func cmdSplit(in *Interp, args []string) (string, error) {
-	if err := arity(args, 1, 2, "string ?splitChars?"); err != nil {
-		return "", err
-	}
 	s := args[1]
 	chars := " \t\n\r"
 	if len(args) == 3 {

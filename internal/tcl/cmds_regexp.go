@@ -6,13 +6,13 @@ import (
 	"sync"
 )
 
-// registerRegexp installs regexp and regsub, present in the Tcl of the
+// regexpCommands are regexp and regsub, present in the Tcl of the
 // paper's era. Patterns use Go's RE2 syntax, a close superset of the
 // original egrep-style patterns for everything scripts of the period
 // wrote.
-func registerRegexp(in *Interp) {
-	in.Register("regexp", cmdRegexp)
-	in.Register("regsub", cmdRegsub)
+var regexpCommands = []Row{
+	{Name: "regexp", Fn: cmdRegexp, Min: 2, Max: -1, Usage: "?switches? exp string ?matchVar? ?subMatchVar ...?"},
+	{Name: "regsub", Fn: cmdRegsub, Min: 4, Max: -1, Usage: "?switches? exp string subSpec varName"},
 }
 
 // patternCache caches compiled patterns. Each interpreter is
@@ -67,7 +67,7 @@ func cmdRegexp(in *Interp, args []string) (string, error) {
 	}
 doneOpts:
 	if len(rest) < 2 {
-		return "", errf(`wrong # args: should be "regexp ?switches? exp string ?matchVar? ?subMatchVar ...?"`)
+		return "", in.usage(args)
 	}
 	re, err := compilePattern(rest[0], nocase)
 	if err != nil {
@@ -115,7 +115,7 @@ func cmdRegsub(in *Interp, args []string) (string, error) {
 	}
 doneOpts:
 	if len(rest) != 4 {
-		return "", errf(`wrong # args: should be "regsub ?switches? exp string subSpec varName"`)
+		return "", in.usage(args)
 	}
 	re, err := compilePattern(rest[0], nocase)
 	if err != nil {

@@ -2,16 +2,63 @@ package tcl
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
 )
 
-// registerString installs string, format and scan.
-func registerString(in *Interp) {
-	in.Register("string", cmdString)
-	in.Register("format", cmdFormat)
-	in.Register("scan", cmdScan)
+// stringCommands are string, format and scan.
+var stringCommands = []Row{
+	{Name: "string", Min: 2, Max: -1, Usage: "option arg ?arg ...?", Subs: []Row{
+		{Name: "compare", Fn: func(_ *Interp, args []string) (string, error) {
+			return strconv.Itoa(strings.Compare(args[2], args[3])), nil
+		}, Min: 2, Max: 2, Usage: "string1 string2"},
+		{Name: "equal", Fn: func(_ *Interp, args []string) (string, error) {
+			return boolResult(args[2] == args[3])
+		}, Min: 2, Max: 2, Usage: "string1 string2"},
+		{Name: "first", Fn: func(_ *Interp, args []string) (string, error) {
+			return strconv.Itoa(strings.Index(args[3], args[2])), nil
+		}, Min: 2, Max: 2, Usage: "string1 string2"},
+		{Name: "index", Fn: stringIndex, Min: 2, Max: 2, Usage: "string charIndex"},
+		{Name: "last", Fn: func(_ *Interp, args []string) (string, error) {
+			return strconv.Itoa(strings.LastIndex(args[3], args[2])), nil
+		}, Min: 2, Max: 2, Usage: "string1 string2"},
+		{Name: "length", Fn: func(_ *Interp, args []string) (string, error) {
+			return strconv.Itoa(len(args[2])), nil
+		}, Min: 1, Max: 1, Usage: "string"},
+		{Name: "match", Fn: func(_ *Interp, args []string) (string, error) {
+			return boolResult(GlobMatch(args[2], args[3]))
+		}, Min: 2, Max: 2, Usage: "pattern string"},
+		{Name: "range", Fn: stringRange, Min: 3, Max: 3, Usage: "string first last"},
+		{Name: "repeat", Fn: stringRepeat, Min: 2, Max: 2, Usage: "string count"},
+		{Name: "reverse", Fn: func(_ *Interp, args []string) (string, error) {
+			r := []rune(args[2])
+			slices.Reverse(r)
+			return string(r), nil
+		}, Min: 1, Max: 1, Usage: "string"},
+		{Name: "tolower", Fn: func(_ *Interp, args []string) (string, error) {
+			return strings.ToLower(args[2]), nil
+		}, Min: 1, Max: 1, Usage: "string"},
+		{Name: "toupper", Fn: func(_ *Interp, args []string) (string, error) {
+			return strings.ToUpper(args[2]), nil
+		}, Min: 1, Max: 1, Usage: "string"},
+		{Name: "trim", Fn: trimmer(strings.Trim), Min: 1, Max: 2, Usage: "string ?chars?"},
+		{Name: "trimleft", Fn: trimmer(strings.TrimLeft), Min: 1, Max: 2, Usage: "string ?chars?"},
+		{Name: "trimright", Fn: trimmer(strings.TrimRight), Min: 1, Max: 2, Usage: "string ?chars?"},
+		{Name: "wordend", Fn: stringWordend, Min: 2, Max: 2, Usage: "string index"},
+		{Name: "wordstart", Fn: stringWordstart, Min: 2, Max: 2, Usage: "string index"},
+	}},
+	{Name: "format", Fn: cmdFormat, Min: 1, Max: -1, Usage: "formatString ?arg ...?"},
+	{Name: "scan", Fn: cmdScan, Min: 3, Max: -1, Usage: "string formatString varName ?varName ...?"},
+}
+
+// boolResult is a boolean as a Tcl result.
+func boolResult(b bool) (string, error) {
+	if b {
+		return "1", nil
+	}
+	return "0", nil
 }
 
 // GlobMatch reports whether s matches the glob pattern pat using Tcl's
@@ -88,178 +135,109 @@ func GlobMatch(pat, s string) bool {
 	return n == len(s)
 }
 
-func cmdString(in *Interp, args []string) (string, error) {
-	if len(args) < 3 {
-		return "", errf(`wrong # args: should be "string option arg ?arg ...?"`)
+func stringIndex(_ *Interp, args []string) (string, error) {
+	i, err := listIndex(args[3], len(args[2]))
+	if err != nil {
+		return "", err
 	}
-	op := args[1]
-	switch op {
-	case "compare":
-		if len(args) != 4 {
-			return "", errf(`wrong # args: should be "string compare string1 string2"`)
-		}
-		return strconv.Itoa(strings.Compare(args[2], args[3])), nil
-	case "equal":
-		if len(args) != 4 {
-			return "", errf(`wrong # args: should be "string equal string1 string2"`)
-		}
-		if args[2] == args[3] {
-			return "1", nil
-		}
-		return "0", nil
-	case "first":
-		if len(args) != 4 {
-			return "", errf(`wrong # args: should be "string first string1 string2"`)
-		}
-		return strconv.Itoa(strings.Index(args[3], args[2])), nil
-	case "last":
-		if len(args) != 4 {
-			return "", errf(`wrong # args: should be "string last string1 string2"`)
-		}
-		return strconv.Itoa(strings.LastIndex(args[3], args[2])), nil
-	case "index":
-		if len(args) != 4 {
-			return "", errf(`wrong # args: should be "string index string charIndex"`)
-		}
-		i, err := listIndex(args[3], len(args[2]))
-		if err != nil {
-			return "", err
-		}
-		if i < 0 || i >= len(args[2]) {
-			return "", nil
-		}
-		return string(args[2][i]), nil
-	case "length":
-		if len(args) != 3 {
-			return "", errf(`wrong # args: should be "string length string"`)
-		}
-		return strconv.Itoa(len(args[2])), nil
-	case "match":
-		if len(args) != 4 {
-			return "", errf(`wrong # args: should be "string match pattern string"`)
-		}
-		if GlobMatch(args[2], args[3]) {
-			return "1", nil
-		}
-		return "0", nil
-	case "range":
-		if len(args) != 5 {
-			return "", errf(`wrong # args: should be "string range string first last"`)
-		}
-		s := args[2]
-		first, err := listIndex(args[3], len(s))
-		if err != nil {
-			return "", err
-		}
-		last, err := listIndex(args[4], len(s))
-		if err != nil {
-			return "", err
-		}
-		if first < 0 {
-			first = 0
-		}
-		if last >= len(s) {
-			last = len(s) - 1
-		}
-		if first > last {
-			return "", nil
-		}
-		return s[first : last+1], nil
-	case "repeat":
-		if len(args) != 4 {
-			return "", errf(`wrong # args: should be "string repeat string count"`)
-		}
-		n, err := strconv.Atoi(args[3])
-		if err != nil || n < 0 {
-			return "", errf("bad count %q", args[3])
-		}
-		return strings.Repeat(args[2], n), nil
-	case "tolower":
-		return strings.ToLower(args[2]), nil
-	case "toupper":
-		return strings.ToUpper(args[2]), nil
-	case "trim":
-		return trimCmd(args, strings.Trim)
-	case "trimleft":
-		return trimCmd(args, strings.TrimLeft)
-	case "trimright":
-		return trimCmd(args, strings.TrimRight)
-	case "reverse":
-		r := []rune(args[2])
-		for i, j := 0, len(r)-1; i < j; i, j = i+1, j-1 {
-			r[i], r[j] = r[j], r[i]
-		}
-		return string(r), nil
-	case "wordend":
-		if len(args) != 4 {
-			return "", errf(`wrong # args: should be "string wordend string index"`)
-		}
-		s := args[2]
-		i, err := strconv.Atoi(args[3])
-		if err != nil {
-			return "", errf("bad index %q", args[3])
-		}
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(s) {
-			return strconv.Itoa(len(s)), nil
-		}
-		if isWordChar(s[i]) {
-			for i < len(s) && isWordChar(s[i]) {
-				i++
-			}
-		} else {
+	if i < 0 || i >= len(args[2]) {
+		return "", nil
+	}
+	return string(args[2][i]), nil
+}
+
+func stringRange(_ *Interp, args []string) (string, error) {
+	s := args[2]
+	first, err := listIndex(args[3], len(s))
+	if err != nil {
+		return "", err
+	}
+	last, err := listIndex(args[4], len(s))
+	if err != nil {
+		return "", err
+	}
+	if first < 0 {
+		first = 0
+	}
+	if last >= len(s) {
+		last = len(s) - 1
+	}
+	if first > last {
+		return "", nil
+	}
+	return s[first : last+1], nil
+}
+
+func stringRepeat(_ *Interp, args []string) (string, error) {
+	n, err := strconv.Atoi(args[3])
+	if err != nil || n < 0 {
+		return "", errf("bad count %q", args[3])
+	}
+	return strings.Repeat(args[2], n), nil
+}
+
+func stringWordend(_ *Interp, args []string) (string, error) {
+	s := args[2]
+	i, err := strconv.Atoi(args[3])
+	if err != nil {
+		return "", errf("bad index %q", args[3])
+	}
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(s) {
+		return strconv.Itoa(len(s)), nil
+	}
+	if isWordChar(s[i]) {
+		for i < len(s) && isWordChar(s[i]) {
 			i++
 		}
-		return strconv.Itoa(i), nil
-	case "wordstart":
-		if len(args) != 4 {
-			return "", errf(`wrong # args: should be "string wordstart string index"`)
-		}
-		s := args[2]
-		i, err := strconv.Atoi(args[3])
-		if err != nil {
-			return "", errf("bad index %q", args[3])
-		}
-		if i >= len(s) {
-			i = len(s) - 1
-		}
-		if i < 0 {
-			return "0", nil
-		}
-		if isWordChar(s[i]) {
-			for i > 0 && isWordChar(s[i-1]) {
-				i--
-			}
-		}
-		return strconv.Itoa(i), nil
+	} else {
+		i++
 	}
-	return "", errf("bad option %q: should be compare, equal, first, index, last, length, match, range, repeat, reverse, tolower, toupper, trim, trimleft, trimright, wordend, or wordstart", op)
+	return strconv.Itoa(i), nil
+}
+
+func stringWordstart(_ *Interp, args []string) (string, error) {
+	s := args[2]
+	i, err := strconv.Atoi(args[3])
+	if err != nil {
+		return "", errf("bad index %q", args[3])
+	}
+	if i >= len(s) {
+		i = len(s) - 1
+	}
+	if i < 0 {
+		return "0", nil
+	}
+	if isWordChar(s[i]) {
+		for i > 0 && isWordChar(s[i-1]) {
+			i--
+		}
+	}
+	return strconv.Itoa(i), nil
 }
 
 func isWordChar(c byte) bool {
 	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
 }
 
-func trimCmd(args []string, fn func(string, string) string) (string, error) {
-	chars := " \t\n\r\v\f"
-	if len(args) > 4 {
-		return "", errf(`wrong # args: should be "string %s string ?chars?"`, args[1])
+// trimmer returns the procedure of a string trim subcommand that trims
+// with fn.
+func trimmer(fn func(string, string) string) CmdFunc {
+	return func(_ *Interp, args []string) (string, error) {
+		chars := " \t\n\r\v\f"
+		if len(args) == 4 {
+			chars = args[3]
+		}
+		return fn(args[2], chars), nil
 	}
-	if len(args) == 4 {
-		chars = args[3]
-	}
-	return fn(args[2], chars), nil
 }
 
 // cmdFormat implements the C-printf-like format command by translating
 // each directive to the corresponding Go verb with a correctly typed
 // argument.
 func cmdFormat(in *Interp, args []string) (string, error) {
-	if len(args) < 2 {
-		return "", errf(`wrong # args: should be "format formatString ?arg ...?"`)
-	}
 	spec := args[1]
 	rest := args[2:]
 	var b strings.Builder
@@ -406,9 +384,6 @@ func cmdFormat(in *Interp, args []string) (string, error) {
 // cmdScan implements a subset of sscanf: %d, %o, %x, %f/%e/%g, %s, %c and
 // literal matching. It returns the number of conversions performed.
 func cmdScan(in *Interp, args []string) (string, error) {
-	if len(args) < 3 {
-		return "", errf(`wrong # args: should be "scan string formatString varName ?varName ...?"`)
-	}
 	input, spec := args[1], args[2]
 	vars := args[3:]
 	vi := 0

@@ -825,13 +825,8 @@ func applyMathFunc(name string, args []exprVal) (exprVal, error) {
 	return exprVal{}, errf("unknown math function %q", name)
 }
 
-// registerExprCmd installs the expr command.
-func registerExprCmd(in *Interp) {
-	in.Register("expr", func(in *Interp, args []string) (string, error) {
-		if len(args) < 2 {
-			return "", errf(`wrong # args: should be "expr arg ?arg ...?"`)
-		}
-		// Multiple arguments are concatenated with spaces, as in Tcl.
-		return in.EvalExpr(strings.Join(args[1:], " "))
-	})
+// cmdExpr implements expr. Multiple arguments are concatenated with
+// spaces, as in Tcl.
+func cmdExpr(in *Interp, args []string) (string, error) {
+	return in.EvalExpr(strings.Join(args[1:], " "))
 }

@@ -66,38 +66,37 @@ func fuzzInterp() *Interp {
 		}
 		return "", nil
 	}
-	in.Register("while", func(in *Interp, args []string) (string, error) {
-		if err := arity(args, 2, 2, "test command"); err != nil {
-			return "", err
-		}
+	// bounded gives the command called name the procedure fn; its row's
+	// bounds stay.
+	bounded := func(name string, fn CmdFunc) {
+		row := *in.cmds[name].Row
+		row.Fn = fn
+		in.Define(row)
+	}
+	bounded("while", func(in *Interp, args []string) (string, error) {
 		return loop(func() (bool, error) { return in.EvalBool(args[1]) }, args[2], "")
 	})
-	in.Register("for", func(in *Interp, args []string) (string, error) {
-		if err := arity(args, 4, 4, "start test next command"); err != nil {
-			return "", err
-		}
+	bounded("for", func(in *Interp, args []string) (string, error) {
 		if _, err := in.Eval(args[1]); err != nil {
 			return "", err
 		}
 		return loop(func() (bool, error) { return in.EvalBool(args[2]) }, args[4], args[3])
 	})
-	in.Register("time", func(in *Interp, args []string) (string, error) {
-		if err := arity(args, 1, 2, "command ?count?"); err != nil {
-			return "", err
-		}
+	bounded("time", func(in *Interp, args []string) (string, error) {
 		n := 0
 		_, err := loop(func() (bool, error) { n++; return n <= 3, nil }, args[1], "")
 		return "0 microseconds per iteration", err
 	})
-	in.Register("string", func(in *Interp, args []string) (string, error) {
-		if len(args) == 4 && args[1] == "repeat" {
-			n, err := strconv.Atoi(args[3])
-			if err == nil && n > fuzzRepeatMax {
-				args = []string{args[0], args[1], args[2], strconv.Itoa(fuzzRepeatMax)}
-			}
+	str := *in.cmds["string"].Row
+	str.Subs = slices.Clone(str.Subs)
+	repeat := str.Sub("repeat")
+	repeat.Fn = func(in *Interp, args []string) (string, error) {
+		if n, err := strconv.Atoi(args[3]); err == nil && n > fuzzRepeatMax {
+			args = []string{args[0], args[1], args[2], strconv.Itoa(fuzzRepeatMax)}
 		}
-		return cmdString(in, args)
-	})
+		return stringRepeat(in, args)
+	}
+	in.Define(str)
 	return in
 }
 

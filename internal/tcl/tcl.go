@@ -108,7 +108,8 @@ func (r *returnError) outcome() (string, error) {
 }
 
 // CmdFunc is the signature of a command procedure (Figure 6 of the Tk
-// paper). args[0] is the command name as invoked. The returned string is
+// paper). args[0] is the command name as invoked, and for a subcommand,
+// args[1] is its name. The returned string is
 // the command result; a non-nil error aborts the script unless it is a
 // control-flow signal.
 //
@@ -121,10 +122,116 @@ func (r *returnError) outcome() (string, error) {
 // to args reallocates it, so a command may build on it.
 type CmdFunc func(in *Interp, args []string) (string, error)
 
-// command holds a registered command: either a Go procedure or a Tcl proc.
+// A Row is one row of an interpreter's command table: a command's
+// name and procedure, the bounds on its argument count and the usage a
+// count outside them reports. The interpreter checks the count before
+// it calls the procedure, so a procedure never checks it again, and
+// tools such as cmd/tkcheck read the same rows.
+//
+// Subs make the command an ensemble: its first argument names the
+// subcommand whose row runs, and whose bounds count the arguments after
+// that word. A subcommand named "" runs when the command is called with
+// no argument. When the first argument names no subcommand, Fn runs if
+// the row has one; otherwise the call fails with a message that lists
+// the names, in the order of the rows.
+type Row struct {
+	Name string
+	Fn   CmdFunc
+	// Min and Max bound the number of arguments; Max < 0 means no
+	// upper bound.
+	Min, Max int
+	// Usage shows the arguments, as "wrong # args" quotes them after
+	// the command's name.
+	Usage string
+	Subs  []Row
+}
+
+// command is a registered command: its row, and for a Tcl procedure,
+// the procedure.
 type command struct {
-	fn   CmdFunc
+	*Row
 	proc *procDef // non-nil when the command is a Tcl procedure
+}
+
+// Admits reports whether n arguments are within the row's bounds.
+func (r *Row) Admits(n int) bool { return n >= r.Min && (r.Max < 0 || n <= r.Max) }
+
+// resolve returns the row whose procedure runs the call words make: r,
+// or for an ensemble, the row of the subcommand the first argument
+// names. A call the rows do not admit gets their error instead.
+func (r *Row) resolve(words []string) (*Row, error) {
+	n := len(words) - 1
+	word := ""
+	if r.Subs != nil {
+		if n > 0 {
+			word = words[1]
+		}
+		if s := r.Sub(word); s != nil {
+			if !s.Admits(max(n-1, 0)) {
+				return nil, wrongArgs(words[0], word, s.Usage)
+			}
+			return s, nil
+		}
+	}
+	if !r.Admits(n) {
+		return nil, wrongArgs(words[0], r.Usage)
+	}
+	if r.Subs != nil && r.Fn == nil {
+		return nil, r.badOption(word)
+	}
+	return r, nil
+}
+
+// badOption is the error of an ensemble called with a first argument
+// that names none of its subcommands.
+func (r *Row) badOption(word string) *Error {
+	return errf("bad option %q: should be %s", word, r.subNames())
+}
+
+// Sub returns the row of the subcommand called name, or nil.
+func (r *Row) Sub(name string) *Row {
+	for i := range r.Subs {
+		if r.Subs[i].Name == name {
+			return &r.Subs[i]
+		}
+	}
+	return nil
+}
+
+// subNames lists an ensemble's subcommand names, in the order of its
+// rows, as Tcl's messages do: "a", "a or b", "a, b, or c".
+func (r *Row) subNames() string {
+	var names []string
+	for _, s := range r.Subs {
+		if s.Name != "" {
+			names = append(names, s.Name)
+		}
+	}
+	if len(names) < 2 {
+		return strings.Join(names, "")
+	}
+	last := names[len(names)-1]
+	if len(names) == 2 {
+		return names[0] + " or " + last
+	}
+	return strings.Join(names[:len(names)-1], ", ") + ", or " + last
+}
+
+// wrongArgs is the error of a call its row's bounds or usage do not
+// admit: the words are the command's name, its subcommand's, and the
+// usage, of which any but the first may be empty.
+func wrongArgs(words ...string) *Error {
+	return errf("wrong # args: should be %q", strings.Join(slices.DeleteFunc(words, func(w string) bool { return w == "" }), " "))
+}
+
+// usage is the error of a call whose words pass its row's bounds but
+// not its usage, as "if 1 then" does.
+func (in *Interp) usage(args []string) *Error {
+	u := ""
+	if c, ok := in.cmds[args[0]]; ok { // a script may have renamed it away
+		u = c.Usage
+	}
+	return wrongArgs(args[0], u)
 }
 
 // procDef is a Tcl procedure created with "proc".
@@ -222,18 +329,22 @@ type Interp struct {
 	deleted bool
 }
 
+// builtins are the tables of the built-in commands' rows. Every
+// interpreter shares them.
+var builtins = [][]Row{coreCommands, listCommands, stringCommands, regexpCommands, infoCommands, ioCommands}
+
+// Builtins returns the rows of the commands New registers. It exists so
+// tools such as cmd/tkcheck can read the command set without an
+// interpreter.
+func Builtins() []Row { return slices.Concat(builtins...) }
+
 // New creates an interpreter with all built-in commands registered.
 func New() *Interp {
 	in := &Interp{cmds: make(map[string]*command, 96)}
 	in.frames = []*frame{{vars: make(map[string]*Var), level: 0}}
-	registerCore(in)
-	registerList(in)
-	registerString(in)
-	registerExprCmd(in)
-	registerInfo(in)
-	registerIO(in)
-	registerArray(in)
-	registerRegexp(in)
+	for _, rows := range builtins {
+		in.Define(rows...)
+	}
 	in.initEnv()
 	return in
 }
@@ -247,11 +358,21 @@ func (in *Interp) Delete() { in.deleted = true }
 // Deleted reports whether Delete has been called.
 func (in *Interp) Deleted() bool { return in.deleted }
 
-// Register installs an application-specific command, replacing any
-// existing command with the same name. Per the paper, application commands
-// are indistinguishable from built-ins once registered.
+// Define installs commands by their rows, each replacing any existing
+// command with the same name. The interpreter keeps the rows, which
+// must not change afterwards.
+func (in *Interp) Define(rows ...Row) {
+	for i := range rows {
+		in.cmds[rows[i].Name] = &command{Row: &rows[i]}
+	}
+}
+
+// Register installs an application-specific command with no bounds on
+// its arguments, replacing any existing command with the same name.
+// Per the paper, application commands are indistinguishable from
+// built-ins once registered.
 func (in *Interp) Register(name string, fn CmdFunc) {
-	in.cmds[name] = &command{fn: fn}
+	in.Define(Row{Name: name, Fn: fn, Max: -1})
 }
 
 // Unregister removes a command. It reports whether the command existed.
@@ -433,7 +554,17 @@ func (in *Interp) invoke(words []string) (string, error) {
 	if !ok {
 		return "", errf("invalid command name %q", words[0])
 	}
-	res, err := cmd.fn(in, words)
+	// Most calls name a command that is no ensemble, within its bounds;
+	// resolve finds an ensemble's subcommand and builds the errors.
+	row := cmd.Row
+	var err error
+	if row.Subs != nil || !row.Admits(len(words)-1) {
+		row, err = row.resolve(words)
+	}
+	var res string
+	if err == nil {
+		res, err = row.Fn(in, words)
+	}
 	if err != nil {
 		if te, ok := err.(*Error); ok && te.Code == ErrorStatus && te.Info == "" {
 			te.Info = fmt.Sprintf("%s\n    while executing\n%q", te.Msg, strings.Join(words, " "))

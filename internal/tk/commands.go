@@ -12,64 +12,116 @@ import (
 	"repro/internal/xproto"
 )
 
-// commandTable maps each intrinsics command name to its implementation.
-// It is the single source of truth for the Tk command set: both
-// registration and the static-analysis introspection in CommandNames
-// derive from it.
-func (app *App) commandTable() map[string]tcl.CmdFunc {
-	return map[string]tcl.CmdFunc{
-		"bind":      app.cmdBind,
-		"destroy":   app.cmdDestroy,
-		"update":    app.cmdUpdate,
-		"after":     app.cmdAfter,
-		"focus":     app.cmdFocus,
-		"option":    app.cmdOption,
-		"selection": app.cmdSelection,
-		"send":      app.cmdSend,
-		"winfo":     app.cmdWinfo,
-		"wm":        app.cmdWm,
-		"raise":     app.cmdRaise,
-		"lower":     app.cmdLower,
-		"bell": func(*tcl.Interp, []string) (string, error) {
+// commandTable returns the rows of the intrinsics' Tcl commands, their
+// procedures bound to app. It is the single source of truth for the Tk
+// command set: both registration and the static-analysis introspection
+// in Commands read it. Together with the widget-creation commands these
+// make "virtually all of the intrinsics accessible from Tcl" (§3).
+func (app *App) commandTable() []tcl.Row {
+	return []tcl.Row{
+		{Name: "bind", Fn: app.cmdBind, Min: 1, Max: 3, Usage: "window ?pattern? ?command?"},
+		{Name: "destroy", Fn: app.cmdDestroy, Max: -1, Usage: "?window ...?"},
+		{Name: "update", Max: 1, Usage: "?idletasks?", Subs: []tcl.Row{
+			{Name: "", Fn: func(*tcl.Interp, []string) (string, error) {
+				app.Update()
+				return "", nil
+			}},
+			{Name: "idletasks", Fn: func(*tcl.Interp, []string) (string, error) {
+				app.UpdateIdleTasks()
+				return "", nil
+			}},
+		}},
+		{Name: "after", Fn: app.cmdAfter, Min: 1, Max: -1, Usage: "option ?arg ...?", Subs: []tcl.Row{
+			{Name: "cancel", Fn: app.afterCancel, Min: 1, Max: 1, Usage: "id"},
+			{Name: "idle", Fn: app.afterIdle, Min: 1, Max: -1, Usage: "script ?script ...?"},
+		}},
+		{Name: "focus", Fn: app.cmdFocus, Max: 1, Usage: "?window?"},
+		{Name: "option", Min: 1, Max: -1, Usage: "cmd ?arg ...?", Subs: []tcl.Row{
+			{Name: "add", Fn: app.optionAdd, Min: 2, Max: 3, Usage: "pattern value ?priority?"},
+			{Name: "clear", Fn: func(*tcl.Interp, []string) (string, error) {
+				app.options.Clear()
+				return "", nil
+			}},
+			{Name: "get", Fn: app.onWindow(func(w *Window, args []string) (string, error) {
+				return app.GetOption(w, args[3], args[4]), nil
+			}), Min: 3, Max: 3, Usage: "window name class"},
+			{Name: "readfile", Fn: app.optionReadfile, Min: 1, Max: 2, Usage: "fileName ?priority?"},
+			{Name: "readstring", Fn: app.optionReadstring, Min: 1, Max: 2, Usage: "text ?priority?"},
+		}},
+		{Name: "selection", Min: 1, Max: -1, Usage: "option ?arg ...?", Subs: []tcl.Row{
+			{Name: "clear", Fn: func(*tcl.Interp, []string) (string, error) {
+				if app.selOwner != nil {
+					app.ClearSelection(app.selOwner)
+				}
+				return "", nil
+			}},
+			{Name: "get", Fn: func(*tcl.Interp, []string) (string, error) { return app.GetSelection() }},
+			{Name: "handle", Fn: app.selectionHandle, Min: 2, Max: 2, Usage: "window command"},
+			{Name: "own", Fn: app.selectionOwn, Max: 1, Usage: "?window?"},
+		}},
+		{Name: "send", Fn: app.cmdSend, Min: 2, Max: -1, Usage: "appName command ?arg ...?"},
+		{Name: "winfo", Min: 1, Max: -1, Usage: "option ?arg ...?", Subs: app.winfoTable()},
+		{Name: "wm", Min: 2, Max: 3, Usage: "option window ?arg?", Subs: []tcl.Row{
+			{Name: "deiconify", Fn: app.onWindow(func(w *Window, _ []string) (string, error) {
+				w.withdrawn = false
+				w.Map()
+				return "", nil
+			}), Min: 1, Max: 1, Usage: "window"},
+			{Name: "geometry", Fn: app.onWindow(app.wmGeometry), Min: 1, Max: 2, Usage: "window ?newGeometry?"},
+			{Name: "title", Fn: app.onWindow(app.wmTitle), Min: 1, Max: 2, Usage: "window ?newTitle?"},
+			{Name: "withdraw", Fn: app.onWindow(func(w *Window, _ []string) (string, error) {
+				w.withdrawn = true
+				w.Unmap()
+				return "", nil
+			}), Min: 1, Max: 1, Usage: "window"},
+		}},
+		{Name: "raise", Fn: app.cmdRaise, Min: 1, Max: 1, Usage: "window"},
+		{Name: "lower", Fn: app.cmdLower, Min: 1, Max: 1, Usage: "window"},
+		{Name: "bell", Fn: func(*tcl.Interp, []string) (string, error) {
 			app.Disp.Bell()
 			return "", nil
-		},
-		"tkwait":  app.cmdTkwait,
-		"tkstats": app.cmdTkstats,
+		}},
+		{Name: "tkwait", Min: 2, Max: 2, Usage: "option name", Subs: []tcl.Row{
+			{Name: "variable", Fn: app.tkwaitVariable, Min: 1, Max: 1, Usage: "name"},
+			{Name: "window", Fn: app.tkwaitWindow, Min: 1, Max: 1, Usage: "name"},
+		}},
+		{Name: "tkstats", Min: 1, Max: 2, Usage: "option ?arg?", Subs: app.tkstatsTable()},
+		app.packer.row(),
 	}
 }
 
-// registerCommands installs the intrinsics' Tcl commands: bind, destroy,
-// update, after, focus, option, selection, send, winfo and wm. Together
-// with the widget-creation commands these make "virtually all of the
-// intrinsics accessible from Tcl" (§3).
-func registerCommands(app *App) {
-	for name, fn := range app.commandTable() {
-		app.Interp.Register(name, fn)
-	}
-}
-
-// CommandNames returns, sorted, the Tcl command names the Tk intrinsics
-// register in every application's interpreter (including "pack", which
-// the geometry manager registers separately). It needs no display
-// connection and exists so tools such as cmd/tkcheck can introspect the
+// Commands returns the rows of the Tcl commands the Tk intrinsics
+// register in every application's interpreter. It needs no display
+// connection and exists so tools such as cmd/tkcheck can read the
 // command set statically.
-func CommandNames() []string {
+func Commands() []tcl.Row {
 	var app App
-	table := app.commandTable()
-	names := make([]string, 0, len(table)+1)
-	for name := range table {
-		names = append(names, name)
+	return app.commandTable()
+}
+
+// CommandNames returns, sorted, the names of the Commands rows.
+func CommandNames() []string {
+	var names []string
+	for _, c := range Commands() {
+		names = append(names, c.Name)
 	}
-	names = append(names, "pack")
 	sort.Strings(names)
 	return names
 }
 
-func (app *App) cmdBind(in *tcl.Interp, args []string) (string, error) {
-	if len(args) < 2 || len(args) > 4 {
-		return "", fmt.Errorf(`wrong # args: should be "bind window ?pattern? ?command?"`)
+// onWindow returns the procedure of a subcommand whose first argument
+// names a window, which runs fn on that window.
+func (app *App) onWindow(fn func(w *Window, args []string) (string, error)) tcl.CmdFunc {
+	return func(_ *tcl.Interp, args []string) (string, error) {
+		w, err := app.NameToWindow(args[2])
+		if err != nil {
+			return "", err
+		}
+		return fn(w, args)
 	}
+}
+
+func (app *App) cmdBind(in *tcl.Interp, args []string) (string, error) {
 	w, err := app.NameToWindow(args[1])
 	if err != nil {
 		return "", err
@@ -95,41 +147,9 @@ func (app *App) cmdDestroy(in *tcl.Interp, args []string) (string, error) {
 	return "", nil
 }
 
-func (app *App) cmdUpdate(in *tcl.Interp, args []string) (string, error) {
-	if len(args) == 2 && args[1] == "idletasks" {
-		app.UpdateIdleTasks()
-		return "", nil
-	}
-	app.Update()
-	return "", nil
-}
-
-// cmdAfter implements: after ms ?command ...?; after cancel id;
-// after idle command.
+// cmdAfter implements "after ms ?script ...?", the form whose first
+// argument is not a subcommand.
 func (app *App) cmdAfter(in *tcl.Interp, args []string) (string, error) {
-	if len(args) < 2 {
-		return "", fmt.Errorf(`wrong # args: should be "after ms|cancel|idle ?arg ...?"`)
-	}
-	switch args[1] {
-	case "cancel":
-		if len(args) != 3 {
-			return "", fmt.Errorf(`wrong # args: should be "after cancel id"`)
-		}
-		id, err := strconv.Atoi(strings.TrimPrefix(args[2], "after#"))
-		if err != nil {
-			return "", fmt.Errorf("bad after id %q", args[2])
-		}
-		app.DeleteTimerHandler(id)
-		return "", nil
-	case "idle":
-		script := strings.Join(args[2:], " ")
-		app.DoWhenIdle(func() {
-			if _, err := in.GlobalEval(script); err != nil {
-				app.BackgroundError("after idle script", err)
-			}
-		})
-		return "", nil
-	}
 	ms, err := strconv.Atoi(args[1])
 	if err != nil || ms < 0 {
 		return "", fmt.Errorf("bad milliseconds value %q", args[1])
@@ -151,6 +171,25 @@ func (app *App) cmdAfter(in *tcl.Interp, args []string) (string, error) {
 	return fmt.Sprintf("after#%d", id), nil
 }
 
+func (app *App) afterCancel(_ *tcl.Interp, args []string) (string, error) {
+	id, err := strconv.Atoi(strings.TrimPrefix(args[2], "after#"))
+	if err != nil {
+		return "", fmt.Errorf("bad after id %q", args[2])
+	}
+	app.DeleteTimerHandler(id)
+	return "", nil
+}
+
+func (app *App) afterIdle(in *tcl.Interp, args []string) (string, error) {
+	script := strings.Join(args[2:], " ")
+	app.DoWhenIdle(func() {
+		if _, err := in.GlobalEval(script); err != nil {
+			app.BackgroundError("after idle script", err)
+		}
+	})
+	return "", nil
+}
+
 // cmdFocus implements the focus command (§3.7): query or assign the
 // keyboard focus within the application.
 func (app *App) cmdFocus(in *tcl.Interp, args []string) (string, error) {
@@ -163,9 +202,6 @@ func (app *App) cmdFocus(in *tcl.Interp, args []string) (string, error) {
 			return w.Path, nil
 		}
 		return "none", nil
-	}
-	if len(args) != 2 {
-		return "", fmt.Errorf(`wrong # args: should be "focus ?window?"`)
 	}
 	if args[1] == "none" {
 		app.Disp.SetInputFocus(xproto.None)
@@ -180,58 +216,35 @@ func (app *App) cmdFocus(in *tcl.Interp, args []string) (string, error) {
 	return "", nil
 }
 
-func (app *App) cmdOption(in *tcl.Interp, args []string) (string, error) {
-	if len(args) < 2 {
-		return "", fmt.Errorf(`wrong # args: should be "option add|clear|get|readstring ..."`)
+func (app *App) optionAdd(_ *tcl.Interp, args []string) (string, error) {
+	p, err := optionPriority(args, 4, PrioInteractive)
+	if err != nil {
+		return "", err
 	}
-	switch args[1] {
-	case "add":
-		if len(args) < 4 || len(args) > 5 {
-			return "", fmt.Errorf(`wrong # args: should be "option add pattern value ?priority?"`)
-		}
-		p, err := optionPriority(args, 4, PrioInteractive)
-		if err != nil {
-			return "", err
-		}
-		return "", app.AddOption(args[2], args[3], p)
-	case "clear":
-		app.options.Clear()
-		return "", nil
-	case "get":
-		if len(args) != 5 {
-			return "", fmt.Errorf(`wrong # args: should be "option get window name class"`)
-		}
-		w, err := app.NameToWindow(args[2])
-		if err != nil {
-			return "", err
-		}
-		return app.GetOption(w, args[3], args[4]), nil
-	case "readstring":
-		// The string form of readfile, used by tests and wish.
-		if len(args) < 3 || len(args) > 4 {
-			return "", fmt.Errorf(`wrong # args: should be "option readstring text ?priority?"`)
-		}
-		p, err := optionPriority(args, 3, PrioStartupFile)
-		if err != nil {
-			return "", err
-		}
-		return "", app.options.ReadString(args[2], p)
-	case "readfile":
-		// Load a .Xdefaults-format file (§3.5).
-		if len(args) < 3 || len(args) > 4 {
-			return "", fmt.Errorf(`wrong # args: should be "option readfile fileName ?priority?"`)
-		}
-		p, err := optionPriority(args, 3, PrioStartupFile)
-		if err != nil {
-			return "", err
-		}
-		data, err := os.ReadFile(args[2])
-		if err != nil {
-			return "", fmt.Errorf("couldn't read %q: %v", args[2], err)
-		}
-		return "", app.options.ReadString(string(data), p)
+	return "", app.AddOption(args[2], args[3], p)
+}
+
+// optionReadstring is the string form of readfile, used by tests and
+// wish.
+func (app *App) optionReadstring(_ *tcl.Interp, args []string) (string, error) {
+	p, err := optionPriority(args, 3, PrioStartupFile)
+	if err != nil {
+		return "", err
 	}
-	return "", fmt.Errorf("bad option %q: should be add, clear, get, readfile, or readstring", args[1])
+	return "", app.options.ReadString(args[2], p)
+}
+
+// optionReadfile loads a .Xdefaults-format file (§3.5).
+func (app *App) optionReadfile(_ *tcl.Interp, args []string) (string, error) {
+	p, err := optionPriority(args, 3, PrioStartupFile)
+	if err != nil {
+		return "", err
+	}
+	data, err := os.ReadFile(args[2])
+	if err != nil {
+		return "", fmt.Errorf("couldn't read %q: %v", args[2], err)
+	}
+	return "", app.options.ReadString(string(data), p)
 }
 
 // optionPriority reads the optional priority argument args[i] of an
@@ -259,59 +272,41 @@ func optionPriority(args []string, i, def int) (int, error) {
 	return n, nil
 }
 
-func (app *App) cmdSelection(in *tcl.Interp, args []string) (string, error) {
-	if len(args) < 2 {
-		return "", fmt.Errorf(`wrong # args: should be "selection get|own|handle|clear ?arg ...?"`)
-	}
-	switch args[1] {
-	case "get":
-		return app.GetSelection()
-	case "own":
-		if len(args) == 2 {
-			if app.selOwner != nil {
-				return app.selOwner.Path, nil
-			}
-			return "", nil
-		}
-		w, err := app.NameToWindow(args[2])
-		if err != nil {
-			return "", err
-		}
-		app.OwnSelection(w, nil)
-		return "", nil
-	case "handle":
-		if len(args) != 4 {
-			return "", fmt.Errorf(`wrong # args: should be "selection handle window command"`)
-		}
-		w, err := app.NameToWindow(args[2])
-		if err != nil {
-			return "", err
-		}
-		script := args[3]
-		app.SetSelectionHandler(w, func() string {
-			res, err := in.GlobalEval(script)
-			if err != nil {
-				app.BackgroundError("selection handler", err)
-				return ""
-			}
-			return res
-		})
-		return "", nil
-	case "clear":
+func (app *App) selectionOwn(_ *tcl.Interp, args []string) (string, error) {
+	if len(args) == 2 {
 		if app.selOwner != nil {
-			app.ClearSelection(app.selOwner)
+			return app.selOwner.Path, nil
 		}
 		return "", nil
 	}
-	return "", fmt.Errorf("bad option %q: should be clear, get, handle, or own", args[1])
+	w, err := app.NameToWindow(args[2])
+	if err != nil {
+		return "", err
+	}
+	app.OwnSelection(w, nil)
+	return "", nil
+}
+
+func (app *App) selectionHandle(in *tcl.Interp, args []string) (string, error) {
+	w, err := app.NameToWindow(args[2])
+	if err != nil {
+		return "", err
+	}
+	script := args[3]
+	app.SetSelectionHandler(w, func() string {
+		res, err := in.GlobalEval(script)
+		if err != nil {
+			app.BackgroundError("selection handler", err)
+			return ""
+		}
+		return res
+	})
+	return "", nil
 }
 
 // cmdSend implements §6: "send takes two arguments: the name of an
 // application and a Tcl command".
 func (app *App) cmdSend(in *tcl.Interp, args []string) (string, error) {
-	if len(args) < 3 {
-		return "", fmt.Errorf(`wrong # args: should be "send appName command ?arg ...?"`)
-	}
 	script := args[2]
 	if len(args) > 3 {
 		script = strings.Join(args[2:], " ")
@@ -319,170 +314,142 @@ func (app *App) cmdSend(in *tcl.Interp, args []string) (string, error) {
 	return app.Send(args[1], script)
 }
 
-func (app *App) cmdWinfo(in *tcl.Interp, args []string) (string, error) {
-	if len(args) < 2 {
-		return "", fmt.Errorf(`wrong # args: should be "winfo option ?window?"`)
+// winfoTable returns the rows of winfo's subcommands.
+func (app *App) winfoTable() []tcl.Row {
+	// of is the row of a subcommand that reports on one window.
+	of := func(name string, fn func(w *Window) string) tcl.Row {
+		return tcl.Row{Name: name, Min: 1, Max: 1, Usage: "window", Fn: app.onWindow(func(w *Window, _ []string) (string, error) {
+			return fn(w), nil
+		})}
 	}
-	op := args[1]
-	if op == "interps" {
-		names := app.Interps()
-		sort.Strings(names)
-		return tcl.FormatList(names), nil
-	}
-	if op == "containing" {
-		// winfo containing rootX rootY — answered from the cached
-		// structure information (§3.3), no server round trip.
-		if len(args) != 4 {
-			return "", fmt.Errorf(`wrong # args: should be "winfo containing rootX rootY"`)
-		}
-		x, err1 := strconv.Atoi(args[2])
-		y, err2 := strconv.Atoi(args[3])
-		if err1 != nil || err2 != nil {
-			return "", fmt.Errorf("expected integer coordinates")
-		}
-		if found := app.windowContaining(x, y); found != nil {
-			return found.Path, nil
-		}
-		return "", nil
-	}
-	if len(args) != 3 {
-		return "", fmt.Errorf(`wrong # args: should be "winfo %s window"`, op)
-	}
-	path := args[2]
-	if op == "exists" {
-		if app.WindowExists(path) {
-			return "1", nil
-		}
-		return "0", nil
-	}
-	w, err := app.NameToWindow(path)
-	if err != nil {
-		return "", err
-	}
-	switch op {
-	case "name":
-		if w.Path == "." {
-			return app.Name, nil
-		}
-		return w.Name, nil
-	case "class":
-		return w.Class, nil
-	case "children":
-		var out []string
-		for _, ch := range w.Children {
-			out = append(out, ch.Path)
-		}
-		return tcl.FormatList(out), nil
-	case "parent":
-		if w.Parent == nil {
-			return "", nil
-		}
-		return w.Parent.Path, nil
-	case "width":
-		return strconv.Itoa(w.Width), nil
-	case "height":
-		return strconv.Itoa(w.Height), nil
-	case "reqwidth":
-		return strconv.Itoa(w.ReqWidth), nil
-	case "reqheight":
-		return strconv.Itoa(w.ReqHeight), nil
-	case "x":
-		return strconv.Itoa(w.X), nil
-	case "y":
-		return strconv.Itoa(w.Y), nil
-	case "rootx":
-		x, _ := w.RootCoords()
-		return strconv.Itoa(x), nil
-	case "rooty":
-		_, y := w.RootCoords()
-		return strconv.Itoa(y), nil
-	case "ismapped":
-		if w.Mapped {
-			return "1", nil
-		}
-		return "0", nil
-	case "geometry":
-		return fmt.Sprintf("%dx%d+%d+%d", w.Width, w.Height, w.X, w.Y), nil
-	case "toplevel":
-		for cur := w; cur != nil; cur = cur.Parent {
-			if cur.TopLevel {
-				return cur.Path, nil
+	itoa := strconv.Itoa
+	return []tcl.Row{
+		of("children", func(w *Window) string {
+			var out []string
+			for _, ch := range w.Children {
+				out = append(out, ch.Path)
 			}
-		}
-		return ".", nil
-	case "id":
-		w.MakeExist()
-		return strconv.FormatUint(uint64(w.XID), 10), nil
-	case "manager":
-		if w.Manager != nil {
-			return w.Manager.Name(), nil
-		}
-		return "", nil
-	case "screenwidth":
-		return strconv.Itoa(app.Disp.Width), nil
-	case "screenheight":
-		return strconv.Itoa(app.Disp.Height), nil
+			return tcl.FormatList(out)
+		}),
+		of("class", func(w *Window) string { return w.Class }),
+		// winfo containing is answered from the cached structure
+		// information (§3.3), with no server round trip.
+		{Name: "containing", Fn: app.winfoContaining, Min: 2, Max: 2, Usage: "rootX rootY"},
+		{Name: "exists", Fn: func(_ *tcl.Interp, args []string) (string, error) {
+			if app.WindowExists(args[2]) {
+				return "1", nil
+			}
+			return "0", nil
+		}, Min: 1, Max: 1, Usage: "window"},
+		of("geometry", func(w *Window) string { return fmt.Sprintf("%dx%d+%d+%d", w.Width, w.Height, w.X, w.Y) }),
+		of("height", func(w *Window) string { return itoa(w.Height) }),
+		of("id", func(w *Window) string {
+			w.MakeExist()
+			return strconv.FormatUint(uint64(w.XID), 10)
+		}),
+		{Name: "interps", Fn: func(*tcl.Interp, []string) (string, error) {
+			names := app.Interps()
+			sort.Strings(names)
+			return tcl.FormatList(names), nil
+		}},
+		of("ismapped", func(w *Window) string {
+			if w.Mapped {
+				return "1"
+			}
+			return "0"
+		}),
+		of("manager", func(w *Window) string {
+			if w.Manager != nil {
+				return w.Manager.Name()
+			}
+			return ""
+		}),
+		of("name", func(w *Window) string {
+			if w.Path == "." {
+				return app.Name
+			}
+			return w.Name
+		}),
+		of("parent", func(w *Window) string {
+			if w.Parent == nil {
+				return ""
+			}
+			return w.Parent.Path
+		}),
+		of("reqheight", func(w *Window) string { return itoa(w.ReqHeight) }),
+		of("reqwidth", func(w *Window) string { return itoa(w.ReqWidth) }),
+		of("rootx", func(w *Window) string {
+			x, _ := w.RootCoords()
+			return itoa(x)
+		}),
+		of("rooty", func(w *Window) string {
+			_, y := w.RootCoords()
+			return itoa(y)
+		}),
+		of("screenheight", func(*Window) string { return itoa(app.Disp.Height) }),
+		of("screenwidth", func(*Window) string { return itoa(app.Disp.Width) }),
+		of("toplevel", func(w *Window) string {
+			for cur := w; cur != nil; cur = cur.Parent {
+				if cur.TopLevel {
+					return cur.Path
+				}
+			}
+			return "."
+		}),
+		of("width", func(w *Window) string { return itoa(w.Width) }),
+		of("x", func(w *Window) string { return itoa(w.X) }),
+		of("y", func(w *Window) string { return itoa(w.Y) }),
 	}
-	return "", fmt.Errorf("bad option %q to winfo", op)
 }
 
-// cmdWm is a minimal window-manager interface: title, geometry, withdraw
-// and deiconify (the simulated server's built-in WM honors WM_NAME for
-// its title bars).
-func (app *App) cmdWm(in *tcl.Interp, args []string) (string, error) {
-	if len(args) < 3 {
-		return "", fmt.Errorf(`wrong # args: should be "wm option window ?arg?"`)
+func (app *App) winfoContaining(_ *tcl.Interp, args []string) (string, error) {
+	x, err1 := strconv.Atoi(args[2])
+	y, err2 := strconv.Atoi(args[3])
+	if err1 != nil || err2 != nil {
+		return "", fmt.Errorf("expected integer coordinates")
 	}
-	w, err := app.NameToWindow(args[2])
-	if err != nil {
-		return "", err
+	if found := app.windowContaining(x, y); found != nil {
+		return found.Path, nil
 	}
-	switch args[1] {
-	case "title":
-		w.MakeExist()
-		if len(args) == 3 {
-			rep, err := app.Disp.GetProperty(w.XID, xproto.AtomWMName, false)
-			if err != nil {
-				return "", err
-			}
-			return string(rep.Data), nil
+	return "", nil
+}
+
+// wmTitle queries or sets the title the simulated server's built-in
+// window manager shows from WM_NAME.
+func (app *App) wmTitle(w *Window, args []string) (string, error) {
+	w.MakeExist()
+	if len(args) == 3 {
+		rep, err := app.Disp.GetProperty(w.XID, xproto.AtomWMName, false)
+		if err != nil {
+			return "", err
 		}
-		app.Disp.ChangeProperty(w.XID, xproto.AtomWMName, xproto.AtomString, []byte(args[3]))
-		return "", nil
-	case "geometry":
-		if len(args) == 3 {
-			return fmt.Sprintf("%dx%d+%d+%d", w.Width, w.Height, w.X, w.Y), nil
-		}
-		var wd, ht, x, y int
-		if n, _ := fmt.Sscanf(args[3], "%dx%d+%d+%d", &wd, &ht, &x, &y); n == 4 {
-			app.resizeWindow(w, x, y, wd, ht, true)
-			return "", nil
-		}
-		if n, _ := fmt.Sscanf(args[3], "%dx%d", &wd, &ht); n == 2 {
-			app.resizeWindow(w, w.X, w.Y, wd, ht, false)
-			return "", nil
-		}
-		if n, _ := fmt.Sscanf(args[3], "+%d+%d", &x, &y); n == 2 {
-			app.resizeWindow(w, x, y, w.Width, w.Height, true)
-			return "", nil
-		}
-		return "", fmt.Errorf("bad geometry specifier %q", args[3])
-	case "withdraw":
-		w.withdrawn = true
-		w.Unmap()
-		return "", nil
-	case "deiconify":
-		w.withdrawn = false
-		w.Map()
+		return string(rep.Data), nil
+	}
+	app.Disp.ChangeProperty(w.XID, xproto.AtomWMName, xproto.AtomString, []byte(args[3]))
+	return "", nil
+}
+
+func (app *App) wmGeometry(w *Window, args []string) (string, error) {
+	if len(args) == 3 {
+		return fmt.Sprintf("%dx%d+%d+%d", w.Width, w.Height, w.X, w.Y), nil
+	}
+	var wd, ht, x, y int
+	if n, _ := fmt.Sscanf(args[3], "%dx%d+%d+%d", &wd, &ht, &x, &y); n == 4 {
+		app.resizeWindow(w, x, y, wd, ht, true)
 		return "", nil
 	}
-	return "", fmt.Errorf("bad option %q to wm", args[1])
+	if n, _ := fmt.Sscanf(args[3], "%dx%d", &wd, &ht); n == 2 {
+		app.resizeWindow(w, w.X, w.Y, wd, ht, false)
+		return "", nil
+	}
+	if n, _ := fmt.Sscanf(args[3], "+%d+%d", &x, &y); n == 2 {
+		app.resizeWindow(w, x, y, w.Width, w.Height, true)
+		return "", nil
+	}
+	return "", fmt.Errorf("bad geometry specifier %q", args[3])
 }
 
 func (app *App) cmdRaise(in *tcl.Interp, args []string) (string, error) {
-	if len(args) != 2 {
-		return "", fmt.Errorf(`wrong # args: should be "raise window"`)
-	}
 	w, err := app.NameToWindow(args[1])
 	if err != nil {
 		return "", err
@@ -493,9 +460,6 @@ func (app *App) cmdRaise(in *tcl.Interp, args []string) (string, error) {
 }
 
 func (app *App) cmdLower(in *tcl.Interp, args []string) (string, error) {
-	if len(args) != 2 {
-		return "", fmt.Errorf(`wrong # args: should be "lower window"`)
-	}
 	w, err := app.NameToWindow(args[1])
 	if err != nil {
 		return "", err
@@ -505,27 +469,23 @@ func (app *App) cmdLower(in *tcl.Interp, args []string) (string, error) {
 	return "", nil
 }
 
-// cmdTkwait blocks, processing events, until a variable is written or a
-// window is destroyed.
-func (app *App) cmdTkwait(in *tcl.Interp, args []string) (string, error) {
-	if len(args) != 3 {
-		return "", fmt.Errorf(`wrong # args: should be "tkwait variable|window name"`)
+// tkwaitVariable blocks, processing events, until a global variable
+// is written.
+func (app *App) tkwaitVariable(in *tcl.Interp, args []string) (string, error) {
+	done := false
+	in.TraceGlobal(args[2], "w", func(*tcl.Interp, string, string, string) {
+		done = true
+	})
+	for !done && !app.Quitting() {
+		app.pumpOnce()
 	}
-	switch args[1] {
-	case "variable":
-		done := false
-		in.TraceGlobal(args[2], "w", func(*tcl.Interp, string, string, string) {
-			done = true
-		})
-		for !done && !app.Quitting() {
-			app.pumpOnce()
-		}
-		return "", nil
-	case "window":
-		for app.WindowExists(args[2]) && !app.Quitting() {
-			app.pumpOnce()
-		}
-		return "", nil
+	return "", nil
+}
+
+// tkwaitWindow blocks, processing events, until a window is destroyed.
+func (app *App) tkwaitWindow(_ *tcl.Interp, args []string) (string, error) {
+	for app.WindowExists(args[2]) && !app.Quitting() {
+		app.pumpOnce()
 	}
-	return "", fmt.Errorf("bad option %q: should be variable or window", args[1])
+	return "", nil
 }

@@ -49,15 +49,27 @@ type Packer struct {
 	noPropagate map[*Window]bool
 }
 
-func registerPacker(app *App) {
-	p := &Packer{
+func newPacker(app *App) *Packer {
+	return &Packer{
 		app:         app,
 		masters:     make(map[*Window][]*packSlave),
 		pending:     make(map[*Window]bool),
 		noPropagate: make(map[*Window]bool),
 	}
-	app.packer = p
-	app.Interp.Register("pack", p.packCmd)
+}
+
+// row returns the pack command's row, its procedures bound to p.
+func (p *Packer) row() tcl.Row {
+	return tcl.Row{Name: "pack", Min: 1, Max: -1, Usage: "option arg ?arg ...?", Subs: []tcl.Row{
+		{Name: "after", Fn: p.packBeside, Min: 2, Max: -1, Usage: "sibling window options ?window options ...?"},
+		{Name: "append", Fn: p.packAppend, Min: 2, Max: -1, Usage: "parent window options ?window options ...?"},
+		{Name: "before", Fn: p.packBeside, Min: 2, Max: -1, Usage: "sibling window options ?window options ...?"},
+		{Name: "forget", Fn: p.packForget, Min: 1, Max: 1, Usage: "window"},
+		{Name: "info", Fn: p.packInfo, Min: 1, Max: 1, Usage: "parent"},
+		{Name: "propagate", Fn: p.packPropagate, Min: 1, Max: 2, Usage: "parent ?boolean?"},
+		{Name: "slaves", Fn: p.packSlaves, Min: 1, Max: 1, Usage: "parent"},
+		{Name: "unpack", Fn: p.packForget, Min: 1, Max: 1, Usage: "window"},
+	}}
 }
 
 // packerFor returns the packer if it manages slaves inside w.
@@ -215,153 +227,139 @@ func (s *packSlave) optionString() string {
 	return strings.Join(parts, " ")
 }
 
-// packCmd implements the pack Tcl command.
-func (p *Packer) packCmd(in *tcl.Interp, args []string) (string, error) {
-	if len(args) < 2 {
-		return "", fmt.Errorf(`wrong # args: should be "pack option arg ?arg ...?"`)
+func (p *Packer) packAppend(_ *tcl.Interp, args []string) (string, error) {
+	master, err := p.app.NameToWindow(args[2])
+	if err != nil {
+		return "", err
 	}
-	switch args[1] {
-	case "append":
-		if len(args) < 3 {
-			return "", fmt.Errorf(`wrong # args: should be "pack append parent window options ..."`)
-		}
-		master, err := p.app.NameToWindow(args[2])
-		if err != nil {
-			return "", err
-		}
-		rest := args[3:]
-		if len(rest)%2 != 0 {
-			return "", fmt.Errorf("each window must be followed by an option list")
-		}
-		for i := 0; i < len(rest); i += 2 {
-			win, err := p.app.NameToWindow(rest[i])
-			if err != nil {
-				return "", err
-			}
-			if win.Parent != master {
-				return "", fmt.Errorf("can't pack %s inside %s: not its parent", rest[i], args[2])
-			}
-			slave, err := parseOptions(rest[i+1])
-			if err != nil {
-				return "", err
-			}
-			slave.win = win
-			p.addSlave(master, slave)
-		}
-		return "", nil
-	case "before", "after":
-		// Old-style ordering: insert windows into the sibling's master
-		// relative to an already-packed window.
-		if len(args) < 4 {
-			return "", fmt.Errorf(`wrong # args: should be "pack %s sibling window options ..."`, args[1])
-		}
-		sibling, err := p.app.NameToWindow(args[2])
-		if err != nil {
-			return "", err
-		}
-		master := sibling.Parent
-		if master == nil || sibling.Manager != p {
-			return "", fmt.Errorf("window %q isn't packed", args[2])
-		}
-		pos := -1
-		for i, s := range p.masters[master] {
-			if s.win == sibling {
-				pos = i
-				break
-			}
-		}
-		if pos < 0 {
-			return "", fmt.Errorf("window %q isn't packed", args[2])
-		}
-		if args[1] == "after" {
-			pos++
-		}
-		rest := args[3:]
-		if len(rest)%2 != 0 {
-			return "", fmt.Errorf("each window must be followed by an option list")
-		}
-		for i := 0; i < len(rest); i += 2 {
-			win, err := p.app.NameToWindow(rest[i])
-			if err != nil {
-				return "", err
-			}
-			if win.Parent != master {
-				return "", fmt.Errorf("can't pack %s inside %s: not its parent", rest[i], master.Path)
-			}
-			slave, err := parseOptions(rest[i+1])
-			if err != nil {
-				return "", err
-			}
-			slave.win = win
-			p.insertSlave(master, slave, pos)
-			pos++
-		}
-		return "", nil
-	case "unpack", "forget":
-		if len(args) != 3 {
-			return "", fmt.Errorf(`wrong # args: should be "pack %s window"`, args[1])
-		}
-		win, err := p.app.NameToWindow(args[2])
-		if err != nil {
-			return "", err
-		}
-		if win.Manager == p {
-			win.Manager = nil
-			p.LostSlave(win)
-			win.Unmap()
-		}
-		return "", nil
-	case "info":
-		if len(args) != 3 {
-			return "", fmt.Errorf(`wrong # args: should be "pack info parent"`)
-		}
-		master, err := p.app.NameToWindow(args[2])
-		if err != nil {
-			return "", err
-		}
-		var out []string
-		for _, s := range p.masters[master] {
-			out = append(out, s.win.Path, s.optionString())
-		}
-		return tcl.FormatList(out), nil
-	case "slaves":
-		if len(args) != 3 {
-			return "", fmt.Errorf(`wrong # args: should be "pack slaves parent"`)
-		}
-		master, err := p.app.NameToWindow(args[2])
-		if err != nil {
-			return "", err
-		}
-		var out []string
-		for _, s := range p.masters[master] {
-			out = append(out, s.win.Path)
-		}
-		return tcl.FormatList(out), nil
-	case "propagate":
-		if len(args) < 3 || len(args) > 4 {
-			return "", fmt.Errorf(`wrong # args: should be "pack propagate parent ?boolean?"`)
-		}
-		master, err := p.app.NameToWindow(args[2])
-		if err != nil {
-			return "", err
-		}
-		if len(args) == 3 {
-			if p.noPropagate[master] {
-				return "0", nil
-			}
-			return "1", nil
-		}
-		on, err := in.EvalBool(args[3])
-		if err != nil {
-			return "", err
-		}
-		p.noPropagate[master] = !on
-		if on {
-			p.scheduleRepack(master)
-		}
-		return "", nil
+	rest := args[3:]
+	if len(rest)%2 != 0 {
+		return "", fmt.Errorf("each window must be followed by an option list")
 	}
-	return "", fmt.Errorf("bad option %q: should be append, after, before, forget, info, propagate, slaves, or unpack", args[1])
+	for i := 0; i < len(rest); i += 2 {
+		win, err := p.app.NameToWindow(rest[i])
+		if err != nil {
+			return "", err
+		}
+		if win.Parent != master {
+			return "", fmt.Errorf("can't pack %s inside %s: not its parent", rest[i], args[2])
+		}
+		slave, err := parseOptions(rest[i+1])
+		if err != nil {
+			return "", err
+		}
+		slave.win = win
+		p.addSlave(master, slave)
+	}
+	return "", nil
+}
+
+// packBeside implements the old-style ordering of "pack before" and
+// "pack after": it inserts windows into the sibling's master relative
+// to the already-packed sibling.
+func (p *Packer) packBeside(_ *tcl.Interp, args []string) (string, error) {
+	sibling, err := p.app.NameToWindow(args[2])
+	if err != nil {
+		return "", err
+	}
+	master := sibling.Parent
+	if master == nil || sibling.Manager != p {
+		return "", fmt.Errorf("window %q isn't packed", args[2])
+	}
+	pos := -1
+	for i, s := range p.masters[master] {
+		if s.win == sibling {
+			pos = i
+			break
+		}
+	}
+	if pos < 0 {
+		return "", fmt.Errorf("window %q isn't packed", args[2])
+	}
+	if args[1] == "after" {
+		pos++
+	}
+	rest := args[3:]
+	if len(rest)%2 != 0 {
+		return "", fmt.Errorf("each window must be followed by an option list")
+	}
+	for i := 0; i < len(rest); i += 2 {
+		win, err := p.app.NameToWindow(rest[i])
+		if err != nil {
+			return "", err
+		}
+		if win.Parent != master {
+			return "", fmt.Errorf("can't pack %s inside %s: not its parent", rest[i], master.Path)
+		}
+		slave, err := parseOptions(rest[i+1])
+		if err != nil {
+			return "", err
+		}
+		slave.win = win
+		p.insertSlave(master, slave, pos)
+		pos++
+	}
+	return "", nil
+}
+
+// packForget implements "pack forget" and its old name "pack unpack".
+func (p *Packer) packForget(_ *tcl.Interp, args []string) (string, error) {
+	win, err := p.app.NameToWindow(args[2])
+	if err != nil {
+		return "", err
+	}
+	if win.Manager == p {
+		win.Manager = nil
+		p.LostSlave(win)
+		win.Unmap()
+	}
+	return "", nil
+}
+
+func (p *Packer) packInfo(_ *tcl.Interp, args []string) (string, error) {
+	master, err := p.app.NameToWindow(args[2])
+	if err != nil {
+		return "", err
+	}
+	var out []string
+	for _, s := range p.masters[master] {
+		out = append(out, s.win.Path, s.optionString())
+	}
+	return tcl.FormatList(out), nil
+}
+
+func (p *Packer) packSlaves(_ *tcl.Interp, args []string) (string, error) {
+	master, err := p.app.NameToWindow(args[2])
+	if err != nil {
+		return "", err
+	}
+	var out []string
+	for _, s := range p.masters[master] {
+		out = append(out, s.win.Path)
+	}
+	return tcl.FormatList(out), nil
+}
+
+func (p *Packer) packPropagate(in *tcl.Interp, args []string) (string, error) {
+	master, err := p.app.NameToWindow(args[2])
+	if err != nil {
+		return "", err
+	}
+	if len(args) == 3 {
+		if p.noPropagate[master] {
+			return "0", nil
+		}
+		return "1", nil
+	}
+	on, err := in.EvalBool(args[3])
+	if err != nil {
+		return "", err
+	}
+	p.noPropagate[master] = !on
+	if on {
+		p.scheduleRepack(master)
+	}
+	return "", nil
 }
 
 // insertSlave places a slave at a specific position in the packing

@@ -259,9 +259,6 @@ type Config struct {
 	// Name is the application's name for the send registry (argv[0] in
 	// real wish). Uniquified if already taken on the display.
 	Name string
-	// Class is the main window's class (defaults to the capitalized
-	// name).
-	Class string
 	// Interp may be supplied to share an existing interpreter; otherwise
 	// a new one is created.
 	Interp *tcl.Interp
@@ -280,9 +277,6 @@ type Config struct {
 func NewApp(d *xclient.Display, cfg Config) (*App, error) {
 	if cfg.Name == "" {
 		cfg.Name = "tk"
-	}
-	if cfg.Class == "" {
-		cfg.Class = capitalize(cfg.Name)
 	}
 	in := cfg.Interp
 	if in == nil {
@@ -353,7 +347,7 @@ func NewApp(d *xclient.Display, cfg Config) (*App, error) {
 	// The main window "." is a top-level child of the root, made and
 	// mapped at once.
 	main := &Window{
-		App: app, Path: ".", Name: "", Class: cfg.Class, XID: d.NewID(),
+		App: app, Path: ".", Name: "", Class: capitalize(cfg.Name), XID: d.NewID(),
 		Width: 200, Height: 200, ReqWidth: 0, ReqHeight: 0,
 		TopLevel: true, selectedMask: structureMask, background: 0xffffff,
 	}
@@ -368,8 +362,8 @@ func NewApp(d *xclient.Display, cfg Config) (*App, error) {
 		EventMask:        xproto.PropertyChangeMask,
 	})
 
-	registerCommands(app)
-	registerPacker(app)
+	app.packer = newPacker(app)
+	in.Define(app.commandTable()...)
 
 	if err := app.registerName(cfg.Name); err != nil {
 		return nil, err

@@ -101,36 +101,28 @@ func classFor(kind int) string {
 	}
 }
 
-func registerButtons(app *tk.App) {
-	create := func(kind int) tcl.CmdFunc {
-		return func(in *tcl.Interp, args []string) (string, error) {
-			if len(args) < 2 {
-				return "", fmt.Errorf(`wrong # args: should be "%s pathName ?options?"`, args[0])
-			}
-			b, err := newBase(app, args[1], classFor(kind), buttonSpecs[kind].get(), false)
-			if err != nil {
-				return "", err
-			}
-			bt := &Button{base: *b, kind: kind, indicatorSize: 11}
-			bt.win.Widget = bt
-			bt.geomAndExposure()
-			if kind != kindLabel {
-				bt.bindBehaviour()
-			}
-			res, err := bt.install(bt, args[2:])
-			if err != nil {
-				return "", err
-			}
-			if kind == kindCheck || kind == kindRadio {
-				bt.watchVariable()
-			}
-			return res, nil
+// createButton returns the creation command of one kind of button.
+func createButton(app *tk.App, kind int) tcl.CmdFunc {
+	return func(in *tcl.Interp, args []string) (string, error) {
+		b, err := newBase(app, args[1], classFor(kind), buttonSpecs[kind].get(), false)
+		if err != nil {
+			return "", err
 		}
+		bt := &Button{base: *b, kind: kind, indicatorSize: 11}
+		bt.win.Widget = bt
+		bt.geomAndExposure()
+		if kind != kindLabel {
+			bt.bindBehaviour()
+		}
+		res, err := bt.install(bt, args[2:])
+		if err != nil {
+			return "", err
+		}
+		if kind == kindCheck || kind == kindRadio {
+			bt.watchVariable()
+		}
+		return res, nil
 	}
-	app.Interp.Register("label", create(kindLabel))
-	app.Interp.Register("button", create(kindButton))
-	app.Interp.Register("checkbutton", create(kindCheck))
-	app.Interp.Register("radiobutton", create(kindRadio))
 }
 
 // bindBehaviour installs the class behaviour: highlight on enter, sink on

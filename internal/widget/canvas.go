@@ -48,11 +48,8 @@ var canvasSpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-func registerCanvas(app *tk.App) {
-	app.Interp.Register("canvas", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) < 2 {
-			return "", fmt.Errorf(`wrong # args: should be "canvas pathName ?options?"`)
-		}
+func createCanvas(app *tk.App) tcl.CmdFunc {
+	return func(in *tcl.Interp, args []string) (string, error) {
 		b, err := newBase(app, args[1], "Canvas", canvasSpecs.get(), false)
 		if err != nil {
 			return "", err
@@ -62,7 +59,7 @@ func registerCanvas(app *tk.App) {
 		c.geomAndExposure()
 		c.bindBehaviour()
 		return c.install(c, args[2:])
-	})
+	}
 }
 
 // hasTag reports whether the item matches a tag or id spec.

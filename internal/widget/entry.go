@@ -38,11 +38,8 @@ var entrySpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-func registerEntry(app *tk.App) {
-	app.Interp.Register("entry", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) < 2 {
-			return "", fmt.Errorf(`wrong # args: should be "entry pathName ?options?"`)
-		}
+func createEntry(app *tk.App) tcl.CmdFunc {
+	return func(in *tcl.Interp, args []string) (string, error) {
 		b, err := newBase(app, args[1], "Entry", entrySpecs.get(), false)
 		if err != nil {
 			return "", err
@@ -58,7 +55,7 @@ func registerEntry(app *tk.App) {
 		}
 		e.watchVariable()
 		return res, nil
-	})
+	}
 }
 
 // watchVariable links the entry with -textvariable in both directions.

@@ -24,32 +24,27 @@ var frameSpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-func registerFrame(app *tk.App) {
-	create := func(top bool) tcl.CmdFunc {
-		return func(in *tcl.Interp, args []string) (string, error) {
-			if len(args) < 2 {
-				return "", fmt.Errorf(`wrong # args: should be "%s pathName ?options?"`, args[0])
-			}
-			class := "Frame"
-			if top {
-				class = "Toplevel"
-			}
-			b, err := newBase(app, args[1], class, frameSpecs.get(), top)
-			if err != nil {
-				return "", err
-			}
-			f := &Frame{base: *b}
-			f.win.Widget = f
-			f.geomAndExposure()
-			path, err := f.install(f, args[2:])
-			if err == nil && top {
-				app.DoWhenIdle(f.mapFrame)
-			}
-			return path, err
+// createFrame returns the creation command of frames, or with top set,
+// of top-level windows.
+func createFrame(app *tk.App, top bool) tcl.CmdFunc {
+	return func(in *tcl.Interp, args []string) (string, error) {
+		class := "Frame"
+		if top {
+			class = "Toplevel"
 		}
+		b, err := newBase(app, args[1], class, frameSpecs.get(), top)
+		if err != nil {
+			return "", err
+		}
+		f := &Frame{base: *b}
+		f.win.Widget = f
+		f.geomAndExposure()
+		path, err := f.install(f, args[2:])
+		if err == nil && top {
+			app.DoWhenIdle(f.mapFrame)
+		}
+		return path, err
 	}
-	app.Interp.Register("frame", create(false))
-	app.Interp.Register("toplevel", create(true))
 }
 
 // recompute implements subcommander.

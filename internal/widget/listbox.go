@@ -37,11 +37,8 @@ var listboxSpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-func registerListbox(app *tk.App) {
-	app.Interp.Register("listbox", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) < 2 {
-			return "", fmt.Errorf(`wrong # args: should be "listbox pathName ?options?"`)
-		}
+func createListbox(app *tk.App) tcl.CmdFunc {
+	return func(in *tcl.Interp, args []string) (string, error) {
 		b, err := newBase(app, args[1], "Listbox", listboxSpecs.get(), false)
 		if err != nil {
 			return "", err
@@ -63,7 +60,7 @@ func registerListbox(app *tk.App) {
 			return strings.Join(lb.SelectedItems(), "\n")
 		})
 		return lb.install(lb, args[2:])
-	})
+	}
 }
 
 // linesVisible returns how many items fit in the window.

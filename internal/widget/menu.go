@@ -46,11 +46,8 @@ var menuSpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-func registerMenu(app *tk.App) {
-	app.Interp.Register("menu", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) < 2 {
-			return "", fmt.Errorf(`wrong # args: should be "menu pathName ?options?"`)
-		}
+func createMenu(app *tk.App) tcl.CmdFunc {
+	return func(in *tcl.Interp, args []string) (string, error) {
 		b, err := newBase(app, args[1], "Menu", menuSpecs.get(), true)
 		if err != nil {
 			return "", err
@@ -62,8 +59,7 @@ func registerMenu(app *tk.App) {
 		// Menus are override-redirect: no WM decoration.
 		m.win.SetOverrideRedirect(true)
 		return m.install(m, args[2:])
-	})
-	registerMenubutton(app)
+	}
 }
 
 const menuEntryPad = 3
@@ -330,11 +326,8 @@ var menubuttonSpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-func registerMenubutton(app *tk.App) {
-	app.Interp.Register("menubutton", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) < 2 {
-			return "", fmt.Errorf(`wrong # args: should be "menubutton pathName ?options?"`)
-		}
+func createMenubutton(app *tk.App) tcl.CmdFunc {
+	return func(in *tcl.Interp, args []string) (string, error) {
 		b, err := newBase(app, args[1], "Menubutton", menubuttonSpecs.get(), false)
 		if err != nil {
 			return "", err
@@ -344,7 +337,7 @@ func registerMenubutton(app *tk.App) {
 		mb.geomAndExposure()
 		mb.bindBehaviour()
 		return mb.install(mb, args[2:])
-	})
+	}
 }
 
 // menu resolves the associated Menu widget.

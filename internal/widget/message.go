@@ -28,11 +28,8 @@ var messageSpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-func registerMessage(app *tk.App) {
-	app.Interp.Register("message", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) < 2 {
-			return "", fmt.Errorf(`wrong # args: should be "message pathName ?options?"`)
-		}
+func createMessage(app *tk.App) tcl.CmdFunc {
+	return func(in *tcl.Interp, args []string) (string, error) {
 		b, err := newBase(app, args[1], "Message", messageSpecs.get(), false)
 		if err != nil {
 			return "", err
@@ -41,7 +38,7 @@ func registerMessage(app *tk.App) {
 		m.win.Widget = m
 		m.geomAndExposure()
 		return m.install(m, args[2:])
-	})
+	}
 }
 
 // wrap breaks text into lines no wider than maxWidth pixels, honouring

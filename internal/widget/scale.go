@@ -34,11 +34,8 @@ var scaleSpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-func registerScale(app *tk.App) {
-	app.Interp.Register("scale", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) < 2 {
-			return "", fmt.Errorf(`wrong # args: should be "scale pathName ?options?"`)
-		}
+func createScale(app *tk.App) tcl.CmdFunc {
+	return func(in *tcl.Interp, args []string) (string, error) {
 		b, err := newBase(app, args[1], "Scale", scaleSpecs.get(), false)
 		if err != nil {
 			return "", err
@@ -48,7 +45,7 @@ func registerScale(app *tk.App) {
 		s.geomAndExposure()
 		s.bindBehaviour()
 		return s.install(s, args[2:])
-	})
+	}
 }
 
 func (s *Scale) horizontal() bool { return s.cv.Get("-orient") != "vertical" }

@@ -44,11 +44,8 @@ var scrollbarSpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-func registerScrollbar(app *tk.App) {
-	app.Interp.Register("scrollbar", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) < 2 {
-			return "", fmt.Errorf(`wrong # args: should be "scrollbar pathName ?options?"`)
-		}
+func createScrollbar(app *tk.App) tcl.CmdFunc {
+	return func(in *tcl.Interp, args []string) (string, error) {
 		b, err := newBase(app, args[1], "Scrollbar", scrollbarSpecs.get(), false)
 		if err != nil {
 			return "", err
@@ -58,7 +55,7 @@ func registerScrollbar(app *tk.App) {
 		sb.geomAndExposure()
 		sb.bindBehaviour()
 		return sb.install(sb, args[2:])
-	})
+	}
 }
 
 func (sb *Scrollbar) vertical() bool { return sb.cv.Get("-orient") != "horizontal" }

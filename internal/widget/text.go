@@ -74,11 +74,8 @@ var textSpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-func registerText(app *tk.App) {
-	app.Interp.Register("text", func(in *tcl.Interp, args []string) (string, error) {
-		if len(args) < 2 {
-			return "", fmt.Errorf(`wrong # args: should be "text pathName ?options?"`)
-		}
+func createText(app *tk.App) tcl.CmdFunc {
+	return func(in *tcl.Interp, args []string) (string, error) {
 		b, err := newBase(app, args[1], "Text", textSpecs.get(), false)
 		if err != nil {
 			return "", err
@@ -96,7 +93,7 @@ func registerText(app *tk.App) {
 		})
 		app.SetSelectionHandler(tx.win, func() string { return tx.Get(0, 0, len(tx.lines)-1, len(tx.lines[len(tx.lines)-1])) })
 		return tx.install(tx, args[2:])
-	})
+	}
 }
 
 // --- indices ---------------------------------------------------------------

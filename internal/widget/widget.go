@@ -27,31 +27,49 @@ const (
 	DefFont             = "6x13"
 )
 
-// CommandNames returns, sorted, the widget-creation command names that
-// Register installs. It needs no application and exists so tools such
-// as cmd/tkcheck can introspect the command set statically;
-// TestCommandNamesMatchRegister keeps it in sync with Register.
-func CommandNames() []string {
-	return []string{
-		"button", "canvas", "checkbutton", "entry", "frame", "label",
-		"listbox", "menu", "menubutton", "message", "radiobutton",
-		"scale", "scrollbar", "text", "toplevel",
+// commands returns the rows of the widget-creation commands, sorted by
+// name, their procedures bound to app.
+func commands(app *tk.App) []tcl.Row {
+	row := func(name string, fn tcl.CmdFunc) tcl.Row {
+		return tcl.Row{Name: name, Fn: fn, Min: 1, Max: -1, Usage: "pathName ?options?"}
 	}
+	return []tcl.Row{
+		row("button", createButton(app, kindButton)),
+		row("canvas", createCanvas(app)),
+		row("checkbutton", createButton(app, kindCheck)),
+		row("entry", createEntry(app)),
+		row("frame", createFrame(app, false)),
+		row("label", createButton(app, kindLabel)),
+		row("listbox", createListbox(app)),
+		row("menu", createMenu(app)),
+		row("menubutton", createMenubutton(app)),
+		row("message", createMessage(app)),
+		row("radiobutton", createButton(app, kindRadio)),
+		row("scale", createScale(app)),
+		row("scrollbar", createScrollbar(app)),
+		row("text", createText(app)),
+		row("toplevel", createFrame(app, true)),
+	}
+}
+
+// Commands returns the rows of the widget-creation commands Register
+// installs. It needs no application and exists so tools such as
+// cmd/tkcheck can read the command set statically.
+func Commands() []tcl.Row { return commands(nil) }
+
+// CommandNames returns, sorted, the names of the Commands rows.
+func CommandNames() []string {
+	var names []string
+	for _, c := range Commands() {
+		names = append(names, c.Name)
+	}
+	return names
 }
 
 // Register installs every widget-creation command in an application's
 // interpreter. core.NewApp calls this; tests may call it directly.
 func Register(app *tk.App) {
-	registerFrame(app)
-	registerButtons(app)
-	registerMessage(app)
-	registerListbox(app)
-	registerScrollbar(app)
-	registerScale(app)
-	registerEntry(app)
-	registerMenu(app)
-	registerCanvas(app)
-	registerText(app)
+	app.Interp.Define(commands(app)...)
 }
 
 // base carries the state shared by all widget classes.

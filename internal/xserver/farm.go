@@ -38,7 +38,6 @@ type FarmOptions struct {
 	MaxSessions   int           // admission cap (default DefaultMaxSessions)
 	Quota         Quota         // per-session quota; zero fields = unlimited
 	IdleEvict     time.Duration // evict sessions idle this long; 0 disables
-	SweepInterval time.Duration // sweeper period; 0 = IdleEvict/4, clamped to [10ms, 30s]
 	Configure     func(*Server) // optional hook run on each new session's server
 }
 
@@ -78,7 +77,6 @@ type Farm struct {
 	maxSessions   int
 	quota         Quota
 	idleEvict     time.Duration
-	sweepEvery    time.Duration
 	configure     func(*Server)
 
 	// metrics is the aggregate registry: farm.* lifecycle counters plus
@@ -115,22 +113,12 @@ func NewFarm(opts FarmOptions) *Farm {
 	if opts.MaxSessions <= 0 {
 		opts.MaxSessions = DefaultMaxSessions
 	}
-	if opts.SweepInterval <= 0 {
-		opts.SweepInterval = opts.IdleEvict / 4
-	}
-	if opts.SweepInterval < 10*time.Millisecond {
-		opts.SweepInterval = 10 * time.Millisecond
-	}
-	if opts.SweepInterval > 30*time.Second {
-		opts.SweepInterval = 30 * time.Second
-	}
 	f := &Farm{
 		width:       opts.Width,
 		height:      opts.Height,
 		maxSessions: opts.MaxSessions,
 		quota:       opts.Quota,
 		idleEvict:   opts.IdleEvict,
-		sweepEvery:  opts.SweepInterval,
 		configure:   opts.Configure,
 		metrics:     obs.NewRegistry(),
 		sessions:    make(map[string]*Session),
@@ -349,10 +337,12 @@ func (f *Farm) sweepIdle(now time.Time) int {
 	return len(victims)
 }
 
-// runSweeper ticks the idle sweep until Close.
+// runSweeper ticks the idle sweep until Close, every quarter of the
+// idle timeout, but not more often than every 10 ms nor less often
+// than every 30 s.
 func (f *Farm) runSweeper() {
 	defer close(f.swept)
-	t := time.NewTicker(f.sweepEvery)
+	t := time.NewTicker(min(max(f.idleEvict/4, 10*time.Millisecond), 30*time.Second))
 	defer t.Stop()
 	for {
 		select {

@@ -291,7 +291,7 @@ func TestFarmQuotaReconcilesAcrossNestedOwnership(t *testing.T) {
 func TestFarmIdleEviction(t *testing.T) {
 	f := NewFarm(FarmOptions{
 		Width: 160, Height: 120,
-		IdleEvict: 50 * time.Millisecond, SweepInterval: 10 * time.Millisecond,
+		IdleEvict: 50 * time.Millisecond,
 	})
 	defer f.Close()
 
@@ -344,7 +344,7 @@ func TestFarmIdleEviction(t *testing.T) {
 func TestFarmSweepRacesInflightRequests(t *testing.T) {
 	f := NewFarm(FarmOptions{
 		Width: 160, Height: 120,
-		IdleEvict: time.Nanosecond, SweepInterval: 10 * time.Millisecond,
+		IdleEvict: time.Nanosecond,
 	})
 	defer f.Close()
 
