@@ -29,6 +29,7 @@ func TestExitNonZeroOnBadFixtures(t *testing.T) {
 		{fixtures + "/deferred.tcl", `deferred.tcl:4:18: unknown command "hilight"`},
 		{fixtures + "/expr.tcl", `expr.tcl:3:10: expression syntax error`},
 		{fixtures + "/path.tcl", `path.tcl:2:8: bad window path name ".a..b"`},
+		{fixtures + "/instance.tcl", `instance.tcl:3:1: wrong # args for ".lb" size`},
 		{fixtures + "/locks", `locks.go:23:11: counter.count (guarded by mu) accessed without holding mu`},
 		{fixtures + "/argv", `bad.go:25:2: a command's args are kept in a field`},
 	}

@@ -323,7 +323,7 @@ func measureSLO(t *testing.T, _ func(string, float64)) float64 {
 
 	// Each side is a whole number of sampling intervals, so the traced
 	// server records exactly one span per interval.
-	const flights, pairs = 60, 32
+	const flights, pairs = 240, 32
 	newApp := func(traced bool) *core.App {
 		a := newGateApp(t, core.Options{Name: "slobench"})
 		if traced {

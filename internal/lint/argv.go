@@ -11,12 +11,12 @@ import (
 // Argument-lifetime analysis. A command procedure's args, like argv in
 // Tcl's C interface, is valid only during the call: the interpreter
 // takes the words from a stack it reuses (tcl.CmdFunc). The analyzer
-// finds every function with tcl.CmdFunc's signature, declared or
-// literal, and reports where its args, a subslice of it, or a value
-// that holds one is kept past the call: stored in a field, a map, a
-// package-level variable or a variable outside the command, sent on a
-// channel, returned, handed to a goroutine, or captured by a closure
-// that is kept so or passed to a function the analyzer cannot follow.
+// finds every command procedure, declared or literal (takesWords), and
+// reports where its args, a subslice of it, or a value that holds one
+// is kept past the call: stored in a field, a map, a package-level
+// variable or a variable outside the command, sent on a channel,
+// returned, handed to a goroutine, or captured by a closure that is
+// kept so or passed to a function the analyzer cannot follow.
 // A local variable assigned such a value carries it on, whatever the
 // path. Calls to same-package functions and methods, and through an
 // interface to the package's methods that implement it, are followed
@@ -65,20 +65,21 @@ func checkArgv(p *goPackage) []Diag {
 	var diags []Diag
 	for _, f := range p.files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			var sig types.Type
+			var sig *types.Signature
 			var body *ast.BlockStmt
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if fn, ok := p.info.Defs[n.Name].(*types.Func); ok {
-					sig, body = fn.Type(), n.Body
+					sig, body = fn.Type().(*types.Signature), n.Body
 				}
 			case *ast.FuncLit:
-				sig, body = p.info.TypeOf(n), n.Body
+				sig, _ = p.info.TypeOf(n).(*types.Signature)
+				body = n.Body
 			}
-			if body == nil || sig == nil || !types.Identical(sig, cmd) {
+			if body == nil || sig == nil || !takesWords(sig, cmd) {
 				return true
 			}
-			for _, s := range a.walk(n, body, sig.(*types.Signature), 1, 2, true).sinks {
+			for _, s := range a.walk(n, body, sig, sig.Params().Len()-1, 2, true).sinks {
 				pos := p.fset.Position(s.pos)
 				via := ""
 				if s.via != nil {
@@ -93,6 +94,16 @@ func checkArgv(p *goPackage) []Diag {
 		})
 	}
 	return diags
+}
+
+// takesWords reports whether a function of signature sig is a command
+// procedure: it takes the words last, as a tcl.CmdFunc does, and
+// returns a command's results, as a tcl.CmdFunc and the subcommand
+// procedures tk's onWindow and the widget rows run do.
+func takesWords(sig, cmd *types.Signature) bool {
+	n := sig.Params().Len()
+	return n > 0 && types.Identical(sig.Params().At(n-1).Type(), cmd.Params().At(1).Type()) &&
+		types.Identical(sig.Results(), cmd.Results())
 }
 
 // cmdFuncSig returns tcl.CmdFunc's signature when pkg is package tcl

@@ -64,6 +64,13 @@ func TestFixtureScripts(t *testing.T) {
 			`testdata/path.tcl:2:8: bad window path name ".a..b" [path]`,
 			`testdata/path.tcl:3:9: bad window path name ".x." [path]`,
 		}},
+		{"instance.tcl", []string{
+			`testdata/instance.tcl:3:1: wrong # args for ".lb" size: got 1, want 0 [arity]`,
+			`testdata/instance.tcl:4:1: wrong # args for ".lb" select from: got 0, want 1 [arity]`,
+			`testdata/instance.tcl:7:4: bad option "frob" to ".b": should be activate, configure, deactivate, flash, or invoke [arity]`,
+			`testdata/instance.tcl:8:12: bad option "x" to ".lb" select: should be clear, from, set, or to [arity]`,
+			`testdata/instance.tcl:9:1: wrong # args for ".unknown": got 0, want at least 1 [arity]`,
+		}},
 		{"good.tcl", nil},
 	}
 	for _, tc := range cases {
@@ -177,8 +184,8 @@ func TestLockOrderFixture(t *testing.T) {
 // in bad.go keeps its args one way (a field, a field through a helper,
 // a package-level variable through a local, a map, a channel, a
 // returned error, a goroutine, a stored closure, a closure handed to
-// time.AfterFunc, and the enclosing function's variable), and nothing
-// in clean.go is reported.
+// time.AfterFunc, the enclosing function's variable, and a subcommand
+// procedure's field), and nothing in clean.go is reported.
 func TestArgvFixture(t *testing.T) {
 	const msg = "; they are valid only during the call, so keep a copy (slices.Clone) [argv]"
 	assertDiags(t, checkFixture(t, filepath.Join("testdata", "argv")), []string{
@@ -192,6 +199,7 @@ func TestArgvFixture(t *testing.T) {
 		`testdata/argv/bad.go:71:2: a command's args are kept in a field` + msg,
 		`testdata/argv/bad.go:76:30: a command's args are kept in a closure passed to a function that may keep it` + msg,
 		`testdata/argv/bad.go:85:3: a command's args are kept in a variable declared outside the command` + msg,
+		`testdata/argv/bad.go:101:2: a command's args are kept in a field` + msg,
 	})
 }
 

@@ -11,13 +11,29 @@ import (
 	"repro/internal/widget"
 )
 
-// rowSets are the command tables the interpreter enforces and the
-// linter reads: the Tcl built-ins, the Tk intrinsics and the widget
-// classes.
-var rowSets = map[string][]tcl.Row{
-	"tcl":    tcl.Builtins(),
-	"tk":     tk.Commands(),
-	"widget": widget.Commands(),
+// A table is a set of command rows the interpreter enforces and the
+// linter reads, and the words every script that calls them starts with.
+type table struct {
+	setup string
+	rows  []tcl.Row
+}
+
+// tables returns the command tables: the Tcl built-ins, the Tk
+// intrinsics, the widget-creation commands, and for each widget class,
+// the command of a widget .w that the setup creates, so that the
+// linter knows its class.
+func tables(reg *Registry) map[string]table {
+	tabs := map[string]table{
+		"tcl":    {rows: tcl.Builtins()},
+		"tk":     {rows: tk.Commands()},
+		"widget": {rows: widget.Commands()},
+	}
+	for class, row := range reg.widgets {
+		w := *row
+		w.Name = ".w"
+		tabs[class] = table{setup: "destroy .w\n" + class + " .w\n", rows: []tcl.Row{w}}
+	}
+	return tabs
 }
 
 // newTableApp returns the interpreter of a full application, every row
@@ -36,14 +52,17 @@ func newTableApp(t *testing.T) *tcl.Interp {
 type call struct{ script, want string }
 
 // outOfBounds returns, for a row and for each of its subcommand rows,
-// the calls with one argument fewer than its minimum and one more than
-// its maximum, and the error each must raise: the row's usage. The
-// argument "arg" names no subcommand.
+// nested ones included, the calls with one argument fewer than its
+// minimum and one more than its maximum, and the error each must raise:
+// the row's usage after the words that name it. The argument "arg"
+// names no subcommand.
 func outOfBounds(row tcl.Row) []call {
 	var calls []call
 	// add adds the calls of a row whose words come after prefix and
-	// whose usage follows shown in the message.
-	add := func(prefix, shown string, r tcl.Row) {
+	// whose usage follows shown in the message, and of its subcommand
+	// rows.
+	var add func(prefix, shown string, r tcl.Row)
+	add = func(prefix, shown string, r tcl.Row) {
 		want := `wrong # args: should be "` + strings.TrimSpace(shown+" "+r.Usage) + `"`
 		args := func(n int) string { return strings.Repeat(" arg", n) }
 		if r.Min > 0 {
@@ -52,15 +71,15 @@ func outOfBounds(row tcl.Row) []call {
 		if r.Max >= 0 {
 			calls = append(calls, call{prefix + args(r.Max+1), want})
 		}
+		for _, s := range r.Subs {
+			if s.Name == "" { // the bare call, here with an empty first word
+				add(prefix+" {}", shown, s)
+				continue
+			}
+			add(prefix+" "+s.Name, shown+" "+s.Name, s)
+		}
 	}
 	add(row.Name, row.Name, row)
-	for _, s := range row.Subs {
-		if s.Name == "" { // the bare call, here with an empty first word
-			add(row.Name+" {}", row.Name, s)
-			continue
-		}
-		add(row.Name+" "+s.Name, row.Name+" "+s.Name, s)
-	}
 	return calls
 }
 
@@ -71,45 +90,55 @@ func outOfBounds(row tcl.Row) []call {
 func TestRowsBoundArguments(t *testing.T) {
 	in := newTableApp(t)
 	reg := NewRegistry()
-	for set, rows := range rowSets {
-		for _, row := range rows {
+	for set, tab := range tables(reg) {
+		for _, row := range tab.rows {
 			for _, c := range outOfBounds(row) {
-				if _, err := in.Eval(c.script); err == nil || err.Error() != c.want {
-					t.Errorf("%s: %q: got error %v, want %s", set, c.script, err, c.want)
+				script := tab.setup + c.script
+				if _, err := in.Eval(script); err == nil || err.Error() != c.want {
+					t.Errorf("%s: %q: got error %v, want %s", set, script, err, c.want)
 				}
-				if !hasRule(LintScriptSource("t.tcl", c.script, reg), "arity") {
-					t.Errorf("%s: %q: the linter reports no arity error", set, c.script)
+				if !hasRule(LintScriptSource("t.tcl", script, reg), "arity") {
+					t.Errorf("%s: %q: the linter reports no arity error", set, script)
 				}
 			}
 		}
 	}
 }
 
-// TestUnknownSubcommandListsRows: an ensemble called with a first
-// argument that names none of its subcommands fails with a message that
-// lists exactly its rows' names, and the linter reports it.
+// TestUnknownSubcommandListsRows: an ensemble, or a subcommand with
+// subcommands of its own, called with a word that names none of its
+// subcommands fails with a message that lists exactly its rows' names,
+// and the linter reports it.
 func TestUnknownSubcommandListsRows(t *testing.T) {
 	in := newTableApp(t)
 	reg := NewRegistry()
-	for _, rows := range rowSets {
-		for _, row := range rows {
-			if row.Subs == nil || row.Fn != nil {
-				continue // not an ensemble, or one whose Fn takes other words
+	for _, tab := range tables(reg) {
+		// check checks the calls of r, whose words come after prefix,
+		// and of its subcommand rows.
+		var check func(prefix string, r tcl.Row)
+		check = func(prefix string, r tcl.Row) {
+			for _, s := range r.Subs {
+				if s.Name != "" {
+					check(prefix+" "+s.Name, s)
+				}
 			}
-			script := row.Name + " nosuch" + strings.Repeat(" arg", max(row.Min, 1)-1)
+			if r.Subs == nil || r.Fn != nil {
+				return // not an ensemble, or one whose Fn takes other words
+			}
+			script := tab.setup + prefix + " nosuch" + strings.Repeat(" arg", max(r.Min, 1)-1)
 			_, err := in.Eval(script)
-			prefix := `bad option "nosuch": should be `
-			if err == nil || !strings.HasPrefix(err.Error(), prefix) {
-				t.Errorf("%q: got error %v, want %s...", script, err, prefix)
-				continue
+			want := `bad option "nosuch": should be `
+			if err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("%q: got error %v, want %s...", script, err, want)
+				return
 			}
 			var listed, names []string
-			for _, f := range strings.FieldsFunc(strings.TrimPrefix(err.Error(), prefix), func(r rune) bool { return r == ',' || r == ' ' }) {
+			for _, f := range strings.FieldsFunc(strings.TrimPrefix(err.Error(), want), func(r rune) bool { return r == ',' || r == ' ' }) {
 				if f != "or" {
 					listed = append(listed, f)
 				}
 			}
-			for _, s := range row.Subs {
+			for _, s := range r.Subs {
 				if s.Name != "" {
 					names = append(names, s.Name)
 				}
@@ -121,11 +150,16 @@ func TestUnknownSubcommandListsRows(t *testing.T) {
 				t.Errorf("%q: the linter reports no bad option", script)
 			}
 		}
+		for _, row := range tab.rows {
+			check(row.Name, row)
+		}
 	}
 }
 
-// TestInterpreterAgreesWithLinter: calls that the linter flagged and the
-// interpreter once ran without complaint now fail in both.
+// TestInterpreterAgreesWithLinter: calls that the linter flags, or
+// flags once the script creates the widget, and that the interpreter
+// once ran without complaint, now fail in both with a count or
+// subcommand error.
 func TestInterpreterAgreesWithLinter(t *testing.T) {
 	in := newTableApp(t)
 	reg := NewRegistry()
@@ -137,9 +171,19 @@ func TestInterpreterAgreesWithLinter(t *testing.T) {
 		"wm title . a b",
 		"selection clear x", "selection own . x",
 		"array names a b c",
+		"button .b\n.b flash x", "button .b\n.b invoke x", "button .b\n.b activate x",
+		"checkbutton .c\n.c toggle x", "checkbutton .c\n.c select x",
+		"listbox .lb\n.lb size x", "listbox .lb\n.lb curselection x y",
+		"scrollbar .sb\n.sb get x", "scale .sc\n.sc get x", "entry .e\n.e get x",
+		"text .tx\n.tx lines x", "text .tx\n.tx tag names x",
+		"menu .mn\n.mn entrycount x", "menu .mn\n.mn unpost x",
+		"menubutton .mb\n.mb post x", "menubutton .mb\n.mb unpost x",
+		"label .l\n.l activate",
 	} {
-		if _, err := in.Eval(script); err == nil {
-			t.Errorf("%q: the interpreter accepts it", script)
+		in.Eval("foreach w [winfo children .] {destroy $w}")
+		_, err := in.Eval(script)
+		if err == nil || !strings.HasPrefix(err.Error(), "wrong # args") && !strings.HasPrefix(err.Error(), "bad option") {
+			t.Errorf("%q: the interpreter returns %v", script, err)
 		}
 		if !hasRule(LintScriptSource("t.tcl", script, reg), "arity") {
 			t.Errorf("%q: the linter does not flag it", script)

@@ -36,6 +36,10 @@ type linter struct {
 	// anywhere in the unit (including in deferred scripts), so a bind
 	// body may call a proc defined later at top level.
 	procs map[string]bool
+	// classes maps the literal paths literal creation commands make
+	// anywhere in the unit ("listbox .lb") to the creation command, or
+	// to "" when the unit makes one path with two classes.
+	classes map[string]string
 	// suppress maps active "# tkcheck:ignore" rules to the command
 	// range they cover.
 	suppressed []suppression
@@ -48,7 +52,7 @@ type suppression struct {
 }
 
 func newLinter(file, src string, reg *Registry, posFn func(int) (int, int)) *linter {
-	return &linter{file: file, src: src, reg: reg, posFn: posFn, procs: make(map[string]bool)}
+	return &linter{file: file, src: src, reg: reg, posFn: posFn, procs: make(map[string]bool), classes: make(map[string]string)}
 }
 
 func (l *linter) run() {
@@ -158,15 +162,16 @@ func (l *linter) diagAt(off int, rule, msg string) {
 	l.diags = append(l.diags, Diag{File: l.file, Line: line, Col: col, Rule: rule, Msg: msg})
 }
 
-// collectDefs pre-scans a script for proc definitions and renames so
-// forward references from deferred scripts resolve. It recurses into
-// every braced word and command substitution; a proc defined inside a
-// bind body or an if arm still counts.
+// collectDefs pre-scans a script for proc definitions, renames and
+// widget creations so forward references from deferred scripts
+// resolve. It recurses into every braced word and command
+// substitution; a proc defined inside a bind body or an if arm still
+// counts.
 func (l *linter) collectDefs(p piece) {
 	cmds, _ := p.parse()
 	for _, c := range cmds {
 		if len(c.words) >= 2 && c.words[0].literal {
-			switch c.words[0].val {
+			switch cmd := c.words[0].val; cmd {
 			case "proc":
 				if c.words[1].literal {
 					l.procs[c.words[1].val] = true
@@ -174,6 +179,13 @@ func (l *linter) collectDefs(p piece) {
 			case "rename":
 				if len(c.words) >= 3 && c.words[2].literal && c.words[2].val != "" {
 					l.procs[c.words[2].val] = true
+				}
+			default:
+				if l.reg.widgets[cmd] != nil && c.words[1].literal {
+					if class, ok := l.classes[c.words[1].val]; ok && class != cmd {
+						cmd = ""
+					}
+					l.classes[c.words[1].val] = cmd
 				}
 			}
 		}
@@ -263,7 +275,8 @@ func (l *linter) lintCommand(c cmdNode, mode lintMode) {
 
 // arityOK checks a command's argument count against its row, and for
 // an ensemble, the subcommand its first argument names and that
-// subcommand's count. It reports false when the command's own count is
+// subcommand's count, and so on down the subcommand rows while the
+// words are literal. It reports false when the command's own count is
 // out of bounds, so its other checks would misread its words.
 func (l *linter) arityOK(c cmdNode, row *tcl.Row) bool {
 	name := c.words[0].val
@@ -273,34 +286,44 @@ func (l *linter) arityOK(c cmdNode, row *tcl.Row) bool {
 			fmt.Sprintf("wrong # args for %q: got %d, want %s", name, nargs, arityRange(row)))
 		return false
 	}
-	if row.Subs == nil || nargs < 1 || !c.words[1].literal {
-		return true
-	}
-	sub := c.words[1].val
-	s := row.Sub(sub)
-	switch {
-	case s == nil && row.Fn == nil:
-		l.diagAt(c.words[1].off, "arity",
-			fmt.Sprintf("bad option %q to %q: should be %s", sub, name, subNames(row)))
-	case s != nil && !s.Admits(nargs-1):
-		l.diagAt(c.words[0].off, "arity",
-			fmt.Sprintf("wrong # args for %q %s: got %d, want %s", name, sub, nargs-1, arityRange(s)))
+	subs := "" // the names of the subcommands down to row
+	for i := 1; row.Subs != nil && i < len(c.words) && c.words[i].literal; i++ {
+		sub := c.words[i].val
+		s := row.Sub(sub)
+		if s == nil {
+			if row.Fn == nil {
+				l.diagAt(c.words[i].off, "arity",
+					fmt.Sprintf("bad option %q to %q%s: should be %s", sub, name, subs, row.SubNames()))
+			}
+			break
+		}
+		subs += " " + sub
+		if n := len(c.words) - i - 1; !s.Admits(n) {
+			l.diagAt(c.words[0].off, "arity",
+				fmt.Sprintf("wrong # args for %q%s: got %d, want %s", name, subs, n, arityRange(s)))
+			break
+		}
+		row = s
 	}
 	return true
 }
 
 // lintPathCommand checks a command whose name is a widget path
-// (".list insert end $i"): path syntax, a subcommand argument, and any
-// literal -command option values.
+// (".list insert end $i"): path syntax, its words against the rows of
+// the path's class when the unit creates the path with literal words,
+// and any literal -command option values.
 func (l *linter) lintPathCommand(c cmdNode, mode lintMode) {
 	name := c.words[0]
 	l.checkPathWord(name)
 	if mode == modePrefix {
 		return
 	}
-	if len(c.words) < 2 {
-		l.diagAt(name.off, "arity",
-			fmt.Sprintf(`wrong # args: should be "%s option ?arg ...?"`, name.val))
+	class := l.classes[name.val]
+	row := l.reg.widgets[class]
+	if row == nil {
+		row = &anyWidget
+	}
+	if !l.arityOK(c, row) {
 		return
 	}
 	// "configure" takes a single option to query it, or name/value
@@ -311,7 +334,7 @@ func (l *linter) lintPathCommand(c cmdNode, mode lintMode) {
 				fmt.Sprintf("configure options for %q must come in name/value pairs", name.val))
 		}
 	}
-	l.lintCommandOptions(c, 2, false)
+	l.lintCommandOptions(c, 2, prefixCommandClasses[class])
 }
 
 // lintCommandOptions scans words[from:] for literal "-command ..."
@@ -398,18 +421,6 @@ func arityRange(row *tcl.Row) string {
 		return strconv.Itoa(row.Min)
 	}
 	return fmt.Sprintf("%d to %d", row.Min, row.Max)
-}
-
-// subNames lists an ensemble's subcommand names in the order of its
-// rows.
-func subNames(row *tcl.Row) string {
-	var names []string
-	for _, s := range row.Subs {
-		if s.Name != "" {
-			names = append(names, s.Name)
-		}
-	}
-	return strings.Join(names, ", ")
 }
 
 // checkIf walks the if/elseif/else structure: conditions are

@@ -30,7 +30,14 @@ type spec struct {
 type Registry struct {
 	rows  map[string]*tcl.Row
 	specs map[string]*spec
+	// widgets holds, by creation command, the row of the command of
+	// each widget it creates.
+	widgets map[string]*tcl.Row
 }
+
+// anyWidget is the row of a widget command whose class the linter does
+// not know: it needs a subcommand.
+var anyWidget = tcl.Row{Min: 1, Max: -1}
 
 // Known reports whether name is a known command.
 func (r *Registry) Known(name string) bool { return r.rows[name] != nil }
@@ -47,10 +54,10 @@ func (r *Registry) AddKnown(names ...string) {
 
 // NewRegistry builds the command registry the linter checks against
 // from the rows the commands are registered with: the Tcl built-ins
-// (tcl.Builtins), the Tk intrinsics (tk.Commands) and the widget
-// classes (widget.Commands).
+// (tcl.Builtins), the Tk intrinsics (tk.Commands), the widget classes
+// (widget.Commands) and their widgets' commands (widget.Instances).
 func NewRegistry() *Registry {
-	r := &Registry{rows: make(map[string]*tcl.Row), specs: map[string]*spec{
+	r := &Registry{rows: make(map[string]*tcl.Row), widgets: make(map[string]*tcl.Row), specs: map[string]*spec{
 		// Tcl.
 		"while":   {exprArgs: []int{1}, scriptArgs: []int{2}},
 		"for":     {scriptArgs: []int{1, 3, 4}, exprArgs: []int{2}},
@@ -76,8 +83,9 @@ func NewRegistry() *Registry {
 			r.rows[rows[i].Name] = &rows[i]
 		}
 	}
-	for _, class := range widget.CommandNames() {
+	for class, row := range widget.Instances() {
 		r.specs[class] = &spec{check: checkWidgetCreate}
+		r.widgets[class] = &row
 	}
 	return r
 }

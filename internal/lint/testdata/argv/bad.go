@@ -87,3 +87,17 @@ func register(in *tcl.Interp) []string {
 	})
 	return seen
 }
+
+// on returns a command that runs a subcommand procedure on a widget
+// with the words after the subcommand, as the widget rows do.
+func on(fn func(w *widget, args []string) (string, error)) tcl.CmdFunc {
+	return func(in *tcl.Interp, args []string) (string, error) {
+		return fn(&widget{}, args[2:])
+	}
+}
+
+// keepSubcommand is a subcommand procedure that keeps its words.
+var keepSubcommand = on(func(w *widget, args []string) (string, error) {
+	w.opts = args
+	return "", nil
+})

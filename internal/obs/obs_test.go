@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -145,60 +144,5 @@ func TestHistogramConcurrent(t *testing.T) {
 	want := int64(workers*perWorker) * (workers*perWorker + 1) / 2
 	if s.Sum != want {
 		t.Fatalf("sum = %d, want %d", s.Sum, want)
-	}
-}
-
-func TestRingWraparound(t *testing.T) {
-	r := NewRing[string](4)
-	for i := 1; i <= 10; i++ {
-		r.Append(fmt.Sprintf("line %d", i))
-	}
-	if r.Len() != 4 {
-		t.Fatalf("len = %d, want 4", r.Len())
-	}
-	if r.Total() != 10 {
-		t.Fatalf("total = %d, want 10", r.Total())
-	}
-	got := r.Last(0)
-	for i, e := range got {
-		wantSeq := uint64(7 + i)
-		if e.Seq != wantSeq || e.Val != fmt.Sprintf("line %d", wantSeq) {
-			t.Fatalf("entry %d = %+v, want seq %d", i, e, wantSeq)
-		}
-	}
-	// Last(n) smaller than retained returns the newest n.
-	last2 := r.Last(2)
-	if len(last2) != 2 || last2[1].Seq != 10 || last2[0].Seq != 9 {
-		t.Fatalf("Last(2) = %+v", last2)
-	}
-	// Larger n than retained is clamped.
-	if len(r.Last(100)) != 4 {
-		t.Fatal("Last(100) not clamped")
-	}
-	r.Reset()
-	if r.Len() != 0 || r.Total() != 0 || len(r.Last(0)) != 0 {
-		t.Fatal("Reset left state behind")
-	}
-	if seq := r.Append("fresh"); seq != 1 {
-		t.Fatalf("seq after reset = %d", seq)
-	}
-}
-
-func TestRingConcurrent(t *testing.T) {
-	r := NewRing[string](32)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				r.Append("x")
-				r.Last(8)
-			}
-		}()
-	}
-	wg.Wait()
-	if r.Total() != 4000 {
-		t.Fatalf("total = %d", r.Total())
 	}
 }

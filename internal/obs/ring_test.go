@@ -9,8 +9,9 @@ import (
 // These tests pin the Ring invariants the span and wire tracers depend
 // on: the retained window is exactly the newest capacity entries in
 // chronological order, sequence numbers are global (wraparound never
-// reuses one), and concurrent appenders neither lose nor duplicate
-// sequence numbers.
+// reuses one, only Reset restarts them), concurrent appenders neither
+// lose nor duplicate sequence numbers, and a reader racing them sees a
+// whole window.
 
 func TestRingCapacityBound(t *testing.T) {
 	const capacity = 8
@@ -66,6 +67,31 @@ func TestRingWraparoundOrdering(t *testing.T) {
 	last2 := r.Last(2)
 	if len(last2) != 2 || last2[0].Seq != uint64(total-1) || last2[1].Seq != uint64(total) {
 		t.Fatalf("Last(2) = %v, want the two newest entries oldest-first", last2)
+	}
+}
+
+// TestRingWraparound pins the counts of a wrapped ring, and that Reset
+// empties it and restarts sequence numbering.
+func TestRingWraparound(t *testing.T) {
+	const capacity, total = 4, 10
+	r := NewRing[string](capacity)
+	for i := 0; i < total; i++ {
+		r.Append("x")
+	}
+	if r.Len() != capacity || r.Total() != total || r.Dropped() != total-capacity {
+		t.Fatalf("Len/Total/Dropped = %d/%d/%d, want %d/%d/%d",
+			r.Len(), r.Total(), r.Dropped(), capacity, total, total-capacity)
+	}
+	// A window larger than the ring is what the ring retains.
+	if got := len(r.Last(100)); got != capacity {
+		t.Fatalf("Last(100) returned %d entries, want %d", got, capacity)
+	}
+	r.Reset()
+	if r.Len() != 0 || r.Total() != 0 || len(r.Last(0)) != 0 {
+		t.Fatal("Reset left state behind")
+	}
+	if seq := r.Append("fresh"); seq != 1 {
+		t.Fatalf("seq after Reset = %d, want 1", seq)
 	}
 }
 
@@ -128,5 +154,56 @@ func TestRingConcurrentAppend(t *testing.T) {
 	}
 	if entries[len(entries)-1].Seq != goroutines*each {
 		t.Fatalf("newest retained seq = %d, want %d", entries[len(entries)-1].Seq, goroutines*each)
+	}
+}
+
+// TestRingConcurrent pins that Last is atomic: a reader racing
+// appenders always gets a contiguous window no longer than the ring.
+func TestRingConcurrent(t *testing.T) {
+	const (
+		writers  = 4
+		each     = 1000
+		capacity = 32
+	)
+	r := NewRing[string](capacity)
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			w := r.Last(0)
+			if len(w) > capacity {
+				t.Errorf("Last(0) returned %d entries, ring holds %d", len(w), capacity)
+				return
+			}
+			for i := 1; i < len(w); i++ {
+				if w[i].Seq != w[i-1].Seq+1 {
+					t.Errorf("window not contiguous: %d then %d", w[i-1].Seq, w[i].Seq)
+					return
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				r.Append("x")
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	if r.Total() != writers*each {
+		t.Fatalf("Total = %d, want %d", r.Total(), writers*each)
 	}
 }

@@ -130,10 +130,12 @@ type CmdFunc func(in *Interp, args []string) (string, error)
 //
 // Subs make the command an ensemble: its first argument names the
 // subcommand whose row runs, and whose bounds count the arguments after
-// that word. A subcommand named "" runs when the command is called with
-// no argument. When the first argument names no subcommand, Fn runs if
-// the row has one; otherwise the call fails with a message that lists
-// the names, in the order of the rows.
+// that word. A subcommand row may have Subs of its own, and then the
+// word after its name picks one of them, and so on down. A subcommand
+// named "" runs when the command is called with no argument. When the
+// first argument names no subcommand, Fn runs if the row has one;
+// otherwise the call fails with a message that lists the names, in the
+// order of the rows.
 type Row struct {
 	Name string
 	Fn   CmdFunc
@@ -141,7 +143,7 @@ type Row struct {
 	// upper bound.
 	Min, Max int
 	// Usage shows the arguments, as "wrong # args" quotes them after
-	// the command's name.
+	// the command's name and the names of the subcommands above them.
 	Usage string
 	Subs  []Row
 }
@@ -158,34 +160,34 @@ func (r *Row) Admits(n int) bool { return n >= r.Min && (r.Max < 0 || n <= r.Max
 
 // resolve returns the row whose procedure runs the call words make: r,
 // or for an ensemble, the row of the subcommand the first argument
-// names. A call the rows do not admit gets their error instead.
+// names, or of the subcommand below it the next word names, and so on.
+// A call the rows do not admit gets their error instead, which names
+// every word up to the one that failed.
 func (r *Row) resolve(words []string) (*Row, error) {
-	n := len(words) - 1
-	word := ""
-	if r.Subs != nil {
-		if n > 0 {
-			word = words[1]
+	depth := 1 // words[:depth] name r
+	for {
+		word := ""
+		if depth < len(words) {
+			word = words[depth]
 		}
-		if s := r.Sub(word); s != nil {
-			if !s.Admits(max(n-1, 0)) {
-				return nil, wrongArgs(words[0], word, s.Usage)
+		s := r.Sub(word)
+		if s == nil {
+			if !r.Admits(len(words) - depth) {
+				return nil, wrongArgs(append(words[:depth:depth], r.Usage)...)
 			}
-			return s, nil
+			if r.Subs != nil && r.Fn == nil {
+				return nil, r.badOption(word)
+			}
+			return r, nil
 		}
+		r, depth = s, min(depth+1, len(words))
 	}
-	if !r.Admits(n) {
-		return nil, wrongArgs(words[0], r.Usage)
-	}
-	if r.Subs != nil && r.Fn == nil {
-		return nil, r.badOption(word)
-	}
-	return r, nil
 }
 
 // badOption is the error of an ensemble called with a first argument
 // that names none of its subcommands.
 func (r *Row) badOption(word string) *Error {
-	return errf("bad option %q: should be %s", word, r.subNames())
+	return errf("bad option %q: should be %s", word, r.SubNames())
 }
 
 // Sub returns the row of the subcommand called name, or nil.
@@ -198,9 +200,9 @@ func (r *Row) Sub(name string) *Row {
 	return nil
 }
 
-// subNames lists an ensemble's subcommand names, in the order of its
+// SubNames lists an ensemble's subcommand names, in the order of its
 // rows, as Tcl's messages do: "a", "a or b", "a, b, or c".
-func (r *Row) subNames() string {
+func (r *Row) SubNames() string {
 	var names []string
 	for _, s := range r.Subs {
 		if s.Name != "" {
@@ -218,8 +220,9 @@ func (r *Row) subNames() string {
 }
 
 // wrongArgs is the error of a call its row's bounds or usage do not
-// admit: the words are the command's name, its subcommand's, and the
-// usage, of which any but the first may be empty.
+// admit: the words are the command's name, the names of the
+// subcommands down to the row, and the row's usage, of which any but
+// the first may be empty.
 func wrongArgs(words ...string) *Error {
 	return errf("wrong # args: should be %q", strings.Join(slices.DeleteFunc(words, func(w string) bool { return w == "" }), " "))
 }

@@ -99,16 +99,6 @@ func Commands() []tcl.Row {
 	return app.commandTable()
 }
 
-// CommandNames returns, sorted, the names of the Commands rows.
-func CommandNames() []string {
-	var names []string
-	for _, c := range Commands() {
-		names = append(names, c.Name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // onWindow returns the procedure of a subcommand whose first argument
 // names a window, which runs fn on that window.
 func (app *App) onWindow(fn func(w *Window, args []string) (string, error)) tcl.CmdFunc {
@@ -433,20 +423,21 @@ func (app *App) wmGeometry(w *Window, args []string) (string, error) {
 	if len(args) == 3 {
 		return fmt.Sprintf("%dx%d+%d+%d", w.Width, w.Height, w.X, w.Y), nil
 	}
-	var wd, ht, x, y int
-	if n, _ := fmt.Sscanf(args[3], "%dx%d+%d+%d", &wd, &ht, &x, &y); n == 4 {
+	// The new geometry is WxH, +X+Y or WxH+X+Y.
+	size, pos, hasPos := strings.Cut(args[3], "+")
+	wd, ht, sized := ParsePair(size, "x")
+	x, y, placed := ParsePair(pos, "+")
+	switch {
+	case sized && placed:
 		app.resizeWindow(w, x, y, wd, ht, true)
-		return "", nil
-	}
-	if n, _ := fmt.Sscanf(args[3], "%dx%d", &wd, &ht); n == 2 {
+	case sized && !hasPos:
 		app.resizeWindow(w, w.X, w.Y, wd, ht, false)
-		return "", nil
-	}
-	if n, _ := fmt.Sscanf(args[3], "+%d+%d", &x, &y); n == 2 {
+	case size == "" && placed:
 		app.resizeWindow(w, x, y, w.Width, w.Height, true)
-		return "", nil
+	default:
+		return "", fmt.Errorf("bad geometry specifier %q", args[3])
 	}
-	return "", fmt.Errorf("bad geometry specifier %q", args[3])
+	return "", nil
 }
 
 func (app *App) cmdRaise(in *tcl.Interp, args []string) (string, error) {

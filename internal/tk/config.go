@@ -3,6 +3,7 @@ package tk
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/tcl"
 )
@@ -194,6 +195,15 @@ func (cv *ConfigValues) DescribeAll() string {
 		}
 	}
 	return tcl.FormatList(out)
+}
+
+// ParsePair parses s as two integers separated by sep, such as a
+// geometry's "WxH" with sep "x", and reports whether s is exactly that.
+func ParsePair(s, sep string) (a, b int, ok bool) {
+	as, bs, found := strings.Cut(s, sep)
+	a, errA := strconv.Atoi(as)
+	b, errB := strconv.Atoi(bs)
+	return a, b, found && errA == nil && errB == nil
 }
 
 // HandleConfigure implements the shared "<widget> configure ..." protocol

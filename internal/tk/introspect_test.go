@@ -1,31 +1,26 @@
 package tk
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/tcl"
 )
 
-// TestCommandNamesMatchRegister keeps the static CommandNames table in
-// sync with what NewApp actually registers: every advertised name must
-// be a live command, and every command NewApp adds on top of the bare
-// Tcl interpreter must be advertised.
+// TestCommandNamesMatchRegister keeps the static Commands table in
+// sync with what NewApp actually registers: every row's name must be a
+// live command, and every command NewApp adds on top of the bare Tcl
+// interpreter must have a row.
 func TestCommandNamesMatchRegister(t *testing.T) {
 	app, _ := newTestApp(t)
 
-	names := CommandNames()
-	if !sort.StringsAreSorted(names) {
-		t.Error("CommandNames is not sorted")
-	}
 	advertised := map[string]bool{}
-	for _, n := range names {
-		if advertised[n] {
-			t.Errorf("CommandNames lists %q twice", n)
+	for _, r := range Commands() {
+		if advertised[r.Name] {
+			t.Errorf("Commands lists %q twice", r.Name)
 		}
-		advertised[n] = true
-		if !app.Interp.HasCommand(n) {
-			t.Errorf("CommandNames lists %q but NewApp did not register it", n)
+		advertised[r.Name] = true
+		if !app.Interp.HasCommand(r.Name) {
+			t.Errorf("Commands lists %q but NewApp did not register it", r.Name)
 		}
 	}
 
@@ -35,7 +30,7 @@ func TestCommandNamesMatchRegister(t *testing.T) {
 	}
 	for _, n := range app.Interp.CommandNames() {
 		if !bare[n] && !advertised[n] {
-			t.Errorf("NewApp registers %q but CommandNames does not list it", n)
+			t.Errorf("NewApp registers %q but Commands does not list it", n)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package widget
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/tcl"
@@ -101,9 +103,9 @@ func classFor(kind int) string {
 	}
 }
 
-// createButton returns the creation command of one kind of button.
-func createButton(app *tk.App, kind int) tcl.CmdFunc {
-	return func(in *tcl.Interp, args []string) (string, error) {
+// createButton returns the creation procedure of one kind of button.
+func createButton(kind int) func(*tk.App, []string, []tcl.Row) (string, error) {
+	return func(app *tk.App, args []string, rows []tcl.Row) (string, error) {
 		b, err := newBase(app, args[1], classFor(kind), buttonSpecs[kind].get(), false)
 		if err != nil {
 			return "", err
@@ -114,7 +116,7 @@ func createButton(app *tk.App, kind int) tcl.CmdFunc {
 		if kind != kindLabel {
 			bt.bindBehaviour()
 		}
-		res, err := bt.install(bt, args[2:])
+		res, err := bt.install(bt, rows, args[2:])
 		if err != nil {
 			return "", err
 		}
@@ -122,6 +124,48 @@ func createButton(app *tk.App, kind int) tcl.CmdFunc {
 			bt.watchVariable()
 		}
 		return res, nil
+	}
+}
+
+// buttonRows returns the function that returns the subcommand rows of
+// one kind of button, as Tk 3 has them: a label has only configure.
+func buttonRows(kind int) func(*tk.App) []tcl.Row {
+	return func(app *tk.App) []tcl.Row {
+		if kind == kindLabel {
+			return configureOnly(app)
+		}
+		// do returns the procedure of a subcommand that takes no
+		// argument and returns nothing.
+		do := func(fn func(bt *Button)) tcl.CmdFunc {
+			return on(app, func(bt *Button, _ []string) (string, error) {
+				fn(bt)
+				return "", nil
+			})
+		}
+		rows := []tcl.Row{
+			{Name: "activate", Fn: do(func(bt *Button) { bt.setActive(true) })},
+			configure(app),
+			{Name: "deactivate", Fn: do(func(bt *Button) { bt.setActive(false) })},
+			{Name: "flash", Fn: do((*Button).Flash)},
+			{Name: "invoke", Fn: do((*Button).Invoke)},
+		}
+		switch kind {
+		case kindCheck:
+			rows = append(rows,
+				tcl.Row{Name: "deselect", Fn: do(func(bt *Button) { bt.setVariable(bt.cv.Get("-offvalue")) })},
+				tcl.Row{Name: "select", Fn: do(func(bt *Button) { bt.setVariable(bt.cv.Get("-onvalue")) })},
+				tcl.Row{Name: "toggle", Fn: do((*Button).Invoke)})
+		case kindRadio:
+			rows = append(rows,
+				tcl.Row{Name: "deselect", Fn: do(func(bt *Button) {
+					if bt.on {
+						bt.setVariable("")
+					}
+				})},
+				tcl.Row{Name: "select", Fn: do(func(bt *Button) { bt.setVariable(bt.radioValue()) })})
+		}
+		slices.SortFunc(rows, func(a, b tcl.Row) int { return strings.Compare(a.Name, b.Name) })
+		return rows
 	}
 }
 
@@ -240,7 +284,7 @@ func (bt *Button) Flash() {
 	bt.Redraw()
 }
 
-// recompute implements subcommander.
+// recompute implements widget.
 func (bt *Button) recompute() error {
 	if err := bt.resolve(); err != nil {
 		return err
@@ -272,56 +316,10 @@ func (bt *Button) recompute() error {
 	return nil
 }
 
-// widgetCommand implements subcommander.
-func (bt *Button) widgetCommand(sub string, args []string) (string, error) {
-	switch sub {
-	case "flash":
-		if bt.kind == kindLabel {
-			return "", fmt.Errorf("labels can't flash")
-		}
-		bt.Flash()
-		return "", nil
-	case "invoke":
-		if bt.kind == kindLabel {
-			return "", fmt.Errorf("labels can't be invoked")
-		}
-		bt.Invoke()
-		return "", nil
-	case "activate":
-		bt.active = true
-		bt.win.ScheduleRedraw()
-		return "", nil
-	case "deactivate":
-		bt.active = false
-		bt.win.ScheduleRedraw()
-		return "", nil
-	case "select":
-		if bt.kind == kindCheck {
-			bt.setVariable(bt.cv.Get("-onvalue"))
-			return "", nil
-		}
-		if bt.kind == kindRadio {
-			bt.setVariable(bt.radioValue())
-			return "", nil
-		}
-	case "deselect":
-		if bt.kind == kindCheck {
-			bt.setVariable(bt.cv.Get("-offvalue"))
-			return "", nil
-		}
-		if bt.kind == kindRadio {
-			if bt.on {
-				bt.setVariable("")
-			}
-			return "", nil
-		}
-	case "toggle":
-		if bt.kind == kindCheck {
-			bt.Invoke()
-			return "", nil
-		}
-	}
-	return "", fmt.Errorf("bad option %q for %s widget", sub, classFor(bt.kind))
+// setActive highlights the button, or with on false, stops.
+func (bt *Button) setActive(on bool) {
+	bt.active = on
+	bt.win.ScheduleRedraw()
 }
 
 // Redraw implements tk.Widget.

@@ -48,17 +48,166 @@ var canvasSpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-func createCanvas(app *tk.App) tcl.CmdFunc {
-	return func(in *tcl.Interp, args []string) (string, error) {
-		b, err := newBase(app, args[1], "Canvas", canvasSpecs.get(), false)
-		if err != nil {
-			return "", err
-		}
-		c := &Canvas{base: *b, itemBindings: make(map[string]map[string]string)}
-		c.win.Widget = c
-		c.geomAndExposure()
-		c.bindBehaviour()
-		return c.install(c, args[2:])
+func createCanvas(app *tk.App, args []string, rows []tcl.Row) (string, error) {
+	b, err := newBase(app, args[1], "Canvas", canvasSpecs.get(), false)
+	if err != nil {
+		return "", err
+	}
+	c := &Canvas{base: *b, itemBindings: make(map[string]map[string]string)}
+	c.win.Widget = c
+	c.geomAndExposure()
+	c.bindBehaviour()
+	return c.install(c, rows, args[2:])
+}
+
+// canvasRows returns the subcommand rows of a canvas, bound to app.
+func canvasRows(app *tk.App) []tcl.Row {
+	return []tcl.Row{
+		{Name: "bind", Fn: on(app, func(c *Canvas, args []string) (string, error) {
+			tag, event := args[0], args[1]
+			if len(args) == 2 {
+				return c.itemBindings[tag][event], nil
+			}
+			if c.itemBindings[tag] == nil {
+				c.itemBindings[tag] = make(map[string]string)
+			}
+			if args[2] == "" {
+				delete(c.itemBindings[tag], event)
+			} else {
+				c.itemBindings[tag][event] = args[2]
+			}
+			return "", nil
+		}), Min: 2, Max: 3, Usage: "tagOrId event ?script?"},
+		configure(app),
+		{Name: "coords", Fn: on(app, func(c *Canvas, args []string) (string, error) {
+			for _, it := range c.items {
+				if it.hasTag(args[0]) {
+					if len(args) > 1 {
+						coords, err := parseCoords(args[1:])
+						if err != nil {
+							return "", err
+						}
+						it.coords = coords
+						c.win.ScheduleRedraw()
+						return "", nil
+					}
+					out := make([]string, len(it.coords))
+					for i, v := range it.coords {
+						out[i] = strconv.Itoa(v)
+					}
+					return strings.Join(out, " "), nil
+				}
+			}
+			return "", nil
+		}), Min: 1, Max: -1, Usage: "tagOrId ?x y ...?"},
+		{Name: "create", Fn: on(app, (*Canvas).create), Min: 1, Max: -1, Usage: "type coords ?options?"},
+		{Name: "delete", Fn: on(app, func(c *Canvas, args []string) (string, error) {
+			kept := c.items[:0]
+			for _, it := range c.items {
+				if !it.hasTag(args[0]) {
+					kept = append(kept, it)
+				} else if c.current == it {
+					c.current = nil
+				}
+			}
+			c.items = kept
+			c.win.ScheduleRedraw()
+			return "", nil
+		}), Min: 1, Max: 1, Usage: "tagOrId"},
+		{Name: "find", Min: 1, Max: -1, Usage: "searchCommand ?arg ...?", Subs: []tcl.Row{
+			{Name: "closest", Fn: on(app, func(c *Canvas, args []string) (string, error) {
+				x, err1 := strconv.Atoi(args[1])
+				y, err2 := strconv.Atoi(args[2])
+				if err1 != nil || err2 != nil {
+					return "", fmt.Errorf("expected integer coordinates")
+				}
+				best := -1
+				bestDist := 1 << 30
+				for _, it := range c.items {
+					x0, y0, x1, y1 := it.bbox()
+					cx, cy := (x0+x1)/2, (y0+y1)/2
+					d := (cx-x)*(cx-x) + (cy-y)*(cy-y)
+					if d < bestDist {
+						bestDist = d
+						best = it.id
+					}
+				}
+				if best < 0 {
+					return "", nil
+				}
+				return strconv.Itoa(best), nil
+			}), Min: 2, Max: 2, Usage: "x y"},
+			{Name: "withtag", Fn: on(app, func(c *Canvas, args []string) (string, error) {
+				var ids []int
+				for _, it := range c.items {
+					if it.hasTag(args[1]) {
+						ids = append(ids, it.id)
+					}
+				}
+				sort.Ints(ids)
+				out := make([]string, len(ids))
+				for i, id := range ids {
+					out[i] = strconv.Itoa(id)
+				}
+				return strings.Join(out, " "), nil
+			}), Min: 1, Max: 1, Usage: "tagOrId"},
+		}},
+		{Name: "gettags", Fn: on(app, func(c *Canvas, args []string) (string, error) {
+			for _, it := range c.items {
+				if it.hasTag(args[0]) {
+					return tcl.FormatList(it.tags), nil
+				}
+			}
+			return "", nil
+		}), Min: 1, Max: 1, Usage: "tagOrId"},
+		{Name: "itemconfigure", Fn: on(app, func(c *Canvas, args []string) (string, error) {
+			opts := args[1:]
+			if len(opts)%2 != 0 {
+				return "", fmt.Errorf("value for %q missing", opts[len(opts)-1])
+			}
+			for _, it := range c.items {
+				if !it.hasTag(args[0]) {
+					continue
+				}
+				for i := 0; i < len(opts); i += 2 {
+					if err := c.applyItemOption(it, opts[i], opts[i+1]); err != nil {
+						return "", err
+					}
+				}
+			}
+			c.win.ScheduleRedraw()
+			return "", nil
+		}), Min: 1, Max: -1, Usage: "tagOrId ?option value ...?"},
+		{Name: "move", Fn: on(app, func(c *Canvas, args []string) (string, error) {
+			dx, err1 := strconv.Atoi(args[1])
+			dy, err2 := strconv.Atoi(args[2])
+			if err1 != nil || err2 != nil {
+				return "", fmt.Errorf("expected integer offsets")
+			}
+			for _, it := range c.items {
+				if it.hasTag(args[0]) {
+					for i := 0; i+1 < len(it.coords); i += 2 {
+						it.coords[i] += dx
+						it.coords[i+1] += dy
+					}
+				}
+			}
+			c.win.ScheduleRedraw()
+			return "", nil
+		}), Min: 3, Max: 3, Usage: "tagOrId dx dy"},
+		{Name: "raise", Fn: on(app, func(c *Canvas, args []string) (string, error) {
+			var lifted, rest []*canvasItem
+			for _, it := range c.items {
+				if it.hasTag(args[0]) {
+					lifted = append(lifted, it)
+				} else {
+					rest = append(rest, it)
+				}
+			}
+			c.items = append(rest, lifted...)
+			c.win.ScheduleRedraw()
+			return "", nil
+		}), Min: 1, Max: 1, Usage: "tagOrId"},
 	}
 }
 
@@ -184,7 +333,7 @@ func parseCoords(args []string) ([]int, error) {
 	return out, nil
 }
 
-// recompute implements subcommander.
+// recompute implements widget.
 func (c *Canvas) recompute() error {
 	if err := c.resolve(); err != nil {
 		return err
@@ -194,180 +343,8 @@ func (c *Canvas) recompute() error {
 	return nil
 }
 
-// widgetCommand implements subcommander.
-func (c *Canvas) widgetCommand(sub string, args []string) (string, error) {
-	switch sub {
-	case "create":
-		return c.cmdCreate(args)
-	case "delete":
-		if len(args) != 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s delete tagOrId"`, c.win.Path)
-		}
-		kept := c.items[:0]
-		for _, it := range c.items {
-			if !it.hasTag(args[0]) {
-				kept = append(kept, it)
-			} else if c.current == it {
-				c.current = nil
-			}
-		}
-		c.items = kept
-		c.win.ScheduleRedraw()
-		return "", nil
-	case "move":
-		if len(args) != 3 {
-			return "", fmt.Errorf(`wrong # args: should be "%s move tagOrId dx dy"`, c.win.Path)
-		}
-		dx, err1 := strconv.Atoi(args[1])
-		dy, err2 := strconv.Atoi(args[2])
-		if err1 != nil || err2 != nil {
-			return "", fmt.Errorf("expected integer offsets")
-		}
-		for _, it := range c.items {
-			if it.hasTag(args[0]) {
-				for i := 0; i+1 < len(it.coords); i += 2 {
-					it.coords[i] += dx
-					it.coords[i+1] += dy
-				}
-			}
-		}
-		c.win.ScheduleRedraw()
-		return "", nil
-	case "coords":
-		if len(args) < 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s coords tagOrId ?x y ...?"`, c.win.Path)
-		}
-		for _, it := range c.items {
-			if it.hasTag(args[0]) {
-				if len(args) > 1 {
-					coords, err := parseCoords(args[1:])
-					if err != nil {
-						return "", err
-					}
-					it.coords = coords
-					c.win.ScheduleRedraw()
-					return "", nil
-				}
-				out := make([]string, len(it.coords))
-				for i, v := range it.coords {
-					out[i] = strconv.Itoa(v)
-				}
-				return strings.Join(out, " "), nil
-			}
-		}
-		return "", nil
-	case "itemconfigure":
-		if len(args) < 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s itemconfigure tagOrId ?option value ...?"`, c.win.Path)
-		}
-		opts := args[1:]
-		if len(opts)%2 != 0 {
-			return "", fmt.Errorf("value for %q missing", opts[len(opts)-1])
-		}
-		for _, it := range c.items {
-			if !it.hasTag(args[0]) {
-				continue
-			}
-			for i := 0; i < len(opts); i += 2 {
-				if err := c.applyItemOption(it, opts[i], opts[i+1]); err != nil {
-					return "", err
-				}
-			}
-		}
-		c.win.ScheduleRedraw()
-		return "", nil
-	case "bind":
-		if len(args) < 2 || len(args) > 3 {
-			return "", fmt.Errorf(`wrong # args: should be "%s bind tagOrId event ?script?"`, c.win.Path)
-		}
-		tag, event := args[0], args[1]
-		if len(args) == 2 {
-			return c.itemBindings[tag][event], nil
-		}
-		if c.itemBindings[tag] == nil {
-			c.itemBindings[tag] = make(map[string]string)
-		}
-		if args[2] == "" {
-			delete(c.itemBindings[tag], event)
-		} else {
-			c.itemBindings[tag][event] = args[2]
-		}
-		return "", nil
-	case "find":
-		if len(args) >= 1 && args[0] == "closest" {
-			if len(args) != 3 {
-				return "", fmt.Errorf(`wrong # args: should be "%s find closest x y"`, c.win.Path)
-			}
-			x, err1 := strconv.Atoi(args[1])
-			y, err2 := strconv.Atoi(args[2])
-			if err1 != nil || err2 != nil {
-				return "", fmt.Errorf("expected integer coordinates")
-			}
-			best := -1
-			bestDist := 1 << 30
-			for _, it := range c.items {
-				x0, y0, x1, y1 := it.bbox()
-				cx, cy := (x0+x1)/2, (y0+y1)/2
-				d := (cx-x)*(cx-x) + (cy-y)*(cy-y)
-				if d < bestDist {
-					bestDist = d
-					best = it.id
-				}
-			}
-			if best < 0 {
-				return "", nil
-			}
-			return strconv.Itoa(best), nil
-		}
-		if len(args) >= 1 && args[0] == "withtag" && len(args) == 2 {
-			var ids []int
-			for _, it := range c.items {
-				if it.hasTag(args[1]) {
-					ids = append(ids, it.id)
-				}
-			}
-			sort.Ints(ids)
-			out := make([]string, len(ids))
-			for i, id := range ids {
-				out[i] = strconv.Itoa(id)
-			}
-			return strings.Join(out, " "), nil
-		}
-		return "", fmt.Errorf(`bad find option: should be "closest x y" or "withtag tag"`)
-	case "gettags":
-		if len(args) != 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s gettags tagOrId"`, c.win.Path)
-		}
-		for _, it := range c.items {
-			if it.hasTag(args[0]) {
-				return tcl.FormatList(it.tags), nil
-			}
-		}
-		return "", nil
-	case "raise":
-		if len(args) != 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s raise tagOrId"`, c.win.Path)
-		}
-		var lifted, rest []*canvasItem
-		for _, it := range c.items {
-			if it.hasTag(args[0]) {
-				lifted = append(lifted, it)
-			} else {
-				rest = append(rest, it)
-			}
-		}
-		c.items = append(rest, lifted...)
-		c.win.ScheduleRedraw()
-		return "", nil
-	}
-	return "", fmt.Errorf("bad option %q for canvas", sub)
-}
-
-// cmdCreate handles "create type x y ?x y ...? ?-option value ...?".
-func (c *Canvas) cmdCreate(args []string) (string, error) {
-	if len(args) < 1 {
-		return "", fmt.Errorf(`wrong # args: should be "%s create type coords ?options?"`, c.win.Path)
-	}
+// create handles "create type x y ?x y ...? ?-option value ...?".
+func (c *Canvas) create(args []string) (string, error) {
 	kind := args[0]
 	switch kind {
 	case "line", "rectangle", "oval", "polygon", "text":

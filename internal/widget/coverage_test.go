@@ -192,3 +192,26 @@ func TestWinfoManagerAndGeometry(t *testing.T) {
 		t.Fatalf("geometry = %q", got)
 	}
 }
+
+// TestNumbersParseAsWholeWords: an index or a geometry with junk after
+// its digits is rejected, not read up to the first non-digit.
+func TestNumbersParseAsWholeWords(t *testing.T) {
+	app, _ := newApp(t)
+	app.MustEval(`listbox .lb; .lb insert end a b c; menu .mn; .mn add command -label zero`)
+	for _, script := range []string{
+		`.lb get 1x`,
+		`.lb delete 2junk`,
+		`.mn entrylabel 0zz`,
+		`wm geometry . 100x200junk`,
+		`wm geometry . +5+6junk`,
+		`listbox .lb2 -geometry 10x5junk`,
+		`frame .f -geometry 30x40junk`,
+	} {
+		if res, err := app.Eval(script); err == nil {
+			t.Errorf("%q returned %q, want an error", script, res)
+		}
+	}
+	if got := app.MustEval(`.lb size`); got != "3" {
+		t.Errorf("the listbox holds %s items, want 3", got)
+	}
+}

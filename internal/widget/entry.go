@@ -38,23 +38,99 @@ var entrySpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-func createEntry(app *tk.App) tcl.CmdFunc {
-	return func(in *tcl.Interp, args []string) (string, error) {
-		b, err := newBase(app, args[1], "Entry", entrySpecs.get(), false)
-		if err != nil {
-			return "", err
-		}
-		e := &Entry{base: *b, selFrom: -1}
-		e.win.Widget = e
-		e.geomAndExposure()
-		e.bindBehaviour()
-		app.SetSelectionHandler(e.win, func() string { return e.Selected() })
-		res, err := e.install(e, args[2:])
-		if err != nil {
-			return "", err
-		}
-		e.watchVariable()
-		return res, nil
+func createEntry(app *tk.App, args []string, rows []tcl.Row) (string, error) {
+	b, err := newBase(app, args[1], "Entry", entrySpecs.get(), false)
+	if err != nil {
+		return "", err
+	}
+	e := &Entry{base: *b, selFrom: -1}
+	e.win.Widget = e
+	e.geomAndExposure()
+	e.bindBehaviour()
+	app.SetSelectionHandler(e.win, func() string { return e.Selected() })
+	res, err := e.install(e, rows, args[2:])
+	if err != nil {
+		return "", err
+	}
+	e.watchVariable()
+	return res, nil
+}
+
+// entryRows returns the subcommand rows of an entry, bound to app.
+func entryRows(app *tk.App) []tcl.Row {
+	return []tcl.Row{
+		configure(app),
+		{Name: "delete", Fn: on(app, func(e *Entry, args []string) (string, error) {
+			first, err := e.parseEntryIndex(args[0])
+			if err != nil {
+				return "", err
+			}
+			last := first + 1
+			if len(args) == 2 {
+				if last, err = e.parseEntryIndex(args[1]); err != nil {
+					return "", err
+				}
+			}
+			if last > len(e.text) {
+				last = len(e.text)
+			}
+			if first < last {
+				e.setText(e.text[:first]+e.text[last:], true)
+				if e.icursor > first {
+					e.icursor = first
+				}
+			}
+			return "", nil
+		}), Min: 1, Max: 2, Usage: "first ?last?"},
+		{Name: "get", Fn: on(app, func(e *Entry, _ []string) (string, error) { return e.text, nil })},
+		{Name: "icursor", Fn: on(app, func(e *Entry, args []string) (string, error) {
+			i, err := e.parseEntryIndex(args[0])
+			if err != nil {
+				return "", err
+			}
+			e.icursor = i
+			e.win.ScheduleRedraw()
+			return "", nil
+		}), Min: 1, Max: 1, Usage: "index"},
+		{Name: "index", Fn: on(app, func(e *Entry, args []string) (string, error) {
+			i, err := e.parseEntryIndex(args[0])
+			if err != nil {
+				return "", err
+			}
+			return strconv.Itoa(i), nil
+		}), Min: 1, Max: 1, Usage: "index"},
+		{Name: "insert", Fn: on(app, func(e *Entry, args []string) (string, error) {
+			i, err := e.parseEntryIndex(args[0])
+			if err != nil {
+				return "", err
+			}
+			e.setText(e.text[:i]+args[1]+e.text[i:], true)
+			if e.icursor >= i {
+				e.icursor += len(args[1])
+			}
+			return "", nil
+		}), Min: 2, Max: 2, Usage: "index string"},
+		{Name: "select", Min: 1, Max: -1, Usage: "option ?arg ...?", Subs: []tcl.Row{
+			{Name: "clear", Fn: on(app, func(e *Entry, _ []string) (string, error) {
+				e.selFrom = -1
+				e.win.ScheduleRedraw()
+				return "", nil
+			})},
+			{Name: "range", Fn: on(app, func(e *Entry, args []string) (string, error) {
+				from, err1 := e.parseEntryIndex(args[1])
+				to, err2 := e.parseEntryIndex(args[2])
+				if err1 != nil || err2 != nil {
+					return "", fmt.Errorf("bad select range")
+				}
+				e.selFrom, e.selTo = from, to
+				e.app.OwnSelection(e.win, func(*tk.Window) {
+					e.selFrom = -1
+					e.win.ScheduleRedraw()
+				})
+				e.win.ScheduleRedraw()
+				return "", nil
+			}), Min: 2, Max: 2, Usage: "start end"},
+		}},
 	}
 }
 
@@ -175,7 +251,7 @@ func (e *Entry) handleKey(ev *xproto.Event) {
 	}
 }
 
-// recompute implements subcommander.
+// recompute implements widget.
 func (e *Entry) recompute() error {
 	if err := e.resolve(); err != nil {
 		return err
@@ -185,93 +261,6 @@ func (e *Entry) recompute() error {
 	e.win.GeometryRequest(chars*e.font.TextWidth("0")+2*bd+6, e.font.LineHeight()+2*bd+6)
 	e.win.ScheduleRedraw()
 	return nil
-}
-
-// widgetCommand implements subcommander.
-func (e *Entry) widgetCommand(sub string, args []string) (string, error) {
-	switch sub {
-	case "get":
-		return e.text, nil
-	case "insert":
-		if len(args) != 2 {
-			return "", fmt.Errorf(`wrong # args: should be "%s insert index string"`, e.win.Path)
-		}
-		i, err := e.parseEntryIndex(args[0])
-		if err != nil {
-			return "", err
-		}
-		e.setText(e.text[:i]+args[1]+e.text[i:], true)
-		if e.icursor >= i {
-			e.icursor += len(args[1])
-		}
-		return "", nil
-	case "delete":
-		if len(args) < 1 || len(args) > 2 {
-			return "", fmt.Errorf(`wrong # args: should be "%s delete first ?last?"`, e.win.Path)
-		}
-		first, err := e.parseEntryIndex(args[0])
-		if err != nil {
-			return "", err
-		}
-		last := first + 1
-		if len(args) == 2 {
-			if last, err = e.parseEntryIndex(args[1]); err != nil {
-				return "", err
-			}
-		}
-		if last > len(e.text) {
-			last = len(e.text)
-		}
-		if first < last {
-			e.setText(e.text[:first]+e.text[last:], true)
-			if e.icursor > first {
-				e.icursor = first
-			}
-		}
-		return "", nil
-	case "icursor":
-		if len(args) != 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s icursor index"`, e.win.Path)
-		}
-		i, err := e.parseEntryIndex(args[0])
-		if err != nil {
-			return "", err
-		}
-		e.icursor = i
-		e.win.ScheduleRedraw()
-		return "", nil
-	case "index":
-		if len(args) != 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s index index"`, e.win.Path)
-		}
-		i, err := e.parseEntryIndex(args[0])
-		if err != nil {
-			return "", err
-		}
-		return strconv.Itoa(i), nil
-	case "select":
-		if len(args) == 3 && args[0] == "range" {
-			from, err1 := e.parseEntryIndex(args[1])
-			to, err2 := e.parseEntryIndex(args[2])
-			if err1 != nil || err2 != nil {
-				return "", fmt.Errorf("bad select range")
-			}
-			e.selFrom, e.selTo = from, to
-			e.app.OwnSelection(e.win, func(*tk.Window) {
-				e.selFrom = -1
-				e.win.ScheduleRedraw()
-			})
-			e.win.ScheduleRedraw()
-			return "", nil
-		}
-		if len(args) == 1 && args[0] == "clear" {
-			e.selFrom = -1
-			e.win.ScheduleRedraw()
-			return "", nil
-		}
-		return "", fmt.Errorf("bad select option")
-	}
-	return "", fmt.Errorf("bad option %q for entry", sub)
 }
 
 // parseEntryIndex handles numeric indices, "end" and "insert".

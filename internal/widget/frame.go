@@ -24,10 +24,10 @@ var frameSpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-// createFrame returns the creation command of frames, or with top set,
-// of top-level windows.
-func createFrame(app *tk.App, top bool) tcl.CmdFunc {
-	return func(in *tcl.Interp, args []string) (string, error) {
+// createFrame returns the creation procedure of frames, or with top
+// set, of top-level windows.
+func createFrame(top bool) func(*tk.App, []string, []tcl.Row) (string, error) {
+	return func(app *tk.App, args []string, rows []tcl.Row) (string, error) {
 		class := "Frame"
 		if top {
 			class = "Toplevel"
@@ -39,7 +39,7 @@ func createFrame(app *tk.App, top bool) tcl.CmdFunc {
 		f := &Frame{base: *b}
 		f.win.Widget = f
 		f.geomAndExposure()
-		path, err := f.install(f, args[2:])
+		path, err := f.install(f, rows, args[2:])
 		if err == nil && top {
 			app.DoWhenIdle(f.mapFrame)
 		}
@@ -47,7 +47,7 @@ func createFrame(app *tk.App, top bool) tcl.CmdFunc {
 	}
 }
 
-// recompute implements subcommander.
+// recompute implements widget.
 func (f *Frame) recompute() error {
 	if err := f.resolve(); err != nil {
 		return err
@@ -58,10 +58,8 @@ func (f *Frame) recompute() error {
 	h := f.cv.GetInt("-height", 0)
 	// The old Tk -geometry option: "WxH".
 	if g := f.cv.Get("-geometry"); g != "" {
-		var gw, gh int
-		if n, _ := fmt.Sscanf(g, "%dx%d", &gw, &gh); n == 2 {
-			w, h = gw, gh
-		} else {
+		var ok bool
+		if w, h, ok = tk.ParsePair(g, "x"); !ok {
 			return fmt.Errorf("bad geometry %q", g)
 		}
 	}
@@ -83,12 +81,6 @@ func (f *Frame) mapFrame() {
 		}
 	}
 	f.win.Map()
-}
-
-// widgetCommand implements subcommander; frames have no class-specific
-// subcommands.
-func (f *Frame) widgetCommand(sub string, args []string) (string, error) {
-	return "", fmt.Errorf("bad option %q: must be configure", sub)
 }
 
 // Redraw implements tk.Widget.

@@ -1,30 +1,32 @@
 package widget_test
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/widget"
 )
 
-// TestCommandNamesMatchRegister keeps the static CommandNames table in
-// sync with Register: every advertised widget class must be a live
-// creation command in a full application.
+// TestCommandNamesMatchRegister keeps the static tables in sync with
+// Register: every widget-creation command Commands lists has a row in
+// Instances and is a live command in a full application, and Instances
+// lists no other class.
 func TestCommandNamesMatchRegister(t *testing.T) {
 	app, _ := newApp(t)
 
-	names := widget.CommandNames()
-	if !sort.StringsAreSorted(names) {
-		t.Error("CommandNames is not sorted")
+	instances := widget.Instances()
+	rows := widget.Commands()
+	if len(instances) != len(rows) {
+		t.Errorf("Instances lists %d classes, Commands %d", len(instances), len(rows))
 	}
-	seen := map[string]bool{}
-	for _, n := range names {
-		if seen[n] {
-			t.Errorf("CommandNames lists %q twice", n)
+	for i, r := range rows {
+		if i > 0 && rows[i-1].Name >= r.Name {
+			t.Errorf("Commands is not sorted: %q before %q", rows[i-1].Name, r.Name)
 		}
-		seen[n] = true
-		if !app.Interp.HasCommand(n) {
-			t.Errorf("CommandNames lists %q but Register did not install it", n)
+		if instances[r.Name].Subs == nil {
+			t.Errorf("Instances has no rows for %q", r.Name)
+		}
+		if !app.Interp.HasCommand(r.Name) {
+			t.Errorf("Commands lists %q but Register did not install it", r.Name)
 		}
 	}
 }

@@ -37,29 +37,144 @@ var listboxSpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-func createListbox(app *tk.App) tcl.CmdFunc {
-	return func(in *tcl.Interp, args []string) (string, error) {
-		b, err := newBase(app, args[1], "Listbox", listboxSpecs.get(), false)
+func createListbox(app *tk.App, args []string, rows []tcl.Row) (string, error) {
+	b, err := newBase(app, args[1], "Listbox", listboxSpecs.get(), false)
+	if err != nil {
+		return "", err
+	}
+	lb := &Listbox{base: *b, selFirst: -1, selLast: -1}
+	lb.win.Widget = lb
+	lb.geomAndExposure()
+	lb.bindBehaviour()
+	// A resize changes how many lines are visible; keep the attached
+	// scrollbar current.
+	lb.win.AddEventHandler(xproto.StructureNotifyMask, func(ev *xproto.Event) {
+		if ev.Type == xproto.ConfigureNotify {
+			lb.updateScrollbar()
+		}
+	})
+	// The selection handler (§3.6): returns the selected items, one
+	// per line.
+	app.SetSelectionHandler(lb.win, func() string {
+		return strings.Join(lb.SelectedItems(), "\n")
+	})
+	return lb.install(lb, rows, args[2:])
+}
+
+// listboxRows returns the subcommand rows of a listbox, bound to app.
+func listboxRows(app *tk.App) []tcl.Row {
+	view := on(app, func(lb *Listbox, args []string) (string, error) {
+		i, err := parseIndex(args[0], len(lb.items)-1)
 		if err != nil {
 			return "", err
 		}
-		lb := &Listbox{base: *b, selFirst: -1, selLast: -1}
-		lb.win.Widget = lb
-		lb.geomAndExposure()
-		lb.bindBehaviour()
-		// A resize changes how many lines are visible; keep the attached
-		// scrollbar current.
-		lb.win.AddEventHandler(xproto.StructureNotifyMask, func(ev *xproto.Event) {
-			if ev.Type == xproto.ConfigureNotify {
-				lb.updateScrollbar()
+		lb.View(i)
+		return "", nil
+	})
+	// selectFrom selects item args[1] alone and makes it the anchor.
+	selectFrom := on(app, func(lb *Listbox, args []string) (string, error) {
+		i, err := parseIndex(args[1], len(lb.items)-1)
+		if err != nil {
+			return "", err
+		}
+		lb.anchor = i
+		lb.selFirst, lb.selLast = i, i
+		lb.claimSelection()
+		lb.win.ScheduleRedraw()
+		return "", nil
+	})
+	return []tcl.Row{
+		configure(app),
+		{Name: "curselection", Fn: on(app, func(lb *Listbox, _ []string) (string, error) {
+			var out []string
+			if lb.selFirst >= 0 {
+				for i := lb.selFirst; i <= lb.selLast && i < len(lb.items); i++ {
+					out = append(out, strconv.Itoa(i))
+				}
 			}
-		})
-		// The selection handler (§3.6): returns the selected items, one
-		// per line.
-		app.SetSelectionHandler(lb.win, func() string {
-			return strings.Join(lb.SelectedItems(), "\n")
-		})
-		return lb.install(lb, args[2:])
+			return strings.Join(out, " "), nil
+		})},
+		{Name: "delete", Fn: on(app, func(lb *Listbox, args []string) (string, error) {
+			first, err := parseIndex(args[0], len(lb.items)-1)
+			if err != nil {
+				return "", err
+			}
+			last := first
+			if len(args) == 2 {
+				if last, err = parseIndex(args[1], len(lb.items)-1); err != nil {
+					return "", err
+				}
+			}
+			if first < 0 {
+				first = 0
+			}
+			if last >= len(lb.items) {
+				last = len(lb.items) - 1
+			}
+			if first <= last {
+				lb.items = append(lb.items[:first], lb.items[last+1:]...)
+				lb.selFirst, lb.selLast = -1, -1
+				lb.View(lb.top)
+			}
+			return "", nil
+		}), Min: 1, Max: 2, Usage: "first ?last?"},
+		{Name: "get", Fn: on(app, func(lb *Listbox, args []string) (string, error) {
+			i, err := parseIndex(args[0], len(lb.items)-1)
+			if err != nil {
+				return "", err
+			}
+			if i < 0 || i >= len(lb.items) {
+				return "", fmt.Errorf("index %q out of range", args[0])
+			}
+			return lb.items[i], nil
+		}), Min: 1, Max: 1, Usage: "index"},
+		{Name: "insert", Fn: on(app, func(lb *Listbox, args []string) (string, error) {
+			i, err := parseIndex(args[0], len(lb.items))
+			if err != nil {
+				return "", err
+			}
+			if i < 0 {
+				i = 0
+			}
+			if i > len(lb.items) {
+				i = len(lb.items)
+			}
+			items := append([]string{}, lb.items[:i]...)
+			items = append(items, args[1:]...)
+			items = append(items, lb.items[i:]...)
+			lb.items = items
+			lb.updateScrollbar()
+			lb.win.ScheduleRedraw()
+			return "", nil
+		}), Min: 1, Max: -1, Usage: "index ?element ...?"},
+		{Name: "nearest", Fn: on(app, func(lb *Listbox, args []string) (string, error) {
+			y, err := strconv.Atoi(args[0])
+			if err != nil {
+				return "", fmt.Errorf("expected integer but got %q", args[0])
+			}
+			return strconv.Itoa(lb.indexAt(y)), nil
+		}), Min: 1, Max: 1, Usage: "y"},
+		{Name: "select", Min: 1, Max: 2, Usage: "option ?index?", Subs: []tcl.Row{
+			{Name: "clear", Fn: on(app, func(lb *Listbox, _ []string) (string, error) {
+				lb.selFirst, lb.selLast = -1, -1
+				lb.win.ScheduleRedraw()
+				return "", nil
+			})},
+			{Name: "from", Fn: selectFrom, Min: 1, Max: 1, Usage: "index"},
+			{Name: "set", Fn: selectFrom, Min: 1, Max: 1, Usage: "index"},
+			{Name: "to", Fn: on(app, func(lb *Listbox, args []string) (string, error) {
+				i, err := parseIndex(args[1], len(lb.items)-1)
+				if err != nil {
+					return "", err
+				}
+				lb.extendTo(i)
+				lb.win.ScheduleRedraw()
+				return "", nil
+			}), Min: 1, Max: 1, Usage: "index"},
+		}},
+		{Name: "size", Fn: on(app, func(lb *Listbox, _ []string) (string, error) { return strconv.Itoa(len(lb.items)), nil })},
+		{Name: "view", Fn: view, Min: 1, Max: 1, Usage: "index"},
+		{Name: "yview", Fn: view, Min: 1, Max: 1, Usage: "index"},
 	}
 }
 
@@ -187,14 +302,15 @@ func (lb *Listbox) View(index int) {
 	lb.win.ScheduleRedraw()
 }
 
-// recompute implements subcommander.
+// recompute implements widget.
 func (lb *Listbox) recompute() error {
 	if err := lb.resolve(); err != nil {
 		return err
 	}
 	cols, rows := 15, 10
 	if g := lb.cv.Get("-geometry"); g != "" {
-		if n, _ := fmt.Sscanf(g, "%dx%d", &cols, &rows); n != 2 {
+		var ok bool
+		if cols, rows, ok = tk.ParsePair(g, "x"); !ok {
 			return fmt.Errorf("bad geometry %q: expected WIDTHxHEIGHT", g)
 		}
 	}
@@ -205,136 +321,6 @@ func (lb *Listbox) recompute() error {
 	lb.win.ScheduleRedraw()
 	lb.updateScrollbar()
 	return nil
-}
-
-// widgetCommand implements subcommander.
-func (lb *Listbox) widgetCommand(sub string, args []string) (string, error) {
-	switch sub {
-	case "insert":
-		if len(args) < 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s insert index ?element ...?"`, lb.win.Path)
-		}
-		i, err := parseIndex(args[0], len(lb.items))
-		if err != nil {
-			return "", err
-		}
-		if i < 0 {
-			i = 0
-		}
-		if i > len(lb.items) {
-			i = len(lb.items)
-		}
-		items := append([]string{}, lb.items[:i]...)
-		items = append(items, args[1:]...)
-		items = append(items, lb.items[i:]...)
-		lb.items = items
-		lb.updateScrollbar()
-		lb.win.ScheduleRedraw()
-		return "", nil
-	case "delete":
-		if len(args) < 1 || len(args) > 2 {
-			return "", fmt.Errorf(`wrong # args: should be "%s delete first ?last?"`, lb.win.Path)
-		}
-		first, err := parseIndex(args[0], len(lb.items)-1)
-		if err != nil {
-			return "", err
-		}
-		last := first
-		if len(args) == 2 {
-			if last, err = parseIndex(args[1], len(lb.items)-1); err != nil {
-				return "", err
-			}
-		}
-		if first < 0 {
-			first = 0
-		}
-		if last >= len(lb.items) {
-			last = len(lb.items) - 1
-		}
-		if first <= last {
-			lb.items = append(lb.items[:first], lb.items[last+1:]...)
-			lb.selFirst, lb.selLast = -1, -1
-			lb.View(lb.top)
-		}
-		return "", nil
-	case "get":
-		if len(args) != 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s get index"`, lb.win.Path)
-		}
-		i, err := parseIndex(args[0], len(lb.items)-1)
-		if err != nil {
-			return "", err
-		}
-		if i < 0 || i >= len(lb.items) {
-			return "", fmt.Errorf("index %q out of range", args[0])
-		}
-		return lb.items[i], nil
-	case "size":
-		return strconv.Itoa(len(lb.items)), nil
-	case "view", "yview":
-		if len(args) != 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s %s index"`, lb.win.Path, sub)
-		}
-		i, err := parseIndex(args[0], len(lb.items)-1)
-		if err != nil {
-			return "", err
-		}
-		lb.View(i)
-		return "", nil
-	case "nearest":
-		if len(args) != 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s nearest y"`, lb.win.Path)
-		}
-		y, err := strconv.Atoi(args[0])
-		if err != nil {
-			return "", fmt.Errorf("expected integer but got %q", args[0])
-		}
-		return strconv.Itoa(lb.indexAt(y)), nil
-	case "curselection":
-		var out []string
-		if lb.selFirst >= 0 {
-			for i := lb.selFirst; i <= lb.selLast && i < len(lb.items); i++ {
-				out = append(out, strconv.Itoa(i))
-			}
-		}
-		return strings.Join(out, " "), nil
-	case "select":
-		if len(args) < 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s select option ?index?"`, lb.win.Path)
-		}
-		switch args[0] {
-		case "clear":
-			lb.selFirst, lb.selLast = -1, -1
-			lb.win.ScheduleRedraw()
-			return "", nil
-		case "from", "set":
-			if len(args) != 2 {
-				return "", fmt.Errorf("select %s needs an index", args[0])
-			}
-			i, err := parseIndex(args[1], len(lb.items)-1)
-			if err != nil {
-				return "", err
-			}
-			lb.anchor = i
-			lb.selFirst, lb.selLast = i, i
-			lb.claimSelection()
-			lb.win.ScheduleRedraw()
-			return "", nil
-		case "to":
-			if len(args) != 2 {
-				return "", fmt.Errorf("select to needs an index")
-			}
-			i, err := parseIndex(args[1], len(lb.items)-1)
-			if err != nil {
-				return "", err
-			}
-			lb.extendTo(i)
-			lb.win.ScheduleRedraw()
-			return "", nil
-		}
-		return "", fmt.Errorf("bad select option %q", args[0])
-	}
-	return "", fmt.Errorf("bad option %q for listbox", sub)
 }
 
 // Redraw implements tk.Widget.

@@ -46,19 +46,102 @@ var menuSpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-func createMenu(app *tk.App) tcl.CmdFunc {
-	return func(in *tcl.Interp, args []string) (string, error) {
-		b, err := newBase(app, args[1], "Menu", menuSpecs.get(), true)
-		if err != nil {
-			return "", err
-		}
-		m := &Menu{base: *b, active: -1}
-		m.win.Widget = m
-		m.geomAndExposure()
-		m.bindBehaviour()
-		// Menus are override-redirect: no WM decoration.
-		m.win.SetOverrideRedirect(true)
-		return m.install(m, args[2:])
+func createMenu(app *tk.App, args []string, rows []tcl.Row) (string, error) {
+	b, err := newBase(app, args[1], "Menu", menuSpecs.get(), true)
+	if err != nil {
+		return "", err
+	}
+	m := &Menu{base: *b, active: -1}
+	m.win.Widget = m
+	m.geomAndExposure()
+	m.bindBehaviour()
+	// Menus are override-redirect: no WM decoration.
+	m.win.SetOverrideRedirect(true)
+	return m.install(m, rows, args[2:])
+}
+
+// menuRows returns the subcommand rows of a menu, bound to app.
+func menuRows(app *tk.App) []tcl.Row {
+	return []tcl.Row{
+		{Name: "activate", Fn: on(app, func(m *Menu, args []string) (string, error) {
+			i, err := parseIndex(args[0], len(m.entries)-1)
+			if err != nil {
+				return "", err
+			}
+			m.active = i
+			m.win.ScheduleRedraw()
+			return "", nil
+		}), Min: 1, Max: 1, Usage: "index"},
+		{Name: "add", Fn: on(app, func(m *Menu, args []string) (string, error) {
+			en := menuEntry{kind: args[0], onValue: "1", offValue: "0"}
+			switch en.kind {
+			case "command", "checkbutton", "radiobutton", "separator":
+			default:
+				return "", fmt.Errorf("bad menu entry type %q", args[0])
+			}
+			rest := args[1:]
+			if len(rest)%2 != 0 {
+				return "", fmt.Errorf("value for %q missing", rest[len(rest)-1])
+			}
+			for i := 0; i < len(rest); i += 2 {
+				switch rest[i] {
+				case "-label":
+					en.label = rest[i+1]
+				case "-command":
+					en.command = rest[i+1]
+				case "-variable":
+					en.variable = rest[i+1]
+				case "-onvalue":
+					en.onValue = rest[i+1]
+				case "-offvalue":
+					en.offValue = rest[i+1]
+				case "-value":
+					en.value = rest[i+1]
+				default:
+					return "", fmt.Errorf("unknown menu entry option %q", rest[i])
+				}
+			}
+			m.entries = append(m.entries, en)
+			return "", m.recompute()
+		}), Min: 1, Max: -1, Usage: "type ?options?"},
+		configure(app),
+		{Name: "delete", Fn: on(app, func(m *Menu, args []string) (string, error) {
+			i, err := m.entryIndex(args[0])
+			if err != nil {
+				return "", err
+			}
+			m.entries = append(m.entries[:i], m.entries[i+1:]...)
+			return "", m.recompute()
+		}), Min: 1, Max: 1, Usage: "index"},
+		{Name: "entrycount", Fn: on(app, func(m *Menu, _ []string) (string, error) { return strconv.Itoa(len(m.entries)), nil })},
+		{Name: "entrylabel", Fn: on(app, func(m *Menu, args []string) (string, error) {
+			i, err := m.entryIndex(args[0])
+			if err != nil {
+				return "", err
+			}
+			return m.entries[i].label, nil
+		}), Min: 1, Max: 1, Usage: "index"},
+		{Name: "invoke", Fn: on(app, func(m *Menu, args []string) (string, error) {
+			i, err := parseIndex(args[0], len(m.entries)-1)
+			if err != nil {
+				return "", err
+			}
+			m.InvokeEntry(i)
+			return "", nil
+		}), Min: 1, Max: 1, Usage: "index"},
+		{Name: "post", Fn: on(app, func(m *Menu, args []string) (string, error) {
+			x, err1 := strconv.Atoi(args[0])
+			y, err2 := strconv.Atoi(args[1])
+			if err1 != nil || err2 != nil {
+				return "", fmt.Errorf("expected integer coordinates")
+			}
+			m.Post(x, y)
+			return "", nil
+		}), Min: 2, Max: 2, Usage: "x y"},
+		{Name: "unpost", Fn: on(app, func(m *Menu, _ []string) (string, error) {
+			m.Unpost()
+			return "", nil
+		})},
 	}
 }
 
@@ -141,7 +224,7 @@ func (m *Menu) InvokeEntry(i int) {
 	m.eval(fmt.Sprintf("menu entry %d of %s", i, m.win.Path), en.command)
 }
 
-// recompute implements subcommander.
+// recompute implements widget.
 func (m *Menu) recompute() error {
 	if err := m.resolve(); err != nil {
 		return err
@@ -162,101 +245,13 @@ func (m *Menu) recompute() error {
 	return nil
 }
 
-// widgetCommand implements subcommander.
-func (m *Menu) widgetCommand(sub string, args []string) (string, error) {
-	switch sub {
-	case "add":
-		if len(args) < 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s add type ?options?"`, m.win.Path)
-		}
-		en := menuEntry{kind: args[0], onValue: "1", offValue: "0"}
-		switch en.kind {
-		case "command", "checkbutton", "radiobutton", "separator":
-		default:
-			return "", fmt.Errorf("bad menu entry type %q", args[0])
-		}
-		rest := args[1:]
-		if len(rest)%2 != 0 {
-			return "", fmt.Errorf("value for %q missing", rest[len(rest)-1])
-		}
-		for i := 0; i < len(rest); i += 2 {
-			switch rest[i] {
-			case "-label":
-				en.label = rest[i+1]
-			case "-command":
-				en.command = rest[i+1]
-			case "-variable":
-				en.variable = rest[i+1]
-			case "-onvalue":
-				en.onValue = rest[i+1]
-			case "-offvalue":
-				en.offValue = rest[i+1]
-			case "-value":
-				en.value = rest[i+1]
-			default:
-				return "", fmt.Errorf("unknown menu entry option %q", rest[i])
-			}
-		}
-		m.entries = append(m.entries, en)
-		return "", m.recompute()
-	case "delete":
-		if len(args) != 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s delete index"`, m.win.Path)
-		}
-		i, err := parseIndex(args[0], len(m.entries)-1)
-		if err != nil || i < 0 || i >= len(m.entries) {
-			return "", fmt.Errorf("bad menu entry index %q", args[0])
-		}
-		m.entries = append(m.entries[:i], m.entries[i+1:]...)
-		return "", m.recompute()
-	case "entrycount":
-		return strconv.Itoa(len(m.entries)), nil
-	case "invoke":
-		if len(args) != 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s invoke index"`, m.win.Path)
-		}
-		i, err := parseIndex(args[0], len(m.entries)-1)
-		if err != nil {
-			return "", err
-		}
-		m.InvokeEntry(i)
-		return "", nil
-	case "activate":
-		if len(args) != 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s activate index"`, m.win.Path)
-		}
-		i, err := parseIndex(args[0], len(m.entries)-1)
-		if err != nil {
-			return "", err
-		}
-		m.active = i
-		m.win.ScheduleRedraw()
-		return "", nil
-	case "post":
-		if len(args) != 2 {
-			return "", fmt.Errorf(`wrong # args: should be "%s post x y"`, m.win.Path)
-		}
-		x, err1 := strconv.Atoi(args[0])
-		y, err2 := strconv.Atoi(args[1])
-		if err1 != nil || err2 != nil {
-			return "", fmt.Errorf("expected integer coordinates")
-		}
-		m.Post(x, y)
-		return "", nil
-	case "unpost":
-		m.Unpost()
-		return "", nil
-	case "entrylabel":
-		if len(args) != 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s entrylabel index"`, m.win.Path)
-		}
-		i, err := parseIndex(args[0], len(m.entries)-1)
-		if err != nil || i < 0 || i >= len(m.entries) {
-			return "", fmt.Errorf("bad menu entry index %q", args[0])
-		}
-		return m.entries[i].label, nil
+// entryIndex returns the entry index s names, which must exist.
+func (m *Menu) entryIndex(s string) (int, error) {
+	i, err := parseIndex(s, len(m.entries)-1)
+	if err != nil || i < 0 || i >= len(m.entries) {
+		return 0, fmt.Errorf("bad menu entry index %q", s)
 	}
-	return "", fmt.Errorf("bad option %q for menu", sub)
+	return i, nil
 }
 
 // Redraw implements tk.Widget.
@@ -326,17 +321,36 @@ var menubuttonSpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-func createMenubutton(app *tk.App) tcl.CmdFunc {
-	return func(in *tcl.Interp, args []string) (string, error) {
-		b, err := newBase(app, args[1], "Menubutton", menubuttonSpecs.get(), false)
-		if err != nil {
-			return "", err
-		}
-		mb := &Menubutton{base: *b}
-		mb.win.Widget = mb
-		mb.geomAndExposure()
-		mb.bindBehaviour()
-		return mb.install(mb, args[2:])
+func createMenubutton(app *tk.App, args []string, rows []tcl.Row) (string, error) {
+	b, err := newBase(app, args[1], "Menubutton", menubuttonSpecs.get(), false)
+	if err != nil {
+		return "", err
+	}
+	mb := &Menubutton{base: *b}
+	mb.win.Widget = mb
+	mb.geomAndExposure()
+	mb.bindBehaviour()
+	return mb.install(mb, rows, args[2:])
+}
+
+// menubuttonRows returns the subcommand rows of a menubutton, bound to
+// app.
+func menubuttonRows(app *tk.App) []tcl.Row {
+	return []tcl.Row{
+		configure(app),
+		{Name: "post", Fn: on(app, func(mb *Menubutton, _ []string) (string, error) {
+			if m := mb.menu(); m != nil {
+				rx, ry := mb.win.RootCoords()
+				m.Post(rx, ry+mb.win.Height)
+			}
+			return "", nil
+		})},
+		{Name: "unpost", Fn: on(app, func(mb *Menubutton, _ []string) (string, error) {
+			if m := mb.menu(); m != nil {
+				m.Unpost()
+			}
+			return "", nil
+		})},
 	}
 }
 
@@ -399,7 +413,7 @@ func (mb *Menubutton) bindBehaviour() {
 	})
 }
 
-// recompute implements subcommander.
+// recompute implements widget.
 func (mb *Menubutton) recompute() error {
 	if err := mb.resolve(); err != nil {
 		return err
@@ -411,24 +425,6 @@ func (mb *Menubutton) recompute() error {
 		mb.font.LineHeight()+2*mb.cv.GetInt("-pady", 2)+2*bd)
 	mb.win.ScheduleRedraw()
 	return nil
-}
-
-// widgetCommand implements subcommander.
-func (mb *Menubutton) widgetCommand(sub string, args []string) (string, error) {
-	switch sub {
-	case "post":
-		if m := mb.menu(); m != nil {
-			rx, ry := mb.win.RootCoords()
-			m.Post(rx, ry+mb.win.Height)
-		}
-		return "", nil
-	case "unpost":
-		if m := mb.menu(); m != nil {
-			m.Unpost()
-		}
-		return "", nil
-	}
-	return "", fmt.Errorf("bad option %q for menubutton", sub)
 }
 
 // Redraw implements tk.Widget.

@@ -1,7 +1,6 @@
 package widget
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/tcl"
@@ -28,17 +27,15 @@ var messageSpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-func createMessage(app *tk.App) tcl.CmdFunc {
-	return func(in *tcl.Interp, args []string) (string, error) {
-		b, err := newBase(app, args[1], "Message", messageSpecs.get(), false)
-		if err != nil {
-			return "", err
-		}
-		m := &Message{base: *b}
-		m.win.Widget = m
-		m.geomAndExposure()
-		return m.install(m, args[2:])
+func createMessage(app *tk.App, args []string, rows []tcl.Row) (string, error) {
+	b, err := newBase(app, args[1], "Message", messageSpecs.get(), false)
+	if err != nil {
+		return "", err
 	}
+	m := &Message{base: *b}
+	m.win.Widget = m
+	m.geomAndExposure()
+	return m.install(m, rows, args[2:])
 }
 
 // wrap breaks text into lines no wider than maxWidth pixels, honouring
@@ -70,7 +67,7 @@ func (m *Message) wrap(text string, maxWidth int) []string {
 	return out
 }
 
-// recompute implements subcommander: choose a width (fixed or from the
+// recompute implements widget: choose a width (fixed or from the
 // aspect ratio), wrap, and request space.
 func (m *Message) recompute() error {
 	if err := m.resolve(); err != nil {
@@ -114,11 +111,6 @@ func (m *Message) recompute() error {
 	m.win.GeometryRequest(maxW+2*padX+2*bd, h+2*padY+2*bd)
 	m.win.ScheduleRedraw()
 	return nil
-}
-
-// widgetCommand implements subcommander.
-func (m *Message) widgetCommand(sub string, args []string) (string, error) {
-	return "", fmt.Errorf("bad option %q: must be configure", sub)
 }
 
 // Redraw implements tk.Widget.

@@ -34,17 +34,31 @@ var scaleSpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-func createScale(app *tk.App) tcl.CmdFunc {
-	return func(in *tcl.Interp, args []string) (string, error) {
-		b, err := newBase(app, args[1], "Scale", scaleSpecs.get(), false)
-		if err != nil {
-			return "", err
-		}
-		s := &Scale{base: *b}
-		s.win.Widget = s
-		s.geomAndExposure()
-		s.bindBehaviour()
-		return s.install(s, args[2:])
+func createScale(app *tk.App, args []string, rows []tcl.Row) (string, error) {
+	b, err := newBase(app, args[1], "Scale", scaleSpecs.get(), false)
+	if err != nil {
+		return "", err
+	}
+	s := &Scale{base: *b}
+	s.win.Widget = s
+	s.geomAndExposure()
+	s.bindBehaviour()
+	return s.install(s, rows, args[2:])
+}
+
+// scaleRows returns the subcommand rows of a scale, bound to app.
+func scaleRows(app *tk.App) []tcl.Row {
+	return []tcl.Row{
+		configure(app),
+		{Name: "get", Fn: on(app, func(s *Scale, _ []string) (string, error) { return strconv.Itoa(s.value), nil })},
+		{Name: "set", Fn: on(app, func(s *Scale, args []string) (string, error) {
+			v, err := strconv.Atoi(args[0])
+			if err != nil {
+				return "", fmt.Errorf("expected integer but got %q", args[0])
+			}
+			s.Set(v)
+			return "", nil
+		}), Min: 1, Max: 1, Usage: "value"},
 	}
 }
 
@@ -122,7 +136,7 @@ func (s *Scale) Set(v int) {
 	}
 }
 
-// recompute implements subcommander.
+// recompute implements widget.
 func (s *Scale) recompute() error {
 	if err := s.resolve(); err != nil {
 		return err
@@ -144,25 +158,6 @@ func (s *Scale) recompute() error {
 	}
 	s.win.ScheduleRedraw()
 	return nil
-}
-
-// widgetCommand implements subcommander.
-func (s *Scale) widgetCommand(sub string, args []string) (string, error) {
-	switch sub {
-	case "set":
-		if len(args) != 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s set value"`, s.win.Path)
-		}
-		v, err := strconv.Atoi(args[0])
-		if err != nil {
-			return "", fmt.Errorf("expected integer but got %q", args[0])
-		}
-		s.Set(v)
-		return "", nil
-	case "get":
-		return strconv.Itoa(s.value), nil
-	}
-	return "", fmt.Errorf("bad option %q: must be set, get, or configure", sub)
 }
 
 // Redraw implements tk.Widget.

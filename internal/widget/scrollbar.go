@@ -44,17 +44,39 @@ var scrollbarSpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-func createScrollbar(app *tk.App) tcl.CmdFunc {
-	return func(in *tcl.Interp, args []string) (string, error) {
-		b, err := newBase(app, args[1], "Scrollbar", scrollbarSpecs.get(), false)
-		if err != nil {
-			return "", err
-		}
-		sb := &Scrollbar{base: *b, total: 1, window: 1}
-		sb.win.Widget = sb
-		sb.geomAndExposure()
-		sb.bindBehaviour()
-		return sb.install(sb, args[2:])
+func createScrollbar(app *tk.App, args []string, rows []tcl.Row) (string, error) {
+	b, err := newBase(app, args[1], "Scrollbar", scrollbarSpecs.get(), false)
+	if err != nil {
+		return "", err
+	}
+	sb := &Scrollbar{base: *b, total: 1, window: 1}
+	sb.win.Widget = sb
+	sb.geomAndExposure()
+	sb.bindBehaviour()
+	return sb.install(sb, rows, args[2:])
+}
+
+// scrollbarRows returns the subcommand rows of a scrollbar, bound to
+// app.
+func scrollbarRows(app *tk.App) []tcl.Row {
+	return []tcl.Row{
+		configure(app),
+		{Name: "get", Fn: on(app, func(sb *Scrollbar, _ []string) (string, error) {
+			return fmt.Sprintf("%d %d %d %d", sb.total, sb.window, sb.first, sb.last), nil
+		})},
+		{Name: "set", Fn: on(app, func(sb *Scrollbar, args []string) (string, error) {
+			vals := make([]int, 4)
+			for i, a := range args {
+				n, err := strconv.Atoi(a)
+				if err != nil {
+					return "", fmt.Errorf("expected integer but got %q", a)
+				}
+				vals[i] = n
+			}
+			sb.total, sb.window, sb.first, sb.last = vals[0], vals[1], vals[2], vals[3]
+			sb.win.ScheduleRedraw()
+			return "", nil
+		}), Min: 4, Max: 4, Usage: "totalUnits windowUnits firstUnit lastUnit"},
 	}
 }
 
@@ -164,7 +186,7 @@ func (sb *Scrollbar) bindBehaviour() {
 	})
 }
 
-// recompute implements subcommander.
+// recompute implements widget.
 func (sb *Scrollbar) recompute() error {
 	if err := sb.resolve(); err != nil {
 		return err
@@ -178,30 +200,6 @@ func (sb *Scrollbar) recompute() error {
 	}
 	sb.win.ScheduleRedraw()
 	return nil
-}
-
-// widgetCommand implements subcommander.
-func (sb *Scrollbar) widgetCommand(sub string, args []string) (string, error) {
-	switch sub {
-	case "set":
-		if len(args) != 4 {
-			return "", fmt.Errorf(`wrong # args: should be "%s set totalUnits windowUnits firstUnit lastUnit"`, sb.win.Path)
-		}
-		vals := make([]int, 4)
-		for i, a := range args {
-			n, err := strconv.Atoi(a)
-			if err != nil {
-				return "", fmt.Errorf("expected integer but got %q", a)
-			}
-			vals[i] = n
-		}
-		sb.total, sb.window, sb.first, sb.last = vals[0], vals[1], vals[2], vals[3]
-		sb.win.ScheduleRedraw()
-		return "", nil
-	case "get":
-		return fmt.Sprintf("%d %d %d %d", sb.total, sb.window, sb.first, sb.last), nil
-	}
-	return "", fmt.Errorf("bad option %q: must be set, get, or configure", sub)
 }
 
 // Redraw implements tk.Widget.

@@ -74,26 +74,24 @@ var textSpecs = optionTable{build: func() []tk.OptionSpec {
 	)
 }}
 
-func createText(app *tk.App) tcl.CmdFunc {
-	return func(in *tcl.Interp, args []string) (string, error) {
-		b, err := newBase(app, args[1], "Text", textSpecs.get(), false)
-		if err != nil {
-			return "", err
-		}
-		tx := &Text{base: *b, lines: []string{""}, tags: make(map[string]*textTag)}
-		tx.win.Widget = tx
-		tx.win.AddEventHandler(xproto.ExposureMask, func(*xproto.Event) { tx.redrawAll() })
-		tx.bindBehaviour()
-		// A resize changes how many lines are visible; keep the attached
-		// scrollbar current.
-		tx.win.AddEventHandler(xproto.StructureNotifyMask, func(ev *xproto.Event) {
-			if ev.Type == xproto.ConfigureNotify {
-				tx.updateScrollbar()
-			}
-		})
-		app.SetSelectionHandler(tx.win, func() string { return tx.Get(0, 0, len(tx.lines)-1, len(tx.lines[len(tx.lines)-1])) })
-		return tx.install(tx, args[2:])
+func createText(app *tk.App, args []string, rows []tcl.Row) (string, error) {
+	b, err := newBase(app, args[1], "Text", textSpecs.get(), false)
+	if err != nil {
+		return "", err
 	}
+	tx := &Text{base: *b, lines: []string{""}, tags: make(map[string]*textTag)}
+	tx.win.Widget = tx
+	tx.win.AddEventHandler(xproto.ExposureMask, func(*xproto.Event) { tx.redrawAll() })
+	tx.bindBehaviour()
+	// A resize changes how many lines are visible; keep the attached
+	// scrollbar current.
+	tx.win.AddEventHandler(xproto.StructureNotifyMask, func(ev *xproto.Event) {
+		if ev.Type == xproto.ConfigureNotify {
+			tx.updateScrollbar()
+		}
+	})
+	app.SetSelectionHandler(tx.win, func() string { return tx.Get(0, 0, len(tx.lines)-1, len(tx.lines[len(tx.lines)-1])) })
+	return tx.install(tx, rows, args[2:])
 }
 
 // --- indices ---------------------------------------------------------------
@@ -405,7 +403,7 @@ func (tx *Text) tagNames() []string {
 
 // --- widget command ----------------------------------------------------
 
-// recompute implements subcommander.
+// recompute implements widget.
 func (tx *Text) recompute() error {
 	if err := tx.resolve(); err != nil {
 		return err
@@ -419,170 +417,151 @@ func (tx *Text) recompute() error {
 	return nil
 }
 
-// widgetCommand implements subcommander.
-func (tx *Text) widgetCommand(sub string, args []string) (string, error) {
-	switch sub {
-	case "insert":
-		if len(args) != 2 {
-			return "", fmt.Errorf(`wrong # args: should be "%s insert index string"`, tx.win.Path)
-		}
-		l, c, err := tx.parseTextIndex(args[0])
-		if err != nil {
-			return "", err
-		}
-		tx.Insert(l, c, args[1])
-		return "", nil
-	case "delete":
-		if len(args) < 1 || len(args) > 2 {
-			return "", fmt.Errorf(`wrong # args: should be "%s delete index1 ?index2?"`, tx.win.Path)
-		}
-		l1, c1, err := tx.parseTextIndex(args[0])
-		if err != nil {
-			return "", err
-		}
-		l2, c2 := l1, c1+1
-		if c2 > len(tx.lines[l1]) {
-			if l1 < len(tx.lines)-1 {
-				l2, c2 = l1+1, 0
-			} else {
-				c2 = len(tx.lines[l1])
-			}
-		}
-		if len(args) == 2 {
-			if l2, c2, err = tx.parseTextIndex(args[1]); err != nil {
-				return "", err
-			}
-		}
-		tx.Delete(l1, c1, l2, c2)
-		return "", nil
-	case "get":
-		if len(args) < 1 || len(args) > 2 {
-			return "", fmt.Errorf(`wrong # args: should be "%s get index1 ?index2?"`, tx.win.Path)
-		}
-		l1, c1, err := tx.parseTextIndex(args[0])
-		if err != nil {
-			return "", err
-		}
-		l2, c2 := l1, min(c1+1, len(tx.lines[l1]))
-		if len(args) == 2 {
-			if l2, c2, err = tx.parseTextIndex(args[1]); err != nil {
-				return "", err
-			}
-		}
-		return tx.Get(l1, c1, l2, c2), nil
-	case "index":
-		if len(args) != 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s index index"`, tx.win.Path)
-		}
-		l, c, err := tx.parseTextIndex(args[0])
-		if err != nil {
-			return "", err
-		}
-		return formatIndex(l, c), nil
-	case "mark":
-		if len(args) == 3 && args[0] == "set" && args[1] == "insert" {
-			l, c, err := tx.parseTextIndex(args[2])
-			if err != nil {
-				return "", err
-			}
-			tx.curLine, tx.curChar = l, c
-			tx.win.ScheduleRedraw()
-			return "", nil
-		}
-		return "", fmt.Errorf(`only "mark set insert index" is supported`)
-	case "view", "yview":
-		if len(args) != 1 {
-			return "", fmt.Errorf(`wrong # args: should be "%s %s lineNum"`, tx.win.Path, sub)
-		}
+// textRows returns the subcommand rows of a text widget, bound to app.
+func textRows(app *tk.App) []tcl.Row {
+	view := on(app, func(tx *Text, args []string) (string, error) {
 		n, err := strconv.Atoi(args[0])
 		if err != nil {
 			return "", fmt.Errorf("expected integer but got %q", args[0])
 		}
 		tx.View(n)
 		return "", nil
-	case "lines":
-		return strconv.Itoa(len(tx.lines)), nil
-	case "tag":
-		return tx.tagCommand(args)
+	})
+	return []tcl.Row{
+		configure(app),
+		{Name: "delete", Fn: on(app, func(tx *Text, args []string) (string, error) {
+			l1, c1, err := tx.parseTextIndex(args[0])
+			if err != nil {
+				return "", err
+			}
+			l2, c2 := l1, c1+1
+			if c2 > len(tx.lines[l1]) {
+				if l1 < len(tx.lines)-1 {
+					l2, c2 = l1+1, 0
+				} else {
+					c2 = len(tx.lines[l1])
+				}
+			}
+			if len(args) == 2 {
+				if l2, c2, err = tx.parseTextIndex(args[1]); err != nil {
+					return "", err
+				}
+			}
+			tx.Delete(l1, c1, l2, c2)
+			return "", nil
+		}), Min: 1, Max: 2, Usage: "index1 ?index2?"},
+		{Name: "get", Fn: on(app, func(tx *Text, args []string) (string, error) {
+			l1, c1, err := tx.parseTextIndex(args[0])
+			if err != nil {
+				return "", err
+			}
+			l2, c2 := l1, min(c1+1, len(tx.lines[l1]))
+			if len(args) == 2 {
+				if l2, c2, err = tx.parseTextIndex(args[1]); err != nil {
+					return "", err
+				}
+			}
+			return tx.Get(l1, c1, l2, c2), nil
+		}), Min: 1, Max: 2, Usage: "index1 ?index2?"},
+		{Name: "index", Fn: on(app, func(tx *Text, args []string) (string, error) {
+			l, c, err := tx.parseTextIndex(args[0])
+			if err != nil {
+				return "", err
+			}
+			return formatIndex(l, c), nil
+		}), Min: 1, Max: 1, Usage: "index"},
+		{Name: "insert", Fn: on(app, func(tx *Text, args []string) (string, error) {
+			l, c, err := tx.parseTextIndex(args[0])
+			if err != nil {
+				return "", err
+			}
+			tx.Insert(l, c, args[1])
+			return "", nil
+		}), Min: 2, Max: 2, Usage: "index string"},
+		{Name: "lines", Fn: on(app, func(tx *Text, _ []string) (string, error) { return strconv.Itoa(len(tx.lines)), nil })},
+		{Name: "mark", Min: 1, Max: -1, Usage: "option ?arg ...?", Subs: []tcl.Row{
+			{Name: "set", Fn: on(app, func(tx *Text, args []string) (string, error) {
+				if args[1] != "insert" {
+					return "", fmt.Errorf("bad mark name %q: only insert is supported", args[1])
+				}
+				l, c, err := tx.parseTextIndex(args[2])
+				if err != nil {
+					return "", err
+				}
+				tx.curLine, tx.curChar = l, c
+				tx.win.ScheduleRedraw()
+				return "", nil
+			}), Min: 2, Max: 2, Usage: "markName index"},
+		}},
+		{Name: "tag", Min: 1, Max: -1, Usage: "option ?arg ...?", Subs: []tcl.Row{
+			{Name: "add", Fn: on(app, func(tx *Text, args []string) (string, error) {
+				l1, c1, err := tx.parseTextIndex(args[2])
+				if err != nil {
+					return "", err
+				}
+				l2, c2, err := tx.parseTextIndex(args[3])
+				if err != nil {
+					return "", err
+				}
+				tag := tx.tag(args[1])
+				tag.ranges = append(tag.ranges, textRange{l1, c1, l2, c2})
+				tx.redrawAll()
+				return "", nil
+			}), Min: 3, Max: 3, Usage: "name index1 index2"},
+			{Name: "bind", Fn: on(app, func(tx *Text, args []string) (string, error) {
+				tag := tx.tag(args[1])
+				if len(args) == 3 {
+					return tag.bindings[args[2]], nil
+				}
+				if args[3] == "" {
+					delete(tag.bindings, args[2])
+				} else {
+					tag.bindings[args[2]] = args[3]
+				}
+				return "", nil
+			}), Min: 2, Max: 3, Usage: "name event ?script?"},
+			{Name: "configure", Fn: on(app, func(tx *Text, args []string) (string, error) {
+				if len(args)%2 != 0 {
+					return "", fmt.Errorf("value for %q missing", args[len(args)-1])
+				}
+				tag := tx.tag(args[1])
+				for i := 2; i < len(args); i += 2 {
+					switch args[i] {
+					case "-background":
+						tag.background = args[i+1]
+					case "-foreground":
+						tag.foreground = args[i+1]
+					case "-underline":
+						tag.underline = args[i+1] == "1" || args[i+1] == "true"
+					default:
+						return "", fmt.Errorf("unknown tag option %q", args[i])
+					}
+				}
+				tx.redrawAll()
+				return "", nil
+			}), Min: 1, Max: -1, Usage: "name ?option value ...?"},
+			{Name: "names", Fn: on(app, func(tx *Text, _ []string) (string, error) { return tcl.FormatList(tx.tagNames()), nil })},
+			{Name: "remove", Fn: on(app, func(tx *Text, args []string) (string, error) {
+				if tag, ok := tx.tags[args[1]]; ok {
+					tag.ranges = nil
+					tx.redrawAll()
+				}
+				return "", nil
+			}), Min: 1, Max: 1, Usage: "name"},
+		}},
+		{Name: "view", Fn: view, Min: 1, Max: 1, Usage: "lineNum"},
+		{Name: "yview", Fn: view, Min: 1, Max: 1, Usage: "lineNum"},
 	}
-	return "", fmt.Errorf("bad option %q for text widget", sub)
 }
 
-func (tx *Text) tagCommand(args []string) (string, error) {
-	if len(args) < 1 {
-		return "", fmt.Errorf(`wrong # args: should be "%s tag option ?arg ...?"`, tx.win.Path)
+// tag returns the tag called name, creating it if need be.
+func (tx *Text) tag(name string) *textTag {
+	tag, ok := tx.tags[name]
+	if !ok {
+		tag = &textTag{name: name, bindings: make(map[string]string)}
+		tx.tags[name] = tag
 	}
-	getTag := func(name string) *textTag {
-		tag, ok := tx.tags[name]
-		if !ok {
-			tag = &textTag{name: name, bindings: make(map[string]string)}
-			tx.tags[name] = tag
-		}
-		return tag
-	}
-	switch args[0] {
-	case "add":
-		if len(args) != 4 {
-			return "", fmt.Errorf(`wrong # args: should be "%s tag add name index1 index2"`, tx.win.Path)
-		}
-		l1, c1, err := tx.parseTextIndex(args[2])
-		if err != nil {
-			return "", err
-		}
-		l2, c2, err := tx.parseTextIndex(args[3])
-		if err != nil {
-			return "", err
-		}
-		tag := getTag(args[1])
-		tag.ranges = append(tag.ranges, textRange{l1, c1, l2, c2})
-		tx.redrawAll()
-		return "", nil
-	case "remove":
-		if len(args) != 2 {
-			return "", fmt.Errorf(`wrong # args: should be "%s tag remove name"`, tx.win.Path)
-		}
-		if tag, ok := tx.tags[args[1]]; ok {
-			tag.ranges = nil
-			tx.redrawAll()
-		}
-		return "", nil
-	case "names":
-		return tcl.FormatList(tx.tagNames()), nil
-	case "configure":
-		if len(args) < 2 || len(args)%2 != 0 {
-			return "", fmt.Errorf(`wrong # args: should be "%s tag configure name ?option value ...?"`, tx.win.Path)
-		}
-		tag := getTag(args[1])
-		for i := 2; i < len(args); i += 2 {
-			switch args[i] {
-			case "-background":
-				tag.background = args[i+1]
-			case "-foreground":
-				tag.foreground = args[i+1]
-			case "-underline":
-				tag.underline = args[i+1] == "1" || args[i+1] == "true"
-			default:
-				return "", fmt.Errorf("unknown tag option %q", args[i])
-			}
-		}
-		tx.redrawAll()
-		return "", nil
-	case "bind":
-		if len(args) < 3 || len(args) > 4 {
-			return "", fmt.Errorf(`wrong # args: should be "%s tag bind name event ?script?"`, tx.win.Path)
-		}
-		tag := getTag(args[1])
-		if len(args) == 3 {
-			return tag.bindings[args[2]], nil
-		}
-		if args[3] == "" {
-			delete(tag.bindings, args[2])
-		} else {
-			tag.bindings[args[2]] = args[3]
-		}
-		return "", nil
-	}
-	return "", fmt.Errorf("bad tag option %q: should be add, bind, configure, names, or remove", args[0])
+	return tag
 }
 
 // damage marks lines lo..hi for repainting at idle time; the rows of

@@ -9,6 +9,7 @@ package widget
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -27,29 +28,52 @@ const (
 	DefFont             = "6x13"
 )
 
+// A class is one widget-creation command: its name, the procedure
+// that creates a widget with rows as its command's subcommand rows, and
+// the function that returns those rows, their procedures bound to app.
+type class struct {
+	name   string
+	create func(app *tk.App, args []string, rows []tcl.Row) (string, error)
+	rows   func(app *tk.App) []tcl.Row
+}
+
+// classes lists the widget-creation commands, sorted by name.
+var classes = []class{
+	{"button", createButton(kindButton), buttonRows(kindButton)},
+	{"canvas", createCanvas, canvasRows},
+	{"checkbutton", createButton(kindCheck), buttonRows(kindCheck)},
+	{"entry", createEntry, entryRows},
+	{"frame", createFrame(false), configureOnly},
+	{"label", createButton(kindLabel), buttonRows(kindLabel)},
+	{"listbox", createListbox, listboxRows},
+	{"menu", createMenu, menuRows},
+	{"menubutton", createMenubutton, menubuttonRows},
+	{"message", createMessage, configureOnly},
+	{"radiobutton", createButton(kindRadio), buttonRows(kindRadio)},
+	{"scale", createScale, scaleRows},
+	{"scrollbar", createScrollbar, scrollbarRows},
+	{"text", createText, textRows},
+	{"toplevel", createFrame(true), configureOnly},
+}
+
 // commands returns the rows of the widget-creation commands, sorted by
-// name, their procedures bound to app.
+// name, their procedures bound to app. A creation command builds its
+// class's subcommand rows when it first runs, so an application holds
+// the rows of the classes it has made widgets of, one copy per class.
 func commands(app *tk.App) []tcl.Row {
-	row := func(name string, fn tcl.CmdFunc) tcl.Row {
-		return tcl.Row{Name: name, Fn: fn, Min: 1, Max: -1, Usage: "pathName ?options?"}
+	rows := make([]tcl.Row, len(classes))
+	for i := range classes {
+		c := &classes[i]
+		var subs []tcl.Row
+		rows[i] = tcl.Row{Name: c.name, Min: 1, Max: -1, Usage: "pathName ?options?",
+			Fn: func(_ *tcl.Interp, args []string) (string, error) {
+				if subs == nil {
+					subs = c.rows(app)
+				}
+				return c.create(app, args, subs)
+			}}
 	}
-	return []tcl.Row{
-		row("button", createButton(app, kindButton)),
-		row("canvas", createCanvas(app)),
-		row("checkbutton", createButton(app, kindCheck)),
-		row("entry", createEntry(app)),
-		row("frame", createFrame(app, false)),
-		row("label", createButton(app, kindLabel)),
-		row("listbox", createListbox(app)),
-		row("menu", createMenu(app)),
-		row("menubutton", createMenubutton(app)),
-		row("message", createMessage(app)),
-		row("radiobutton", createButton(app, kindRadio)),
-		row("scale", createScale(app)),
-		row("scrollbar", createScrollbar(app)),
-		row("text", createText(app)),
-		row("toplevel", createFrame(app, true)),
-	}
+	return rows
 }
 
 // Commands returns the rows of the widget-creation commands Register
@@ -57,13 +81,22 @@ func commands(app *tk.App) []tcl.Row {
 // cmd/tkcheck can read the command set statically.
 func Commands() []tcl.Row { return commands(nil) }
 
-// CommandNames returns, sorted, the names of the Commands rows.
-func CommandNames() []string {
-	var names []string
-	for _, c := range Commands() {
-		names = append(names, c.Name)
+// Instances returns, by creation command, the row of the command each
+// widget it creates gets, named after the creation command. It needs
+// no application and exists so tools such as cmd/tkcheck can check a
+// widget's commands statically.
+func Instances() map[string]tcl.Row {
+	rows := make(map[string]tcl.Row, len(classes))
+	for _, c := range classes {
+		rows[c.name] = instance(c.name, c.rows(nil))
 	}
-	return names
+	return rows
+}
+
+// instance returns the row of the command of the widget called path:
+// its first argument names one of the subcommand rows subs.
+func instance(path string, subs []tcl.Row) tcl.Row {
+	return tcl.Row{Name: path, Min: 1, Max: -1, Usage: "option ?arg ...?", Subs: subs}
 }
 
 // Register installs every widget-creation command in an application's
@@ -84,20 +117,22 @@ type base struct {
 	fg   uint32
 }
 
-// subcommander is the widget-specific part of a widget command.
-type subcommander interface {
-	// widgetCommand executes one subcommand (args excludes the widget
-	// path and the subcommand word itself).
-	widgetCommand(sub string, args []string) (string, error)
+// widget is what install and the configure row need of every class.
+type widget interface {
+	// widgetBase returns the state the class shares with the others.
+	widgetBase() *base
 	// recompute re-reads configuration values, updates the requested
 	// geometry and schedules a redraw.
 	recompute() error
 }
 
+func (b *base) widgetBase() *base { return b }
+
 // install finishes widget creation: applies the configuration arguments,
 // prefetches the resulting display resources as one pipelined flight,
-// registers the widget command, and hooks destruction.
-func (b *base) install(w subcommander, args []string) (string, error) {
+// registers the widget command with its class's subcommand rows, and
+// hooks destruction.
+func (b *base) install(w widget, rows []tcl.Row, args []string) (string, error) {
 	if err := b.cv.ApplyArgs(args); err != nil {
 		b.app.DestroyWindow(b.win)
 		return "", err
@@ -108,24 +143,41 @@ func (b *base) install(w subcommander, args []string) (string, error) {
 		return "", err
 	}
 	path := b.win.Path
-	b.app.Interp.Register(path, func(in *tcl.Interp, argv []string) (string, error) {
-		if b.win.Destroyed {
-			return "", fmt.Errorf("window %q has been destroyed", path)
-		}
-		if len(argv) < 2 {
-			return "", fmt.Errorf(`wrong # args: should be "%s option ?arg ...?"`, path)
-		}
-		sub := argv[1]
-		if sub == "configure" {
-			return tk.HandleConfigure(b.cv, argv[2:], func() error {
-				b.prefetch()
-				return w.recompute()
-			})
-		}
-		return w.widgetCommand(sub, argv[2:])
-	})
+	b.app.Interp.Define(instance(path, rows))
 	return path, nil
 }
+
+// on returns the procedure of a subcommand row of the widgets of type
+// W. It finds the widget by the command's name in app's window table
+// and runs fn on it with the words after the subcommand's name.
+func on[W any](app *tk.App, fn func(w W, args []string) (string, error)) tcl.CmdFunc {
+	return func(_ *tcl.Interp, args []string) (string, error) {
+		win, err := app.NameToWindow(args[0])
+		if err != nil {
+			return "", err
+		}
+		w, ok := win.Widget.(W)
+		if !ok { // the command was renamed to the path of another window
+			return "", fmt.Errorf("window %q has no %s command", args[0], args[1])
+		}
+		return fn(w, args[2:])
+	}
+}
+
+// configure returns the configure row every class has.
+func configure(app *tk.App) tcl.Row {
+	return tcl.Row{Name: "configure", Max: -1, Usage: "?option? ?value option value ...?", Fn: on(app, func(w widget, args []string) (string, error) {
+		b := w.widgetBase()
+		return tk.HandleConfigure(b.cv, args, func() error {
+			b.prefetch()
+			return w.recompute()
+		})
+	})}
+}
+
+// configureOnly returns the rows of a class whose widgets have no
+// subcommand but configure.
+func configureOnly(app *tk.App) []tcl.Row { return []tcl.Row{configure(app)} }
 
 // prefetch issues the widget's cache-missing color/font/cursor
 // allocations as one pipelined batch (§3.3 meets the cookie model), so
@@ -319,14 +371,13 @@ func (b *base) geomAndExposure() {
 	})
 }
 
-// parseInt is a small helper for widget argument parsing, accepting
-// "end" as -1.
+// parseIndex parses an item index: an integer, or "end", which is end.
 func parseIndex(s string, end int) (int, error) {
 	if s == "end" {
 		return end, nil
 	}
-	var n int
-	if _, err := fmt.Sscanf(s, "%d", &n); err != nil {
+	n, err := strconv.Atoi(s)
+	if err != nil {
 		return 0, fmt.Errorf("bad index %q", s)
 	}
 	return n, nil
