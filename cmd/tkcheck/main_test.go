@@ -30,6 +30,7 @@ func TestExitNonZeroOnBadFixtures(t *testing.T) {
 		{fixtures + "/expr.tcl", `expr.tcl:3:10: expression syntax error`},
 		{fixtures + "/path.tcl", `path.tcl:2:8: bad window path name ".a..b"`},
 		{fixtures + "/instance.tcl", `instance.tcl:3:1: wrong # args for ".lb" size`},
+		{fixtures + "/bind.tcl", `bind.tcl:8:11: bad event type or keysym "Foo" in binding <Foo>`},
 		{fixtures + "/locks", `locks.go:23:11: counter.count (guarded by mu) accessed without holding mu`},
 		{fixtures + "/argv", `bad.go:25:2: a command's args are kept in a field`},
 	}

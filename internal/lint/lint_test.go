@@ -71,6 +71,13 @@ func TestFixtureScripts(t *testing.T) {
 			`testdata/instance.tcl:8:12: bad option "x" to ".lb" select: should be clear, from, set, or to [arity]`,
 			`testdata/instance.tcl:9:1: wrong # args for ".unknown": got 0, want at least 1 [arity]`,
 		}},
+		{"bind.tcl", []string{
+			`testdata/bind.tcl:4:14: unknown command "hilight" [unknown-command]`,
+			`testdata/bind.tcl:5:16: unknown command "hilight" [unknown-command]`,
+			`testdata/bind.tcl:6:22: unknown command "hilight" [unknown-command]`,
+			`testdata/bind.tcl:7:9: bad event type or keysym "Foo" in binding <Foo> [binding]`,
+			`testdata/bind.tcl:8:11: bad event type or keysym "Foo" in binding <Foo> [binding]`,
+		}},
 		{"good.tcl", nil},
 	}
 	for _, tc := range cases {

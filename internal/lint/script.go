@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/tcl"
+	"repro/internal/tk"
 )
 
 // lintMode selects how much of a script can be checked.
@@ -242,12 +243,25 @@ func (l *linter) lintCommand(c cmdNode, mode lintMode) {
 	if mode == modePrefix {
 		return // arguments will be appended at run time
 	}
-	if row := l.reg.rows[name.val]; row != nil && !l.arityOK(c, row) {
-		return
+	if row := l.reg.rows[name.val]; row != nil {
+		if _, ok := l.arityOK(c, row); !ok {
+			return
+		}
 	}
-	sp := l.reg.specs[name.val]
-	if sp == nil {
-		return
+	if sp := l.reg.specs[name.val]; sp != nil {
+		l.lintArgs(c, sp)
+	}
+}
+
+// lintArgs checks a command's arguments as its spec describes them.
+func (l *linter) lintArgs(c cmdNode, sp *spec) {
+	for _, i := range sp.bindArgs {
+		if i < len(c.words) {
+			l.checkSequenceWord(c.words[i])
+		}
+		if i+1 < len(c.words) {
+			l.lintBoundScript(c.words[i+1])
+		}
 	}
 	for _, i := range sp.scriptArgs {
 		if i < len(c.words) {
@@ -277,14 +291,16 @@ func (l *linter) lintCommand(c cmdNode, mode lintMode) {
 // an ensemble, the subcommand its first argument names and that
 // subcommand's count, and so on down the subcommand rows while the
 // words are literal. It reports false when the command's own count is
-// out of bounds, so its other checks would misread its words.
-func (l *linter) arityOK(c cmdNode, row *tcl.Row) bool {
+// out of bounds, so its other checks would misread its words, and
+// returns the names of the subcommands whose counts it found in
+// bounds (" tag bind").
+func (l *linter) arityOK(c cmdNode, row *tcl.Row) (checked string, ok bool) {
 	name := c.words[0].val
 	nargs := len(c.words) - 1
 	if !row.Admits(nargs) {
 		l.diagAt(c.words[0].off, "arity",
 			fmt.Sprintf("wrong # args for %q: got %d, want %s", name, nargs, arityRange(row)))
-		return false
+		return "", false
 	}
 	subs := "" // the names of the subcommands down to row
 	for i := 1; row.Subs != nil && i < len(c.words) && c.words[i].literal; i++ {
@@ -303,9 +319,9 @@ func (l *linter) arityOK(c cmdNode, row *tcl.Row) bool {
 				fmt.Sprintf("wrong # args for %q%s: got %d, want %s", name, subs, n, arityRange(s)))
 			break
 		}
-		row = s
+		row, checked = s, subs
 	}
-	return true
+	return checked, true
 }
 
 // lintPathCommand checks a command whose name is a widget path
@@ -323,8 +339,12 @@ func (l *linter) lintPathCommand(c cmdNode, mode lintMode) {
 	if row == nil {
 		row = &anyWidget
 	}
-	if !l.arityOK(c, row) {
+	subs, ok := l.arityOK(c, row)
+	if !ok {
 		return
+	}
+	if sp := l.reg.subSpecs[class+subs]; sp != nil {
+		l.lintArgs(c, sp)
 	}
 	// "configure" takes a single option to query it, or name/value
 	// pairs to set; any other odd count is an error at run time.
@@ -357,6 +377,28 @@ func (l *linter) lintCommandOptions(c cmdNode, from int, prefix bool) {
 			i++
 		}
 	}
+}
+
+// checkSequenceWord checks a literal binding sequence with the
+// toolkit's own parser, and reports the error bind would raise.
+func (l *linter) checkSequenceWord(w word) {
+	if !w.literal {
+		return
+	}
+	if err := tk.CheckSequence(w.val); err != nil {
+		l.diagAt(w.off, "binding", err.Error())
+	}
+}
+
+// lintBoundScript lints a word's value as a script to bind. A leading
+// "+" appends the script to the one bound before and is not part of
+// it.
+func (l *linter) lintBoundScript(w word) {
+	if w.literal && strings.HasPrefix(w.body.text, "+") {
+		l.lintScript(w.body.sub(tcl.Span{Start: 1, End: len(w.body.text)}), modeScript)
+		return
+	}
+	l.lintDeferred(w, modeScript)
 }
 
 // lintDeferred lints a word's value as a deferred script. Dynamic

@@ -7,16 +7,19 @@ import (
 )
 
 // A spec gives the linter what the interpreter does not check about a
-// command's arguments: which are deferred scripts, expressions or
-// window paths, and for the irregular commands, a custom check. The
-// bounds on a command's arguments, its usage and its subcommands are
-// the interpreter's own: the rows the command is registered with
+// command's arguments: which are deferred scripts, expressions, window
+// paths or bindings, and for the irregular commands, a custom check.
+// The bounds on a command's arguments, its usage and its subcommands
+// are the interpreter's own: the rows the command is registered with
 // (tcl.Row).
 type spec struct {
 	// scriptArgs / exprArgs are 1-based argument indices holding full
 	// deferred scripts or expressions.
 	scriptArgs []int
 	exprArgs   []int
+	// bindArgs are 1-based argument indices holding a binding sequence,
+	// which the script to bind to it follows.
+	bindArgs []int
 	// pathArgs are 1-based argument indices holding widget path names;
 	// -1 means every argument.
 	pathArgs []int
@@ -33,6 +36,10 @@ type Registry struct {
 	// widgets holds, by creation command, the row of the command of
 	// each widget it creates.
 	widgets map[string]*tcl.Row
+	// subSpecs holds the specs of widget subcommands, by creation
+	// command and subcommand words ("text tag bind"). Their argument
+	// indices count the widget's path as word 0.
+	subSpecs map[string]*spec
 }
 
 // anyWidget is the row of a widget command whose class the linter does
@@ -69,7 +76,7 @@ func NewRegistry() *Registry {
 		"time":    {scriptArgs: []int{1}},
 		"expr":    {check: checkExprCmd},
 		// Tk.
-		"bind":      {pathArgs: []int{1}, scriptArgs: []int{3}},
+		"bind":      {pathArgs: []int{1}, bindArgs: []int{2}},
 		"destroy":   {pathArgs: []int{-1}},
 		"after":     {check: checkAfter},
 		"selection": {check: checkSelection},
@@ -77,6 +84,9 @@ func NewRegistry() *Registry {
 		"wm":        {pathArgs: []int{2}},
 		"raise":     {pathArgs: []int{1}},
 		"lower":     {pathArgs: []int{1}},
+	}, subSpecs: map[string]*spec{
+		"canvas bind":   {bindArgs: []int{3}},
+		"text tag bind": {bindArgs: []int{4}},
 	}}
 	for _, rows := range [][]tcl.Row{tcl.Builtins(), tk.Commands(), widget.Commands()} {
 		for i := range rows {

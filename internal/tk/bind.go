@@ -2,6 +2,7 @@ package tk
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,7 +15,10 @@ import (
 // to X event patterns on a window. Patterns may be single events
 // ("<Enter>", "a"), carry modifiers ("<Control-q>", "<Double-Button-1>"),
 // or form multi-event sequences ("<Escape>q"). Before executing a bound
-// command, %-sequences are replaced with fields from the event.
+// command, %-sequences are replaced with fields from the event. The same
+// table serves the canvas's items and the text's tags (§6: "associating
+// Tcl commands with pieces of text or graphics"), as tkBind.c serves
+// Tk's canvas and text widgets.
 
 // pattern is one event in a binding sequence.
 type pattern struct {
@@ -32,16 +36,77 @@ type binding struct {
 	script string
 }
 
-type bindingTable struct {
-	byWindow map[string][]*binding
+// A BindingTable holds the bindings of named objects, as tkBind.c's
+// Tk_BindingTable does: an application's table names windows by path,
+// a canvas's names items by id or tag, a text's names tags.
+type BindingTable struct {
+	byObject map[string][]*binding
 }
 
-func newBindingTable() *bindingTable {
-	return &bindingTable{byWindow: make(map[string][]*binding)}
+// NewBindingTable returns an empty table.
+func NewBindingTable() *BindingTable {
+	return &BindingTable{byObject: make(map[string][]*binding)}
 }
 
-func (bt *bindingTable) deleteWindow(path string) {
-	delete(bt.byWindow, path)
+// Bind answers the arguments of a bind command for object, args being
+// the words after the object. With none it lists the object's
+// sequences; with a sequence, the script bound to it ("" for none); with
+// a sequence and a script it binds the script, replacing the sequence's
+// script, or appending to it when the script starts with "+", or
+// deleting the binding when the script is empty. mask is the X event
+// mask a new binding needs selected, else 0.
+func (bt *BindingTable) Bind(object string, args []string) (result string, mask uint32, err error) {
+	list := bt.byObject[object]
+	if len(args) == 0 {
+		specs := make([]string, len(list))
+		for i, b := range list {
+			specs[i] = b.spec
+		}
+		sort.Strings(specs)
+		return tcl.FormatList(specs), 0, nil
+	}
+	spec := args[0]
+	seq, err := parseSequence(spec)
+	if err != nil {
+		return "", 0, err
+	}
+	idx := slices.IndexFunc(list, func(b *binding) bool { return b.spec == spec })
+	if len(args) == 1 {
+		if idx < 0 {
+			return "", 0, nil
+		}
+		return list[idx].script, 0, nil
+	}
+	script, appended := strings.CutPrefix(args[1], "+")
+	switch {
+	case args[1] == "":
+		if idx >= 0 {
+			bt.byObject[object] = slices.Delete(list, idx, idx+1)
+		}
+		return "", 0, nil
+	case appended && idx >= 0:
+		list[idx].script += "\n" + script
+		return "", 0, nil
+	}
+	b := &binding{spec: spec, seq: seq, script: script}
+	if idx >= 0 {
+		list[idx] = b
+	} else {
+		bt.byObject[object] = append(list, b)
+	}
+	return "", requiredMask(seq), nil
+}
+
+// Forget deletes every binding of object.
+func (bt *BindingTable) Forget(object string) {
+	delete(bt.byObject, object)
+}
+
+// CheckSequence reports whether bind accepts sequence, with the error
+// bind would raise. It exists for tools such as cmd/tkcheck.
+func CheckSequence(sequence string) error {
+	_, err := parseSequence(sequence)
+	return err
 }
 
 // eventTypeNames maps bind event-type names to X event types.
@@ -201,66 +266,6 @@ func requiredMask(seq []pattern) uint32 {
 	return mask
 }
 
-// Bind attaches (or replaces/deletes) a binding on a window. An empty
-// script deletes; a script starting with "+" appends to the existing one.
-func (app *App) Bind(w *Window, spec, script string) error {
-	seq, err := parseSequence(spec)
-	if err != nil {
-		return err
-	}
-	list := app.bindings.byWindow[w.Path]
-	idx := -1
-	for i, b := range list {
-		if b.spec == spec {
-			idx = i
-			break
-		}
-	}
-	if script == "" {
-		if idx >= 0 {
-			app.bindings.byWindow[w.Path] = append(list[:idx], list[idx+1:]...)
-		}
-		return nil
-	}
-	if strings.HasPrefix(script, "+") && idx >= 0 {
-		list[idx].script += "\n" + script[1:]
-		return nil
-	}
-	if strings.HasPrefix(script, "+") {
-		script = script[1:]
-	}
-	b := &binding{spec: spec, seq: seq, script: script}
-	if idx >= 0 {
-		list[idx] = b
-	} else {
-		app.bindings.byWindow[w.Path] = append(list, b)
-	}
-	// Extend the X event selection to cover the bound events.
-	w.selectInput(requiredMask(seq))
-	return nil
-}
-
-// BoundSequences lists the sequences bound on a window.
-func (app *App) BoundSequences(w *Window) []string {
-	list := app.bindings.byWindow[w.Path]
-	specs := make([]string, 0, len(list))
-	for _, b := range list {
-		specs = append(specs, b.spec)
-	}
-	sort.Strings(specs)
-	return specs
-}
-
-// BoundScript returns the script bound to spec on w ("" if none).
-func (app *App) BoundScript(w *Window, spec string) string {
-	for _, b := range app.bindings.byWindow[w.Path] {
-		if b.spec == spec {
-			return b.script
-		}
-	}
-	return ""
-}
-
 // matchesEvent checks a single pattern against one event.
 func (p *pattern) matchesEvent(ev *xproto.Event) bool {
 	if int(ev.Type) != p.eventType {
@@ -371,51 +376,45 @@ func historyTracked(t uint8) bool {
 
 const historyLimit = 12
 
-// trigger matches ev against w's bindings and executes the most specific
-// match.
-func (bt *bindingTable) trigger(app *App, w *Window, ev *xproto.Event) {
-	if historyTracked(ev.Type) {
-		w.history = append(w.history, *ev)
-		if len(w.history) > historyLimit {
-			w.history = w.history[len(w.history)-historyLimit:]
-		}
-	}
-	list := bt.byWindow[w.Path]
-	if len(list) == 0 {
-		return
-	}
-	var best *binding
-	bestScore := -1
-	for _, b := range list {
-		last := b.seq[len(b.seq)-1]
-		if int(ev.Type) != last.eventType {
-			continue
-		}
-		var ok bool
-		if historyTracked(ev.Type) {
-			ok = matchSequence(b.seq, w.history)
-		} else {
-			ok = len(b.seq) == 1 && last.matchesEvent(ev)
-		}
-		if ok {
-			if s := b.score(); s > bestScore {
-				best, bestScore = b, s
+// Trigger runs the binding that matches ev of the first of objects that
+// has one, as tkBind.c's Tk_BindEvent does: of that object's matching
+// bindings, the most specific, with its %-sequences replaced from ev and
+// w. w is the window ev went to, and its history holds the device events
+// a multi-event sequence matches.
+func (bt *BindingTable) Trigger(w *Window, ev *xproto.Event, objects ...string) {
+	for _, object := range objects {
+		var best *binding
+		bestScore := -1
+		for _, b := range bt.byObject[object] {
+			last := b.seq[len(b.seq)-1]
+			if int(ev.Type) != last.eventType {
+				continue
+			}
+			var ok bool
+			if historyTracked(ev.Type) {
+				ok = matchSequence(b.seq, w.history)
+			} else {
+				ok = len(b.seq) == 1 && last.matchesEvent(ev)
+			}
+			if ok {
+				if s := b.score(); s > bestScore {
+					best, bestScore = b, s
+				}
 			}
 		}
-	}
-	if best == nil {
-		return
-	}
-	cmd := substitutePercents(app, best.script, w, ev)
-	if _, err := app.Interp.GlobalEval(cmd); err != nil {
-		app.BackgroundError(fmt.Sprintf("binding %q on %s", best.spec, w.Path), err)
+		if best != nil {
+			if _, err := w.App.Interp.GlobalEval(substitutePercents(best.script, w, ev)); err != nil {
+				w.App.BackgroundError(fmt.Sprintf("binding %q on %s", best.spec, w.Path), err)
+			}
+			return
+		}
 	}
 }
 
 // substitutePercents replaces % sequences in a bound command with event
 // fields (Figure 7: "%x and %y will be replaced with the x- and
 // y-coordinates from the X event").
-func substitutePercents(app *App, script string, w *Window, ev *xproto.Event) string {
+func substitutePercents(script string, w *Window, ev *xproto.Event) string {
 	if !strings.ContainsRune(script, '%') {
 		return script
 	}

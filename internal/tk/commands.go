@@ -116,14 +116,9 @@ func (app *App) cmdBind(in *tcl.Interp, args []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	switch len(args) {
-	case 2:
-		return tcl.FormatList(app.BoundSequences(w)), nil
-	case 3:
-		return app.BoundScript(w, args[2]), nil
-	default:
-		return "", app.Bind(w, args[2], args[3])
-	}
+	res, mask, err := app.bindings.Bind(w.Path, args[2:])
+	w.selectInput(mask)
+	return res, err
 }
 
 func (app *App) cmdDestroy(in *tcl.Interp, args []string) (string, error) {

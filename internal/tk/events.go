@@ -374,6 +374,16 @@ func (app *App) DispatchEvent(ev *xproto.Event) {
 		}
 	}
 
+	// The window's recent device events, this one included, are what a
+	// multi-event sequence matches, whether a binding of the window runs
+	// or one of the items or tags a widget's handler passes to Trigger.
+	if historyTracked(ev.Type) {
+		w.history = append(w.history, *ev)
+		if len(w.history) > historyLimit {
+			w.history = w.history[len(w.history)-historyLimit:]
+		}
+	}
+
 	// C-level handlers.
 	mask := xproto.EventMaskFor(int(ev.Type))
 	if ev.Type == xproto.MotionNotify && ev.State&(xproto.Button1Mask|
@@ -390,5 +400,5 @@ func (app *App) DispatchEvent(ev *xproto.Event) {
 	}
 
 	// Tcl bindings.
-	app.bindings.trigger(app, w, ev)
+	app.bindings.Trigger(w, ev, w.Path)
 }

@@ -55,8 +55,8 @@ func TestStressManyWidgetsNoLeak(t *testing.T) {
 			t.Fatalf("round %d: window table has %d entries, want %d",
 				round, len(app.windows), baselineWindows)
 		}
-		if len(app.bindings.byWindow) != 0 {
-			t.Fatalf("round %d: %d binding tables leaked", round, len(app.bindings.byWindow))
+		if len(app.bindings.byObject) != 0 {
+			t.Fatalf("round %d: %d binding tables leaked", round, len(app.bindings.byObject))
 		}
 	}
 	// The server agrees: only the main window and comm window remain.

@@ -171,7 +171,7 @@ type App struct {
 	// an ancestor's DestroyWindow request (destroyWindow).
 	dying []xproto.ID
 
-	bindings *bindingTable
+	bindings *BindingTable
 
 	colorCache  map[string]uint32
 	colorNames  map[uint32]string
@@ -290,7 +290,7 @@ func NewApp(d *xclient.Display, cfg Config) (*App, error) {
 		SendTimeout: DefaultSendTimeout,
 		windows:     make(map[string]*Window, 32),
 		xidMap:      make(map[xproto.ID]*Window, 32),
-		bindings:    newBindingTable(),
+		bindings:    NewBindingTable(),
 		colorCache:  make(map[string]uint32),
 		colorNames:  make(map[uint32]string),
 		fontCache:   make(map[string]*xclient.Font),
@@ -500,7 +500,7 @@ func (app *App) destroyWindow(w *Window, sendReq bool) {
 	w.Mapped = false
 
 	// Run <Destroy> bindings before teardown, as Tk does.
-	app.bindings.trigger(app, w, &xproto.Event{Type: xproto.DestroyNotify, Window: w.XID})
+	app.bindings.Trigger(w, &xproto.Event{Type: xproto.DestroyNotify, Window: w.XID}, w.Path)
 
 	if w.Manager != nil {
 		w.Manager.LostSlave(w)
@@ -519,7 +519,7 @@ func (app *App) destroyWindow(w *Window, sendReq bool) {
 	if app.selStatePtr != nil {
 		delete(app.selStatePtr.handlers, w)
 	}
-	app.bindings.deleteWindow(w.Path)
+	app.bindings.Forget(w.Path)
 	if app.options.stackWin == w {
 		app.options.dropStack()
 	}

@@ -140,6 +140,39 @@ func TestMenuDelete(t *testing.T) {
 	}
 }
 
+// TestMenuActivate: activate takes only an entry's index, as delete and
+// entrylabel do, and highlights that entry.
+func TestMenuActivate(t *testing.T) {
+	app, _ := newApp(t)
+	app.MustEval(`menu .empty; menu .m -activebackground red; .m add command -label A`)
+	for _, script := range []string{`.empty activate 99`, `.empty activate end`, `.m activate 99`} {
+		if _, err := app.Eval(script); err == nil {
+			t.Errorf("%q succeeds, want an error", script)
+		}
+	}
+	// red counts the menu's pixels in its -activebackground.
+	red := func() int {
+		app.Update()
+		w, _ := app.NameToWindow(".m")
+		shot, _ := app.Disp.Screenshot(w.XID)
+		n := 0
+		for i := 0; i+2 < len(shot.Pixels); i += 3 {
+			if shot.Pixels[i] == 0xff && shot.Pixels[i+1] == 0 && shot.Pixels[i+2] == 0 {
+				n++
+			}
+		}
+		return n
+	}
+	app.MustEval(`.m post 40 40`)
+	if n := red(); n != 0 {
+		t.Fatalf("%d red pixels before activate", n)
+	}
+	app.MustEval(`.m activate 0`)
+	if n := red(); n == 0 {
+		t.Fatal("activate 0 does not highlight entry 0")
+	}
+}
+
 // TestWidgetOptionAbbreviationsViaTcl mirrors Tk's switch abbreviation.
 func TestWidgetCreationErrors(t *testing.T) {
 	app, _ := newApp(t)

@@ -154,7 +154,7 @@ func buttonRows(kind int) func(*tk.App) []tcl.Row {
 			rows = append(rows,
 				tcl.Row{Name: "deselect", Fn: do(func(bt *Button) { bt.setVariable(bt.cv.Get("-offvalue")) })},
 				tcl.Row{Name: "select", Fn: do(func(bt *Button) { bt.setVariable(bt.cv.Get("-onvalue")) })},
-				tcl.Row{Name: "toggle", Fn: do((*Button).Invoke)})
+				tcl.Row{Name: "toggle", Fn: do((*Button).toggle)})
 		case kindRadio:
 			rows = append(rows,
 				tcl.Row{Name: "deselect", Fn: do(func(bt *Button) {
@@ -246,15 +246,21 @@ func (bt *Button) radioValue() string {
 func (bt *Button) Invoke() {
 	switch bt.kind {
 	case kindCheck:
-		if bt.on {
-			bt.setVariable(bt.cv.Get("-offvalue"))
-		} else {
-			bt.setVariable(bt.cv.Get("-onvalue"))
-		}
+		bt.toggle()
 	case kindRadio:
 		bt.setVariable(bt.radioValue())
 	}
 	bt.eval(fmt.Sprintf("command bound to %s", bt.win.Path), bt.cv.Get("-command"))
+}
+
+// toggle flips a check button's variable between -onvalue and
+// -offvalue; unlike Invoke it runs no -command, as in Tk.
+func (bt *Button) toggle() {
+	if bt.on {
+		bt.setVariable(bt.cv.Get("-offvalue"))
+	} else {
+		bt.setVariable(bt.cv.Get("-onvalue"))
+	}
 }
 
 func (bt *Button) setVariable(value string) {

@@ -22,11 +22,11 @@ import (
 // ("associating Tcl commands with pieces of text or graphics").
 type Canvas struct {
 	base
-	items  []*canvasItem
-	nextID int
-	// itemBindings: tag or id → event spec → script.
-	itemBindings map[string]map[string]string
-	current      *canvasItem // item under the pointer
+	items   []*canvasItem
+	nextID  int
+	current *canvasItem // item under the pointer
+	// bindings names items by id or tag; it is made at the first bind.
+	bindings *tk.BindingTable
 }
 
 type canvasItem struct {
@@ -53,7 +53,7 @@ func createCanvas(app *tk.App, args []string, rows []tcl.Row) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	c := &Canvas{base: *b, itemBindings: make(map[string]map[string]string)}
+	c := &Canvas{base: *b}
 	c.win.Widget = c
 	c.geomAndExposure()
 	c.bindBehaviour()
@@ -64,20 +64,12 @@ func createCanvas(app *tk.App, args []string, rows []tcl.Row) (string, error) {
 func canvasRows(app *tk.App) []tcl.Row {
 	return []tcl.Row{
 		{Name: "bind", Fn: on(app, func(c *Canvas, args []string) (string, error) {
-			tag, event := args[0], args[1]
-			if len(args) == 2 {
-				return c.itemBindings[tag][event], nil
+			if c.bindings == nil {
+				c.bindings = tk.NewBindingTable()
 			}
-			if c.itemBindings[tag] == nil {
-				c.itemBindings[tag] = make(map[string]string)
-			}
-			if args[2] == "" {
-				delete(c.itemBindings[tag], event)
-			} else {
-				c.itemBindings[tag][event] = args[2]
-			}
-			return "", nil
-		}), Min: 2, Max: 3, Usage: "tagOrId event ?script?"},
+			res, _, err := c.bindings.Bind(args[0], args[1:])
+			return res, err
+		}), Min: 1, Max: 3, Usage: "tagOrId ?sequence? ?command?"},
 		configure(app),
 		{Name: "coords", Fn: on(app, func(c *Canvas, args []string) (string, error) {
 			for _, it := range c.items {
@@ -106,8 +98,15 @@ func canvasRows(app *tk.App) []tcl.Row {
 			for _, it := range c.items {
 				if !it.hasTag(args[0]) {
 					kept = append(kept, it)
-				} else if c.current == it {
+					continue
+				}
+				if c.current == it {
 					c.current = nil
+				}
+				// The id is never reused, so its bindings are
+				// forgotten with the item, as Tk's DeleteItem does.
+				if c.bindings != nil {
+					c.bindings.Forget(strconv.Itoa(it.id))
 				}
 			}
 			c.items = kept
@@ -269,51 +268,41 @@ func (c *Canvas) itemAt(x, y int) *canvasItem {
 	return nil
 }
 
-// bindBehaviour delivers pointer events to per-item bindings.
+// bindBehaviour delivers pointer events to the bindings of the items
+// under the pointer: Enter and Leave as it crosses an item's edge, and
+// button presses and releases to the topmost item.
 func (c *Canvas) bindBehaviour() {
 	mask := xproto.ButtonPressMask | xproto.ButtonReleaseMask |
 		xproto.PointerMotionMask | xproto.LeaveWindowMask
 	c.win.AddEventHandler(mask, func(ev *xproto.Event) {
 		switch int(ev.Type) {
-		case xproto.MotionNotify:
-			it := c.itemAt(int(ev.X), int(ev.Y))
-			if it != c.current {
-				if c.current != nil {
-					c.fireItemBinding(c.current, "<Leave>", ev)
-				}
-				c.current = it
-				if it != nil {
-					c.fireItemBinding(it, "<Enter>", ev)
-				}
+		case xproto.MotionNotify, xproto.LeaveNotify:
+			var it *canvasItem
+			if ev.Type == xproto.MotionNotify {
+				it = c.itemAt(int(ev.X), int(ev.Y))
 			}
-		case xproto.LeaveNotify:
-			if c.current != nil {
-				c.fireItemBinding(c.current, "<Leave>", ev)
-				c.current = nil
+			if it == c.current {
+				return
 			}
-		case xproto.ButtonPress:
-			if it := c.itemAt(int(ev.X), int(ev.Y)); it != nil {
-				c.fireItemBinding(it, fmt.Sprintf("<Button-%d>", ev.Detail), ev)
-			}
-		case xproto.ButtonRelease:
-			if it := c.itemAt(int(ev.X), int(ev.Y)); it != nil {
-				c.fireItemBinding(it, fmt.Sprintf("<ButtonRelease-%d>", ev.Detail), ev)
-			}
+			// The items get crossing events of their own, as Tk's
+			// canvas makes them.
+			cross := *ev
+			cross.Type = xproto.LeaveNotify
+			c.trigger(c.current, &cross)
+			c.current = it
+			cross.Type = xproto.EnterNotify
+			c.trigger(it, &cross)
+		case xproto.ButtonPress, xproto.ButtonRelease:
+			c.trigger(c.itemAt(int(ev.X), int(ev.Y)), ev)
 		}
 	})
 }
 
-// fireItemBinding runs the script bound to the event for any tag the item
-// carries (or its id), with %x/%y substitution.
-func (c *Canvas) fireItemBinding(it *canvasItem, spec string, ev *xproto.Event) {
-	specs := append([]string{strconv.Itoa(it.id)}, it.tags...)
-	for _, tag := range specs {
-		if script, ok := c.itemBindings[tag][spec]; ok {
-			script = strings.ReplaceAll(script, "%x", strconv.Itoa(int(ev.X)))
-			script = strings.ReplaceAll(script, "%y", strconv.Itoa(int(ev.Y)))
-			c.eval(fmt.Sprintf("canvas binding %s on %s", spec, c.win.Path), script)
-			return
-		}
+// trigger runs the binding that matches ev of item it (nil for none),
+// looking at the item's id, then at its tags in order.
+func (c *Canvas) trigger(it *canvasItem, ev *xproto.Event) {
+	if it != nil && c.bindings != nil {
+		c.bindings.Trigger(c.win, ev, append([]string{strconv.Itoa(it.id)}, it.tags...)...)
 	}
 }
 

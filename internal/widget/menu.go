@@ -64,7 +64,7 @@ func createMenu(app *tk.App, args []string, rows []tcl.Row) (string, error) {
 func menuRows(app *tk.App) []tcl.Row {
 	return []tcl.Row{
 		{Name: "activate", Fn: on(app, func(m *Menu, args []string) (string, error) {
-			i, err := parseIndex(args[0], len(m.entries)-1)
+			i, err := m.entryIndex(args[0])
 			if err != nil {
 				return "", err
 			}

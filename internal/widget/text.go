@@ -33,6 +33,8 @@ type Text struct {
 	topLine int // first visible line (0-based)
 
 	tags map[string]*textTag
+	// bindings names tags; it is made at the first tag bind.
+	bindings *tk.BindingTable
 
 	// Redisplay state. Redraw repaints the rows of lines dmgLo..dmgHi
 	// (none while dmgLo > dmgHi), of the line the cursor was drawn on
@@ -50,7 +52,6 @@ type textTag struct {
 	foreground string
 	underline  bool
 	ranges     []textRange
-	bindings   map[string]string
 }
 
 type textRange struct {
@@ -250,37 +251,33 @@ func (tx *Text) bindBehaviour() {
 	mask := xproto.ButtonPressMask | xproto.ButtonReleaseMask | xproto.KeyPressMask
 	tx.win.AddEventHandler(mask, func(ev *xproto.Event) {
 		switch int(ev.Type) {
-		case xproto.ButtonPress:
-			if ev.Detail != 1 {
-				return
+		case xproto.ButtonPress, xproto.ButtonRelease:
+			if ev.Type == xproto.ButtonPress && ev.Detail == 1 {
+				tx.curLine, tx.curChar = tx.indexAtXY(int(ev.X), int(ev.Y))
+				tx.app.Disp.SetInputFocus(tx.win.XID)
+				tx.win.ScheduleRedraw()
 			}
-			tx.curLine, tx.curChar = tx.indexAtXY(int(ev.X), int(ev.Y))
-			tx.app.Disp.SetInputFocus(tx.win.XID)
-			tx.win.ScheduleRedraw()
-			tx.fireTagBinding(fmt.Sprintf("<Button-%d>", ev.Detail), ev)
-		case xproto.ButtonRelease:
-			tx.fireTagBinding(fmt.Sprintf("<ButtonRelease-%d>", ev.Detail), ev)
+			if tx.bindings != nil {
+				tx.bindings.Trigger(tx.win, ev, tx.tagsAt(int(ev.X), int(ev.Y))...)
+			}
 		case xproto.KeyPress:
 			tx.handleKey(ev)
 		}
 	})
 }
 
-// fireTagBinding runs the binding of any tag covering the pointer
-// position (§6's active text).
-func (tx *Text) fireTagBinding(spec string, ev *xproto.Event) {
-	line, ch := tx.indexAtXY(int(ev.X), int(ev.Y))
+// tagsAt returns the names of the tags covering the character at window
+// coordinates (x, y), in tagNames order: the objects a button event
+// there is bound through (§6's active text).
+func (tx *Text) tagsAt(x, y int) []string {
+	line, ch := tx.indexAtXY(x, y)
+	var names []string
 	for _, name := range tx.tagNames() {
-		tag := tx.tags[name]
-		script, ok := tag.bindings[spec]
-		if !ok || !tag.covers(line, ch) {
-			continue
+		if tx.tags[name].covers(line, ch) {
+			names = append(names, name)
 		}
-		script = strings.ReplaceAll(script, "%x", strconv.Itoa(int(ev.X)))
-		script = strings.ReplaceAll(script, "%y", strconv.Itoa(int(ev.Y)))
-		tx.eval(fmt.Sprintf("tag %q binding on %s", name, tx.win.Path), script)
-		return
 	}
+	return names
 }
 
 func (tag *textTag) covers(line, ch int) bool {
@@ -509,17 +506,13 @@ func textRows(app *tk.App) []tcl.Row {
 				return "", nil
 			}), Min: 3, Max: 3, Usage: "name index1 index2"},
 			{Name: "bind", Fn: on(app, func(tx *Text, args []string) (string, error) {
-				tag := tx.tag(args[1])
-				if len(args) == 3 {
-					return tag.bindings[args[2]], nil
+				tx.tag(args[1]) // binding a tag creates it, as in Tk
+				if tx.bindings == nil {
+					tx.bindings = tk.NewBindingTable()
 				}
-				if args[3] == "" {
-					delete(tag.bindings, args[2])
-				} else {
-					tag.bindings[args[2]] = args[3]
-				}
-				return "", nil
-			}), Min: 2, Max: 3, Usage: "name event ?script?"},
+				res, _, err := tx.bindings.Bind(args[1], args[2:])
+				return res, err
+			}), Min: 1, Max: 3, Usage: "tagName ?sequence? ?command?"},
 			{Name: "configure", Fn: on(app, func(tx *Text, args []string) (string, error) {
 				if len(args)%2 != 0 {
 					return "", fmt.Errorf("value for %q missing", args[len(args)-1])
@@ -558,7 +551,7 @@ func textRows(app *tk.App) []tcl.Row {
 func (tx *Text) tag(name string) *textTag {
 	tag, ok := tx.tags[name]
 	if !ok {
-		tag = &textTag{name: name, bindings: make(map[string]string)}
+		tag = &textTag{name: name}
 		tx.tags[name] = tag
 	}
 	return tag

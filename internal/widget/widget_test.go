@@ -167,6 +167,23 @@ func TestCheckbuttonVariable(t *testing.T) {
 	}
 }
 
+// TestCheckbuttonToggle: toggle flips the variable between -onvalue and
+// -offvalue and, unlike invoke, runs no -command, as in Tk.
+func TestCheckbuttonToggle(t *testing.T) {
+	app, _ := newApp(t)
+	app.MustEval(`set ran 0; checkbutton .c -variable v -command {incr ran}`)
+	for _, step := range []struct{ script, v, ran string }{
+		{".c toggle", "1", "0"},
+		{".c toggle", "0", "0"},
+		{".c invoke", "1", "1"},
+	} {
+		app.MustEval(step.script)
+		if v, ran := app.MustEval(`set v`), app.MustEval(`set ran`); v != step.v || ran != step.ran {
+			t.Errorf("after %s: v=%s ran=%s, want v=%s ran=%s", step.script, v, ran, step.v, step.ran)
+		}
+	}
+}
+
 func TestRadiobuttonGroup(t *testing.T) {
 	app, _ := newApp(t)
 	app.MustEval(`radiobutton .r1 -text A -variable which -value a`)
