@@ -39,16 +39,20 @@ tkcheck:
 # option database (.Xdefaults text, option stack against the reference
 # matcher), the binding table that bind, canvas item and text tag
 # bindings share (no panic binding, querying, deleting or
-# %-substituting; a rejected sequence changes nothing) and the Tcl
-# linter (no panic, diagnostics inside the text, a parse diagnostic
-# wherever the compiler rejects the text) a bounded fuzzing pass on
-# every check run; longer campaigns just raise -fuzztime. Corpus seeds
-# cover v1 and v2 frames in both directions
-# (internal/xproto/fuzz_test.go), the paper's Figures 1-5 and
-# compute-style loops (internal/tcl/fuzz_test.go), option patterns of
-# every binding kind (internal/tk/option_test.go), Figure 7's patterns
-# and the binding parity table's cases (internal/tk/bind_test.go), and
-# Figures 1-5 with the lint fixtures (internal/lint/script_test.go).
+# %-substituting; a rejected sequence changes nothing), the configure
+# command every widget shares (no panic; a rejected call changes no
+# option; an accepted one reports its value) and the Tcl linter (no
+# panic, diagnostics inside the text, a parse diagnostic wherever the
+# compiler rejects the text) a bounded fuzzing pass on every check run;
+# longer campaigns just raise -fuzztime. Corpus seeds cover v1 and v2
+# frames in both directions (internal/xproto/fuzz_test.go), the paper's
+# Figures 1-5 and compute-style loops (internal/tcl/fuzz_test.go),
+# option patterns of every binding kind (internal/tk/option_test.go),
+# Figure 7's patterns and the binding parity table's cases
+# (internal/tk/bind_test.go), every widget class's options with an
+# unknown colour, a non-integer and an ambiguous abbreviation
+# (internal/widget/config_test.go), and Figures 1-5 with the lint
+# fixtures (internal/lint/script_test.go).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRequestFrame$$' -fuzztime 5s ./internal/xproto
 	$(GO) test -run '^$$' -fuzz '^FuzzReadServerFrame$$' -fuzztime 5s ./internal/xproto
@@ -56,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExpr$$' -fuzztime 5s ./internal/tcl
 	$(GO) test -run '^$$' -fuzz '^FuzzOptionDB$$' -fuzztime 5s ./internal/tk
 	$(GO) test -run '^$$' -fuzz '^FuzzBindSequence$$' -fuzztime 5s ./internal/tk
+	$(GO) test -run '^$$' -fuzz '^FuzzConfigure$$' -fuzztime 5s ./internal/widget
 	$(GO) test -run '^$$' -fuzz '^FuzzLint$$' -fuzztime 5s ./internal/lint
 
 # race-stress runs the tests of the connection queues ten times under

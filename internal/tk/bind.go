@@ -24,8 +24,7 @@ import (
 type pattern struct {
 	eventType int    // xproto event type
 	detail    uint32 // keysym or button number; 0 = any
-	mods      uint16 // required modifier mask
-	anyMods   bool   // "Any-" prefix: ignore extra modifiers (always true here)
+	mods      uint16 // required modifier mask; extra modifiers are ignored, so "Any-" adds nothing
 	count     int    // 1, or 2/3 for Double/Triple
 }
 
@@ -70,7 +69,10 @@ func (bt *BindingTable) Bind(object string, args []string) (result string, mask 
 	if err != nil {
 		return "", 0, err
 	}
-	idx := slices.IndexFunc(list, func(b *binding) bool { return b.spec == spec })
+	// A binding is named by its parsed sequence, so every spelling of
+	// one sequence, such as <1>, <Button-1> and <ButtonPress-1>, names
+	// the same binding.
+	idx := slices.IndexFunc(list, func(b *binding) bool { return slices.Equal(b.seq, seq) })
 	if len(args) == 1 {
 		if idx < 0 {
 			return "", 0, nil
@@ -199,7 +201,6 @@ func parseAngle(body string) (pattern, error) {
 			i++
 			continue
 		case "Any":
-			p.anyMods = true
 			i++
 			continue
 		}

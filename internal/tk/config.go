@@ -25,44 +25,46 @@ type OptionSpec struct {
 }
 
 // ConfigValues holds a widget's current option settings, as strings (the
-// Tcl value model).
+// Tcl value model): values[i] is the value of specs[i], as
+// Tk_ConfigureWidget writes the fields of a widget record. A synonym's
+// slot stays empty.
 type ConfigValues struct {
 	specs  []OptionSpec
-	values map[string]string
+	values []string
 }
 
 // NewConfigValues initializes storage for a spec table.
 func NewConfigValues(specs []OptionSpec) *ConfigValues {
-	return &ConfigValues{specs: specs, values: make(map[string]string, len(specs))}
+	return &ConfigValues{specs: specs, values: make([]string, len(specs))}
 }
 
-// findSpec resolves a (possibly abbreviated or synonym) switch name.
-func (cv *ConfigValues) findSpec(name string) (*OptionSpec, error) {
-	var match *OptionSpec
+// findSpec resolves a (possibly abbreviated or synonym) switch name to
+// the index of its spec.
+func (cv *ConfigValues) findSpec(name string) (int, error) {
+	match := -1
 	for i := range cv.specs {
-		s := &cv.specs[i]
-		if s.Name == name {
-			match = s
+		if cv.specs[i].Name == name {
+			match = i
 			break
 		}
 	}
-	if match == nil {
+	if match < 0 {
 		// Unique-prefix abbreviation, as Tk allows.
 		for i := range cv.specs {
 			s := &cv.specs[i]
 			if len(name) > 1 && len(name) < len(s.Name) && s.Name[:len(name)] == name {
-				if match != nil {
-					return nil, fmt.Errorf("ambiguous option %q", name)
+				if match >= 0 {
+					return -1, fmt.Errorf("ambiguous option %q", name)
 				}
-				match = s
+				match = i
 			}
 		}
 	}
-	if match == nil {
-		return nil, fmt.Errorf("unknown option %q", name)
+	if match < 0 {
+		return -1, fmt.Errorf("unknown option %q", name)
 	}
-	if match.Synonym != "" {
-		return cv.findSpec(match.Synonym)
+	if syn := cv.specs[match].Synonym; syn != "" {
+		return cv.findSpec(syn)
 	}
 	return match, nil
 }
@@ -78,9 +80,9 @@ func (cv *ConfigValues) ApplyDefaults(app *App, w *Window) {
 			continue
 		}
 		if v := app.GetOption(w, s.DBName, s.DBClass); v != "" {
-			cv.values[s.Name] = v
+			cv.values[i] = v
 		} else {
-			cv.values[s.Name] = s.Default
+			cv.values[i] = s.Default
 		}
 	}
 }
@@ -92,10 +94,7 @@ func (cv *ConfigValues) ApplyDefaults(app *App, w *Window) {
 func (cv *ConfigValues) ResourceNames() (colors, fonts, cursors []string) {
 	for i := range cv.specs {
 		s := &cv.specs[i]
-		if s.Synonym != "" {
-			continue
-		}
-		v := cv.values[s.Name]
+		v := cv.values[i]
 		if v == "" {
 			continue
 		}
@@ -113,34 +112,61 @@ func (cv *ConfigValues) ResourceNames() (colors, fonts, cursors []string) {
 
 // Set assigns one option by (possibly abbreviated) switch name.
 func (cv *ConfigValues) Set(name, value string) error {
-	s, err := cv.findSpec(name)
+	i, err := cv.findSpec(name)
 	if err != nil {
 		return err
 	}
-	cv.values[s.Name] = value
+	cv.values[i] = value
 	return nil
 }
 
-// ApplyArgs parses "-option value" pairs.
+// A setting is an option's value before a call assigned it.
+type setting struct {
+	i     int
+	value string
+}
+
+// ApplyArgs parses "-option value" pairs. A call that fails sets none.
 func (cv *ConfigValues) ApplyArgs(args []string) error {
+	var buf [4]setting
+	_, err := cv.apply(args, buf[:0])
+	return err
+}
+
+// apply assigns "-option value" pairs and returns old with the value
+// each assignment replaced appended. On an error it puts those values
+// back and returns the error.
+func (cv *ConfigValues) apply(args []string, old []setting) ([]setting, error) {
 	if len(args)%2 != 0 {
-		return fmt.Errorf("value for %q missing", args[len(args)-1])
+		return old, fmt.Errorf("value for %q missing", args[len(args)-1])
 	}
-	for i := 0; i < len(args); i += 2 {
-		if err := cv.Set(args[i], args[i+1]); err != nil {
-			return err
+	for k := 0; k < len(args); k += 2 {
+		i, err := cv.findSpec(args[k])
+		if err != nil {
+			cv.restore(old)
+			return old, err
 		}
+		old = append(old, setting{i, cv.values[i]})
+		cv.values[i] = args[k+1]
 	}
-	return nil
+	return old, nil
+}
+
+// restore puts back the values old records, the latest first, so an
+// option assigned twice gets the value it had before either.
+func (cv *ConfigValues) restore(old []setting) {
+	for k := len(old) - 1; k >= 0; k-- {
+		cv.values[old[k].i] = old[k].value
+	}
 }
 
 // Get returns an option's current value.
 func (cv *ConfigValues) Get(name string) string {
-	s, err := cv.findSpec(name)
+	i, err := cv.findSpec(name)
 	if err != nil {
 		return ""
 	}
-	return cv.values[s.Name]
+	return cv.values[i]
 }
 
 // GetInt parses an option as an integer (with a fallback).
@@ -165,24 +191,24 @@ func (cv *ConfigValues) GetBool(name string) bool {
 // {switch dbName dbClass default current} (or {switch synonym} for
 // synonyms), exactly the tuple Tk reports.
 func (cv *ConfigValues) Describe(name string) (string, error) {
-	var raw *OptionSpec
-	for i := range cv.specs {
-		if cv.specs[i].Name == name {
-			raw = &cv.specs[i]
+	i := -1
+	for k := range cv.specs {
+		if cv.specs[k].Name == name {
+			i = k
 			break
 		}
 	}
-	if raw == nil {
-		s, err := cv.findSpec(name)
-		if err != nil {
+	if i < 0 {
+		var err error
+		if i, err = cv.findSpec(name); err != nil {
 			return "", err
 		}
-		raw = s
 	}
-	if raw.Synonym != "" {
-		return tcl.FormatList([]string{raw.Name, raw.Synonym}), nil
+	s := &cv.specs[i]
+	if s.Synonym != "" {
+		return tcl.FormatList([]string{s.Name, s.Synonym}), nil
 	}
-	return tcl.FormatList([]string{raw.Name, raw.DBName, raw.DBClass, raw.Default, cv.values[raw.Name]}), nil
+	return tcl.FormatList([]string{s.Name, s.DBName, s.DBClass, s.Default, cv.values[i]}), nil
 }
 
 // DescribeAll returns the full configure listing.
@@ -209,22 +235,28 @@ func ParsePair(s, sep string) (a, b int, ok bool) {
 // HandleConfigure implements the shared "<widget> configure ..." protocol
 // for widget commands: no extra args lists everything, one arg describes
 // an option, pairs assign. changed is called after assignments so the
-// widget can recompute and redraw.
+// widget can recompute and redraw. A call that fails leaves the widget
+// as it was, as Tk's configure does: the values it set are put back and
+// changed runs again on them.
 func HandleConfigure(cv *ConfigValues, args []string, changed func() error) (string, error) {
 	switch {
 	case len(args) == 0:
 		return cv.DescribeAll(), nil
 	case len(args) == 1:
 		return cv.Describe(args[0])
-	default:
-		if err := cv.ApplyArgs(args); err != nil {
-			return "", err
-		}
-		if changed != nil {
-			if err := changed(); err != nil {
-				return "", err
-			}
-		}
-		return "", nil
 	}
+	// The array holds the old values of a call of up to four options
+	// on the stack.
+	var buf [4]setting
+	old, err := cv.apply(args, buf[:0])
+	if err == nil && changed != nil {
+		if err = changed(); err != nil {
+			cv.restore(old)
+			// The restored values were in force before the call, so
+			// this only rebuilds what the failed recompute changed;
+			// the caller gets the first error.
+			_ = changed()
+		}
+	}
+	return "", err
 }

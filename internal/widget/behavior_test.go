@@ -173,6 +173,22 @@ func TestMenuActivate(t *testing.T) {
 	}
 }
 
+// TestMenuInvoke: invoke takes only an entry's index, as activate,
+// delete and entrylabel do, and runs that entry's command.
+func TestMenuInvoke(t *testing.T) {
+	app, _ := newApp(t)
+	app.MustEval(`menu .empty; menu .m; .m add command -label A -command {set ran A}`)
+	for _, script := range []string{`.empty invoke 99`, `.empty invoke end`, `.m invoke 99`} {
+		if _, err := app.Eval(script); err == nil || !strings.Contains(err.Error(), "bad menu entry index") {
+			t.Errorf("%q: error %v, want bad menu entry index", script, err)
+		}
+	}
+	app.MustEval(`set ran {}; .m invoke 0`)
+	if got := app.MustEval(`set ran`); got != "A" {
+		t.Fatalf("invoke 0 ran %q, want A", got)
+	}
+}
+
 // TestWidgetOptionAbbreviationsViaTcl mirrors Tk's switch abbreviation.
 func TestWidgetCreationErrors(t *testing.T) {
 	app, _ := newApp(t)

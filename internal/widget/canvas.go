@@ -2,6 +2,7 @@ package widget
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -299,10 +300,11 @@ func (c *Canvas) bindBehaviour() {
 }
 
 // trigger runs the binding that matches ev of item it (nil for none),
-// looking at the item's id, then at its tags in order.
+// looking at the item's id, then at its tags in order, then at "all",
+// the tag every item has.
 func (c *Canvas) trigger(it *canvasItem, ev *xproto.Event) {
 	if it != nil && c.bindings != nil {
-		c.bindings.Trigger(c.win, ev, append([]string{strconv.Itoa(it.id)}, it.tags...)...)
+		c.bindings.Trigger(c.win, ev, slices.Concat([]string{strconv.Itoa(it.id)}, it.tags, []string{"all"})...)
 	}
 }
 

@@ -98,6 +98,32 @@ func TestCanvasItemBindings(t *testing.T) {
 	}
 }
 
+// TestCanvasBindAll: "all" is a tag of every item, so a binding on it
+// fires for an item with no binding of its own, and an item's own
+// binding wins over it, as the first object with a match runs.
+func TestCanvasBindAll(t *testing.T) {
+	app, _ := newApp(t)
+	app.MustEval(`canvas .c -width 200 -height 150`)
+	app.MustEval(`pack append . .c {top}`)
+	app.MustEval(`.c create rectangle 10 10 50 50`)
+	app.MustEval(`.c create rectangle 100 10 140 50`)
+	app.MustEval(`.c bind all <1> {lappend hit all}`)
+	app.MustEval(`.c bind 2 <1> {lappend hit item}`)
+	app.Update()
+	w, _ := app.NameToWindow(".c")
+	rx, ry := w.RootCoords()
+	for _, c := range []struct {
+		x    int
+		want string
+	}{{30, "all"}, {120, "item"}} {
+		app.MustEval(`set hit {}`)
+		click(app, rx+c.x, ry+30)
+		if got := app.MustEval(`set hit`); got != c.want {
+			t.Errorf("click at x=%d ran %q, want %q", c.x, got, c.want)
+		}
+	}
+}
+
 func TestCanvasEnterLeaveItems(t *testing.T) {
 	app, _ := newApp(t)
 	app.MustEval(`canvas .c -width 200 -height 150`)

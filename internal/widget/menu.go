@@ -122,7 +122,7 @@ func menuRows(app *tk.App) []tcl.Row {
 			return m.entries[i].label, nil
 		}), Min: 1, Max: 1, Usage: "index"},
 		{Name: "invoke", Fn: on(app, func(m *Menu, args []string) (string, error) {
-			i, err := parseIndex(args[0], len(m.entries)-1)
+			i, err := m.entryIndex(args[0])
 			if err != nil {
 				return "", err
 			}

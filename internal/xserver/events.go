@@ -151,7 +151,8 @@ func (s *Server) unmapWindow(w *window) {
 }
 
 // destroyWindow removes w and its subtree, notifying interested clients
-// (children first, as X does). Called with s.mu held.
+// (children first, as X does), and gives the slabs of their images
+// back. Called with s.mu held.
 func (s *Server) destroyWindow(w *window) {
 	for len(w.children) > 0 {
 		s.destroyWindow(w.children[len(w.children)-1])
@@ -167,6 +168,7 @@ func (s *Server) destroyWindow(w *window) {
 		}
 	}
 	delete(s.res, w.id)
+	w.img.release()
 	if w != s.root {
 		// Every non-root window in the table passed through
 		// handleCreateWindow's quota reservation exactly once; this is

@@ -358,6 +358,7 @@ func (s *Server) handleConfigureWindow(c *conn, q *xproto.ConfigureWindowReq) {
 		w.parent.children = sibs
 	}
 	if resized {
+		w.img.release()
 		w.img = newFilledImage(w.w, w.h, w.background, s.render)
 	}
 	s.sendConfigureNotify(w)

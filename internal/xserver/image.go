@@ -2,6 +2,7 @@ package xserver
 
 import (
 	"math/bits"
+	"sync"
 
 	"repro/internal/xproto"
 )
@@ -26,6 +27,13 @@ import (
 // server's mu, exactly like the pixels were before tiling. A snapshot
 // taken under that lock is immutable afterwards and may be read with no
 // lock at all: writers never mutate a shared slab, they replace it.
+//
+// Recycling: an image the server drops (a destroyed window, a resized
+// window's old store, a freed pixmap) gives the slabs it owns back to
+// slabPools through release, and writableTile takes a slab from there
+// before it makes one. A shared slab is never given back, so a snapshot
+// keeps its pixels; a slab taken from the pool is filled with the
+// tile's colour, or with the pixels it clones, before anything reads it.
 type image struct {
 	w, h   int
 	tw, th int    // tiles across / down
@@ -88,6 +96,37 @@ func (im *image) touch(t *tile) {
 	}
 }
 
+// slabPools holds the slabs that dropped images gave back, one pool per
+// slab height: slabPools[n-1] holds slabs of n rows. The pools are
+// shared by every server in the process, so a slab may pass from one
+// display to another; the fill rule above keeps its old pixels from
+// being read. A sync.Pool needs no bound and is emptied by the garbage
+// collector, so recycled slabs do not stay on the heap between bursts.
+var slabPools [tileSize]sync.Pool
+
+// newSlab returns a slab of rows in-image rows, recycled if one is free.
+// Its pixels are stale: the caller overwrites every one before reading.
+func newSlab(rows int) []uint32 {
+	if p, ok := slabPools[rows-1].Get().(*[]uint32); ok {
+		return *p
+	}
+	return make([]uint32, rows<<tileShift)
+}
+
+// release gives back the slabs im owns: every slab no snapshot aliases.
+// im is dropped afterwards; its tiles are left solid. Must be called
+// with the owning drawable's lock held.
+func (im *image) release() {
+	for i := range im.tiles {
+		t := &im.tiles[i]
+		if t.px != nil && !t.shared {
+			px := t.px
+			slabPools[len(px)>>tileShift-1].Put(&px)
+		}
+		t.px = nil
+	}
+}
+
 // writableTile returns tile (tx, ty) ready for writing: a solid tile
 // gets a slab filled with its colour, a slab shared with a snapshot is
 // cloned first (the snapshot keeps the old pixels), and the write is
@@ -96,10 +135,12 @@ func (im *image) writableTile(tx, ty int) *tile {
 	t := &im.tiles[ty*im.tw+tx]
 	switch {
 	case t.px == nil:
-		t.px = make([]uint32, min(tileSize, im.h-ty<<tileShift)<<tileShift)
+		t.px = newSlab(min(tileSize, im.h-ty<<tileShift))
 		fillSpan(t.px, t.solid)
 	case t.shared:
-		t.px = append([]uint32(nil), t.px...)
+		px := newSlab(len(t.px) >> tileShift)
+		copy(px, t.px)
+		t.px = px
 		if im.m != nil {
 			im.m.tilesCOW.Inc()
 		}

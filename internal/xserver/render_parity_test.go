@@ -291,7 +291,10 @@ func TestRenderParityResize(t *testing.T) {
 // Full-tile and full-image fills make tiles solid, partial writes give
 // them slabs, snapshots share both kinds, and resizes to heights that
 // are not multiples of 64 trim the bottom tile row, so every transition
-// between solid, owned and shared tiles is exercised.
+// between solid, owned and shared tiles is exercised. A resize, and a
+// drop of the image for a new one of its size, release the old image's
+// slabs as the server does, so later writes take recycled slabs; the
+// snapshots taken before are checked at the end.
 func TestRenderParityRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tiled, flat := newImage(150, 100), flatimg.New(150, 100)
@@ -306,7 +309,7 @@ func TestRenderParityRandomOps(t *testing.T) {
 		px := rng.Uint32() & 0xffffff
 		x, y := rng.Intn(flat.W+40)-20, rng.Intn(flat.H+40)-20
 		var what string
-		switch rng.Intn(10) {
+		switch rng.Intn(11) {
 		case 0:
 			what = "tile fill"
 			tx, ty := rng.Intn(tiled.tw), rng.Intn(tiled.th)
@@ -360,9 +363,15 @@ func TestRenderParityRandomOps(t *testing.T) {
 			if h%tileSize == 0 {
 				h++
 			}
+			tiled.release()
 			tiled = newFilledImage(w, h, px, nil)
 			flat.Resize(w, h)
 			flat.FillRect(0, 0, w, h, px)
+		case 10:
+			what = "drop and recreate"
+			tiled.release()
+			tiled = newFilledImage(flat.W, flat.H, px, nil)
+			flat.FillRect(0, 0, flat.W, flat.H, px)
 		}
 		requireSamePixels(t, fmt.Sprintf("step %d (%s)", step, what), tiled, flat)
 	}
@@ -447,6 +456,94 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 	} {
 		if got := c.im.get(c.x, c.y); got != c.want {
 			t.Errorf("pixel (%d,%d) = %06x, want %06x", c.x, c.y, got, c.want)
+		}
+	}
+
+	// Destroying a window gives back the slabs it owns, not the ones a
+	// snapshot shares: windows of its height drawn after it take
+	// recycled slabs, and the snapshot still reads the old pixels.
+	s := New(200, 200)
+	defer s.Close()
+	d, err := xclient.Open(s.ConnectPipe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	gc := func(fg uint32) xproto.ID {
+		return d.CreateGC(xclient.GCValues{Mask: xproto.GCForeground, Foreground: fg})
+	}
+	old := d.CreateWindow(d.Root, 0, 0, 130, 70, 0, xclient.WindowAttributes{Background: 0x111111})
+	d.FillRectangle(old, gc(0xabcdef), 3, 3, 124, 64)
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	winSnap := s.window(old).img.snapshot()
+	s.mu.Unlock()
+	// Tile 0 now owns a clone; the other tiles' slabs are shared.
+	d.FillRectangle(old, gc(0x222222), 0, 0, 2, 2)
+	d.DestroyWindow(old)
+	for i := 0; i < 4; i++ {
+		w := d.CreateWindow(d.Root, 0, 0, 130, 70, 0, xclient.WindowAttributes{Background: 0x333333})
+		d.FillRectangle(w, gc(0x444444), 1, 1, 128, 68)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		x, y int
+		want uint32
+	}{{0, 0, 0x111111}, {3, 3, 0xabcdef}, {64, 3, 0xabcdef}, {126, 66, 0xabcdef}, {129, 69, 0x111111}, {5, 68, 0x111111}} {
+		if got := winSnap.get(c.x, c.y); got != c.want {
+			t.Errorf("snapshot of the destroyed window: pixel (%d,%d) = %06x, want %06x", c.x, c.y, got, c.want)
+		}
+	}
+}
+
+// TestRecycledSlabsCarryNoPixels: slabs pass between servers in one
+// process, but a slab taken from the pool is filled before it is read.
+// Server A draws a pattern and destroys the window; server B's window
+// of the same size, with another background and one line drawn, shows
+// no pixel of the pattern.
+func TestRecycledSlabsCarryNoPixels(t *testing.T) {
+	const pattern, bg, line = 0xa5a5a5, 0x000080, 0xffff00
+	open := func(s *Server) *xclient.Display {
+		d, err := xclient.Open(s.ConnectPipe())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(d.Close)
+		return d
+	}
+	for _, sz := range [][2]int{{130, 70}, {64, 64}, {40, 25}} {
+		a, b := New(200, 200), New(200, 200)
+		defer a.Close()
+		defer b.Close()
+		da, db := open(a), open(b)
+		w := da.CreateWindow(da.Root, 0, 0, sz[0], sz[1], 0, xclient.WindowAttributes{Background: 0x123456})
+		gc := da.CreateGC(xclient.GCValues{Mask: xproto.GCForeground, Foreground: pattern})
+		for y := 0; y < sz[1]; y += 2 {
+			da.FillRectangle(w, gc, 0, y, sz[0], 1)
+		}
+		if err := da.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		da.DestroyWindow(w)
+		if err := da.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		v := db.CreateWindow(db.Root, 0, 0, sz[0], sz[1], 0, xclient.WindowAttributes{Background: bg, OverrideRedirect: true})
+		db.MapWindow(v)
+		db.DrawLine(v, db.CreateGC(xclient.GCValues{Mask: xproto.GCForeground, Foreground: line}), 0, 0, sz[0]-1, sz[1]-1)
+		shot, err := db.Screenshot(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i+2 < len(shot.Pixels); i += 3 {
+			px := uint32(shot.Pixels[i])<<16 | uint32(shot.Pixels[i+1])<<8 | uint32(shot.Pixels[i+2])
+			if px != bg && px != line {
+				t.Fatalf("%dx%d: pixel %d of server B's window is %06x, want only %06x and %06x", sz[0], sz[1], i/3, px, bg, line)
+			}
 		}
 	}
 }
@@ -600,9 +697,12 @@ func TestScreenshotCompositeParity(t *testing.T) {
 
 // TestRenderStressPaintersVsScreenshots hammers windows and pixmaps
 // from several client connections while other connections continuously
-// take root and window screenshots. Under -race this checks the
-// copy-on-write snapshot discipline: painters cloning shared tiles
-// while composition reads the snapshots with no lock held.
+// take root and window screenshots. Each painter also keeps replacing a
+// second window: it destroys it, whose slabs go back to the pool, and
+// creates and draws a new one of its size. Under -race this checks the
+// copy-on-write snapshot discipline: painters cloning shared tiles and
+// taking recycled slabs while composition reads the snapshots with no
+// lock held.
 func TestRenderStressPaintersVsScreenshots(t *testing.T) {
 	s := New(480, 360)
 	defer s.Close()
@@ -635,7 +735,17 @@ func TestRenderStressPaintersVsScreenshots(t *testing.T) {
 			gc := d.CreateGC(xclient.GCValues{Mask: xproto.GCForeground, Foreground: uint32(0x3377aa + i)})
 			pm := d.CreatePixmap(64, 64)
 			rng := rand.New(rand.NewSource(int64(100 + i)))
+			var churn xproto.ID
 			for n := 0; n < 150; n++ {
+				if n%10 == 0 {
+					if churn != 0 {
+						d.DestroyWindow(churn)
+					}
+					churn = d.CreateWindow(d.Root, 40+i*90, 200, 80, 70, 1,
+						xclient.WindowAttributes{Background: uint32(0x202020 * (i + 1))})
+					d.MapWindow(churn)
+				}
+				d.FillRectangle(churn, gc, rng.Intn(40), rng.Intn(30), 40, 40)
 				rects := make([]xproto.Rect, 16)
 				for j := range rects {
 					rects[j] = xproto.Rect{X: int16(rng.Intn(150)), Y: int16(rng.Intn(120)),

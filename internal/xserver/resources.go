@@ -90,8 +90,9 @@ func (s *Server) legalNewID(c *conn, id xproto.ID, req string) bool {
 }
 
 // free removes resource id from the table and returns its quota. A
-// window goes with its subtree (destroyWindow). An ID that names
-// nothing, or the root window, is ignored. Called with s.mu held.
+// window goes with its subtree (destroyWindow); a window's or pixmap's
+// slabs go back to slabPools. An ID that names nothing, or the root
+// window, is ignored. Called with s.mu held.
 func (s *Server) free(id xproto.ID) {
 	switch r := s.res[id].(type) {
 	case *window:
@@ -100,6 +101,7 @@ func (s *Server) free(id xproto.ID) {
 		}
 		return
 	case *pixmap:
+		r.img.release()
 		s.usedPixmapBytes -= r.bytes
 	case *gcontext:
 		s.usedGCs--
