@@ -660,27 +660,53 @@ func cmdTime(in *Interp, args []string) (string, error) {
 
 // traceVariable implements "trace variable name ops command".
 func traceVariable(in *Interp, args []string) (string, error) {
-	name, ops, script := args[2], args[3], args[4]
-	for _, c := range ops {
-		if c != 'r' && c != 'w' && c != 'u' {
-			return "", errf("bad operations %q: should be one or more of rwu", ops)
-		}
+	if err := checkTraceOps(args[3]); err != nil {
+		return "", err
 	}
-	in.TraceVar(name, ops, func(in *Interp, nm, idx, op string) {
-		cmd := script + " " + QuoteElement(nm) + " " + QuoteElement(idx) + " " + op
-		_, _ = in.eval(cmd)
-	})
+	in.addTrace(args[2], &VarTrace{Ops: args[3], script: args[4]})
 	return "", nil
 }
 
-// traceVdelete implements "trace vdelete name ops command"; it removes
-// every trace of the variable.
+// traceVdelete implements "trace vdelete name ops command": it removes
+// one trace that "trace variable" set with the same operations and
+// command, as Tcl does. Other traces, Tk's variable links among them,
+// stay.
 func traceVdelete(in *Interp, args []string) (string, error) {
+	if err := checkTraceOps(args[3]); err != nil {
+		return "", err
+	}
 	base, _, _ := splitVarName(args[2])
-	if v := in.lookupVar(in.current(), base, false); v != nil {
-		v.traces = nil
+	v := in.lookupVar(in.current(), base, false)
+	if v == nil {
+		return "", nil
+	}
+	for _, t := range v.traces {
+		if t.Fn == nil && t.script == args[4] && sameTraceOps(t.Ops, args[3]) {
+			in.UntraceVar(t)
+			break
+		}
 	}
 	return "", nil
+}
+
+// checkTraceOps rejects a trace's operations unless they are one or
+// more of r, w and u.
+func checkTraceOps(ops string) error {
+	if ops == "" || strings.Trim(ops, "rwu") != "" {
+		return errf("bad operations %q: should be one or more of rwu", ops)
+	}
+	return nil
+}
+
+// sameTraceOps reports whether two operation strings name the same
+// operations, as Tcl compares a trace's flags: "rw" and "wr" are one.
+func sameTraceOps(a, b string) bool {
+	for _, op := range "rwu" {
+		if strings.ContainsRune(a, op) != strings.ContainsRune(b, op) {
+			return false
+		}
+	}
+	return true
 }
 
 // traceVinfo implements "trace vinfo name": the number of traces.

@@ -130,6 +130,8 @@ func FuzzEval(f *testing.F) {
 		"set i 0; set acc 0; while {$i < 10} {set acc [expr {($acc * 31 + $i) % 1000003}]; incr i 3}; set acc",
 		"proc lcg {x} {return [expr {($x * 1103515245 + 12345) % 2147483648}]}; lcg [lcg 1]",
 		"set a(1) x; set k 1; set b $a($k)[lindex {p q r} end]", "while 1 {}", "catch {error boom} m; set m",
+		// Variable traces.
+		"trace variable v w {lappend f}; trace variable v w {lappend f}; trace vdelete v w {lappend f}; set v 1; list [trace vinfo v] $f",
 	} {
 		f.Add(s)
 	}

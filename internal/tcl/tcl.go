@@ -258,14 +258,18 @@ type Var struct {
 	array  map[string]string
 	isArr  bool
 	link   *Var // non-nil when this frame slot is an upvar alias
-	traces []VarTrace
+	traces []*VarTrace
 }
 
-// VarTrace is a variable trace callback, invoked after writes and before
-// reads or unsets depending on the ops it was registered for.
+// VarTrace is a variable trace, invoked after writes and before reads
+// or unsets depending on the ops it was registered for. Go code's traces
+// call Fn; one that "trace variable" set evaluates its command instead.
+// TraceVar returns it as the handle UntraceVar takes.
 type VarTrace struct {
-	Ops string // subset of "rwu"
-	Fn  func(in *Interp, name, index, op string)
+	Ops    string // subset of "rwu"
+	Fn     func(in *Interp, name, index, op string)
+	script string // the command of a trace set by "trace variable"
+	v      *Var   // the variable that carries the trace
 }
 
 // frame is one procedure call frame (level 0 is global). callProc

@@ -426,6 +426,51 @@ func TestTclLevelTraces(t *testing.T) {
 	}
 }
 
+// TestTraceVdeleteRemovesOneTrace: trace vdelete removes one trace set
+// with the same operations and command, as Tcl does; the other such
+// trace, a trace of other operations and a trace Go code set stay.
+func TestTraceVdeleteRemovesOneTrace(t *testing.T) {
+	in := New()
+	goFired := 0
+	in.TraceVar("v", "w", func(*Interp, string, string, string) { goFired++ })
+	evalOK(t, in, "trace variable v w {lappend fired}; trace variable v w {lappend fired}; trace variable v r {lappend read}")
+	evalOK(t, in, "trace vdelete v w {lappend other}; trace vdelete v wu {lappend fired}")
+	expect(t, in, "trace vinfo v", "4")
+	evalOK(t, in, "trace vdelete v w {lappend fired}")
+	expect(t, in, "trace vinfo v", "3")
+	evalOK(t, in, "set fired {}; set v 1")
+	expect(t, in, "set fired", "v {} w")
+	if goFired != 1 {
+		t.Fatalf("the Go trace fired %d times, want 1", goFired)
+	}
+	evalOK(t, in, "trace vdelete v rr {lappend read}")
+	expect(t, in, "trace vinfo v", "2")
+	if _, err := in.Eval("trace vdelete v x {lappend fired}"); err == nil {
+		t.Fatal("trace vdelete accepted the operations x")
+	}
+}
+
+// TestUntraceVar: a trace Go code set stops firing once UntraceVar
+// removes it; removing it twice, or after its variable was unset, does
+// nothing.
+func TestUntraceVar(t *testing.T) {
+	in := New()
+	fired := 0
+	tr := in.TraceGlobal("g", "w", func(*Interp, string, string, string) { fired++ })
+	other := in.TraceVar("g", "w", func(*Interp, string, string, string) { fired += 10 })
+	evalOK(t, in, "set g 1")
+	in.UntraceVar(tr)
+	in.UntraceVar(tr)
+	evalOK(t, in, "set g 2")
+	if fired != 21 {
+		t.Fatalf("fired = %d, want 21: both traces once, then only the one left", fired)
+	}
+	expect(t, in, "trace vinfo g", "1")
+	evalOK(t, in, "unset g; set g 3")
+	in.UntraceVar(other)
+	expect(t, in, "trace vinfo g", "0")
+}
+
 func TestDeletedInterp(t *testing.T) {
 	in := New()
 	in.Delete()

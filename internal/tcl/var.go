@@ -1,6 +1,7 @@
 package tcl
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -185,17 +186,35 @@ func (in *Interp) LinkVar(level int, other, local string) error {
 }
 
 // TraceVar registers a trace on variable name in the current frame,
-// creating the variable slot if needed. ops is a subset of "rwu".
-func (in *Interp) TraceVar(name string, ops string, fn func(in *Interp, name, index, op string)) {
-	base, _, _ := splitVarName(name)
-	v := in.lookupVar(in.current(), base, true)
-	v.traces = append(v.traces, VarTrace{Ops: ops, Fn: fn})
+// creating the variable slot if needed. ops is a subset of "rwu". The
+// trace returned is the handle UntraceVar takes.
+func (in *Interp) TraceVar(name string, ops string, fn func(in *Interp, name, index, op string)) *VarTrace {
+	return in.addTrace(name, &VarTrace{Ops: ops, Fn: fn})
 }
 
 // TraceGlobal registers a trace on a global variable regardless of the
 // current frame, as Tk's variable links do (TCL_GLOBAL_ONLY).
-func (in *Interp) TraceGlobal(name string, ops string, fn func(in *Interp, name, index, op string)) {
-	in.atLevel(0, func() (string, error) { in.TraceVar(name, ops, fn); return "", nil })
+func (in *Interp) TraceGlobal(name string, ops string, fn func(in *Interp, name, index, op string)) *VarTrace {
+	var t *VarTrace
+	in.atLevel(0, func() (string, error) { t = in.TraceVar(name, ops, fn); return "", nil })
+	return t
+}
+
+// addTrace puts t on variable name in the current frame.
+func (in *Interp) addTrace(name string, t *VarTrace) *VarTrace {
+	base, _, _ := splitVarName(name)
+	t.v = in.lookupVar(in.current(), base, true)
+	t.v.traces = append(t.v.traces, t)
+	return t
+}
+
+// UntraceVar removes trace t from its variable, as Tcl_UntraceVar does.
+// A trace already removed, or whose variable has been unset, is
+// ignored.
+func (in *Interp) UntraceVar(t *VarTrace) {
+	if i := slices.Index(t.v.traces, t); i >= 0 {
+		t.v.traces = slices.Delete(t.v.traces, i, i+1)
+	}
 }
 
 func (in *Interp) fireTraces(v *Var, name, index, op string) {
@@ -203,10 +222,15 @@ func (in *Interp) fireTraces(v *Var, name, index, op string) {
 		return
 	}
 	// Copy: a trace may add or remove traces.
-	traces := append([]VarTrace(nil), v.traces...)
+	traces := append([]*VarTrace(nil), v.traces...)
 	for _, t := range traces {
-		if strings.Contains(t.Ops, op) {
+		if !strings.Contains(t.Ops, op) {
+			continue
+		}
+		if t.Fn != nil {
 			t.Fn(in, name, index, op)
+		} else {
+			_, _ = in.eval(t.script + " " + QuoteElement(name) + " " + QuoteElement(index) + " " + op)
 		}
 	}
 }

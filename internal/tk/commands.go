@@ -140,11 +140,8 @@ func (app *App) cmdAfter(in *tcl.Interp, args []string) (string, error) {
 		return "", fmt.Errorf("bad milliseconds value %q", args[1])
 	}
 	if len(args) == 2 {
-		// Synchronous sleep that keeps processing events, as Tk does.
-		deadline := time.Now().Add(time.Duration(ms) * time.Millisecond)
-		for time.Now().Before(deadline) && !app.Quitting() {
-			app.pumpOnce()
-		}
+		// A sleep that keeps processing events.
+		app.wait(time.Duration(ms)*time.Millisecond, func() bool { return false })
 		return "", nil
 	}
 	script := strings.Join(args[2:], " ")
@@ -455,23 +452,24 @@ func (app *App) cmdLower(in *tcl.Interp, args []string) (string, error) {
 	return "", nil
 }
 
-// tkwaitVariable blocks, processing events, until a global variable
-// is written.
+// tkwaitVariable runs the event loop until a global variable is
+// written, then removes its trace, as Tk's tkwait does.
 func (app *App) tkwaitVariable(in *tcl.Interp, args []string) (string, error) {
 	done := false
-	in.TraceGlobal(args[2], "w", func(*tcl.Interp, string, string, string) {
+	trace := in.TraceGlobal(args[2], "w", func(*tcl.Interp, string, string, string) {
 		done = true
 	})
 	for !done && !app.Quitting() {
-		app.pumpOnce()
+		app.DoOneEvent(true)
 	}
+	in.UntraceVar(trace)
 	return "", nil
 }
 
-// tkwaitWindow blocks, processing events, until a window is destroyed.
+// tkwaitWindow runs the event loop until a window is destroyed.
 func (app *App) tkwaitWindow(_ *tcl.Interp, args []string) (string, error) {
 	for app.WindowExists(args[2]) && !app.Quitting() {
-		app.pumpOnce()
+		app.DoOneEvent(true)
 	}
 	return "", nil
 }

@@ -15,17 +15,16 @@ import (
 // events arrive via Post (any goroutine may post work into the loop).
 
 type timerEntry struct {
-	when time.Time
-	fn   func()
-	id   int
-	seq  int
+	when  time.Time
+	fn    func()
+	id    int // also orders timers due at the same time
+	index int // the entry's place in the heap, which Swap and Push keep; -1 once out
 }
 
 type timerQueue struct {
 	entries []*timerEntry
 	nextID  int
-	nextSeq int
-	byID    map[int]*timerEntry
+	byID    map[int]*timerEntry // the timers CreateTimerHandler made
 }
 
 func newTimerQueue() *timerQueue {
@@ -35,40 +34,63 @@ func newTimerQueue() *timerQueue {
 func (q *timerQueue) Len() int { return len(q.entries) }
 func (q *timerQueue) Less(i, j int) bool {
 	if q.entries[i].when.Equal(q.entries[j].when) {
-		return q.entries[i].seq < q.entries[j].seq
+		return q.entries[i].id < q.entries[j].id
 	}
 	return q.entries[i].when.Before(q.entries[j].when)
 }
-func (q *timerQueue) Swap(i, j int) { q.entries[i], q.entries[j] = q.entries[j], q.entries[i] }
-func (q *timerQueue) Push(x any)    { q.entries = append(q.entries, x.(*timerEntry)) }
+func (q *timerQueue) Swap(i, j int) {
+	q.entries[i], q.entries[j] = q.entries[j], q.entries[i]
+	q.entries[i].index, q.entries[j].index = i, j
+}
+func (q *timerQueue) Push(x any) {
+	e := x.(*timerEntry)
+	e.index = len(q.entries)
+	q.entries = append(q.entries, e)
+}
 func (q *timerQueue) Pop() any {
-	old := q.entries
-	n := len(old)
-	e := old[n-1]
-	q.entries = old[:n-1]
+	n := len(q.entries) - 1
+	e := q.entries[n]
+	q.entries[n], e.index = nil, -1 // the array must not keep the handler alive
+	q.entries = q.entries[:n]
 	return e
 }
 
 // CreateTimerHandler schedules fn to run once after d, returning a handle
 // usable with DeleteTimerHandler.
 func (app *App) CreateTimerHandler(d time.Duration, fn func()) int {
-	q := app.timers
-	q.nextID++
-	q.nextSeq++
-	e := &timerEntry{when: time.Now().Add(d), fn: fn, id: q.nextID, seq: q.nextSeq}
-	q.byID[e.id] = e
-	heap.Push(q, e)
-	app.timersDepth.Set(int64(len(q.byID)))
+	e := app.addTimer(d, fn)
+	app.timers.byID[e.id] = e
 	return e.id
 }
 
-// DeleteTimerHandler cancels a pending timer.
+// DeleteTimerHandler cancels a pending timer. A handle whose timer has
+// fired or been cancelled is ignored.
 func (app *App) DeleteTimerHandler(id int) {
 	if e, ok := app.timers.byID[id]; ok {
-		e.fn = nil // cancelled; skipped when popped
-		delete(app.timers.byID, id)
-		app.timersDepth.Set(int64(len(app.timers.byID)))
+		app.removeTimer(e)
 	}
+}
+
+// addTimer puts a timer that runs fn after d in the heap. A wait's
+// deadline gets no handle, so "after cancel" cannot end the wait.
+func (app *App) addTimer(d time.Duration, fn func()) *timerEntry {
+	q := app.timers
+	q.nextID++
+	e := &timerEntry{when: time.Now().Add(d), fn: fn, id: q.nextID}
+	heap.Push(q, e)
+	app.timersDepth.Set(int64(q.Len()))
+	return e
+}
+
+// removeTimer takes e out of the heap at once, as Tk_DeleteTimerHandler
+// unlinks a timer, unless it has fired.
+func (app *App) removeTimer(e *timerEntry) {
+	q := app.timers
+	if e.index >= 0 {
+		heap.Remove(q, e.index)
+		app.timersDepth.Set(int64(q.Len()))
+	}
+	delete(q.byID, e.id)
 }
 
 // DoWhenIdle queues fn to run when no other events are pending (§3.2's
@@ -111,13 +133,11 @@ func (app *App) runDueTimers() bool {
 	for q.Len() > 0 && !q.entries[0].when.After(now) {
 		e := heap.Pop(q).(*timerEntry)
 		delete(q.byID, e.id)
-		if e.fn != nil {
-			e.fn()
-			ran = true
-		}
+		e.fn()
+		ran = true
 	}
 	if ran {
-		app.timersDepth.Set(int64(len(q.byID)))
+		app.timersDepth.Set(int64(q.Len()))
 	}
 	return ran
 }
@@ -194,6 +214,21 @@ func (app *App) DoOneEvent(wait bool) bool {
 	case <-timerCh:
 		return app.runDueTimers()
 	}
+}
+
+// wait runs DoOneEvent(true), as Tk's waits run Tk_DoOneEvent(0), until
+// done reports true, the application quits or a timer handler of d
+// fires, and reports whether done held.
+func (app *App) wait(d time.Duration, done func() bool) bool {
+	deadline := app.addTimer(d, func() {})
+	defer app.removeTimer(deadline)
+	for !done() {
+		if deadline.index < 0 || app.Quitting() {
+			return false
+		}
+		app.DoOneEvent(true)
+	}
+	return true
 }
 
 // dispatchQueued dispatches the oldest event in the display's queue and

@@ -106,8 +106,8 @@ func (app *App) handleSelectionClear(ev *xproto.Event) {
 
 // GetSelection retrieves the current PRIMARY selection as a string. When
 // the owner lives in this application the handler is called directly;
-// otherwise the ICCCM protocol runs against the current owner, pumping
-// the event loop until the answer arrives.
+// otherwise the ICCCM protocol runs against the current owner, and the
+// event loop runs until the answer arrives or 2 s pass.
 func (app *App) GetSelection() (string, error) {
 	if app.selOwner != nil {
 		if h := app.sel().handlers[app.selOwner]; h != nil {
@@ -125,13 +125,8 @@ func (app *App) GetSelection() (string, error) {
 	app.sel().notify = nil
 	app.Disp.ConvertSelection(xproto.AtomPrimary, xproto.AtomString,
 		app.atomSelProp, app.Main.XID, 0)
-	app.Disp.Flush()
-	deadline := time.Now().Add(2 * time.Second)
-	for app.sel().notify == nil {
-		if time.Now().After(deadline) {
-			return "", fmt.Errorf("selection owner didn't respond")
-		}
-		app.pumpOnce()
+	if !app.wait(2*time.Second, func() bool { return app.sel().notify != nil }) {
+		return "", fmt.Errorf("selection owner didn't respond")
 	}
 	ev := app.sel().notify
 	app.sel().notify = nil
@@ -146,22 +141,4 @@ func (app *App) GetSelection() (string, error) {
 		return "", fmt.Errorf("selection property was empty")
 	}
 	return string(rep.Data), nil
-}
-
-// pumpOnce runs one bounded event-loop step while waiting for a protocol
-// answer (selection or send), keeping the application responsive to
-// reentrant requests.
-func (app *App) pumpOnce() {
-	app.Disp.Flush()
-	if dispatched, lost := app.dispatchQueued(); dispatched || lost {
-		return
-	}
-	select {
-	case <-app.Disp.Wake():
-		app.dispatchQueued()
-	case fn := <-app.posted:
-		fn()
-	case <-time.After(10 * time.Millisecond):
-		app.runDueTimers()
-	}
 }

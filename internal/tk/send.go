@@ -160,45 +160,40 @@ func (app *App) Send(target, script string) (string, error) {
 	if err := app.Disp.Flush(); err != nil {
 		return "", err
 	}
-	// Pump events until the result arrives: the target may send us
-	// commands of its own in the meantime (reentrancy), and we must keep
-	// servicing them to avoid deadlock.
+	// Run the event loop until the result arrives: the target may send
+	// us commands of its own in the meantime (reentrancy), and we must
+	// keep servicing them to avoid deadlock.
 	timeout := app.SendTimeout
 	if timeout <= 0 {
 		timeout = DefaultSendTimeout
 	}
 	begin := time.Now()
-	deadline := begin.Add(timeout)
-	for {
-		if res, ok := app.sendResults[serial]; ok {
-			delete(app.sendResults, serial)
-			// The histogram records only completed RPCs (success or
-			// remote error), not timeouts.
-			app.sendHist.Observe(time.Since(begin))
-			if res.code != 0 {
-				return "", &tcl.Error{Code: tcl.ErrorStatus, Msg: res.result}
-			}
-			return res.result, nil
-		}
-		if time.Now().After(deadline) {
-			app.sendTimeouts.Inc()
-			// Probe the target's communication window: a peer that
-			// crashed or closed its display no longer has one (the server
-			// destroys a departed client's windows), so distinguish "dead
-			// and gone" from "alive but unresponsive" — and prune dead
-			// peers from the registry so `winfo interps` stops listing
-			// them and later sends fail fast.
-			if _, gerr := app.Disp.GetGeometry(commXID); gerr != nil && !app.Disp.Closed() {
-				app.pruneRegistryName(target)
-				return "", fmt.Errorf("target application %q has exited (its communication window is gone); removed it from the registry", target)
-			}
-			return "", fmt.Errorf("target application %q did not respond within %v", target, timeout)
-		}
+	if !app.wait(timeout, func() bool { _, ok := app.sendResults[serial]; return ok }) {
 		if app.Quitting() {
 			return "", fmt.Errorf("application destroyed while waiting for send result")
 		}
-		app.pumpOnce()
+		app.sendTimeouts.Inc()
+		// Probe the target's communication window: a peer that crashed
+		// or closed its display no longer has one (the server destroys a
+		// departed client's windows), so distinguish "dead and gone" from
+		// "alive but unresponsive" — and prune dead peers from the
+		// registry so `winfo interps` stops listing them and later sends
+		// fail fast.
+		if _, gerr := app.Disp.GetGeometry(commXID); gerr != nil && !app.Disp.Closed() {
+			app.pruneRegistryName(target)
+			return "", fmt.Errorf("target application %q has exited (its communication window is gone); removed it from the registry", target)
+		}
+		return "", fmt.Errorf("target application %q did not respond within %v", target, timeout)
 	}
+	res := app.sendResults[serial]
+	delete(app.sendResults, serial)
+	// The histogram records only completed RPCs (success or remote
+	// error), not timeouts.
+	app.sendHist.Observe(time.Since(begin))
+	if res.code != 0 {
+		return "", &tcl.Error{Code: tcl.ErrorStatus, Msg: res.result}
+	}
+	return res.result, nil
 }
 
 // handleCommEvent services PropertyNotify events on the communication

@@ -50,6 +50,21 @@ func TestReentrantSend(t *testing.T) {
 	}
 }
 
+// TestSendWaitRunsIdleHandlers: an application waiting in send runs its
+// own idle handlers. B's command has A queue an idle handler, which is
+// what lets the command finish: it sends B the variable B waits for.
+// B's guard timer ends that wait if the handler never runs.
+func TestSendWaitRunsIdleHandlers(t *testing.T) {
+	a, b := mkPair(t, "a", "b")
+	b.MustEval(`set guard [after 2000 {set go "guard timer"}]`)
+	stop := b.StartServing()
+	defer stop()
+	got, err := a.Send("b", `send a {after idle {send b {set go 1}}}; tkwait variable go; after cancel $guard; set go`)
+	if err != nil || got != "1" {
+		t.Fatalf("send = %q, %v; want 1, set by the sender's idle handler", got, err)
+	}
+}
+
 // TestSendResultTypes checks multi-word and special-character results
 // survive the property encoding.
 func TestSendResultTypes(t *testing.T) {

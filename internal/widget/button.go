@@ -34,9 +34,10 @@ type Button struct {
 	active  bool // pointer inside
 	pressed bool // button 1 down inside
 	on      bool // indicator state for check/radio
-
-	indicatorSize int
 }
+
+// indicatorSize is the side of a check or radio button's indicator.
+const indicatorSize = 11
 
 // buttonSpecs holds the option table of each button kind, built once on
 // first use.
@@ -110,20 +111,13 @@ func createButton(kind int) func(*tk.App, []string, []tcl.Row) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		bt := &Button{base: *b, kind: kind, indicatorSize: 11}
+		bt := &Button{base: *b, kind: kind}
 		bt.win.Widget = bt
 		bt.geomAndExposure()
 		if kind != kindLabel {
 			bt.bindBehaviour()
 		}
-		res, err := bt.install(bt, rows, args[2:])
-		if err != nil {
-			return "", err
-		}
-		if kind == kindCheck || kind == kindRadio {
-			bt.watchVariable()
-		}
-		return res, nil
+		return bt.install(bt, rows, args[2:])
 	}
 }
 
@@ -203,35 +197,23 @@ func (bt *Button) bindBehaviour() {
 	})
 }
 
-// watchVariable keeps a check/radio button's indicator in sync with its
-// Tcl variable, including changes made by other widgets or scripts.
-func (bt *Button) watchVariable() {
-	name := bt.cv.Get("-variable")
-	if name == "" {
-		return
+// showVariable sets a check or radio button's indicator from its
+// variable's value, which other widgets or scripts may have changed.
+func (bt *Button) showVariable() {
+	v, err := bt.app.Interp.GetGlobal(bt.cv.Get("-variable"))
+	if err != nil {
+		v = ""
 	}
-	update := func() {
-		v, err := bt.app.Interp.GetGlobal(name)
-		if err != nil {
-			v = ""
-		}
-		var on bool
-		if bt.kind == kindCheck {
-			on = v == bt.cv.Get("-onvalue")
-		} else {
-			on = v != "" && v == bt.radioValue()
-		}
-		if on != bt.on {
-			bt.on = on
-			bt.win.ScheduleRedraw()
-		}
+	var on bool
+	if bt.kind == kindCheck {
+		on = v == bt.cv.Get("-onvalue")
+	} else {
+		on = v != "" && v == bt.radioValue()
 	}
-	bt.app.Interp.TraceGlobal(name, "wu", func(*tcl.Interp, string, string, string) {
-		if !bt.win.Destroyed {
-			update()
-		}
-	})
-	update()
+	if on != bt.on {
+		bt.on = on
+		bt.win.ScheduleRedraw()
+	}
 }
 
 func (bt *Button) radioValue() string {
@@ -315,7 +297,8 @@ func (bt *Button) recompute() error {
 		h = lines * bt.font.LineHeight()
 	}
 	if bt.kind == kindCheck || bt.kind == kindRadio {
-		w += bt.indicatorSize + 6
+		w += indicatorSize + 6
+		bt.linkVariable(bt.cv.Get("-variable"), "wu", bt.showVariable)
 	}
 	bt.win.GeometryRequest(w+2*padX+2*bd, h+2*padY+2*bd)
 	bt.win.ScheduleRedraw()
@@ -365,7 +348,7 @@ func (bt *Button) Redraw() {
 				selColor = px
 			}
 		}
-		size := bt.indicatorSize
+		size := indicatorSize
 		y := (bt.win.Height - size) / 2
 		gcSel := bt.app.GC(selColor, bg, 1, bt.fontID())
 		if bt.kind == kindCheck {

@@ -57,8 +57,7 @@ func TestConfigureRejectedLeavesWidget(t *testing.T) {
 // class. configure never panics; a call that fails leaves "$w
 // configure" as it was; a call that succeeds reports value as opt's
 // current value, at index 4 of "$w configure opt" (of its target's, for
-// a synonym). A -scroll option is not fuzzed: its value is a script the
-// widget runs as it recomputes.
+// a synonym).
 func FuzzConfigure(f *testing.F) {
 	app, err := core.NewApp(core.Options{Name: "fuzz"})
 	if err != nil {
@@ -112,9 +111,6 @@ func FuzzConfigure(f *testing.F) {
 			t.Fatalf("%s .w: %v", class, err)
 		}
 		defer app.MustEval(`destroy .w`)
-		if d, err := describe(opt); err == nil && d[2] == "ScrollCommand" {
-			return
-		}
 		before := app.MustEval(`.w configure`)
 		for name, v := range map[string]string{"opt": opt, "value": value} {
 			if _, err := app.Interp.SetGlobal(name, v); err != nil {

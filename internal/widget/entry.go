@@ -48,12 +48,7 @@ func createEntry(app *tk.App, args []string, rows []tcl.Row) (string, error) {
 	e.geomAndExposure()
 	e.bindBehaviour()
 	app.SetSelectionHandler(e.win, func() string { return e.Selected() })
-	res, err := e.install(e, rows, args[2:])
-	if err != nil {
-		return "", err
-	}
-	e.watchVariable()
-	return res, nil
+	return e.install(e, rows, args[2:])
 }
 
 // entryRows returns the subcommand rows of an entry, bound to app.
@@ -134,23 +129,12 @@ func entryRows(app *tk.App) []tcl.Row {
 	}
 }
 
-// watchVariable links the entry with -textvariable in both directions.
-func (e *Entry) watchVariable() {
-	name := e.cv.Get("-textvariable")
-	if name == "" {
-		return
-	}
-	if v, err := e.app.Interp.GetGlobal(name); err == nil {
+// showVariable shows the value of the entry's -textvariable, which
+// setText keeps equal to the text: the two are linked both ways.
+func (e *Entry) showVariable() {
+	if v, err := e.app.Interp.GetGlobal(e.cv.Get("-textvariable")); err == nil && v != e.text {
 		e.setText(v, false)
 	}
-	e.app.Interp.TraceGlobal(name, "w", func(*tcl.Interp, string, string, string) {
-		if e.win.Destroyed {
-			return
-		}
-		if v, err := e.app.Interp.GetGlobal(name); err == nil && v != e.text {
-			e.setText(v, false)
-		}
-	})
 }
 
 // setText replaces the entry contents; when fromEdit is true the
@@ -260,6 +244,7 @@ func (e *Entry) recompute() error {
 	chars := e.cv.GetInt("-width", 20)
 	e.win.GeometryRequest(chars*e.font.TextWidth("0")+2*bd+6, e.font.LineHeight()+2*bd+6)
 	e.win.ScheduleRedraw()
+	e.linkVariable(e.cv.Get("-textvariable"), "w", e.showVariable)
 	return nil
 }
 

@@ -19,8 +19,9 @@ import (
 type Listbox struct {
 	base
 
-	items []string
-	top   int // first visible item
+	items  []string
+	top    int // first visible item
+	scroll scrollView
 
 	selFirst, selLast int // selected range, -1 when empty
 	anchor            int
@@ -43,6 +44,7 @@ func createListbox(app *tk.App, args []string, rows []tcl.Row) (string, error) {
 		return "", err
 	}
 	lb := &Listbox{base: *b, selFirst: -1, selLast: -1}
+	lb.scroll = scrollView{b: &lb.base, view: func() (int, int, int) { return len(lb.items), lb.linesVisible(), lb.top }}
 	lb.win.Widget = lb
 	lb.geomAndExposure()
 	lb.bindBehaviour()
@@ -50,7 +52,7 @@ func createListbox(app *tk.App, args []string, rows []tcl.Row) (string, error) {
 	// scrollbar current.
 	lb.win.AddEventHandler(xproto.StructureNotifyMask, func(ev *xproto.Event) {
 		if ev.Type == xproto.ConfigureNotify {
-			lb.updateScrollbar()
+			lb.scroll.changed()
 		}
 	})
 	// The selection handler (§3.6): returns the selected items, one
@@ -143,7 +145,7 @@ func listboxRows(app *tk.App) []tcl.Row {
 			items = append(items, args[1:]...)
 			items = append(items, lb.items[i:]...)
 			lb.items = items
-			lb.updateScrollbar()
+			lb.scroll.changed()
 			lb.win.ScheduleRedraw()
 			return "", nil
 		}), Min: 1, Max: -1, Usage: "index ?element ...?"},
@@ -268,37 +270,11 @@ func (lb *Listbox) SelectedItems() []string {
 	return out
 }
 
-// updateScrollbar tells the associated scrollbar about the current view
-// (the "-scroll {.scroll set}" linkage of Figure 9).
-func (lb *Listbox) updateScrollbar() {
-	cmd := lb.cv.Get("-scroll")
-	if strings.TrimSpace(cmd) == "" {
-		return
-	}
-	window := lb.linesVisible()
-	last := lb.top + window - 1
-	if last >= len(lb.items) {
-		last = len(lb.items) - 1
-	}
-	lb.eval("listbox scroll command", fmt.Sprintf("%s %d %d %d %d",
-		cmd, len(lb.items), window, lb.top, last))
-}
-
 // View scrolls so that item index appears at the top (the ".list view
 // 40" command of §4).
 func (lb *Listbox) View(index int) {
-	maxTop := len(lb.items) - lb.linesVisible()
-	if maxTop < 0 {
-		maxTop = 0
-	}
-	if index > maxTop {
-		index = maxTop
-	}
-	if index < 0 {
-		index = 0
-	}
-	lb.top = index
-	lb.updateScrollbar()
+	lb.top = clampTop(index, len(lb.items), lb.linesVisible())
+	lb.scroll.changed()
 	lb.win.ScheduleRedraw()
 }
 
@@ -319,7 +295,7 @@ func (lb *Listbox) recompute() error {
 	h := rows*(lb.font.LineHeight()+2) + 2*bd
 	lb.win.GeometryRequest(w, h)
 	lb.win.ScheduleRedraw()
-	lb.updateScrollbar()
+	lb.scroll.changed()
 	return nil
 }
 

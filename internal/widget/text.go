@@ -31,6 +31,7 @@ type Text struct {
 	curLine int // insertion cursor line (0-based internally)
 	curChar int
 	topLine int // first visible line (0-based)
+	scroll  scrollView
 
 	tags map[string]*textTag
 	// bindings names tags; it is made at the first tag bind.
@@ -81,6 +82,7 @@ func createText(app *tk.App, args []string, rows []tcl.Row) (string, error) {
 		return "", err
 	}
 	tx := &Text{base: *b, lines: []string{""}, tags: make(map[string]*textTag)}
+	tx.scroll = scrollView{b: &tx.base, view: func() (int, int, int) { return len(tx.lines), tx.visibleLines(), tx.topLine }}
 	tx.win.Widget = tx
 	tx.win.AddEventHandler(xproto.ExposureMask, func(*xproto.Event) { tx.redrawAll() })
 	tx.bindBehaviour()
@@ -88,7 +90,7 @@ func createText(app *tk.App, args []string, rows []tcl.Row) (string, error) {
 	// scrollbar current.
 	tx.win.AddEventHandler(xproto.StructureNotifyMask, func(ev *xproto.Event) {
 		if ev.Type == xproto.ConfigureNotify {
-			tx.updateScrollbar()
+			tx.scroll.changed()
 		}
 	})
 	app.SetSelectionHandler(tx.win, func() string { return tx.Get(0, 0, len(tx.lines)-1, len(tx.lines[len(tx.lines)-1])) })
@@ -167,7 +169,7 @@ func (tx *Text) Insert(line, ch int, s string) {
 		tx.curChar = len(parts[len(parts)-1])
 		tx.damage(line, math.MaxInt)
 	}
-	tx.updateScrollbar()
+	tx.scroll.changed()
 }
 
 // Delete removes the range [start, end).
@@ -188,7 +190,7 @@ func (tx *Text) Delete(l1, c1, l2, c2 int) {
 	} else {
 		tx.damage(l1, math.MaxInt)
 	}
-	tx.updateScrollbar()
+	tx.scroll.changed()
 }
 
 // Get returns the text in [start, end).
@@ -357,35 +359,10 @@ func (tx *Text) seeInsert() {
 	}
 }
 
-// updateScrollbar keeps an attached scrollbar current.
-func (tx *Text) updateScrollbar() {
-	cmd := tx.cv.Get("-scroll")
-	if strings.TrimSpace(cmd) == "" {
-		return
-	}
-	window := tx.visibleLines()
-	last := tx.topLine + window - 1
-	if last >= len(tx.lines) {
-		last = len(tx.lines) - 1
-	}
-	tx.eval("text scroll command", fmt.Sprintf("%s %d %d %d %d",
-		cmd, len(tx.lines), window, tx.topLine, last))
-}
-
 // View scrolls so that 0-based line is at the top.
 func (tx *Text) View(line int) {
-	maxTop := len(tx.lines) - tx.visibleLines()
-	if maxTop < 0 {
-		maxTop = 0
-	}
-	if line > maxTop {
-		line = maxTop
-	}
-	if line < 0 {
-		line = 0
-	}
-	tx.topLine = line
-	tx.updateScrollbar()
+	tx.topLine = clampTop(line, len(tx.lines), tx.visibleLines())
+	tx.scroll.changed()
 	tx.redrawAll()
 }
 
@@ -410,7 +387,7 @@ func (tx *Text) recompute() error {
 	rows := tx.cv.GetInt("-height", 10)
 	tx.win.GeometryRequest(cols*tx.font.TextWidth("0")+2*bd+6, rows*tx.lineHeight()+2*bd)
 	tx.redrawAll()
-	tx.updateScrollbar()
+	tx.scroll.changed()
 	return nil
 }
 

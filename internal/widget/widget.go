@@ -115,6 +115,10 @@ type base struct {
 	font *xclient.Font
 	bg   uint32
 	fg   uint32
+
+	// link is the trace on the global variable a check or radio button
+	// or an entry is linked to, nil for none.
+	link *tcl.VarTrace
 }
 
 // widget is what install and the configure row need of every class.
@@ -188,9 +192,29 @@ func (b *base) prefetch() {
 	b.app.PrefetchResources(colors, fonts, cursors)
 }
 
-// Destroyed implements part of tk.Widget for all classes.
+// Destroyed implements part of tk.Widget for all classes. It removes
+// the widget's variable trace, as Tk's destroy procedures untrace the
+// variable, so the variable no longer keeps the widget alive.
 func (b *base) Destroyed() {
 	b.app.Interp.Unregister(b.win.Path)
+	b.linkVariable("", "", nil)
+}
+
+// linkVariable moves the widget's variable trace to the global variable
+// name, for ops, and runs show now and whenever the trace fires; an
+// empty name removes the trace. Widgets call it from recompute, as Tk's
+// configure procedures untrace the variable and trace the one the
+// option names now.
+func (b *base) linkVariable(name, ops string, show func()) {
+	if b.link != nil {
+		b.app.Interp.UntraceVar(b.link)
+		b.link = nil
+	}
+	if name == "" {
+		return
+	}
+	b.link = b.app.Interp.TraceGlobal(name, ops, func(*tcl.Interp, string, string, string) { show() })
+	show()
 }
 
 // resolve caches the font and colors from the current configuration.
@@ -301,6 +325,57 @@ func (b *base) drawCenteredText(text string, fg, bg uint32) {
 	x := (b.win.Width - tw) / 2
 	y := (b.win.Height+b.font.Ascent-b.font.Descent)/2 + b.font.Descent/2
 	b.app.Disp.DrawString(b.win.XID, gc, x, y, text)
+}
+
+// scrollView reports a listbox's or text's view to its -scroll command,
+// the linkage that keeps a scrollbar current (Figure 9). A change to the
+// view only marks it: one idle handler runs the command for any number
+// of changes, as Tk's DisplayListbox and DisplayText do when
+// UPDATE_V_SCROLLBAR is set. The command runs while the widget is
+// unmapped too, and no longer once it is destroyed.
+type scrollView struct {
+	b *base
+	// view returns how many lines the widget has, how many its window
+	// shows and the first one shown.
+	view     func() (lines, window, top int)
+	pending  bool   // the idle handler is queued
+	reported string // the command the handler last ran, figures included
+}
+
+// changed marks the view changed. A widget whose -scroll is empty
+// schedules nothing.
+func (s *scrollView) changed() {
+	if s.pending || strings.TrimSpace(s.b.cv.Get("-scroll")) == "" {
+		return
+	}
+	s.pending = true
+	s.b.app.DoWhenIdle(s.report)
+}
+
+// report runs the -scroll command with the view's figures, unless it
+// ran that command with those figures last, as Tk's text reports a view
+// only when it changed: so a configure that fails, and recomputes the
+// widget as it was, reports nothing.
+func (s *scrollView) report() {
+	s.pending = false
+	cmd := s.b.cv.Get("-scroll")
+	if s.b.win.Destroyed || strings.TrimSpace(cmd) == "" {
+		return
+	}
+	lines, window, top := s.view()
+	call := fmt.Sprintf("%s %d %d %d %d", cmd, lines, window, top, min(top+window, lines)-1)
+	if call == s.reported {
+		return
+	}
+	s.reported = call
+	s.b.eval(strings.ToLower(s.b.win.Class)+" scroll command", call)
+}
+
+// clampTop returns the first line of a view of window lines out of
+// lines that is nearest to want: the view never starts above the first
+// line or leaves rows empty below the last.
+func clampTop(want, lines, window int) int {
+	return max(0, min(want, lines-window))
 }
 
 // eval runs a widget callback command, reporting failures as background

@@ -280,6 +280,30 @@ func TestListboxScrollbarLinkage(t *testing.T) {
 	}
 }
 
+// TestScrollCommandRunsAtIdle: a listbox or text runs its -scroll
+// command from an idle handler, once for any number of changes, not
+// inside the command that changed the view; a configure that fails runs
+// it not at all.
+func TestScrollCommandRunsAtIdle(t *testing.T) {
+	for _, class := range []string{"listbox", "text"} {
+		app, _ := newApp(t)
+		app.MustEval(class + ` .l -scroll {lappend calls}; .l configure -bg red`)
+		if app.Interp.VarExists("calls") {
+			t.Fatalf("%s: calls = %q before update, want unset", class, app.MustEval(`set calls`))
+		}
+		app.Update()
+		calls := app.MustEval(`set calls`)
+		if n := app.MustEval(`llength $calls`); n != "4" {
+			t.Fatalf("%s: calls = %q after update, want one call's four figures", class, calls)
+		}
+		app.MustEval(`catch {.l configure -bg nosuchcolor}`)
+		app.Update()
+		if got := app.MustEval(`set calls`); got != calls {
+			t.Fatalf("%s: calls = %q after a failed configure, want %q", class, got, calls)
+		}
+	}
+}
+
 func itoa(i int) string {
 	return string(rune('0'+i/10)) + string(rune('0'+i%10))
 }
@@ -430,6 +454,55 @@ func TestWidgetsUseGlobals(t *testing.T) {
 	app.MustEval(`.c invoke`)
 	if got := app.MustEval(`set mode`); got != "off" {
 		t.Fatalf("mode = %q after invoking the checkbutton that showed it on", got)
+	}
+}
+
+// TestVariableLinksEndWithTheWidget: destroying a check or radio button
+// or an entry removes the trace that linked it to its variable, so the
+// variable no longer keeps the widget alive.
+func TestVariableLinksEndWithTheWidget(t *testing.T) {
+	app, _ := newApp(t)
+	app.MustEval(`checkbutton .c -variable v; radiobutton .r -variable v; entry .e -textvariable v`)
+	if got := app.MustEval(`trace vinfo v`); got != "3" {
+		t.Fatalf("trace vinfo v = %s with three widgets linked, want 3", got)
+	}
+	app.MustEval(`destroy .c .r .e`)
+	if got := app.MustEval(`trace vinfo v`); got != "0" {
+		t.Fatalf("trace vinfo v = %s after the widgets were destroyed, want 0", got)
+	}
+}
+
+// TestConfigureMovesVariableLink: configure -variable and -textvariable
+// move the widget's trace to the variable the option names now, as Tk's
+// configure does: the widget follows the new variable, and the old one
+// no longer reaches it.
+func TestConfigureMovesVariableLink(t *testing.T) {
+	app, _ := newApp(t)
+	app.MustEval(`checkbutton .c -variable a; .c configure -variable b; set b 1; .c invoke`)
+	if got := app.MustEval(`list $b [trace vinfo a] [trace vinfo b]`); got != "0 0 1" {
+		t.Fatalf("b, trace vinfo a and trace vinfo b = %s, want 0 0 1", got)
+	}
+	app.MustEval(`set s old; set u new; entry .e -textvariable s; .e configure -textvariable u`)
+	if got := app.MustEval(`.e get`); got != "new" {
+		t.Fatalf(".e get = %q after configure -textvariable u, want new", got)
+	}
+	app.MustEval(`set s changed; set u newer`)
+	if got := app.MustEval(`list [.e get] [trace vinfo s]`); got != "newer 0" {
+		t.Fatalf(".e get and trace vinfo s = %s, want newer 0", got)
+	}
+}
+
+// TestTraceVdeleteKeepsWidgetLink: trace vdelete removes only the trace
+// it names, not a checkbutton's link to the same variable.
+func TestTraceVdeleteKeepsWidgetLink(t *testing.T) {
+	app, _ := newApp(t)
+	app.MustEval(`checkbutton .c -variable v; trace variable v w foo; trace vdelete v w foo`)
+	if got := app.MustEval(`trace vinfo v`); got != "1" {
+		t.Fatalf("trace vinfo v = %s, want 1: the checkbutton's link", got)
+	}
+	app.MustEval(`set v 1; .c invoke`)
+	if got := app.MustEval(`set v`); got != "0" {
+		t.Fatalf("v = %s after invoking the checkbutton that showed it on, want 0", got)
 	}
 }
 

@@ -108,6 +108,10 @@ type Reader struct {
 // NewReader wraps payload bytes.
 func NewReader(b []byte) *Reader { return &Reader{buf: b} }
 
+// Reset makes r read b from its start, with no error: a read loop keeps
+// one Reader and resets it for each payload.
+func (r *Reader) Reset(b []byte) { *r = Reader{buf: b} }
+
 // Err returns the first decode error encountered, if any.
 func (r *Reader) Err() error { return r.err }
 

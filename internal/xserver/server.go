@@ -233,6 +233,11 @@ type conn struct {
 	wireRx bool
 	rxSeg  []byte
 
+	// rd decodes each request dispatch serves, reset for each one: every
+	// Decode copies what it keeps. v2 segments' requests are served on
+	// the request-loop goroutine too, so rd needs no lock.
+	rd xproto.Reader
+
 	// Span timing, owned by the request-loop goroutine: spanning is set
 	// while a sampled request dispatches, and replied holds the time its
 	// reply or error was handed to the writer, zero until then.
@@ -867,7 +872,8 @@ func (s *Server) dispatch(c *conn, op uint16, payload []byte) (wait int64) {
 		c.protoError("bad request opcode %d", op)
 		return 0
 	}
-	r := xproto.NewReader(payload)
+	r := &c.rd
+	r.Reset(payload)
 	req.Decode(r)
 	if r.Err() != nil {
 		c.protoError("malformed request %d: %v", op, r.Err())
