@@ -1,9 +1,9 @@
 # Pre-PR gate: build, vet, gofmt over every tracked Go file,
 # race-gated tests, tkcheck over every Tcl script and Go package in the
 # tree (docs/static-analysis.md), the frame-decoder, Tcl,
-# option-database and Tcl-linter fuzz smoke, the connection-queue race
-# stress, the performance gates (gates_test.go), the tkbench smoke
-# (cmd/tkbench/README.md), and the chaos harness
+# option-database, send-record and Tcl-linter fuzz smoke, the
+# connection-queue race stress, the performance gates (gates_test.go),
+# the tkbench smoke (cmd/tkbench/README.md), and the chaos harness
 # (docs/fault-injection.md). All legs must pass before a change ships.
 
 GO ?= go
@@ -37,8 +37,10 @@ tkcheck:
 # the v2 segment envelope and the v1 frames inside it), the Tcl
 # interpreter (scripts and expressions, cold against cached), the
 # option database (.Xdefaults text, option stack against the reference
-# matcher), the binding table that bind, canvas item and text tag
-# bindings share (no panic binding, querying, deleting or
+# matcher), the send properties' records (no panic reading any
+# property; what the writer wrote reads back field for field), the
+# binding table that bind, canvas item and text tag bindings share
+# (no panic binding, querying, deleting or
 # %-substituting; a rejected sequence changes nothing), the configure
 # command every widget shares (no panic; a rejected call changes no
 # option; an accepted one reports its value) and the Tcl linter (no
@@ -48,6 +50,9 @@ tkcheck:
 # frames in both directions (internal/xproto/fuzz_test.go), the paper's
 # Figures 1-5 and compute-style loops (internal/tcl/fuzz_test.go),
 # option patterns of every binding kind (internal/tk/option_test.go),
+# send records whose fields hold newlines, braces and NUL bytes, an
+# empty property, a partial record and an unbalanced brace
+# (internal/tk/send_test.go),
 # Figure 7's patterns and the binding parity table's cases
 # (internal/tk/bind_test.go), every widget class's options with an
 # unknown colour, a non-integer and an ambiguous abbreviation
@@ -59,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEval$$' -fuzztime 5s ./internal/tcl
 	$(GO) test -run '^$$' -fuzz '^FuzzExpr$$' -fuzztime 5s ./internal/tcl
 	$(GO) test -run '^$$' -fuzz '^FuzzOptionDB$$' -fuzztime 5s ./internal/tk
+	$(GO) test -run '^$$' -fuzz '^FuzzSendRecords$$' -fuzztime 5s ./internal/tk
 	$(GO) test -run '^$$' -fuzz '^FuzzBindSequence$$' -fuzztime 5s ./internal/tk
 	$(GO) test -run '^$$' -fuzz '^FuzzConfigure$$' -fuzztime 5s ./internal/widget
 	$(GO) test -run '^$$' -fuzz '^FuzzLint$$' -fuzztime 5s ./internal/lint

@@ -65,8 +65,8 @@ func runChaosScenario(t *testing.T, sc fault.Scenario) {
 	srv.SetLatency(100 * time.Microsecond)
 	srv.SetWriteTimeout(time.Second)
 
-	// The faulty connection: the chaos layer sits under xclient exactly
-	// where the xtrace tap would.
+	// The faulty connection: the chaos layer sits under xclient, below
+	// the v2 codec.
 	fc := fault.Wrap(srv.ConnectPipe(), sc, nil)
 
 	outc := make(chan chaosOutcome, 1)

@@ -20,13 +20,13 @@
 // (docs/pipelining.md): checksummed, flate-compressed segments of the
 // same frames v1 sends, and latency-adaptive flush batching.
 // Servers that do not speak v2 transparently fall back to v1. The
-// default is v1; -trace forces v1 (the wire tracer decodes raw v1
-// framing only).
+// default is v1.
 //
 // With -trace, every protocol request, reply, error and event crossing
-// the display connection is decoded (xscope-style); the accumulated
-// trace is printed to standard error at exit and is available to
-// scripts while running via "tkstats trace".
+// the display connection is decoded (xscope-style), above the v2 codec,
+// so either wire protocol traces the same frames; the accumulated trace
+// is printed to standard error at exit and is available to scripts
+// while running via "tkstats trace".
 //
 // With -spans, one request in 64 is followed end to end by the span
 // layer (internal/obs/trace) and the retained spans are written to the
@@ -130,9 +130,6 @@ func main() {
 	spanInterval := 0
 	if spanFile != "" {
 		spanInterval = 64
-	}
-	if wireV2 && trace {
-		fmt.Fprintln(os.Stderr, "wish: -trace decodes v1 framing only; ignoring -wire v2")
 	}
 	app, err := core.NewApp(core.Options{Name: appName, Display: display, Session: session, Trace: trace, SpanInterval: spanInterval, WireV2: wireV2})
 	if err != nil {

@@ -342,7 +342,10 @@ func TestSizesTool(t *testing.T) {
 
 // TestWishTraceFlag: wish -trace decodes the protocol stream. The
 // script reads its own trace with "tkstats trace" while running, and
-// the full accumulated trace is dumped to stderr at exit.
+// the full accumulated trace is dumped to stderr at exit. The tracer
+// takes the frames above the v2 codec, so -wire v2 negotiates v2 and
+// traces the same numbered, named requests and replies after its
+// upgrade handshake.
 func TestWishTraceFlag(t *testing.T) {
 	wish, _ := binaries(t)
 	dir := t.TempDir()
@@ -353,44 +356,65 @@ func TestWishTraceFlag(t *testing.T) {
 		update
 		print "lines: [llength [split [tkstats trace] \n]]\n"
 		print "roundtrip: [lindex [tkstats histogram roundtrip] 1]\n"
+		print "segments: [tkstats counters wire.segments.v2]\n"
 		destroy .
 	`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(wish, "-trace", "-f", script)
-	var stdout, stderr strings.Builder
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("wish -trace failed: %v\n%s%s", err, stdout.String(), stderr.String())
-	}
-	// The script saw a non-trivial trace from inside.
-	var lines int
-	if _, err := fmt.Sscanf(stdout.String(), "lines: %d", &lines); err != nil || lines < 10 {
-		t.Fatalf("in-script trace had %d lines (err %v): %q", lines, err, stdout.String())
-	}
-	// The roundtrip histogram recorded at least one round trip.
-	var rtts int
-	for _, l := range strings.Split(stdout.String(), "\n") {
-		fmt.Sscanf(l, "roundtrip: %d", &rtts)
-	}
-	if rtts == 0 {
-		t.Fatalf("roundtrip histogram empty: %q", stdout.String())
-	}
-	// The exit dump decodes requests, replies and events with sequence
-	// numbers and opcode names.
-	dump := stderr.String()
-	for _, want := range []string{"-> req ", "<- rep ", "<- evt ", "<- setup ", "CreateWindow", "MapWindow"} {
-		if !strings.Contains(dump, want) {
-			t.Fatalf("exit trace missing %q:\n%s", want, dump)
-		}
-	}
-	// Every line is sequence-numbered.
-	for _, line := range strings.Split(strings.TrimSpace(dump), "\n") {
-		var seq int
-		if _, err := fmt.Sscanf(line, "%d ", &seq); err != nil || seq == 0 {
-			t.Fatalf("unnumbered trace line %q", line)
-		}
+	for _, tc := range []struct {
+		wire string
+		want []string
+	}{
+		{"v1", nil},
+		{"v2", []string{"-> UpgradeWire {Version:2}"}},
+	} {
+		t.Run(tc.wire, func(t *testing.T) {
+			cmd := exec.Command(wish, "-trace", "-wire", tc.wire, "-f", script)
+			var stdout, stderr strings.Builder
+			cmd.Stdout = &stdout
+			cmd.Stderr = &stderr
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("wish -trace failed: %v\n%s%s", err, stdout.String(), stderr.String())
+			}
+			// The script saw a non-trivial trace from inside.
+			var lines int
+			if _, err := fmt.Sscanf(stdout.String(), "lines: %d", &lines); err != nil || lines < 10 {
+				t.Fatalf("in-script trace had %d lines (err %v): %q", lines, err, stdout.String())
+			}
+			// The roundtrip histogram recorded at least one round trip,
+			// and only a v2 connection sent v2 segments.
+			var rtts, segs int
+			for _, l := range strings.Split(stdout.String(), "\n") {
+				fmt.Sscanf(l, "roundtrip: %d", &rtts)
+				fmt.Sscanf(l, "segments: wire.segments.v2 %d", &segs)
+			}
+			if rtts == 0 {
+				t.Fatalf("roundtrip histogram empty: %q", stdout.String())
+			}
+			if (segs > 0) != (tc.wire == "v2") {
+				t.Fatalf("-wire %s sent %d v2 segments", tc.wire, segs)
+			}
+			// The exit dump decodes requests, replies and events with
+			// sequence numbers and opcode names.
+			dump := stderr.String()
+			for _, want := range append(tc.want, "-> req #1 ", "<- rep ", "<- evt ", "<- setup ", "CreateWindow", "MapWindow") {
+				if !strings.Contains(dump, want) {
+					t.Fatalf("exit trace missing %q:\n%s", want, dump)
+				}
+			}
+			// Every line is sequence-numbered, and every reply is named
+			// after the request it answers.
+			for _, line := range strings.Split(strings.TrimSpace(dump), "\n") {
+				var seq, req int
+				var name string
+				if _, err := fmt.Sscanf(line, "%d ", &seq); err != nil || seq == 0 {
+					t.Fatalf("unnumbered trace line %q", line)
+				}
+				if _, err := fmt.Sscanf(line, "%d <- rep #%d %s", &seq, &req, &name); err == nil && (req == 0 || name == "reply") {
+					t.Fatalf("unmatched reply line %q", line)
+				}
+			}
+		})
 	}
 }
 

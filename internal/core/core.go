@@ -48,7 +48,7 @@ type Options struct {
 	ScreenWidth, ScreenHeight int
 	// Interp optionally supplies an existing interpreter.
 	Interp *tcl.Interp
-	// Trace taps a wire tracer into the display connection (wish
+	// Trace attaches a wire tracer to the display connection (wish
 	// -trace); the trace is readable via App.Tracer and the tkstats
 	// Tcl command.
 	Trace bool
@@ -62,9 +62,7 @@ type Options struct {
 	SpanInterval int
 	// WireV2 negotiates the v2 wire protocol (checksummed, compressed
 	// segments of v1 frames with latency-adaptive batching; wish -wire
-	// v2). Ignored
-	// when Trace is set: the wire tracer decodes raw v1 framing, so a
-	// traced connection always speaks v1.
+	// v2).
 	WireV2 bool
 }
 
@@ -90,6 +88,7 @@ func NewApp(opts Options) (*App, error) {
 	var (
 		conn net.Conn
 		srv  *xserver.Server
+		cfg  xclient.Config
 		err  error
 	)
 	if opts.Display != "" {
@@ -97,16 +96,19 @@ func NewApp(opts Options) (*App, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cannot connect to display %q: %w", opts.Display, err)
 		}
+		// Remote displays get the session handshake (harmless when the
+		// server is a plain single display); the wire tracer records the
+		// attach frame, so a -trace log shows it.
+		cfg.Session, cfg.Attach = opts.Session, true
 	} else {
 		srv = xserver.New(opts.ScreenWidth, opts.ScreenHeight)
 		conn = srv.ConnectPipe()
 	}
-	// The tracer taps the raw connection, below xclient, so it sees the
-	// exact bytes that would cross a process boundary.
-	var tracer *xtrace.Tracer
 	if opts.Trace {
-		tracer = xtrace.New(traceDepth)
-		conn = tracer.Tap(conn)
+		cfg.Trace = xtrace.New(traceDepth)
+	}
+	if opts.WireV2 {
+		cfg.Wire = xclient.WireV2
 	}
 	var spans *trace.Tracer
 	if opts.SpanInterval > 0 {
@@ -115,21 +117,7 @@ func NewApp(opts Options) (*App, error) {
 			srv.SetTracer(spans)
 		}
 	}
-	// The wire tracer only decodes v1 framing, so tracing forces v1
-	// (documented on Options.WireV2).
-	wire := xclient.WireV1
-	if opts.WireV2 && !opts.Trace {
-		wire = xclient.WireV2
-	}
-	var d *xclient.Display
-	if opts.Display != "" {
-		// Remote displays get the session handshake (harmless when the
-		// server is a plain single display); the attach frame crosses the
-		// tracer tap like any other request, so a -trace log shows it.
-		d, err = xclient.OpenWith(conn, xclient.Config{Session: opts.Session, Attach: true, Wire: wire})
-	} else {
-		d, err = xclient.OpenWith(conn, xclient.Config{Wire: wire})
-	}
+	d, err := xclient.OpenWith(conn, cfg)
 	if err != nil {
 		if srv != nil {
 			srv.Close()
@@ -139,7 +127,7 @@ func NewApp(opts Options) (*App, error) {
 	if spans != nil {
 		d.SetTracer(spans)
 	}
-	tkApp, err := tk.NewApp(d, tk.Config{Name: opts.Name, Interp: opts.Interp, Trace: tracer, Spans: spans})
+	tkApp, err := tk.NewApp(d, tk.Config{Name: opts.Name, Interp: opts.Interp, Spans: spans})
 	if err != nil {
 		d.Close()
 		if srv != nil {

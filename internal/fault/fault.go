@@ -1,9 +1,9 @@
 // Package fault is a deterministic fault-injection layer for the
 // simulated X protocol: a net.Conn wrapper that sits under xclient or
-// xserver exactly where the xtrace tap does, and perturbs the byte
-// stream according to a seeded Scenario — latency jitter, short
-// (partial) writes, short reads, corrupted bytes, truncated frames,
-// connection kills after N requests or bytes, and one-way read stalls.
+// xserver, below the v2 codec, and perturbs the byte stream according
+// to a seeded Scenario — latency jitter, short (partial) writes, short
+// reads, corrupted bytes, truncated frames, connection kills after N
+// requests or bytes, and one-way read stalls.
 //
 // Gunther's "The X-Files" observation motivates it: real X deployments
 // live and die by how the protocol behaves under latency, loss and

@@ -2,6 +2,7 @@ package xtrace_test
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,18 +17,57 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestTraceGolden scripts a deterministic request/reply/event sequence
-// through a tapped connection and compares the decoded trace against a
+// through a traced connection and compares the decoded trace against a
 // golden file. Each step ends in a round trip, so the wire order — and
-// therefore the trace — is fully determined.
+// therefore the trace — is fully determined. The tracer takes the
+// frames above the v2 codec, so a v2 connection traces the same lines,
+// renumbered, after one line for its upgrade handshake.
 func TestTraceGolden(t *testing.T) {
+	golden := filepath.Join("testdata", "trace.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(goldenScript(t, xclient.WireV1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	t.Run("v1", func(t *testing.T) {
+		if got := goldenScript(t, xclient.WireV1); got != string(want) {
+			t.Fatalf("trace mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
+		}
+	})
+	t.Run("v2", func(t *testing.T) {
+		lines := []string{"0001 -> UpgradeWire {Version:2}"}
+		for i, line := range strings.Split(strings.TrimSuffix(string(want), "\n"), "\n") {
+			lines = append(lines, fmt.Sprintf("%04d%s", i+2, line[len("0000"):]))
+		}
+		v2 := strings.Join(lines, "\n") + "\n"
+		if got := goldenScript(t, xclient.WireV2); got != v2 {
+			t.Fatalf("trace mismatch\n--- got ---\n%s--- want ---\n%s", got, v2)
+		}
+	})
+}
+
+// goldenScript runs the golden file's script over a connection that
+// negotiates wire, and returns its trace.
+func goldenScript(t *testing.T, wire xclient.WireMode) string {
+	t.Helper()
 	srv := xserver.New(200, 150)
 	defer srv.Close()
 	tr := xtrace.New(64)
-	d, err := xclient.Open(tr.Tap(srv.ConnectPipe()))
+	d, err := xclient.OpenWith(srv.ConnectPipe(), xclient.Config{Wire: wire, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	if want := int(wire) + 1; d.WireVersion() != want {
+		t.Fatalf("negotiated wire v%d, want v%d", d.WireVersion(), want)
+	}
 
 	// One async request with an event consequence, then a round trip.
 	// The MapNotify event is emitted by the server while handling
@@ -47,24 +87,7 @@ func TestTraceGolden(t *testing.T) {
 	if _, err := d.QueryTree(xproto.ID(999)); err == nil {
 		t.Fatal("expected x error for bogus window")
 	}
-
-	got := strings.Join(tr.Dump(0), "\n") + "\n"
-	golden := filepath.Join("testdata", "trace.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-	if got != string(want) {
-		t.Fatalf("trace mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	return strings.Join(tr.Dump(0), "\n") + "\n"
 }
 
 // TestTraceCoverageAndReset spot-checks the line kinds the golden file
@@ -75,7 +98,7 @@ func TestTraceCoverageAndReset(t *testing.T) {
 	srv := xserver.New(100, 100)
 	defer srv.Close()
 	tr := xtrace.New(8)
-	d, err := xclient.OpenWith(tr.Tap(srv.ConnectPipe()), xclient.Config{Attach: true})
+	d, err := xclient.OpenWith(srv.ConnectPipe(), xclient.Config{Attach: true, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +160,7 @@ func TestTraceRingBounded(t *testing.T) {
 	srv := xserver.New(100, 100)
 	defer srv.Close()
 	tr := xtrace.New(4)
-	d, err := xclient.Open(tr.Tap(srv.ConnectPipe()))
+	d, err := xclient.OpenWith(srv.ConnectPipe(), xclient.Config{Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,6 +128,9 @@ func (in *Interp) SetGlobal(full, value string) (string, error) {
 }
 
 // UnsetVar removes a variable or array element from the current frame.
+// As in Tcl, it deletes first and then runs the unset traces, so a
+// trace sees the variable gone. A whole variable's traces go with it:
+// a trace that sets or traces the name again makes a new variable.
 func (in *Interp) UnsetVar(full string) error {
 	name, index, isArr := splitVarName(full)
 	f := in.current()
@@ -136,7 +139,6 @@ func (in *Interp) UnsetVar(full string) error {
 		return errf(`can't unset "%s": no such variable`, full)
 	}
 	v := slot.resolve()
-	in.fireTraces(v, name, index, "u")
 	if isArr {
 		if !v.isArr {
 			return errf(`can't unset "%s(%s)": variable isn't array`, name, index)
@@ -145,9 +147,10 @@ func (in *Interp) UnsetVar(full string) error {
 			return errf(`can't unset "%s(%s)": no such element in array`, name, index)
 		}
 		delete(v.array, index)
-		return nil
+	} else {
+		delete(f.vars, name)
 	}
-	delete(f.vars, name)
+	in.fireTraces(v, name, index, "u")
 	return nil
 }
 

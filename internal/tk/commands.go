@@ -453,10 +453,10 @@ func (app *App) cmdLower(in *tcl.Interp, args []string) (string, error) {
 }
 
 // tkwaitVariable runs the event loop until a global variable is
-// written, then removes its trace, as Tk's tkwait does.
+// written or unset, then removes its trace, as Tk's tkwait does.
 func (app *App) tkwaitVariable(in *tcl.Interp, args []string) (string, error) {
 	done := false
-	trace := in.TraceGlobal(args[2], "w", func(*tcl.Interp, string, string, string) {
+	trace := in.TraceGlobal(args[2], "wu", func(*tcl.Interp, string, string, string) {
 		done = true
 	})
 	for !done && !app.Quitting() {

@@ -3,7 +3,6 @@ package tk
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/tcl"
@@ -22,35 +21,51 @@ import (
 // answer; App.SendTimeout overrides it per application.
 const DefaultSendTimeout = 5 * time.Second
 
-// registryEntries parses the root-window registry property: one Tcl list
-// {xid name} per line.
-func (app *App) registryEntries() ([][2]string, error) {
+// Each of the three send properties — the root window's registry, and
+// a communication window's commands and results — is one Tcl list of
+// records of n fields: {xid name} in the registry, {serial responder
+// script} for a command and {serial code result} for a result. A
+// record is appended as its fields' list and a space, so a field may
+// hold anything a list element can, newlines included, and a property
+// is read back with one ParseList.
+
+// appendRecord appends one record of fields to a property's bytes.
+func appendRecord(dst []byte, fields ...string) []byte {
+	return append(append(dst, tcl.FormatList(fields)...), ' ')
+}
+
+// readRecords splits a property into its records of n fields. A
+// property that is not a list, or whose length is not a multiple of n,
+// is dropped whole.
+func readRecords(data []byte, n int) [][]string {
+	fields, err := tcl.ParseList(string(data))
+	if err != nil || len(fields)%n != 0 {
+		return nil
+	}
+	recs := make([][]string, 0, len(fields)/n)
+	for i := 0; i < len(fields); i += n {
+		recs = append(recs, fields[i:i+n])
+	}
+	return recs
+}
+
+// registryEntries reads the root-window registry property: its {xid
+// name} records.
+func (app *App) registryEntries() ([][]string, error) {
 	rep, err := app.Disp.GetProperty(app.Disp.Root, app.atomRegistry, false)
 	if err != nil {
 		return nil, err
 	}
-	var entries [][2]string
-	for _, line := range strings.Split(string(rep.Data), "\n") {
-		if line == "" {
-			continue
-		}
-		parts, err := tcl.ParseList(line)
-		if err != nil || len(parts) != 2 {
-			continue
-		}
-		entries = append(entries, [2]string{parts[0], parts[1]})
-	}
-	return entries, nil
+	return readRecords(rep.Data, 2), nil
 }
 
 // writeRegistry replaces the registry property.
-func (app *App) writeRegistry(entries [][2]string) {
-	var b strings.Builder
+func (app *App) writeRegistry(entries [][]string) {
+	var data []byte
 	for _, e := range entries {
-		b.WriteString(tcl.FormatList([]string{e[0], e[1]}))
-		b.WriteByte('\n')
+		data = appendRecord(data, e[0], e[1])
 	}
-	app.Disp.ChangeProperty(app.Disp.Root, app.atomRegistry, xproto.AtomString, []byte(b.String()))
+	app.Disp.ChangeProperty(app.Disp.Root, app.atomRegistry, xproto.AtomString, data)
 }
 
 // registerName adds this application to the registry, uniquifying its
@@ -70,7 +85,7 @@ func (app *App) registerName(want string) error {
 	}
 	app.Name = name
 	app.options.dropStack()
-	entries = append(entries, [2]string{strconv.FormatUint(uint64(app.commWin), 10), name})
+	entries = append(entries, []string{strconv.FormatUint(uint64(app.commWin), 10), name})
 	app.writeRegistry(entries)
 	app.registered = true
 	// Sync so the registry write is applied at the server before this
@@ -151,12 +166,8 @@ func (app *App) Send(target, script string) (string, error) {
 	}
 	app.sendSerial++
 	serial := app.sendSerial
-	payload := tcl.FormatList([]string{
-		strconv.Itoa(serial),
-		strconv.FormatUint(uint64(app.commWin), 10),
-		script,
-	}) + "\n"
-	app.Disp.AppendProperty(commXID, app.atomSendCmd, xproto.AtomString, []byte(payload))
+	payload := appendRecord(nil, strconv.Itoa(serial), strconv.FormatUint(uint64(app.commWin), 10), script)
+	app.Disp.AppendProperty(commXID, app.atomSendCmd, xproto.AtomString, payload)
 	if err := app.Disp.Flush(); err != nil {
 		return "", err
 	}
@@ -208,27 +219,19 @@ func (app *App) handleCommEvent(ev *xproto.Event) {
 		if err != nil || !rep.Found {
 			return
 		}
-		for _, line := range strings.Split(string(rep.Data), "\n") {
-			if line == "" {
-				continue
-			}
-			parts, err := tcl.ParseList(line)
-			if err != nil || len(parts) != 3 {
-				continue
-			}
-			serial := parts[0]
-			responder, err := strconv.ParseUint(parts[1], 10, 32)
+		for _, rec := range readRecords(rep.Data, 3) {
+			responder, err := strconv.ParseUint(rec[1], 10, 32)
 			if err != nil {
 				continue
 			}
-			result, evalErr := app.Interp.GlobalEval(parts[2])
+			result, evalErr := app.Interp.GlobalEval(rec[2])
 			code := "0"
 			if evalErr != nil {
 				code = "1"
 				result = evalErr.Error()
 			}
-			resp := tcl.FormatList([]string{serial, code, result}) + "\n"
-			app.Disp.AppendProperty(xproto.ID(responder), app.atomSendRes, xproto.AtomString, []byte(resp))
+			resp := appendRecord(nil, rec[0], code, result)
+			app.Disp.AppendProperty(xproto.ID(responder), app.atomSendRes, xproto.AtomString, resp)
 			app.Disp.Flush()
 		}
 	case app.atomSendRes:
@@ -236,20 +239,13 @@ func (app *App) handleCommEvent(ev *xproto.Event) {
 		if err != nil || !rep.Found {
 			return
 		}
-		for _, line := range strings.Split(string(rep.Data), "\n") {
-			if line == "" {
-				continue
-			}
-			parts, err := tcl.ParseList(line)
-			if err != nil || len(parts) != 3 {
-				continue
-			}
-			serial, err := strconv.Atoi(parts[0])
+		for _, rec := range readRecords(rep.Data, 3) {
+			serial, err := strconv.Atoi(rec[0])
 			if err != nil {
 				continue
 			}
-			code, _ := strconv.Atoi(parts[1])
-			app.sendResults[serial] = sendResult{code: code, result: parts[2]}
+			code, _ := strconv.Atoi(rec[1])
+			app.sendResults[serial] = sendResult{code: code, result: rec[2]}
 		}
 	}
 }

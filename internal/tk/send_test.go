@@ -1,6 +1,7 @@
 package tk
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -250,4 +251,62 @@ func TestSendToUnresponsivePeerTimesOut(t *testing.T) {
 	if !found {
 		t.Fatal("alive-but-busy peer must stay registered")
 	}
+}
+
+// TestSendNewlines: a script, a result or an error message may hold a
+// newline, a brace or a NUL byte and still cross both ways: each send
+// property is one Tcl list of records, not a line per record.
+func TestSendNewlines(t *testing.T) {
+	a, b := mkPair(t, "a", "b")
+	a.SendTimeout = 500 * time.Millisecond
+	stop := b.StartServing()
+	defer stop()
+	for _, tc := range []struct{ script, want, wantErr string }{
+		{"set x 1\nset y 2", "2", ""},
+		{"set w {a\nb}", "a\nb", ""},
+		{`set z p\nq`, "p\nq", ""},
+		{`error "bad\nthing"`, "", "bad\nthing"},
+		{`set r "x\{y\000z"`, "x{y\x00z", ""},
+	} {
+		got, err := a.Send("b", tc.script)
+		if tc.wantErr != "" {
+			if err == nil || err.Error() != tc.wantErr {
+				t.Errorf("send %q: error %v, want %q", tc.script, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("send %q = %q, %v; want %q", tc.script, got, err, tc.want)
+		}
+	}
+	if got := b.MustEval(`set z`); got != "p\nq" {
+		t.Errorf("target's z = %q, want %q", got, "p\nq")
+	}
+}
+
+// FuzzSendRecords: the send properties' record reader never panics,
+// whatever bytes a property holds, and the records the writer wrote
+// read back field for field.
+func FuzzSendRecords(f *testing.F) {
+	for _, seed := range []struct{ prop, a, b, c string }{
+		{"", "1", "2097154", "set x 1\nset y 2"},
+		{"1 2097154 {set w {a\nb}} ", "2", "0", "set z p\\nq"},
+		{"1 1 {bad\nthing} ", "3", "0", "x{y\x00z"},
+		{"1 2 ", "", " ", "\\"},
+		{"{unbalanced ", "{", "}", "\"quoted\""},
+	} {
+		f.Add([]byte(seed.prop), seed.a, seed.b, seed.c)
+	}
+	f.Fuzz(func(t *testing.T, prop []byte, a, b, c string) {
+		readRecords(prop, 2)
+		readRecords(prop, 3)
+		data := appendRecord(appendRecord(nil, a, b, c), c, b, a)
+		if got, want := readRecords(data, 3), [][]string{{a, b, c}, {c, b, a}}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("records %q read back as %q, want %q", data, got, want)
+		}
+		data = appendRecord(appendRecord(nil, a, b), b, c)
+		if got, want := readRecords(data, 2), [][]string{{a, b}, {b, c}}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("records %q read back as %q, want %q", data, got, want)
+		}
+	})
 }

@@ -21,18 +21,16 @@ func statsApp(t *testing.T, trace bool) (*App, *xserver.Server, *xtrace.Tracer) 
 	t.Helper()
 	srv := xserver.New(640, 480)
 	t.Cleanup(srv.Close)
-	conn := srv.ConnectPipe()
 	var tr *xtrace.Tracer
 	if trace {
 		tr = xtrace.New(256)
-		conn = tr.Tap(conn)
 	}
-	d, err := xclient.Open(conn)
+	d, err := xclient.OpenWith(srv.ConnectPipe(), xclient.Config{Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Close)
-	app, err := NewApp(d, Config{Name: "stats", Trace: tr})
+	app, err := NewApp(d, Config{Name: "stats"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,7 +148,7 @@ type App struct {
 	Name   string // registered application name (send target)
 	Main   *Window
 
-	// Tracer, when non-nil, is the wire tracer tapped into this
+	// Tracer, when non-nil, is the wire tracer attached to this
 	// application's display connection (wish -trace); the tkstats
 	// command exposes it.
 	Tracer *xtrace.Tracer
@@ -262,9 +262,6 @@ type Config struct {
 	// Interp may be supplied to share an existing interpreter; otherwise
 	// a new one is created.
 	Interp *tcl.Interp
-	// Trace, if non-nil, is a wire tracer already tapped into the
-	// display connection; it becomes App.Tracer so tkstats can reach it.
-	Trace *xtrace.Tracer
 	// Spans, if non-nil, is a request-span tracer (normally the one also
 	// attached to the display with SetTracer); it becomes App.Spans so
 	// event dispatches are sampled and tkstats can export the ring.
@@ -285,7 +282,7 @@ func NewApp(d *xclient.Display, cfg Config) (*App, error) {
 	app := &App{
 		Interp:      in,
 		Disp:        d,
-		Tracer:      cfg.Trace,
+		Tracer:      d.WireTracer(),
 		Spans:       cfg.Spans,
 		SendTimeout: DefaultSendTimeout,
 		windows:     make(map[string]*Window, 32),

@@ -80,3 +80,19 @@ func TestTkwaitVariableRemovesTrace(t *testing.T) {
 		t.Fatalf("trace vinfo x = %s after five tkwaits, want 0", got)
 	}
 }
+
+// TestTkwaitVariableEndsOnUnset: an unset ends tkwait variable, as a
+// write does, as in Tk. A Go timer quits the application if the unset
+// does not end the wait, so the test fails rather than hangs.
+func TestTkwaitVariableEndsOnUnset(t *testing.T) {
+	app, _ := newTestApp(t)
+	guard := time.AfterFunc(2*time.Second, func() { app.Post(app.Quit) })
+	defer guard.Stop()
+	app.MustEval(`set w 0; after 10 {unset w}; after 50 {set w 1}; tkwait variable w`)
+	if app.Quitting() {
+		t.Fatal("tkwait variable w still waited 2 s after w was unset")
+	}
+	if got := app.MustEval(`info exists w`); got != "0" {
+		t.Fatalf("info exists w = %s when the unset ended the wait, want 0", got)
+	}
+}

@@ -298,7 +298,7 @@ func (bt *Button) recompute() error {
 	}
 	if bt.kind == kindCheck || bt.kind == kindRadio {
 		w += indicatorSize + 6
-		bt.linkVariable(bt.cv.Get("-variable"), "wu", bt.showVariable)
+		bt.linkVariable(bt.cv.Get("-variable"), bt.showVariable)
 	}
 	bt.win.GeometryRequest(w+2*padX+2*bd, h+2*padY+2*bd)
 	bt.win.ScheduleRedraw()

@@ -130,9 +130,15 @@ func entryRows(app *tk.App) []tcl.Row {
 }
 
 // showVariable shows the value of the entry's -textvariable, which
-// setText keeps equal to the text: the two are linked both ways.
+// setText keeps equal to the text: the two are linked both ways. An
+// unset variable is set back to the text, as Tk's EntryTextVarProc
+// does.
 func (e *Entry) showVariable() {
-	if v, err := e.app.Interp.GetGlobal(e.cv.Get("-textvariable")); err == nil && v != e.text {
+	v, err := e.app.Interp.GetGlobal(e.cv.Get("-textvariable"))
+	switch {
+	case err != nil:
+		e.setText(e.text, true)
+	case v != e.text:
 		e.setText(v, false)
 	}
 }
@@ -244,7 +250,7 @@ func (e *Entry) recompute() error {
 	chars := e.cv.GetInt("-width", 20)
 	e.win.GeometryRequest(chars*e.font.TextWidth("0")+2*bd+6, e.font.LineHeight()+2*bd+6)
 	e.win.ScheduleRedraw()
-	e.linkVariable(e.cv.Get("-textvariable"), "w", e.showVariable)
+	e.linkVariable(e.cv.Get("-textvariable"), e.showVariable)
 	return nil
 }
 

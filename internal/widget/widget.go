@@ -197,15 +197,17 @@ func (b *base) prefetch() {
 // variable, so the variable no longer keeps the widget alive.
 func (b *base) Destroyed() {
 	b.app.Interp.Unregister(b.win.Path)
-	b.linkVariable("", "", nil)
+	b.linkVariable("", nil)
 }
 
 // linkVariable moves the widget's variable trace to the global variable
-// name, for ops, and runs show now and whenever the trace fires; an
-// empty name removes the trace. Widgets call it from recompute, as Tk's
-// configure procedures untrace the variable and trace the one the
-// option names now.
-func (b *base) linkVariable(name, ops string, show func()) {
+// name, and runs show now and whenever the variable is written or
+// unset; an empty name removes the trace. Widgets call it from
+// recompute, as Tk's configure procedures untrace the variable and
+// trace the one the option names now. An unset deletes the variable
+// with its traces, so after show the widget links again, as Tk's
+// ButtonVarProc does.
+func (b *base) linkVariable(name string, show func()) {
 	if b.link != nil {
 		b.app.Interp.UntraceVar(b.link)
 		b.link = nil
@@ -213,7 +215,12 @@ func (b *base) linkVariable(name, ops string, show func()) {
 	if name == "" {
 		return
 	}
-	b.link = b.app.Interp.TraceGlobal(name, ops, func(*tcl.Interp, string, string, string) { show() })
+	b.link = b.app.Interp.TraceGlobal(name, "wu", func(_ *tcl.Interp, _, _, op string) {
+		show()
+		if op == "u" {
+			b.linkVariable(name, show)
+		}
+	})
 	show()
 }
 

@@ -472,6 +472,35 @@ func TestVariableLinksEndWithTheWidget(t *testing.T) {
 	}
 }
 
+// TestUnsetKeepsVariableLink: an unset deletes a check button's
+// variable with its traces, and the button links again, as Tk's
+// ButtonVarProc does, so it follows the variable once it is set again.
+func TestUnsetKeepsVariableLink(t *testing.T) {
+	app, _ := newApp(t)
+	app.MustEval(`checkbutton .c -variable v -onvalue yes -offvalue no; set v yes; unset v; set v no; .c invoke`)
+	if got := app.MustEval(`list $v [trace vinfo v]`); got != "yes 1" {
+		t.Fatalf("v and trace vinfo v = %s after unset, set v no and invoke, want yes 1", got)
+	}
+}
+
+// TestEntryUnsetRestoresVariable: an unset -textvariable is set back to
+// the entry's text, as Tk's EntryTextVarProc does, and the entry stays
+// linked to it.
+func TestEntryUnsetRestoresVariable(t *testing.T) {
+	app, _ := newApp(t)
+	app.MustEval(`entry .e -textvariable ev; .e insert 0 abc; unset ev`)
+	if got := app.MustEval(`list [info exists ev] [.e get]`); got != "1 abc" {
+		t.Fatalf("info exists ev and .e get = %s after unset ev, want 1 abc", got)
+	}
+	if got := app.MustEval(`set ev`); got != "abc" {
+		t.Fatalf("ev = %q after unset ev, want abc", got)
+	}
+	app.MustEval(`set ev xyz`)
+	if got := app.MustEval(`.e get`); got != "xyz" {
+		t.Fatalf(".e get = %q after set ev xyz, want xyz", got)
+	}
+}
+
 // TestConfigureMovesVariableLink: configure -variable and -textvariable
 // move the widget's trace to the variable the option names now, as Tk's
 // configure does: the widget follows the new variable, and the old one

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
+	"repro/internal/obs/xtrace"
 	"repro/internal/xproto"
 )
 
@@ -114,6 +115,11 @@ type Display struct {
 	// (see internal/obs/trace). Atomic so SetTracer may race requests.
 	tracer atomic.Pointer[trace.Tracer]
 
+	// wireTrace, when set (Config.Trace), is handed every frame the
+	// display writes and reads, above the v2 codec. Immutable after
+	// OpenWith.
+	wireTrace *xtrace.Tracer
+
 	// tracedFlush is the sequence number of a sampled request buffered
 	// since the last flush (0 = none), so flushLocked knows to time and
 	// record the wire write that carries it. guarded by mu.
@@ -166,7 +172,7 @@ type WireMode int
 const (
 	// WireV1 speaks the original framing — the default. No upgrade
 	// frame is written, so the connection is byte-for-byte identical to
-	// a pre-v2 client (and stays decodable by the xtrace tap).
+	// a pre-v2 client.
 	WireV1 WireMode = iota
 	// WireV2 requests the LBX-style v2 upgrade (checksummed,
 	// flate-compressed segments of v1 frames and latency-adaptive
@@ -186,6 +192,10 @@ type Config struct {
 	Attach bool
 	// Wire selects the wire protocol to negotiate.
 	Wire WireMode
+	// Trace, if non-nil, is handed every frame the display writes and
+	// reads (wish -trace): the handshake, the setup block, each request
+	// as flushed and each reply, error and event, above the v2 codec.
+	Trace *xtrace.Tracer
 }
 
 // Open establishes a Display over an existing connection (from
@@ -208,16 +218,23 @@ func OpenWith(conn net.Conn, cfg Config) (*Display, error) {
 		hs.RequestFrame(&xproto.UpgradeWireReq{Version: 2})
 	}
 	if len(hs.Bytes()) > 0 {
+		if cfg.Trace != nil {
+			xproto.WalkRequestFrames(hs.Bytes(), func(op uint16, payload []byte) error {
+				cfg.Trace.Request(0, op, payload)
+				return nil
+			})
+		}
 		if _, err := conn.Write(hs.Bytes()); err != nil {
 			conn.Close()
 			return nil, fmt.Errorf("xclient: writing connection handshake: %w", err)
 		}
 	}
 	d := &Display{
-		conn:    conn,
-		waiters: make(map[uint64]*Cookie),
-		wake:    make(chan struct{}, 1),
-		metrics: obs.NewRegistry(),
+		conn:      conn,
+		waiters:   make(map[uint64]*Cookie),
+		wake:      make(chan struct{}, 1),
+		metrics:   obs.NewRegistry(),
+		wireTrace: cfg.Trace,
 	}
 	d.rtTimeout.Store(int64(DefaultRoundTripTimeout))
 	// The setup block arrives before anything else. Bound the wait so a
@@ -258,6 +275,9 @@ func OpenWith(conn net.Conn, cfg Config) (*Display, error) {
 	}
 	var setup xproto.SetupReply
 	setup.Decode(xproto.NewReader(payload))
+	if d.wireTrace != nil {
+		d.wireTrace.Setup(&setup)
+	}
 	d.Root = setup.Root
 	d.Width = int(setup.Width)
 	d.Height = int(setup.Height)
@@ -479,6 +499,9 @@ func (d *Display) handleServerFrame(kind byte, payload []byte) error {
 			return nil
 		}
 		d.eventsCtr.Inc()
+		if d.wireTrace != nil {
+			d.wireTrace.Event(&ev)
+		}
 		d.queueEvent(ev)
 		return nil
 	case xproto.KindReply, xproto.KindError:
@@ -612,9 +635,23 @@ func (d *Display) routeReply(kind byte, payload []byte) {
 		d.inflightGa.Set(int64(len(d.waiters)))
 	}
 	d.rmu.Unlock()
+	var msg string
+	if kind == xproto.KindError {
+		msg = r.String()
+	}
+	if t := d.wireTrace; t != nil {
+		switch {
+		case kind == xproto.KindError:
+			t.Error(seq, msg)
+		case ck != nil:
+			t.Reply(seq, ck.op, len(payload)-8)
+		default:
+			t.Reply(seq, 0, len(payload)-8)
+		}
+	}
 	if ck == nil {
 		if kind == xproto.KindError {
-			d.asyncError(r.String())
+			d.asyncError(msg)
 		} else {
 			d.asyncError(fmt.Sprintf("unexpected reply seq %d", seq))
 		}
@@ -641,7 +678,7 @@ func (d *Display) routeReply(kind byte, payload []byte) {
 		}
 	}
 	if kind == xproto.KindError {
-		ck.resolve(nil, fmt.Errorf("x error: %s", r.String()))
+		ck.resolve(nil, fmt.Errorf("x error: %s", msg))
 		return
 	}
 	ck.resolve(payload[8:], nil)
@@ -708,6 +745,9 @@ func (d *Display) TakeErrors() []string {
 // metric names).
 func (d *Display) Metrics() *obs.Registry { return d.metrics }
 
+// WireTracer returns the wire tracer Config.Trace attached, or nil.
+func (d *Display) WireTracer() *xtrace.Tracer { return d.wireTrace }
+
 // SetTracer attaches (or, with nil, detaches) a span tracer. The tracer
 // samples reply-bearing requests by sequence number; pair it with a
 // server-side tracer at the same interval to get both halves of each
@@ -741,6 +781,18 @@ func (d *Display) flushLocked() error {
 	frames := int64(d.wcount)
 	// flush.batch is a count (frames per flush), not a duration.
 	d.flushBatchHist.ObserveCount(frames)
+	if d.wireTrace != nil {
+		// The frames are traced in wire order, before the v2 codec wraps
+		// them and before the write, since on a blocking transport the
+		// reply may arrive before Write returns. They carry the sequence
+		// numbers up to d.seq.
+		seq := d.seq - uint64(d.wcount)
+		xproto.WalkRequestFrames(batch, func(op uint16, payload []byte) error {
+			seq++
+			d.wireTrace.Request(seq, op, payload)
+			return nil
+		})
+	}
 	d.wcount = 0
 	tracedSeq := d.tracedFlush
 	d.tracedFlush = 0
@@ -865,9 +917,9 @@ type Cookie struct {
 	done  chan struct{}
 
 	// traced marks a request sampled for span recording; op is its
-	// opcode, kept so the round-trip span can be labeled at resolve
-	// time. Both are set before the cookie is registered and read-only
-	// afterwards.
+	// opcode, kept so the round-trip span and the wire trace can name
+	// the reply. Both are set before the cookie is registered and
+	// read-only afterwards.
 	traced bool
 	op     uint16
 
@@ -914,11 +966,10 @@ func (d *Display) SendWithReply(req xproto.Request) *Cookie {
 		return failedCookie(d, fmt.Errorf("xclient: display closed"))
 	}
 	d.roundtripsCtr.Inc()
-	ck := &Cookie{d: d, begin: time.Now(), done: make(chan struct{})}
+	ck := &Cookie{d: d, begin: time.Now(), done: make(chan struct{}), op: req.Op()}
 	ck.seq = d.send(req)
 	if tr := d.tracer.Load(); tr != nil && tr.Sampled(ck.seq) {
 		ck.traced = true
-		ck.op = req.Op()
 		d.tracedFlush = ck.seq
 		d.sampledCtr.Inc()
 	}
